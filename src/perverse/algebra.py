@@ -11,14 +11,10 @@ Vectors are dicts {basis name: scalar}.
 
 import itertools
 
-from .linalg import (SparseMatrix, vec_add, vec_scale, Subquotient,
+from .linalg import (SparseMatrix, SlotComplex, vec_add, vec_scale,
                      kernel_basis, Quotient)
-from .poset import Poset, leq
+from .poset import leq
 from .complexes import PerverseComplex, _Subspace
-
-
-def vec_is_zero(v):
-    return not v
 
 
 class PDGA:
@@ -31,7 +27,8 @@ class PDGA:
         self.degree = {g[0]: g[1] for g in gens}
         self.label = {g[0]: g[2] for g in gens}
         self.unit = unit
-        assert unit in self.degree
+        if unit not in self.degree:
+            raise ValueError("unit %r is not a generator" % (unit,))
         self.diffs = {}
         for x, v in (diff or {}).items():
             v = {y: field.of(c) for y, c in v.items() if not field.iszero(field.of(c))}
@@ -82,14 +79,6 @@ class PDGA:
             for b, cb in v.items():
                 c = self.field.mul(ca, cb)
                 out = vec_add(self.field, out, vec_scale(self.field, c, self.mul(a, b)))
-        return out
-
-    def lam_vec(self, v):
-        "pointwise max of labels over the support (join in the poset)"
-        out = None
-        for x in v:
-            l = self.lam(x)
-            out = l if out is None else self.poset.join(out, l)
         return out
 
     def slot_basis(self, p, k):
@@ -168,25 +157,21 @@ class PDGA:
     def is_commutative(self):
         return self.validate()["commutative"]
 
+    def _slots(self):
+        "the underlying diagram of complexes, as a module with no action"
+        elems = [(x, self.degree[x], "up", self.label[x]) for x in self.names]
+        return ModuleSlots(Bimodule(self, elems, diff=self.diffs))
+
     def carrier(self):
         "the underlying PerverseComplex, slot bases ordered as self.names"
         Z = PerverseComplex(self.field, self.poset)
+        slots = self._slots()
         for p in self.poset.elements:
             for k in self.degrees():
-                sb = self.slot_basis(p, k)
-                if sb:
-                    Z.basis[(p, k)] = list(sb)
-        for p in self.poset.elements:
-            for k in self.degrees():
-                src = self.slot_basis(p, k)
-                dst = self.slot_basis(p, k + 1)
-                if not src or not dst:
-                    continue
-                m = SparseMatrix(self.field, len(dst), len(src))
-                for j, x in enumerate(src):
-                    for y, c in self.d(x).items():
-                        m[dst.index(y), j] = c
-                Z.d[(p, k)] = m
+                if slots.basis(p, k):
+                    Z.basis[(p, k)] = list(slots.basis(p, k))
+                    if slots.basis(p, k + 1):
+                        Z.d[(p, k)] = slots.matrix(p, k)
         for (p, q) in self.poset.covers():
             for k in self.degrees():
                 src = self.slot_basis(p, k)
@@ -200,27 +185,11 @@ class PDGA:
         return Z
 
     def homology(self):
-        "table (p, degree) -> dimension, with slot Subquotients retained"
-        out = {}
+        "table (p, degree) -> slot Subquotient of the underlying diagram"
+        slots = self._slots()
         degs = self.degrees()
-        for p in self.poset.elements:
-            for k in range(min(degs), max(degs) + 2):
-                src = self.slot_basis(p, k)
-                nxt = self.slot_basis(p, k + 1)
-                prv = self.slot_basis(p, k - 1)
-                dout = SparseMatrix(self.field, len(nxt), len(src))
-                for j, x in enumerate(src):
-                    for y, c in self.d(x).items():
-                        if y in nxt:
-                            dout[nxt.index(y), j] = c
-                din = SparseMatrix(self.field, len(src), len(prv))
-                for j, x in enumerate(prv):
-                    for y, c in self.d(x).items():
-                        if y in src:
-                            din[src.index(y), j] = c
-                H = Subquotient(self.field, len(src), d_out=dout, d_in=din)
-                out[(p, k)] = H
-        return out
+        return {(p, k): slots.homology(p, k) for p in self.poset.elements
+                for k in range(min(degs), max(degs) + 2)}
 
     def homology_dims(self):
         return {pk: H.dim for pk, H in self.homology().items() if H.dim}
@@ -242,7 +211,8 @@ class PDGA:
 
 def tensor_pdga(A, B):
     "A box B with product (a1@b1)(a2@b2) = (-1)^{|a2||b1|} (a1 a2)@(b1 b2)"
-    assert A.field == B.field and A.poset is B.poset
+    if A.field != B.field or A.poset is not B.poset:
+        raise ValueError("factors over different fields or posets")
     F, P = A.field, A.poset
     gens = []
     for a in A.names:
@@ -290,7 +260,8 @@ def opposite_and_enveloping(A):
 def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
     """truncated tensor algebra on generators (name, degree, perversity):
     basis = words (tuples) of length <= L, concatenation product"""
-    assert L >= 0
+    if L < 0:
+        raise ValueError("negative truncation length %r" % (L,))
     degree = {g[0]: g[1] for g in gens}
     label = {g[0]: g[2] for g in gens}
     diff = diff or {}
@@ -478,6 +449,24 @@ class Bimodule:
         return {"valid": not bad, "violations": bad}
 
 
+class ModuleSlots(SlotComplex):
+    "per-slot graded homology of a perverse module with labeled basis"
+
+    def __init__(self, M):
+        super().__init__(M.field)
+        self.M = M
+
+    def degrees(self):
+        return sorted(set(self.M.degree.values()))
+
+    def slot_basis(self, r, k):
+        return [m for m in self.M.names
+                if self.M.degree[m] == k and self.M.present(m, r)]
+
+    def matrix(self, r, k):
+        return self.assemble(r, k, self.M.d)
+
+
 def algebra_as_bimodule(A):
     left = {}
     right = {}
@@ -540,7 +529,8 @@ def module_hom(M, P_, degwindow):
     """perverse complex of left-equivariant maps f: M -> P_,
     f(a.m) = (-1)^{|f||a|} a.f(m); both modules over the same algebra"""
     A = M.algebra
-    assert P_.algebra is A
+    if P_.algebra is not A:
+        raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
     out = PerverseComplex(F, P)
     lo, hi = degwindow
@@ -641,7 +631,8 @@ def module_hom(M, P_, degwindow):
 def module_tensor(M, P_):
     """M box_A P_: cokernel of m.a @ p - m @ a.p, slotwise (up-type modules)"""
     A = M.algebra
-    assert P_.algebra is A
+    if P_.algebra is not A:
+        raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
     out = PerverseComplex(F, P)
     degs = sorted({M.degree[m] + P_.degree[p] for m in M.names for p in P_.names})

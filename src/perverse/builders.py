@@ -21,7 +21,8 @@ def sphere_algebra(field, poset, n, label=None):
 def truncated_polynomial(field, poset, deg, power=2, label=None):
     "field[x]/x^power with |x| = deg, labels constant"
     label = poset.zero if label is None else label
-    assert power >= 2
+    if power < 2:
+        raise ValueError("power must be at least 2, got %r" % (power,))
     gens = [("1", 0, poset.zero)]
     names = ["x"] + ["x^%d" % k for k in range(2, power)]
     for k, nm in enumerate(names, start=1):

@@ -28,9 +28,10 @@ from .fields import QQ, Field
 from .poset import Poset, is_perversity
 from .linalg import SparseMatrix
 from .complexes import ChainComplex, p_filtration, cofibrancy_certificate
-from .algebra import PDGA, algebra_as_bimodule, tensor_pdga
+from .algebra import PDGA, algebra_as_bimodule
 from .hochschild import hh_table
-from .structure import find_duality_class, BVOperator, verify_calculus
+from .structure import (find_duality_class, BVOperator, verify_calculus,
+                        GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
 from .kunneth import compare_hh
 
 
@@ -69,7 +70,7 @@ def _parse_field(s):
     if isinstance(s, str) and s.startswith("Fp:"):
         try:
             return Field(int(s[3:]))
-        except (ValueError, AssertionError):
+        except ValueError:
             raise InputError("field: bad prime in %r" % s)
     raise InputError('field: expected "Q" or "Fp:<p>", got %r' % (s,))
 
@@ -343,19 +344,6 @@ def cmd_hh(args, out):
     return 0
 
 
-_GERSTENHABER_IDS = (
-    "differential equals [d_A,f]+[m,f]", "cup equals signed m{f,g}",
-    "bracket skew-commutativity", "commutativity defect coboundary",
-    "pre-Jacobi k=1 l=2", "pre-Jacobi k=2 l=1", "Jacobi on cohomology",
-    "Leibniz on cohomology")
-_CALCULUS_IDS = (
-    "calculus i_[f,g]", "calculus L_{f cup g}", "calculus L_f via B",
-    "Ginzburg identity")
-_BV_IDS = (
-    "BV block", "Delta(1) = 0", "Delta squared = 0",
-    "BV seven-term relation", "Menichi identity")
-
-
 def _run_suite(args, out, keep, with_bv):
     A = load_pdga(args.algebra)
     lo, hi = args.window
@@ -367,11 +355,11 @@ def _run_suite(args, out, keep, with_bv):
 
 
 def cmd_gerstenhaber(args, out):
-    return _run_suite(args, out, _GERSTENHABER_IDS, with_bv=False)
+    return _run_suite(args, out, GERSTENHABER_IDS, with_bv=False)
 
 
 def cmd_calculus(args, out):
-    return _run_suite(args, out, _CALCULUS_IDS, with_bv=False)
+    return _run_suite(args, out, CALCULUS_IDS, with_bv=False)
 
 
 def cmd_bv(args, out):
@@ -402,7 +390,7 @@ def cmd_bv(args, out):
                     % (list(r), q, m.nrows, m.ncols)})
     report = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
                              seed=args.seed, with_bv=True)
-    checks = [r for r in report if r["identity"] in _BV_IDS]
+    checks = [r for r in report if r["identity"] in BV_IDS]
     _emit(recs + checks, args.json, out)
     return _status(checks)
 
@@ -446,7 +434,10 @@ def cmd_cofibrancy(args, out):
                 m[nxt.index(y), j] = c
         d[k] = m
     cx = ChainComplex(F, basis, d)
-    cx.validate()
+    try:
+        cx.validate()
+    except ValueError as e:
+        raise InputError("differential: %s" % e)
     Z = p_filtration(F, P, cx, labels)
     rep = cofibrancy_certificate(Z)
     recs = [

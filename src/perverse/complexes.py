@@ -10,10 +10,9 @@ covering-relation difference maps; internal hom as the matching limit
 
 import itertools
 
-from .linalg import (SparseMatrix, Echelon, kernel_basis, solve, vec_add,
-                     vec_scale, span_equal, span_intersection, Quotient,
-                     Subquotient)
-from .poset import Poset, leq
+from .linalg import (SparseMatrix, Echelon, kernel_basis, span_equal,
+                     span_intersection, Quotient, Subquotient)
+from .poset import leq
 
 
 class ChainComplex:
@@ -39,8 +38,10 @@ class ChainComplex:
     def validate(self):
         for k in self.degrees():
             dk = self.diff(k)
-            assert dk.nrows == self.dim(k + 1) and dk.ncols == self.dim(k)
-            assert self.diff(k + 1).mul(dk).is_zero(), "d^2 != 0 at degree %d" % k
+            if (dk.nrows, dk.ncols) != (self.dim(k + 1), self.dim(k)):
+                raise ValueError("d has the wrong shape at degree %d" % k)
+            if not self.diff(k + 1).mul(dk).is_zero():
+                raise ValueError("d^2 != 0 at degree %d" % k)
 
     def homology(self):
         out = {}
@@ -85,7 +86,8 @@ class PerverseComplex:
 
     def structure_map(self, p, q, k):
         "composite structure map for any p <= q"
-        assert leq(p, q)
+        if not leq(p, q):
+            raise ValueError("%r is not below %r" % (p, q))
         if p == q:
             return SparseMatrix.identity(self.field, self.dim(p, k))
         path = self.poset.path_up(p, q)
@@ -99,17 +101,24 @@ class PerverseComplex:
         for p in P.elements:
             for k in self.degrees():
                 dk = self.diff(p, k)
-                assert dk.nrows == self.dim(p, k + 1) and dk.ncols == self.dim(p, k)
-                assert self.diff(p, k + 1).mul(dk).is_zero(), \
-                    "d^2 != 0 at %s deg %d" % (p, k)
+                if (dk.nrows, dk.ncols) != (self.dim(p, k + 1),
+                                            self.dim(p, k)):
+                    raise ValueError("d has the wrong shape at %s deg %d"
+                                     % (p, k))
+                if not self.diff(p, k + 1).mul(dk).is_zero():
+                    raise ValueError("d^2 != 0 at %s deg %d" % (p, k))
         for (p, q) in P.covers():
             for k in self.degrees():
                 f = self.cover_map(p, q, k)
-                assert f.nrows == self.dim(q, k) and f.ncols == self.dim(p, k)
+                if (f.nrows, f.ncols) != (self.dim(q, k), self.dim(p, k)):
+                    raise ValueError("structure map has the wrong shape at "
+                                     "%s<=%s deg %d" % (p, q, k))
                 # structure maps are chain maps
                 lhs = self.diff(q, k).mul(f)
                 rhs = self.cover_map(p, q, k + 1).mul(self.diff(p, k))
-                assert lhs == rhs, "structure map not a chain map at %s<=%s deg %d" % (p, q, k)
+                if lhs != rhs:
+                    raise ValueError("structure map not a chain map at "
+                                     "%s<=%s deg %d" % (p, q, k))
         # functoriality: path independence of composites
         for p in P.elements:
             for q in P.elements:
@@ -123,8 +132,8 @@ class PerverseComplex:
                         m = self._via(a, b, q, k)
                         if base is None:
                             base = m
-                        else:
-                            assert m == base, "structure maps not functorial"
+                        elif m != base:
+                            raise ValueError("structure maps not functorial")
 
     def _via(self, p, mid, q, k):
         rest = self.structure_map(mid, q, k)
@@ -202,7 +211,8 @@ def _pair_basis(Z, Y, p, q, k):
 def box_tensor(Z, Y):
     """(Z box Y)_r = colim over {(p,q): p+q <= r pointwise} of Z_p tensor Y_q,
     presented by covering-relation difference maps."""
-    assert Z.field == Y.field and Z.poset is Y.poset
+    if Z.field != Y.field or Z.poset is not Y.poset:
+        raise ValueError("complexes over different fields or posets")
     field, P = Z.field, Z.poset
     out = PerverseComplex(field, P)
     degs = sorted({i + j for i in Z.degrees() for j in Y.degrees()})
@@ -328,7 +338,8 @@ def box_tensor(Z, Y):
 def box_tensor_fulldiagram(Z, Y):
     """oracle variant: same colimit presented with difference maps for every
     relation p <= q in the index poset, not just covering ones"""
-    assert Z.field == Y.field and Z.poset is Y.poset
+    if Z.field != Y.field or Z.poset is not Y.poset:
+        raise ValueError("complexes over different fields or posets")
     field, P = Z.field, Z.poset
     out = PerverseComplex(field, P)
     degs = sorted({i + j for i in Z.degrees() for j in Y.degrees()})
@@ -382,8 +393,8 @@ class _Subspace:
         self.cols = cols
         self.ech = Echelon(field, track=True)
         for i, c in enumerate(cols):
-            r = self.ech.add(c, tag=i)
-            assert r is not None, "subspace basis not independent"
+            if self.ech.add(c, tag=i) is None:
+                raise ValueError("subspace basis not independent")
 
     @property
     def dim(self):
@@ -391,7 +402,8 @@ class _Subspace:
 
     def coords(self, v):
         res, combo = self.ech.reduce(v, want_combo=True)
-        assert not res, "vector not in subspace"
+        if res:
+            raise ValueError("vector not in subspace")
         return combo
 
 
@@ -399,7 +411,8 @@ def internal_hom(M, N):
     """Hom(M, N)_r = lim over {(p,q): r <= q - p pointwise} of Hom(M_p, N_q),
     presented as the kernel of covering-relation difference maps; the index
     order is (p,q) <= (p',q') iff p' <= p and q <= q'."""
-    assert M.field == N.field and M.poset is N.poset
+    if M.field != N.field or M.poset is not N.poset:
+        raise ValueError("complexes over different fields or posets")
     field, P = M.field, M.poset
     out = PerverseComplex(field, P)
     mdegs, ndegs = M.degrees(), N.degrees()

@@ -22,7 +22,8 @@ class Field:
     """Q (char 0) or F_p (char p, p prime)."""
 
     def __init__(self, char=0):
-        assert char == 0 or _is_prime(char), char
+        if char != 0 and not _is_prime(char):
+            raise ValueError("not a prime field characteristic: %r" % (char,))
         self.char = char
 
     def __repr__(self):
@@ -64,7 +65,8 @@ class Field:
         return (-a) % self.char if self.char else -a
 
     def inv(self, a):
-        assert not self.iszero(a)
+        if self.iszero(a):
+            raise ZeroDivisionError("inverse of zero")
         if self.char == 0:
             return 1 / a
         return pow(a, self.char - 2, self.char)

@@ -16,7 +16,7 @@ are the global maps restricted and then truncated to admissible pairs.
 
 import itertools
 
-from .linalg import SparseMatrix, vec_add, vec_scale, Subquotient, solve
+from .linalg import SparseMatrix, SlotComplex, vec_add, vec_scale, solve
 from .poset import leq
 from .algebra import Bimodule, algebra_as_bimodule
 
@@ -74,26 +74,6 @@ class Bar:
     def degree(self, word):
         a, w, b = word
         return self.A.deg(a) + self.A.deg(b) + word_sdeg(self.A, w)
-
-    def label(self, word):
-        a, w, b = word
-        P = self.A.poset
-        out = P.oplus(self.A.lam(a), self.A.lam(b))
-        for x in w:
-            if out is None:
-                return None
-            out = P.oplus(out, self.A.lam(x))
-        return out
-
-    def slot_basis(self, r, q):
-        out = []
-        for word in self.words:
-            if self.degree(word) != q:
-                continue
-            lab = self.label(word)
-            if lab is not None and leq(lab, r):
-                out.append(word)
-        return out
 
     def _push(self, out, word, coeff):
         A = self.A
@@ -183,8 +163,8 @@ class Chains:
         self.A = A
         self.M = M
         self.L = L
-        assert all(k == "up" for k in M.kind.values()), \
-            "chains need an up-type module"
+        if any(k != "up" for k in M.kind.values()):
+            raise ValueError("chains need an up-type module")
         self.mids = middle_words(A, L)
 
     def degree(self, key):
@@ -319,21 +299,19 @@ def apply_cochain_D(A, M, f, fdeg, words):
     return out
 
 
-class Cochains:
+class Cochains(SlotComplex):
     """length-truncated normalized Hochschild cochain complex of A with
-    coefficients in a bimodule M, with per-(perversity, degree) slot bases,
-    differential matrices and homology"""
+    coefficients in a bimodule M; a slot (r, q) has the admissible pairs
+    (w, m) of degree q as its basis"""
 
     def __init__(self, A, M, L, lo, hi):
+        super().__init__(A.field)
         self.A = A
         self.M = M
         self.L = L
         self.lo = lo
         self.hi = hi
         self.words = middle_words(A, L)
-        self._pairs = {}
-        self._mats = {}
-        self._sub = {}
 
     def window_exact(self):
         "truncation is lossless on [lo, hi] under these conditions"
@@ -358,43 +336,22 @@ class Cochains:
             return False
         return self.M.present(m, lab)
 
-    def pairs(self, r, q):
-        key = (r, q)
-        if key not in self._pairs:
-            out = []
-            for w in self.words:
-                for m in self.M.names:
-                    if self.pair_degree(w, m) == q and self.admissible(r, w, m):
-                        out.append((w, m))
-            self._pairs[key] = out
-        return self._pairs[key]
+    def slot_basis(self, r, q):
+        return [(w, m) for w in self.words for m in self.M.names
+                if self.pair_degree(w, m) == q and self.admissible(r, w, m)]
 
     def matrix(self, r, q):
-        "slot matrix of D* from (r, q) to (r, q+1)"
-        key = (r, q)
-        if key not in self._mats:
-            F = self.A.field
-            src = self.pairs(r, q)
-            dst = self.pairs(r, q + 1)
-            dst_words = sorted({w for (w, m) in dst}, key=repr)
-            idx = {p: i for i, p in enumerate(dst)}
-            mat = SparseMatrix(F, len(dst), len(src))
-            for j, (w0, m0) in enumerate(src):
-                img = apply_cochain_D(self.A, self.M, {(w0, m0): F.one}, q,
-                                      dst_words)
-                for p, c in img.items():
-                    if p in idx:
-                        mat[idx[p], j] = c
-            self._mats[key] = mat
-        return self._mats[key]
+        """slot matrix of D* from (r, q) to (r, q+1): the global cochain
+        differential, truncated to the admissible target pairs"""
+        one = self.A.field.one
+        dst = self.index(r, q + 1)
+        words = sorted({w for (w, m) in dst}, key=repr)
 
-    def homology(self, r, q):
-        key = (r, q)
-        if key not in self._sub:
-            self._sub[key] = Subquotient(
-                self.A.field, len(self.pairs(r, q)),
-                d_out=self.matrix(r, q), d_in=self.matrix(r, q - 1))
-        return self._sub[key]
+        def image(p):
+            img = apply_cochain_D(self.A, self.M, {p: one}, q, words)
+            return {k: c for k, c in img.items() if k in dst}
+
+        return self.assemble(r, q, image)
 
     def table(self):
         out = {}
@@ -402,27 +359,6 @@ class Cochains:
             for q in range(self.lo, self.hi + 1):
                 out[(r, q)] = self.homology(r, q).dim
         return out
-
-    def representatives(self, r, q):
-        "homology classes as sparse cochains {(w, m): c}"
-        H = self.homology(r, q)
-        pr = self.pairs(r, q)
-        return [{pr[i]: c for i, c in rep.items()} for rep in H.reps]
-
-    def coords_of(self, r, q, f):
-        "homology coordinates of the cocycle {(w, m): c} in the slot basis"
-        pr = self.pairs(r, q)
-        v = {}
-        for p, c in f.items():
-            if p in pr:
-                v[pr.index(p)] = c
-            else:
-                assert self.A.field.iszero(c)
-        return self.homology(r, q).coords(v)
-
-
-def hochschild_cochains(A, M, L, lo, hi):
-    return Cochains(A, M, L, lo, hi)
 
 
 def hh_table(A, M, L, lo, hi):
@@ -438,11 +374,10 @@ def hh_table_oracle(A, M, L, lo, hi):
     a cochain is determined by its values on 1[w]1 and extended bilinearly,
     and its differential is d_M o phi - (-1)^{|phi|} phi o D_bar.  This only
     shares the bar differential with the main implementation, not the
-    printed cochain formulas."""
+    printed cochain formulas; the slot bases and the homology are those of
+    Cochains."""
     F = A.field
-    P = A.poset
     bar = Bar(A, L)
-    cx = Cochains(A, M, L, lo, hi)   # reuse only the slot pair enumeration
 
     def phi_of(values, q, barvec):
         "extend values {w: vec in M} A^e-bilinearly to a bar vector"
@@ -471,26 +406,14 @@ def hh_table_oracle(A, M, L, lo, hi):
                     out[(w, m)] = c
         return out
 
-    def matrix(r, q):
-        src = cx.pairs(r, q)
-        dst = cx.pairs(r, q + 1)
-        dst_words = sorted({w for (w, m) in dst}, key=repr)
-        idx = {p: i for i, p in enumerate(dst)}
-        mat = SparseMatrix(F, len(dst), len(src))
-        for j, (w0, m0) in enumerate(src):
-            for p, c in dphi(w0, m0, q, dst_words).items():
-                if p in idx:
-                    mat[idx[p], j] = c
-        return mat
+    class BarDual(Cochains):
+        def matrix(self, r, q):
+            dst = self.index(r, q + 1)
+            words = sorted({w for (w, m) in dst}, key=repr)
+            return self.assemble(r, q, lambda p: {
+                k: c for k, c in dphi(*p, q, words).items() if k in dst})
 
-    out = {}
-    for r in P.elements:
-        mats = {q: matrix(r, q) for q in range(lo - 1, hi + 1)}
-        for q in range(lo, hi + 1):
-            H = Subquotient(F, len(cx.pairs(r, q)),
-                            d_out=mats[q], d_in=mats[q - 1])
-            out[(r, q)] = H.dim
-    return out
+    return BarDual(A, M, L, lo, hi).table()
 
 
 # ---------------------------------------------------------------------------
@@ -527,23 +450,26 @@ def action_pairing(A, M, f, fdeg, g, gdeg, words):
 def check_pdga_map(A, B, fmap):
     "degree-0, label-compatible algebra chain map sending the unit to the unit"
     F = A.field
-    from .linalg import vec_scale as vs
 
     def f(vec):
         out = {}
         for x, c in vec.items():
-            out = vec_add(F, out, vs(F, c, fmap[x]))
+            out = vec_add(F, out, vec_scale(F, c, fmap[x]))
         return out
 
-    assert fmap[A.unit] == {B.unit: F.one}, "unit not preserved"
+    if fmap[A.unit] != {B.unit: F.one}:
+        raise ValueError("unit not preserved")
     for x in A.names:
         for y, c in fmap[x].items():
-            assert B.deg(y) == A.deg(x), "degree broken at %r" % x
-            assert leq(B.lam(y), A.lam(x)), "label broken at %r" % x
-        assert f(A.d(x)) == B.d_vec(f({x: F.one})), "not a chain map at %r" % x
+            if B.deg(y) != A.deg(x):
+                raise ValueError("degree broken at %r" % (x,))
+            if not leq(B.lam(y), A.lam(x)):
+                raise ValueError("label broken at %r" % (x,))
+        if f(A.d(x)) != B.d_vec(f({x: F.one})):
+            raise ValueError("not a chain map at %r" % (x,))
         for y in A.names:
-            assert f(A.mul(x, y)) == B.mul_vec(f({x: F.one}), f({y: F.one})), \
-                "not multiplicative at %r, %r" % (x, y)
+            if f(A.mul(x, y)) != B.mul_vec(f({x: F.one}), f({y: F.one})):
+                raise ValueError("not multiplicative at %r, %r" % (x, y))
     return f
 
 
@@ -622,7 +548,8 @@ class InducedHH:
     def __init__(self, A, B, fmap, L, lo, hi):
         self.A, self.B, self.fmap = A, B, fmap
         check_pdga_map(A, B, fmap)
-        assert is_quasi_iso(A, B), "HH(f) needs a quasi-isomorphism"
+        if not is_quasi_iso(A, B):
+            raise ValueError("HH(f) needs a quasi-isomorphism")
         self.ca = Cochains(A, algebra_as_bimodule(A), L, lo, hi)
         self.cb = Cochains(B, algebra_as_bimodule(B), L, lo, hi)
         self.cm = Cochains(A, restrict_bimodule(A, B, fmap), L, lo, hi)
@@ -639,7 +566,7 @@ class InducedHH:
         for rep in self.ca.representatives(r, q):
             g = hc_postcompose(self.A, self.B, self.fmap, rep)
             mid_of_a.append(self.cm.coords_of(r, q, g))
-        words = sorted({w for (w, m) in self.cm.pairs(r, q)}, key=repr)
+        words = sorted({w for (w, m) in self.cm.basis(r, q)}, key=repr)
         mid_of_b = []
         for rep in self.cb.representatives(r, q):
             g = hc_precompose(self.A, self.B, self.fmap, rep, words)
@@ -649,9 +576,11 @@ class InducedHH:
         cols = []
         for col in mid_of_a:
             x = solve(pre, col)
-            assert x is not None, "HC(f~, B) not surjective on homology"
+            if x is None:
+                raise LookupError("HC(f~, B) not surjective on homology")
             cols.append(x)
-        assert Ha.dim == Hb.dim, "homology dimensions differ"
+        if Ha.dim != Hb.dim:
+            raise LookupError("homology dimensions differ")
         return SparseMatrix.from_columns(F, Hb.dim, cols)
 
     def is_iso(self, r, q):

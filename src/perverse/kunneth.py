@@ -16,11 +16,11 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .linalg import SparseMatrix, vec_add, vec_scale
+from .linalg import SparseMatrix, vec_add, vec_scale, vec_sub
 from .algebra import tensor_pdga, algebra_as_bimodule
-from .hochschild import (Bar, Cochains, middle_words, word_sdeg, sdeg,
-                         _sgn, index_cochain)
-from .structure import cup, bracket, BVOperator
+from .hochschild import (Bar, Cochains, word_sdeg, sdeg, _sgn,
+                         index_cochain)
+from .structure import cup, bracket, BVOperator, record_identity
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +310,7 @@ def compare_hh(A, B, L, window, seed=0):
     tabBm = Cochains(B, algebra_as_bimodule(B), L - 1, loB, hiB).table()
     tabTm = cxTm.table()
     records = []
-
-    def record(identity, failures, trials_run, skipped=None):
-        row = {
-            "identity": identity,
-            "status": "pass" if not failures else "fail",
-            "trials": trials_run,
-            "witness": failures[0] if failures else None,
-        }
-        if skipped is not None:
-            row["skipped"] = skipped
-        records.append(row)
+    record = functools.partial(record_identity, records)
 
     def box_dim(tA, tB, r, q):
         tot = 0
@@ -385,16 +375,6 @@ def compare_hh(A, B, L, window, seed=0):
     def restrict(f):
         return {(w, m): c for (w, m), c in f.items() if len(w) < L}
 
-    def is_b(cx, r, q, f):
-        pr = cx.pairs(r, q)
-        v = {}
-        for p, c in f.items():
-            if F.iszero(c):
-                continue
-            assert p in pr, (p, r, q)
-            v[pr.index(p)] = c
-        return cx.homology(r, q).is_boundary(v)
-
     # cup transport: elementwise on pairs of transported classes
     fails, ran = [], 0
     for r in P.elements:
@@ -412,8 +392,8 @@ def compare_hh(A, B, L, window, seed=0):
                             F, _sgn(F, qf2 * qg),
                             tensor_cochain(A, B, T, ca, qf + qf2,
                                            cb, qg + qg2, cxT.words))
-                        diff = vec_add(F, lhs, vec_scale(F, F.neg(F.one), rhs))
-                        if not is_b(cxT, r, q + q2, diff):
+                        diff = vec_sub(F, lhs, rhs)
+                        if not cxT.is_boundary(r, q + q2, diff):
                             fails.append({"slot": (r, q, q2),
                                           "degrees": (qf, qg, qf2, qg2)})
     record("cup transports to the tensor cup", fails, ran)
@@ -444,9 +424,8 @@ def compare_hh(A, B, L, window, seed=0):
                         rhs = vec_add(
                             F, vec_scale(F, _sgn(F, (qf2 - 1) * qg), t1),
                             vec_scale(F, _sgn(F, qf2 * (qg - 1)), t2))
-                        diff = restrict(vec_add(
-                            F, lhs, vec_scale(F, F.neg(F.one), rhs)))
-                        if not is_b(cxTm, r, q + q2 - 1, diff):
+                        diff = restrict(vec_sub(F, lhs, rhs))
+                        if not cxTm.is_boundary(r, q + q2 - 1, diff):
                             fails.append({"slot": (r, q, q2),
                                           "degrees": (qf, qg, qf2, qg2)})
     record("bracket transports to the two-term tensor bracket", fails, ran)
@@ -480,9 +459,8 @@ def compare_hh(A, B, L, window, seed=0):
                     vec_scale(F, _sgn(F, qf),
                               tensor_cochain(A, B, T, f, qf, dB, qg - 1,
                                              cxT.words)))
-                diff = restrict(vec_add(
-                    F, dT, vec_scale(F, F.neg(F.one), rhs)))
-                if not is_b(cxTm, r, q - 1, diff):
+                diff = restrict(vec_sub(F, dT, rhs))
+                if not cxTm.is_boundary(r, q - 1, diff):
                     fails.append({"slot": (r, q), "degrees": (qf, qg)})
     record("Delta transports to Delta box 1 + (-1)^q 1 box Delta",
            fails, ran)

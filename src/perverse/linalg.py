@@ -29,10 +29,6 @@ def vec_sub(field, u, v):
     return vec_add(field, u, vec_scale(field, field.neg(field.one), v))
 
 
-def vec_eq(u, v):
-    return u == v
-
-
 class SparseMatrix:
     """A linear map R^ncols -> R^nrows."""
 
@@ -47,7 +43,9 @@ class SparseMatrix:
 
     def __setitem__(self, ij, x):
         i, j = ij
-        assert 0 <= i < self.nrows and 0 <= j < self.ncols, (ij, self.nrows, self.ncols)
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise ValueError("entry %r outside a %dx%d matrix"
+                             % (ij, self.nrows, self.ncols))
         if self.field.iszero(x):
             self.entries.pop(ij, None)
         else:
@@ -107,7 +105,9 @@ class SparseMatrix:
 
     def mul(self, other):
         "self o other"
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ValueError("cannot compose %dx%d after %dx%d" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
         F = self.field
         out = SparseMatrix(F, self.nrows, other.ncols)
         rows_of = {}
@@ -119,7 +119,8 @@ class SparseMatrix:
         return out
 
     def add(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("cannot add matrices of different shapes")
         out = self.copy()
         for ij, x in other.entries.items():
             out[ij] = self.field.add(out[ij], x)
@@ -133,12 +134,6 @@ class SparseMatrix:
 
     def sub(self, other):
         return self.add(other.scale(self.field.neg(self.field.one)))
-
-    def transpose(self):
-        out = SparseMatrix(self.field, self.ncols, self.nrows)
-        for (i, j), x in self.entries.items():
-            out[j, i] = x
-        return out
 
     def rank(self):
         ech = Echelon(self.field)
@@ -255,13 +250,6 @@ def kernel_basis(A):
     return basis
 
 
-def image_echelon(A):
-    ech = Echelon(A.field)
-    for col in A.columns():
-        ech.add(col)
-    return ech
-
-
 def solve(A, b):
     "one solution x of A x = b, or None if inconsistent"
     F = A.field
@@ -337,7 +325,8 @@ class Quotient:
         r = self.ech.reduce(v)
         out = {}
         for i, x in r.items():
-            assert i in self.index, "reduction left a pivot row"
+            if i not in self.index:
+                raise ValueError("reduction left pivot row %r" % (i,))
             out[self.index[i]] = x
         return out
 
@@ -355,13 +344,17 @@ class Subquotient:
         if d_out is None:
             cycles = [{i: field.one} for i in range(n)]
         else:
-            assert d_out.ncols == n
+            if d_out.ncols != n:
+                raise ValueError("outgoing differential has %d columns, "
+                                 "not %d" % (d_out.ncols, n))
             cycles = []
             for k in kernel_basis(d_out):
                 cycles.append(k)
         self.bech = Echelon(field)
         if d_in is not None:
-            assert d_in.nrows == n
+            if d_in.nrows != n:
+                raise ValueError("incoming differential has %d rows, not %d"
+                                 % (d_in.nrows, n))
             for c in d_in.columns():
                 self.bech.add(c)
         self.rech = Echelon(field, track=True)
@@ -381,8 +374,101 @@ class Subquotient:
         "coordinates of the class of the cycle v in the representative basis"
         r = self.bech.reduce(v)
         res, combo = self.rech.reduce(r, want_combo=True)
-        assert not res, "vector is not a cycle modulo boundaries"
+        if res:
+            raise ValueError("vector is not a cycle modulo boundaries")
         return combo
 
     def is_boundary(self, v):
         return not self.bech.reduce(v)
+
+
+class SlotComplex:
+    """A family of finite cochain complexes indexed by slots (r, q): a
+    perversity r and a degree q, with a differential from (r, q) to
+    (r, q + 1).
+
+    A subclass supplies `slot_basis(r, q)`, the list of basis keys of a
+    slot, and `matrix(r, q)`, the differential out of it (usually a call to
+    `assemble`).  This class caches both, once per slot, together with the
+    slot's homology, and translates between sparse vectors over basis keys
+    {key: scalar} and vectors over slot indices.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self._bases = {}
+        self._indices = {}
+        self._mats = {}
+        self._homs = {}
+
+    def basis(self, r, q):
+        "the basis keys of slot (r, q), in the order of its coordinates"
+        key = (r, q)
+        if key not in self._bases:
+            b = self.slot_basis(r, q)
+            self._bases[key] = b
+            self._indices[key] = {k: i for i, k in enumerate(b)}
+        return self._bases[key]
+
+    def index(self, r, q):
+        "{basis key: coordinate} of slot (r, q)"
+        self.basis(r, q)
+        return self._indices[(r, q)]
+
+    def assemble(self, r, q, image):
+        """the matrix from (r, q) to (r, q + 1) whose j-th column is
+        image(j-th basis key), a vector over the keys of slot (r, q + 1)"""
+        idx = self.index(r, q + 1)
+        src = self.basis(r, q)
+        mat = SparseMatrix(self.field, len(idx), len(src))
+        for j, key in enumerate(src):
+            for key2, c in image(key).items():
+                if key2 not in idx:
+                    raise ValueError("the differential of %r leaves slot %r"
+                                     % (key, (r, q + 1)))
+                mat[idx[key2], j] = c
+        return mat
+
+    def differential(self, r, q):
+        "the cached matrix of the differential from (r, q) to (r, q + 1)"
+        key = (r, q)
+        if key not in self._mats:
+            self._mats[key] = self.matrix(r, q)
+        return self._mats[key]
+
+    def homology(self, r, q):
+        "the cached Subquotient ker / im at slot (r, q)"
+        key = (r, q)
+        if key not in self._homs:
+            self._homs[key] = Subquotient(
+                self.field, len(self.basis(r, q)),
+                d_out=self.differential(r, q),
+                d_in=self.differential(r, q - 1))
+        return self._homs[key]
+
+    def _coordinates(self, r, q, vec):
+        """vec over basis keys as a vector over slot coordinates; zero
+        entries are dropped, a nonzero entry outside the slot raises"""
+        idx = self.index(r, q)
+        out = {}
+        for key, c in vec.items():
+            if self.field.iszero(c):
+                continue
+            if key not in idx:
+                raise ValueError("%r is not in the basis of slot %r"
+                                 % (key, (r, q)))
+            out[idx[key]] = c
+        return out
+
+    def representatives(self, r, q):
+        "the homology basis of slot (r, q), as vectors over basis keys"
+        b = self.basis(r, q)
+        return [{b[i]: c for i, c in rep.items()}
+                for rep in self.homology(r, q).reps]
+
+    def coords_of(self, r, q, vec):
+        "homology coordinates of the cycle vec in the representative basis"
+        return self.homology(r, q).coords(self._coordinates(r, q, vec))
+
+    def is_boundary(self, r, q, vec):
+        return self.homology(r, q).is_boundary(self._coordinates(r, q, vec))

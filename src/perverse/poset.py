@@ -32,7 +32,8 @@ def leq(p, q):
 
 class Poset:
     def __init__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative poset rank %r" % (n,))
         self.n = n
         self.zero = zero_perversity(n)
         self.top = top_perversity(n)
@@ -54,6 +55,12 @@ class Poset:
         out.sort()
         return out
 
+    def _member(self, v):
+        "v, which must be a perversity of this poset"
+        if v not in self.index:
+            raise ValueError("not a rank-%d perversity: %r" % (self.n, v))
+        return v
+
     def __len__(self):
         return len(self.elements)
 
@@ -64,14 +71,10 @@ class Poset:
         return leq(p, q)
 
     def meet(self, p, q):
-        v = tuple(min(a, b) for a, b in zip(p, q))
-        assert v in self.index
-        return v
+        return self._member(tuple(min(a, b) for a, b in zip(p, q)))
 
     def join(self, p, q):
-        v = tuple(max(a, b) for a, b in zip(p, q))
-        assert v in self.index
-        return v
+        return self._member(tuple(max(a, b) for a, b in zip(p, q)))
 
     def oplus(self, p, q):
         """smallest perversity >= p + q (pointwise); None when p + q exceeds top"""
@@ -84,9 +87,7 @@ class Poset:
         for i in range(len(s) - 2, -1, -1):
             if s[i] < s[i + 1] - 1:
                 s[i] = s[i + 1] - 1
-        v = tuple(s)
-        assert v in self.index, v
-        return v
+        return self._member(tuple(s))
 
     def ominus(self, q, p):
         """largest perversity <= q - p (pointwise); None unless p <= q"""
@@ -99,9 +100,7 @@ class Poset:
         for i in range(1, len(s)):
             if s[i] > s[i - 1] + 1:
                 s[i] = s[i - 1] + 1
-        v = tuple(s)
-        assert v in self.index, v
-        return v
+        return self._member(tuple(s))
 
     def oplus_bruteforce(self, p, q):
         s = tuple(a + b for a, b in zip(p, q))
@@ -123,9 +122,7 @@ class Poset:
 
     def dual(self, p):
         "complementary perversity t - p; exact pointwise difference"
-        v = tuple(t - a for t, a in zip(self.top, p))
-        assert v in self.index
-        return v
+        return self._member(tuple(t - a for t, a in zip(self.top, p)))
 
     def covers(self):
         "list of covering pairs (p, q), p covered by q"
@@ -146,12 +143,10 @@ class Poset:
     def up_set(self, p):
         return [q for q in self.elements if leq(p, q)]
 
-    def down_set(self, p):
-        return [q for q in self.elements if leq(q, p)]
-
     def path_up(self, p, q):
         "a chain p = r0 < r1 < ... < rk = q through covering steps"
-        assert leq(p, q)
+        if not leq(p, q):
+            raise ValueError("%r is not below %r" % (p, q))
         path = [p]
         cur = p
         while cur != q:
@@ -160,14 +155,11 @@ class Poset:
                 if a == cur and leq(b, q):
                     nxt = b
                     break
-            assert nxt is not None
+            if nxt is None:
+                raise ValueError("no covering path from %r to %r" % (p, q))
             path.append(nxt)
             cur = nxt
         return path
-
-
-def perversity_sum_leq_top(poset, p, q):
-    return all(a + b <= t for a, b, t in zip(p, q, poset.top))
 
 
 def parse_perversity(text, n):

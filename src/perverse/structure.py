@@ -15,18 +15,21 @@ B_dual(f.[c]) on cohomology.  verify_calculus runs the whole identity suite
 and reports pass/fail with witnesses.
 """
 
+import functools
 import random
 
-from .linalg import SparseMatrix, Subquotient, vec_add, vec_scale, solve
-from .poset import leq
-from .algebra import algebra_as_bimodule, dual_bimodule, dual_name
+from .linalg import (SparseMatrix, SlotComplex, vec_add, vec_scale, vec_sub,
+                     solve)
+from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
+                      dual_name)
 from .hochschild import (sdeg, word_sdeg, middle_words, _sgn, eval_cochain,
                          index_cochain, apply_cochain_D, Chains, Cochains,
                          action_pairing)
 
 
 def _undual(x):
-    assert isinstance(x, str) and x.endswith("*"), x
+    if not (isinstance(x, str) and x.endswith("*")):
+        raise ValueError("not a dual basis name: %r" % (x,))
     return x[:-1]
 
 
@@ -223,12 +226,6 @@ def bracket(A, f, fdeg, g, gdeg, words):
                                  cochain_op(A, g, gdeg)), words)
 
 
-def brace_cochain(A, f0, f0deg, args, words):
-    "args: list of (cochain dict, degree)"
-    return to_cochain(brace(cochain_op(A, f0, f0deg),
-                            [cochain_op(A, g, gd) for g, gd in args]), words)
-
-
 # ---------------------------------------------------------------------------
 # operators on Hochschild chains (coefficients in A itself)
 
@@ -342,128 +339,32 @@ def connes_B_dual(A, f, fdeg, words):
 
 
 # ---------------------------------------------------------------------------
-# slot homology of chains and of plain modules
+# slot homology of chains
 
 
-class ChainsSlots:
+class ChainsSlots(SlotComplex):
     "per-slot bases, differential matrices and homology of Hochschild chains"
 
     def __init__(self, A, L, lo, hi):
+        super().__init__(A.field)
         self.A = A
         self.ch = Chains(A, algebra_as_bimodule(A), L)
         self.L = L
         self.lo, self.hi = lo, hi
-        self._pairs = {}
-        self._mats = {}
-        self._sub = {}
 
-    def pairs(self, r, q):
-        key = (r, q)
-        if key not in self._pairs:
-            self._pairs[key] = self.ch.slot_basis(r, q)
-        return self._pairs[key]
+    def slot_basis(self, r, q):
+        return self.ch.slot_basis(r, q)
 
     def matrix(self, r, q):
-        key = (r, q)
-        if key not in self._mats:
-            F = self.A.field
-            src = self.pairs(r, q)
-            dst = self.pairs(r, q + 1)
-            idx = {p: i for i, p in enumerate(dst)}
-            mat = SparseMatrix(F, len(dst), len(src))
-            for j, p in enumerate(src):
-                for p2, c in self.ch.D_key(p).items():
-                    # labels only decrease under D: stays inside the slot
-                    mat[idx[p2], j] = c
-            self._mats[key] = mat
-        return self._mats[key]
-
-    def homology(self, r, q):
-        key = (r, q)
-        if key not in self._sub:
-            self._sub[key] = Subquotient(
-                self.A.field, len(self.pairs(r, q)),
-                d_out=self.matrix(r, q), d_in=self.matrix(r, q - 1))
-        return self._sub[key]
-
-    def representatives(self, r, q):
-        pr = self.pairs(r, q)
-        return [{pr[i]: c for i, c in rep.items()}
-                for rep in self.homology(r, q).reps]
-
-    def coords_of(self, r, q, x):
-        pr = self.pairs(r, q)
-        v = {}
-        for p, c in x.items():
-            if p in pr:
-                v[pr.index(p)] = c
-            else:
-                assert self.A.field.iszero(c), (p, c)
-        return self.homology(r, q).coords(v)
-
-    def is_boundary(self, r, q, x):
-        pr = self.pairs(r, q)
-        v = {pr.index(p): c for p, c in x.items()
-             if not self.A.field.iszero(c)}
-        return self.homology(r, q).is_boundary(v)
+        # labels only decrease under D: the image stays inside the slot
+        return self.assemble(r, q, self.ch.D_key)
 
     def margin(self, r, q):
         "length headroom of the slot below the truncation bound"
-        pr = self.pairs(r, q)
+        pr = self.basis(r, q)
         if not pr:
             return self.L
         return self.L - max(len(w) for (_, w) in pr)
-
-
-class ModuleSlots:
-    "per-slot graded homology of a perverse module with labeled basis"
-
-    def __init__(self, M):
-        self.M = M
-        self.field = M.field
-        self._sub = {}
-
-    def degrees(self):
-        return sorted(set(self.M.degree.values()))
-
-    def basis(self, r, k):
-        return [m for m in self.M.names
-                if self.M.degree[m] == k and self.M.present(m, r)]
-
-    def matrix(self, r, k):
-        F = self.field
-        src = self.basis(r, k)
-        dst = self.basis(r, k + 1)
-        idx = {m: i for i, m in enumerate(dst)}
-        mat = SparseMatrix(F, len(dst), len(src))
-        for j, m in enumerate(src):
-            for y, c in self.M.d(m).items():
-                assert y in idx, "differential leaves the slot at %r" % m
-                mat[idx[y], j] = c
-        return mat
-
-    def homology(self, r, k):
-        key = (r, k)
-        if key not in self._sub:
-            self._sub[key] = Subquotient(
-                self.field, len(self.basis(r, k)),
-                d_out=self.matrix(r, k), d_in=self.matrix(r, k - 1))
-        return self._sub[key]
-
-    def representatives(self, r, k):
-        b = self.basis(r, k)
-        return [{b[i]: c for i, c in rep.items()}
-                for rep in self.homology(r, k).reps]
-
-    def coords_of(self, r, k, vec):
-        b = self.basis(r, k)
-        v = {}
-        for m, c in vec.items():
-            if m in b:
-                v[b.index(m)] = c
-            else:
-                assert self.field.iszero(c), (m, c)
-        return self.homology(r, k).coords(v)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +404,7 @@ def find_duality_class(A, n=None):
                     for a in ma.representatives(r, k):
                         img = D.act_left_vec(a, Mv)
                         cols.append(md.coords_of(r, k - nc, img))
-                except AssertionError:
+                except ValueError:
                     ok = False
                     break
                 mat = SparseMatrix.from_columns(A.field, Hd.dim, cols)
@@ -525,7 +426,9 @@ class BVOperator:
         self.A = A
         self.n, self.cycle = find_duality_class(A, n)
         self.D = dual_bimodule(A)
-        assert L >= 2, "need word length at least 2 for the cyclic operator"
+        if L < 2:
+            raise ValueError("need word length at least 2 for the cyclic "
+                             "operator")
         self.cx = Cochains(A, algebra_as_bimodule(A), L, lo, hi)
         self.cd = Cochains(A, self.D, L, lo, hi)
         # the cyclic operator on dual cochains reads one word length above
@@ -616,8 +519,32 @@ def random_class(field, reps, rng):
     return out if out else dict(reps[0])
 
 
-def _sub(F, u, v):
-    return vec_add(F, u, vec_scale(F, F.neg(F.one), v))
+# the identities verify_calculus reports, by suite
+GERSTENHABER_IDS = (
+    "differential equals [d_A,f]+[m,f]", "cup equals signed m{f,g}",
+    "bracket skew-commutativity", "commutativity defect coboundary",
+    "pre-Jacobi k=1 l=2", "pre-Jacobi k=2 l=1", "Jacobi on cohomology",
+    "Leibniz on cohomology")
+CALCULUS_IDS = (
+    "calculus i_[f,g]", "calculus L_{f cup g}", "calculus L_f via B",
+    "Ginzburg identity")
+BV_IDS = (
+    "BV block", "Delta(1) = 0", "Delta squared = 0",
+    "BV seven-term relation", "Menichi identity")
+
+
+def record_identity(report, identity, failures, trials, skipped=None):
+    """append one identity record: it passes when there are no failures,
+    and the first failure is its witness"""
+    row = {
+        "identity": identity,
+        "status": "pass" if not failures else "fail",
+        "trials": trials,
+        "witness": failures[0] if failures else None,
+    }
+    if skipped is not None:
+        row["skipped"] = skipped
+    report.append(row)
 
 
 def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
@@ -631,13 +558,7 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
     words = middle_words(A, L)
     report = []
 
-    def record(identity, failures, trials_run):
-        report.append({
-            "identity": identity,
-            "status": "pass" if not failures else "fail",
-            "trials": trials_run,
-            "witness": failures[0] if failures else None,
-        })
+    record = functools.partial(record_identity, report)
 
     def rand_pair():
         q1, q2 = rng.randint(lo, hi), rng.randint(lo, hi)
@@ -688,14 +609,14 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
                               qf + qg - 1, words)
         df = apply_cochain_D(A, algebra_as_bimodule(A), f, qf, words)
         dg = apply_cochain_D(A, algebra_as_bimodule(A), g, qg, words)
-        lhs = _sub(F, lhs, to_cochain(
+        lhs = vec_sub(F, lhs, to_cochain(
             circle(cochain_op(A, df, qf + 1), gop), words))
         t2 = to_cochain(circle(fop, cochain_op(A, dg, qg + 1)), words)
-        lhs = _sub(F, lhs, vec_scale(F, _sgn(F, qf + 1), t2))
+        lhs = vec_sub(F, lhs, vec_scale(F, _sgn(F, qf + 1), t2))
         guf = to_cochain(cup_op(gop, fop), words)
         fug = to_cochain(cup_op(fop, gop), words)
         rhs = vec_scale(F, _sgn(F, qg - 1),
-                        _sub(F, guf, vec_scale(F, _sgn(F, qf * qg), fug)))
+                        vec_sub(F, guf, vec_scale(F, _sgn(F, qf * qg), fug)))
         if lhs != rhs:
             fails.append({"trial": t, "degrees": (qf, qg)})
     record("commutativity defect coboundary", fails, trials)
@@ -777,10 +698,10 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
         lhs = to_cochain(bracket_op(bracket_op(fop, gop), hop), words)
         rhs = to_cochain(bracket_op(fop, bracket_op(gop, hop)), words)
         t2 = to_cochain(bracket_op(gop, bracket_op(fop, hop)), words)
-        rhs = _sub(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * (qg - 1)), t2))
-        diff = _sub(F, lhs, rhs)
+        rhs = vec_sub(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * (qg - 1)), t2))
+        diff = vec_sub(F, lhs, rhs)
         q = qf + qg + qh - 2
-        if not _cochain_is_boundary(cx, rr, q, diff):
+        if not cx.is_boundary(rr, q, diff):
             fails.append({"trial": t, "slots": (rf, rg, rh),
                           "degrees": (qf, qg, qh)})
     record("Jacobi on cohomology", fails, ran)
@@ -799,9 +720,9 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
         rhs = to_cochain(cup_op(bracket_op(fop, gop), hop), words)
         t2 = to_cochain(cup_op(gop, bracket_op(fop, hop)), words)
         rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * qg), t2))
-        diff = _sub(F, lhs, rhs)
+        diff = vec_sub(F, lhs, rhs)
         q = qf + qg + qh - 1
-        if not _cochain_is_boundary(cx, rr, q, diff):
+        if not cx.is_boundary(rr, q, diff):
             fails.append({"trial": t, "slots": (rf, rg, rh),
                           "degrees": (qf, qg, qh)})
     record("Leibniz on cohomology", fails, ran)
@@ -853,8 +774,8 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
         # identity suite is the arbiter of that placement
         rhs = vec_scale(F, _sgn(F, qg * (qf + 1)),
                         lie(ch, fop, iota(ch, gop, z)))
-        rhs = _sub(F, rhs, iota(ch, gop, lie(ch, fop, z)))
-        if not cs.is_boundary(rr, q + qf + qg - 1, _sub(F, lhs, rhs)):
+        rhs = vec_sub(F, rhs, iota(ch, gop, lie(ch, fop, z)))
+        if not cs.is_boundary(rr, q + qf + qg - 1, vec_sub(F, lhs, rhs)):
             fails.append({"trial": t, "slot": (r, q),
                           "degrees": (qf, qg)})
     record("calculus i_[f,g]", fails, ran)
@@ -876,7 +797,7 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
         rhs = lie(ch, fop, iota(ch, gop, z))
         t2 = iota(ch, fop, lie(ch, gop, z))
         rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, qf), t2))
-        if not cs.is_boundary(rr, q + qf + qg - 1, _sub(F, lhs, rhs)):
+        if not cs.is_boundary(rr, q + qf + qg - 1, vec_sub(F, lhs, rhs)):
             fails.append({"trial": t, "slot": (r, q),
                           "degrees": (qf, qg)})
     record("calculus L_{f cup g}", fails, ran)
@@ -896,8 +817,8 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
         lhs = lie(ch, fop, z)
         rhs = connes_B(ch, iota(ch, fop, z))
         t2 = iota(ch, fop, connes_B(ch, z))
-        rhs = _sub(F, rhs, vec_scale(F, _sgn(F, qf), t2))
-        if not cs.is_boundary(rr, q + qf - 1, _sub(F, lhs, rhs)):
+        rhs = vec_sub(F, rhs, vec_scale(F, _sgn(F, qf), t2))
+        if not cs.is_boundary(rr, q + qf - 1, vec_sub(F, lhs, rhs)):
             fails.append({"trial": t, "slot": (r, q), "degree": qf})
     record("calculus L_f via B", fails, ran)
 
@@ -918,7 +839,7 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
         fg = cochain_op(A, to_cochain(cup_op(fop, gop), words), qf + qg)
         lhs = iota(ch, br, z)
         rhs = vec_scale(F, _sgn(F, qf), connes_B(ch, iota(ch, fg, z)))
-        rhs = _sub(F, rhs, iota(ch, fop, connes_B(ch, iota(ch, gop, z))))
+        rhs = vec_sub(F, rhs, iota(ch, fop, connes_B(ch, iota(ch, gop, z))))
         t2 = iota(ch, gop, connes_B(ch, iota(ch, fop, z)))
         rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * (qg - 1)), t2))
         t3 = iota(ch, fg, connes_B(ch, z))
@@ -989,12 +910,12 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
             continue
         ran += 1
         t2 = to_cochain(cup_op(cochain_op(A, df, qf - 1), gop), words)
-        rhs = _sub(F, rhs, t2)
+        rhs = vec_sub(F, rhs, t2)
         t3 = to_cochain(cup_op(fop, cochain_op(A, dg, qg - 1)), words)
-        rhs = _sub(F, rhs, vec_scale(F, _sgn(F, qf), t3))
-        diff = {(w, m): c for (w, m), c in _sub(F, lhs, rhs).items()
+        rhs = vec_sub(F, rhs, vec_scale(F, _sgn(F, qf), t3))
+        diff = {(w, m): c for (w, m), c in vec_sub(F, lhs, rhs).items()
                 if len(w) < L}
-        if not _cochain_is_boundary(cxm, rr, qf + qg - 1, diff):
+        if not cxm.is_boundary(rr, qf + qg - 1, diff):
             fails.append({"trial": t, "slots": (rf, rg),
                           "degrees": (qf, qg)})
     record("BV seven-term relation", fails, ran)
@@ -1024,7 +945,7 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
                             connes_B_dual(A, bv.act_c(g, qg), qg + bv.cdeg,
                                           bv.cd.words),
                             qg + bv.cdeg - 1, bv.cd.words)
-        rhs = _sub(F, rhs, t2)
+        rhs = vec_sub(F, rhs, t2)
         t3 = action_pairing(A, bv.D, g, qg,
                             connes_B_dual(A, bv.act_c(f, qf), qf + bv.cdeg,
                                           bv.cd.words),
@@ -1035,24 +956,11 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
                             bv.cdeg - 1, bv.cd.words)
         rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, qg), t4))
         q = qf + qg - 1 + bv.cdeg
-        diff = bv._restrict(_sub(F, lhs, rhs))
-        if not _dualcochain_is_boundary(bv.cdm, rr, q, diff):
+        diff = bv._restrict(vec_sub(F, lhs, rhs))
+        if not bv.cdm.is_boundary(rr, q, diff):
             fails.append({"trial": t, "slots": (rf, rg),
                           "degrees": (qf, qg)})
     record("Menichi identity", fails, ran)
 
     return report
 
-
-def _cochain_is_boundary(cx, r, q, f):
-    pr = cx.pairs(r, q)
-    v = {}
-    for p, c in f.items():
-        if cx.A.field.iszero(c):
-            continue
-        assert p in pr, (p, r, q)
-        v[pr.index(p)] = c
-    return cx.homology(r, q).is_boundary(v)
-
-
-_dualcochain_is_boundary = _cochain_is_boundary

@@ -119,6 +119,9 @@ def test_tensor_algebra_truncation():
         T.mul(("x", "x"), ("x", "x"))
     Tt = tensor_algebra(QQ, P3, [("x", 2, P3.zero)], L=3, strict=False)
     assert Tt.mul(("x", "x"), ("x", "x")) == {}
+    # homology and the carrier read only the differential, never a product
+    assert T.homology_dims() == Tt.homology_dims()
+    assert T.carrier().basis == Tt.carrier().basis
 
 
 def test_tensor_algebra_differential():

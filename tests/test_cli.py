@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -88,6 +91,31 @@ def test_prime_field_parsing():
     data["field"] = "Fp:5"
     A = cli.build_pdga(cli.parse_description(data))
     assert A.field.char == 5
+
+
+NOT_A_FIELD = dict(SPHERE2, field="Fp:4")
+D_SQUARED_NONZERO = {
+    "field": "Q", "n": 3,
+    "generators": [{"name": "1", "degree": 0}, {"name": "x", "degree": 0},
+                   {"name": "y", "degree": 1}, {"name": "z", "degree": 2}],
+    "unit": "1", "differential": {"x": {"y": 1}, "y": {"z": 1}}}
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("hh", NOT_A_FIELD, "bad prime"),
+    ("cofibrancy", D_SQUARED_NONZERO, "d^2 != 0")])
+def test_bad_input_exits_2_under_python_O(tmp_path, command, data, message):
+    # -O strips assert statements; input checks must not rely on them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "perverse.cli", command,
+         write(tmp_path, data)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert message in proc.stderr
 
 
 # ---------------------------------------------------------------------------

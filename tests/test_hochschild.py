@@ -166,7 +166,7 @@ def cochain_d_squared_ok(A, M, L, lo, hi, poset):
     cx = Cochains(A, M, L, lo, hi)
     for r in poset.elements:
         for q in range(lo, hi):
-            m2 = cx.matrix(r, q + 1).mul(cx.matrix(r, q))
+            m2 = cx.differential(r, q + 1).mul(cx.differential(r, q))
             if not m2.is_zero():
                 return False
     return True
@@ -197,8 +197,18 @@ def test_cochain_slot_example_sphere():
     A = sphere_algebra(QQ, P3, 2)
     cx = Cochains(A, algebra_as_bimodule(A), 3, -3, 3)
     r = P3.zero
-    assert (("x",), "1") in cx.pairs(r, -1)
-    assert (("x",), "x") in cx.pairs(r, 1)
+    assert (("x",), "1") in cx.basis(r, -1)
+    assert (("x",), "x") in cx.basis(r, 1)
+
+
+def test_slot_vectors_outside_the_slot_basis():
+    # a zero entry outside the slot is ignored, a nonzero one is an error
+    A = sphere_algebra(QQ, P3, 2)
+    cx = Cochains(A, algebra_as_bimodule(A), 3, -3, 3)
+    r = P3.zero
+    assert cx.is_boundary(r, 1, {(("x",), "1"): QQ.zero})
+    with pytest.raises(ValueError):
+        cx.is_boundary(r, 1, {(("x",), "1"): QQ.one})
 
 
 # --- oracle first: sanity of the dense bar-dual implementation -------------

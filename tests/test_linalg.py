@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from perverse.fields import Field, QQ
@@ -107,6 +108,14 @@ def test_subquotient_homology_of_known_complex():
     assert H2.dim == 1
     c = H2.coords({0: one, 1: one})
     assert len(c) == 1
+
+
+def test_subquotient_coords_of_a_non_cycle_raises():
+    one = Fraction(1)
+    d_out = SparseMatrix(QQ, 1, 2, {(0, 0): one, (0, 1): -one})
+    H = Subquotient(QQ, 2, d_out=d_out)
+    with pytest.raises(ValueError):
+        H.coords({0: one})
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

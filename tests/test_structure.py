@@ -4,7 +4,7 @@ import pytest
 
 from perverse.fields import QQ
 from perverse.poset import Poset
-from perverse.linalg import vec_add, vec_scale
+from perverse.linalg import vec_add, vec_scale, vec_sub
 from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
@@ -16,7 +16,7 @@ from perverse.structure import (cochain_op, mult_op, diff_op, unit_cochain,
                                 connes_B, phi_pairing, phi_pairing_inv,
                                 connes_B_dual, ChainsSlots, find_duality_class,
                                 BVOperator, random_cochain, verify_calculus,
-                                _sub)
+                                GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
 
 P3 = Poset(3)
 Z0 = P3.zero
@@ -195,7 +195,7 @@ def test_iota_is_a_module_map_on_homology():
                     lhs = iota(cs.ch, fop, iota(cs.ch, gop, z))
                     rhs = iota(cs.ch, fg, z)
                     assert cs.is_boundary(Z0, qc + qf + qg,
-                                          _sub(QQ, lhs, rhs))
+                                          vec_sub(QQ, lhs, rhs))
                     checked += 1
         assert checked
 
@@ -226,16 +226,16 @@ def test_lie_satisfies_cartan_module_axioms_on_homology():
                 lhs = iota(ch, br, z)
                 s = _sgn(QQ, qg * (qf + 1))
                 rhs = vec_scale(QQ, s, lie(ch, fop, iota(ch, gop, z)))
-                rhs = _sub(QQ, rhs, iota(ch, gop, lie(ch, fop, z)))
+                rhs = vec_sub(QQ, rhs, iota(ch, gop, lie(ch, fop, z)))
                 assert cs.is_boundary(Z0, qc + qf + qg - 1,
-                                      _sub(QQ, lhs, rhs))
+                                      vec_sub(QQ, lhs, rhs))
                 # L_{f cup g} = L_f i_g + (-1)^{|f|} i_f L_g
                 lhs = lie(ch, fg, z)
                 rhs = lie(ch, fop, iota(ch, gop, z))
                 rhs = vec_add(QQ, rhs, vec_scale(
                     QQ, _sgn(QQ, qf), iota(ch, fop, lie(ch, gop, z))))
                 assert cs.is_boundary(Z0, qc + qf + qg - 1,
-                                      _sub(QQ, lhs, rhs))
+                                      vec_sub(QQ, lhs, rhs))
 
 
 def test_two_sum_lie_shape_misses_length_zero_chains():
@@ -455,3 +455,11 @@ def test_identity_suite_trivial_algebra():
     A = corpus(QQ, P3)["trivial"]
     rows = verify_calculus(A, 3, -2, 2, trials=4, seed=0)
     assert not [r for r in rows if r["status"] == "fail"], rows
+
+
+def test_verify_calculus_reports_exactly_the_registered_identities():
+    A = sphere_algebra(QQ, P3, 2)
+    names = [r["identity"]
+             for r in verify_calculus(A, 3, -2, 2, trials=2, seed=0)]
+    registry = GERSTENHABER_IDS + CALCULUS_IDS + BV_IDS
+    assert sorted(names) == sorted(n for n in registry if n != "BV block")
