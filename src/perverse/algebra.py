@@ -174,13 +174,13 @@ class PDGA:
                         Z.d[(p, k)] = slots.matrix(p, k)
         for (p, q) in self.poset.covers():
             for k in self.degrees():
-                src = self.slot_basis(p, k)
-                dst = self.slot_basis(q, k)
+                src = slots.basis(p, k)
                 if not src:
                     continue
+                dst = slots.index(q, k)
                 m = SparseMatrix(self.field, len(dst), len(src))
                 for j, x in enumerate(src):
-                    m[dst.index(x), j] = self.field.one
+                    m[dst[x], j] = self.field.one
                 Z.phi[(p, q, k)] = m
         return Z
 
@@ -579,14 +579,15 @@ def module_hom(M, P_, degwindow):
                 for i, c in rows[key].items():
                     mat[ri, i] = c
             ker = kernel_basis(mat)
-            data[(r, k)] = (pairs, ker)
+            data[(r, k)] = (pairs, {pr: i for i, pr in enumerate(pairs)},
+                            ker)
             if ker:
                 out.basis[(r, k)] = ["f%d" % i for i in range(len(ker))]
-    subs = {rk: _Subspace(F, ker) for rk, (pairs, ker) in data.items()}
+    subs = {rk: _Subspace(F, ker) for rk, (_, _, ker) in data.items()}
     for r in P.elements:
         for k in range(lo, hi + 1):
-            pairs, ker = data[(r, k)]
-            tpairs, tker = data[(r, k + 1)]
+            pairs, _, ker = data[(r, k)]
+            tpairs, tindex, tker = data[(r, k + 1)]
             m = SparseMatrix(F, len(tker), len(ker))
             sk = F.neg(F.one) if k % 2 else F.one
             for col, kv in enumerate(ker):
@@ -594,8 +595,8 @@ def module_hom(M, P_, degwindow):
                 for i, c in kv.items():
                     mm, nn = pairs[i]
                     for n2, x in P_.d(nn).items():
-                        if (mm, n2) in tpairs:
-                            j = tpairs.index((mm, n2))
+                        j = tindex.get((mm, n2))
+                        if j is not None:
                             w[j] = F.add(w.get(j, F.zero), F.mul(c, x))
                 for i2, (m2, n2) in enumerate(tpairs):
                     tot = F.zero
@@ -614,14 +615,14 @@ def module_hom(M, P_, degwindow):
             out.d[(r, k)] = m
     for (r, r2) in P.covers():
         for k in range(lo, hi + 2):
-            pairs, ker = data[(r, k)]
-            tpairs, _ = data[(r2, k)]
+            pairs, _, ker = data[(r, k)]
+            _, tindex, _ = data[(r2, k)]
             m = SparseMatrix(F, subs[(r2, k)].dim, len(ker))
             for col, kv in enumerate(ker):
                 w = {}
                 for i, c in kv.items():
-                    if pairs[i] in tpairs:
-                        w[tpairs.index(pairs[i])] = c
+                    if pairs[i] in tindex:
+                        w[tindex[pairs[i]]] = c
                 for row, c in subs[(r2, k)].coords(w).items():
                     m[row, col] = c
             out.phi[(r, r2, k)] = m
@@ -644,6 +645,7 @@ def module_tensor(M, P_):
                      and M.kind[m] == "up" and P_.kind[p] == "up"
                      and A.sum_labels_ok(M.plabel[m], P_.plabel[p])
                      and leq(P.oplus(M.plabel[m], P_.plabel[p]), r)]
+            index = {pr: i for i, pr in enumerate(pairs)}
             rels = []
             for a in A.nonunit():
                 for m in M.names:
@@ -661,48 +663,48 @@ def module_tensor(M, P_):
                             continue
                         col = {}
                         for m2, c in M.act_right(m, a).items():
-                            if (m2, p) in pairs:
-                                i = pairs.index((m2, p))
+                            i = index.get((m2, p))
+                            if i is not None:
                                 col[i] = F.add(col.get(i, F.zero), c)
                         for p2, c in P_.act_left(a, p).items():
-                            if (m, p2) in pairs:
-                                i = pairs.index((m, p2))
+                            i = index.get((m, p2))
+                            if i is not None:
                                 col[i] = F.sub(col.get(i, F.zero), c)
                         col = {i: c for i, c in col.items() if not F.iszero(c)}
                         if col:
                             rels.append(col)
             quot = Quotient(F, len(pairs), rels)
-            data[(r, k)] = (pairs, quot)
+            data[(r, k)] = (pairs, index, quot)
             if quot.dim:
                 out.basis[(r, k)] = [pairs[quot.free[i]] for i in range(quot.dim)]
     for r in P.elements:
         for k in range(min(degs), max(degs) + 1):
-            pairs, quot = data[(r, k)]
-            tpairs, tquot = data[(r, k + 1)]
+            pairs, _, quot = data[(r, k)]
+            _, tindex, tquot = data[(r, k + 1)]
             mt = SparseMatrix(F, tquot.dim, quot.dim)
             for col in range(quot.dim):
                 m, p = pairs[quot.free[col]]
                 w = {}
                 for m2, c in M.d(m).items():
-                    if (m2, p) in tpairs:
-                        i = tpairs.index((m2, p))
+                    i = tindex.get((m2, p))
+                    if i is not None:
                         w[i] = F.add(w.get(i, F.zero), c)
                 sgn = F.neg(F.one) if M.degree[m] % 2 else F.one
                 for p2, c in P_.d(p).items():
-                    if (m, p2) in tpairs:
-                        i = tpairs.index((m, p2))
+                    i = tindex.get((m, p2))
+                    if i is not None:
                         w[i] = F.add(w.get(i, F.zero), F.mul(sgn, c))
                 for row, c in tquot.project(w).items():
                     mt[row, col] = c
             out.d[(r, k)] = mt
     for (r, r2) in P.covers():
         for k in range(min(degs), max(degs) + 2):
-            pairs, quot = data[(r, k)]
-            tpairs, tquot = data[(r2, k)]
+            pairs, _, quot = data[(r, k)]
+            _, tindex, tquot = data[(r2, k)]
             mt = SparseMatrix(F, tquot.dim, quot.dim)
             for col in range(quot.dim):
                 mp = pairs[quot.free[col]]
-                w = {tpairs.index(mp): F.one}
+                w = {tindex[mp]: F.one}
                 for row, c in tquot.project(w).items():
                     mt[row, col] = c
             out.phi[(r, r2, k)] = mt

@@ -399,8 +399,7 @@ def cmd_tensor(args, out):
     A = load_pdga(args.algebra)
     B = load_pdga(args.algebra2)
     try:
-        rep = compare_hh(A, B, args.max_length, tuple(args.window),
-                         seed=args.seed)
+        rep = compare_hh(A, B, args.max_length, tuple(args.window))
     except ValueError as e:
         raise InputError(str(e))
     recs = list(rep["records"])
@@ -422,7 +421,7 @@ def cmd_cofibrancy(args, out):
         basis.setdefault(degs[x], []).append(x)
     d = {}
     for k, labs in basis.items():
-        nxt = basis.get(k + 1, [])
+        nxt = {y: i for i, y in enumerate(basis.get(k + 1, []))}
         m = SparseMatrix(F, len(nxt), len(labs))
         for j, x in enumerate(labs):
             v = _parse_vector(F, set(names), desc.differential.get(x, {}),
@@ -431,7 +430,7 @@ def cmd_cofibrancy(args, out):
                 if degs[y] != k + 1:
                     raise InputError("differential[%s]: %r has degree %d, "
                                      "expected %d" % (x, y, degs[y], k + 1))
-                m[nxt.index(y), j] = c
+                m[nxt[y], j] = c
         d[k] = m
     cx = ChainComplex(F, basis, d)
     try:
@@ -543,7 +542,7 @@ def build_parser():
 
     p = sub.add_parser("tensor",
                        help="Kunneth comparison for a tensor product")
-    common(p, trials=0)
+    common(p)
     p.add_argument("algebra2", help="the second factor")
     p.set_defaults(fn=cmd_tensor)
 

@@ -172,27 +172,34 @@ def unit_perverse(field, poset):
 
 
 class _Blocks:
-    "a direct sum indexing: block key -> offset into one flat coordinate space"
+    """a direct sum indexing: each block key owns a basis (a list of basis
+    keys), laid out from an offset in one flat coordinate space"""
 
     def __init__(self):
         self.offset = {}
-        self.size = {}
+        self.basis = {}
+        self._index = {}
         self.order = []
         self.total = 0
 
-    def add(self, key, size):
+    def add(self, key, basis):
         self.offset[key] = self.total
-        self.size[key] = size
+        self.basis[key] = basis
+        self._index[key] = {b: i for i, b in enumerate(basis)}
         self.order.append(key)
-        self.total += size
+        self.total += len(basis)
 
     def glob(self, key, local):
         return self.offset[key] + local
 
+    def locate(self, key, b):
+        "the flat coordinate of basis key b of block key"
+        return self.offset[key] + self._index[key][b]
+
     def split(self, gidx):
         for key in self.order:
             off = self.offset[key]
-            if off <= gidx < off + self.size[key]:
+            if off <= gidx < off + len(self.basis[key]):
                 return key, gidx - off
         raise IndexError(gidx)
 
@@ -234,15 +241,12 @@ def box_tensor(Z, Y):
                     edges.append(((p, q), (p, b), 1))
         for k in range(kmin, kmax + 2):
             blocks = _Blocks()
-            pairb = {}
             for (p, q) in objs:
-                pb = _pair_basis(Z, Y, p, q, k)
-                pairb[(p, q)] = pb
-                blocks.add((p, q), len(pb))
+                blocks.add((p, q), _pair_basis(Z, Y, p, q, k))
             rel_cols = []
             for (src, dst, side) in edges:
                 p, q = src
-                for li, (i, zi, yi) in enumerate(pairb[src]):
+                for li, (i, zi, yi) in enumerate(blocks.basis[src]):
                     col = {blocks.glob(src, li): field.neg(field.one)}
                     if side == 0:
                         f = Z.cover_map(p, dst[0], i)
@@ -250,8 +254,7 @@ def box_tensor(Z, Y):
                             c = f[zi2, zi]
                             if field.iszero(c):
                                 continue
-                            li2 = pairb[dst].index((i, zi2, yi))
-                            gi = blocks.glob(dst, li2)
+                            gi = blocks.locate(dst, (i, zi2, yi))
                             col[gi] = field.add(col.get(gi, field.zero), c)
                     else:
                         j = k - i
@@ -260,18 +263,17 @@ def box_tensor(Z, Y):
                             c = f[yi2, yi]
                             if field.iszero(c):
                                 continue
-                            li2 = pairb[dst].index((i, zi, yi2))
-                            gi = blocks.glob(dst, li2)
+                            gi = blocks.locate(dst, (i, zi, yi2))
                             col[gi] = field.add(col.get(gi, field.zero), c)
                     col = {g: c for g, c in col.items() if not field.iszero(c)}
                     if col:
                         rel_cols.append(col)
             quot = Quotient(field, blocks.total, rel_cols)
-            data[(r, k)] = (blocks, pairb, quot)
+            data[(r, k)] = (blocks, quot)
             labels = []
             for gi in quot.free:
                 (p, q), li = blocks.split(gi)
-                i, zi, yi = pairb[(p, q)][li]
+                i, zi, yi = blocks.basis[(p, q)][li]
                 zl = Z.basis[(p, i)][zi]
                 yl = Y.basis[(q, k - i)][yi]
                 labels.append((zl, yl, p, q, i))
@@ -280,21 +282,20 @@ def box_tensor(Z, Y):
 
     def ambient_diff(r, k, v):
         "tensor differential on the flat coordinate space, objectwise"
-        blocks, pairb, _ = data[(r, k)]
-        tblocks, tpairb, _ = data[(r, k + 1)]
+        blocks, _ = data[(r, k)]
+        tblocks, _ = data[(r, k + 1)]
         w = {}
         for gi, c in v.items():
             obj, li = blocks.split(gi)
             p, q = obj
-            i, zi, yi = pairb[obj][li]
+            i, zi, yi = blocks.basis[obj][li]
             j = k - i
             dz = Z.diff(p, i)
             for zi2 in range(Z.dim(p, i + 1)):
                 x = dz[zi2, zi]
                 if field.iszero(x):
                     continue
-                li2 = tpairb[obj].index((i + 1, zi2, yi))
-                g2 = tblocks.glob(obj, li2)
+                g2 = tblocks.locate(obj, (i + 1, zi2, yi))
                 w[g2] = field.add(w.get(g2, field.zero), field.mul(c, x))
             dy = Y.diff(q, j)
             sgn = field.neg(field.one) if i % 2 else field.one
@@ -302,16 +303,15 @@ def box_tensor(Z, Y):
                 x = dy[yi2, yi]
                 if field.iszero(x):
                     continue
-                li2 = tpairb[obj].index((i, zi, yi2))
-                g2 = tblocks.glob(obj, li2)
+                g2 = tblocks.locate(obj, (i, zi, yi2))
                 w[g2] = field.add(w.get(g2, field.zero),
                                   field.mul(c, field.mul(sgn, x)))
         return {g: c for g, c in w.items() if not field.iszero(c)}
 
     for r in P.elements:
         for k in range(kmin, kmax + 1):
-            _, _, quot = data[(r, k)]
-            _, _, tquot = data[(r, k + 1)]
+            _, quot = data[(r, k)]
+            _, tquot = data[(r, k + 1)]
             m = SparseMatrix(field, tquot.dim, quot.dim)
             for col in range(quot.dim):
                 w = ambient_diff(r, k, quot.include(col))
@@ -320,8 +320,8 @@ def box_tensor(Z, Y):
             out.d[(r, k)] = m
     for (r, r2) in P.covers():
         for k in range(kmin, kmax + 2):
-            blocks, _, quot = data[(r, k)]
-            blocks2, _, quot2 = data[(r2, k)]
+            blocks, quot = data[(r, k)]
+            blocks2, quot2 = data[(r2, k)]
             m = SparseMatrix(field, quot2.dim, quot.dim)
             for col in range(quot.dim):
                 v = quot.include(col)
@@ -354,16 +354,13 @@ def box_tensor_fulldiagram(Z, Y):
                  if s != t and leq(s[0], t[0]) and leq(s[1], t[1])]
         for k in range(kmin, kmax + 1):
             blocks = _Blocks()
-            pairb = {}
             for obj in objs:
-                pb = _pair_basis(Z, Y, obj[0], obj[1], k)
-                pairb[obj] = pb
-                blocks.add(obj, len(pb))
+                blocks.add(obj, _pair_basis(Z, Y, obj[0], obj[1], k))
             rel_cols = []
             for (src, dst) in edges:
                 p, q = src
                 fz = Z.structure_map(p, dst[0], 0)  # recomputed per degree below
-                for li, (i, zi, yi) in enumerate(pairb[src]):
+                for li, (i, zi, yi) in enumerate(blocks.basis[src]):
                     j = k - i
                     fz = Z.structure_map(p, dst[0], i)
                     fy = Y.structure_map(q, dst[1], j)
@@ -373,8 +370,7 @@ def box_tensor_fulldiagram(Z, Y):
                             c = field.mul(fz[zi2, zi], fy[yi2, yi])
                             if field.iszero(c):
                                 continue
-                            li2 = pairb[dst].index((i, zi2, yi2))
-                            gi = blocks.glob(dst, li2)
+                            gi = blocks.locate(dst, (i, zi2, yi2))
                             col[gi] = field.add(col.get(gi, field.zero), c)
                     col = {g: c for g, c in col.items() if not field.iszero(c)}
                     if col:
@@ -444,19 +440,16 @@ def internal_hom(M, N):
                     edges.append(((p, q), (p, b), 1))
         for k in range(kmin, kmax + 2):
             blocks = _Blocks()
-            hb = {}
             for obj in objs:
-                b = hom_basis(obj[0], obj[1], k)
-                hb[obj] = b
-                blocks.add(obj, len(b))
+                blocks.add(obj, hom_basis(obj[0], obj[1], k))
             # difference map: rows = edge targets, cols = objects
             rows = _Blocks()
             for ei, (src, dst, side) in enumerate(edges):
-                rows.add(ei, len(hb[dst]))
+                rows.add(ei, blocks.basis[dst])
             A = SparseMatrix(field, rows.total, blocks.total)
             for ei, (src, dst, side) in enumerate(edges):
                 p, q = src
-                for li, (i, mi, ni) in enumerate(hb[src]):
+                for li, (i, mi, ni) in enumerate(blocks.basis[src]):
                     gi = blocks.glob(src, li)
                     if side == 0:
                         f = M.cover_map(dst[0], p, i)
@@ -464,45 +457,42 @@ def internal_hom(M, N):
                             c = f[mi, mi2]
                             if field.iszero(c):
                                 continue
-                            li2 = hb[dst].index((i, mi2, ni))
-                            A[rows.glob(ei, li2), gi] = \
-                                field.add(A[rows.glob(ei, li2), gi], c)
+                            ri = rows.locate(ei, (i, mi2, ni))
+                            A[ri, gi] = field.add(A[ri, gi], c)
                     else:
                         f = N.cover_map(q, dst[1], i + k)
                         for ni2 in range(N.dim(dst[1], i + k)):
                             c = f[ni2, ni]
                             if field.iszero(c):
                                 continue
-                            li2 = hb[dst].index((i, mi, ni2))
-                            A[rows.glob(ei, li2), gi] = \
-                                field.add(A[rows.glob(ei, li2), gi], c)
-                for li2, (i, mi2, ni2) in enumerate(hb[dst]):
+                            ri = rows.locate(ei, (i, mi, ni2))
+                            A[ri, gi] = field.add(A[ri, gi], c)
+                for li2 in range(len(blocks.basis[dst])):
                     gi2 = blocks.glob(dst, li2)
                     A[rows.glob(ei, li2), gi2] = \
                         field.sub(A[rows.glob(ei, li2), gi2], field.one)
             ker = kernel_basis(A)
             sub = _Subspace(field, ker)
-            data[(r, k)] = (blocks, hb, sub)
+            data[(r, k)] = (blocks, sub)
             if ker:
                 out.basis[(r, k)] = ["h%d" % i for i in range(len(ker))]
 
     def ambient_diff(r, k, v):
         "hom differential objectwise: d f = d_N f - (-1)^k f d_M"
-        blocks, hb, _ = data[(r, k)]
-        tblocks, thb, _ = data[(r, k + 1)]
+        blocks, _ = data[(r, k)]
+        tblocks, _ = data[(r, k + 1)]
         sgn = field.neg(field.one) if k % 2 else field.one
         w = {}
         for gi, c in v.items():
             obj, li = blocks.split(gi)
             p, q = obj
-            i, mi, ni = hb[obj][li]
+            i, mi, ni = blocks.basis[obj][li]
             dn = N.diff(q, i + k)
             for ni2 in range(N.dim(q, i + k + 1)):
                 x = dn[ni2, ni]
                 if field.iszero(x):
                     continue
-                li2 = thb[obj].index((i, mi, ni2))
-                g2 = tblocks.glob(obj, li2)
+                g2 = tblocks.locate(obj, (i, mi, ni2))
                 w[g2] = field.add(w.get(g2, field.zero), field.mul(c, x))
             if i - 1 in mdegs:
                 dm = M.diff(p, i - 1)
@@ -510,16 +500,15 @@ def internal_hom(M, N):
                     x = dm[mi, mi2]
                     if field.iszero(x):
                         continue
-                    li2 = thb[obj].index((i - 1, mi2, ni))
-                    g2 = tblocks.glob(obj, li2)
+                    g2 = tblocks.locate(obj, (i - 1, mi2, ni))
                     w[g2] = field.sub(w.get(g2, field.zero),
                                       field.mul(c, field.mul(sgn, x)))
         return {g: c for g, c in w.items() if not field.iszero(c)}
 
     for r in P.elements:
         for k in range(kmin, kmax + 1):
-            _, _, sub = data[(r, k)]
-            _, _, tsub = data[(r, k + 1)]
+            _, sub = data[(r, k)]
+            _, tsub = data[(r, k + 1)]
             m = SparseMatrix(field, tsub.dim, sub.dim)
             for col in range(sub.dim):
                 w = ambient_diff(r, k, sub.cols[col])
@@ -528,8 +517,8 @@ def internal_hom(M, N):
             out.d[(r, k)] = m
     for (r, r2) in P.covers():
         for k in range(kmin, kmax + 2):
-            blocks, _, sub = data[(r, k)]
-            blocks2, _, sub2 = data[(r2, k)]
+            blocks, sub = data[(r, k)]
+            blocks2, sub2 = data[(r2, k)]
             m = SparseMatrix(field, sub2.dim, sub.dim)
             for col in range(sub.dim):
                 v = sub.cols[col]

@@ -16,8 +16,9 @@ from perverse.structure import connes_B, ChainsSlots
 from perverse.kunneth import (shuffles, alexander_whitney,
                               alexander_whitney_vec, eilenberg_zilber,
                               eilenberg_zilber_vec, pair_D, shuffle_product,
-                              tensor_cochain, compare_hh, bar_degree,
-                              is_constant_diagram, hh_degree_support)
+                              tensor_cochain, aw_table, compare_hh,
+                              bar_degree, is_constant_diagram,
+                              hh_degree_support)
 
 P3 = Poset(3)
 
@@ -327,18 +328,37 @@ def test_transported_cocycles_stay_cocycles():
     cx = Cochains(A, algebra_as_bimodule(A), L, loA, hiA)
     cxT = Cochains(T, algebra_as_bimodule(T), L, -3, 3)
     MT = algebra_as_bimodule(T)
+    aw = aw_table(A, B, T, cxT.words)
     checked = 0
     for qf in range(-2, 3):
         for f in cx.representatives(P3.top, qf):
             for qg in range(-2, 3):
                 for g in cx.representatives(P3.top, qg):
-                    img = tensor_cochain(A, B, T, f, qf, g, qg, cxT.words)
+                    img = tensor_cochain(A, B, T, f, qf, g, qg, aw)
                     if not img:
                         continue
                     assert not apply_cochain_D(T, MT, img, qf + qg,
                                                cxT.words)
                     checked += 1
     assert checked > 10
+
+
+def test_compare_hh_evaluates_aw_once_per_middle_word(monkeypatch):
+    import perverse.kunneth as kunneth
+    seen = []
+
+    def counting(A, B, T, word, coeff=None):
+        seen.append(word)
+        return alexander_whitney(A, B, T, word, coeff)
+
+    monkeypatch.setattr(kunneth, "alexander_whitney", counting)
+    rep = compare_hh(S2, S2, 2, (-1, 1))
+    assert all(r["status"] == "pass" for r in rep["records"]), rep["records"]
+    T = tensor_pdga(S2, S2)
+    words = Cochains(T, algebra_as_bimodule(T), 2, -1, 1).words
+    assert len(words) == 13
+    assert sorted(seen, key=repr) == sorted(
+        ((T.unit, w, T.unit) for w in words), key=repr)
 
 
 def test_compare_hh_with_a_trivial_factor_passes_everything():
