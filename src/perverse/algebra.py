@@ -81,10 +81,6 @@ class PDGA:
                 out = vec_add(self.field, out, vec_scale(self.field, c, self.mul(a, b)))
         return out
 
-    def slot_basis(self, p, k):
-        return [x for x in self.names
-                if self.degree[x] == k and leq(self.label[x], p)]
-
     def degrees(self):
         return sorted(set(self.degree.values()))
 

@@ -344,22 +344,22 @@ def cmd_hh(args, out):
     return 0
 
 
-def _run_suite(args, out, keep, with_bv):
+def _run_suite(args, out, keep):
     A = load_pdga(args.algebra)
     lo, hi = args.window
     report = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
-                             seed=args.seed, with_bv=with_bv)
+                             seed=args.seed, with_bv=False)
     recs = [r for r in report if r["identity"] in keep]
     _emit(recs, args.json, out)
     return _status(recs)
 
 
 def cmd_gerstenhaber(args, out):
-    return _run_suite(args, out, GERSTENHABER_IDS, with_bv=False)
+    return _run_suite(args, out, GERSTENHABER_IDS)
 
 
 def cmd_calculus(args, out):
-    return _run_suite(args, out, CALCULUS_IDS, with_bv=False)
+    return _run_suite(args, out, CALCULUS_IDS)
 
 
 def cmd_bv(args, out):
@@ -389,7 +389,7 @@ def cmd_bv(args, out):
                     "text": "Delta p=%s q=%+d: %dx%d"
                     % (list(r), q, m.nrows, m.ncols)})
     report = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
-                             seed=args.seed, with_bv=True)
+                             seed=args.seed)
     checks = [r for r in report if r["identity"] in BV_IDS]
     _emit(recs + checks, args.json, out)
     return _status(checks)

@@ -179,14 +179,14 @@ class _Blocks:
         self.offset = {}
         self.basis = {}
         self._index = {}
-        self.order = []
+        self._where = []     # flat coordinate -> (block key, local index)
         self.total = 0
 
     def add(self, key, basis):
         self.offset[key] = self.total
         self.basis[key] = basis
         self._index[key] = {b: i for i, b in enumerate(basis)}
-        self.order.append(key)
+        self._where.extend((key, i) for i in range(len(basis)))
         self.total += len(basis)
 
     def glob(self, key, local):
@@ -197,11 +197,10 @@ class _Blocks:
         return self.offset[key] + self._index[key][b]
 
     def split(self, gidx):
-        for key in self.order:
-            off = self.offset[key]
-            if off <= gidx < off + len(self.basis[key]):
-                return key, gidx - off
-        raise IndexError(gidx)
+        "the (block key, local index) of a flat coordinate"
+        if not 0 <= gidx < self.total:
+            raise IndexError(gidx)
+        return self._where[gidx]
 
 
 def _pair_basis(Z, Y, p, q, k):

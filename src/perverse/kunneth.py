@@ -20,7 +20,8 @@ from .linalg import SparseMatrix, vec_add, vec_scale, vec_sub
 from .algebra import tensor_pdga, algebra_as_bimodule
 from .hochschild import (Bar, Cochains, word_sdeg, sdeg, _sgn,
                          index_cochain)
-from .structure import cup, bracket, BVOperator, record_identity
+from .structure import (cup, bracket, BVOperator, record_identity,
+                        run_identity)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +321,6 @@ def compare_hh(A, B, L, window):
     # cxT for all the transports below
     aw = aw_table(A, B, T, cxT.words)
     records = []
-    record = functools.partial(record_identity, records)
 
     def box_dim(tA, tB, r, q):
         tot = 0
@@ -343,8 +343,8 @@ def compare_hh(A, B, L, window):
                  if stable(*rq)]
     fails = [{"slot": rq, "tensor": tabT[rq], "product": product_table[rq]}
              for rq in certified if tabT[rq] != product_table[rq]]
-    record("dimension tables agree", fails, len(certified),
-           skipped=len(product_table) - len(certified))
+    record_identity(records, "dimension tables agree", fails, len(certified),
+                    skipped=len(product_table) - len(certified))
 
     # representative pairs per slot, with their transported images
     def rep_pairs(r, q):
@@ -358,16 +358,14 @@ def compare_hh(A, B, L, window):
                     out.append((f, q1, g, q2))
         return out
 
-    def transport(f, q1, g, q2):
-        return tensor_cochain(A, B, T, f, q1, g, q2, aw)
-
     # the transported basis must span: that is the isomorphism statement
     fails, ran, skipped = [], 0, 0
     images = {}
     for r in P.elements:
         for q in range(lo, hi + 1):
             prs = rep_pairs(r, q)
-            images[(r, q)] = [(fg, transport(*fg)) for fg in prs]
+            images[(r, q)] = [(fg, tensor_cochain(A, B, T, *fg, aw))
+                              for fg in prs]
             if not prs:
                 continue
             if (r, q) not in certified:
@@ -379,68 +377,76 @@ def compare_hh(A, B, L, window):
             if mat.rank() != tabT[(r, q)] or len(cols) != tabT[(r, q)]:
                 fails.append({"slot": (r, q), "rank": mat.rank(),
                               "dim": tabT[(r, q)]})
-    record("transported basis spans HH of the tensor", fails, ran,
-           skipped=skipped)
+    record_identity(records, "transported basis spans HH of the tensor", fails,
+                    ran, skipped=skipped)
 
     def restrict(f):
         return {(w, m): c for (w, m), c in f.items() if len(w) < L}
 
+    def image_pairs(shift):
+        """pairs of transported classes at (r, q) and (r, q2) whose product
+        degree q + q2 - shift lies in the window"""
+        for r in P.elements:
+            for q in range(lo, hi + 1):
+                for x in images[(r, q)]:
+                    for q2 in range(lo, hi + 1):
+                        if lo <= q + q2 - shift <= hi:
+                            for y in images[(r, q2)]:
+                                yield None, (r, q, q2, x, y)
+
+    def pair_witness(d):
+        r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
+        return {"slot": (r, q, q2), "degrees": (qf, qg, qf2, qg2)}
+
     # cup transport: elementwise on pairs of transported classes
-    fails, ran = [], 0
-    for r in P.elements:
-        for q in range(lo, hi + 1):
-            for (f, qf, g, qg), Fg in images[(r, q)]:
-                for q2 in range(lo, hi + 1):
-                    for (f2, qf2, g2, qg2), Fg2 in images[(r, q2)]:
-                        if not (lo <= q + q2 <= hi):
-                            continue
-                        ran += 1
-                        lhs = cup(T, Fg, q, Fg2, q2, cxT.words)
-                        ca = cup(A, f, qf, f2, qf2, cxA.words)
-                        cb = cup(B, g, qg, g2, qg2, cxB.words)
-                        rhs = vec_scale(
-                            F, _sgn(F, qf2 * qg),
-                            tensor_cochain(A, B, T, ca, qf + qf2,
-                                           cb, qg + qg2, aw))
-                        diff = vec_sub(F, lhs, rhs)
-                        if not cxT.is_boundary(r, q + q2, diff):
-                            fails.append({"slot": (r, q, q2),
-                                          "degrees": (qf, qg, qf2, qg2)})
-    record("cup transports to the tensor cup", fails, ran)
+    def cup_transports(d):
+        r, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
+        lhs = cup(T, Fg, q, Fg2, q2, cxT.words)
+        ca = cup(A, f, qf, f2, qf2, cxA.words)
+        cb = cup(B, g, qg, g2, qg2, cxB.words)
+        rhs = vec_scale(F, _sgn(F, qf2 * qg), tensor_cochain(
+            A, B, T, ca, qf + qf2, cb, qg + qg2, aw))
+        return cxT.is_boundary(r, q + q2, vec_sub(F, lhs, rhs))
+
+    run_identity(records, "cup transports to the tensor cup",
+                 image_pairs(0), cup_transports, pair_witness)
 
     # bracket transport; arity-0 insertions read one extra word length, so
     # the class comparison happens one truncation level down
-    fails, ran = [], 0
-    for r in P.elements:
-        for q in range(lo, hi + 1):
-            for (f, qf, g, qg), Fg in images[(r, q)]:
-                for q2 in range(lo, hi + 1):
-                    for (f2, qf2, g2, qg2), Fg2 in images[(r, q2)]:
-                        if not (lo <= q + q2 - 1 <= hi):
-                            continue
-                        ran += 1
-                        lhs = bracket(T, Fg, q, Fg2, q2, cxTm.words)
-                        t1 = tensor_cochain(
-                            A, B, T,
-                            bracket(A, f, qf, f2, qf2, cxA.words),
-                            qf + qf2 - 1,
-                            cup(B, g, qg, g2, qg2, cxB.words),
+    def bracket_transports(d):
+        r, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
+        lhs = bracket(T, Fg, q, Fg2, q2, cxTm.words)
+        t1 = tensor_cochain(A, B, T, bracket(A, f, qf, f2, qf2, cxA.words),
+                            qf + qf2 - 1, cup(B, g, qg, g2, qg2, cxB.words),
                             qg + qg2, aw)
-                        t2 = tensor_cochain(
-                            A, B, T,
-                            cup(A, f, qf, f2, qf2, cxA.words), qf + qf2,
-                            bracket(B, g, qg, g2, qg2, cxB.words),
+        t2 = tensor_cochain(A, B, T, cup(A, f, qf, f2, qf2, cxA.words),
+                            qf + qf2, bracket(B, g, qg, g2, qg2, cxB.words),
                             qg + qg2 - 1, aw)
-                        rhs = vec_add(
-                            F, vec_scale(F, _sgn(F, (qf2 - 1) * qg), t1),
-                            vec_scale(F, _sgn(F, qf2 * (qg - 1)), t2))
-                        diff = restrict(vec_sub(F, lhs, rhs))
-                        if not cxTm.is_boundary(r, q + q2 - 1, diff):
-                            fails.append({"slot": (r, q, q2),
-                                          "degrees": (qf, qg, qf2, qg2)})
-    record("bracket transports to the two-term tensor bracket", fails, ran)
+        rhs = vec_add(F, vec_scale(F, _sgn(F, (qf2 - 1) * qg), t1),
+                      vec_scale(F, _sgn(F, qf2 * (qg - 1)), t2))
+        return cxTm.is_boundary(r, q + q2 - 1, restrict(vec_sub(F, lhs, rhs)))
+
+    run_identity(records, "bracket transports to the two-term tensor bracket",
+                 image_pairs(1), bracket_transports, pair_witness)
 
     # Delta transport, when both factors carry certified duality data
+    def delta_transports(d):
+        r, q, ((f, qf, g, qg), Fg) = d
+        try:
+            dT, _ = bvT.delta(r, q, Fg)
+            dA, _ = bvA.delta(r, qf, f)
+            dB, _ = bvB.delta(r, qg, g)
+        except LookupError:
+            return None
+        rhs = vec_add(F, tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw),
+                      vec_scale(F, _sgn(F, qf), tensor_cochain(
+                          A, B, T, f, qf, dB, qg - 1, aw)))
+        return cxTm.is_boundary(r, q - 1, restrict(vec_sub(F, dT, rhs)))
+
+    def delta_witness(d):
+        r, q, ((_, qf, _, qg), _) = d
+        return {"slot": (r, q), "degrees": (qf, qg)}
+
     try:
         bvA = BVOperator(A, L, loA, hiA)
         bvB = BVOperator(B, L, loB, hiB)
@@ -448,31 +454,11 @@ def compare_hh(A, B, L, window):
     except (ValueError, LookupError) as e:
         records.append({"identity": "Delta transport", "status": "skipped",
                         "trials": 0, "witness": str(e)})
-        return {"tensor_table": tabT, "product_table": product_table,
-                "records": records}
-    fails, ran = [], 0
-    for r in P.elements:
-        for q in range(lo, hi + 1):
-            if not (lo <= q - 1 <= hi):
-                continue
-            for (f, qf, g, qg), Fg in images[(r, q)]:
-                try:
-                    dT, _ = bvT.delta(r, q, Fg)
-                    dA, _ = bvA.delta(r, qf, f)
-                    dB, _ = bvB.delta(r, qg, g)
-                except LookupError:
-                    continue
-                ran += 1
-                rhs = vec_add(
-                    F,
-                    tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw),
-                    vec_scale(F, _sgn(F, qf),
-                              tensor_cochain(A, B, T, f, qf, dB, qg - 1, aw)))
-                diff = restrict(vec_sub(F, dT, rhs))
-                if not cxTm.is_boundary(r, q - 1, diff):
-                    fails.append({"slot": (r, q), "degrees": (qf, qg)})
-    record("Delta transports to Delta box 1 + (-1)^q 1 box Delta",
-           fails, ran)
-
+    else:
+        classes = ((None, (r, q, x)) for r in P.elements
+                   for q in range(lo + 1, hi + 1) for x in images[(r, q)])
+        run_identity(records,
+                     "Delta transports to Delta box 1 + (-1)^q 1 box Delta",
+                     classes, delta_transports, delta_witness)
     return {"tensor_table": tabT, "product_table": product_table,
             "records": records}

@@ -15,7 +15,6 @@ B_dual(f.[c]) on cohomology.  verify_calculus runs the whole identity suite
 and reports pass/fail with witnesses.
 """
 
-import functools
 import random
 
 from .linalg import (SparseMatrix, SlotComplex, vec_add, vec_scale, vec_sub,
@@ -519,20 +518,6 @@ def random_class(field, reps, rng):
     return out if out else dict(reps[0])
 
 
-# the identities verify_calculus reports, by suite
-GERSTENHABER_IDS = (
-    "differential equals [d_A,f]+[m,f]", "cup equals signed m{f,g}",
-    "bracket skew-commutativity", "commutativity defect coboundary",
-    "pre-Jacobi k=1 l=2", "pre-Jacobi k=2 l=1", "Jacobi on cohomology",
-    "Leibniz on cohomology")
-CALCULUS_IDS = (
-    "calculus i_[f,g]", "calculus L_{f cup g}", "calculus L_f via B",
-    "Ginzburg identity")
-BV_IDS = (
-    "BV block", "Delta(1) = 0", "Delta squared = 0",
-    "BV seven-term relation", "Menichi identity")
-
-
 def record_identity(report, identity, failures, trials, skipped=None):
     """append one identity record: it passes when there are no failures,
     and the first failure is its witness"""
@@ -547,420 +532,404 @@ def record_identity(report, identity, failures, trials, skipped=None):
     report.append(row)
 
 
-def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=None):
-    """run the identity suite and return a list of records
-    {identity, status, witness?}.  Chain-level identities are exact;
-    cohomology identities are decided by coboundary-membership solves.
-    with_bv: None = auto (commutative algebras only)."""
-    F = A.field
-    P = A.poset
-    rng = random.Random(seed)
-    words = middle_words(A, L)
-    report = []
+def run_identity(report, identity, samples, check, witness):
+    """check one identity on every trial of a sampler and record it.
+    samples yields (trial or None, data); check(data) is None when the trial
+    does not apply, else whether the identity holds; the first failure's
+    witness(data) is recorded, led by its trial number when it has one"""
+    failures, ran = [], 0
+    for t, data in samples:
+        ok = check(data)
+        if ok is None:
+            continue
+        ran += 1
+        if not ok and not failures:
+            w = witness(data)
+            failures.append(w if t is None else {"trial": t, **w})
+    record_identity(report, identity, failures, ran)
 
-    record = functools.partial(record_identity, report)
 
-    def rand_pair():
-        q1, q2 = rng.randint(lo, hi), rng.randint(lo, hi)
-        f = random_cochain(A, words, q1, rng)
-        g = random_cochain(A, words, q2, rng)
-        return (f, q1), (g, q2)
+class _Suite:
+    """the state the identity rows of one verify_calculus call share.  Its
+    samplers all draw from one seeded rng, in table order, including draws
+    a check never reads.  A cocycle is drawn as (z, q, r): a combination z
+    of the degree-q representatives at slot r.  Samplers leave out the
+    trials whose slot sum does not exist, and checks build their own Ops,
+    so a trial left out costs no cochain work"""
 
-    # --- exact chain-level identities -------------------------------------
-    fails = []
-    for t in range(trials):
-        (f, qf), _ = rand_pair()
-        fop = cochain_op(A, f, qf)
-        lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, qf, words)
-        rhs = to_cochain(cochain_D_op(fop), words)
-        if lhs != rhs:
-            fails.append({"trial": t, "q": qf})
-    record("differential equals [d_A,f]+[m,f]", fails, trials)
+    def __init__(self, A, L, lo, hi, trials, seed):
+        self.A, self.F, self.P = A, A.field, A.poset
+        self.L, self.lo, self.hi, self.trials = L, lo, hi, trials
+        self.rng = random.Random(seed)
+        self.words = middle_words(A, L)
+        self.M = algebra_as_bimodule(A)
+        self.cx = Cochains(A, self.M, L, lo - 1, hi + 1)
+        self.cs = ChainsSlots(A, L, lo, hi)
+        self.bv = self.cxm = None
 
-    fails = []
-    for t in range(trials):
-        (f, qf), (g, qg) = rand_pair()
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        lhs = to_cochain(cup_op(fop, gop), words)
-        rhs = to_cochain(brace(mult_op(A), [fop, gop]), words)
-        rhs = {k: F.mul(_sgn(F, qf), c) for k, c in rhs.items()}
-        if lhs != rhs:
-            fails.append({"trial": t, "degrees": (qf, qg)})
-    record("cup equals signed m{f,g}", fails, trials)
+    def ops(self, cochains):
+        "the Ops of (cochain, degree, ...) tuples"
+        return [cochain_op(self.A, c[0], c[1]) for c in cochains]
 
-    fails = []
-    for t in range(trials):
-        (f, qf), (g, qg) = rand_pair()
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        lhs = to_cochain(bracket_op(fop, gop), words)
-        rhs = to_cochain(bracket_op(gop, fop), words)
-        s = _sgn(F, 1 + (qf - 1) * (qg - 1))
-        rhs = {k: F.mul(s, c) for k, c in rhs.items()}
-        if lhs != rhs:
-            fails.append({"trial": t, "degrees": (qf, qg)})
-    record("bracket skew-commutativity", fails, trials)
+    def co(self, op):
+        return to_cochain(op, self.words)
 
-    fails = []
-    for t in range(trials):
-        (f, qf), (g, qg) = rand_pair()
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        fg = to_cochain(circle(fop, gop), words)
-        lhs = apply_cochain_D(A, algebra_as_bimodule(A), fg,
-                              qf + qg - 1, words)
-        df = apply_cochain_D(A, algebra_as_bimodule(A), f, qf, words)
-        dg = apply_cochain_D(A, algebra_as_bimodule(A), g, qg, words)
-        lhs = vec_sub(F, lhs, to_cochain(
-            circle(cochain_op(A, df, qf + 1), gop), words))
-        t2 = to_cochain(circle(fop, cochain_op(A, dg, qg + 1)), words)
-        lhs = vec_sub(F, lhs, vec_scale(F, _sgn(F, qf + 1), t2))
-        guf = to_cochain(cup_op(gop, fop), words)
-        fug = to_cochain(cup_op(fop, gop), words)
-        rhs = vec_scale(F, _sgn(F, qg - 1),
-                        vec_sub(F, guf, vec_scale(F, _sgn(F, qf * qg), fug)))
-        if lhs != rhs:
-            fails.append({"trial": t, "degrees": (qf, qg)})
-    record("commutativity defect coboundary", fails, trials)
+    def signed(self, parity, v):
+        return vec_scale(self.F, _sgn(self.F, parity), v)
 
-    fails = []
-    for t in range(trials):
-        (f, qf), (g, qg) = rand_pair()
-        h = random_cochain(A, words, rng.randint(lo, hi), rng)
-        qh = next((A.deg(x) - word_sdeg(A, w) for (w, x) in h), 0)
-        phi = random_cochain(A, words, rng.randint(lo, hi), rng)
-        qp = next((A.deg(x) - word_sdeg(A, w) for (w, x) in phi), 0)
-        pop = cochain_op(A, phi, qp)
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        hop = cochain_op(A, h, qh)
-        lhs = to_cochain(brace(brace(pop, [fop]), [gop, hop]), words)
-        terms = [
-            (0, brace(pop, [fop, gop, hop])),
-            (0, brace(pop, [brace(fop, [gop]), hop])),
-            (0, brace(pop, [brace(fop, [gop, hop])])),
-            ((qf - 1) * (qg - 1), brace(pop, [gop, fop, hop])),
-            ((qf - 1) * (qg - 1), brace(pop, [gop, brace(fop, [hop])])),
-            ((qf - 1) * (qg + qh), brace(pop, [gop, hop, fop])),
-        ]
-        rhs = to_cochain(op_combine(A, 0, terms), words)
-        if lhs != rhs:
-            fails.append({"trial": t, "degrees": (qp, qf, qg, qh)})
-    record("pre-Jacobi k=1 l=2", fails, trials)
+    # samplers
 
-    fails = []
-    for t in range(trials):
-        (f, qf), (g, qg) = rand_pair()
-        h = random_cochain(A, words, rng.randint(lo, hi), rng)
-        qh = next((A.deg(x) - word_sdeg(A, w) for (w, x) in h), 0)
-        phi = random_cochain(A, words, rng.randint(lo, hi), rng)
-        qp = next((A.deg(x) - word_sdeg(A, w) for (w, x) in phi), 0)
-        pop = cochain_op(A, phi, qp)
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        hop = cochain_op(A, h, qh)
-        lhs = to_cochain(brace(brace(pop, [fop, gop]), [hop]), words)
-        terms = [
-            (0, brace(pop, [fop, gop, hop])),
-            (0, brace(pop, [fop, brace(gop, [hop])])),
-            ((qg - 1) * (qh - 1), brace(pop, [fop, hop, gop])),
-            ((qg - 1) * (qh - 1), brace(pop, [brace(fop, [hop]), gop])),
-            ((qf + qg) * (qh - 1), brace(pop, [hop, fop, gop])),
-        ]
-        rhs = to_cochain(op_combine(A, 0, terms), words)
-        if lhs != rhs:
-            fails.append({"trial": t, "degrees": (qp, qf, qg, qh)})
-    record("pre-Jacobi k=2 l=1", fails, trials)
+    def random_cochains(self, k):
+        """k random (cochain, degree) pairs per trial: the first two
+        degrees, then their cochains, then degree and cochain of each
+        further one, which gets degree 0 when drawn empty"""
+        rng, lo, hi = self.rng, self.lo, self.hi
+        for t in range(self.trials):
+            qs = [rng.randint(lo, hi), rng.randint(lo, hi)]
+            out = [(random_cochain(self.A, self.words, q, rng), q)
+                   for q in qs]
+            for _ in range(k - 2):
+                q = rng.randint(lo, hi)
+                f = random_cochain(self.A, self.words, q, rng)
+                out.append((f, q if f else 0))
+            yield t, out
 
-    # --- cohomology-level Gerstenhaber identities -------------------------
-    cx = Cochains(A, algebra_as_bimodule(A), L, lo - 1, hi + 1)
+    def cocycle(self, r, q, cx):
+        return random_class(self.F, cx.representatives(r, q), self.rng)
 
-    def cocycle_triples():
-        "seeded random cocycle triples from representative bases"
-        for t in range(trials):
+    def cocycle_triples(self):
+        """three cocycles per trial, an empty slot ending its draws, with
+        the slot (rf + rg) + rh"""
+        rng, P = self.rng, self.P
+        for t in range(self.trials):
             picks = []
             for _ in range(3):
-                r = rng.choice(P.elements)
-                q = rng.randint(lo, hi)
-                z = random_class(F, cx.representatives(r, q), rng)
+                r, q = rng.choice(P.elements), rng.randint(self.lo, self.hi)
+                z = self.cocycle(r, q, self.cx)
                 if z is None:
                     break
                 picks.append((z, q, r))
-            if len(picks) == 3:
-                yield t, picks
-
-    fails = []
-    ran = 0
-    for t, picks in cocycle_triples():
-        (f, qf, rf), (g, qg, rg), (h, qh, rh) = picks
-        rr = P.oplus(P.oplus(rf, rg), rh) if P.oplus(rf, rg) else None
-        if rr is None:
-            continue
-        ran += 1
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        hop = cochain_op(A, h, qh)
-        lhs = to_cochain(bracket_op(bracket_op(fop, gop), hop), words)
-        rhs = to_cochain(bracket_op(fop, bracket_op(gop, hop)), words)
-        t2 = to_cochain(bracket_op(gop, bracket_op(fop, hop)), words)
-        rhs = vec_sub(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * (qg - 1)), t2))
-        diff = vec_sub(F, lhs, rhs)
-        q = qf + qg + qh - 2
-        if not cx.is_boundary(rr, q, diff):
-            fails.append({"trial": t, "slots": (rf, rg, rh),
-                          "degrees": (qf, qg, qh)})
-    record("Jacobi on cohomology", fails, ran)
-
-    fails = []
-    ran = 0
-    for t, picks in cocycle_triples():
-        (f, qf, rf), (g, qg, rg), (h, qh, rh) = picks
-        rr = P.oplus(P.oplus(rf, rg), rh) if P.oplus(rf, rg) else None
-        if rr is None:
-            continue
-        ran += 1
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        hop = cochain_op(A, h, qh)
-        lhs = to_cochain(bracket_op(fop, cup_op(gop, hop)), words)
-        rhs = to_cochain(cup_op(bracket_op(fop, gop), hop), words)
-        t2 = to_cochain(cup_op(gop, bracket_op(fop, hop)), words)
-        rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * qg), t2))
-        diff = vec_sub(F, lhs, rhs)
-        q = qf + qg + qh - 1
-        if not cx.is_boundary(rr, q, diff):
-            fails.append({"trial": t, "slots": (rf, rg, rh),
-                          "degrees": (qf, qg, qh)})
-    record("Leibniz on cohomology", fails, ran)
-
-    # --- calculus identities on chain homology ----------------------------
-    cs = ChainsSlots(A, L, lo, hi)
-
-    def chain_classes(margin):
-        "random chain homology classes with enough length headroom for B"
-        for t in range(trials):
-            r = rng.choice(P.elements)
-            q = rng.randint(lo, hi)
-            if cs.margin(r, q) < margin:
+            if len(picks) < 3:
                 continue
-            z = random_class(F, cs.representatives(r, q), rng)
-            if z is None:
-                continue
-            yield t, r, q, z
+            rfg = P.oplus(picks[0][2], picks[1][2])
+            rr = None if rfg is None else P.oplus(rfg, picks[2][2])
+            if rr is not None:
+                yield t, (picks, rr)
 
-    def cocycle_pair():
-        rf = rng.choice(P.elements)
-        rg = rng.choice(P.elements)
-        qf = rng.randint(lo, hi)
-        qg = rng.randint(lo, hi)
-        f = random_class(F, cx.representatives(rf, qf), rng)
-        g = random_class(F, cx.representatives(rg, qg), rng)
-        if f is None or g is None or P.oplus(rf, rg) is None:
+    def cocycle_pair(self):
+        """two cocycles with the slot rf + rg, or None when a slot is empty
+        or the sum exceeds the top perversity"""
+        rng, P = self.rng, self.P
+        rf, rg = rng.choice(P.elements), rng.choice(P.elements)
+        qf, qg = rng.randint(self.lo, self.hi), rng.randint(self.lo, self.hi)
+        f, g = self.cocycle(rf, qf, self.cx), self.cocycle(rg, qg, self.cx)
+        if f is None or g is None:
             return None
-        return (f, qf, rf), (g, qg, rg)
+        rfg = P.oplus(rf, rg)
+        return None if rfg is None else ([(f, qf, rf), (g, qg, rg)], rfg)
 
-    ch = cs.ch
+    def cocycle_pairs(self):
+        for t in range(self.trials):
+            pair = self.cocycle_pair()
+            if pair is not None:
+                yield t, pair
 
-    fails = []
-    ran = 0
-    for t, r, q, z in chain_classes(1):
-        pair = cocycle_pair()
-        if pair is None:
-            continue
-        (f, qf, rf), (g, qg, rg) = pair
-        rr = P.oplus(P.oplus(rf, rg), r)
-        if rr is None:
-            continue
-        ran += 1
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        br = cochain_op(A, to_cochain(bracket_op(fop, gop), words),
-                        qf + qg - 1)
+    def classes_and_pairs(self, f_only=False):
+        """a chain homology class (r, q, z) with length headroom for B and a
+        cocycle pair per trial, with the slot (rf + rg) + r, or rf + r when
+        the identity reads f only"""
+        rng = self.rng
+        for t in range(self.trials):
+            r, q = rng.choice(self.P.elements), rng.randint(self.lo, self.hi)
+            if self.cs.margin(r, q) < 1:
+                continue
+            z = self.cocycle(r, q, self.cs)
+            pair = None if z is None else self.cocycle_pair()
+            if pair is None:
+                continue
+            picks, rfg = pair
+            rr = self.P.oplus(picks[0][2] if f_only else rfg, r)
+            if rr is not None:
+                yield t, ((r, q, z), picks, rr)
+
+    # checks
+
+    def differential(self, fs):
+        (f, qf), _ = fs
+        lhs = apply_cochain_D(self.A, self.M, f, qf, self.words)
+        return lhs == self.co(cochain_D_op(cochain_op(self.A, f, qf)))
+
+    def cup_is_brace(self, fs):
+        F, qf = self.F, fs[0][1]
+        fop, gop = self.ops(fs)
+        lhs = self.co(cup_op(fop, gop))
+        rhs = self.co(brace(mult_op(self.A), [fop, gop]))
+        return lhs == {k: F.mul(_sgn(F, qf), c) for k, c in rhs.items()}
+
+    def skew(self, fs):
+        (_, qf), (_, qg) = fs
+        fop, gop = self.ops(fs)
+        lhs = self.co(bracket_op(fop, gop))
+        rhs = self.co(bracket_op(gop, fop))
+        return lhs == self.signed(1 + (qf - 1) * (qg - 1), rhs)
+
+    def defect(self, fs):
+        A, F, M, words = self.A, self.F, self.M, self.words
+        (f, qf), (g, qg) = fs
+        fop, gop = self.ops(fs)
+        fg = self.co(circle(fop, gop))
+        lhs = apply_cochain_D(A, M, fg, qf + qg - 1, words)
+        df = apply_cochain_D(A, M, f, qf, words)
+        dg = apply_cochain_D(A, M, g, qg, words)
+        lhs = vec_sub(F, lhs, self.co(circle(cochain_op(A, df, qf + 1),
+                                             gop)))
+        t2 = self.co(circle(fop, cochain_op(A, dg, qg + 1)))
+        lhs = vec_sub(F, lhs, self.signed(qf + 1, t2))
+        guf = self.co(cup_op(gop, fop))
+        fug = self.co(cup_op(fop, gop))
+        return lhs == self.signed(qg - 1, vec_sub(F, guf,
+                                                  self.signed(qf * qg, fug)))
+
+    def pre_jacobi(self, fs, k):
+        "phi{f}{g,h} (k = 1) or phi{f,g}{h} (k = 2) as one-level braces"
+        (_, qf), (_, qg), (_, qh), _ = fs
+        fop, gop, hop, pop = self.ops(fs)
+        if k == 1:
+            lhs = brace(brace(pop, [fop]), [gop, hop])
+            terms = [
+                (0, brace(pop, [fop, gop, hop])),
+                (0, brace(pop, [brace(fop, [gop]), hop])),
+                (0, brace(pop, [brace(fop, [gop, hop])])),
+                ((qf - 1) * (qg - 1), brace(pop, [gop, fop, hop])),
+                ((qf - 1) * (qg - 1), brace(pop, [gop, brace(fop, [hop])])),
+                ((qf - 1) * (qg + qh), brace(pop, [gop, hop, fop])),
+            ]
+        else:
+            lhs = brace(brace(pop, [fop, gop]), [hop])
+            terms = [
+                (0, brace(pop, [fop, gop, hop])),
+                (0, brace(pop, [fop, brace(gop, [hop])])),
+                ((qg - 1) * (qh - 1), brace(pop, [fop, hop, gop])),
+                ((qg - 1) * (qh - 1), brace(pop, [brace(fop, [hop]), gop])),
+                ((qf + qg) * (qh - 1), brace(pop, [hop, fop, gop])),
+            ]
+        return self.co(lhs) == self.co(op_combine(self.A, 0, terms))
+
+    def jacobi(self, d):
+        picks, rr = d
+        (_, qf, _), (_, qg, _), (_, qh, _) = picks
+        fop, gop, hop = self.ops(picks)
+        lhs = self.co(bracket_op(bracket_op(fop, gop), hop))
+        rhs = self.co(bracket_op(fop, bracket_op(gop, hop)))
+        t2 = self.co(bracket_op(gop, bracket_op(fop, hop)))
+        rhs = vec_sub(self.F, rhs, self.signed((qf - 1) * (qg - 1), t2))
+        return self.cx.is_boundary(rr, qf + qg + qh - 2,
+                                   vec_sub(self.F, lhs, rhs))
+
+    def leibniz(self, d):
+        picks, rr = d
+        (_, qf, _), (_, qg, _), (_, qh, _) = picks
+        fop, gop, hop = self.ops(picks)
+        lhs = self.co(bracket_op(fop, cup_op(gop, hop)))
+        rhs = self.co(cup_op(bracket_op(fop, gop), hop))
+        t2 = self.co(cup_op(gop, bracket_op(fop, hop)))
+        rhs = vec_add(self.F, rhs, self.signed((qf - 1) * qg, t2))
+        return self.cx.is_boundary(rr, qf + qg + qh - 1,
+                                   vec_sub(self.F, lhs, rhs))
+
+    def calculus_bracket(self, d):
+        (_, q, z), picks, rr = d
+        ch, ((_, qf, _), (_, qg, _)) = self.cs.ch, picks
+        fop, gop = self.ops(picks)
+        br = cochain_op(self.A, self.co(bracket_op(fop, gop)), qf + qg - 1)
         lhs = iota(ch, br, z)
         # the interior-product exponent sits on the L_f i_g term here; the
         # identity suite is the arbiter of that placement
-        rhs = vec_scale(F, _sgn(F, qg * (qf + 1)),
-                        lie(ch, fop, iota(ch, gop, z)))
-        rhs = vec_sub(F, rhs, iota(ch, gop, lie(ch, fop, z)))
-        if not cs.is_boundary(rr, q + qf + qg - 1, vec_sub(F, lhs, rhs)):
-            fails.append({"trial": t, "slot": (r, q),
-                          "degrees": (qf, qg)})
-    record("calculus i_[f,g]", fails, ran)
+        rhs = self.signed(qg * (qf + 1), lie(ch, fop, iota(ch, gop, z)))
+        rhs = vec_sub(self.F, rhs, iota(ch, gop, lie(ch, fop, z)))
+        return self.cs.is_boundary(rr, q + qf + qg - 1,
+                                   vec_sub(self.F, lhs, rhs))
 
-    fails = []
-    ran = 0
-    for t, r, q, z in chain_classes(1):
-        pair = cocycle_pair()
-        if pair is None:
-            continue
-        (f, qf, rf), (g, qg, rg) = pair
-        rr = P.oplus(P.oplus(rf, rg), r)
-        if rr is None:
-            continue
-        ran += 1
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        fg = cochain_op(A, to_cochain(cup_op(fop, gop), words), qf + qg)
+    def calculus_cup(self, d):
+        (_, q, z), picks, rr = d
+        ch, ((_, qf, _), (_, qg, _)) = self.cs.ch, picks
+        fop, gop = self.ops(picks)
+        fg = cochain_op(self.A, self.co(cup_op(fop, gop)), qf + qg)
         lhs = lie(ch, fg, z)
         rhs = lie(ch, fop, iota(ch, gop, z))
-        t2 = iota(ch, fop, lie(ch, gop, z))
-        rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, qf), t2))
-        if not cs.is_boundary(rr, q + qf + qg - 1, vec_sub(F, lhs, rhs)):
-            fails.append({"trial": t, "slot": (r, q),
-                          "degrees": (qf, qg)})
-    record("calculus L_{f cup g}", fails, ran)
+        rhs = vec_add(self.F, rhs, self.signed(qf, iota(ch, fop,
+                                                        lie(ch, gop, z))))
+        return self.cs.is_boundary(rr, q + qf + qg - 1,
+                                   vec_sub(self.F, lhs, rhs))
 
-    fails = []
-    ran = 0
-    for t, r, q, z in chain_classes(1):
-        pair = cocycle_pair()
-        if pair is None:
-            continue
-        (f, qf, rf), _ = pair
-        rr = P.oplus(rf, r)
-        if rr is None:
-            continue
-        ran += 1
-        fop = cochain_op(A, f, qf)
+    def calculus_lie(self, d):
+        (_, q, z), ((f, qf, _), _), rr = d
+        ch, fop = self.cs.ch, cochain_op(self.A, f, qf)
         lhs = lie(ch, fop, z)
         rhs = connes_B(ch, iota(ch, fop, z))
-        t2 = iota(ch, fop, connes_B(ch, z))
-        rhs = vec_sub(F, rhs, vec_scale(F, _sgn(F, qf), t2))
-        if not cs.is_boundary(rr, q + qf - 1, vec_sub(F, lhs, rhs)):
-            fails.append({"trial": t, "slot": (r, q), "degree": qf})
-    record("calculus L_f via B", fails, ran)
+        rhs = vec_sub(self.F, rhs, self.signed(qf, iota(ch, fop,
+                                                        connes_B(ch, z))))
+        return self.cs.is_boundary(rr, q + qf - 1, vec_sub(self.F, lhs, rhs))
 
-    fails = []
-    ran = 0
-    for t, r, q, z in chain_classes(1):
-        pair = cocycle_pair()
-        if pair is None:
-            continue
-        (f, qf, rf), (g, qg, rg) = pair
-        rr = P.oplus(P.oplus(rf, rg), r)
-        if rr is None:
-            continue
-        ran += 1
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        br = cochain_op(A, to_cochain(bracket_op(fop, gop), words),
-                        qf + qg - 1)
-        fg = cochain_op(A, to_cochain(cup_op(fop, gop), words), qf + qg)
+    def ginzburg(self, d):
+        (_, q, z), picks, rr = d
+        F, ch, ((_, qf, _), (_, qg, _)) = self.F, self.cs.ch, picks
+        fop, gop = self.ops(picks)
+        br = cochain_op(self.A, self.co(bracket_op(fop, gop)), qf + qg - 1)
+        fg = cochain_op(self.A, self.co(cup_op(fop, gop)), qf + qg)
         lhs = iota(ch, br, z)
-        rhs = vec_scale(F, _sgn(F, qf), connes_B(ch, iota(ch, fg, z)))
+        rhs = self.signed(qf, connes_B(ch, iota(ch, fg, z)))
         rhs = vec_sub(F, rhs, iota(ch, fop, connes_B(ch, iota(ch, gop, z))))
         t2 = iota(ch, gop, connes_B(ch, iota(ch, fop, z)))
-        rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * (qg - 1)), t2))
-        t3 = iota(ch, fg, connes_B(ch, z))
-        rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, qg), t3))
+        rhs = vec_add(F, rhs, self.signed((qf - 1) * (qg - 1), t2))
+        rhs = vec_add(F, rhs, self.signed(qg, iota(ch, fg, connes_B(ch, z))))
         # the identity holds with the four B-terms carrying the same
         # leading minus the dual-side cyclic operator does
-        if not cs.is_boundary(rr, q + qf + qg - 1, vec_add(F, lhs, rhs)):
-            fails.append({"trial": t, "slot": (r, q),
-                          "degrees": (qf, qg)})
-    record("Ginzburg identity", fails, ran)
+        return self.cs.is_boundary(rr, q + qf + qg - 1, vec_add(F, lhs, rhs))
 
-    # --- BV block ---------------------------------------------------------
-    if with_bv is None:
-        with_bv = A.is_commutative()
-    if not with_bv:
-        report.append({"identity": "BV block", "status": "skipped",
-                       "trials": 0,
-                       "witness": "unsupported: non-commutative duality lift"})
-        return report
-    try:
-        bv = BVOperator(A, L, lo, hi)
-    except LookupError as e:
-        report.append({"identity": "BV block", "status": "skipped",
-                       "trials": 0, "witness": str(e)})
-        return report
-    cxm = Cochains(A, algebra_as_bimodule(A), L - 1, lo - 1, hi + 1)
+    def delta_squared(self, slot):
+        try:
+            m1 = self.bv.matrix(*slot)
+            m2 = self.bv.matrix(slot[0], slot[1] - 1)
+        except LookupError:
+            return None
+        if m1.ncols == 0 or m2.nrows == 0:
+            return None
+        return m2.mul(m1).is_zero()
 
-    fails = []
-    for r in P.elements:
-        co = bv.unit_obstruction(r)
-        if co:
-            fails.append({"slot": r, "coords": co})
-    record("Delta(1) = 0", fails, len(P.elements))
-
-    fails = []
-    ran = 0
-    for r in P.elements:
-        for q in range(lo, hi + 1):
-            try:
-                m1 = bv.matrix(r, q)
-                m2 = bv.matrix(r, q - 1)
-            except LookupError:
-                continue
-            if m1.ncols == 0 or m2.nrows == 0:
-                continue
-            ran += 1
-            if not m2.mul(m1).is_zero():
-                fails.append({"slot": (r, q)})
-    record("Delta squared = 0", fails, ran)
-
-    fails = []
-    ran = 0
-    for t in range(trials):
-        pair = cocycle_pair()
-        if pair is None:
-            continue
-        (f, qf, rf), (g, qg, rg) = pair
-        rr = P.oplus(rf, rg)
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        fug = to_cochain(cup_op(fop, gop), words)
-        lhs = vec_scale(F, _sgn(F, qf),
-                        to_cochain(bracket_op(fop, gop), words))
+    def bv_seven_term(self, d):
+        ((f, qf, rf), (g, qg, rg)), rr = d
+        A, F, bv = self.A, self.F, self.bv
+        fop, gop = self.ops(d[0])
+        fug = self.co(cup_op(fop, gop))
+        lhs = self.signed(qf, self.co(bracket_op(fop, gop)))
         try:
             rhs, _ = bv.delta(rr, qf + qg, fug)
             df, _ = bv.delta(rf, qf, f)
             dg, _ = bv.delta(rg, qg, g)
         except LookupError:
-            continue
-        ran += 1
-        t2 = to_cochain(cup_op(cochain_op(A, df, qf - 1), gop), words)
-        rhs = vec_sub(F, rhs, t2)
-        t3 = to_cochain(cup_op(fop, cochain_op(A, dg, qg - 1)), words)
-        rhs = vec_sub(F, rhs, vec_scale(F, _sgn(F, qf), t3))
-        diff = {(w, m): c for (w, m), c in vec_sub(F, lhs, rhs).items()
-                if len(w) < L}
-        if not cxm.is_boundary(rr, qf + qg - 1, diff):
-            fails.append({"trial": t, "slots": (rf, rg),
-                          "degrees": (qf, qg)})
-    record("BV seven-term relation", fails, ran)
+            return None
+        rhs = vec_sub(F, rhs, self.co(cup_op(cochain_op(A, df, qf - 1), gop)))
+        t3 = self.co(cup_op(fop, cochain_op(A, dg, qg - 1)))
+        rhs = vec_sub(F, rhs, self.signed(qf, t3))
+        return self.cxm.is_boundary(rr, qf + qg - 1,
+                                    bv._restrict(vec_sub(F, lhs, rhs)))
 
-    fails = []
-    ran = 0
-    for t in range(trials):
-        pair = cocycle_pair()
-        if pair is None:
-            continue
-        (f, qf, rf), (g, qg, rg) = pair
+    def menichi(self, d):
+        ((f, qf, _), (g, qg, _)), rr = d
         # phantom classes whose representatives need the full word length
         # are truncation artifacts; the cyclic comparison needs headroom
-        if max((len(w) for (w, m) in f), default=0) > L - 3 or \
-                max((len(w) for (w, m) in g), default=0) > L - 3:
-            continue
-        rr = P.oplus(rf, rg)
-        ran += 1
-        fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
-        fug = to_cochain(cup_op(fop, gop), words)
-        br = to_cochain(bracket_op(fop, gop), words)
-        lhs = bv.act_c(br, qf + qg - 1)
-        rhs = vec_scale(F, _sgn(F, qf),
-                        connes_B_dual(A, bv.act_c(fug, qf + qg),
-                                      qf + qg + bv.cdeg, bv.cd.words))
-        t2 = action_pairing(A, bv.D, f, qf,
-                            connes_B_dual(A, bv.act_c(g, qg), qg + bv.cdeg,
-                                          bv.cd.words),
-                            qg + bv.cdeg - 1, bv.cd.words)
+        if max((len(w) for w, _ in [*f, *g]), default=0) > self.L - 3:
+            return None
+        A, F, bv = self.A, self.F, self.bv
+        D, cdeg, cwords = bv.D, bv.cdeg, bv.cd.words
+        fop, gop = self.ops(d[0])
+        fug = self.co(cup_op(fop, gop))
+        lhs = bv.act_c(self.co(bracket_op(fop, gop)), qf + qg - 1)
+        rhs = self.signed(qf, bv.bdual_act(fug, qf + qg))
+        t2 = action_pairing(A, D, f, qf, bv.bdual_act(g, qg), qg + cdeg - 1,
+                            cwords)
         rhs = vec_sub(F, rhs, t2)
-        t3 = action_pairing(A, bv.D, g, qg,
-                            connes_B_dual(A, bv.act_c(f, qf), qf + bv.cdeg,
-                                          bv.cd.words),
-                            qf + bv.cdeg - 1, bv.cd.words)
-        rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, (qf - 1) * (qg - 1)), t3))
-        t4 = action_pairing(A, bv.D, fug, qf + qg,
-                            connes_B_dual(A, bv.c, bv.cdeg, bv.cd.words),
-                            bv.cdeg - 1, bv.cd.words)
-        rhs = vec_add(F, rhs, vec_scale(F, _sgn(F, qg), t4))
-        q = qf + qg - 1 + bv.cdeg
-        diff = bv._restrict(vec_sub(F, lhs, rhs))
-        if not bv.cdm.is_boundary(rr, q, diff):
-            fails.append({"trial": t, "slots": (rf, rg),
-                          "degrees": (qf, qg)})
-    record("Menichi identity", fails, ran)
+        t3 = action_pairing(A, D, g, qg, bv.bdual_act(f, qf), qf + cdeg - 1,
+                            cwords)
+        rhs = vec_add(F, rhs, self.signed((qf - 1) * (qg - 1), t3))
+        t4 = action_pairing(A, D, fug, qf + qg,
+                            connes_B_dual(A, bv.c, cdeg, cwords), cdeg - 1,
+                            cwords)
+        rhs = vec_add(F, rhs, self.signed(qg, t4))
+        return bv.cdm.is_boundary(rr, qf + qg - 1 + cdeg,
+                                  bv._restrict(vec_sub(F, lhs, rhs)))
 
+
+def _degrees(cochains):
+    return {"degrees": tuple(c[1] for c in cochains)}
+
+
+def _cocycles_witness(d):
+    return {"slots": tuple(p[2] for p in d[0]), **_degrees(d[0])}
+
+
+def _class_witness(d):
+    return {"slot": d[0][:2], **_degrees(d[1])}
+
+
+# the identities verify_calculus runs, in order: (name, sampler, check,
+# witness), the sampler and check taking the _Suite; the registry tuples
+# below are read off these rows, the one place a name is written
+_GERSTENHABER = (
+    ("differential equals [d_A,f]+[m,f]", lambda s: s.random_cochains(2),
+     _Suite.differential, lambda fs: {"q": fs[0][1]}),
+    ("cup equals signed m{f,g}", lambda s: s.random_cochains(2),
+     _Suite.cup_is_brace, _degrees),
+    ("bracket skew-commutativity", lambda s: s.random_cochains(2),
+     _Suite.skew, _degrees),
+    ("commutativity defect coboundary", lambda s: s.random_cochains(2),
+     _Suite.defect, _degrees),
+    # witness degrees (phi, f, g, h); phi is drawn last
+    ("pre-Jacobi k=1 l=2", lambda s: s.random_cochains(4),
+     lambda s, fs: s.pre_jacobi(fs, 1), lambda fs: _degrees(fs[3:] + fs[:3])),
+    ("pre-Jacobi k=2 l=1", lambda s: s.random_cochains(4),
+     lambda s, fs: s.pre_jacobi(fs, 2), lambda fs: _degrees(fs[3:] + fs[:3])),
+    ("Jacobi on cohomology", _Suite.cocycle_triples, _Suite.jacobi,
+     _cocycles_witness),
+    ("Leibniz on cohomology", _Suite.cocycle_triples, _Suite.leibniz,
+     _cocycles_witness),
+)
+_CALCULUS = (
+    ("calculus i_[f,g]", _Suite.classes_and_pairs, _Suite.calculus_bracket,
+     _class_witness),
+    ("calculus L_{f cup g}", _Suite.classes_and_pairs, _Suite.calculus_cup,
+     _class_witness),
+    ("calculus L_f via B", lambda s: s.classes_and_pairs(f_only=True),
+     _Suite.calculus_lie, lambda d: {"slot": d[0][:2], "degree": d[1][0][1]}),
+    ("Ginzburg identity", _Suite.classes_and_pairs, _Suite.ginzburg,
+     _class_witness),
+)
+_BV = (
+    # every slot, with the coordinates of B_dual([c]) there
+    ("Delta(1) = 0", lambda s: ((None, (r, s.bv.unit_obstruction(r)))
+                                for r in s.P.elements),
+     lambda s, d: not d[1], lambda d: {"slot": d[0], "coords": d[1]}),
+    ("Delta squared = 0", lambda s: ((None, (r, q)) for r in s.P.elements
+                                     for q in range(s.lo, s.hi + 1)),
+     _Suite.delta_squared, lambda slot: {"slot": slot}),
+    ("BV seven-term relation", _Suite.cocycle_pairs, _Suite.bv_seven_term,
+     _cocycles_witness),
+    ("Menichi identity", _Suite.cocycle_pairs, _Suite.menichi,
+     _cocycles_witness),
+)
+
+# the identities verify_calculus reports, by suite
+GERSTENHABER_IDS = tuple(row[0] for row in _GERSTENHABER)
+CALCULUS_IDS = tuple(row[0] for row in _CALCULUS)
+BV_IDS = ("BV block",) + tuple(row[0] for row in _BV)
+
+
+def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True):
+    """run the identity suite and return a list of records
+    {identity, status, trials, witness}.  Chain-level identities are exact;
+    cohomology identities are decided by coboundary-membership solves.
+    The BV block runs when with_bv is set and A is commutative with a
+    detected duality class; otherwise its record says why it was skipped."""
+    s = _Suite(A, L, lo, hi, trials, seed)
+    report = []
+
+    def run(rows):
+        for identity, sample, check, witness in rows:
+            run_identity(report, identity, sample(s),
+                         lambda data, check=check: check(s, data), witness)
+
+    run(_GERSTENHABER + _CALCULUS)
+    skip = "unsupported: non-commutative duality lift"
+    if with_bv and A.is_commutative():
+        try:
+            s.bv = BVOperator(A, L, lo, hi)
+        except LookupError as e:
+            skip = str(e)
+    if s.bv is None:
+        report.append({"identity": BV_IDS[0], "status": "skipped",
+                       "trials": 0, "witness": skip})
+    else:
+        s.cxm = Cochains(A, s.M, L - 1, lo - 1, hi + 1)
+        run(_BV)
     return report
-

@@ -5,7 +5,7 @@ from perverse.poset import Poset, leq
 from perverse.algebra import (PDGA, tensor_pdga, opposite_and_enveloping,
                               tensor_algebra, Bimodule, algebra_as_bimodule,
                               dual_bimodule, dual_name, module_hom,
-                              module_tensor)
+                              module_tensor, ModuleSlots)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
@@ -74,8 +74,9 @@ def test_opposite_and_enveloping():
         assert E.validate()["valid"]
         n = len(A.names)
         assert len(E.names) == n * n
+        slots = ModuleSlots(algebra_as_bimodule(E))
         for p in P3.elements:
-            assert sum(len(E.slot_basis(p, k)) for k in E.degrees()) == n * n
+            assert sum(len(slots.basis(p, k)) for k in E.degrees()) == n * n
 
 
 def test_multiplication_map_on_enveloping_for_commutative():

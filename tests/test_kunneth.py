@@ -361,6 +361,31 @@ def test_compare_hh_evaluates_aw_once_per_middle_word(monkeypatch):
         ((T.unit, w, T.unit) for w in words), key=repr)
 
 
+def test_compare_hh_records_pinned_under_a_faulty_cup(monkeypatch):
+    import perverse.kunneth as kunneth
+    orig = kunneth.cup
+
+    def doubled(A, f, fdeg, g, gdeg, words):
+        return vec_scale(A.field, A.field.of(2),
+                         orig(A, f, fdeg, g, gdeg, words))
+
+    monkeypatch.setattr(kunneth, "cup", doubled)
+    z = (0, 0, 0, 0)
+    assert compare_hh(S2, S2, 2, (-1, 1))["records"] == [
+        {"identity": "dimension tables agree", "status": "pass",
+         "trials": 0, "witness": None, "skipped": 6},
+        {"identity": "transported basis spans HH of the tensor",
+         "status": "pass", "trials": 0, "witness": None, "skipped": 6},
+        {"identity": "cup transports to the tensor cup", "status": "fail",
+         "trials": 82,
+         "witness": {"slot": (z, 0, 0), "degrees": (-2, 2, 0, 0)}},
+        {"identity": "bracket transports to the two-term tensor bracket",
+         "status": "pass", "trials": 66, "witness": None},
+        {"identity": "Delta transports to Delta box 1 + (-1)^q 1 box Delta",
+         "status": "pass", "trials": 6, "witness": None},
+    ]
+
+
 def test_compare_hh_with_a_trivial_factor_passes_everything():
     triv = trivial_algebra(QQ, P3)
     for A, B in [(S2, triv), (triv, S2)]:
