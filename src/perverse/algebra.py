@@ -11,7 +11,7 @@ Vectors are dicts {basis name: scalar}.
 
 import itertools
 
-from .linalg import (SparseMatrix, SlotComplex, vec_add, vec_scale,
+from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_add, vec_scale,
                      kernel_basis, Quotient)
 from .poset import leq
 from .complexes import PerverseComplex, _Subspace
@@ -54,7 +54,7 @@ class PDGA:
     def d_vec(self, v):
         out = {}
         for x, c in v.items():
-            out = vec_add(self.field, out, vec_scale(self.field, c, self.d(x)))
+            vec_iadd(self.field, out, self.d(x), c)
         return out
 
     def sum_labels_ok(self, *labels):
@@ -77,8 +77,8 @@ class PDGA:
         out = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                c = self.field.mul(ca, cb)
-                out = vec_add(self.field, out, vec_scale(self.field, c, self.mul(a, b)))
+                vec_iadd(self.field, out, self.mul(a, b),
+                         self.field.mul(ca, cb))
         return out
 
     def degrees(self):
@@ -124,7 +124,7 @@ class PDGA:
                     bad.append({"identity": "product label", "witness": (a, b, y),
                                 "lhs": self.lam(y), "rhs": target})
             # Leibniz
-            sgn = F.neg(F.one) if self.degree[a] % 2 else F.one
+            sgn = F.sign(self.degree[a])
             lhs = self.d_vec(ab)
             rhs = vec_add(F, self.mul_vec(self.d(a), {b: F.one}),
                           vec_scale(F, sgn, self.mul_vec({a: F.one}, self.d(b))))
@@ -137,8 +137,7 @@ class PDGA:
             check("associativity", (a, b, c), lhs, rhs)
         commutative = True
         for a, b in pairs:
-            s = self.degree[a] * self.degree[b]
-            sgn = F.neg(F.one) if s % 2 else F.one
+            sgn = F.sign(self.degree[a] * self.degree[b])
             if self.mul(a, b) != vec_scale(F, sgn, self.mul(b, a)):
                 commutative = False
         # augmentation: unit-coefficient projection must be an algebra map
@@ -195,8 +194,7 @@ class PDGA:
         prods = {}
         for a in self.nonunit():
             for b in self.nonunit():
-                s = self.degree[a] * self.degree[b]
-                sgn = F.neg(F.one) if s % 2 else F.one
+                sgn = F.sign(self.degree[a] * self.degree[b])
                 v = vec_scale(F, sgn, self.mul(b, a))
                 if v:
                     prods[(a, b)] = v
@@ -230,7 +228,7 @@ def tensor_pdga(A, B):
 
     diff = {}
     for (a, b) in names:
-        sgn = F.neg(F.one) if A.deg(a) % 2 else F.one
+        sgn = F.sign(A.deg(a))
         v = vec_add(F, inject(A.d(a), {b: F.one}),
                     vec_scale(F, sgn, inject({a: F.one}, B.d(b))))
         if v:
@@ -240,8 +238,7 @@ def tensor_pdga(A, B):
         for (a2, b2) in names:
             if (a1, b1) == unit or (a2, b2) == unit:
                 continue
-            s = A.deg(a2) * B.deg(b1)
-            sgn = F.neg(F.one) if s % 2 else F.one
+            sgn = F.sign(A.deg(a2) * B.deg(b1))
             v = vec_scale(F, sgn, inject(A.mul(a1, a2), B.mul(b1, b2)))
             if v:
                 prods[((a1, b1), (a2, b2))] = v
@@ -287,12 +284,11 @@ def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
     for w in words:
         v = {}
         for i, x in enumerate(w):
-            pre = sum(degree[y] for y in w[:i])
-            sgn = field.neg(field.one) if pre % 2 else field.one
+            sgn = field.sign(sum(degree[y] for y in w[:i]))
             for y, c in diff.get(x, {}).items():
                 w2 = w[:i] + (y,) + w[i + 1:]
                 if w2 in wset:
-                    v = vec_add(field, v, {w2: field.mul(sgn, field.of(c))})
+                    vec_iadd(field, v, {w2: field.of(c)}, sgn)
         if v:
             diffs[w] = v
     out = _TruncatedTensor(field, poset, gens2, (), diff=diffs, products=prods)
@@ -357,7 +353,7 @@ class Bimodule:
     def d_vec(self, v):
         out = {}
         for m, c in v.items():
-            out = vec_add(self.field, out, vec_scale(self.field, c, self.d(m)))
+            vec_iadd(self.field, out, self.d(m), c)
         return out
 
     def act_left(self, a, m):
@@ -376,18 +372,16 @@ class Bimodule:
         out = {}
         for a, ca in avec.items():
             for m, cm in mvec.items():
-                c = self.field.mul(ca, cm)
-                out = vec_add(self.field, out,
-                              vec_scale(self.field, c, self.act_left(a, m)))
+                vec_iadd(self.field, out, self.act_left(a, m),
+                         self.field.mul(ca, cm))
         return out
 
     def act_right_vec(self, mvec, avec):
         out = {}
         for m, cm in mvec.items():
             for a, ca in avec.items():
-                c = self.field.mul(cm, ca)
-                out = vec_add(self.field, out,
-                              vec_scale(self.field, c, self.act_right(m, a)))
+                vec_iadd(self.field, out, self.act_right(m, a),
+                         self.field.mul(cm, ca))
         return out
 
     def validate(self):
@@ -410,11 +404,10 @@ class Bimodule:
             check("right unit", m, self.act_right_vec(mv, one), mv)
         for a in A.names:
             av = {a: F.one}
-            sa = F.neg(F.one) if A.deg(a) % 2 else F.one
+            sa = F.sign(A.deg(a))
             for m in self.names:
                 mv = {m: F.one}
-                sm = F.neg(F.one) if (A.deg(a) + self.degree[m]) % 2 else F.one
-                smm = F.neg(F.one) if self.degree[m] % 2 else F.one
+                smm = F.sign(self.degree[m])
                 # Leibniz, both sides
                 check("left Leibniz", (a, m),
                       self.d_vec(self.act_left(a, m)),
@@ -493,7 +486,7 @@ def dual_bimodule(A):
     diff = {}
     for b in A.names:
         v = {}
-        sgn = F.neg(F.one) if A.deg(b) % 2 else F.one
+        sgn = F.sign(A.deg(b))
         for c in A.names:
             coef = A.d(c).get(b, F.zero)
             if not F.iszero(coef):
@@ -506,7 +499,7 @@ def dual_bimodule(A):
         for b in A.names:
             # (a.b*) = (-1)^{|a|} sum_c (c a)_b c* ; (b*.a) = sum_c (a c)_b c*
             lv, rv = {}, {}
-            sa = F.neg(F.one) if A.deg(a) % 2 else F.one
+            sa = F.sign(A.deg(a))
             for c in A.names:
                 coef = A.mul(c, a).get(b, F.zero)
                 if not F.iszero(coef):
@@ -546,12 +539,10 @@ def module_hom(M, P_, degwindow):
                             continue
                     pairs.append((m, n))
             # equivariance as linear constraints on coefficients c_{m,n}
-            sk = F.neg(F.one) if k % 2 else F.one
             rows = {}
 
             def addrow(key, idx, coef):
-                rows.setdefault(key, {})
-                rows[key][idx] = F.add(rows[key].get(idx, F.zero), coef)
+                vec_iadd(F, rows.setdefault(key, {}), {idx: coef})
 
             for a in A.nonunit():
                 for m in M.names:
@@ -560,9 +551,7 @@ def module_hom(M, P_, degwindow):
                     if M.kind[m] == "up" and not A.sum_labels_ok(
                             A.lam(a), M.plabel[m], r):
                         continue
-                    s = F.one
-                    if (k * A.deg(a)) % 2:
-                        s = F.neg(F.one)
+                    s = F.sign(k * A.deg(a))
                     for i, (m2, n2) in enumerate(pairs):
                         c1 = M.act_left(a, m).get(m2, F.zero)
                         if not F.iszero(c1):
@@ -585,15 +574,14 @@ def module_hom(M, P_, degwindow):
             pairs, _, ker = data[(r, k)]
             tpairs, tindex, tker = data[(r, k + 1)]
             m = SparseMatrix(F, len(tker), len(ker))
-            sk = F.neg(F.one) if k % 2 else F.one
+            nsk = F.sign(k + 1)  # -(-1)^k
             for col, kv in enumerate(ker):
                 w = {}
                 for i, c in kv.items():
                     mm, nn = pairs[i]
                     for n2, x in P_.d(nn).items():
-                        j = tindex.get((mm, n2))
-                        if j is not None:
-                            w[j] = F.add(w.get(j, F.zero), F.mul(c, x))
+                        if (mm, n2) in tindex:
+                            vec_iadd(F, w, {tindex[(mm, n2)]: x}, c)
                 for i2, (m2, n2) in enumerate(tpairs):
                     tot = F.zero
                     for i, c in kv.items():
@@ -603,9 +591,7 @@ def module_hom(M, P_, degwindow):
                         x = M.d(m2).get(mm, F.zero)
                         if not F.iszero(x):
                             tot = F.add(tot, F.mul(c, x))
-                    if not F.iszero(tot):
-                        w[i2] = F.sub(w.get(i2, F.zero), F.mul(sk, tot))
-                w = {i: c for i, c in w.items() if not F.iszero(c)}
+                    vec_iadd(F, w, {i2: tot}, nsk)
                 for row, c in subs[(r, k + 1)].coords(w).items():
                     m[row, col] = c
             out.d[(r, k)] = m
@@ -659,14 +645,11 @@ def module_tensor(M, P_):
                             continue
                         col = {}
                         for m2, c in M.act_right(m, a).items():
-                            i = index.get((m2, p))
-                            if i is not None:
-                                col[i] = F.add(col.get(i, F.zero), c)
+                            if (m2, p) in index:
+                                vec_iadd(F, col, {index[(m2, p)]: c})
                         for p2, c in P_.act_left(a, p).items():
-                            i = index.get((m, p2))
-                            if i is not None:
-                                col[i] = F.sub(col.get(i, F.zero), c)
-                        col = {i: c for i, c in col.items() if not F.iszero(c)}
+                            if (m, p2) in index:
+                                vec_iadd(F, col, {index[(m, p2)]: F.neg(c)})
                         if col:
                             rels.append(col)
             quot = Quotient(F, len(pairs), rels)
@@ -682,14 +665,12 @@ def module_tensor(M, P_):
                 m, p = pairs[quot.free[col]]
                 w = {}
                 for m2, c in M.d(m).items():
-                    i = tindex.get((m2, p))
-                    if i is not None:
-                        w[i] = F.add(w.get(i, F.zero), c)
-                sgn = F.neg(F.one) if M.degree[m] % 2 else F.one
+                    if (m2, p) in tindex:
+                        vec_iadd(F, w, {tindex[(m2, p)]: c})
+                sgn = F.sign(M.degree[m])
                 for p2, c in P_.d(p).items():
-                    i = tindex.get((m, p2))
-                    if i is not None:
-                        w[i] = F.add(w.get(i, F.zero), F.mul(sgn, c))
+                    if (m, p2) in tindex:
+                        vec_iadd(F, w, {tindex[(m, p2)]: c}, sgn)
                 for row, c in tquot.project(w).items():
                     mt[row, col] = c
             out.d[(r, k)] = mt

@@ -11,7 +11,7 @@ covering-relation difference maps; internal hom as the matching limit
 import itertools
 
 from .linalg import (SparseMatrix, Echelon, kernel_basis, span_equal,
-                     span_intersection, Quotient, Subquotient)
+                     span_intersection, Quotient, Subquotient, vec_iadd)
 from .poset import leq
 
 
@@ -253,8 +253,8 @@ def box_tensor(Z, Y):
                             c = f[zi2, zi]
                             if field.iszero(c):
                                 continue
-                            gi = blocks.locate(dst, (i, zi2, yi))
-                            col[gi] = field.add(col.get(gi, field.zero), c)
+                            vec_iadd(field, col,
+                                     {blocks.locate(dst, (i, zi2, yi)): c})
                     else:
                         j = k - i
                         f = Y.cover_map(q, dst[1], j)
@@ -262,9 +262,8 @@ def box_tensor(Z, Y):
                             c = f[yi2, yi]
                             if field.iszero(c):
                                 continue
-                            gi = blocks.locate(dst, (i, zi, yi2))
-                            col[gi] = field.add(col.get(gi, field.zero), c)
-                    col = {g: c for g, c in col.items() if not field.iszero(c)}
+                            vec_iadd(field, col,
+                                     {blocks.locate(dst, (i, zi, yi2)): c})
                     if col:
                         rel_cols.append(col)
             quot = Quotient(field, blocks.total, rel_cols)
@@ -294,18 +293,17 @@ def box_tensor(Z, Y):
                 x = dz[zi2, zi]
                 if field.iszero(x):
                     continue
-                g2 = tblocks.locate(obj, (i + 1, zi2, yi))
-                w[g2] = field.add(w.get(g2, field.zero), field.mul(c, x))
+                vec_iadd(field, w,
+                         {tblocks.locate(obj, (i + 1, zi2, yi)): x}, c)
             dy = Y.diff(q, j)
-            sgn = field.neg(field.one) if i % 2 else field.one
+            sgn = field.sign(i)
             for yi2 in range(Y.dim(q, j + 1)):
                 x = dy[yi2, yi]
                 if field.iszero(x):
                     continue
-                g2 = tblocks.locate(obj, (i, zi, yi2))
-                w[g2] = field.add(w.get(g2, field.zero),
-                                  field.mul(c, field.mul(sgn, x)))
-        return {g: c for g, c in w.items() if not field.iszero(c)}
+                vec_iadd(field, w, {tblocks.locate(obj, (i, zi, yi2)):
+                                    field.mul(sgn, x)}, c)
+        return w
 
     for r in P.elements:
         for k in range(kmin, kmax + 1):
@@ -348,7 +346,6 @@ def box_tensor_fulldiagram(Z, Y):
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
                 if all(a + b <= c for a, b, c in zip(p, q, r))]
-        objset = set(objs)
         edges = [(s, t) for s in objs for t in objs
                  if s != t and leq(s[0], t[0]) and leq(s[1], t[1])]
         for k in range(kmin, kmax + 1):
@@ -358,7 +355,6 @@ def box_tensor_fulldiagram(Z, Y):
             rel_cols = []
             for (src, dst) in edges:
                 p, q = src
-                fz = Z.structure_map(p, dst[0], 0)  # recomputed per degree below
                 for li, (i, zi, yi) in enumerate(blocks.basis[src]):
                     j = k - i
                     fz = Z.structure_map(p, dst[0], i)
@@ -369,9 +365,8 @@ def box_tensor_fulldiagram(Z, Y):
                             c = field.mul(fz[zi2, zi], fy[yi2, yi])
                             if field.iszero(c):
                                 continue
-                            gi = blocks.locate(dst, (i, zi2, yi2))
-                            col[gi] = field.add(col.get(gi, field.zero), c)
-                    col = {g: c for g, c in col.items() if not field.iszero(c)}
+                            vec_iadd(field, col,
+                                     {blocks.locate(dst, (i, zi2, yi2)): c})
                     if col:
                         rel_cols.append(col)
             quot = Quotient(field, blocks.total, rel_cols)
@@ -480,7 +475,7 @@ def internal_hom(M, N):
         "hom differential objectwise: d f = d_N f - (-1)^k f d_M"
         blocks, _ = data[(r, k)]
         tblocks, _ = data[(r, k + 1)]
-        sgn = field.neg(field.one) if k % 2 else field.one
+        nsgn = field.sign(k + 1)  # -(-1)^k
         w = {}
         for gi, c in v.items():
             obj, li = blocks.split(gi)
@@ -491,18 +486,16 @@ def internal_hom(M, N):
                 x = dn[ni2, ni]
                 if field.iszero(x):
                     continue
-                g2 = tblocks.locate(obj, (i, mi, ni2))
-                w[g2] = field.add(w.get(g2, field.zero), field.mul(c, x))
+                vec_iadd(field, w, {tblocks.locate(obj, (i, mi, ni2)): x}, c)
             if i - 1 in mdegs:
                 dm = M.diff(p, i - 1)
                 for mi2 in range(M.dim(p, i - 1)):
                     x = dm[mi, mi2]
                     if field.iszero(x):
                         continue
-                    g2 = tblocks.locate(obj, (i - 1, mi2, ni))
-                    w[g2] = field.sub(w.get(g2, field.zero),
-                                      field.mul(c, field.mul(sgn, x)))
-        return {g: c for g, c in w.items() if not field.iszero(c)}
+                    vec_iadd(field, w, {tblocks.locate(obj, (i - 1, mi2, ni)):
+                                        field.mul(nsgn, x)}, c)
+        return w
 
     for r in P.elements:
         for k in range(kmin, kmax + 1):
@@ -550,7 +543,6 @@ def p_filtration(field, poset, cx, labels_perv):
         for k in range(kmin, kmax + 2):
             labs = cx.basis.get(k, [])
             allowed = [i for i, l in enumerate(labs) if leq(labels_perv[l], p)]
-            allowedset = set(allowed)
             nxt = cx.basis.get(k + 1, [])
             bad_next = [i for i, l in enumerate(nxt) if not leq(labels_perv[l], p)]
             # kernel of (project to disallowed rows) o d on span(allowed)

@@ -64,6 +64,10 @@ class Field:
     def neg(self, a):
         return (-a) % self.char if self.char else -a
 
+    def sign(self, parity):
+        "(-1)^parity"
+        return self.neg(self.one) if parity % 2 else self.one
+
     def inv(self, a):
         if self.iszero(a):
             raise ZeroDivisionError("inverse of zero")

@@ -16,7 +16,7 @@ are the global maps restricted and then truncated to admissible pairs.
 
 import itertools
 
-from .linalg import SparseMatrix, SlotComplex, vec_add, vec_scale, solve
+from .linalg import SparseMatrix, SlotComplex, vec_iadd, vec_scale, solve
 from .poset import leq
 from .algebra import Bimodule, algebra_as_bimodule
 
@@ -51,10 +51,6 @@ def middle_words(A, L):
     return out
 
 
-def _sgn(field, parity):
-    return field.neg(field.one) if parity % 2 else field.one
-
-
 # ---------------------------------------------------------------------------
 # two-sided bar complex
 
@@ -76,13 +72,12 @@ class Bar:
         return self.A.deg(a) + self.A.deg(b) + word_sdeg(self.A, w)
 
     def _push(self, out, word, coeff):
+        "add coeff * word into out when word is normalized and admissible"
         A = self.A
         a, w, b = word
-        if any(x == A.unit for x in w):
-            return out
-        if not A.sum_labels_ok(A.lam(a), *([A.lam(x) for x in w] + [A.lam(b)])):
-            return out
-        return vec_add(A.field, out, {word: coeff})
+        if all(x != A.unit for x in w) and A.sum_labels_ok(
+                A.lam(a), *([A.lam(x) for x in w] + [A.lam(b)])):
+            vec_iadd(A.field, out, {word: coeff})
 
     def D_word(self, word):
         A, F = self.A, self.A.field
@@ -95,38 +90,38 @@ class Bar:
             eps.append(eps[-1] + sdeg(A, x))
         # d0
         for y, c in A.d(a).items():
-            out = self._push(out, (y, w, b), c)
+            self._push(out, (y, w, b), c)
         for i in range(1, k + 1):
-            s = _sgn(F, eps[i - 1])
+            s = F.sign(eps[i - 1])
             for y, c in A.d(w[i - 1]).items():
                 w2 = w[:i - 1] + (y,) + w[i:]
-                out = self._push(out, (a, w2, b), F.neg(F.mul(s, c)))
-        s = _sgn(F, eps[k])
+                self._push(out, (a, w2, b), F.neg(F.mul(s, c)))
+        s = F.sign(eps[k])
         for y, c in A.d(b).items():
-            out = self._push(out, (a, w, y), F.mul(s, c))
+            self._push(out, (a, w, y), F.mul(s, c))
         if k == 0:
             return out
         # d1
-        s = _sgn(F, A.deg(a))
+        s = F.sign(A.deg(a))
         for y, c in A.mul(a, w[0]).items():
-            out = self._push(out, (y, w[1:], b), F.mul(s, c))
+            self._push(out, (y, w[1:], b), F.mul(s, c))
         for i in range(2, k + 1):
-            s = _sgn(F, eps[i - 1])
+            s = F.sign(eps[i - 1])
             for y, c in A.mul(w[i - 2], w[i - 1]).items():
                 w2 = w[:i - 2] + (y,) + w[i:]
-                out = self._push(out, (a, w2, b), F.mul(s, c))
+                self._push(out, (a, w2, b), F.mul(s, c))
         # last term with the proof's sign eps_k (the displayed definition
         # prints eps_{k+1}; only eps_k satisfies D^2 = 0, see the ledger)
-        s = _sgn(F, eps[k - 1])
+        s = F.sign(eps[k - 1])
         for y, c in A.mul(w[k - 1], b).items():
-            out = self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
+            self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
         return out
 
     def D(self, vec):
         F = self.A.field
         out = {}
         for word, c in vec.items():
-            out = vec_add(F, out, vec_scale(F, c, self.D_word(word)))
+            vec_iadd(F, out, self.D_word(word), c)
         return out
 
     def q_A(self, vec):
@@ -135,7 +130,7 @@ class Bar:
         out = {}
         for (a, w, b), c in vec.items():
             if not w:
-                out = vec_add(F, out, vec_scale(F, c, A.mul(a, b)))
+                vec_iadd(F, out, A.mul(a, b), c)
         return out
 
     def h(self, vec):
@@ -147,7 +142,7 @@ class Bar:
                 continue
             if len(w) >= self.L:
                 raise OverflowError("homotopy exceeds max length %d" % self.L)
-            out = self._push(out, (A.unit, (a,) + w, b), c)
+            self._push(out, (A.unit, (a,) + w, b), c)
         return out
 
 
@@ -191,12 +186,9 @@ class Chains:
         return out
 
     def _push(self, out, m, w, coeff):
-        A, F = self.A, self.A.field
-        if any(x == A.unit for x in w):
-            return out
-        if not self.label_ok(m, w):
-            return out
-        return vec_add(F, out, {(m, w): coeff})
+        "add coeff * (m, w) into out when w is normalized and admissible"
+        if all(x != self.A.unit for x in w) and self.label_ok(m, w):
+            vec_iadd(self.A.field, out, {(m, w): coeff})
 
     def D_key(self, key):
         A, M, F = self.A, self.M, self.A.field
@@ -208,34 +200,33 @@ class Chains:
             eps.append(eps[-1] + sdeg(A, x))
         # d0
         for y, c in M.d(m).items():
-            out = self._push(out, y, w, c)
+            self._push(out, y, w, c)
         for i in range(1, k + 1):
-            s = _sgn(F, eps[i - 1])
+            s = F.sign(eps[i - 1])
             for y, c in A.d(w[i - 1]).items():
-                out = self._push(out, m, w[:i - 1] + (y,) + w[i:],
-                                 F.neg(F.mul(s, c)))
+                self._push(out, m, w[:i - 1] + (y,) + w[i:],
+                           F.neg(F.mul(s, c)))
         if k == 0:
             return out
         # d1
-        s = _sgn(F, M.degree[m])
+        s = F.sign(M.degree[m])
         for y, c in M.act_right(m, w[0]).items():
-            out = self._push(out, y, w[1:], F.mul(s, c))
+            self._push(out, y, w[1:], F.mul(s, c))
         for i in range(2, k + 1):
-            s = _sgn(F, eps[i - 1])
+            s = F.sign(eps[i - 1])
             for y, c in A.mul(w[i - 2], w[i - 1]).items():
-                out = self._push(out, m, w[:i - 2] + (y,) + w[i:],
-                                 F.mul(s, c))
+                self._push(out, m, w[:i - 2] + (y,) + w[i:], F.mul(s, c))
         # cyclic last term, sign as printed: (-1)^{eps_k |s(a_k)|}
-        s = _sgn(F, eps[k - 1] * sdeg(A, w[k - 1]))
+        s = F.sign(eps[k - 1] * sdeg(A, w[k - 1]))
         for y, c in M.act_left(w[k - 1], m).items():
-            out = self._push(out, y, w[:k - 1], F.neg(F.mul(s, c)))
+            self._push(out, y, w[:k - 1], F.neg(F.mul(s, c)))
         return out
 
     def D(self, vec):
         F = self.A.field
         out = {}
         for key, c in vec.items():
-            out = vec_add(F, out, vec_scale(F, c, self.D_key(key)))
+            vec_iadd(F, out, self.D_key(key), c)
         return out
 
 
@@ -251,8 +242,7 @@ def index_cochain(field, f):
     "regroup {(w, m): c} as {w: {m: c}}"
     out = {}
     for (w, m), c in f.items():
-        out.setdefault(w, {})
-        out[w][m] = field.add(out[w].get(m, field.zero), c)
+        vec_iadd(field, out.setdefault(w, {}), {m: c})
     return out
 
 
@@ -267,35 +257,31 @@ def apply_cochain_D(A, M, f, fdeg, words):
         val = dict(M.d_vec(eval_cochain(fw, w)))
         eps = 0
         for i in range(k):
-            s = _sgn(F, eps + fdeg)
+            s = F.sign(eps + fdeg)
             for y, c in A.d(w[i]).items():
                 if y == A.unit:
                     continue
                 w2 = w[:i] + (y,) + w[i + 1:]
-                val = vec_add(F, val, vec_scale(
-                    F, F.mul(s, c), eval_cochain(fw, w2)))
+                vec_iadd(F, val, eval_cochain(fw, w2), F.mul(s, c))
             eps += sdeg(A, w[i])
         if k:
             a1, ak = w[0], w[-1]
-            s = _sgn(F, (A.deg(a1) + 1) * fdeg + 1)
-            val = vec_add(F, val, vec_scale(
-                F, s, M.act_left_vec({a1: F.one}, eval_cochain(fw, w[1:]))))
-            s = _sgn(F, word_sdeg(A, w[:-1]) + fdeg)
-            val = vec_add(F, val, vec_scale(
-                F, s, M.act_right_vec(eval_cochain(fw, w[:-1]), {ak: F.one})))
+            s = F.sign((A.deg(a1) + 1) * fdeg + 1)
+            vec_iadd(F, val, M.act_left_vec({a1: F.one},
+                                            eval_cochain(fw, w[1:])), s)
+            s = F.sign(word_sdeg(A, w[:-1]) + fdeg)
+            vec_iadd(F, val, M.act_right_vec(eval_cochain(fw, w[:-1]),
+                                             {ak: F.one}), s)
             eps = sdeg(A, w[0])
             for i in range(1, k):
-                s = _sgn(F, eps + fdeg + 1)
+                s = F.sign(eps + fdeg + 1)
                 for y, c in A.mul(w[i - 1], w[i]).items():
                     if y == A.unit:
                         continue
                     w2 = w[:i - 1] + (y,) + w[i + 1:]
-                    val = vec_add(F, val, vec_scale(
-                        F, F.mul(s, c), eval_cochain(fw, w2)))
+                    vec_iadd(F, val, eval_cochain(fw, w2), F.mul(s, c))
                 eps += sdeg(A, w[i])
-        for m, c in val.items():
-            if not F.iszero(c):
-                out[(w, m)] = c
+        out.update({(w, m): c for m, c in val.items()})
     return out
 
 
@@ -386,10 +372,10 @@ def hh_table_oracle(A, M, L, lo, hi):
             base = values.get(w)
             if not base:
                 continue
-            s = _sgn(F, q * A.deg(a))
+            s = F.sign(q * A.deg(a))
             v = M.act_right_vec(
                 M.act_left_vec({a: F.one}, base), {b: F.one})
-            out = vec_add(F, out, vec_scale(F, F.mul(s, c), v))
+            vec_iadd(F, out, v, F.mul(s, c))
         return out
 
     def dphi(w0, m0, q, words):
@@ -398,12 +384,10 @@ def hh_table_oracle(A, M, L, lo, hi):
         out = {}
         for w in words:
             bar_d = bar.D_word((A.unit, w, A.unit))
-            v = vec_scale(F, _sgn(F, q + 1), phi_of(values, q, bar_d))
+            v = vec_scale(F, F.sign(q + 1), phi_of(values, q, bar_d))
             if w == w0:
-                v = vec_add(F, v, M.d_vec({m0: F.one}))
-            for m, c in v.items():
-                if not F.iszero(c):
-                    out[(w, m)] = c
+                vec_iadd(F, v, M.d_vec({m0: F.one}))
+            out.update({(w, m): c for m, c in v.items()})
         return out
 
     class BarDual(Cochains):
@@ -435,11 +419,9 @@ def action_pairing(A, M, f, fdeg, g, gdeg, words):
             gv = eval_cochain(gw, w[k:])
             if not fv or not gv:
                 continue
-            s = _sgn(F, gdeg * word_sdeg(A, w[:k]))
-            val = vec_add(F, val, vec_scale(F, s, M.act_left_vec(fv, gv)))
-        for m, c in val.items():
-            if not F.iszero(c):
-                out[(w, m)] = c
+            s = F.sign(gdeg * word_sdeg(A, w[:k]))
+            vec_iadd(F, val, M.act_left_vec(fv, gv), s)
+        out.update({(w, m): c for m, c in val.items()})
     return out
 
 
@@ -454,7 +436,7 @@ def check_pdga_map(A, B, fmap):
     def f(vec):
         out = {}
         for x, c in vec.items():
-            out = vec_add(F, out, vec_scale(F, c, fmap[x]))
+            vec_iadd(F, out, fmap[x], c)
         return out
 
     if fmap[A.unit] != {B.unit: F.one}:
@@ -500,18 +482,14 @@ def induced_word_map(A, B, fmap, w):
     """f~ on middle words: apply f entrywise, drop unit components, expand
     linearly; for degree-0 maps the printed sign is +1"""
     F = A.field
-    out = {(): F.one} if not w else {}
     cur = {(): F.one}
     for x in w:
         nxt = {}
         for w2, c in cur.items():
-            for y, cy in fmap[x].items():
-                if y == B.unit:
-                    continue
-                w3 = w2 + (y,)
-                nxt[w3] = F.add(nxt.get(w3, F.zero), F.mul(c, cy))
+            vec_iadd(F, nxt, {w2 + (y,): cy for y, cy in fmap[x].items()
+                              if y != B.unit}, c)
         cur = nxt
-    return {w2: c for w2, c in cur.items() if not F.iszero(c)}
+    return cur
 
 
 def hc_postcompose(A, B, fmap, g):
@@ -519,10 +497,8 @@ def hc_postcompose(A, B, fmap, g):
     F = A.field
     out = {}
     for (w, m), c in g.items():
-        for y, cy in fmap[m].items():
-            key = (w, y)
-            out[key] = F.add(out.get(key, F.zero), F.mul(c, cy))
-    return {k: c for k, c in out.items() if not F.iszero(c)}
+        vec_iadd(F, out, {(w, y): cy for y, cy in fmap[m].items()}, c)
+    return out
 
 
 def hc_precompose(A, B, fmap, g, words):
@@ -533,10 +509,8 @@ def hc_precompose(A, B, fmap, g, words):
     for w in words:
         val = {}
         for w2, c in induced_word_map(A, B, fmap, w).items():
-            val = vec_add(F, val, vec_scale(F, c, eval_cochain(gw, w2)))
-        for m, c in val.items():
-            if not F.iszero(c):
-                out[(w, m)] = c
+            vec_iadd(F, val, eval_cochain(gw, w2), c)
+        out.update({(w, m): c for m, c in val.items()})
     return out
 
 

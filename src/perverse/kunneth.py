@@ -16,10 +16,9 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .linalg import SparseMatrix, vec_add, vec_scale, vec_sub
+from .linalg import SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub
 from .algebra import tensor_pdga, algebra_as_bimodule
-from .hochschild import (Bar, Cochains, word_sdeg, sdeg, _sgn,
-                         index_cochain)
+from .hochschild import Bar, Cochains, word_sdeg, sdeg, index_cochain
 from .structure import (cup, bracket, BVOperator, record_identity,
                         run_identity)
 
@@ -75,11 +74,9 @@ def pair_D(A, B, vec):
     ba, bb = Bar(A, 0), Bar(B, 0)
     out = {}
     for (u, v), c in vec.items():
-        for u2, cu in ba.D_word(u).items():
-            out = vec_add(F, out, {(u2, v): F.mul(c, cu)})
-        s = F.mul(c, _sgn(F, ba.degree(u)))
-        for v2, cv in bb.D_word(v).items():
-            out = vec_add(F, out, {(u, v2): F.mul(s, cv)})
+        vec_iadd(F, out, {(u2, v): cu for u2, cu in ba.D_word(u).items()}, c)
+        s = F.mul(c, F.sign(ba.degree(u)))
+        vec_iadd(F, out, {(u, v2): cv for v2, cv in bb.D_word(v).items()}, s)
     return out
 
 
@@ -121,14 +118,13 @@ def alexander_whitney(A, B, T, word, coeff=None):
         rb = {b[0]: F.one}
         for y in b[1:i + 1]:
             rb = B.mul_vec(rb, {y: F.one})
-        s = F.mul(coeff, _sgn(F, spar))
+        s = F.mul(coeff, F.sign(spar))
         for x, cx in ra.items():
             for y, cy in rb.items():
                 u = (a[0], tuple(a[1:i + 1]), x)
                 v = (y, tuple(b[i + 1:k + 1]), b[k + 1])
                 if _bar_ok(A, u) and _bar_ok(B, v):
-                    out = vec_add(F, out,
-                                  {(u, v): F.mul(s, F.mul(cx, cy))})
+                    vec_iadd(F, out, {(u, v): F.mul(cx, cy)}, s)
     return out
 
 
@@ -136,7 +132,7 @@ def alexander_whitney_vec(A, B, T, vec):
     F = A.field
     out = {}
     for word, c in vec.items():
-        out = vec_add(F, out, alexander_whitney(A, B, T, word, coeff=c))
+        vec_iadd(F, out, alexander_whitney(A, B, T, word, coeff=c))
     return out
 
 
@@ -170,8 +166,8 @@ def eilenberg_zilber(A, B, T, u, v, coeff=None):
         word = ((a0, b0), tuple(mid), (a1, b1))
         if not _bar_ok(T, word):
             continue
-        s = _sgn(F, par0 + _cross_parity(sh, sa, sb))
-        out = vec_add(F, out, {word: F.mul(coeff, s)})
+        s = F.sign(par0 + _cross_parity(sh, sa, sb))
+        vec_iadd(F, out, {word: s}, coeff)
     return out
 
 
@@ -179,7 +175,7 @@ def eilenberg_zilber_vec(A, B, T, vec):
     F = T.field
     out = {}
     for (u, v), c in vec.items():
-        out = vec_add(F, out, eilenberg_zilber(A, B, T, u, v, coeff=c))
+        vec_iadd(F, out, eilenberg_zilber(A, B, T, u, v, coeff=c))
     return out
 
 
@@ -208,7 +204,7 @@ def shuffle_product(A, B, T, x, y, maxlen=None):
                 continue
             sa = [sdeg(A, z) for z in wa]
             sb = [sdeg(B, z) for z in wb]
-            c = F.mul(F.mul(cx, cy), _sgn(F, B.deg(n0) * sum(sa)))
+            c = F.mul(F.mul(cx, cy), F.sign(B.deg(n0) * sum(sa)))
             for sh in shuffles(len(wa), len(wb)):
                 mid = [None] * (sh.s + sh.t)
                 for i, p in enumerate(sh.apos):
@@ -220,9 +216,8 @@ def shuffle_product(A, B, T, x, y, maxlen=None):
                 if not T.sum_labels_ok(T.lam((m0, n0)),
                                        *[T.lam(e) for e in mid]):
                     continue
-                s = _sgn(F, _cross_parity(sh, sa, sb))
-                key = ((m0, n0), tuple(mid))
-                out = vec_add(F, out, {key: F.mul(c, s)})
+                s = F.sign(_cross_parity(sh, sa, sb))
+                vec_iadd(F, out, {((m0, n0), tuple(mid)): s}, c)
     return out
 
 
@@ -237,7 +232,7 @@ def _extend(A, f_by_word, q, u):
     base = f_by_word.get(w)
     if not base:
         return {}
-    s = _sgn(F, q * A.deg(a0))
+    s = F.sign(q * A.deg(a0))
     return vec_scale(F, s, A.mul_vec(A.mul_vec({a0: F.one}, base),
                                      {a1: F.one}))
 
@@ -265,16 +260,12 @@ def tensor_cochain(A, B, T, f, qf, g, qg, aw):
             gv = _extend(B, gw, qg, v)
             if not gv:
                 continue
-            s = F.mul(c, _sgn(F, qg * bar_degree(A, u)))
+            s = F.mul(c, F.sign(qg * bar_degree(A, u)))
             for xx, cxx in fv.items():
                 for yy, cyy in gv.items():
-                    if (xx, yy) not in T.degree:
-                        continue
-                    key = (w, (xx, yy))
-                    val = F.add(out.get(key, F.zero),
-                                F.mul(s, F.mul(cxx, cyy)))
-                    out[key] = val
-    return {k: c for k, c in out.items() if not F.iszero(c)}
+                    if (xx, yy) in T.degree:
+                        vec_iadd(F, out, {(w, (xx, yy)): F.mul(cxx, cyy)}, s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +395,7 @@ def compare_hh(A, B, L, window):
         lhs = cup(T, Fg, q, Fg2, q2, cxT.words)
         ca = cup(A, f, qf, f2, qf2, cxA.words)
         cb = cup(B, g, qg, g2, qg2, cxB.words)
-        rhs = vec_scale(F, _sgn(F, qf2 * qg), tensor_cochain(
+        rhs = vec_scale(F, F.sign(qf2 * qg), tensor_cochain(
             A, B, T, ca, qf + qf2, cb, qg + qg2, aw))
         return cxT.is_boundary(r, q + q2, vec_sub(F, lhs, rhs))
 
@@ -422,8 +413,8 @@ def compare_hh(A, B, L, window):
         t2 = tensor_cochain(A, B, T, cup(A, f, qf, f2, qf2, cxA.words),
                             qf + qf2, bracket(B, g, qg, g2, qg2, cxB.words),
                             qg + qg2 - 1, aw)
-        rhs = vec_add(F, vec_scale(F, _sgn(F, (qf2 - 1) * qg), t1),
-                      vec_scale(F, _sgn(F, qf2 * (qg - 1)), t2))
+        rhs = vec_add(F, vec_scale(F, F.sign((qf2 - 1) * qg), t1),
+                      vec_scale(F, F.sign(qf2 * (qg - 1)), t2))
         return cxTm.is_boundary(r, q + q2 - 1, restrict(vec_sub(F, lhs, rhs)))
 
     run_identity(records, "bracket transports to the two-term tensor bracket",
@@ -439,7 +430,7 @@ def compare_hh(A, B, L, window):
         except LookupError:
             return None
         rhs = vec_add(F, tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw),
-                      vec_scale(F, _sgn(F, qf), tensor_cochain(
+                      vec_scale(F, F.sign(qf), tensor_cochain(
                           A, B, T, f, qf, dB, qg - 1, aw)))
         return cxTm.is_boundary(r, q - 1, restrict(vec_sub(F, dT, rhs)))
 

@@ -8,15 +8,26 @@ Everything is exact; no floats anywhere.
 """
 
 
-def vec_add(field, u, v):
-    w = dict(u)
+def vec_iadd(field, out, v, c=None):
+    """add v, times c when c is given, into the dict out in place and
+    return out; entries that become zero are dropped and v is not changed.
+    out must be a dict the caller built, never one it was handed"""
+    if c is not None and field.iszero(c):
+        return out
+    zero = field.zero
     for i, x in v.items():
-        y = field.add(w.get(i, field.zero), x)
+        if c is not None:
+            x = field.mul(c, x)
+        y = field.add(out.get(i, zero), x)
         if field.iszero(y):
-            w.pop(i, None)
+            out.pop(i, None)
         else:
-            w[i] = y
-    return w
+            out[i] = y
+    return out
+
+
+def vec_add(field, u, v):
+    return vec_iadd(field, dict(u), v)
 
 
 def vec_scale(field, c, u):
@@ -26,7 +37,7 @@ def vec_scale(field, c, u):
 
 
 def vec_sub(field, u, v):
-    return vec_add(field, u, vec_scale(field, field.neg(field.one), v))
+    return vec_iadd(field, dict(u), v, field.neg(field.one))
 
 
 class SparseMatrix:
@@ -79,9 +90,6 @@ class SparseMatrix:
             A[i, i] = field.one
         return A
 
-    def column(self, j):
-        return {i: x for (i, jj), x in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
         for (i, j), x in self.entries.items():
@@ -91,16 +99,9 @@ class SparseMatrix:
     def apply(self, v):
         "matrix-vector product; v is a dict over column indices"
         out = {}
-        F = self.field
-        for j, c in v.items():
-            for (i, jj), x in self.entries.items():
-                if jj != j:
-                    continue
-                y = F.add(out.get(i, F.zero), F.mul(x, c))
-                if F.iszero(y):
-                    out.pop(i, None)
-                else:
-                    out[i] = y
+        for (i, j), x in self.entries.items():
+            if j in v:
+                vec_iadd(self.field, out, {i: x}, v[j])
         return out
 
     def mul(self, other):
@@ -117,23 +118,6 @@ class SparseMatrix:
             for i, x in rows_of.get(k, ()):
                 out[i, j] = F.add(out[i, j], F.mul(x, y))
         return out
-
-    def add(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("cannot add matrices of different shapes")
-        out = self.copy()
-        for ij, x in other.entries.items():
-            out[ij] = self.field.add(out[ij], x)
-        return out
-
-    def scale(self, c):
-        out = SparseMatrix(self.field, self.nrows, self.ncols)
-        for ij, x in self.entries.items():
-            out[ij] = self.field.mul(c, x)
-        return out
-
-    def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def rank(self):
         ech = Echelon(self.field)
@@ -167,20 +151,9 @@ class Echelon:
             c = v.get(prow)
             if c is None or F.iszero(c):
                 continue
-            col = self.cols[prow]
-            for i, x in col.items():
-                y = F.sub(v.get(i, F.zero), F.mul(c, x))
-                if F.iszero(y):
-                    v.pop(i, None)
-                else:
-                    v[i] = y
+            vec_iadd(F, v, self.cols[prow], F.neg(c))
             if want_combo and self.track:
-                for tag, x in self.combos[prow].items():
-                    y = F.add(combo.get(tag, F.zero), F.mul(c, x))
-                    if F.iszero(y):
-                        combo.pop(tag, None)
-                    else:
-                        combo[tag] = y
+                vec_iadd(F, combo, self.combos[prow], c)
         # one pass suffices: stored columns are zero at the other pivot rows
         if want_combo:
             return v, combo
@@ -204,28 +177,17 @@ class Echelon:
             if tag is not None:
                 # residual = v - sum(combo); store v-combination for the column
                 combo = {t: F.neg(x) for t, x in combo.items()}
-                combo[tag] = F.add(combo.get(tag, F.zero), cinv)
+                vec_iadd(F, combo, {tag: cinv})
             self.combos[prow] = combo
         # back-eliminate the new pivot row from the stored columns
         for q in self.order:
-            oc = self.cols[q]
-            c = oc.get(prow)
+            c = self.cols[q].get(prow)
             if c is None:
                 continue
-            for i, x in col.items():
-                y = F.sub(oc.get(i, F.zero), F.mul(c, x))
-                if F.iszero(y):
-                    oc.pop(i, None)
-                else:
-                    oc[i] = y
+            c = F.neg(c)
+            vec_iadd(F, self.cols[q], col, c)
             if self.track:
-                ocombo = self.combos[q]
-                for t, x in self.combos[prow].items():
-                    y = F.sub(ocombo.get(t, F.zero), F.mul(c, x))
-                    if F.iszero(y):
-                        ocombo.pop(t, None)
-                    else:
-                        ocombo[t] = y
+                vec_iadd(F, self.combos[q], self.combos[prow], c)
         self.cols[prow] = col
         self.order.append(prow)
         return prow
@@ -294,7 +256,7 @@ def span_intersection(field, n, cols1, cols2):
         v = {}
         for j, c in k.items():
             if j < m1:
-                v = vec_add(field, v, vec_scale(field, c, cols1[j]))
+                vec_iadd(field, v, cols1[j], c)
         out.add(v)
     return [dict(out.cols[p]) for p in out.order]
 

@@ -20,7 +20,7 @@ from perverse.algebra import algebra_as_bimodule, tensor_pdga
 from perverse.builders import (corpus, sphere_algebra, random_pdga,
                                quasi_iso_fixture)
 from perverse.hochschild import (Bar, Chains, Cochains, middle_words,
-                                 hh_table, hh_table_oracle, InducedHH, _sgn)
+                                 hh_table, hh_table_oracle, InducedHH)
 from perverse.structure import (verify_calculus, BVOperator,
                                 find_duality_class, cochain_op, cup_op,
                                 bracket_op, to_cochain, cup, bracket,
@@ -215,12 +215,12 @@ def test_criterion_06_bv_on_spheres(n):
             except LookupError:
                 continue
             ran += 1
-            lhs = vec_scale(QQ, _sgn(QQ, qf),
+            lhs = vec_scale(QQ, QQ.sign(qf),
                             to_cochain(bracket_op(fop, gop), words))
             rhs = dfug
             rhs = vec_sub(QQ, rhs, to_cochain(
                 cup_op(cochain_op(A, df, qf - 1), gop), words))
-            rhs = vec_sub(QQ, rhs, vec_scale(QQ, _sgn(QQ, qf), to_cochain(
+            rhs = vec_sub(QQ, rhs, vec_scale(QQ, QQ.sign(qf), to_cochain(
                 cup_op(fop, cochain_op(A, dg, qg - 1)), words)))
             diff = {(w, m): c for (w, m), c in vec_sub(QQ, lhs, rhs).items()
                     if len(w) < L}

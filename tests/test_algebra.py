@@ -10,6 +10,7 @@ from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
 from perverse.complexes import cofibrancy_certificate
+from perverse.hochschild import restrict_bimodule
 
 P3 = Poset(3)
 P4 = Poset(4)
@@ -242,3 +243,84 @@ def test_quasi_iso_fixture():
     da, db = A.homology_dims(), B.homology_dims()
     keys = set(da) | set(db)
     assert all(da.get(k, 0) == db.get(k, 0) for k in keys)
+
+
+# Exact bases and nonzero d / phi entries of module_hom and module_tensor on
+# B = k[x]/x^2 + (y, z = dy) as a bimodule over A = k[x]/x^2, recorded
+# before their sparse accumulators were rewritten: the tests above compare
+# only dimensions and homology, which a sign slip can pass.  B is a constant
+# diagram, so both perversities of P3 carry the same slot.
+
+
+def pinned(Z):
+    "basis and nonzero d and phi entries of a perverse complex"
+    return {"basis": Z.basis,
+            "d": {k: m.entries for k, m in Z.d.items() if m.entries},
+            "phi": {k: m.entries for k, m in Z.phi.items() if m.entries}}
+
+
+def restricted_fixture():
+    A, B, fmap = quasi_iso_fixture(QQ, P3)
+    return restrict_bimodule(A, B, fmap)
+
+
+def test_module_hom_is_pinned():
+    M = restricted_fixture()
+    z, t = P3.zero, P3.top
+    slot = {
+        "basis": {
+            -2: ['f0'], -1: ['f0', 'f1'], 0: ['f0', 'f1', 'f2'], 1: ['f0'],
+            2: ['f0'], 3: ['f0'], 4: ['f0'],
+        },
+        "d": {
+            -2: {(0, 0): -1},
+            -1: {(1, 1): 1, (2, 1): 1},
+            0: {(0, 1): 1, (0, 2): -1},
+            3: {(0, 0): 1},
+        },
+    }
+    assert pinned(module_hom(M, M, (-2, 3))) == {
+        "basis": {(r, k): b for r in (z, t)
+                  for k, b in slot["basis"].items()},
+        "d": {(r, k): e for r in (z, t) for k, e in slot["d"].items()},
+        "phi": {
+            (z, t, -2): {(0, 0): 1},
+            (z, t, -1): {(0, 0): 1, (1, 1): 1},
+            (z, t, 0): {(0, 0): 1, (1, 1): 1, (2, 2): 1},
+            (z, t, 1): {(0, 0): 1},
+            (z, t, 2): {(0, 0): 1},
+            (z, t, 3): {(0, 0): 1},
+            (z, t, 4): {(0, 0): 1},
+        },
+    }
+
+
+def test_module_tensor_is_pinned():
+    M = restricted_fixture()
+    z, t = P3.zero, P3.top
+    slot = {
+        "basis": {
+            0: [('1', '1')], 2: [('x', '1')], 3: [('1', 'y'), ('y', '1')],
+            4: [('1', 'z'), ('z', '1')], 6: [('y', 'y')],
+            7: [('y', 'z'), ('z', 'y')], 8: [('z', 'z')],
+        },
+        "d": {
+            3: {(0, 0): 1, (1, 1): 1},
+            6: {(0, 0): -1, (1, 0): 1},
+            7: {(0, 0): 1, (0, 1): 1},
+        },
+    }
+    assert pinned(module_tensor(M, M)) == {
+        "basis": {(r, k): b for r in (z, t)
+                  for k, b in slot["basis"].items()},
+        "d": {(r, k): e for r in (z, t) for k, e in slot["d"].items()},
+        "phi": {
+            (z, t, 0): {(0, 0): 1},
+            (z, t, 2): {(0, 0): 1},
+            (z, t, 3): {(0, 0): 1, (1, 1): 1},
+            (z, t, 4): {(0, 0): 1, (1, 1): 1},
+            (z, t, 6): {(0, 0): 1},
+            (z, t, 7): {(0, 0): 1, (1, 1): 1},
+            (z, t, 8): {(0, 0): 1},
+        },
+    }

@@ -279,3 +279,98 @@ def test_minimum_condition_counterexample_fails():
     assert rep["injective"]
     assert not rep["minimum_condition"]
     assert any(f[0] == "minimum" for f in rep["failures"])
+
+
+# Exact bases and nonzero d / phi entries on small inputs, recorded before
+# the sparse accumulators of these constructions were rewritten: the tests
+# above compare only dimensions and homology, which a sign slip can pass.
+
+
+def pinned(Z):
+    "basis and nonzero d and phi entries of a perverse complex"
+    return {"basis": Z.basis,
+            "d": {k: m.entries for k, m in Z.d.items() if m.entries},
+            "phi": {k: m.entries for k, m in Z.phi.items() if m.entries}}
+
+
+def pin_inputs():
+    """X: S^1 with x at the top perversity; Y: a disk with d y = 2 z; cx:
+    d a = c + e, d b = e with e at the top, so d(a - b) cancels e"""
+    P = Poset(3)
+    z, t = P.zero, P.top
+    X = p_filtration(QQ, P, ChainComplex(QQ, {0: ["1"], 1: ["x"]}),
+                     {"1": z, "x": t})
+    D = ChainComplex(QQ, {0: ["y"], 1: ["z"]},
+                     {0: SparseMatrix(QQ, 1, 1, {(0, 0): QQ.of(2)})})
+    Y = p_filtration(QQ, P, D, {"y": z, "z": z})
+    cx = ChainComplex(QQ, {0: ["a", "b"], 1: ["c", "e"]}, {0: SparseMatrix(
+        QQ, 2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})})
+    return P, X, Y, cx
+
+
+def test_p_filtration_is_pinned():
+    P, _, _, cx = pin_inputs()
+    z, t = P.zero, P.top
+    Z = p_filtration(QQ, P, cx, {"a": z, "b": z, "c": z, "e": t})
+    assert pinned(Z) == {
+        "basis": {
+            (z, 0): ['f0'],
+            (z, 1): ['f0'],
+            (t, 0): ['f0', 'f1'],
+            (t, 1): ['f0', 'f1'],
+        },
+        "d": {
+            (z, 0): {(0, 0): -1},
+            (t, 0): {(0, 0): 1, (1, 0): 1, (1, 1): 1},
+        },
+        "phi": {
+            (z, t, 0): {(0, 0): -1, (1, 0): 1},
+            (z, t, 1): {(0, 0): 1},
+        },
+    }
+
+
+def test_box_tensor_is_pinned():
+    P, X, Y, _ = pin_inputs()
+    z, t = P.zero, P.top
+    assert pinned(box_tensor(X, Y)) == {
+        "basis": {
+            (z, 0): [('f0', 'f0', z, z, 0)],
+            (z, 1): [('f0', 'f0', z, z, 0)],
+            (t, 0): [('f0', 'f0', t, z, 0)],
+            (t, 1): [('f0', 'f0', t, z, 0), ('f0', 'f0', t, z, 1)],
+            (t, 2): [('f0', 'f0', t, z, 1)],
+        },
+        "d": {
+            (z, 0): {(0, 0): 2},
+            (t, 0): {(0, 0): 2},
+            (t, 1): {(0, 1): -2},
+        },
+        "phi": {
+            (z, t, 0): {(0, 0): 1},
+            (z, t, 1): {(0, 0): 1},
+        },
+    }
+
+
+def test_internal_hom_is_pinned():
+    P, X, Y, _ = pin_inputs()
+    z, t = P.zero, P.top
+    assert pinned(internal_hom(Y, X)) == {
+        "basis": {
+            (z, -1): ['h0'],
+            (z, 0): ['h0'],
+            (t, -1): ['h0'],
+            (t, 0): ['h0', 'h1'],
+            (t, 1): ['h0'],
+        },
+        "d": {
+            (z, -1): {(0, 0): 2},
+            (t, -1): {(0, 0): 2},
+            (t, 0): {(0, 1): -2},
+        },
+        "phi": {
+            (z, t, -1): {(0, 0): 1},
+            (z, t, 0): {(0, 0): 1},
+        },
+    }

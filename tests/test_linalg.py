@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
                              in_span, span_equal, span_intersection,
-                             Quotient, Subquotient, vec_add, vec_scale)
+                             Quotient, Subquotient, vec_iadd, vec_add,
+                             vec_sub, vec_scale)
 
 F5 = Field(5)
 
@@ -137,3 +138,49 @@ def test_subquotient_coords_linear(seed):
         for idx, s in c.items():
             v = vec_add(field, v, vec_scale(field, s, H.reps[idx]))
         assert H.is_boundary(vec_add(field, k, vec_scale(field, field.neg(field.one), v)))
+
+
+def _scalars(field):
+    if field.char:
+        return st.integers(0, field.char - 1)
+    return st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def _vectors(draw):
+    "a field, two sparse vectors (zero entries allowed) and a scalar or None"
+    field = draw(st.sampled_from([QQ, F5]))
+    vec = st.dictionaries(st.integers(0, 5), _scalars(field), max_size=6)
+    return field, draw(vec), draw(vec), draw(st.none() | _scalars(field))
+
+
+@given(_vectors())
+def test_vec_iadd_leaves_no_zero_and_never_changes_v(data):
+    field, u, v, c = data
+    u = {i: x for i, x in u.items() if not field.iszero(x)}
+    v0 = dict(v)
+    out = vec_iadd(field, u, v, c)
+    assert out is u
+    assert v == v0
+    assert not any(field.iszero(x) for x in out.values())
+
+
+@given(_vectors())
+def test_pure_vector_forms_never_change_their_inputs(data):
+    field, u, v, c = data
+    c = field.one if c is None else c
+    u0, v0 = dict(u), dict(v)
+    for w in (vec_add(field, u, v), vec_sub(field, u, v),
+              vec_scale(field, c, u)):
+        assert w is not u and w is not v
+    assert (u, v) == (u0, v0)
+
+
+@given(_vectors())
+def test_vec_iadd_equals_the_pure_forms(data):
+    field, u, v, c = data
+    if c is None:
+        assert vec_iadd(field, dict(u), v) == vec_add(field, u, v)
+    else:
+        assert vec_iadd(field, dict(u), v, c) == \
+            vec_add(field, u, vec_scale(field, c, v))

@@ -9,7 +9,7 @@ from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
-                                 apply_cochain_D, action_pairing, sdeg, _sgn)
+                                 apply_cochain_D, action_pairing, sdeg)
 from perverse.structure import (cochain_op, mult_op, diff_op, unit_cochain,
                                 to_cochain, brace, circle, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
@@ -63,7 +63,7 @@ def test_cup_is_signed_double_brace(seed):
         fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
         lhs = to_cochain(cup_op(fop, gop), words)
         rhs = to_cochain(brace(mult_op(A), [fop, gop]), words)
-        rhs = {k: QQ.mul(_sgn(QQ, qf), c) for k, c in rhs.items()}
+        rhs = {k: QQ.mul(QQ.sign(qf), c) for k, c in rhs.items()}
         assert lhs == rhs
 
 
@@ -77,7 +77,7 @@ def test_cup_brace_sign_is_not_optional():
     braced = to_cochain(brace(mult_op(A), [fop, fop]), words)
     assert cup and braced
     assert cup != braced
-    signed = {k: QQ.mul(_sgn(QQ, 1), c) for k, c in braced.items()}
+    signed = {k: QQ.mul(QQ.sign(1), c) for k, c in braced.items()}
     assert cup == signed
 
 
@@ -102,7 +102,7 @@ def test_bracket_skew_commutativity_exact(seed):
         fop, gop = cochain_op(A, f, qf), cochain_op(A, g, qg)
         lhs = to_cochain(bracket_op(fop, gop), words)
         rhs = to_cochain(bracket_op(gop, fop), words)
-        s = _sgn(QQ, 1 + (qf - 1) * (qg - 1))
+        s = QQ.sign(1 + (qf - 1) * (qg - 1))
         assert lhs == {k: QQ.mul(s, c) for k, c in rhs.items()}
 
 
@@ -224,7 +224,7 @@ def test_lie_satisfies_cartan_module_axioms_on_homology():
             for qc, z in chains:
                 # i_{[f,g]} = (-1)^{|g|(|f|+1)} L_f i_g - i_g L_f
                 lhs = iota(ch, br, z)
-                s = _sgn(QQ, qg * (qf + 1))
+                s = QQ.sign(qg * (qf + 1))
                 rhs = vec_scale(QQ, s, lie(ch, fop, iota(ch, gop, z)))
                 rhs = vec_sub(QQ, rhs, iota(ch, gop, lie(ch, fop, z)))
                 assert cs.is_boundary(Z0, qc + qf + qg - 1,
@@ -233,7 +233,7 @@ def test_lie_satisfies_cartan_module_axioms_on_homology():
                 lhs = lie(ch, fg, z)
                 rhs = lie(ch, fop, iota(ch, gop, z))
                 rhs = vec_add(QQ, rhs, vec_scale(
-                    QQ, _sgn(QQ, qf), iota(ch, fop, lie(ch, gop, z))))
+                    QQ, QQ.sign(qf), iota(ch, fop, lie(ch, gop, z))))
                 assert cs.is_boundary(Z0, qc + qf + qg - 1,
                                       vec_sub(QQ, lhs, rhs))
 
@@ -281,7 +281,7 @@ def test_pairing_transport_of_the_differential(seed):
                         val = QQ.add(val, QQ.mul(c2, phi.get(k2, QQ.zero)))
                     if not QQ.iszero(val):
                         comp[(b, w2)] = val
-            s = _sgn(QQ, q + 1)
+            s = QQ.sign(q + 1)
             scaled = {k: QQ.mul(s, c) for k, c in comp.items()}
             lhs = {k: c for k, c in lhs.items() if not QQ.iszero(c)}
             assert lhs == scaled
@@ -319,7 +319,7 @@ def test_bdual_matches_pairing_composition(seed):
                     for k2, c2 in connes_B(ch, {(b, w2): QQ.one}).items():
                         val = QQ.add(val, QQ.mul(c2, phi.get(k2, QQ.zero)))
                     if not QQ.iszero(val):
-                        psi[(b, w2)] = QQ.mul(_sgn(QQ, q + 1), val)
+                        psi[(b, w2)] = QQ.mul(QQ.sign(q + 1), val)
             ref = phi_pairing_inv(A, psi)
             cur = {k: c for k, c in connes_B_dual(A, e, q, words).items()
                    if not QQ.iszero(c)}
