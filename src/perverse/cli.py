@@ -30,8 +30,8 @@ from .linalg import SparseMatrix
 from .complexes import ChainComplex, p_filtration, cofibrancy_certificate
 from .algebra import PDGA, algebra_as_bimodule
 from .hochschild import hh_table
-from .structure import (find_duality_class, BVOperator, verify_calculus,
-                        GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
+from .structure import (BVOperator, verify_calculus, GERSTENHABER_IDS,
+                        CALCULUS_IDS, BV_IDS)
 from .kunneth import compare_hh
 
 
@@ -366,16 +366,15 @@ def cmd_bv(args, out):
     A = load_pdga(args.algebra)
     lo, hi = args.window
     try:
-        n, cyc = find_duality_class(A, n=args.duality_degree)
+        bv = BVOperator(A, args.max_length, lo, hi, n=args.duality_degree)
     except (ValueError, LookupError) as e:
         _emit([{"identity": "duality class", "status": "fail",
                 "trials": 0, "witness": str(e)}], args.json, out)
         return 1
     recs = [{"_kind": "header",
              "text": "duality degree %d, class on %d dual basis vectors"
-             % (n, len(cyc)), "duality_degree": n,
-             "class_support": sorted(str(k) for k in cyc)}]
-    bv = BVOperator(A, args.max_length, lo, hi, n=n)
+             % (bv.n, len(bv.cycle)), "duality_degree": bv.n,
+             "class_support": sorted(str(k) for k in bv.cycle)}]
     for r in A.poset.elements:
         for q in range(lo, hi + 1):
             try:
@@ -389,7 +388,7 @@ def cmd_bv(args, out):
                     "text": "Delta p=%s q=%+d: %dx%d"
                     % (list(r), q, m.nrows, m.ncols)})
     report = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
-                             seed=args.seed)
+                             seed=args.seed, bv=bv)
     checks = [r for r in report if r["identity"] in BV_IDS]
     _emit(recs + checks, args.json, out)
     return _status(checks)

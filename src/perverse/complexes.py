@@ -8,6 +8,7 @@ covering-relation difference maps; internal hom as the matching limit
 (kernel); the linear dual is hom into the monoidal unit.
 """
 
+import functools
 import itertools
 
 from .linalg import (SparseMatrix, Echelon, kernel_basis, span_equal,
@@ -227,6 +228,11 @@ def box_tensor(Z, Y):
     kmin, kmax = min(degs), max(degs)
 
     data = {}  # (r, k) -> (blocks, quotient)
+    # nonzero entries of each matrix, read once per matrix
+    zcov = functools.cache(lambda p, q, i: Z.cover_map(p, q, i).columns())
+    ycov = functools.cache(lambda p, q, j: Y.cover_map(p, q, j).columns())
+    zdiff = functools.cache(lambda p, i: Z.diff(p, i).columns())
+    ydiff = functools.cache(lambda q, j: Y.diff(q, j).columns())
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
                 if all(a + b <= c for a, b, c in zip(p, q, r))]
@@ -248,20 +254,11 @@ def box_tensor(Z, Y):
                 for li, (i, zi, yi) in enumerate(blocks.basis[src]):
                     col = {blocks.glob(src, li): field.neg(field.one)}
                     if side == 0:
-                        f = Z.cover_map(p, dst[0], i)
-                        for zi2 in range(Z.dim(dst[0], i)):
-                            c = f[zi2, zi]
-                            if field.iszero(c):
-                                continue
+                        for zi2, c in zcov(p, dst[0], i)[zi].items():
                             vec_iadd(field, col,
                                      {blocks.locate(dst, (i, zi2, yi)): c})
                     else:
-                        j = k - i
-                        f = Y.cover_map(q, dst[1], j)
-                        for yi2 in range(Y.dim(dst[1], j)):
-                            c = f[yi2, yi]
-                            if field.iszero(c):
-                                continue
+                        for yi2, c in ycov(q, dst[1], k - i)[yi].items():
                             vec_iadd(field, col,
                                      {blocks.locate(dst, (i, zi, yi2)): c})
                     if col:
@@ -287,20 +284,11 @@ def box_tensor(Z, Y):
             obj, li = blocks.split(gi)
             p, q = obj
             i, zi, yi = blocks.basis[obj][li]
-            j = k - i
-            dz = Z.diff(p, i)
-            for zi2 in range(Z.dim(p, i + 1)):
-                x = dz[zi2, zi]
-                if field.iszero(x):
-                    continue
+            for zi2, x in zdiff(p, i)[zi].items():
                 vec_iadd(field, w,
                          {tblocks.locate(obj, (i + 1, zi2, yi)): x}, c)
-            dy = Y.diff(q, j)
             sgn = field.sign(i)
-            for yi2 in range(Y.dim(q, j + 1)):
-                x = dy[yi2, yi]
-                if field.iszero(x):
-                    continue
+            for yi2, x in ydiff(q, k - i)[yi].items():
                 vec_iadd(field, w, {tblocks.locate(obj, (i, zi, yi2)):
                                     field.mul(sgn, x)}, c)
         return w
@@ -343,6 +331,8 @@ def box_tensor_fulldiagram(Z, Y):
     if not degs:
         return out
     kmin, kmax = min(degs), max(degs)
+    zmap = functools.cache(lambda p, q, i: Z.structure_map(p, q, i).columns())
+    ymap = functools.cache(lambda p, q, j: Y.structure_map(p, q, j).columns())
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
                 if all(a + b <= c for a, b, c in zip(p, q, r))]
@@ -356,17 +346,13 @@ def box_tensor_fulldiagram(Z, Y):
             for (src, dst) in edges:
                 p, q = src
                 for li, (i, zi, yi) in enumerate(blocks.basis[src]):
-                    j = k - i
-                    fz = Z.structure_map(p, dst[0], i)
-                    fy = Y.structure_map(q, dst[1], j)
+                    fy = ymap(q, dst[1], k - i)[yi]
                     col = {blocks.glob(src, li): field.neg(field.one)}
-                    for zi2 in range(Z.dim(dst[0], i)):
-                        for yi2 in range(Y.dim(dst[1], j)):
-                            c = field.mul(fz[zi2, zi], fy[yi2, yi])
-                            if field.iszero(c):
-                                continue
+                    for zi2, cz in zmap(p, dst[0], i)[zi].items():
+                        for yi2, cy in fy.items():
                             vec_iadd(field, col,
-                                     {blocks.locate(dst, (i, zi2, yi2)): c})
+                                     {blocks.locate(dst, (i, zi2, yi2)):
+                                      field.mul(cz, cy)})
                     if col:
                         rel_cols.append(col)
             quot = Quotient(field, blocks.total, rel_cols)
@@ -420,6 +406,12 @@ def internal_hom(M, N):
         return out2
 
     data = {}
+    # nonzero entries of each matrix, read once per matrix: a row of the
+    # maps out of M, a column of those of N
+    mcov = functools.cache(lambda p, q, i: M.cover_map(p, q, i).rows())
+    ncov = functools.cache(lambda p, q, j: N.cover_map(p, q, j).columns())
+    mdiff = functools.cache(lambda p, i: M.diff(p, i).rows())
+    ndiff = functools.cache(lambda q, j: N.diff(q, j).columns())
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
                 if all(c <= b - a for a, b, c in zip(p, q, r))]
@@ -446,19 +438,11 @@ def internal_hom(M, N):
                 for li, (i, mi, ni) in enumerate(blocks.basis[src]):
                     gi = blocks.glob(src, li)
                     if side == 0:
-                        f = M.cover_map(dst[0], p, i)
-                        for mi2 in range(M.dim(dst[0], i)):
-                            c = f[mi, mi2]
-                            if field.iszero(c):
-                                continue
+                        for mi2, c in mcov(dst[0], p, i)[mi].items():
                             ri = rows.locate(ei, (i, mi2, ni))
                             A[ri, gi] = field.add(A[ri, gi], c)
                     else:
-                        f = N.cover_map(q, dst[1], i + k)
-                        for ni2 in range(N.dim(dst[1], i + k)):
-                            c = f[ni2, ni]
-                            if field.iszero(c):
-                                continue
+                        for ni2, c in ncov(q, dst[1], i + k)[ni].items():
                             ri = rows.locate(ei, (i, mi, ni2))
                             A[ri, gi] = field.add(A[ri, gi], c)
                 for li2 in range(len(blocks.basis[dst])):
@@ -481,18 +465,10 @@ def internal_hom(M, N):
             obj, li = blocks.split(gi)
             p, q = obj
             i, mi, ni = blocks.basis[obj][li]
-            dn = N.diff(q, i + k)
-            for ni2 in range(N.dim(q, i + k + 1)):
-                x = dn[ni2, ni]
-                if field.iszero(x):
-                    continue
+            for ni2, x in ndiff(q, i + k)[ni].items():
                 vec_iadd(field, w, {tblocks.locate(obj, (i, mi, ni2)): x}, c)
             if i - 1 in mdegs:
-                dm = M.diff(p, i - 1)
-                for mi2 in range(M.dim(p, i - 1)):
-                    x = dm[mi, mi2]
-                    if field.iszero(x):
-                        continue
+                for mi2, x in mdiff(p, i - 1)[mi].items():
                     vec_iadd(field, w, {tblocks.locate(obj, (i - 1, mi2, ni)):
                                         field.mul(nsgn, x)}, c)
         return w

@@ -11,7 +11,10 @@ functions on middle words with values in the bimodule, stored as sparse dicts
 Perversities enter only through slot bases: a word is admissible at r when
 its label sum stays under the top and the module element is present at
 label(word) + r.  The differentials themselves are label-blind; slot matrices
-are the global maps restricted and then truncated to admissible pairs.
+are the global maps restricted and then truncated to admissible pairs.  A
+slot matrix evaluates D* of a basis cochain (w -> m) only on the cofaces of
+w, the words that have w as a face, and an HH dimension table is read from
+the ranks of the slot matrices alone.
 """
 
 import itertools
@@ -298,10 +301,28 @@ class Cochains(SlotComplex):
         self.lo = lo
         self.hi = hi
         self.words = middle_words(A, L)
+        self.gens = A.nonunit()
+        # suspended degree and label of each word, extending its prefix's
+        # (every prefix of an admissible word is admissible)
+        self.wdeg, self.wlabel = {(): 0}, {(): A.poset.zero}
+        for w in self.words[1:]:
+            x = w[-1]
+            self.wdeg[w] = self.wdeg[w[:-1]] + sdeg(A, x)
+            self.wlabel[w] = A.poset.oplus(self.wlabel[w[:-1]], A.lam(x))
+        # the inverse of d and of the label-filtered product: y -> the
+        # letters (x,) with y in d(x) and (a, b) with y in a.b
+        self.preimages = {}
+        for x, v in A.diffs.items():
+            for y in v:
+                self.preimages.setdefault(y, []).append((x,))
+        for (a, b), v in A.products.items():
+            if A.sum_labels_ok(A.lam(a), A.lam(b)):
+                for y in v:
+                    self.preimages.setdefault(y, []).append((a, b))
 
     def window_exact(self):
         "truncation is lossless on [lo, hi] under these conditions"
-        nz = [self.A.deg(x) for x in self.A.nonunit()]
+        nz = [self.A.deg(x) for x in self.gens]
         if not nz:
             return True
         if min(nz) < 2:
@@ -309,41 +330,55 @@ class Cochains(SlotComplex):
         top = max(self.M.degree.values())
         return self.L >= top - self.lo
 
-    def pair_degree(self, w, m):
-        return self.M.degree[m] - word_sdeg(self.A, w)
-
-    def admissible(self, r, w, m):
-        P = self.A.poset
-        lw = word_label(self.A, w)
-        if lw is None:
-            return False
-        lab = P.oplus(lw, r)
-        if lab is None:
-            return False
-        return self.M.present(m, lab)
-
     def slot_basis(self, r, q):
-        return [(w, m) for w in self.words for m in self.M.names
-                if self.pair_degree(w, m) == q and self.admissible(r, w, m)]
+        "the admissible pairs (w, m) of degree q at r, ordered by w, then m"
+        P, M = self.A.poset, self.M
+        out = []
+        for w in self.words:
+            ms = [m for m in M.names if M.degree[m] - self.wdeg[w] == q]
+            if not ms:
+                continue
+            lab = P.oplus(self.wlabel[w], r)
+            if lab is not None:
+                out += [(w, m) for m in ms if M.present(m, lab)]
+        return out
+
+    def cofaces(self, w):
+        """the middle words on which D* of a cochain supported on w can be
+        nonzero: w, a.w and w.a for a nonunit a, and w with one letter y
+        replaced by an x with y in d(x) or split into (a, b) with y in a.b"""
+        out = {w}
+        for a in self.gens:
+            out.add((a,) + w)
+            out.add(w + (a,))
+        for i, y in enumerate(w):
+            for v in self.preimages.get(y, ()):
+                out.add(w[:i] + v + w[i + 1:])
+        return out
 
     def matrix(self, r, q):
         """slot matrix of D* from (r, q) to (r, q+1): the global cochain
-        differential, truncated to the admissible target pairs"""
+        differential, evaluated on the cofaces of each source word and
+        truncated to the admissible target pairs"""
         one = self.A.field.one
         dst = self.index(r, q + 1)
-        words = sorted({w for (w, m) in dst}, key=repr)
+        dst_words = {w for (w, m) in dst}
 
         def image(p):
+            words = sorted(self.cofaces(p[0]) & dst_words, key=repr)
             img = apply_cochain_D(self.A, self.M, {p: one}, q, words)
             return {k: c for k, c in img.items() if k in dst}
 
         return self.assemble(r, q, image)
 
     def table(self):
+        "dim HH at each slot of the window: n_q - rank d_q - rank d_(q-1)"
         out = {}
         for r in self.A.poset.elements:
+            rank = {q: self.differential(r, q).rank()
+                    for q in range(self.lo - 1, self.hi + 1)}
             for q in range(self.lo, self.hi + 1):
-                out[(r, q)] = self.homology(r, q).dim
+                out[(r, q)] = len(self.basis(r, q)) - rank[q] - rank[q - 1]
         return out
 
 

@@ -4,6 +4,7 @@ Vectors are dicts {index: nonzero scalar}.  Matrices are sparse with entries
 {(row, col): scalar}.  Elimination is reduced column echelon with deterministic
 pivoting (smallest available row index, columns in input order), with optional
 bookkeeping of the combination of input columns behind each stored column.
+A rank alone comes from a cheaper forward-only reduction on lowest-row pivots.
 Everything is exact; no floats anywhere.
 """
 
@@ -96,6 +97,12 @@ class SparseMatrix:
             cols[j][i] = x
         return cols
 
+    def rows(self):
+        rows = [dict() for _ in range(self.nrows)]
+        for (i, j), x in self.entries.items():
+            rows[i][j] = x
+        return rows
+
     def apply(self, v):
         "matrix-vector product; v is a dict over column indices"
         out = {}
@@ -120,10 +127,19 @@ class SparseMatrix:
         return out
 
     def rank(self):
-        ech = Echelon(self.field)
+        """forward-only column reduction on lowest-row pivots: each column
+        is reduced by the stored column with its lowest nonzero row until
+        that row is new (a pivot, stored normalized) or the column is 0"""
+        F = self.field
+        pivots = {}  # lowest row -> stored column, 1 at that row
         for col in self.columns():
-            ech.add(col)
-        return len(ech.order)
+            while col:
+                low = max(col)
+                if low not in pivots:
+                    pivots[low] = vec_scale(F, F.inv(col[low]), col)
+                    break
+                vec_iadd(F, col, pivots[low], F.neg(col[low]))
+        return len(pivots)
 
 
 class Echelon:

@@ -501,7 +501,9 @@ def random_cochain(A, words, q, rng, density=0.5):
             if A.deg(x) - word_sdeg(A, w) != q:
                 continue
             if rng.random() < density:
-                out[(w, x)] = F.of(rng.choice([1, -1, 2]))
+                c = F.of(rng.choice([1, -1, 2]))
+                if not F.iszero(c):
+                    out[(w, x)] = c
     return out
 
 
@@ -903,11 +905,12 @@ CALCULUS_IDS = tuple(row[0] for row in _CALCULUS)
 BV_IDS = ("BV block",) + tuple(row[0] for row in _BV)
 
 
-def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True):
+def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True, bv=None):
     """run the identity suite and return a list of records
     {identity, status, trials, witness}.  Chain-level identities are exact;
     cohomology identities are decided by coboundary-membership solves.
-    The BV block runs when with_bv is set and A is commutative with a
+    The BV block runs on bv, a BVOperator already built for (A, L, lo, hi),
+    when one is given; else when with_bv is set and A is commutative with a
     detected duality class; otherwise its record says why it was skipped."""
     s = _Suite(A, L, lo, hi, trials, seed)
     report = []
@@ -919,12 +922,13 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True):
 
     run(_GERSTENHABER + _CALCULUS)
     skip = "unsupported: non-commutative duality lift"
-    if with_bv and A.is_commutative():
+    if bv is None and with_bv and A.is_commutative():
         try:
-            s.bv = BVOperator(A, L, lo, hi)
+            bv = BVOperator(A, L, lo, hi)
         except LookupError as e:
             skip = str(e)
-    if s.bv is None:
+    s.bv = bv
+    if bv is None:
         report.append({"identity": BV_IDS[0], "status": "skipped",
                        "trials": 0, "witness": skip})
     else:

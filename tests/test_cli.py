@@ -229,6 +229,28 @@ def test_bv_command():
     assert "Delta squared = 0" in out
 
 
+def test_bv_builds_one_operator_and_hands_it_to_the_suite(monkeypatch):
+    built, handed = [], []
+    init, suite = cli.BVOperator.__init__, cli.verify_calculus
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def recording_suite(*args, **kwargs):
+        handed.append(kwargs.get("bv"))
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli.BVOperator, "__init__", counting_init)
+    monkeypatch.setattr(cli, "verify_calculus", recording_suite)
+    code, out = run(["bv", "sphere2", "--duality-degree", "2",
+                     "--trials", "3"])
+    assert code == 0, out
+    assert len(built) == 1 and built[0].n == 2
+    assert handed == built
+    assert "Delta squared = 0" in out
+
+
 def test_bv_rejects_a_non_dpda(tmp_path):
     # H* has symmetric dims but x.x = 0, so no class acts as a duality
     path = write(tmp_path, {

@@ -1,9 +1,9 @@
 import pytest
 
-from perverse.fields import QQ
+from perverse.fields import QQ, Field
 from perverse.poset import Poset
 from perverse.linalg import SparseMatrix, vec_add, vec_scale, kernel_basis
-from perverse.algebra import algebra_as_bimodule, dual_bimodule
+from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
@@ -12,6 +12,7 @@ from perverse.hochschild import (Bar, Chains, Cochains, middle_words,
                                  hh_table_oracle, action_pairing,
                                  index_cochain, eval_cochain, InducedHH,
                                  check_pdga_map, restrict_bimodule)
+from perverse.kunneth import hh_degree_support
 
 P3 = Poset(3)
 
@@ -209,6 +210,46 @@ def test_slot_vectors_outside_the_slot_basis():
     assert cx.is_boundary(r, 1, {(("x",), "1"): QQ.zero})
     with pytest.raises(ValueError):
         cx.is_boundary(r, 1, {(("x",), "1"): QQ.one})
+
+
+def _coface_family():
+    "algebras whose slot matrices exercise every coface rule"
+    fam = dict(corpus(QQ, P3))
+    fam["truncx3"] = truncated_polynomial(QQ, P3, 2, power=3)
+    fam["labeled-fp"] = random_pdga(Field(32003), Poset(4), 103)
+    fam["random-d"] = random_pdga(QQ, P3, 5)
+    fam["noncommutative"] = PDGA(
+        QQ, P3, [("1", 0, P3.zero), ("x", 2, P3.zero), ("y", 2, P3.zero),
+                 ("z", 4, P3.zero)], "1",
+        products={("x", "y"): {"z": QQ.one}})
+    return fam
+
+
+def _matrix_on_every_word(cx, r, q):
+    "the slot matrix with D* evaluated on every destination word"
+    dst = cx.index(r, q + 1)
+    words = sorted({w for (w, m) in dst}, key=repr)
+
+    def image(p):
+        img = apply_cochain_D(cx.A, cx.M, {p: cx.A.field.one}, q, words)
+        return {k: c for k, c in img.items() if k in dst}
+
+    return cx.assemble(r, q, image)
+
+
+@pytest.mark.parametrize("name", sorted(_coface_family()))
+def test_coface_assembly_and_rank_table(name):
+    A = _coface_family()[name]
+    L = 3
+    lo, hi = hh_degree_support(A, L)
+    cx = Cochains(A, algebra_as_bimodule(A), L, lo, hi)
+    for r in A.poset.elements:
+        for q in range(lo - 1, hi + 1):
+            assert cx.differential(r, q) == _matrix_on_every_word(cx, r, q), \
+                (r, q)
+    assert cx.table() == {(r, q): cx.homology(r, q).dim
+                          for r in A.poset.elements
+                          for q in range(lo, hi + 1)}
 
 
 # --- oracle first: sanity of the dense bar-dual implementation -------------

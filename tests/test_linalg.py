@@ -184,3 +184,29 @@ def test_vec_iadd_equals_the_pure_forms(data):
     else:
         assert vec_iadd(field, dict(u), v, c) == \
             vec_add(field, u, vec_scale(field, c, v))
+
+
+@st.composite
+def _matrices(draw):
+    """a sparse matrix over Q or F_5 whose last columns are combinations of
+    the first ones, so they reduce to zero only after several steps"""
+    field = draw(st.sampled_from([QQ, F5]))
+    nrows = draw(st.integers(1, 7))
+    col = st.dictionaries(st.integers(0, nrows - 1), _scalars(field),
+                          max_size=nrows)
+    cols = draw(st.lists(col, max_size=6))
+    for coeffs in draw(st.lists(st.lists(_scalars(field), max_size=6),
+                                max_size=4)):
+        v = {}
+        for c, u in zip(coeffs, cols):
+            vec_iadd(field, v, u, c)
+        cols.append(v)
+    return SparseMatrix.from_columns(field, nrows, cols)
+
+
+@given(_matrices())
+def test_rank_equals_nullity_and_echelon_rank(A):
+    ech = Echelon(A.field)
+    for col in A.columns():
+        ech.add(col)
+    assert A.rank() == A.ncols - len(kernel_basis(A)) == len(ech.order)

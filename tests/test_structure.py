@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from perverse.fields import QQ
+from perverse.fields import QQ, Field
 from perverse.poset import Poset
 from perverse.linalg import vec_add, vec_scale, vec_sub
 from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
@@ -29,6 +29,30 @@ def _rand_hom_cochain(A, words, rng, lo=-5, hi=5):
         if f:
             return f, q
     return {}, 0
+
+
+def test_random_cochain_stores_no_zero_and_keeps_every_draw():
+    # over F_2 the drawn coefficient 2 is 0: it is skipped, not stored, and
+    # the rng still makes the same draws as over Q, whose cochains are
+    # pinned as (entries, coefficient sum) at seed 0
+    drawn = {}
+    for field in (Field(2), QQ):
+        A = truncated_polynomial(field, P3, 2, power=3)
+        words = middle_words(A, 3)
+        rng = random.Random(0)
+        drawn[field] = [random_cochain(A, words, q, rng)
+                        for q in range(-4, 3) for _ in range(3)]
+        drawn[field, "next"] = rng.random()
+    F2 = Field(2)
+    assert drawn[F2, "next"] == drawn[QQ, "next"]
+    for f2, fq in zip(drawn[F2], drawn[QQ]):
+        assert not any(F2.iszero(c) for c in f2.values())
+        assert f2 == {k: F2.of(c) for k, c in fq.items()
+                      if not F2.iszero(F2.of(c))}
+    assert [(len(f), sum(f.values())) for f in drawn[QQ]] == [
+        (1, -1), (1, -1), (2, 2), (4, 8), (5, 4), (3, 5), (2, 2), (1, -1),
+        (0, 0), (2, 3), (4, 5), (1, 2), (1, 1), (1, 2), (1, -1), (2, 3),
+        (3, 5), (2, 2), (1, 2), (0, 0), (1, 1)]
 
 
 def _nondegenerate_family():
