@@ -12,9 +12,9 @@ Vectors are dicts {basis name: scalar}.
 import itertools
 
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_add, vec_scale,
-                     kernel_basis, Quotient)
+                     kernel_basis, Quotient, Subspace)
 from .poset import leq
-from .complexes import PerverseComplex, _Subspace
+from .complexes import PerverseComplex, induce
 
 
 class PDGA:
@@ -516,14 +516,15 @@ def dual_bimodule(A):
 
 def module_hom(M, P_, degwindow):
     """perverse complex of left-equivariant maps f: M -> P_,
-    f(a.m) = (-1)^{|f||a|} a.f(m); both modules over the same algebra"""
+    f(a.m) = (-1)^{|f||a|} a.f(m); both modules over the same algebra.
+    The keys of a slot are the pairs (m, n), the basis map m -> n"""
     A = M.algebra
     if P_.algebra is not A:
         raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
     out = PerverseComplex(F, P)
     lo, hi = degwindow
-    data = {}
+    slots = {}
     for r in P.elements:
         for k in range(lo, hi + 2):
             # ambient: pairs (m, n) with n present wherever needed; the
@@ -533,16 +534,18 @@ def module_hom(M, P_, degwindow):
                 for n in P_.names:
                     if P_.degree[n] != M.degree[m] + k:
                         continue
-                    target = P.oplus(M.plabel[m], r) if M.kind[m] == "up" else None
                     if M.kind[m] == "up":
+                        target = P.oplus(M.plabel[m], r)
                         if target is None or not P_.present(n, target):
                             continue
                     pairs.append((m, n))
-            # equivariance as linear constraints on coefficients c_{m,n}
+            # equivariance as linear constraints on coefficients c_{m,n},
+            # one row per (a, m, n) and one column per pair
             rows = {}
+            cols = [{} for _ in pairs]
 
             def addrow(key, idx, coef):
-                vec_iadd(F, rows.setdefault(key, {}), {idx: coef})
+                vec_iadd(F, cols[idx], {rows.setdefault(key, len(rows)): coef})
 
             for a in A.nonunit():
                 for m in M.names:
@@ -552,74 +555,46 @@ def module_hom(M, P_, degwindow):
                             A.lam(a), M.plabel[m], r):
                         continue
                     s = F.sign(k * A.deg(a))
+                    am = M.act_left(a, m)
                     for i, (m2, n2) in enumerate(pairs):
-                        c1 = M.act_left(a, m).get(m2, F.zero)
-                        if not F.iszero(c1):
-                            addrow((a, m, n2), i, c1)
+                        if m2 in am:
+                            addrow((a, m, n2), i, am[m2])
                         if m2 == m:
                             for n3, c2 in P_.act_left(a, n2).items():
                                 addrow((a, m, n3), i, F.neg(F.mul(s, c2)))
-            mat = SparseMatrix(F, len(rows), len(pairs))
-            for ri, key in enumerate(sorted(rows.keys(), key=repr)):
-                for i, c in rows[key].items():
-                    mat[ri, i] = c
-            ker = kernel_basis(mat)
-            data[(r, k)] = (pairs, {pr: i for i, pr in enumerate(pairs)},
-                            ker)
-            if ker:
-                out.basis[(r, k)] = ["f%d" % i for i in range(len(ker))]
-    subs = {rk: _Subspace(F, ker) for rk, (_, _, ker) in data.items()}
-    for r in P.elements:
-        for k in range(lo, hi + 1):
-            pairs, _, ker = data[(r, k)]
-            tpairs, tindex, tker = data[(r, k + 1)]
-            m = SparseMatrix(F, len(tker), len(ker))
-            nsk = F.sign(k + 1)  # -(-1)^k
-            for col, kv in enumerate(ker):
-                w = {}
-                for i, c in kv.items():
-                    mm, nn = pairs[i]
-                    for n2, x in P_.d(nn).items():
-                        if (mm, n2) in tindex:
-                            vec_iadd(F, w, {tindex[(mm, n2)]: x}, c)
-                for i2, (m2, n2) in enumerate(tpairs):
-                    tot = F.zero
-                    for i, c in kv.items():
-                        mm, nn = pairs[i]
-                        if nn != n2:
-                            continue
-                        x = M.d(m2).get(mm, F.zero)
-                        if not F.iszero(x):
-                            tot = F.add(tot, F.mul(c, x))
-                    vec_iadd(F, w, {i2: tot}, nsk)
-                for row, c in subs[(r, k + 1)].coords(w).items():
-                    m[row, col] = c
-            out.d[(r, k)] = m
-    for (r, r2) in P.covers():
-        for k in range(lo, hi + 2):
-            pairs, _, ker = data[(r, k)]
-            _, tindex, _ = data[(r2, k)]
-            m = SparseMatrix(F, subs[(r2, k)].dim, len(ker))
-            for col, kv in enumerate(ker):
-                w = {}
-                for i, c in kv.items():
-                    if pairs[i] in tindex:
-                        w[tindex[pairs[i]]] = c
-                for row, c in subs[(r2, k)].coords(w).items():
-                    m[row, col] = c
-            out.phi[(r, r2, k)] = m
-    return out
+            sub = Subspace(F, kernel_basis(
+                SparseMatrix.from_columns(F, len(rows), cols)))
+            slots[(r, k)] = (pairs, sub)
+            if sub.dim:
+                out.basis[(r, k)] = ["f%d" % i for i in range(sub.dim)]
+    # d_M transposed: m -> {m2: the coefficient of m in d m2}
+    dM_in = {}
+    for m2 in M.names:
+        for m, x in M.d(m2).items():
+            dM_in.setdefault(m, {})[m2] = x
+
+    def d(k, key):
+        "d f = d_P f - (-1)^k f d_M on the basis map m -> n"
+        m, n = key
+        w = {(m, n2): x for n2, x in P_.d(n).items()}
+        nsk = F.sign(k + 1)
+        for m2, x in dM_in.get(m, {}).items():
+            vec_iadd(F, w, {(m2, n): F.mul(nsk, x)})
+        return w
+
+    return induce(out, slots, d)
 
 
 def module_tensor(M, P_):
-    """M box_A P_: cokernel of m.a @ p - m @ a.p, slotwise (up-type modules)"""
+    """M box_A P_: cokernel of m.a @ p - m @ a.p, slotwise (up-type modules).
+    The keys of a slot are the pairs (m, p), the basis element m @ p"""
     A = M.algebra
     if P_.algebra is not A:
         raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
     out = PerverseComplex(F, P)
     degs = sorted({M.degree[m] + P_.degree[p] for m in M.names for p in P_.names})
-    data = {}
+    slots = {}
     for r in P.elements:
         for k in range(min(degs), max(degs) + 2):
             pairs = [(m, p) for m in M.names for p in P_.names
@@ -653,36 +628,17 @@ def module_tensor(M, P_):
                         if col:
                             rels.append(col)
             quot = Quotient(F, len(pairs), rels)
-            data[(r, k)] = (pairs, index, quot)
+            slots[(r, k)] = (pairs, quot)
             if quot.dim:
-                out.basis[(r, k)] = [pairs[quot.free[i]] for i in range(quot.dim)]
-    for r in P.elements:
-        for k in range(min(degs), max(degs) + 1):
-            pairs, _, quot = data[(r, k)]
-            _, tindex, tquot = data[(r, k + 1)]
-            mt = SparseMatrix(F, tquot.dim, quot.dim)
-            for col in range(quot.dim):
-                m, p = pairs[quot.free[col]]
-                w = {}
-                for m2, c in M.d(m).items():
-                    if (m2, p) in tindex:
-                        vec_iadd(F, w, {tindex[(m2, p)]: c})
-                sgn = F.sign(M.degree[m])
-                for p2, c in P_.d(p).items():
-                    if (m, p2) in tindex:
-                        vec_iadd(F, w, {tindex[(m, p2)]: c}, sgn)
-                for row, c in tquot.project(w).items():
-                    mt[row, col] = c
-            out.d[(r, k)] = mt
-    for (r, r2) in P.covers():
-        for k in range(min(degs), max(degs) + 2):
-            pairs, _, quot = data[(r, k)]
-            _, tindex, tquot = data[(r2, k)]
-            mt = SparseMatrix(F, tquot.dim, quot.dim)
-            for col in range(quot.dim):
-                mp = pairs[quot.free[col]]
-                w = {tindex[mp]: F.one}
-                for row, c in tquot.project(w).items():
-                    mt[row, col] = c
-            out.phi[(r, r2, k)] = mt
-    return out
+                out.basis[(r, k)] = [pairs[i] for i in quot.free]
+
+    def d(k, key):
+        "d (m @ p) = dm @ p + (-1)^|m| m @ dp"
+        m, p = key
+        w = {(m2, p): c for m2, c in M.d(m).items()}
+        sgn = F.sign(M.degree[m])
+        for p2, c in P_.d(p).items():
+            vec_iadd(F, w, {(m, p2): F.mul(sgn, c)})
+        return w
+
+    return induce(out, slots, d)

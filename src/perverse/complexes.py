@@ -5,14 +5,21 @@ PerverseComplex stores, for each perversity p and degree k, a list of basis
 labels, the differential matrix into (p, k+1), and structure-map matrices for
 covering pairs p < q.  Box tensor is computed as a colimit presented by
 covering-relation difference maps; internal hom as the matching limit
-(kernel); the linear dual is hom into the monoidal unit.
+(kernel); the linear dual is hom into the monoidal unit; a p-filtration as
+the subcomplex of a labeled complex below each perversity.
+
+Each of these constructions, and module hom and tensor over a pDGA, presents
+a slot as a Quotient or Subspace of the span of some ambient keys and gives
+the differential of one key; `induce` turns that into the slot's d and the
+structure maps, which send each key to itself.
 """
 
 import functools
 import itertools
 
-from .linalg import (SparseMatrix, Echelon, kernel_basis, span_equal,
-                     span_intersection, Quotient, Subquotient, vec_iadd)
+from .linalg import (SparseMatrix, kernel_basis, span_equal,
+                     span_intersection, Quotient, Subquotient, Subspace,
+                     vec_iadd)
 from .poset import leq
 
 
@@ -172,47 +179,55 @@ def unit_perverse(field, poset):
     return free_perverse(field, poset, poset.zero, point_complex(field))
 
 
-class _Blocks:
-    """a direct sum indexing: each block key owns a basis (a list of basis
-    keys), laid out from an offset in one flat coordinate space"""
+def induce(out, slots, d):
+    """fill out.d and out.phi from an ambient presentation of each slot.
 
-    def __init__(self):
-        self.offset = {}
-        self.basis = {}
-        self._index = {}
-        self._where = []     # flat coordinate -> (block key, local index)
-        self.total = 0
+    slots maps (r, k) to (keys, space): the ambient basis keys of the slot
+    and the Quotient or Subspace of their span that the slot is.  d(k, key)
+    is the ambient differential of one key of degree k, a vector over keys
+    of degree k + 1, and a structure map sends each key to itself.  Both are
+    carried over keys and then projected onto the target slot; a term on a
+    key that the target slot lacks is dropped."""
+    F, P = out.field, out.poset
+    index = {rk: {key: i for i, key in enumerate(keys)}
+             for rk, (keys, _) in slots.items()}
+    dkey = functools.cache(d)
 
-    def add(self, key, basis):
-        self.offset[key] = self.total
-        self.basis[key] = basis
-        self._index[key] = {b: i for i, b in enumerate(basis)}
-        self._where.extend((key, i) for i in range(len(basis)))
-        self.total += len(basis)
+    def induced(src, dst, image):
+        keys, space = slots[src]
+        tindex, tspace = index[dst], slots[dst][1]
+        m = SparseMatrix(F, tspace.dim, space.dim)
+        for col in range(space.dim):
+            w = {}
+            for i, c in space.include(col).items():
+                vec_iadd(F, w, {tindex[key]: x for key, x in
+                                image(keys[i]).items() if key in tindex}, c)
+            for row, x in tspace.project(w).items():
+                m[row, col] = x
+        return m
 
-    def glob(self, key, local):
-        return self.offset[key] + local
-
-    def locate(self, key, b):
-        "the flat coordinate of basis key b of block key"
-        return self.offset[key] + self._index[key][b]
-
-    def split(self, gidx):
-        "the (block key, local index) of a flat coordinate"
-        if not 0 <= gidx < self.total:
-            raise IndexError(gidx)
-        return self._where[gidx]
-
-
-def _pair_basis(Z, Y, p, q, k):
-    "basis of (Z_p tensor Y_q)^k as (zdeg, zidx, yidx) triples"
-    out = []
-    for i in Z.degrees():
-        j = k - i
-        for zi in range(Z.dim(p, i)):
-            for yi in range(Y.dim(q, j)):
-                out.append((i, zi, yi))
+    for (r, k) in slots:
+        if (r, k + 1) in slots:
+            out.d[(r, k)] = induced((r, k), (r, k + 1),
+                                    functools.partial(dkey, k))
+        for (a, r2) in P.covers():
+            if a == r and (r2, k) in slots:
+                out.phi[(r, r2, k)] = induced((r, k), (r2, k),
+                                              lambda key: {key: F.one})
     return out
+
+
+def _box_objects(P, r):
+    "the pairs (p, q) with p + q <= r pointwise"
+    return [(p, q) for p in P.elements for q in P.elements
+            if all(a + b <= c for a, b, c in zip(p, q, r))]
+
+
+def _box_keys(Z, Y, objs, k):
+    """the keys ((p, q), (i, zi, yi)) of the sum over objs of (Z_p tensor
+    Y_q)^k: basis vector zi of Z_p^i tensor basis vector yi of Y_q^(k-i)"""
+    return [((p, q), (i, zi, yi)) for (p, q) in objs for i in Z.degrees()
+            for zi in range(Z.dim(p, i)) for yi in range(Y.dim(q, k - i))]
 
 
 def box_tensor(Z, Y):
@@ -226,98 +241,55 @@ def box_tensor(Z, Y):
     if not degs:
         return out
     kmin, kmax = min(degs), max(degs)
-
-    data = {}  # (r, k) -> (blocks, quotient)
     # nonzero entries of each matrix, read once per matrix
     zcov = functools.cache(lambda p, q, i: Z.cover_map(p, q, i).columns())
     ycov = functools.cache(lambda p, q, j: Y.cover_map(p, q, j).columns())
     zdiff = functools.cache(lambda p, i: Z.diff(p, i).columns())
     ydiff = functools.cache(lambda q, j: Y.diff(q, j).columns())
+    slots = {}
     for r in P.elements:
-        objs = [(p, q) for p in P.elements for q in P.elements
-                if all(a + b <= c for a, b, c in zip(p, q, r))]
-        edges = []
+        objs = _box_objects(P, r)
         objset = set(objs)
-        for (p, q) in objs:
-            for (a, b) in P.covers():
-                if a == p and (b, q) in objset:
-                    edges.append(((p, q), (b, q), 0))
-                if a == q and (p, b) in objset:
-                    edges.append(((p, q), (p, b), 1))
+        # the covers out of each object, on the Z side (0) or the Y side (1)
+        edges = {(p, q): [((b, q), 0) for (a, b) in P.covers()
+                          if a == p and (b, q) in objset]
+                 + [((p, b), 1) for (a, b) in P.covers()
+                    if a == q and (p, b) in objset] for (p, q) in objs}
         for k in range(kmin, kmax + 2):
-            blocks = _Blocks()
-            for (p, q) in objs:
-                blocks.add((p, q), _pair_basis(Z, Y, p, q, k))
+            keys = _box_keys(Z, Y, objs, k)
+            index = {key: gi for gi, key in enumerate(keys)}
             rel_cols = []
-            for (src, dst, side) in edges:
-                p, q = src
-                for li, (i, zi, yi) in enumerate(blocks.basis[src]):
-                    col = {blocks.glob(src, li): field.neg(field.one)}
+            for gi, ((p, q), (i, zi, yi)) in enumerate(keys):
+                for dst, side in edges[(p, q)]:
+                    col = {gi: field.neg(field.one)}
                     if side == 0:
                         for zi2, c in zcov(p, dst[0], i)[zi].items():
-                            vec_iadd(field, col,
-                                     {blocks.locate(dst, (i, zi2, yi)): c})
+                            col[index[(dst, (i, zi2, yi))]] = c
                     else:
                         for yi2, c in ycov(q, dst[1], k - i)[yi].items():
-                            vec_iadd(field, col,
-                                     {blocks.locate(dst, (i, zi, yi2)): c})
-                    if col:
-                        rel_cols.append(col)
-            quot = Quotient(field, blocks.total, rel_cols)
-            data[(r, k)] = (blocks, quot)
+                            col[index[(dst, (i, zi, yi2))]] = c
+                    rel_cols.append(col)
+            quot = Quotient(field, len(keys), rel_cols)
+            slots[(r, k)] = (keys, quot)
             labels = []
             for gi in quot.free:
-                (p, q), li = blocks.split(gi)
-                i, zi, yi = blocks.basis[(p, q)][li]
-                zl = Z.basis[(p, i)][zi]
-                yl = Y.basis[(q, k - i)][yi]
-                labels.append((zl, yl, p, q, i))
+                (p, q), (i, zi, yi) = keys[gi]
+                labels.append((Z.basis[(p, i)][zi], Y.basis[(q, k - i)][yi],
+                               p, q, i))
             if labels:
                 out.basis[(r, k)] = labels
 
-    def ambient_diff(r, k, v):
-        "tensor differential on the flat coordinate space, objectwise"
-        blocks, _ = data[(r, k)]
-        tblocks, _ = data[(r, k + 1)]
-        w = {}
-        for gi, c in v.items():
-            obj, li = blocks.split(gi)
-            p, q = obj
-            i, zi, yi = blocks.basis[obj][li]
-            for zi2, x in zdiff(p, i)[zi].items():
-                vec_iadd(field, w,
-                         {tblocks.locate(obj, (i + 1, zi2, yi)): x}, c)
-            sgn = field.sign(i)
-            for yi2, x in ydiff(q, k - i)[yi].items():
-                vec_iadd(field, w, {tblocks.locate(obj, (i, zi, yi2)):
-                                    field.mul(sgn, x)}, c)
+    def d(k, key):
+        "the tensor differential, objectwise"
+        obj, (i, zi, yi) = key
+        w = {(obj, (i + 1, zi2, yi)): x
+             for zi2, x in zdiff(obj[0], i)[zi].items()}
+        sgn = field.sign(i)
+        for yi2, x in ydiff(obj[1], k - i)[yi].items():
+            w[(obj, (i, zi, yi2))] = field.mul(sgn, x)
         return w
 
-    for r in P.elements:
-        for k in range(kmin, kmax + 1):
-            _, quot = data[(r, k)]
-            _, tquot = data[(r, k + 1)]
-            m = SparseMatrix(field, tquot.dim, quot.dim)
-            for col in range(quot.dim):
-                w = ambient_diff(r, k, quot.include(col))
-                for row, c in tquot.project(w).items():
-                    m[row, col] = c
-            out.d[(r, k)] = m
-    for (r, r2) in P.covers():
-        for k in range(kmin, kmax + 2):
-            blocks, quot = data[(r, k)]
-            blocks2, quot2 = data[(r2, k)]
-            m = SparseMatrix(field, quot2.dim, quot.dim)
-            for col in range(quot.dim):
-                v = quot.include(col)
-                w = {}
-                for gi, c in v.items():
-                    obj, li = blocks.split(gi)
-                    w[blocks2.glob(obj, li)] = c
-                for row, c in quot2.project(w).items():
-                    m[row, col] = c
-            out.phi[(r, r2, k)] = m
-    return out
+    return induce(out, slots, d)
 
 
 def box_tensor_fulldiagram(Z, Y):
@@ -334,53 +306,27 @@ def box_tensor_fulldiagram(Z, Y):
     zmap = functools.cache(lambda p, q, i: Z.structure_map(p, q, i).columns())
     ymap = functools.cache(lambda p, q, j: Y.structure_map(p, q, j).columns())
     for r in P.elements:
-        objs = [(p, q) for p in P.elements for q in P.elements
-                if all(a + b <= c for a, b, c in zip(p, q, r))]
-        edges = [(s, t) for s in objs for t in objs
-                 if s != t and leq(s[0], t[0]) and leq(s[1], t[1])]
+        objs = _box_objects(P, r)
         for k in range(kmin, kmax + 1):
-            blocks = _Blocks()
-            for obj in objs:
-                blocks.add(obj, _pair_basis(Z, Y, obj[0], obj[1], k))
+            keys = _box_keys(Z, Y, objs, k)
+            index = {key: gi for gi, key in enumerate(keys)}
             rel_cols = []
-            for (src, dst) in edges:
-                p, q = src
-                for li, (i, zi, yi) in enumerate(blocks.basis[src]):
+            for gi, ((p, q), (i, zi, yi)) in enumerate(keys):
+                for dst in objs:
+                    if dst == (p, q) or not (leq(p, dst[0])
+                                             and leq(q, dst[1])):
+                        continue
                     fy = ymap(q, dst[1], k - i)[yi]
-                    col = {blocks.glob(src, li): field.neg(field.one)}
+                    col = {gi: field.neg(field.one)}
                     for zi2, cz in zmap(p, dst[0], i)[zi].items():
                         for yi2, cy in fy.items():
-                            vec_iadd(field, col,
-                                     {blocks.locate(dst, (i, zi2, yi2)):
-                                      field.mul(cz, cy)})
-                    if col:
-                        rel_cols.append(col)
-            quot = Quotient(field, blocks.total, rel_cols)
+                            col[index[(dst, (i, zi2, yi2))]] = \
+                                field.mul(cz, cy)
+                    rel_cols.append(col)
+            quot = Quotient(field, len(keys), rel_cols)
             if quot.dim:
                 out.basis[(r, k)] = ["c%d" % i for i in range(quot.dim)]
     return out
-
-
-class _Subspace:
-    "a subspace of a flat coordinate space, with coordinates in its basis"
-
-    def __init__(self, field, cols):
-        self.field = field
-        self.cols = cols
-        self.ech = Echelon(field, track=True)
-        for i, c in enumerate(cols):
-            if self.ech.add(c, tag=i) is None:
-                raise ValueError("subspace basis not independent")
-
-    @property
-    def dim(self):
-        return len(self.cols)
-
-    def coords(self, v):
-        res, combo = self.ech.reduce(v, want_combo=True)
-        if res:
-            raise ValueError("vector not in subspace")
-        return combo
 
 
 def internal_hom(M, N):
@@ -398,20 +344,17 @@ def internal_hom(M, N):
     kmin, kmax = min(degs), max(degs)
 
     def hom_basis(p, q, k):
-        out2 = []
-        for i in mdegs:
-            for mi in range(M.dim(p, i)):
-                for ni in range(N.dim(q, i + k)):
-                    out2.append((i, mi, ni))
-        return out2
+        "(i, mi, ni): basis vector mi of M_p^i to basis vector ni of N_q^(i+k)"
+        return [(i, mi, ni) for i in mdegs for mi in range(M.dim(p, i))
+                for ni in range(N.dim(q, i + k))]
 
-    data = {}
     # nonzero entries of each matrix, read once per matrix: a row of the
     # maps out of M, a column of those of N
     mcov = functools.cache(lambda p, q, i: M.cover_map(p, q, i).rows())
     ncov = functools.cache(lambda p, q, j: N.cover_map(p, q, j).columns())
     mdiff = functools.cache(lambda p, i: M.diff(p, i).rows())
     ndiff = functools.cache(lambda q, j: N.diff(q, j).columns())
+    slots = {}
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
                 if all(c <= b - a for a, b, c in zip(p, q, r))]
@@ -425,80 +368,42 @@ def internal_hom(M, N):
                 if a == q and (p, b) in objset:
                     edges.append(((p, q), (p, b), 1))
         for k in range(kmin, kmax + 2):
-            blocks = _Blocks()
-            for obj in objs:
-                blocks.add(obj, hom_basis(obj[0], obj[1], k))
-            # difference map: rows = edge targets, cols = objects
-            rows = _Blocks()
-            for ei, (src, dst, side) in enumerate(edges):
-                rows.add(ei, blocks.basis[dst])
-            A = SparseMatrix(field, rows.total, blocks.total)
-            for ei, (src, dst, side) in enumerate(edges):
-                p, q = src
-                for li, (i, mi, ni) in enumerate(blocks.basis[src]):
-                    gi = blocks.glob(src, li)
+            local = {obj: hom_basis(*obj, k) for obj in objs}
+            keys = [(obj, t) for obj in objs for t in local[obj]]
+            index = {key: gi for gi, key in enumerate(keys)}
+            # difference map: a row (ei, t) per edge ei and key t of its target
+            rows = {}
+            for ei, (_, dst, _) in enumerate(edges):
+                for t in local[dst]:
+                    rows[(ei, t)] = len(rows)
+            A = SparseMatrix(field, len(rows), len(keys))
+            for ei, ((p, q), dst, side) in enumerate(edges):
+                for (i, mi, ni) in local[(p, q)]:
+                    gi = index[((p, q), (i, mi, ni))]
                     if side == 0:
                         for mi2, c in mcov(dst[0], p, i)[mi].items():
-                            ri = rows.locate(ei, (i, mi2, ni))
-                            A[ri, gi] = field.add(A[ri, gi], c)
+                            A[rows[(ei, (i, mi2, ni))], gi] = c
                     else:
                         for ni2, c in ncov(q, dst[1], i + k)[ni].items():
-                            ri = rows.locate(ei, (i, mi, ni2))
-                            A[ri, gi] = field.add(A[ri, gi], c)
-                for li2 in range(len(blocks.basis[dst])):
-                    gi2 = blocks.glob(dst, li2)
-                    A[rows.glob(ei, li2), gi2] = \
-                        field.sub(A[rows.glob(ei, li2), gi2], field.one)
-            ker = kernel_basis(A)
-            sub = _Subspace(field, ker)
-            data[(r, k)] = (blocks, sub)
-            if ker:
-                out.basis[(r, k)] = ["h%d" % i for i in range(len(ker))]
+                            A[rows[(ei, (i, mi, ni2))], gi] = c
+                for t in local[dst]:
+                    A[rows[(ei, t)], index[(dst, t)]] = field.neg(field.one)
+            sub = Subspace(field, kernel_basis(A))
+            slots[(r, k)] = (keys, sub)
+            if sub.dim:
+                out.basis[(r, k)] = ["h%d" % i for i in range(sub.dim)]
 
-    def ambient_diff(r, k, v):
-        "hom differential objectwise: d f = d_N f - (-1)^k f d_M"
-        blocks, _ = data[(r, k)]
-        tblocks, _ = data[(r, k + 1)]
-        nsgn = field.sign(k + 1)  # -(-1)^k
-        w = {}
-        for gi, c in v.items():
-            obj, li = blocks.split(gi)
-            p, q = obj
-            i, mi, ni = blocks.basis[obj][li]
-            for ni2, x in ndiff(q, i + k)[ni].items():
-                vec_iadd(field, w, {tblocks.locate(obj, (i, mi, ni2)): x}, c)
-            if i - 1 in mdegs:
-                for mi2, x in mdiff(p, i - 1)[mi].items():
-                    vec_iadd(field, w, {tblocks.locate(obj, (i - 1, mi2, ni)):
-                                        field.mul(nsgn, x)}, c)
+    def d(k, key):
+        "the hom differential objectwise: d f = d_N f - (-1)^k f d_M"
+        obj, (i, mi, ni) = key
+        w = {(obj, (i, mi, ni2)): x
+             for ni2, x in ndiff(obj[1], i + k)[ni].items()}
+        nsgn = field.sign(k + 1)
+        for mi2, x in mdiff(obj[0], i - 1)[mi].items():
+            w[(obj, (i - 1, mi2, ni))] = field.mul(nsgn, x)
         return w
 
-    for r in P.elements:
-        for k in range(kmin, kmax + 1):
-            _, sub = data[(r, k)]
-            _, tsub = data[(r, k + 1)]
-            m = SparseMatrix(field, tsub.dim, sub.dim)
-            for col in range(sub.dim):
-                w = ambient_diff(r, k, sub.cols[col])
-                for row, c in tsub.coords(w).items():
-                    m[row, col] = c
-            out.d[(r, k)] = m
-    for (r, r2) in P.covers():
-        for k in range(kmin, kmax + 2):
-            blocks, sub = data[(r, k)]
-            blocks2, sub2 = data[(r2, k)]
-            m = SparseMatrix(field, sub2.dim, sub.dim)
-            for col in range(sub.dim):
-                v = sub.cols[col]
-                w = {}
-                for gi, c in v.items():
-                    obj, li = blocks.split(gi)
-                    if obj in blocks2.offset:
-                        w[blocks2.glob(obj, li)] = c
-                for row, c in sub2.coords(w).items():
-                    m[row, col] = c
-            out.phi[(r, r2, k)] = m
-    return out
+    return induce(out, slots, d)
 
 
 def linear_dual(Z):
@@ -508,51 +413,30 @@ def linear_dual(Z):
 
 def p_filtration(field, poset, cx, labels_perv):
     """the perverse complex Filt_p = {c : labels(c) <= p and labels(dc) <= p}
-    inside a plain labeled complex; labels_perv maps basis label -> perversity"""
+    inside a plain labeled complex; labels_perv maps basis label -> perversity.
+    The keys of a slot are the indices of the basis labels below p"""
     Z = PerverseComplex(field, poset)
-    data = {}
     degs = cx.degrees()
     if not degs:
         return Z
     kmin, kmax = min(degs), max(degs)
+    dcols = functools.cache(lambda k: cx.diff(k).columns())
+    slots = {}
     for p in poset.elements:
+        below = {k: [i for i, l in enumerate(cx.basis.get(k, []))
+                     if leq(labels_perv[l], p)] for k in range(kmin, kmax + 3)}
         for k in range(kmin, kmax + 2):
-            labs = cx.basis.get(k, [])
-            allowed = [i for i, l in enumerate(labs) if leq(labels_perv[l], p)]
-            nxt = cx.basis.get(k + 1, [])
-            bad_next = [i for i, l in enumerate(nxt) if not leq(labels_perv[l], p)]
-            # kernel of (project to disallowed rows) o d on span(allowed)
-            dk = cx.diff(k)
-            A = SparseMatrix(field, len(bad_next), len(allowed))
-            for cidx, j in enumerate(allowed):
-                for ridx, i in enumerate(bad_next):
-                    A[ridx, cidx] = dk[i, j]
-            cols = []
-            for kv in kernel_basis(A):
-                cols.append({allowed[j]: c for j, c in kv.items()})
-            sub = _Subspace(field, cols)
-            data[(p, k)] = sub
+            # kernel of d followed by the projection to the labels not <= p
+            ok = set(below[k + 1])
+            A = SparseMatrix.from_columns(
+                field, cx.dim(k + 1),
+                [{i: c for i, c in dcols(k)[j].items() if i not in ok}
+                 for j in below[k]])
+            sub = Subspace(field, kernel_basis(A))
+            slots[(p, k)] = (below[k], sub)
             if sub.dim:
                 Z.basis[(p, k)] = ["f%d" % i for i in range(sub.dim)]
-    for p in poset.elements:
-        for k in range(kmin, kmax + 1):
-            sub, tsub = data[(p, k)], data[(p, k + 1)]
-            m = SparseMatrix(field, tsub.dim, sub.dim)
-            dk = cx.diff(k)
-            for col in range(sub.dim):
-                w = dk.apply(sub.cols[col])
-                for row, c in tsub.coords(w).items():
-                    m[row, col] = c
-            Z.d[(p, k)] = m
-    for (p, q) in poset.covers():
-        for k in range(kmin, kmax + 2):
-            sub, qsub = data[(p, k)], data[(q, k)]
-            m = SparseMatrix(field, qsub.dim, sub.dim)
-            for col in range(sub.dim):
-                for row, c in qsub.coords(sub.cols[col]).items():
-                    m[row, col] = c
-            Z.phi[(p, q, k)] = m
-    return Z
+    return induce(Z, slots, lambda k, j: dcols(k)[j])
 
 
 def cofibrancy_certificate(Z):

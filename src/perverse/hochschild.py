@@ -58,6 +58,13 @@ def middle_words(A, L):
 # two-sided bar complex
 
 
+def bar_ok(A, word):
+    "the bar word a[w]b is normalized and its label sum stays under the top"
+    a, w, b = word
+    return A.unit not in w and A.sum_labels_ok(
+        A.lam(a), *[A.lam(x) for x in w], A.lam(b))
+
+
 class Bar:
     """truncated normalized two-sided bar complex of an augmented pDGA;
     vectors are dicts {(a, middle, b): coefficient}"""
@@ -67,8 +74,7 @@ class Bar:
         self.L = L
         self.words = [(a, w, b) for w in middle_words(A, L)
                       for a in A.names for b in A.names
-                      if A.sum_labels_ok(A.lam(a), *(
-                          [A.lam(x) for x in w] + [A.lam(b)]))]
+                      if bar_ok(A, (a, w, b))]
 
     def degree(self, word):
         a, w, b = word
@@ -76,11 +82,8 @@ class Bar:
 
     def _push(self, out, word, coeff):
         "add coeff * word into out when word is normalized and admissible"
-        A = self.A
-        a, w, b = word
-        if all(x != A.unit for x in w) and A.sum_labels_ok(
-                A.lam(a), *([A.lam(x) for x in w] + [A.lam(b)])):
-            vec_iadd(A.field, out, {word: coeff})
+        if bar_ok(self.A, word):
+            vec_iadd(self.A.field, out, {word: coeff})
 
     def D_word(self, word):
         A, F = self.A, self.A.field
@@ -153,11 +156,13 @@ class Bar:
 # Hochschild chains
 
 
-class Chains:
+class Chains(SlotComplex):
     """Hochschild chain complex of A with coefficients in an up-type
-    bimodule M; vectors are dicts {(m, word): coefficient}"""
+    bimodule M; vectors are dicts {(m, word): coefficient}, and a slot
+    (r, q) has the pairs (m, w) of degree q with label at most r"""
 
     def __init__(self, A, M, L):
+        super().__init__(A.field)
         self.A = A
         self.M = M
         self.L = L
@@ -231,6 +236,17 @@ class Chains:
         for key, c in vec.items():
             vec_iadd(F, out, self.D_key(key), c)
         return out
+
+    def matrix(self, r, q):
+        # labels only decrease under D: the image stays inside the slot
+        return self.assemble(r, q, self.D_key)
+
+    def margin(self, r, q):
+        "length headroom of the slot below the truncation bound"
+        pr = self.basis(r, q)
+        if not pr:
+            return self.L
+        return self.L - max(len(w) for (_, w) in pr)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from collections import namedtuple
 
 from .linalg import SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub
 from .algebra import tensor_pdga, algebra_as_bimodule
-from .hochschild import Bar, Cochains, word_sdeg, sdeg, index_cochain
+from .hochschild import (Bar, Cochains, bar_ok, word_sdeg, sdeg,
+                         index_cochain)
 from .structure import (cup, bracket, BVOperator, record_identity,
                         run_identity)
 
@@ -53,14 +54,6 @@ def _cross_parity(sh, sa, sb):
 
 # ---------------------------------------------------------------------------
 # bar-word plumbing
-
-
-def _bar_ok(A, word):
-    "normalized and label-admissible in the truncation-free sense"
-    a, w, b = word
-    if any(x == A.unit for x in w):
-        return False
-    return A.sum_labels_ok(A.lam(a), *([A.lam(x) for x in w] + [A.lam(b)]))
 
 
 def bar_degree(A, word):
@@ -123,7 +116,7 @@ def alexander_whitney(A, B, T, word, coeff=None):
             for y, cy in rb.items():
                 u = (a[0], tuple(a[1:i + 1]), x)
                 v = (y, tuple(b[i + 1:k + 1]), b[k + 1])
-                if _bar_ok(A, u) and _bar_ok(B, v):
+                if bar_ok(A, u) and bar_ok(B, v):
                     vec_iadd(F, out, {(u, v): F.mul(cx, cy)}, s)
     return out
 
@@ -164,7 +157,7 @@ def eilenberg_zilber(A, B, T, u, v, coeff=None):
         if any(e not in T.degree for e in mid):
             continue
         word = ((a0, b0), tuple(mid), (a1, b1))
-        if not _bar_ok(T, word):
+        if not bar_ok(T, word):
             continue
         s = F.sign(par0 + _cross_parity(sh, sa, sb))
         vec_iadd(F, out, {word: s}, coeff)

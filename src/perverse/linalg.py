@@ -313,6 +313,34 @@ class Quotient:
         return {self.free[k]: self.field.one}
 
 
+class Subspace:
+    """the span of some independent columns of R^n, with the interface of
+    Quotient: include gives a basis vector, project its coordinates"""
+
+    def __init__(self, field, cols):
+        self.field = field
+        self.cols = cols
+        self.ech = Echelon(field, track=True)
+        for i, c in enumerate(cols):
+            if self.ech.add(c, tag=i) is None:
+                raise ValueError("subspace basis not independent")
+
+    @property
+    def dim(self):
+        return len(self.cols)
+
+    def project(self, v):
+        "coordinates of v, which must lie in the subspace, as a dict"
+        res, combo = self.ech.reduce(v, want_combo=True)
+        if res:
+            raise ValueError("vector not in subspace")
+        return combo
+
+    def include(self, k):
+        "the k-th basis vector"
+        return self.cols[k]
+
+
 class Subquotient:
     """ker(d_out) / im(d_in) inside R^n, with representatives and coordinates."""
 

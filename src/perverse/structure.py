@@ -17,7 +17,7 @@ and reports pass/fail with witnesses.
 
 import random
 
-from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_add, vec_scale,
+from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
                      vec_sub, solve)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
@@ -337,35 +337,6 @@ def connes_B_dual(A, f, fdeg, words):
 
 
 # ---------------------------------------------------------------------------
-# slot homology of chains
-
-
-class ChainsSlots(SlotComplex):
-    "per-slot bases, differential matrices and homology of Hochschild chains"
-
-    def __init__(self, A, L, lo, hi):
-        super().__init__(A.field)
-        self.A = A
-        self.ch = Chains(A, algebra_as_bimodule(A), L)
-        self.L = L
-        self.lo, self.hi = lo, hi
-
-    def slot_basis(self, r, q):
-        return self.ch.slot_basis(r, q)
-
-    def matrix(self, r, q):
-        # labels only decrease under D: the image stays inside the slot
-        return self.assemble(r, q, self.ch.D_key)
-
-    def margin(self, r, q):
-        "length headroom of the slot below the truncation bound"
-        pr = self.basis(r, q)
-        if not pr:
-            return self.L
-        return self.L - max(len(w) for (_, w) in pr)
-
-
-# ---------------------------------------------------------------------------
 # duality data and the BV operator
 
 
@@ -565,7 +536,7 @@ class _Suite:
         self.words = middle_words(A, L)
         self.M = algebra_as_bimodule(A)
         self.cx = Cochains(A, self.M, L, lo - 1, hi + 1)
-        self.cs = ChainsSlots(A, L, lo, hi)
+        self.cs = Chains(A, self.M, L)
         self.bv = self.cxm = None
 
     def ops(self, cochains):
@@ -740,7 +711,7 @@ class _Suite:
 
     def calculus_bracket(self, d):
         (_, q, z), picks, rr = d
-        ch, ((_, qf, _), (_, qg, _)) = self.cs.ch, picks
+        ch, ((_, qf, _), (_, qg, _)) = self.cs, picks
         fop, gop = self.ops(picks)
         br = cochain_op(self.A, self.co(bracket_op(fop, gop)), qf + qg - 1)
         lhs = iota(ch, br, z)
@@ -748,32 +719,32 @@ class _Suite:
         # identity suite is the arbiter of that placement
         rhs = self.signed(qg * (qf + 1), lie(ch, fop, iota(ch, gop, z)))
         rhs = vec_sub(self.F, rhs, iota(ch, gop, lie(ch, fop, z)))
-        return self.cs.is_boundary(rr, q + qf + qg - 1,
-                                   vec_sub(self.F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf + qg - 1,
+                              vec_sub(self.F, lhs, rhs))
 
     def calculus_cup(self, d):
         (_, q, z), picks, rr = d
-        ch, ((_, qf, _), (_, qg, _)) = self.cs.ch, picks
+        ch, ((_, qf, _), (_, qg, _)) = self.cs, picks
         fop, gop = self.ops(picks)
         fg = cochain_op(self.A, self.co(cup_op(fop, gop)), qf + qg)
         lhs = lie(ch, fg, z)
         rhs = lie(ch, fop, iota(ch, gop, z))
         vec_iadd(self.F, rhs, iota(ch, fop, lie(ch, gop, z)), self.F.sign(qf))
-        return self.cs.is_boundary(rr, q + qf + qg - 1,
-                                   vec_sub(self.F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf + qg - 1,
+                              vec_sub(self.F, lhs, rhs))
 
     def calculus_lie(self, d):
         (_, q, z), ((f, qf, _), _), rr = d
-        ch, fop = self.cs.ch, cochain_op(self.A, f, qf)
+        ch, fop = self.cs, cochain_op(self.A, f, qf)
         lhs = lie(ch, fop, z)
         rhs = connes_B(ch, iota(ch, fop, z))
         rhs = vec_sub(self.F, rhs, self.signed(qf, iota(ch, fop,
                                                         connes_B(ch, z))))
-        return self.cs.is_boundary(rr, q + qf - 1, vec_sub(self.F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf - 1, vec_sub(self.F, lhs, rhs))
 
     def ginzburg(self, d):
         (_, q, z), picks, rr = d
-        F, ch, ((_, qf, _), (_, qg, _)) = self.F, self.cs.ch, picks
+        F, ch, ((_, qf, _), (_, qg, _)) = self.F, self.cs, picks
         fop, gop = self.ops(picks)
         br = cochain_op(self.A, self.co(bracket_op(fop, gop)), qf + qg - 1)
         fg = cochain_op(self.A, self.co(cup_op(fop, gop)), qf + qg)
@@ -785,7 +756,7 @@ class _Suite:
         vec_iadd(F, rhs, iota(ch, fg, connes_B(ch, z)), F.sign(qg))
         # the identity holds with the four B-terms carrying the same
         # leading minus the dual-side cyclic operator does
-        return self.cs.is_boundary(rr, q + qf + qg - 1, vec_add(F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf + qg - 1, vec_add(F, lhs, rhs))
 
     def delta_squared(self, slot):
         try:

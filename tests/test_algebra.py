@@ -324,3 +324,40 @@ def test_module_tensor_is_pinned():
             (z, t, 8): {(0, 0): 1},
         },
     }
+
+
+def test_module_hom_is_pinned_across_covers():
+    """Hom_A(A, A) on Poset(4) for A = 1, x, y, z = dy with zero products
+    and labels x, z at e1 and y at e2: a pair (m, n) leaves the slot once
+    lam(m) + r is past the top, so the identity at e2 loses its (x, x) and
+    (z, z) terms at e3"""
+    e0, e1, e2, e3 = P4.elements
+    gens = [("1", 0, e0), ("x", 2, e1), ("y", 3, e2), ("z", 4, e1)]
+    prods = {(a, b): {} for a in "xyz" for b in "xyz"}
+    A = PDGA(QQ, P4, gens, "1", diff={"y": {"z": QQ.one}}, products=prods)
+    H = module_hom(algebra_as_bimodule(A), algebra_as_bimodule(A), (-1, 4))
+    H.validate()
+    assert pinned(H) == {
+        "basis": {
+            (e0, 0): ['f0'],
+            (e1, 0): ['f0'], (e1, 2): ['f0'], (e1, 4): ['f0'],
+            (e2, 0): ['f0'], (e2, 2): ['f0'], (e2, 3): ['f0'],
+            (e2, 4): ['f0'],
+            (e3, 0): ['f0'], (e3, 2): ['f0'], (e3, 3): ['f0'],
+            (e3, 4): ['f0'],
+        },
+        "d": {
+            (e2, 3): {(0, 0): 1},
+            (e3, 3): {(0, 0): 1},
+        },
+        "phi": {
+            (e0, e1, 0): {(0, 0): 1},
+            (e1, e2, 0): {(0, 0): 1},
+            (e1, e2, 2): {(0, 0): 1},
+            (e1, e2, 4): {(0, 0): 1},
+            (e2, e3, 0): {(0, 0): 1},
+            (e2, e3, 2): {(0, 0): 1},
+            (e2, e3, 3): {(0, 0): 1},
+            (e2, e3, 4): {(0, 0): 1},
+        },
+    }

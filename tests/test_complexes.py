@@ -374,3 +374,89 @@ def test_internal_hom_is_pinned():
             (z, t, 0): {(0, 0): 1},
         },
     }
+
+
+# The same constructions on the chain e0 < e1 < e2 < e3 of Poset(4), where
+# three covers compose and an object of the hom limit is absent at the
+# larger perversity; recorded before the constructions shared one builder.
+
+
+def pin_inputs_p4():
+    "X: S^1 with x at e1; Y: a disk with d y = 2 z, y at e1 and z at e0"
+    P = Poset(4)
+    e0, e1, _, _ = P.elements
+    X = p_filtration(QQ, P, ChainComplex(QQ, {0: ["1"], 1: ["x"]}),
+                     {"1": e0, "x": e1})
+    D = ChainComplex(QQ, {0: ["y"], 1: ["z"]},
+                     {0: SparseMatrix(QQ, 1, 1, {(0, 0): QQ.of(2)})})
+    Y = p_filtration(QQ, P, D, {"y": e1, "z": e0})
+    return P, X, Y
+
+
+def test_box_tensor_is_pinned_across_covers():
+    P, X, Y = pin_inputs_p4()
+    e0, e1, e2, e3 = P.elements
+    B = box_tensor(X, Y)
+    B.validate()
+    assert pinned(B) == {
+        "basis": {
+            (e0, 1): [('f0', 'f0', e0, e0, 0)],
+            (e1, 0): [('f0', 'f0', e0, e1, 0)],
+            (e1, 1): [('f0', 'f0', e1, e0, 0)],
+            (e1, 2): [('f0', 'f0', e1, e0, 1)],
+            (e2, 0): [('f0', 'f0', e0, e2, 0)],
+            (e2, 1): [('f0', 'f0', e2, e0, 0)],
+            (e2, 2): [('f0', 'f0', e2, e0, 1)],
+            (e3, 0): [('f0', 'f0', e2, e1, 0)],
+            (e3, 1): [('f0', 'f0', e2, e1, 1), ('f0', 'f0', e3, e0, 0)],
+            (e3, 2): [('f0', 'f0', e3, e0, 1)],
+        },
+        "d": {
+            (e1, 0): {(0, 0): 2},
+            (e2, 0): {(0, 0): 2},
+            (e3, 0): {(1, 0): 2},
+            (e3, 1): {(0, 0): -2},
+        },
+        "phi": {
+            (e0, e1, 1): {(0, 0): 1},
+            (e1, e2, 0): {(0, 0): 1},
+            (e1, e2, 1): {(0, 0): 1},
+            (e1, e2, 2): {(0, 0): 1},
+            (e2, e3, 0): {(0, 0): 1},
+            (e2, e3, 1): {(1, 0): 1},
+            (e2, e3, 2): {(0, 0): 1},
+        },
+    }
+
+
+def test_internal_hom_is_pinned_across_covers():
+    P, X, Y = pin_inputs_p4()
+    e0, e1, e2, e3 = P.elements
+    H = internal_hom(Y, X)
+    H.validate()
+    assert pinned(H) == {
+        "basis": {
+            (e0, -1): ['h0'], (e0, 0): ['h0'], (e0, 1): ['h0'],
+            (e1, -1): ['h0'], (e1, 0): ['h0', 'h1'], (e1, 1): ['h0'],
+            (e2, -1): ['h0'], (e2, 0): ['h0', 'h1'], (e2, 1): ['h0'],
+            (e3, -1): ['h0'], (e3, 0): ['h0'],
+        },
+        "d": {
+            (e0, -1): {(0, 0): 2},
+            (e1, -1): {(0, 0): 2},
+            (e1, 0): {(0, 1): -2},
+            (e2, -1): {(0, 0): 2},
+            (e2, 0): {(0, 1): -2},
+        },
+        "phi": {
+            (e0, e1, -1): {(0, 0): 1},
+            (e0, e1, 0): {(0, 0): 1},
+            (e0, e1, 1): {(0, 0): 1},
+            (e1, e2, -1): {(0, 0): 1},
+            (e1, e2, 0): {(0, 0): 1, (1, 1): 1},
+            (e1, e2, 1): {(0, 0): 1},
+            (e2, e3, -1): {(0, 0): 1},
+            # h0 at e2 lives on objects absent at e3, so it maps to zero
+            (e2, e3, 0): {(0, 1): 1},
+        },
+    }

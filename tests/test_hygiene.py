@@ -9,6 +9,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
+def source_trees():
+    "(file name, parsed tree) of each module in src/perverse"
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                yield fname, ast.parse(fh.read(), fname)
+
+
 def _own_nodes(fn):
     "the nodes of fn's body, without the bodies of nested scopes"
     todo = list(ast.iter_child_nodes(fn))
@@ -43,10 +51,19 @@ def unread_locals(tree):
 
 
 def test_no_function_assigns_a_name_it_never_reads():
-    found = []
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname)) as fh:
-                tree = ast.parse(fh.read(), fname)
-            found += [(fname,) + hit for hit in unread_locals(tree)]
+    found = [(fname,) + hit for fname, tree in source_trees()
+             for hit in unread_locals(tree)]
+    assert not found, found
+
+
+def private_imports(tree):
+    "each `_`-prefixed name a module imports from another module"
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name():
+    found = [(fname, name) for fname, tree in source_trees()
+             for name in private_imports(tree)]
     assert not found, found

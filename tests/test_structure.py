@@ -14,7 +14,7 @@ from perverse.structure import (cochain_op, mult_op, diff_op, unit_cochain,
                                 to_cochain, brace, circle, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
                                 connes_B, phi_pairing, phi_pairing_inv,
-                                connes_B_dual, ChainsSlots, find_duality_class,
+                                connes_B_dual, find_duality_class,
                                 BVOperator, random_cochain, verify_calculus,
                                 GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
 
@@ -202,7 +202,7 @@ def test_iota_is_a_module_map_on_homology():
     for A in (sphere_algebra(QQ, P3, 2),
               truncated_polynomial(QQ, P3, 2, power=3)):
         words = middle_words(A, L)
-        cs = ChainsSlots(A, L, -2, 6)
+        cs = Chains(A, algebra_as_bimodule(A), L)
         cx = Cochains(A, algebra_as_bimodule(A), L, -3, 6)
         reps = [(q, rep) for q in range(-2, 5)
                 for rep in cx.representatives(Z0, q)]
@@ -216,8 +216,8 @@ def test_iota_is_a_module_map_on_homology():
                 fg = cochain_op(A, to_cochain(cup_op(fop, gop), words),
                                 qf + qg)
                 for qc, z in chains:
-                    lhs = iota(cs.ch, fop, iota(cs.ch, gop, z))
-                    rhs = iota(cs.ch, fg, z)
+                    lhs = iota(cs, fop, iota(cs, gop, z))
+                    rhs = iota(cs, fg, z)
                     assert cs.is_boundary(Z0, qc + qf + qg,
                                           vec_sub(QQ, lhs, rhs))
                     checked += 1
@@ -230,8 +230,7 @@ def test_lie_satisfies_cartan_module_axioms_on_homology():
     L = 5
     A = sphere_algebra(QQ, P3, 2)
     words = middle_words(A, L)
-    cs = ChainsSlots(A, L, -2, 8)
-    ch = cs.ch
+    ch = cs = Chains(A, algebra_as_bimodule(A), L)
     cx = Cochains(A, algebra_as_bimodule(A), L, -3, 8)
     reps = [(q, rep) for q in range(-2, 5)
             for rep in cx.representatives(Z0, q)]
@@ -268,11 +267,11 @@ def test_two_sum_lie_shape_misses_length_zero_chains():
     # is not, so the two-sum shape cannot be the right operator
     A = sphere_algebra(QQ, P3, 2)
     L = 4
-    cs = ChainsSlots(A, L, -2, 6)
+    cs = Chains(A, algebra_as_bimodule(A), L)
     f = {((), "x"): QQ.one}
     fop = cochain_op(A, f, 2)
     z = {(A.unit, ()): QQ.one}
-    out = lie(cs.ch, fop, z)
+    out = lie(cs, fop, z)
     assert out == {(A.unit, ("x",)): QQ.one}
     assert not cs.is_boundary(Z0, 1, out)
 
