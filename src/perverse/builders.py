@@ -49,16 +49,17 @@ def corpus(field, poset):
     }
 
 
-def random_pdga(field, poset, seed, max_gens=3, max_deg=4, labeled=True):
-    """seeded random pDGA: a square-zero extension of the ground field, with
-    an optional x*x = y relation and a matched-pair differential"""
+def random_pdga(field, poset, seed, labeled=True):
+    """seeded random pDGA: a square-zero extension of the ground field by
+    one to three generators of degrees 2 to 4, with an optional x*x = y
+    relation and a matched-pair differential"""
     rng = random.Random(seed)
-    k = rng.randint(1, max_gens)
+    k = rng.randint(1, 3)
     gens = [("1", 0, poset.zero)]
     names = []
     for i in range(k):
         nm = "v%d" % i
-        deg = rng.randint(2, max_deg)
+        deg = rng.randint(2, 4)
         lab = rng.choice(poset.elements) if labeled else poset.zero
         gens.append((nm, deg, lab))
         names.append(nm)

@@ -29,7 +29,7 @@ from .poset import Poset, is_perversity
 from .linalg import SparseMatrix
 from .complexes import ChainComplex, p_filtration, cofibrancy_certificate
 from .algebra import PDGA, algebra_as_bimodule
-from .hochschild import hh_table
+from .hochschild import Cochains, hh_table
 from .structure import (BVOperator, verify_calculus, GERSTENHABER_IDS,
                         CALCULUS_IDS, BV_IDS)
 from .kunneth import compare_hh
@@ -366,7 +366,8 @@ def cmd_bv(args, out):
     A = load_pdga(args.algebra)
     lo, hi = args.window
     try:
-        bv = BVOperator(A, args.max_length, lo, hi, n=args.duality_degree)
+        bv = BVOperator(Cochains(A, algebra_as_bimodule(A), args.max_length),
+                        n=args.duality_degree)
     except (ValueError, LookupError) as e:
         _emit([{"identity": "duality class", "status": "fail",
                 "trials": 0, "witness": str(e)}], args.json, out)

@@ -58,6 +58,12 @@ def middle_words(A, L):
 # two-sided bar complex
 
 
+def bar_degree(A, word):
+    "degree |a| + |b| + sum(|a_i| - 1) of the bar word a[a_1|...|a_k]b"
+    a, w, b = word
+    return A.deg(a) + A.deg(b) + word_sdeg(A, w)
+
+
 def bar_ok(A, word):
     "the bar word a[w]b is normalized and its label sum stays under the top"
     a, w, b = word
@@ -75,10 +81,6 @@ class Bar:
         self.words = [(a, w, b) for w in middle_words(A, L)
                       for a in A.names for b in A.names
                       if bar_ok(A, (a, w, b))]
-
-    def degree(self, word):
-        a, w, b = word
-        return self.A.deg(a) + self.A.deg(b) + word_sdeg(self.A, w)
 
     def _push(self, out, word, coeff):
         "add coeff * word into out when word is normalized and admissible"
@@ -307,15 +309,14 @@ def apply_cochain_D(A, M, f, fdeg, words):
 class Cochains(SlotComplex):
     """length-truncated normalized Hochschild cochain complex of A with
     coefficients in a bimodule M; a slot (r, q) has the admissible pairs
-    (w, m) of degree q as its basis"""
+    (w, m) of degree q as its basis.  (A, M, L) fix it: the queries that read
+    a degree window take it as an argument"""
 
-    def __init__(self, A, M, L, lo, hi):
+    def __init__(self, A, M, L):
         super().__init__(A.field)
         self.A = A
         self.M = M
         self.L = L
-        self.lo = lo
-        self.hi = hi
         self.words = middle_words(A, L)
         self.gens = A.nonunit()
         # suspended degree and label of each word, extending its prefix's
@@ -336,15 +337,19 @@ class Cochains(SlotComplex):
                 for y in v:
                     self.preimages.setdefault(y, []).append((a, b))
 
-    def window_exact(self):
-        "truncation is lossless on [lo, hi] under these conditions"
+    def window_exact(self, lo):
+        "truncation is lossless in every degree from lo up"
         nz = [self.A.deg(x) for x in self.gens]
         if not nz:
             return True
         if min(nz) < 2:
             return False
         top = max(self.M.degree.values())
-        return self.L >= top - self.lo
+        return self.L >= top - lo
+
+    def restrict(self, f):
+        "the terms of the cochain f on words this complex carries"
+        return {(w, m): c for (w, m), c in f.items() if len(w) <= self.L}
 
     def slot_basis(self, r, q):
         "the admissible pairs (w, m) of degree q at r, ordered by w, then m"
@@ -387,19 +392,19 @@ class Cochains(SlotComplex):
 
         return self.assemble(r, q, image)
 
-    def table(self):
-        "dim HH at each slot of the window: n_q - rank d_q - rank d_(q-1)"
+    def table(self, lo, hi):
+        "dim HH at each slot of degrees lo..hi: n_q - rank d_q - rank d_(q-1)"
         out = {}
         for r in self.A.poset.elements:
             rank = {q: self.differential(r, q).rank()
-                    for q in range(self.lo - 1, self.hi + 1)}
-            for q in range(self.lo, self.hi + 1):
+                    for q in range(lo - 1, hi + 1)}
+            for q in range(lo, hi + 1):
                 out[(r, q)] = len(self.basis(r, q)) - rank[q] - rank[q - 1]
         return out
 
 
 def hh_table(A, M, L, lo, hi):
-    return Cochains(A, M, L, lo, hi).table()
+    return Cochains(A, M, L).table(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +453,14 @@ def hh_table_oracle(A, M, L, lo, hi):
             return self.assemble(r, q, lambda p: {
                 k: c for k, c in dphi(*p, q, words).items() if k in dst})
 
-    return BarDual(A, M, L, lo, hi).table()
+    return BarDual(A, M, L).table(lo, hi)
 
 
 # ---------------------------------------------------------------------------
 # action of HC(A) on HC(A, M)
 
 
-def action_pairing(A, M, f, fdeg, g, gdeg, words):
+def action_pairing(A, M, f, g, gdeg, words):
     """(f.g)(w) = sum over splits of +- f(head) acting on g(tail), the left
     module action composed with A box_A M = M; f is a cochain over (A, A),
     g over (A, M)"""
@@ -543,7 +548,7 @@ def induced_word_map(A, B, fmap, w):
     return cur
 
 
-def hc_postcompose(A, B, fmap, g):
+def hc_postcompose(A, fmap, g):
     "HC(A, A) -> HC(A, B as A-bimodule): postcompose values with f"
     F = A.field
     out = {}
@@ -570,15 +575,14 @@ class InducedHH:
     HH(f~, B)^{-1} o HH(A, f); the inverse exists on cohomology only and is
     obtained by linear solves against representative bases."""
 
-    def __init__(self, A, B, fmap, L, lo, hi):
+    def __init__(self, A, B, fmap, L):
         self.A, self.B, self.fmap = A, B, fmap
         check_pdga_map(A, B, fmap)
         if not is_quasi_iso(A, B):
             raise ValueError("HH(f) needs a quasi-isomorphism")
-        self.ca = Cochains(A, algebra_as_bimodule(A), L, lo, hi)
-        self.cb = Cochains(B, algebra_as_bimodule(B), L, lo, hi)
-        self.cm = Cochains(A, restrict_bimodule(A, B, fmap), L, lo, hi)
-        self.lo, self.hi = lo, hi
+        self.ca = Cochains(A, algebra_as_bimodule(A), L)
+        self.cb = Cochains(B, algebra_as_bimodule(B), L)
+        self.cm = Cochains(A, restrict_bimodule(A, B, fmap), L)
 
     def matrix(self, r, q):
         "HH(f) on homology bases: columns map HH^q(A)_r into HH^q(B)_r"
@@ -589,7 +593,7 @@ class InducedHH:
         # push A-classes into the middle complex
         mid_of_a = []
         for rep in self.ca.representatives(r, q):
-            g = hc_postcompose(self.A, self.B, self.fmap, rep)
+            g = hc_postcompose(self.A, self.fmap, rep)
             mid_of_a.append(self.cm.coords_of(r, q, g))
         words = sorted({w for (w, m) in self.cm.basis(r, q)}, key=repr)
         mid_of_b = []

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .linalg import SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub
 from .algebra import tensor_pdga, algebra_as_bimodule
-from .hochschild import (Bar, Cochains, bar_ok, word_sdeg, sdeg,
+from .hochschild import (Bar, Cochains, bar_degree, bar_ok, sdeg,
                          index_cochain)
 from .structure import (cup, bracket, BVOperator, record_identity,
                         run_identity)
@@ -52,13 +52,21 @@ def _cross_parity(sh, sa, sb):
     return sum(sa[i] * sb[j] for i, j in sh.cross)
 
 
+def _interleave(A, B, T, wa, wb, sh):
+    """the middle word of T with entries (a, 1) at the positions sh.apos and
+    (1, b) at sh.bpos, or None when a paired entry is not a generator of T"""
+    mid = [None] * (sh.s + sh.t)
+    for i, p in enumerate(sh.apos):
+        mid[p] = (wa[i], B.unit)
+    for j, p in enumerate(sh.bpos):
+        mid[p] = (A.unit, wb[j])
+    if any(e not in T.degree for e in mid):
+        return None
+    return tuple(mid)
+
+
 # ---------------------------------------------------------------------------
 # bar-word plumbing
-
-
-def bar_degree(A, word):
-    a, w, b = word
-    return A.deg(a) + A.deg(b) + word_sdeg(A, w)
 
 
 def pair_D(A, B, vec):
@@ -68,7 +76,7 @@ def pair_D(A, B, vec):
     out = {}
     for (u, v), c in vec.items():
         vec_iadd(F, out, {(u2, v): cu for u2, cu in ba.D_word(u).items()}, c)
-        s = F.mul(c, F.sign(ba.degree(u)))
+        s = F.mul(c, F.sign(bar_degree(A, u)))
         vec_iadd(F, out, {(u, v2): cv for v2, cv in bb.D_word(v).items()}, s)
     return out
 
@@ -149,14 +157,10 @@ def eilenberg_zilber(A, B, T, u, v, coeff=None):
     par0 = B.deg(b0) * sum(sa) + A.deg(a1) * (B.deg(b0) + sum(sb))
     out = {}
     for sh in shuffles(len(wa), len(wb)):
-        mid = [None] * (sh.s + sh.t)
-        for i, p in enumerate(sh.apos):
-            mid[p] = (wa[i], B.unit)
-        for j, p in enumerate(sh.bpos):
-            mid[p] = (A.unit, wb[j])
-        if any(e not in T.degree for e in mid):
+        mid = _interleave(A, B, T, wa, wb, sh)
+        if mid is None:
             continue
-        word = ((a0, b0), tuple(mid), (a1, b1))
+        word = ((a0, b0), mid, (a1, b1))
         if not bar_ok(T, word):
             continue
         s = F.sign(par0 + _cross_parity(sh, sa, sb))
@@ -199,18 +203,12 @@ def shuffle_product(A, B, T, x, y, maxlen=None):
             sb = [sdeg(B, z) for z in wb]
             c = F.mul(F.mul(cx, cy), F.sign(B.deg(n0) * sum(sa)))
             for sh in shuffles(len(wa), len(wb)):
-                mid = [None] * (sh.s + sh.t)
-                for i, p in enumerate(sh.apos):
-                    mid[p] = (wa[i], B.unit)
-                for j, p in enumerate(sh.bpos):
-                    mid[p] = (A.unit, wb[j])
-                if any(e not in T.degree for e in mid):
-                    continue
-                if not T.sum_labels_ok(T.lam((m0, n0)),
-                                       *[T.lam(e) for e in mid]):
+                mid = _interleave(A, B, T, wa, wb, sh)
+                if mid is None or not T.sum_labels_ok(
+                        T.lam((m0, n0)), *[T.lam(e) for e in mid]):
                     continue
                 s = F.sign(_cross_parity(sh, sa, sb))
-                vec_iadd(F, out, {((m0, n0), tuple(mid)): s}, c)
+                vec_iadd(F, out, {((m0, n0), mid): s}, c)
     return out
 
 
@@ -292,15 +290,16 @@ def compare_hh(A, B, L, window):
     T = tensor_pdga(A, B)
     loA, hiA = hh_degree_support(A, L)
     loB, hiB = hh_degree_support(B, L)
-    cxA = Cochains(A, algebra_as_bimodule(A), L, loA, hiA)
-    cxB = Cochains(B, algebra_as_bimodule(B), L, loB, hiB)
-    cxT = Cochains(T, algebra_as_bimodule(T), L, lo, hi)
-    cxTm = Cochains(T, algebra_as_bimodule(T), L - 1, lo, hi)
-    tabA, tabB, tabT = cxA.table(), cxB.table(), cxT.table()
+    cxA = Cochains(A, algebra_as_bimodule(A), L)
+    cxB = Cochains(B, algebra_as_bimodule(B), L)
+    cxT = Cochains(T, algebra_as_bimodule(T), L)
+    cxTm = Cochains(T, cxT.M, L - 1)
+    tabA, tabB = cxA.table(loA, hiA), cxB.table(loB, hiB)
+    tabT = cxT.table(lo, hi)
     # one truncation level down, to certify slot-wise convergence in L
-    tabAm = Cochains(A, algebra_as_bimodule(A), L - 1, loA, hiA).table()
-    tabBm = Cochains(B, algebra_as_bimodule(B), L - 1, loB, hiB).table()
-    tabTm = cxTm.table()
+    tabAm = Cochains(A, cxA.M, L - 1).table(loA, hiA)
+    tabBm = Cochains(B, cxB.M, L - 1).table(loB, hiB)
+    tabTm = cxTm.table(lo, hi)
     # AW of 1[w]1 depends on w alone: evaluate it once per middle word of
     # cxT for all the transports below
     aw = aw_table(A, B, T, cxT.words)
@@ -364,9 +363,6 @@ def compare_hh(A, B, L, window):
     record_identity(records, "transported basis spans HH of the tensor", fails,
                     ran, skipped=skipped)
 
-    def restrict(f):
-        return {(w, m): c for (w, m), c in f.items() if len(w) < L}
-
     def image_pairs(shift):
         """pairs of transported classes at (r, q) and (r, q2) whose product
         degree q + q2 - shift lies in the window"""
@@ -408,7 +404,8 @@ def compare_hh(A, B, L, window):
                             qg + qg2 - 1, aw)
         rhs = vec_add(F, vec_scale(F, F.sign((qf2 - 1) * qg), t1),
                       vec_scale(F, F.sign(qf2 * (qg - 1)), t2))
-        return cxTm.is_boundary(r, q + q2 - 1, restrict(vec_sub(F, lhs, rhs)))
+        return cxTm.is_boundary(r, q + q2 - 1,
+                                cxTm.restrict(vec_sub(F, lhs, rhs)))
 
     run_identity(records, "bracket transports to the two-term tensor bracket",
                  image_pairs(1), bracket_transports, pair_witness)
@@ -425,16 +422,14 @@ def compare_hh(A, B, L, window):
         rhs = vec_add(F, tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw),
                       vec_scale(F, F.sign(qf), tensor_cochain(
                           A, B, T, f, qf, dB, qg - 1, aw)))
-        return cxTm.is_boundary(r, q - 1, restrict(vec_sub(F, dT, rhs)))
+        return cxTm.is_boundary(r, q - 1, cxTm.restrict(vec_sub(F, dT, rhs)))
 
     def delta_witness(d):
         r, q, ((_, qf, _, qg), _) = d
         return {"slot": (r, q), "degrees": (qf, qg)}
 
     try:
-        bvA = BVOperator(A, L, loA, hiA)
-        bvB = BVOperator(B, L, loB, hiB)
-        bvT = BVOperator(T, L, lo, hi)
+        bvA, bvB, bvT = BVOperator(cxA), BVOperator(cxB), BVOperator(cxT)
     except (ValueError, LookupError) as e:
         records.append({"identity": "Delta transport", "status": "skipped",
                         "trials": 0, "witness": str(e)})

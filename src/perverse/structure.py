@@ -21,9 +21,8 @@ from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
                      vec_sub, solve)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
-from .hochschild import (sdeg, word_sdeg, middle_words, eval_cochain,
-                         index_cochain, apply_cochain_D, Chains, Cochains,
-                         action_pairing)
+from .hochschild import (sdeg, word_sdeg, eval_cochain, index_cochain,
+                         apply_cochain_D, Chains, Cochains, action_pairing)
 
 
 def _undual(x):
@@ -389,54 +388,51 @@ def find_duality_class(A, n=None):
 
 class BVOperator:
     """Delta on HH representatives: Delta(f).[c] = B_dual(f.[c]) solved per
-    slot against the action images of the lower-degree representative basis"""
+    slot against the action images of the lower-degree representative basis.
+    cx is the algebra-coefficient Cochains of A at length L, built by the
+    caller and shared with it; A and L are read from it"""
 
-    def __init__(self, A, L, lo, hi, n=None):
-        self.A = A
+    def __init__(self, cx, n=None):
+        A, L = cx.A, cx.L
+        self.A, self.cx = A, cx
         self.n, self.cycle = find_duality_class(A, n)
         self.D = dual_bimodule(A)
         if L < 2:
             raise ValueError("need word length at least 2 for the cyclic "
                              "operator")
-        self.cx = Cochains(A, algebra_as_bimodule(A), L, lo, hi)
-        self.cd = Cochains(A, self.D, L, lo, hi)
+        self.cd = Cochains(A, self.D, L)
         # the cyclic operator on dual cochains reads one word length above
         # its output, so every class comparison that involves it happens in
         # a complex truncated one length lower (restriction is a chain map)
-        self.cdm = Cochains(A, self.D, L - 1, lo, hi)
+        self.cdm = Cochains(A, self.D, L - 1)
         self.c = {((), bs): c for bs, c in self.cycle.items()}
         self.cdeg = -self.n
-        self.lo, self.hi = lo, hi
 
-    def _restrict(self, f):
-        "drop the word lengths the truncated dual complex does not carry"
-        return {(w, m): c for (w, m), c in f.items() if len(w) < self.cd.L}
-
-    def act_c(self, f, fdeg):
+    def act_c(self, f):
         "f.[c] in HC(A, DA)"
-        return action_pairing(self.A, self.D, f, fdeg, self.c, self.cdeg,
+        return action_pairing(self.A, self.D, f, self.c, self.cdeg,
                               self.cd.words)
 
     def bdual_act(self, f, fdeg):
-        return connes_B_dual(self.A, self.act_c(f, fdeg), fdeg + self.cdeg,
+        return connes_B_dual(self.A, self.act_c(f), fdeg + self.cdeg,
                              self.cd.words)
 
     def unit_obstruction(self, r):
         "coordinates of B_dual([c]); Delta(1) = 0 iff this is a boundary"
         bv = connes_B_dual(self.A, self.c, self.cdeg, self.cd.words)
-        return self.cdm.coords_of(r, self.cdeg - 1, self._restrict(bv))
+        return self.cdm.coords_of(r, self.cdeg - 1, self.cdm.restrict(bv))
 
     def delta(self, r, q, f):
         """Delta of the cocycle f at slot (r, q): returns (cochain, coords)
         with coords in the HH^{q-1} representative basis"""
-        F = self.A.field
-        bv = self._restrict(self.bdual_act(f, q))
-        target = self.cdm.coords_of(r, q - 1 + self.cdeg, bv)
+        F, cdm = self.A.field, self.cdm
+        bv = cdm.restrict(self.bdual_act(f, q))
+        target = cdm.coords_of(r, q - 1 + self.cdeg, bv)
         reps = self.cx.representatives(r, q - 1)
-        cols = [self.cdm.coords_of(r, q - 1 + self.cdeg,
-                                   self._restrict(self.act_c(g, q - 1)))
+        cols = [cdm.coords_of(r, q - 1 + self.cdeg,
+                              cdm.restrict(self.act_c(g)))
                 for g in reps]
-        H = self.cdm.homology(r, q - 1 + self.cdeg)
+        H = cdm.homology(r, q - 1 + self.cdeg)
         mat = SparseMatrix.from_columns(F, H.dim, cols)
         if reps and mat.rank() != len(reps):
             # the certified duality action can only lose injectivity here
@@ -463,15 +459,15 @@ class BVOperator:
 # the identity suite
 
 
-def random_cochain(A, words, q, rng, density=0.5):
-    "random degree-q cochain supported on the given words"
+def random_cochain(A, words, q, rng):
+    "random degree-q cochain on words, each term drawn with probability 1/2"
     F = A.field
     out = {}
     for w in words:
         for x in A.names:
             if A.deg(x) - word_sdeg(A, w) != q:
                 continue
-            if rng.random() < density:
+            if rng.random() < 0.5:
                 c = F.of(rng.choice([1, -1, 2]))
                 if not F.iszero(c):
                     out[(w, x)] = c
@@ -527,15 +523,16 @@ class _Suite:
     a check never reads.  A cocycle is drawn as (z, q, r): a combination z
     of the degree-q representatives at slot r.  Samplers leave out the
     trials whose slot sum does not exist, and checks build their own Ops,
-    so a trial left out costs no cochain work"""
+    so a trial left out costs no cochain work.  A bv given for (A, L) lends
+    the suite its cochain complex cx"""
 
-    def __init__(self, A, L, lo, hi, trials, seed):
+    def __init__(self, A, L, lo, hi, trials, seed, bv=None):
         self.A, self.F, self.P = A, A.field, A.poset
         self.L, self.lo, self.hi, self.trials = L, lo, hi, trials
         self.rng = random.Random(seed)
-        self.words = middle_words(A, L)
-        self.M = algebra_as_bimodule(A)
-        self.cx = Cochains(A, self.M, L, lo - 1, hi + 1)
+        self.cx = (Cochains(A, algebra_as_bimodule(A), L) if bv is None
+                   else bv.cx)
+        self.M, self.words = self.cx.M, self.cx.words
         self.cs = Chains(A, self.M, L)
         self.bv = self.cxm = None
 
@@ -784,7 +781,7 @@ class _Suite:
         t3 = self.co(cup_op(fop, cochain_op(A, dg, qg - 1)))
         rhs = vec_sub(F, rhs, self.signed(qf, t3))
         return self.cxm.is_boundary(rr, qf + qg - 1,
-                                    bv._restrict(vec_sub(F, lhs, rhs)))
+                                    self.cxm.restrict(vec_sub(F, lhs, rhs)))
 
     def menichi(self, d):
         ((f, qf, _), (g, qg, _)), rr = d
@@ -796,20 +793,19 @@ class _Suite:
         D, cdeg, cwords = bv.D, bv.cdeg, bv.cd.words
         fop, gop = self.ops(d[0])
         fug = self.co(cup_op(fop, gop))
-        lhs = bv.act_c(self.co(bracket_op(fop, gop)), qf + qg - 1)
+        lhs = bv.act_c(self.co(bracket_op(fop, gop)))
         rhs = self.signed(qf, bv.bdual_act(fug, qf + qg))
-        t2 = action_pairing(A, D, f, qf, bv.bdual_act(g, qg), qg + cdeg - 1,
+        t2 = action_pairing(A, D, f, bv.bdual_act(g, qg), qg + cdeg - 1,
                             cwords)
         rhs = vec_sub(F, rhs, t2)
-        t3 = action_pairing(A, D, g, qg, bv.bdual_act(f, qf), qf + cdeg - 1,
+        t3 = action_pairing(A, D, g, bv.bdual_act(f, qf), qf + cdeg - 1,
                             cwords)
         vec_iadd(F, rhs, t3, F.sign((qf - 1) * (qg - 1)))
-        t4 = action_pairing(A, D, fug, qf + qg,
-                            connes_B_dual(A, bv.c, cdeg, cwords), cdeg - 1,
-                            cwords)
+        t4 = action_pairing(A, D, fug, connes_B_dual(A, bv.c, cdeg, cwords),
+                            cdeg - 1, cwords)
         vec_iadd(F, rhs, t4, F.sign(qg))
         return bv.cdm.is_boundary(rr, qf + qg - 1 + cdeg,
-                                  bv._restrict(vec_sub(F, lhs, rhs)))
+                                  bv.cdm.restrict(vec_sub(F, lhs, rhs)))
 
 
 def _degrees(cochains):
@@ -880,10 +876,10 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True, bv=None):
     """run the identity suite and return a list of records
     {identity, status, trials, witness}.  Chain-level identities are exact;
     cohomology identities are decided by coboundary-membership solves.
-    The BV block runs on bv, a BVOperator already built for (A, L, lo, hi),
-    when one is given; else when with_bv is set and A is commutative with a
-    detected duality class; otherwise its record says why it was skipped."""
-    s = _Suite(A, L, lo, hi, trials, seed)
+    The BV block runs on bv, a BVOperator already built for (A, L), when one
+    is given; else when with_bv is set and A is commutative with a detected
+    duality class; otherwise its record says why it was skipped."""
+    s = _Suite(A, L, lo, hi, trials, seed, bv)
     report = []
 
     def run(rows):
@@ -895,7 +891,7 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True, bv=None):
     skip = "unsupported: non-commutative duality lift"
     if bv is None and with_bv and A.is_commutative():
         try:
-            bv = BVOperator(A, L, lo, hi)
+            bv = BVOperator(s.cx)
         except LookupError as e:
             skip = str(e)
     s.bv = bv
@@ -903,6 +899,6 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True, bv=None):
         report.append({"identity": BV_IDS[0], "status": "skipped",
                        "trials": 0, "witness": skip})
     else:
-        s.cxm = Cochains(A, s.M, L - 1, lo - 1, hi + 1)
+        s.cxm = Cochains(A, s.M, L - 1)
         run(_BV)
     return report

@@ -6,7 +6,8 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "perverse")
 
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef)
 
 
 def source_trees():
@@ -33,7 +34,7 @@ def unread_locals(tree):
     `_`-prefixed names and global/nonlocal names are skipped"""
     out = []
     for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(fn, _FUNCTIONS):
             continue
         stored, declared = set(), set()
         for node in _own_nodes(fn):
@@ -66,4 +67,38 @@ def private_imports(tree):
 def test_no_module_imports_a_private_name():
     found = [(fname, name) for fname, tree in source_trees()
              for name in private_imports(tree)]
+    assert not found, found
+
+
+# parameters kept although their function never reads them, with the reason
+_KEPT_PARAMETERS = {
+    # perfbench/tracer.py records the AW bar word as the 4th positional
+    # argument of alexander_whitney, so T keeps its place before it
+    ("kunneth.py", "alexander_whitney", "T"),
+}
+
+
+def unread_parameters(tree):
+    """(function, parameter) for each parameter of a module-level function
+    or method that the body, nested scopes included, never reads.  Nested
+    functions and lambdas are not checked, since their callers fix their
+    signatures; nor is the first parameter (self or cls) of a method"""
+    fns = [(n, 0) for n in tree.body if isinstance(n, _FUNCTIONS)]
+    fns += [(n, 1) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for n in cls.body if isinstance(n, _FUNCTIONS)]
+    out = []
+    for fn, skip in fns:
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params = params[skip:] + [p.arg for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(fn.name, p) for p in params if p not in read]
+    return out
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    found = [(fname,) + hit for fname, tree in source_trees()
+             for hit in unread_parameters(tree)
+             if (fname,) + hit not in _KEPT_PARAMETERS]
     assert not found, found

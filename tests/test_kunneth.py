@@ -12,7 +12,7 @@ from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, random_pdga)
 from perverse.hochschild import (Bar, Chains, Cochains, middle_words, sdeg,
                                  apply_cochain_D)
-from perverse.structure import connes_B
+from perverse.structure import connes_B, verify_calculus
 from perverse.kunneth import (shuffles, alexander_whitney,
                               alexander_whitney_vec, eilenberg_zilber,
                               eilenberg_zilber_vec, pair_D, shuffle_product,
@@ -321,9 +321,8 @@ def test_transported_cocycles_stay_cocycles():
     A = B = S2
     T = tensor_pdga(A, B)
     L = 3
-    loA, hiA = hh_degree_support(A, L)
-    cx = Cochains(A, algebra_as_bimodule(A), L, loA, hiA)
-    cxT = Cochains(T, algebra_as_bimodule(T), L, -3, 3)
+    cx = Cochains(A, algebra_as_bimodule(A), L)
+    cxT = Cochains(T, algebra_as_bimodule(T), L)
     MT = algebra_as_bimodule(T)
     aw = aw_table(A, B, T, cxT.words)
     checked = 0
@@ -352,10 +351,30 @@ def test_compare_hh_evaluates_aw_once_per_middle_word(monkeypatch):
     rep = compare_hh(S2, S2, 2, (-1, 1))
     assert all(r["status"] == "pass" for r in rep["records"]), rep["records"]
     T = tensor_pdga(S2, S2)
-    words = Cochains(T, algebra_as_bimodule(T), 2, -1, 1).words
+    words = Cochains(T, algebra_as_bimodule(T), 2).words
     assert len(words) == 13
     assert sorted(seen, key=repr) == sorted(
         ((T.unit, w, T.unit) for w in words), key=repr)
+
+
+def test_each_cochain_complex_is_built_once(monkeypatch):
+    # a complex is fixed by its algebra, coefficient basis and length, so
+    # within one call the suites and the BV operators they build share one
+    # per key; S2 with S3 keeps compare_hh's two factor complexes apart
+    built = []
+    init = Cochains.__init__
+
+    def recording(self, A, M, L, *args):
+        init(self, A, M, L, *args)
+        built.append((id(A), tuple(M.names), L))
+
+    monkeypatch.setattr(Cochains, "__init__", recording)
+    for run in (lambda: verify_calculus(S2, 3, -2, 2, trials=2),
+                lambda: compare_hh(S2, S3, 2, (-1, 1))):
+        built.clear()
+        run()
+        repeated = [k for k in set(built) if built.count(k) > 1]
+        assert not repeated, repeated
 
 
 def test_compare_hh_records_pinned_under_a_faulty_cup(monkeypatch):

@@ -203,7 +203,7 @@ def test_iota_is_a_module_map_on_homology():
               truncated_polynomial(QQ, P3, 2, power=3)):
         words = middle_words(A, L)
         cs = Chains(A, algebra_as_bimodule(A), L)
-        cx = Cochains(A, algebra_as_bimodule(A), L, -3, 6)
+        cx = Cochains(A, algebra_as_bimodule(A), L)
         reps = [(q, rep) for q in range(-2, 5)
                 for rep in cx.representatives(Z0, q)]
         chains = [(qc, z) for qc in range(0, 4)
@@ -231,7 +231,7 @@ def test_lie_satisfies_cartan_module_axioms_on_homology():
     A = sphere_algebra(QQ, P3, 2)
     words = middle_words(A, L)
     ch = cs = Chains(A, algebra_as_bimodule(A), L)
-    cx = Cochains(A, algebra_as_bimodule(A), L, -3, 8)
+    cx = Cochains(A, algebra_as_bimodule(A), L)
     reps = [(q, rep) for q in range(-2, 5)
             for rep in cx.representatives(Z0, q)]
     chains = [(qc, z) for qc in range(0, 4)
@@ -434,7 +434,7 @@ def test_duality_gate_reports_missing_class():
 @pytest.mark.parametrize("n", [2, 3])
 def test_bv_operator_on_spheres(n):
     A = sphere_algebra(QQ, P3, n)
-    bv = BVOperator(A, 5, -6, 6)
+    bv = BVOperator(Cochains(A, algebra_as_bimodule(A), 5))
     assert bv.n == n
     for r in P3.elements:
         assert bv.unit_obstruction(r) == {}
@@ -455,7 +455,7 @@ def test_bv_unstable_slot_raises():
     # HH^{-5} of the even sphere needs full-length words at L = 5; the
     # duality solve refuses instead of guessing
     A = sphere_algebra(QQ, P3, 2)
-    bv = BVOperator(A, 5, -6, 6)
+    bv = BVOperator(Cochains(A, algebra_as_bimodule(A), 5))
     f = bv.cx.representatives(Z0, -4)[0]
     with pytest.raises(LookupError, match="stable truncation window"):
         bv.delta(Z0, -4, f)
