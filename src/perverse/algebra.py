@@ -152,42 +152,36 @@ class PDGA:
     def is_commutative(self):
         return self.validate()["commutative"]
 
-    def _slots(self):
-        "the underlying diagram of complexes, as a module with no action"
-        elems = [(x, self.degree[x], "up", self.label[x]) for x in self.names]
-        return ModuleSlots(Bimodule(self, elems, diff=self.diffs))
-
     def carrier(self):
-        "the underlying PerverseComplex, slot bases ordered as self.names"
-        Z = PerverseComplex(self.field, self.poset)
-        slots = self._slots()
-        for p in self.poset.elements:
+        """the underlying PerverseComplex: slot (p, k) holds the names of
+        degree k with label <= p, in self.names order.  A term of d(x) off
+        degree |x| + 1 or above the label of x raises ValueError, since the
+        slot of x at its own label would lack it; no product is read"""
+        F, P = self.field, self.poset
+        for x, v in self.diffs.items():
+            for y in v:
+                if self.degree.get(y) != self.degree[x] + 1:
+                    raise ValueError("d(%r) has a term %r off degree %d"
+                                     % (x, y, self.degree[x] + 1))
+                if not leq(self.label[y], self.label[x]):
+                    raise ValueError("d(%r) has a term %r above its label"
+                                     % (x, y))
+        Z = PerverseComplex(F, P)
+        slots = {}
+        for p in P.elements:
             for k in self.degrees():
-                if slots.basis(p, k):
-                    Z.basis[(p, k)] = list(slots.basis(p, k))
-                    if slots.basis(p, k + 1):
-                        Z.d[(p, k)] = slots.matrix(p, k)
-        for (p, q) in self.poset.covers():
-            for k in self.degrees():
-                src = slots.basis(p, k)
-                if not src:
-                    continue
-                dst = slots.index(q, k)
-                m = SparseMatrix(self.field, len(dst), len(src))
-                for j, x in enumerate(src):
-                    m[dst[x], j] = self.field.one
-                Z.phi[(p, q, k)] = m
-        return Z
-
-    def homology(self):
-        "table (p, degree) -> slot Subquotient of the underlying diagram"
-        slots = self._slots()
-        degs = self.degrees()
-        return {(p, k): slots.homology(p, k) for p in self.poset.elements
-                for k in range(min(degs), max(degs) + 2)}
+                keys = [x for x in self.names if self.degree[x] == k
+                        and leq(self.label[x], p)]
+                if keys:
+                    slots[(p, k)] = (keys, Quotient(F, len(keys), []))
+                    Z.basis[(p, k)] = keys
+        return induce(Z, slots, lambda k, x: self.d(x))
 
     def homology_dims(self):
-        return {pk: H.dim for pk, H in self.homology().items() if H.dim}
+        "{(p, k): dim} of the nonzero homology of the underlying diagram"
+        Z = self.carrier()
+        return {(p, k): h for p in self.poset.elements
+                for k, h in Z.homology(p).items() if h}
 
     def opposite(self):
         F = self.field

@@ -344,12 +344,11 @@ def cmd_hh(args, out):
     return 0
 
 
-def _run_suite(args, out, keep):
+def _run_suite(args, out, ids):
     A = load_pdga(args.algebra)
     lo, hi = args.window
-    report = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
-                             seed=args.seed, with_bv=False)
-    recs = [r for r in report if r["identity"] in keep]
+    recs = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
+                           seed=args.seed, ids=ids)
     _emit(recs, args.json, out)
     return _status(recs)
 
@@ -388,9 +387,8 @@ def cmd_bv(args, out):
                     "shape": [m.nrows, m.ncols],
                     "text": "Delta p=%s q=%+d: %dx%d"
                     % (list(r), q, m.nrows, m.ncols)})
-    report = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
-                             seed=args.seed, bv=bv)
-    checks = [r for r in report if r["identity"] in BV_IDS]
+    checks = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
+                             seed=args.seed, ids=BV_IDS, bv=bv)
     _emit(recs + checks, args.json, out)
     return _status(checks)
 
@@ -492,16 +490,15 @@ def build_parser():
         description="Hochschild cohomology of perverse DGAs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=None, window=True):
+    def common(p, trials=None):
         p.add_argument("algebra",
                        help="JSON description file or fixture name "
                             "(e.g. sphere2)")
         p.add_argument("--max-length", type=int, default=3, metavar="L",
                        help="bar word truncation length (default 3)")
-        if window:
-            p.add_argument("--window", type=_window, default=(-2, 2),
-                           metavar="LO..HI",
-                           help="cohomological degree window (default -2..2)")
+        p.add_argument("--window", type=_window, default=(-2, 2),
+                       metavar="LO..HI",
+                       help="cohomological degree window (default -2..2)")
         if trials is not None:
             p.add_argument("--trials", type=int, default=trials,
                            help="trials per randomized identity")

@@ -344,18 +344,13 @@ class Subspace:
 class Subquotient:
     """ker(d_out) / im(d_in) inside R^n, with representatives and coordinates."""
 
-    def __init__(self, field, n, d_out=None, d_in=None):
+    def __init__(self, field, n, d_out, d_in=None):
         self.field = field
         self.n = n
-        if d_out is None:
-            cycles = [{i: field.one} for i in range(n)]
-        else:
-            if d_out.ncols != n:
-                raise ValueError("outgoing differential has %d columns, "
-                                 "not %d" % (d_out.ncols, n))
-            cycles = []
-            for k in kernel_basis(d_out):
-                cycles.append(k)
+        if d_out.ncols != n:
+            raise ValueError("outgoing differential has %d columns, not %d"
+                             % (d_out.ncols, n))
+        cycles = kernel_basis(d_out)
         self.bech = Echelon(field)
         if d_in is not None:
             if d_in.nrows != n:

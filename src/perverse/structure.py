@@ -872,24 +872,34 @@ CALCULUS_IDS = tuple(row[0] for row in _CALCULUS)
 BV_IDS = ("BV block",) + tuple(row[0] for row in _BV)
 
 
-def verify_calculus(A, L, lo, hi, trials=20, seed=0, with_bv=True, bv=None):
+def verify_calculus(A, L, lo, hi, trials=20, seed=0, ids=None, bv=None):
     """run the identity suite and return a list of records
     {identity, status, trials, witness}.  Chain-level identities are exact;
     cohomology identities are decided by coboundary-membership solves.
-    The BV block runs on bv, a BVOperator already built for (A, L), when one
-    is given; else when with_bv is set and A is commutative with a detected
-    duality class; otherwise its record says why it was skipped."""
+    ids, when given, names the identities to check and record; a row it
+    leaves out still draws its samples, so the others see the same draws.
+    The BV block runs when ids is None or names one of BV_IDS: on bv, a
+    BVOperator already built for (A, L), when one is given; else when A is
+    commutative with a detected duality class; otherwise its record says
+    why it was skipped."""
     s = _Suite(A, L, lo, hi, trials, seed, bv)
     report = []
 
     def run(rows):
         for identity, sample, check, witness in rows:
-            run_identity(report, identity, sample(s),
-                         lambda data, check=check: check(s, data), witness)
+            if ids is None or identity in ids:
+                run_identity(report, identity, sample(s),
+                             lambda data, check=check: check(s, data),
+                             witness)
+            else:
+                for _ in sample(s):
+                    pass
 
     run(_GERSTENHABER + _CALCULUS)
+    if ids is not None and not set(ids) & set(BV_IDS):
+        return report
     skip = "unsupported: non-commutative duality lift"
-    if bv is None and with_bv and A.is_commutative():
+    if bv is None and A.is_commutative():
         try:
             bv = BVOperator(s.cx)
         except LookupError as e:

@@ -160,6 +160,42 @@ def test_carrier_is_cofibrant_perverse_complex():
     assert rep["cofibrant_sufficient"], rep["failures"]
 
 
+def test_carrier_of_a_labeled_random_pdga_is_pinned():
+    # exact slots and maps of a labeled pDGA with a differential, recorded
+    # before the carrier went through complexes.induce
+    A = random_pdga(QQ, P4, 5)
+    z, a, b, t = P4.elements
+    one = {(0, 0): 1}
+    assert pinned(A.carrier()) == {
+        "basis": {(z, 0): ["1"], (z, 4): ["v1"],
+                  (a, 0): ["1"], (a, 3): ["v2"], (a, 4): ["v1"],
+                  (b, 0): ["1"], (b, 3): ["v0", "v2"], (b, 4): ["v1"],
+                  (t, 0): ["1"], (t, 3): ["v0", "v2"], (t, 4): ["v1"]},
+        "d": {(a, 3): one, (b, 3): {(0, 1): 1}, (t, 3): {(0, 1): 1}},
+        "phi": {(z, a, 0): one, (z, a, 4): one,
+                (a, b, 0): one, (a, b, 3): {(1, 0): 1}, (a, b, 4): one,
+                (b, t, 0): one, (b, t, 3): {(0, 0): 1, (1, 1): 1},
+                (b, t, 4): one}}
+    assert A.homology_dims() == {(z, 0): 1, (z, 4): 1, (a, 0): 1, (b, 0): 1,
+                                 (b, 3): 1, (t, 0): 1, (t, 3): 1}
+
+
+@pytest.mark.parametrize("y_degree, y_label, message", [
+    (3, P3.top, "above its label"),
+    (4, P3.zero, "off degree 3"),
+])
+def test_carrier_rejects_a_differential_that_leaves_its_slot(
+        y_degree, y_label, message):
+    # d x = y with y missing from the slot of x at the label of x, or in
+    # the wrong degree: both the carrier and its homology refuse it
+    A = PDGA(QQ, P3, [("1", 0, P3.zero), ("x", 2, P3.zero),
+                      ("y", y_degree, y_label)], "1",
+             diff={"x": {"y": 1}}, products={})
+    for build in (A.carrier, A.homology_dims):
+        with pytest.raises(ValueError, match="d\\('x'\\) .*" + message):
+            build()
+
+
 def test_algebra_bimodule_axioms():
     for name, A in corpus(QQ, P3).items():
         M = algebra_as_bimodule(A)

@@ -9,7 +9,7 @@ import pytest
 from perverse.fields import QQ
 from perverse.poset import Poset
 from perverse.builders import sphere_algebra, truncated_polynomial, corpus
-from perverse import cli
+from perverse import cli, structure
 
 P3 = Poset(3)
 
@@ -249,6 +249,26 @@ def test_bv_builds_one_operator_and_hands_it_to_the_suite(monkeypatch):
     assert len(built) == 1 and built[0].n == 2
     assert handed == built
     assert "Delta squared = 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bv", "sphere2", "--trials", "3"],
+    ["gerstenhaber-check", "sphere2"],
+])
+def test_suite_commands_check_only_what_they_print(monkeypatch, argv):
+    checked = []
+    run_identity = structure.run_identity
+
+    def recording(report, identity, *args):
+        checked.append(identity)
+        return run_identity(report, identity, *args)
+
+    monkeypatch.setattr(structure, "run_identity", recording)
+    code, out = run(argv + ["--json"])
+    assert code == 0, out
+    printed = [json.loads(line).get("identity") for line in out.splitlines()]
+    assert checked == [i for i in printed if i is not None]
+    assert checked
 
 
 def test_bv_rejects_a_non_dpda(tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from perverse.fields import Field, QQ
-from perverse.linalg import SparseMatrix
+from perverse.linalg import SparseMatrix, Subquotient
 from perverse.poset import Poset, leq
 from perverse.complexes import (ChainComplex, point_complex, PerverseComplex,
                                 free_perverse, unit_perverse, box_tensor,
@@ -50,6 +50,31 @@ def random_labeled_complex(field, poset, rng, maxdim=2, degs=(0, 1, 2)):
     cx = ChainComplex(field, basis, d)
     cx.validate()
     return cx, lab
+
+
+def subquotient_dims(field, dims, diff, degs):
+    "{k: dim ker d_k / im d_(k-1)} through a Subquotient per degree"
+    return {k: Subquotient(field, dims(k), d_out=diff(k),
+                           d_in=diff(k - 1)).dim
+            for k in range(degs[0], degs[-1] + 1)} if degs else {}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_homology_from_ranks_matches_subquotients(field):
+    for P in (Poset(3), Poset(4)):
+        rng = random.Random(P.n)
+        for _ in range(8):
+            cx, lab = random_labeled_complex(field, P, rng)
+            cx2, lab2 = random_labeled_complex(field, P, rng, degs=(0, 1))
+            assert cx.homology() == subquotient_dims(
+                field, cx.dim, cx.diff, cx.degrees())
+            Z = p_filtration(field, P, cx, lab)
+            Y = p_filtration(field, P, cx2, lab2)
+            for W in (Z, box_tensor(Z, Y), internal_hom(Y, Z)):
+                for p in P.elements:
+                    assert W.homology(p) == subquotient_dims(
+                        field, lambda k: W.dim(p, k),
+                        lambda k: W.diff(p, k), W.degrees())
 
 
 def test_free_perverse_validates_and_homology():

@@ -102,3 +102,19 @@ def test_no_function_has_a_parameter_it_never_reads():
              for hit in unread_parameters(tree)
              if (fname,) + hit not in _KEPT_PARAMETERS]
     assert not found, found
+
+
+def subquotient_calls(tree):
+    "the line of each call of Subquotient(...) in a module"
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "Subquotient" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))]
+
+
+def test_only_linalg_builds_a_subquotient():
+    # a homology dimension comes from ranks; a Subquotient is built only
+    # where SlotComplex reads representatives or coordinates
+    found = [(fname, line) for fname, tree in source_trees()
+             if fname != "linalg.py" for line in subquotient_calls(tree)]
+    assert not found, found

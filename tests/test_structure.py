@@ -412,13 +412,11 @@ def test_duality_gate_rejects_noncommutative():
     assert not A.is_commutative()
     with pytest.raises(ValueError, match="non-commutative duality lift"):
         find_duality_class(A)
-    # with_bv=True asks for the BV block where it applies: a skip, not a
-    # raise, on a non-commutative algebra
-    for kw in ({}, {"with_bv": True}):
-        rows = verify_calculus(A, 3, -2, 2, trials=2, seed=0, **kw)
-        assert rows[-1] == {
-            "identity": "BV block", "status": "skipped", "trials": 0,
-            "witness": "unsupported: non-commutative duality lift"}
+    # the BV block is a skip, not a raise, on a non-commutative algebra
+    rows = verify_calculus(A, 3, -2, 2, trials=2, seed=0)
+    assert rows[-1] == {
+        "identity": "BV block", "status": "skipped", "trials": 0,
+        "witness": "unsupported: non-commutative duality lift"}
 
 
 def test_duality_gate_reports_missing_class():
@@ -558,3 +556,14 @@ def test_verify_calculus_reports_exactly_the_registered_identities():
              for r in verify_calculus(A, 3, -2, 2, trials=2, seed=0)]
     registry = GERSTENHABER_IDS + CALCULUS_IDS + BV_IDS
     assert sorted(names) == sorted(n for n in registry if n != "BV block")
+
+
+@pytest.mark.parametrize("ids", [GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS,
+                                 ("Jacobi on cohomology", "Menichi identity")])
+def test_verify_calculus_ids_keep_the_records_of_a_full_run(ids):
+    # a row left out still draws its samples, so every kept record equals
+    # its record in the full run
+    A = truncated_polynomial(QQ, P3, 2, power=3)
+    full = verify_calculus(A, 3, -2, 2, trials=3, seed=1)
+    assert verify_calculus(A, 3, -2, 2, trials=3, seed=1, ids=ids) == [
+        r for r in full if r["identity"] in ids]
