@@ -39,12 +39,15 @@ class Op:
     """a homogeneous operation: middle word -> vector in A.  Covers honest
     cochains as well as the two distinguished degree-2 symbols (the
     multiplication, concentrated in length 2, and the differential,
-    concentrated in length 1)."""
+    concentrated in length 1).  lengths holds every word length the Op can
+    be nonzero on; each constructor derives it, and brace, to_cochain, cup,
+    iota and B_dual skip the lengths outside it"""
 
-    def __init__(self, A, deg, fn):
+    def __init__(self, A, deg, fn, lengths):
         self.A = A
         self.deg = deg
         self.fn = fn
+        self.lengths = frozenset(lengths)
 
     def __call__(self, w):
         return self.fn(w)
@@ -53,7 +56,8 @@ class Op:
 def cochain_op(A, f, fdeg):
     "wrap a sparse cochain {(w, a): c}; zero on words with unit entries"
     fw = index_cochain(A.field, f)
-    return Op(A, fdeg, lambda w: dict(eval_cochain(fw, w)))
+    return Op(A, fdeg, lambda w: dict(eval_cochain(fw, w)),
+              {len(w) for w in fw})
 
 
 def mult_op(A):
@@ -65,12 +69,12 @@ def mult_op(A):
             return {}
         return vec_scale(F, F.sign(A.deg(w[0])), A.mul(w[0], w[1]))
 
-    return Op(A, 2, fn)
+    return Op(A, 2, fn, {2})
 
 
 def diff_op(A):
     "d_A([a1]) = d(a1), zero in other lengths; degree 2"
-    return Op(A, 2, lambda w: A.d(w[0]) if len(w) == 1 else {})
+    return Op(A, 2, lambda w: A.d(w[0]) if len(w) == 1 else {}, {1})
 
 
 def unit_cochain(A):
@@ -81,6 +85,8 @@ def to_cochain(op, words):
     F = op.A.field
     out = {}
     for w in words:
+        if len(w) not in op.lengths:
+            continue
         for x, c in op(w).items():
             if not F.iszero(c):
                 out[(w, x)] = c
@@ -92,7 +98,10 @@ def brace_value(op0, ops, w):
     0 <= i_1 <= j_1 <= ... <= i_k <= j_k <= len(w), op_t eating w[i_t:j_t],
     with sign sum_t eps_{i_t} (|op_t| - 1), eps_i = sum_{l<=i} |s(a_l)|.
     Inserted values are expanded multilinearly and fed to op0 as literal
-    middle entries (unit components included: op0 decides)."""
+    middle entries (unit components included: op0 decides).  Only spans
+    with j_t - i_t in ops[t].lengths are visited, and op0 is evaluated only
+    on outer words whose length is in op0.lengths, so every skipped term is
+    zero"""
     A = op0.A
     F = A.field
     m = len(w)
@@ -102,56 +111,50 @@ def brace_value(op0, ops, w):
     eps = [0]
     for x in w:
         eps.append(eps[-1] + sdeg(A, x))
+    lengths = [sorted(o.lengths) for o in ops]
     out = {}
-    spans = []
 
-    def rec(t, start, parity):
+    # ops[:t] placed, eating used letters of w[:start]; partial expands
+    # their values into (outer word up to start, coefficient) terms
+    def rec(t, start, used, parity, partial):
         if t == k:
-            spans.append((parity, list(cur)))
+            if m - used + k not in op0.lengths:
+                return
+            s = F.sign(parity)
+            for pw, pc in partial:
+                v0 = op0(pw + w[start:])
+                if v0:
+                    vec_iadd(F, out, v0, F.mul(s, pc))
             return
         for i in range(start, m + 1):
-            for j in range(i, m + 1):
-                cur.append((i, j))
-                rec(t + 1, j, parity + eps[i] * (ops[t].deg - 1))
-                cur.pop()
+            seg = w[start:i]
+            for l in lengths[t]:
+                j = i + l
+                if j > m:
+                    break
+                v = ops[t](w[i:j])
+                if not v:
+                    continue
+                nxt = [(pw + seg + (x,), F.mul(pc, cx))
+                       for pw, pc in partial for x, cx in v.items()]
+                rec(t + 1, j, used + l, parity + eps[i] * (ops[t].deg - 1),
+                    nxt)
 
-    cur = []
-    rec(0, 0, 0)
-    for parity, pos in spans:
-        vals = []
-        dead = False
-        for t, (i, j) in enumerate(pos):
-            v = ops[t](w[i:j])
-            if not v:
-                dead = True
-                break
-            vals.append(v)
-        if dead:
-            continue
-        # expand the k inserted vectors into scalar outer words
-        partial = [((), F.one)]
-        prev = 0
-        for t, (i, j) in enumerate(pos):
-            seg = w[prev:i]
-            nxt = []
-            for pw, pc in partial:
-                for x, cx in vals[t].items():
-                    nxt.append((pw + seg + (x,), F.mul(pc, cx)))
-            partial = nxt
-            prev = pos[t][1]
-        s = F.sign(parity)
-        for pw, pc in partial:
-            outer = pw + w[prev:]
-            v0 = op0(outer)
-            if not v0:
-                continue
-            vec_iadd(F, out, v0, F.mul(s, pc))
+    rec(0, 0, 0, 0, [((), F.one)])
     return out
 
 
 def brace(op0, ops):
+    """op0{ops}: nonzero on m = n - k + sum_t l_t letters, for n in
+    op0.lengths with n >= k (the outer word holds the k inserted values)
+    and l_t in ops[t].lengths"""
     deg = op0.deg + sum(o.deg - 1 for o in ops)
-    return Op(op0.A, deg, lambda w: brace_value(op0, ops, w))
+    eaten = {0}
+    for o in ops:
+        eaten = {e + l for e in eaten for l in o.lengths}
+    k = len(ops)
+    lengths = {n - k + e for n in op0.lengths if n >= k for e in eaten}
+    return Op(op0.A, deg, lambda w: brace_value(op0, ops, w), lengths)
 
 
 def circle(f, g):
@@ -169,7 +172,7 @@ def op_combine(A, deg, terms):
             vec_iadd(F, out, op(w), F.sign(parity))
         return out
 
-    return Op(A, deg, fn)
+    return Op(A, deg, fn, set().union(*(op.lengths for _, op in terms)))
 
 
 def cup_op(f, g):
@@ -183,6 +186,8 @@ def cup_op(f, g):
     def fn(w):
         out = {}
         for i in range(len(w) + 1):
+            if i not in f.lengths or len(w) - i not in g.lengths:
+                continue
             fv = f(w[:i])
             if not fv:
                 continue
@@ -193,7 +198,8 @@ def cup_op(f, g):
             vec_iadd(F, out, A.mul_vec(fv, gv), s)
         return out
 
-    return Op(A, f.deg + g.deg, fn)
+    return Op(A, f.deg + g.deg, fn,
+              {a + b for a in f.lengths for b in g.lengths})
 
 
 def bracket_op(f, g):
@@ -237,6 +243,8 @@ def iota(ch, op, x):
     for (m0, w), c in x.items():
         s = F.sign(A.deg(m0) * op.deg)
         for k in range(len(w) + 1):
+            if k not in op.lengths:
+                continue
             fv = op(w[:k])
             if not fv:
                 continue
@@ -311,9 +319,13 @@ def connes_B_dual(A, f, fdeg, words):
     cyclic identities come out with their stated signs"""
     F = A.field
     fw = index_cochain(F, f)
+    lengths = {len(w) for w in fw}
     ustar = dual_name(A.unit)
     out = {}
     for w in words:
+        # every cyclic word b.w has length len(w) + 1
+        if len(w) + 1 not in lengths:
+            continue
         for b in A.names:
             sd = [sdeg(A, b)] + [sdeg(A, y) for y in w]
             tot = sum(sd)

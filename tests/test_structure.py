@@ -10,7 +10,7 @@ from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
                                  apply_cochain_D, action_pairing, sdeg)
-from perverse.structure import (cochain_op, mult_op, diff_op, unit_cochain,
+from perverse.structure import (Op, cochain_op, mult_op, diff_op, unit_cochain,
                                 to_cochain, brace, circle, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
                                 connes_B, phi_pairing, phi_pairing_inv,
@@ -53,6 +53,14 @@ def test_random_cochain_stores_no_zero_and_keeps_every_draw():
         (1, -1), (1, -1), (2, 2), (4, 8), (5, 4), (3, 5), (2, 2), (1, -1),
         (0, 0), (2, 3), (4, 5), (1, 2), (1, 1), (1, 2), (1, -1), (2, 3),
         (3, 5), (2, 2), (1, 2), (0, 0), (1, 1)]
+
+
+def _noncommutative():
+    "1, x, y with |x| = |y| = 2 and z = xy, every other product 0"
+    return PDGA(QQ, P3,
+                [("1", 0, P3.zero), ("x", 2, P3.zero), ("y", 2, P3.zero),
+                 ("z", 4, P3.zero)], "1",
+                products={("x", "y"): {"z": QQ.one}})
 
 
 def _nondegenerate_family():
@@ -153,6 +161,87 @@ def test_pre_jacobi_exact(seed):
             ((qf - 1) * (qg + qh), brace(pop, [gop, hop, fop])),
         ]
         assert lhs == to_cochain(op_combine(A, 0, terms), words)
+
+
+# --- length supports --------------------------------------------------------
+
+
+def _cochain_on_some_lengths(A, words, rng):
+    "a random homogeneous cochain on the words of a random set of lengths"
+    top = max(len(w) for w in words)
+    keep = set(rng.sample(range(top + 1), rng.randint(1, top + 1)))
+    return _rand_hom_cochain(A, [w for w in words if len(w) in keep], rng,
+                             lo=-3, hi=3)
+
+
+def _every_kind_of_op(A, f, g, h, p, m, d):
+    "one Op of each constructor, and nested braces, built on the given Ops"
+    return [
+        f, m, d,
+        brace(p, []), brace(p, [f]), brace(p, [f, g]), brace(p, [f, g, h]),
+        brace(m, [f, g]), brace(d, [f]), brace(f, [m]),
+        brace(brace(p, [f]), [g, h]), brace(brace(p, [f, g]), [h]),
+        brace(p, [brace(f, [g]), h]), brace(p, [g, brace(f, [h])]),
+        op_combine(A, 0, [(0, brace(p, [f, g])), (1, brace(p, [f]))]),
+        bracket_op(f, g), bracket_op(bracket_op(f, g), h),
+        cochain_D_op(f), cochain_D_op(brace(f, [g])),
+        cup_op(f, g), cup_op(bracket_op(f, g), h),
+    ]
+
+
+@pytest.mark.parametrize("name", ["trivial", "sphere2", "sphere3", "sphere4",
+                                  "trunc2", "trunc3", "random5",
+                                  "noncommutative"])
+def test_op_lengths_hold_the_whole_support(name):
+    # every Op is zero on the words outside its lengths, and pruning by
+    # lengths changes no value: the same Ops built on leaves that claim
+    # every length up to L give the same cochains
+    A = {**corpus(QQ, P3), "random5": random_pdga(QQ, P3, 5),
+         "noncommutative": _noncommutative()}[name]
+    L = 4
+    words = Cochains(A, algebra_as_bimodule(A), L).words
+    rng = random.Random(11)
+    skipped = 0
+    for _ in range(3):
+        leaves = [cochain_op(A, *_cochain_on_some_lengths(A, words, rng))
+                  for _ in range(4)] + [mult_op(A), diff_op(A)]
+        wide = [Op(A, op.deg, op.fn, range(L + 1)) for op in leaves]
+        for op, ref in zip(_every_kind_of_op(A, *leaves),
+                           _every_kind_of_op(A, *wide)):
+            for w in words:
+                if len(w) not in op.lengths:
+                    assert op(w) == {}
+                    skipped += 1
+            assert to_cochain(op, words) == to_cochain(ref, words)
+    assert skipped or name == "trivial"
+
+
+def _recording(op, name, seen):
+    "op, its fn wrapped to note in seen[name] the length of each word it gets"
+    fn = op.fn
+
+    def noted(w):
+        seen.setdefault(name, set()).add(len(w))
+        return fn(w)
+
+    op.fn = noted
+    return op
+
+
+def test_braces_never_evaluate_a_cochain_off_its_lengths():
+    A = truncated_polynomial(QQ, P3, 2, power=3)
+    words = middle_words(A, 4)
+    f = {(("x",), "x"): QQ.one, (("x", "x", "x"), "x"): QQ.of(2)}
+    g = {((), "x"): QQ.one, (("x", "x"), "1"): QQ.one}
+    seen = {}
+    fop = _recording(cochain_op(A, f, 1), "f", seen)
+    gop = _recording(cochain_op(A, g, 2), "g", seen)
+    assert to_cochain(brace(mult_op(A), [fop, gop]), words)
+    assert seen == {"f": {1, 3}, "g": {0, 2}}
+    seen.clear()
+    lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, 1, words)
+    assert to_cochain(cochain_D_op(fop), words) == lhs != {}
+    assert seen == {"f": {1, 3}}
 
 
 # --- cyclic operator on chains ---------------------------------------------
@@ -405,10 +494,7 @@ def test_duality_class_detected_for_truncated_polynomial():
 
 
 def test_duality_gate_rejects_noncommutative():
-    A = PDGA(QQ, P3,
-             [("1", 0, P3.zero), ("x", 2, P3.zero), ("y", 2, P3.zero),
-              ("z", 4, P3.zero)], "1",
-             products={("x", "y"): {"z": QQ.one}})
+    A = _noncommutative()
     assert not A.is_commutative()
     with pytest.raises(ValueError, match="non-commutative duality lift"):
         find_duality_class(A)
