@@ -99,7 +99,7 @@ def _parse_coeff(F, c, where):
         except (ValueError, ZeroDivisionError):
             raise InputError("%s: bad coefficient %r" % (where, c))
         if F.char == 0:
-            return fr
+            return F.of(fr)
         if fr.denominator % F.char == 0:
             raise InputError("%s: %r has no image in F_%d"
                              % (where, c, F.char))

@@ -1,7 +1,12 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Scalars are plain python objects: Fraction for Q, int in [0, p) for F_p.
-A Field instance bundles the arithmetic so the linear algebra stays generic.
+Scalars are plain python objects.  Over Q a scalar is an int when it is
+integral and a Fraction otherwise, so the common coefficients 0, +-1 and
+small integers never build a Fraction; the two kinds compare and hash alike.
+Over F_p a scalar is an int in [0, p).  A Field instance bundles the
+arithmetic so the linear algebra stays generic, and holds its shared
+constants zero, one and minus_one.  No operation divides with `/`, which
+would turn an int into a float.
 """
 
 from fractions import Fraction
@@ -25,6 +30,9 @@ class Field:
         if char != 0 and not _is_prime(char):
             raise ValueError("not a prime field characteristic: %r" % (char,))
         self.char = char
+        self.zero = self.of(0)
+        self.one = self.of(1)
+        self.minus_one = self.of(-1)
 
     def __repr__(self):
         return "Q" if self.char == 0 else "F%d" % self.char
@@ -36,18 +44,14 @@ class Field:
         return hash(("Field", self.char))
 
     def of(self, x):
-        "coerce an int or Fraction into the field"
+        """coerce an int, a Fraction or a rational string into the field;
+        over Q an integral value comes back as an int"""
         if self.char == 0:
-            return Fraction(x)
+            if type(x) is int:
+                return x
+            x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         return int(x) % self.char
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     def add(self, a, b):
         c = a + b
@@ -65,14 +69,14 @@ class Field:
         return (-a) % self.char if self.char else -a
 
     def sign(self, parity):
-        "(-1)^parity"
-        return self.neg(self.one) if parity % 2 else self.one
+        "(-1)^parity, one of the shared constants"
+        return self.minus_one if parity % 2 else self.one
 
     def inv(self, a):
         if self.iszero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.char == 0:
-            return 1 / a
+            return self.of(Fraction(1, a))
         return pow(a, self.char - 2, self.char)
 
     def div(self, a, b):

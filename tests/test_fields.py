@@ -1,0 +1,62 @@
+from fractions import Fraction
+
+import pytest
+
+from perverse.fields import Field, QQ
+
+F5 = Field(5)
+
+
+def test_integral_rationals_are_ints():
+    for x in (4, Fraction(4, 2), -1, "6/3", 0):
+        assert type(QQ.of(x)) is int, x
+    assert QQ.of(Fraction(4, 2)) == 2
+    half = QQ.of(Fraction(1, 2))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert QQ.of("-3/6") == Fraction(-1, 2)
+
+
+def test_an_int_is_returned_as_is():
+    big = 10 ** 30 + 7
+    assert QQ.of(big) is big
+
+
+def test_rational_inverses_are_exact():
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert isinstance(QQ.inv(3), Fraction)
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.div(1, 4) == Fraction(1, 4)
+    assert not isinstance(QQ.div(6, 4), float)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@pytest.mark.parametrize("F", [QQ, F5])
+def test_shared_constants(F):
+    assert "zero" in vars(F) and "one" in vars(F) and "minus_one" in vars(F)
+    assert F.iszero(F.zero)
+    assert F.add(F.one, F.minus_one) == F.zero
+    for p in range(-3, 4):
+        assert F.sign(p) is (F.minus_one if p % 2 else F.one)
+
+
+def test_rational_constants_are_ints():
+    assert (QQ.zero, QQ.one, QQ.minus_one) == (0, 1, -1)
+    assert all(type(c) is int for c in (QQ.zero, QQ.one, QQ.minus_one))
+
+
+def test_prime_field_values_are_unchanged():
+    assert (F5.zero, F5.one, F5.minus_one) == (0, 1, 4)
+    assert [F5.of(x) for x in (7, -1, 5, Fraction(4, 2))] == [2, 4, 0, 2]
+    assert [F5.sign(p) for p in range(4)] == [1, 4, 1, 4]
+    assert F5.inv(2) == 3 and F5.div(1, 3) == 2
+    assert (F5.add(3, 4), F5.sub(1, 3), F5.mul(3, 4), F5.neg(2)) == (2, 3, 2, 3)
+    with pytest.raises(ZeroDivisionError):
+        F5.inv(0)
+
+
+def test_mixed_scalars_compare_and_hash_alike():
+    assert QQ.of(Fraction(3)) == Fraction(3)
+    assert hash(QQ.of(Fraction(3))) == hash(Fraction(3))
+    assert {QQ.of(2): "a"} == {Fraction(2): "a"}

@@ -118,3 +118,18 @@ def test_only_linalg_builds_a_subquotient():
     found = [(fname, line) for fname, tree in source_trees()
              if fname != "linalg.py" for line in subquotient_calls(tree)]
     assert not found, found
+
+
+def true_divisions(tree):
+    "the line of each `/` or `/=` in a module"
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)]
+
+
+def test_no_module_divides_with_a_slash():
+    # over Q an integral scalar is an int, and int / int is a float; exact
+    # division goes through Field.inv and Field.div
+    found = [(fname, line) for fname, tree in source_trees()
+             for line in true_divisions(tree)]
+    assert not found, found
