@@ -38,6 +38,14 @@ class PDGA:
         for (a, b), v in (products or {}).items():
             v = {y: field.of(c) for y, c in v.items() if not field.iszero(field.of(c))}
             self.products[(a, b)] = v
+        # the products that survive the label filter, on every nonunit pair
+        # whose label sum stays under the top; the read path of mul and of
+        # the Hochschild assembly
+        nonunit = self.nonunit()
+        self.label_products = {
+            (a, b): self.products.get((a, b), {})
+            for a in nonunit for b in nonunit
+            if self.sum_labels_ok(self.label[a], self.label[b])}
 
     def deg(self, x):
         return self.degree[x]
@@ -65,13 +73,11 @@ class PDGA:
 
     def mul(self, a, b):
         "product of two basis elements, as a vector"
+        if a != self.unit and b != self.unit:
+            return dict(self.label_products.get((a, b), {}))
         if not self.sum_labels_ok(self.lam(a), self.lam(b)):
             return {}
-        if a == self.unit:
-            return {b: self.field.one}
-        if b == self.unit:
-            return {a: self.field.one}
-        return dict(self.products.get((a, b), {}))
+        return {b: self.field.one} if a == self.unit else {a: self.field.one}
 
     def mul_vec(self, u, v):
         out = {}

@@ -269,35 +269,38 @@ def index_cochain(field, f):
 
 def apply_cochain_D(A, M, f, fdeg, words):
     """the printed cochain differential D* = d0 + d1 evaluated on the given
-    middle words; f is {(w, m): c}, returns the same shape"""
+    middle words; f is {(w, m): c}, returns the same shape.  Letters are
+    nonunit, so adjacent pairs read the label-filtered product table"""
     F = A.field
     fw = index_cochain(F, f)
+    unit, diffs, prods = A.unit, A.diffs, A.label_products
+    pm = (F.one, F.minus_one)
     out = {}
     for w in words:
         k = len(w)
         val = dict(M.d_vec(eval_cochain(fw, w)))
         eps = 0
         for i in range(k):
-            s = F.sign(eps + fdeg)
-            for y, c in A.d(w[i]).items():
-                if y == A.unit:
+            s = pm[(eps + fdeg) % 2]
+            for y, c in diffs.get(w[i], {}).items():
+                if y == unit:
                     continue
                 w2 = w[:i] + (y,) + w[i + 1:]
                 vec_iadd(F, val, eval_cochain(fw, w2), F.mul(s, c))
             eps += sdeg(A, w[i])
         if k:
             a1, ak = w[0], w[-1]
-            s = F.sign((A.deg(a1) + 1) * fdeg + 1)
+            s = pm[((A.deg(a1) + 1) * fdeg + 1) % 2]
             vec_iadd(F, val, M.act_left_vec({a1: F.one},
                                             eval_cochain(fw, w[1:])), s)
-            s = F.sign(word_sdeg(A, w[:-1]) + fdeg)
+            s = pm[(word_sdeg(A, w[:-1]) + fdeg) % 2]
             vec_iadd(F, val, M.act_right_vec(eval_cochain(fw, w[:-1]),
                                              {ak: F.one}), s)
             eps = sdeg(A, w[0])
             for i in range(1, k):
-                s = F.sign(eps + fdeg + 1)
-                for y, c in A.mul(w[i - 1], w[i]).items():
-                    if y == A.unit:
+                s = pm[(eps + fdeg + 1) % 2]
+                for y, c in prods.get((w[i - 1], w[i]), {}).items():
+                    if y == unit:
                         continue
                     w2 = w[:i - 1] + (y,) + w[i + 1:]
                     vec_iadd(F, val, eval_cochain(fw, w2), F.mul(s, c))
@@ -332,10 +335,9 @@ class Cochains(SlotComplex):
         for x, v in A.diffs.items():
             for y in v:
                 self.preimages.setdefault(y, []).append((x,))
-        for (a, b), v in A.products.items():
-            if A.sum_labels_ok(A.lam(a), A.lam(b)):
-                for y in v:
-                    self.preimages.setdefault(y, []).append((a, b))
+        for ab, v in A.label_products.items():
+            for y in v:
+                self.preimages.setdefault(y, []).append(ab)
 
     def window_exact(self, lo):
         "truncation is lossless in every degree from lo up"

@@ -67,6 +67,50 @@ def test_overflow_product_is_zero():
                for v in rep["violations"])
 
 
+def _filtered_mul(A, a, b):
+    "the product read through sum_labels_ok on every call"
+    if not A.sum_labels_ok(A.lam(a), A.lam(b)):
+        return {}
+    if a == A.unit:
+        return {b: A.field.one}
+    if b == A.unit:
+        return {a: A.field.one}
+    return dict(A.products.get((a, b), {}))
+
+
+def _product_table_inputs():
+    out = dict(corpus(QQ, P3))
+    out["random-Q"] = random_pdga(QQ, P4, 103)
+    out["random-Fp"] = random_pdga(Field(32003), P4, 103)
+    # the label sum of x.x passes the top: a product the table must drop
+    out["overflow"] = PDGA(
+        QQ, P4, [("1", 0, P4.zero), ("x", 2, P4.top), ("y", 4, P4.zero)],
+        "1", products={("x", "x"): {"y": QQ.one}, ("x", "y"): {}})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_product_table_inputs()))
+def test_label_products_hold_the_admissible_nonunit_pairs(name):
+    A = _product_table_inputs()[name]
+    nonunit = A.nonunit()
+    admissible = {(a, b) for a in nonunit for b in nonunit
+                  if A.sum_labels_ok(A.lam(a), A.lam(b))}
+    assert set(A.label_products) == admissible
+    for (a, b), v in A.label_products.items():
+        assert v == A.products.get((a, b), {})
+    for a in A.names:
+        for b in A.names:
+            assert A.mul(a, b) == _filtered_mul(A, a, b), (a, b)
+
+
+def test_label_products_drop_a_product_past_the_top():
+    A = _product_table_inputs()["overflow"]
+    assert A.products[("x", "x")] == {"y": 1}
+    assert ("x", "x") not in A.label_products
+    assert A.label_products[("x", "y")] == {}
+    assert A.mul("x", "x") == {} and A.mul("1", "x") == {"x": 1}
+
+
 def test_opposite_and_enveloping():
     for A in [sphere_algebra(QQ, P3, 2), sphere_algebra(QQ, P3, 3),
               truncated_polynomial(QQ, P3, 2, power=3)]:
