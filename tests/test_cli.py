@@ -102,21 +102,41 @@ D_SQUARED_NONZERO = {
     "unit": "1", "differential": {"x": {"y": 1}, "y": {"z": 1}}}
 
 
-@pytest.mark.parametrize("command,data,message", [
-    ("hh", NOT_A_FIELD, "bad prime"),
-    ("cofibrancy", D_SQUARED_NONZERO, "d^2 != 0")])
-def test_bad_input_exits_2_under_python_O(tmp_path, command, data, message):
-    # -O strips assert statements; input checks must not rely on them
+def run_python(tmp_path, flags, argv):
+    "(exit code, stdout, stderr) of the CLI in a fresh interpreter"
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "perverse.cli", command,
-         write(tmp_path, data)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2, (proc.stdout, proc.stderr)
-    assert message in proc.stderr
+        [sys.executable] + flags + ["-m", "perverse.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("hh", NOT_A_FIELD, "bad prime"),
+    ("cofibrancy", D_SQUARED_NONZERO, "d^2 != 0")])
+def test_bad_input_exits_2_under_python_O(tmp_path, command, data, message):
+    # -O strips assert statements; input checks must not rely on them
+    code, out, err = run_python(tmp_path, ["-O"], [command,
+                                                   write(tmp_path, data)])
+    assert code == 2, (out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--max-length", "3", "--window", "-2..2"],
+    ["bv", "--duality-degree", "2", "--trials", "3"],
+])
+def test_commands_print_the_same_under_python_O(tmp_path, argv):
+    # the answers, not only the refusals, must not depend on assert
+    path = write(tmp_path, SPHERE2)
+    argv = argv[:1] + [path] + argv[1:]
+    plain = run_python(tmp_path, [], argv)
+    optimized = run_python(tmp_path, ["-O"], argv)
+    assert plain[0] == 0, plain
+    assert optimized[:2] == plain[:2]
 
 
 # ---------------------------------------------------------------------------

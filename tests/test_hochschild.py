@@ -311,6 +311,34 @@ def test_hh_matches_oracle_dual_coefficients(seed):
     assert hh_table(A, M, 3, -5, 1) == hh_table_oracle(A, M, 3, -5, 1)
 
 
+# --- Q against prime fields ------------------------------------------------
+
+# the corpus algebras whose HH over F_2 differs from HH over Q: the
+# even-degree square-zero ones, whose cochain differential carries a 2
+_F2_TORSION = {"sphere2", "sphere4", "trunc2"}
+
+
+def _corpus_hh_tables(F, L):
+    out = {}
+    for name, A in corpus(F, P3).items():
+        lo, hi = hh_degree_support(A, L)
+        out[name] = hh_table(A, algebra_as_bimodule(A), L, lo, hi)
+    return out
+
+
+@pytest.mark.parametrize("L,slots", [(3, 4), (4, 8)])
+def test_hh_over_a_large_prime_agrees_with_q(L, slots):
+    q = _corpus_hh_tables(QQ, L)
+    assert _corpus_hh_tables(Field(32003), L) == q
+    f2 = _corpus_hh_tables(Field(2), L)
+    for name, table in q.items():
+        assert set(f2[name]) == set(table), name
+        differ = [k for k in table if f2[name][k] != table[k]]
+        # dimensions can only grow on reduction mod p
+        assert all(f2[name][k] > table[k] for k in differ), name
+        assert len(differ) == (slots if name in _F2_TORSION else 0), name
+
+
 def test_window_exact_flag():
     A = sphere_algebra(QQ, P3, 2)
     M = algebra_as_bimodule(A)
