@@ -290,15 +290,19 @@ def compare_hh(A, B, L, window):
     T = tensor_pdga(A, B)
     loA, hiA = hh_degree_support(A, L)
     loB, hiB = hh_degree_support(B, L)
+    # a square A box A builds the factor's complexes, tables and BV
+    # operator once and reads them on both sides
+    same = B is A
     cxA = Cochains(A, algebra_as_bimodule(A), L)
-    cxB = Cochains(B, algebra_as_bimodule(B), L)
+    cxB = cxA if same else Cochains(B, algebra_as_bimodule(B), L)
     cxT = Cochains(T, algebra_as_bimodule(T), L)
     cxTm = Cochains(T, cxT.M, L - 1)
-    tabA, tabB = cxA.table(loA, hiA), cxB.table(loB, hiB)
+    tabA = cxA.table(loA, hiA)
+    tabB = tabA if same else cxB.table(loB, hiB)
     tabT = cxT.table(lo, hi)
     # one truncation level down, to certify slot-wise convergence in L
     tabAm = Cochains(A, cxA.M, L - 1).table(loA, hiA)
-    tabBm = Cochains(B, cxB.M, L - 1).table(loB, hiB)
+    tabBm = tabAm if same else Cochains(B, cxB.M, L - 1).table(loB, hiB)
     tabTm = cxTm.table(lo, hi)
     # AW of 1[w]1 depends on w alone: evaluate it once per middle word of
     # cxT for all the transports below
@@ -429,7 +433,9 @@ def compare_hh(A, B, L, window):
         return {"slot": (r, q), "degrees": (qf, qg)}
 
     try:
-        bvA, bvB, bvT = BVOperator(cxA), BVOperator(cxB), BVOperator(cxT)
+        bvA = BVOperator(cxA)
+        bvB = bvA if same else BVOperator(cxB)
+        bvT = BVOperator(cxT)
     except (ValueError, LookupError) as e:
         records.append({"identity": "Delta transport", "status": "skipped",
                         "trials": 0, "witness": str(e)})

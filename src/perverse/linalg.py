@@ -1,11 +1,17 @@
 """Exact sparse linear algebra over Q and F_p.
 
 Vectors are dicts {index: nonzero scalar}.  Matrices are sparse with entries
-{(row, col): scalar}.  Elimination is reduced column echelon with deterministic
-pivoting (smallest available row index, columns in input order), with optional
-bookkeeping of the combination of input columns behind each stored column.
-A rank alone comes from a cheaper forward-only reduction on lowest-row pivots.
-Everything is exact; no floats anywhere.
+{(row, col): scalar}.  There is one elimination, `Echelon`: a forward-only
+column reduction, columns in input order, that never revisits a stored
+column, with optional bookkeeping of the combination of input columns behind
+each stored column.  Rank, kernel, solutions, membership and coordinates are
+read off it; a normal form modulo a span eliminates every pivot row.  Every
+object read is canonical.  A kernel vector is e_j minus the unique
+combination of the earlier independent columns, whatever the pivot rule.  A
+normal form depends only on the span and its pivot rows, so `Quotient` and
+`Subquotient`, whose coordinates and representatives are normal forms, fix
+the rule: a pivot is the first nonzero row.  Everything is exact; no floats
+anywhere.
 """
 
 
@@ -127,124 +133,108 @@ class SparseMatrix:
         return out
 
     def rank(self):
-        """forward-only column reduction on lowest-row pivots: each column
-        is reduced by the stored column with its lowest nonzero row until
-        that row is new (a pivot, stored normalized) or the column is 0"""
-        F = self.field
-        pivots = {}  # lowest row -> stored column, 1 at that row
+        "the number of columns an Echelon accepts, fed in column order"
+        ech = Echelon(self.field)
         for col in self.columns():
-            while col:
-                low = max(col)
-                if low not in pivots:
-                    pivots[low] = vec_scale(F, F.inv(col[low]), col)
-                    break
-                vec_iadd(F, col, pivots[low], F.neg(col[low]))
-        return len(pivots)
+            ech.add(col)
+        return len(ech.cols)
 
 
 class Echelon:
-    """Reduced column echelon form, built incrementally.
+    """A forward-only column echelon form, built one vector at a time.
 
-    Stored columns are normalized (pivot entry 1) and mutually reduced:
-    each stored column vanishes at the other pivot rows.  With `track`,
-    each stored column also carries the combination of tagged input
-    vectors that produced it.
+    The pivot of a vector is its last nonzero row, or its first with
+    `first`.  `add` reduces a vector by the stored columns until its pivot
+    row is new, then stores it with a 1 there; a stored column is never
+    changed again, so it is zero at every row past its pivot (before it,
+    with `first`).  With `track`, each stored column also carries the
+    combination of tagged input vectors it equals, and each dependent
+    tagged input leaves a relation in `kernel`: e_tag minus its combination
+    of earlier inputs.
     """
 
-    def __init__(self, field, track=False):
+    def __init__(self, field, track=False, first=False):
         self.field = field
         self.track = track
-        self.cols = {}    # pivot row -> column dict
+        self.first = first
+        self.cols = {}    # pivot row -> column dict, in insertion order
         self.combos = {}  # pivot row -> {tag: scalar}
-        self.order = []   # pivot rows in insertion order
+        self.kernel = []  # relations among the tagged inputs
 
-    def reduce(self, v, want_combo=False):
-        "eliminate all pivot rows from v; returns residual (and tag combo)"
-        F = self.field
+    def lead(self, v):
+        """reduce v until its pivot row is new or v is 0; returns the
+        residual and, with `track`, the combination of tagged inputs that
+        v exceeds it by (None without `track`)"""
+        F, cols, combos = self.field, self.cols, self.combos
+        pick = min if self.first else max
         v = dict(v)
-        combo = {}
-        for prow in list(v.keys() & self.cols.keys()):
-            c = v.get(prow)
-            if c is None or F.iszero(c):
-                continue
-            vec_iadd(F, v, self.cols[prow], F.neg(c))
-            if want_combo and self.track:
-                vec_iadd(F, combo, self.combos[prow], c)
-        # one pass suffices: stored columns are zero at the other pivot rows
-        if want_combo:
-            return v, combo
-        return v
+        combo = {} if self.track else None
+        while v:
+            p = pick(v)
+            col = cols.get(p)
+            if col is None:
+                break
+            c = v[p]
+            vec_iadd(F, v, col, F.neg(c))
+            if combo is not None:
+                vec_iadd(F, combo, combos[p], c)
+        return v, combo
 
     def add(self, v, tag=None):
         "insert v; returns the new pivot row, or None if v was dependent"
         F = self.field
-        if self.track:
-            r, combo = self.reduce(v, want_combo=True)
-        else:
-            r = self.reduce(v)
-            combo = None
+        r, combo = self.lead(v)
         if not r:
-            return None
-        prow = min(r.keys())
-        cinv = F.inv(r[prow])
-        col = {i: F.mul(cinv, x) for i, x in r.items()}
-        if self.track:
-            combo = {t: F.mul(cinv, x) for t, x in combo.items()}
-            if tag is not None:
-                # residual = v - sum(combo); store v-combination for the column
-                combo = {t: F.neg(x) for t, x in combo.items()}
-                vec_iadd(F, combo, {tag: cinv})
-            self.combos[prow] = combo
-        # back-eliminate the new pivot row from the stored columns
-        for q in self.order:
-            c = self.cols[q].get(prow)
-            if c is None:
-                continue
-            c = F.neg(c)
-            vec_iadd(F, self.cols[q], col, c)
             if self.track:
-                vec_iadd(F, self.combos[q], self.combos[prow], c)
-        self.cols[prow] = col
-        self.order.append(prow)
-        return prow
+                k = {t: F.neg(x) for t, x in combo.items()}
+                k[tag] = F.one
+                self.kernel.append(k)
+            return None
+        p = min(r) if self.first else max(r)
+        cinv = F.inv(r[p])
+        self.cols[p] = vec_scale(F, cinv, r)
+        if self.track:
+            # the residual is v - combo; store its tag combination, scaled
+            combo = vec_scale(F, F.neg(cinv), combo)
+            combo[tag] = cinv
+            self.combos[p] = combo
+        return p
 
     def contains(self, v):
-        return not self.reduce(v)
+        return not self.lead(v)[0]
+
+    def reduce(self, v):
+        """the normal form of v: v minus the vector of the span that agrees
+        with it on every pivot row.  Eliminating a pivot row only changes
+        rows past it, so v is walked in pivot order, keeping the rows that
+        are not pivots"""
+        F, cols = self.field, self.cols
+        pick = min if self.first else max
+        v, out = dict(v), {}
+        while v:
+            p = pick(v)
+            if p in cols:
+                vec_iadd(F, v, cols[p], F.neg(v[p]))
+            else:
+                out[p] = v.pop(p)
+        return out
 
 
 def kernel_basis(A):
     "basis of ker(A), as vectors over column indices, in column order"
     ech = Echelon(A.field, track=True)
-    basis = []
     for j, col in enumerate(A.columns()):
-        r, combo = ech.reduce(col, want_combo=True)
-        if not r:
-            # col = sum combo: kernel vector e_j - combo
-            k = {t: A.field.neg(x) for t, x in combo.items()}
-            k[j] = A.field.one
-            basis.append(k)
-        else:
-            ech.add(col, tag=j)
-    return basis
+        ech.add(col, tag=j)
+    return ech.kernel
 
 
 def solve(A, b):
     "one solution x of A x = b, or None if inconsistent"
-    F = A.field
-    ech = Echelon(F, track=True)
+    ech = Echelon(A.field, track=True)
     for j, col in enumerate(A.columns()):
         ech.add(col, tag=j)
-    r, combo = ech.reduce(b, want_combo=True)
-    if r:
-        return None
-    return combo
-
-
-def in_span(field, cols, v):
-    ech = Echelon(field)
-    for c in cols:
-        ech.add(c)
-    return ech.contains(v)
+    r, combo = ech.lead(b)
+    return None if r else combo
 
 
 def span_equal(field, cols1, cols2):
@@ -274,24 +264,23 @@ def span_intersection(field, n, cols1, cols2):
             if j < m1:
                 vec_iadd(field, v, cols1[j], c)
         out.add(v)
-    return [dict(out.cols[p]) for p in out.order]
+    return list(out.cols.values())
 
 
 class Quotient:
     """R^n modulo the span of some columns, with canonical representatives.
 
-    Representative coordinates are the ambient rows that are not pivot rows
-    of the reduced span.
+    Representative coordinates are the ambient rows that are not the first
+    nonzero row of any vector of the span.
     """
 
     def __init__(self, field, n, span_cols):
         self.field = field
         self.n = n
-        self.ech = Echelon(field)
+        self.ech = Echelon(field, first=True)
         for c in span_cols:
             self.ech.add(c)
-        pivots = set(self.ech.cols.keys())
-        self.free = [i for i in range(n) if i not in pivots]
+        self.free = [i for i in range(n) if i not in self.ech.cols]
         self.index = {row: k for k, row in enumerate(self.free)}
 
     @property
@@ -300,13 +289,7 @@ class Quotient:
 
     def project(self, v):
         "coordinates of the class of v, as a dict over 0..dim-1"
-        r = self.ech.reduce(v)
-        out = {}
-        for i, x in r.items():
-            if i not in self.index:
-                raise ValueError("reduction left pivot row %r" % (i,))
-            out[self.index[i]] = x
-        return out
+        return {self.index[i]: x for i, x in self.ech.reduce(v).items()}
 
     def include(self, k):
         "ambient representative of the k-th quotient basis vector"
@@ -331,7 +314,7 @@ class Subspace:
 
     def project(self, v):
         "coordinates of v, which must lie in the subspace, as a dict"
-        res, combo = self.ech.reduce(v, want_combo=True)
+        res, combo = self.ech.lead(v)
         if res:
             raise ValueError("vector not in subspace")
         return combo
@@ -351,7 +334,9 @@ class Subquotient:
             raise ValueError("outgoing differential has %d columns, not %d"
                              % (d_out.ncols, n))
         cycles = kernel_basis(d_out)
-        self.bech = Echelon(field)
+        # a representative is a normal form modulo the image, zero at the
+        # first nonzero row of every boundary
+        self.bech = Echelon(field, first=True)
         if d_in is not None:
             if d_in.nrows != n:
                 raise ValueError("incoming differential has %d rows, not %d"
@@ -362,9 +347,7 @@ class Subquotient:
         self.reps = []
         for z in cycles:
             r = self.bech.reduce(z)
-            if not r:
-                continue
-            if self.rech.add(r, tag=len(self.reps)) is not None:
+            if r and self.rech.add(r, tag=len(self.reps)) is not None:
                 self.reps.append(r)
 
     @property
@@ -373,14 +356,13 @@ class Subquotient:
 
     def coords(self, v):
         "coordinates of the class of the cycle v in the representative basis"
-        r = self.bech.reduce(v)
-        res, combo = self.rech.reduce(r, want_combo=True)
+        res, combo = self.rech.lead(self.bech.reduce(v))
         if res:
             raise ValueError("vector is not a cycle modulo boundaries")
         return combo
 
     def is_boundary(self, v):
-        return not self.bech.reduce(v)
+        return self.bech.contains(v)
 
 
 class SlotComplex:

@@ -161,10 +161,3 @@ class Poset:
             cur = nxt
         return path
 
-
-def parse_perversity(text, n):
-    "parse '0,0,0,1,2' into a validated perversity tuple"
-    v = tuple(int(x) for x in text.replace(" ", "").split(","))
-    if not is_perversity(v, n):
-        raise ValueError("not a valid rank-%d perversity: %r" % (n, text))
-    return v

@@ -476,8 +476,9 @@ def random_cochain(A, words, q, rng):
     F = A.field
     out = {}
     for w in words:
+        deg = q + word_sdeg(A, w)
         for x in A.names:
-            if A.deg(x) - word_sdeg(A, w) != q:
+            if A.deg(x) != deg:
                 continue
             if rng.random() < 0.5:
                 c = F.of(rng.choice([1, -1, 2]))

@@ -104,19 +104,22 @@ def test_no_function_has_a_parameter_it_never_reads():
     assert not found, found
 
 
-def subquotient_calls(tree):
-    "the line of each call of Subquotient(...) in a module"
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "Subquotient" in (
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None))]
+def linalg_only_calls(tree):
+    "(name, line) of each call of Subquotient(...) or Echelon(...) in a module"
+    return [(name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for name in ("Subquotient", "Echelon")
+            if name in (getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None))]
 
 
 def test_only_linalg_builds_a_subquotient():
     # a homology dimension comes from ranks; a Subquotient is built only
-    # where SlotComplex reads representatives or coordinates
-    found = [(fname, line) for fname, tree in source_trees()
-             if fname != "linalg.py" for line in subquotient_calls(tree)]
+    # where SlotComplex reads representatives or coordinates.  Echelon is
+    # the one elimination: other modules read rank, kernel, solutions and
+    # coordinates through linalg's functions and classes
+    found = [(fname,) + hit for fname, tree in source_trees()
+             if fname != "linalg.py" for hit in linalg_only_calls(tree)]
     assert not found, found
 
 

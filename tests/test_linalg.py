@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
-                             in_span, span_equal, span_intersection,
+                             span_equal, span_intersection,
                              Quotient, Subquotient, vec_iadd, vec_add,
                              vec_sub, vec_scale)
 
@@ -65,27 +65,89 @@ def test_solve_inconsistent():
     assert solve(A, {1: Fraction(1)}) is None
 
 
-def test_rank_against_sympy():
+def _sympy(A):
     import sympy
+    return sympy.Matrix(A.nrows, A.ncols, lambda i, j: sympy.Rational(
+        A[i, j].numerator, A[i, j].denominator))
+
+
+def test_rank_against_sympy():
     rng = random.Random(7)
     for _ in range(20):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         A = random_matrix(QQ, rng, n, m)
-        M = sympy.zeros(n, m)
-        for (i, j), x in A.entries.items():
-            M[i, j] = sympy.Rational(x.numerator, x.denominator)
-        assert A.rank() == M.rank()
+        assert A.rank() == _sympy(A).rank()
+
+
+def _vector(column):
+    "a sympy vector as a sparse vector over Q"
+    return {i: Fraction(int(x.p), int(x.q)) for i, x in enumerate(column)
+            if x != 0}
+
+
+def _normal_form(n, span, v):
+    """(non-pivot rows, normal form of v) for the span of some vectors in
+    Q^n, by sympy: the pivots are those of the RREF of the vectors taken as
+    rows, and v loses its pivot entries times the RREF rows"""
+    import sympy
+    rref, pivots = _sympy(SparseMatrix.from_columns(QQ, n, span)).T.rref()
+    nf = sympy.Matrix(n, 1, lambda i, _: v.get(i, 0))
+    for k, p in enumerate(pivots):
+        nf -= nf[p] * rref[k, :].T
+    return [i for i in range(n) if i not in pivots], _vector(nf)
+
+
+def test_canonical_outputs_against_sympy():
+    # kernel vectors, quotient coordinates and homology representatives are
+    # fixed by the input, not by how Echelon pivots: each equals what sympy
+    # reads off a reduced row echelon form, and both pivot rules accept the
+    # same columns
+    rng = random.Random(11)
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        A = random_matrix(QQ, rng, n, m, density=rng.choice([0.3, 0.6]))
+        ker = kernel_basis(A)
+        assert ker == [_vector(k) for k in _sympy(A).nullspace()]
+
+        q = Quotient(QQ, n, A.columns())
+        v = {i: QQ.of(rng.choice([-2, -1, 1, 3])) for i in range(n)}
+        free, normal = _normal_form(n, A.columns(), v)
+        assert q.free == free
+        assert q.project(v) == {q.index[i]: x for i, x in normal.items()}
+
+        # ker A modulo the span of some scaled cycles
+        bnd = [vec_scale(QQ, QQ.of(rng.randint(1, 3)), k)
+               for k in rng.sample(ker, rng.randint(0, len(ker)))]
+        d_in = SparseMatrix.from_columns(QQ, m, bnd) if bnd else None
+        H = Subquotient(QQ, m, d_out=A, d_in=d_in)
+        reps = []
+        for k in ker:
+            r = _normal_form(m, bnd, k)[1]
+            if r and _sympy(SparseMatrix.from_columns(
+                    QQ, m, reps + [r])).rank() > len(reps):
+                reps.append(r)
+        assert H.reps == reps
+
+        for field in (QQ, F5):
+            B = random_matrix(field, rng, n, m)
+            last = Echelon(field, track=True)
+            first = Echelon(field, track=True, first=True)
+            for j, col in enumerate(B.columns()):
+                last.add(col, tag=j)
+                first.add(col, tag=j)
+            assert len(last.cols) == len(first.cols) == B.rank()
+            assert last.kernel == first.kernel == kernel_basis(B)
 
 
 def test_span_operations():
     one = Fraction(1)
     e0, e1, e2 = {0: one}, {1: one}, {2: one}
-    assert in_span(QQ, [e0, e1], vec_add(QQ, e0, e1))
-    assert not in_span(QQ, [e0, e1], e2)
+    assert span_equal(QQ, [e0, e1], [e0, e1, vec_add(QQ, e0, e1)])
+    assert not span_equal(QQ, [e0, e1], [e0, e1, e2])
     assert span_equal(QQ, [e0, vec_add(QQ, e0, e1)], [e1, e0])
     inter = span_intersection(QQ, 3, [e0, e1], [vec_add(QQ, e0, e1), e2])
     assert len(inter) == 1
-    assert in_span(QQ, [vec_add(QQ, e0, e1)], inter[0])
+    assert span_equal(QQ, [vec_add(QQ, e0, e1)], inter)
 
 
 def test_quotient():
@@ -209,4 +271,4 @@ def test_rank_equals_nullity_and_echelon_rank(A):
     ech = Echelon(A.field)
     for col in A.columns():
         ech.add(col)
-    assert A.rank() == A.ncols - len(kernel_basis(A)) == len(ech.order)
+    assert A.rank() == A.ncols - len(kernel_basis(A)) == len(ech.cols)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perverse.poset import (Poset, zero_perversity, top_perversity,
-                            is_perversity, leq, parse_perversity)
+                            is_perversity, leq)
 
 
 def test_enumeration_sizes():
@@ -99,11 +99,3 @@ def test_meet_join_lattice(n, data):
     q = data.draw(st.sampled_from(P.elements))
     m, j = P.meet(p, q), P.join(p, q)
     assert leq(m, p) and leq(m, q) and leq(p, j) and leq(q, j)
-
-
-def test_parse_perversity():
-    assert parse_perversity("0,0,0,1,2", 4) == (0, 0, 0, 1, 2)
-    with pytest.raises(ValueError):
-        parse_perversity("0,0,1,1", 3)
-    with pytest.raises(ValueError):
-        parse_perversity("0,0,0,2", 3)
