@@ -46,6 +46,10 @@ class PDGA:
             (a, b): self.products.get((a, b), {})
             for a in nonunit for b in nonunit
             if self.sum_labels_ok(self.label[a], self.label[b])}
+        # the names whose product with the unit stays under the top
+        self.unit_partners = {
+            x for x in self.names
+            if self.sum_labels_ok(self.label[unit], self.label[x])}
 
     def deg(self, x):
         return self.degree[x]
@@ -75,9 +79,8 @@ class PDGA:
         "product of two basis elements, as a vector"
         if a != self.unit and b != self.unit:
             return dict(self.label_products.get((a, b), {}))
-        if not self.sum_labels_ok(self.lam(a), self.lam(b)):
-            return {}
-        return {b: self.field.one} if a == self.unit else {a: self.field.one}
+        x = b if a == self.unit else a
+        return {x: self.field.one} if x in self.unit_partners else {}
 
     def mul_vec(self, u, v):
         out = {}
@@ -452,8 +455,11 @@ class ModuleSlots(SlotComplex):
         return [m for m in self.M.names
                 if self.M.degree[m] == k and self.M.present(m, r)]
 
+    def D_key(self, m):
+        return self.M.d(m)
+
     def matrix(self, r, k):
-        return self.assemble(r, k, self.M.d)
+        return self.assemble(r, k)
 
 
 def algebra_as_bimodule(A):

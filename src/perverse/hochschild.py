@@ -10,11 +10,11 @@ functions on middle words with values in the bimodule, stored as sparse dicts
 
 Perversities enter only through slot bases: a word is admissible at r when
 its label sum stays under the top and the module element is present at
-label(word) + r.  The differentials themselves are label-blind; slot matrices
-are the global maps restricted and then truncated to admissible pairs.  A
-slot matrix evaluates D* of a basis cochain (w -> m) only on the cofaces of
-w, the words that have w as a face, and an HH dimension table is read from
-the ranks of the slot matrices alone.
+label(word) + r.  The differentials themselves are label-blind, so the image
+of each basis element is computed once per complex and every slot matrix
+cuts it to the admissible target pairs.  D* of a basis cochain (w -> m) is
+evaluated only on the cofaces of w, the words that have w as a face, and an
+HH dimension table is read from the ranks of the slot matrices alone.
 """
 
 import itertools
@@ -171,6 +171,15 @@ class Chains(SlotComplex):
         if any(k != "up" for k in M.kind.values()):
             raise ValueError("chains need an up-type module")
         self.mids = middle_words(A, L)
+        # {q: [((m, w), label of the pair)]}, ordered by w, then m
+        self.pairs = {}
+        for w in self.mids:
+            lw = word_label(A, w)
+            for m in M.names:
+                lab = A.poset.oplus(lw, M.plabel[m])
+                if lab is not None:
+                    self.pairs.setdefault(self.degree((m, w)), []).append(
+                        ((m, w), lab))
 
     def degree(self, key):
         m, w = key
@@ -181,19 +190,7 @@ class Chains(SlotComplex):
                                     *[self.A.lam(x) for x in w])
 
     def slot_basis(self, r, q):
-        P = self.A.poset
-        out = []
-        for w in self.mids:
-            lw = word_label(self.A, w)
-            if lw is None:
-                continue
-            for m in self.M.names:
-                if self.degree((m, w)) != q:
-                    continue
-                lab = P.oplus(lw, self.M.plabel[m])
-                if lab is not None and leq(lab, r):
-                    out.append((m, w))
-        return out
+        return [key for key, lab in self.pairs.get(q, ()) if leq(lab, r)]
 
     def _push(self, out, m, w, coeff):
         "add coeff * (m, w) into out when w is normalized and admissible"
@@ -241,7 +238,7 @@ class Chains(SlotComplex):
 
     def matrix(self, r, q):
         # labels only decrease under D: the image stays inside the slot
-        return self.assemble(r, q, self.D_key)
+        return self.assemble(r, q)
 
     def margin(self, r, q):
         "length headroom of the slot below the truncation bound"
@@ -315,6 +312,9 @@ class Cochains(SlotComplex):
     (w, m) of degree q as its basis.  (A, M, L) fix it: the queries that read
     a degree window take it as an argument"""
 
+    # D* of an admissible pair can be nonzero on pairs that a slot lacks
+    truncated = True
+
     def __init__(self, A, M, L):
         super().__init__(A.field)
         self.A = A
@@ -329,6 +329,12 @@ class Cochains(SlotComplex):
             x = w[-1]
             self.wdeg[w] = self.wdeg[w[:-1]] + sdeg(A, x)
             self.wlabel[w] = A.poset.oplus(self.wlabel[w[:-1]], A.lam(x))
+        # {q: {w: [m, ...]}}: the pairs of degree q, ordered by w, then m
+        self.pairs = {}
+        for w in self.words:
+            for m in M.names:
+                self.pairs.setdefault(self.degree((w, m)), {}).setdefault(
+                    w, []).append(m)
         # the inverse of d and of the label-filtered product: y -> the
         # letters (x,) with y in d(x) and (a, b) with y in a.b
         self.preimages = {}
@@ -338,6 +344,10 @@ class Cochains(SlotComplex):
         for ab, v in A.label_products.items():
             for y in v:
                 self.preimages.setdefault(y, []).append(ab)
+
+    def degree(self, p):
+        w, m = p
+        return self.M.degree[m] - self.wdeg[w]
 
     def window_exact(self, lo):
         "truncation is lossless in every degree from lo up"
@@ -357,10 +367,7 @@ class Cochains(SlotComplex):
         "the admissible pairs (w, m) of degree q at r, ordered by w, then m"
         P, M = self.A.poset, self.M
         out = []
-        for w in self.words:
-            ms = [m for m in M.names if M.degree[m] - self.wdeg[w] == q]
-            if not ms:
-                continue
+        for w, ms in self.pairs.get(q, {}).items():
             lab = P.oplus(self.wlabel[w], r)
             if lab is not None:
                 out += [(w, m) for m in ms if M.present(m, lab)]
@@ -379,20 +386,18 @@ class Cochains(SlotComplex):
                 out.add(w[:i] + v + w[i + 1:])
         return out
 
+    def D_key(self, p):
+        """D* of the basis cochain p = (w, m), evaluated on the cofaces of w
+        that carry a pair one degree up, in the order of their reprs"""
+        q = self.degree(p)
+        words = self.cofaces(p[0]) & self.pairs.get(q + 1, {}).keys()
+        return apply_cochain_D(self.A, self.M, {p: self.A.field.one}, q,
+                               sorted(words, key=repr))
+
     def matrix(self, r, q):
-        """slot matrix of D* from (r, q) to (r, q+1): the global cochain
-        differential, evaluated on the cofaces of each source word and
-        truncated to the admissible target pairs"""
-        one = self.A.field.one
-        dst = self.index(r, q + 1)
-        dst_words = {w for (w, m) in dst}
-
-        def image(p):
-            words = sorted(self.cofaces(p[0]) & dst_words, key=repr)
-            img = apply_cochain_D(self.A, self.M, {p: one}, q, words)
-            return {k: c for k, c in img.items() if k in dst}
-
-        return self.assemble(r, q, image)
+        """slot matrix of D* from (r, q) to (r, q+1): the image of each
+        source pair, computed once, truncated to the admissible target pairs"""
+        return self.assemble(r, q)
 
     def table(self, lo, hi):
         "dim HH at each slot of degrees lo..hi: n_q - rank d_q - rank d_(q-1)"
@@ -449,11 +454,9 @@ def hh_table_oracle(A, M, L, lo, hi):
         return out
 
     class BarDual(Cochains):
-        def matrix(self, r, q):
-            dst = self.index(r, q + 1)
-            words = sorted({w for (w, m) in dst}, key=repr)
-            return self.assemble(r, q, lambda p: {
-                k: c for k, c in dphi(*p, q, words).items() if k in dst})
+        def D_key(self, p):
+            q = self.degree(p)
+            return dphi(*p, q, sorted(self.pairs.get(q + 1, {}), key=repr))
 
     return BarDual(A, M, L).table(lo, hi)
 

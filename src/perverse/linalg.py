@@ -371,16 +371,23 @@ class SlotComplex:
     (r, q + 1).
 
     A subclass supplies `slot_basis(r, q)`, the list of basis keys of a
-    slot, and `matrix(r, q)`, the differential out of it (usually a call to
-    `assemble`).  This class caches both, once per slot, together with the
+    slot, `D_key(key)`, the image of one basis key under the differential,
+    which does not depend on the slot, and `matrix(r, q)`, the differential
+    out of a slot (a call to `assemble`).  This class caches each image once
+    per key and each basis and matrix once per slot, together with the
     slot's homology, and translates between sparse vectors over basis keys
     {key: scalar} and vectors over slot indices.
     """
+
+    # a truncated complex drops the terms of an image that leave the target
+    # slot; any other complex refuses them
+    truncated = False
 
     def __init__(self, field):
         self.field = field
         self._bases = {}
         self._indices = {}
+        self._images = {}
         self._mats = {}
         self._homs = {}
 
@@ -398,18 +405,25 @@ class SlotComplex:
         self.basis(r, q)
         return self._indices[(r, q)]
 
-    def assemble(self, r, q, image):
-        """the matrix from (r, q) to (r, q + 1) whose j-th column is
-        image(j-th basis key), a vector over the keys of slot (r, q + 1)"""
+    def image(self, key):
+        "the cached D_key(key), computed once for every slot that holds key"
+        if key not in self._images:
+            self._images[key] = self.D_key(key)
+        return self._images[key]
+
+    def assemble(self, r, q):
+        """the matrix from (r, q) to (r, q + 1) whose j-th column is the
+        image of the j-th basis key, read at the keys of slot (r, q + 1)"""
         idx = self.index(r, q + 1)
         src = self.basis(r, q)
         mat = SparseMatrix(self.field, len(idx), len(src))
         for j, key in enumerate(src):
-            for key2, c in image(key).items():
-                if key2 not in idx:
+            for key2, c in self.image(key).items():
+                if key2 in idx:
+                    mat[idx[key2], j] = c
+                elif not self.truncated:
                     raise ValueError("the differential of %r leaves slot %r"
                                      % (key, (r, q + 1)))
-                mat[idx[key2], j] = c
         return mat
 
     def differential(self, r, q):

@@ -86,6 +86,11 @@ def _product_table_inputs():
     out["overflow"] = PDGA(
         QQ, P4, [("1", 0, P4.zero), ("x", 2, P4.top), ("y", 4, P4.zero)],
         "1", products={("x", "x"): {"y": QQ.one}, ("x", "y"): {}})
+    # a unit above the zero label: its product with x passes the top, with
+    # y it does not, so mul reads both sides of the unit table
+    out["labeled-unit"] = PDGA(
+        QQ, P4, [("1", 0, P4.elements[1]), ("x", 2, P4.top),
+                 ("y", 4, P4.zero)], "1")
     return out
 
 

@@ -213,7 +213,9 @@ def test_slot_vectors_outside_the_slot_basis():
 
 
 def _coface_family():
-    "algebras whose slot matrices exercise every coface rule"
+    """algebras and coefficients whose slot matrices exercise every coface
+    rule; the dual coefficients are down-type, so presence at a label
+    reverses the label test"""
     fam = dict(corpus(QQ, P3))
     fam["truncx3"] = truncated_polynomial(QQ, P3, 2, power=3)
     fam["labeled-fp"] = random_pdga(Field(32003), Poset(4), 103)
@@ -222,27 +224,30 @@ def _coface_family():
         QQ, P3, [("1", 0, P3.zero), ("x", 2, P3.zero), ("y", 2, P3.zero),
                  ("z", 4, P3.zero)], "1",
         products={("x", "y"): {"z": QQ.one}})
-    return fam
+    out = {name: (A, algebra_as_bimodule(A)) for name, A in fam.items()}
+    out["labeled-fp-dual"] = (fam["labeled-fp"],
+                              dual_bimodule(fam["labeled-fp"]))
+    return out
 
 
 def _matrix_on_every_word(cx, r, q):
     "the slot matrix with D* evaluated on every destination word"
     dst = cx.index(r, q + 1)
     words = sorted({w for (w, m) in dst}, key=repr)
-
-    def image(p):
+    cols = []
+    for p in cx.basis(r, q):
         img = apply_cochain_D(cx.A, cx.M, {p: cx.A.field.one}, q, words)
-        return {k: c for k, c in img.items() if k in dst}
-
-    return cx.assemble(r, q, image)
+        cols.append({dst[k]: c for k, c in img.items() if k in dst})
+    return SparseMatrix.from_columns(cx.A.field, len(dst), cols)
 
 
 @pytest.mark.parametrize("name", sorted(_coface_family()))
 def test_coface_assembly_and_rank_table(name):
-    A = _coface_family()[name]
+    A, M = _coface_family()[name]
     L = 3
-    lo, hi = hh_degree_support(A, L)
-    cx = Cochains(A, algebra_as_bimodule(A), L)
+    cx = Cochains(A, M, L)
+    degs = {M.degree[m] - word_sdeg(A, w) for w in cx.words for m in M.names}
+    lo, hi = min(degs), max(degs)
     for r in A.poset.elements:
         for q in range(lo - 1, hi + 1):
             assert cx.differential(r, q) == _matrix_on_every_word(cx, r, q), \
@@ -250,6 +255,41 @@ def test_coface_assembly_and_rank_table(name):
     assert cx.table(lo, hi) == {(r, q): cx.homology(r, q).dim
                                 for r in A.poset.elements
                                 for q in range(lo, hi + 1)}
+
+
+def test_each_image_is_computed_once(monkeypatch):
+    # the differentials are label-blind: every slot that holds a basis key
+    # reads the one image of that key
+    import perverse.hochschild as hochschild
+    seen = []
+    cochain_D, D_key = hochschild.apply_cochain_D, Chains.D_key
+
+    def counted_cochain_D(A, M, f, *rest):
+        seen.extend(f)
+        return cochain_D(A, M, f, *rest)
+
+    def counted_D_key(self, key):
+        seen.append(key)
+        return D_key(self, key)
+
+    monkeypatch.setattr(hochschild, "apply_cochain_D", counted_cochain_D)
+    monkeypatch.setattr(Chains, "D_key", counted_D_key)
+    L = 3
+    for seed in (6, 103):
+        A = random_pdga(QQ, Poset(4), seed)
+        M = algebra_as_bimodule(A)
+        lo, hi = hh_degree_support(A, L)
+        ch = Chains(A, M, L)
+        chain_degs = {ch.degree((m, w)) for w in ch.mids for m in M.names}
+        for cx, degs in [(Cochains(A, M, L), range(lo - 1, hi + 1)),
+                         (ch, sorted(chain_degs))]:
+            seen.clear()
+            src = set()
+            for r in A.poset.elements:
+                for q in degs:
+                    cx.differential(r, q)
+                    src.update(cx.basis(r, q))
+            assert len(seen) == len(src) and set(seen) == src
 
 
 # --- oracle first: sanity of the dense bar-dual implementation -------------
