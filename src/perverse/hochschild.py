@@ -6,7 +6,11 @@ degree |a|+|b|+sum(|a_i|-1) and the differential D = d0+d1 has degree +1.
 Hochschild chains are m[a_1|...|a_k] with m in a bimodule; cochains are
 functions on middle words with values in the bimodule, stored as sparse dicts
 {(word, module element): coefficient}.  A basis cochain (w -> m) has degree
-|m| - sum(|a_i|-1).
+|m| - sum(|a_i|-1).  Storage stays flat; an operation on cochains (cup,
+braces, the action pairing, B_dual, the precomposition of InducedHH) reads
+them as an Op, a function of the word that knows the word lengths it can be
+nonzero on, and to_cochain flattens an Op back to a dict.  Only D* and the
+AW transport look words up in index_cochain's table directly.
 
 Perversities enter only through slot bases: a word is admissible at r when
 its label sum stays under the top and the module element is present at
@@ -252,8 +256,22 @@ class Chains(SlotComplex):
 # Hochschild cochains
 
 
-def eval_cochain(f_by_word, w):
-    return f_by_word.get(w, {})
+class Op:
+    """a homogeneous operation: middle word -> vector in the coefficients.
+    Covers honest cochains as well as the two distinguished degree-2 symbols
+    (the multiplication, concentrated in length 2, and the differential,
+    concentrated in length 1).  lengths holds every word length the Op can
+    be nonzero on; each constructor derives it, and every operation skips
+    the lengths outside it.  Its values are read, never modified"""
+
+    def __init__(self, A, deg, fn, lengths):
+        self.A = A
+        self.deg = deg
+        self.fn = fn
+        self.lengths = frozenset(lengths)
+
+    def __call__(self, w):
+        return self.fn(w)
 
 
 def index_cochain(field, f):
@@ -261,6 +279,26 @@ def index_cochain(field, f):
     out = {}
     for (w, m), c in f.items():
         vec_iadd(field, out.setdefault(w, {}), {m: c})
+    return out
+
+
+def cochain_op(A, f, fdeg):
+    """the Op of a sparse cochain {(w, m): c}, returning its stored values;
+    zero on words with unit entries"""
+    fw = index_cochain(A.field, f)
+    return Op(A, fdeg, lambda w: fw.get(w, {}), {len(w) for w in fw})
+
+
+def to_cochain(op, words):
+    "the sparse cochain {(w, m): c} of op on the given words"
+    F = op.A.field
+    out = {}
+    for w in words:
+        if len(w) not in op.lengths:
+            continue
+        for x, c in op(w).items():
+            if not F.iszero(c):
+                out[(w, x)] = c
     return out
 
 
@@ -275,7 +313,7 @@ def apply_cochain_D(A, M, f, fdeg, words):
     out = {}
     for w in words:
         k = len(w)
-        val = dict(M.d_vec(eval_cochain(fw, w)))
+        val = dict(M.d_vec(fw.get(w, {})))
         eps = 0
         for i in range(k):
             s = pm[(eps + fdeg) % 2]
@@ -283,15 +321,15 @@ def apply_cochain_D(A, M, f, fdeg, words):
                 if y == unit:
                     continue
                 w2 = w[:i] + (y,) + w[i + 1:]
-                vec_iadd(F, val, eval_cochain(fw, w2), F.mul(s, c))
+                vec_iadd(F, val, fw.get(w2, {}), F.mul(s, c))
             eps += sdeg(A, w[i])
         if k:
             a1, ak = w[0], w[-1]
             s = pm[((A.deg(a1) + 1) * fdeg + 1) % 2]
             vec_iadd(F, val, M.act_left_vec({a1: F.one},
-                                            eval_cochain(fw, w[1:])), s)
+                                            fw.get(w[1:], {})), s)
             s = pm[(word_sdeg(A, w[:-1]) + fdeg) % 2]
-            vec_iadd(F, val, M.act_right_vec(eval_cochain(fw, w[:-1]),
+            vec_iadd(F, val, M.act_right_vec(fw.get(w[:-1], {}),
                                              {ak: F.one}), s)
             eps = sdeg(A, w[0])
             for i in range(1, k):
@@ -300,7 +338,7 @@ def apply_cochain_D(A, M, f, fdeg, words):
                     if y == unit:
                         continue
                     w2 = w[:i - 1] + (y,) + w[i + 1:]
-                    vec_iadd(F, val, eval_cochain(fw, w2), F.mul(s, c))
+                    vec_iadd(F, val, fw.get(w2, {}), F.mul(s, c))
                 eps += sdeg(A, w[i])
         out.update({(w, m): c for m, c in val.items()})
     return out
@@ -462,31 +500,6 @@ def hh_table_oracle(A, M, L, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# action of HC(A) on HC(A, M)
-
-
-def action_pairing(A, M, f, g, gdeg, words):
-    """(f.g)(w) = sum over splits of +- f(head) acting on g(tail), the left
-    module action composed with A box_A M = M; f is a cochain over (A, A),
-    g over (A, M)"""
-    F = A.field
-    fw = index_cochain(F, f)
-    gw = index_cochain(F, g)
-    out = {}
-    for w in words:
-        val = {}
-        for k in range(len(w) + 1):
-            fv = eval_cochain(fw, w[:k])
-            gv = eval_cochain(gw, w[k:])
-            if not fv or not gv:
-                continue
-            s = F.sign(gdeg * word_sdeg(A, w[:k]))
-            vec_iadd(F, val, M.act_left_vec(fv, gv), s)
-        out.update({(w, m): c for m, c in val.items()})
-    return out
-
-
-# ---------------------------------------------------------------------------
 # functoriality along pDGA quasi-isomorphisms
 
 
@@ -560,17 +573,18 @@ def hc_postcompose(A, fmap, g):
     return out
 
 
-def hc_precompose(A, B, fmap, g, words):
-    "HC(B, B) -> HC(A, B as A-bimodule): precompose with the induced word map"
+def hc_precompose(A, B, fmap, g):
+    """HC(B, B) -> HC(A, B as A-bimodule): the Op g precomposed with the
+    induced word map, which keeps word lengths"""
     F = A.field
-    gw = index_cochain(F, g)
-    out = {}
-    for w in words:
+
+    def fn(w):
         val = {}
         for w2, c in induced_word_map(A, B, fmap, w).items():
-            vec_iadd(F, val, eval_cochain(gw, w2), c)
-        out.update({(w, m): c for m, c in val.items()})
-    return out
+            vec_iadd(F, val, g(w2), c)
+        return val
+
+    return Op(A, g.deg, fn, g.lengths)
 
 
 class InducedHH:
@@ -601,8 +615,9 @@ class InducedHH:
         words = sorted({w for (w, m) in self.cm.basis(r, q)}, key=repr)
         mid_of_b = []
         for rep in self.cb.representatives(r, q):
-            g = hc_precompose(self.A, self.B, self.fmap, rep, words)
-            mid_of_b.append(self.cm.coords_of(r, q, g))
+            g = hc_precompose(self.A, self.B, self.fmap,
+                              cochain_op(self.B, rep, q))
+            mid_of_b.append(self.cm.coords_of(r, q, to_cochain(g, words)))
         # solve precompose-matrix * x = postcompose-image per A-basis class
         pre = SparseMatrix.from_columns(F, Hm.dim, mid_of_b)
         cols = []

@@ -19,8 +19,8 @@ from collections import namedtuple
 from .linalg import SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub
 from .algebra import tensor_pdga, algebra_as_bimodule
 from .hochschild import (Bar, Cochains, bar_degree, bar_ok, sdeg,
-                         index_cochain)
-from .structure import (cup, bracket, BVOperator, record_identity,
+                         index_cochain, cochain_op, to_cochain)
+from .structure import (cup_op, bracket_op, BVOperator, record_identity,
                         run_identity)
 
 
@@ -382,12 +382,21 @@ def compare_hh(A, B, L, window):
         r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
         return {"slot": (r, q, q2), "degrees": (qf, qg, qf2, qg2)}
 
+    def pair_ops(d):
+        """the Ops of the two transported classes of an image_pairs sample:
+        the pair over T, the pair of A-factors and the pair of B-factors"""
+        _, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
+        return ((cochain_op(T, Fg, q), cochain_op(T, Fg2, q2)),
+                (cochain_op(A, f, qf), cochain_op(A, f2, qf2)),
+                (cochain_op(B, g, qg), cochain_op(B, g2, qg2)))
+
     # cup transport: elementwise on pairs of transported classes
     def cup_transports(d):
-        r, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
-        lhs = cup(T, Fg, q, Fg2, q2, cxT.words)
-        ca = cup(A, f, qf, f2, qf2, cxA.words)
-        cb = cup(B, g, qg, g2, qg2, cxB.words)
+        r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
+        t, a, b = pair_ops(d)
+        lhs = to_cochain(cup_op(*t), cxT.words)
+        ca = to_cochain(cup_op(*a), cxA.words)
+        cb = to_cochain(cup_op(*b), cxB.words)
         rhs = vec_scale(F, F.sign(qf2 * qg), tensor_cochain(
             A, B, T, ca, qf + qf2, cb, qg + qg2, aw))
         return cxT.is_boundary(r, q + q2, vec_sub(F, lhs, rhs))
@@ -398,13 +407,14 @@ def compare_hh(A, B, L, window):
     # bracket transport; arity-0 insertions read one extra word length, so
     # the class comparison happens one truncation level down
     def bracket_transports(d):
-        r, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
-        lhs = bracket(T, Fg, q, Fg2, q2, cxTm.words)
-        t1 = tensor_cochain(A, B, T, bracket(A, f, qf, f2, qf2, cxA.words),
-                            qf + qf2 - 1, cup(B, g, qg, g2, qg2, cxB.words),
+        r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
+        t, a, b = pair_ops(d)
+        lhs = to_cochain(bracket_op(*t), cxTm.words)
+        t1 = tensor_cochain(A, B, T, to_cochain(bracket_op(*a), cxA.words),
+                            qf + qf2 - 1, to_cochain(cup_op(*b), cxB.words),
                             qg + qg2, aw)
-        t2 = tensor_cochain(A, B, T, cup(A, f, qf, f2, qf2, cxA.words),
-                            qf + qf2, bracket(B, g, qg, g2, qg2, cxB.words),
+        t2 = tensor_cochain(A, B, T, to_cochain(cup_op(*a), cxA.words),
+                            qf + qf2, to_cochain(bracket_op(*b), cxB.words),
                             qg + qg2 - 1, aw)
         rhs = vec_add(F, vec_scale(F, F.sign((qf2 - 1) * qg), t1),
                       vec_scale(F, F.sign(qf2 * (qg - 1)), t2))

@@ -1,8 +1,10 @@
 """Operations on Hochschild (co)chains.
 
-Cochain side: cup product, brace operator, Gerstenhaber bracket, and the
-interpretation of the cochain differential as [d_A, f] + [m, f] where m and
-d_A are the (non-cochain) multiplication and differential symbols of degree 2.
+Cochain side, each built as an Op (see hochschild): cup product (with a
+module action in place of the product, the action pairing f.g), brace
+operator, Gerstenhaber bracket, B_dual, and the interpretation of the
+cochain differential as [d_A, f] + [m, f] where m and d_A are the
+(non-cochain) multiplication and differential symbols of degree 2.
 
 Chain side: the contraction i_f, the Lie operator L_f, Connes' boundary B and
 its dual B_dual acting on cochains with dual coefficients through the pairing
@@ -21,8 +23,8 @@ from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
                      vec_sub, solve)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
-from .hochschild import (sdeg, word_sdeg, eval_cochain, index_cochain,
-                         apply_cochain_D, Chains, Cochains, action_pairing)
+from .hochschild import (sdeg, word_sdeg, apply_cochain_D, Chains, Cochains,
+                         Op, cochain_op, to_cochain)
 
 
 def _undual(x):
@@ -33,31 +35,6 @@ def _undual(x):
 
 # ---------------------------------------------------------------------------
 # operations on middle words
-
-
-class Op:
-    """a homogeneous operation: middle word -> vector in A.  Covers honest
-    cochains as well as the two distinguished degree-2 symbols (the
-    multiplication, concentrated in length 2, and the differential,
-    concentrated in length 1).  lengths holds every word length the Op can
-    be nonzero on; each constructor derives it, and brace, to_cochain, cup,
-    iota and B_dual skip the lengths outside it"""
-
-    def __init__(self, A, deg, fn, lengths):
-        self.A = A
-        self.deg = deg
-        self.fn = fn
-        self.lengths = frozenset(lengths)
-
-    def __call__(self, w):
-        return self.fn(w)
-
-
-def cochain_op(A, f, fdeg):
-    "wrap a sparse cochain {(w, a): c}; zero on words with unit entries"
-    fw = index_cochain(A.field, f)
-    return Op(A, fdeg, lambda w: dict(eval_cochain(fw, w)),
-              {len(w) for w in fw})
 
 
 def mult_op(A):
@@ -79,18 +56,6 @@ def diff_op(A):
 
 def unit_cochain(A):
     return {((), A.unit): A.field.one}
-
-
-def to_cochain(op, words):
-    F = op.A.field
-    out = {}
-    for w in words:
-        if len(w) not in op.lengths:
-            continue
-        for x, c in op(w).items():
-            if not F.iszero(c):
-                out[(w, x)] = c
-    return out
 
 
 def brace_value(op0, ops, w):
@@ -175,13 +140,18 @@ def op_combine(A, deg, terms):
     return Op(A, deg, fn, set().union(*(op.lengths for _, op in terms)))
 
 
-def cup_op(f, g):
+def cup_op(f, g, act=None):
     """f cup g [a_1..a_k] = sum_{i=0}^k (-1)^{|g| eps_i}
     f[a_1..a_i] g[a_{i+1}..a_k]; the split range includes the empty prefix
     and suffix so that the unit cochain is a strict unit and the brace
-    cross-check f cup g = (-1)^{|f|} m{f,g} holds on the nose"""
+    cross-check f cup g = (-1)^{|f|} m{f,g} holds on the nose.  act
+    multiplies the two values, A's product by default; a bimodule's left
+    action D.act_left_vec makes it the action f.g of a cochain over (A, A)
+    on a cochain g over (A, D)"""
     A = f.A
     F = A.field
+    if act is None:
+        act = A.mul_vec
 
     def fn(w):
         out = {}
@@ -195,7 +165,7 @@ def cup_op(f, g):
             if not gv:
                 continue
             s = F.sign(g.deg * word_sdeg(A, w[:i]))
-            vec_iadd(F, out, A.mul_vec(fv, gv), s)
+            vec_iadd(F, out, act(fv, gv), s)
         return out
 
     return Op(A, f.deg + g.deg, fn,
@@ -216,18 +186,6 @@ def cochain_D_op(f):
     return op_combine(A, f.deg + 1,
                       [(0, brace(dA, [f])), (f.deg, brace(f, [dA])),
                        (0, brace(m, [f])), (f.deg, brace(f, [m]))])
-
-
-# dict-level convenience wrappers
-
-def cup(A, f, fdeg, g, gdeg, words):
-    return to_cochain(cup_op(cochain_op(A, f, fdeg), cochain_op(A, g, gdeg)),
-                      words)
-
-
-def bracket(A, f, fdeg, g, gdeg, words):
-    return to_cochain(bracket_op(cochain_op(A, f, fdeg),
-                                 cochain_op(A, g, gdeg)), words)
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +269,19 @@ def phi_pairing_inv(A, phi):
     return out
 
 
-def connes_B_dual(A, f, fdeg, words):
-    """B_dual on cochains with dual coefficients: through the pairing,
+def bdual_op(f):
+    """B_dual of an Op f with dual coefficients: through the pairing,
     (B_dual phi)(x) = -(-1)^{|phi|} phi(B x), i.e. a signed cyclic sum of
     values at the unit dual element.  The leading sign matches the one the
     pairing puts on the cochain differential, which is what makes the
-    cyclic identities come out with their stated signs"""
+    cyclic identities come out with their stated signs.  Every cyclic word
+    b.w has length len(w) + 1, so the lengths are one below f's"""
+    A = f.A
     F = A.field
-    fw = index_cochain(F, f)
-    lengths = {len(w) for w in fw}
     ustar = dual_name(A.unit)
-    out = {}
-    for w in words:
-        # every cyclic word b.w has length len(w) + 1
-        if len(w) + 1 not in lengths:
-            continue
+
+    def fn(w):
+        out = {}
         for b in A.names:
             sd = [sdeg(A, b)] + [sdeg(A, y) for y in w]
             tot = sum(sd)
@@ -335,16 +291,18 @@ def connes_B_dual(A, f, fdeg, words):
                 cyc = entries[i:] + entries[:i]
                 if any(x == A.unit for x in cyc):
                     continue
-                coef = eval_cochain(fw, cyc).get(ustar, F.zero)
+                coef = f(cyc).get(ustar, F.zero)
                 if F.iszero(coef):
                     continue
                 pre = sum(sd[:i])
                 total = F.add(total, F.mul(F.sign(pre * (tot - pre)), coef))
             if F.iszero(total):
                 continue
-            s = F.sign(fdeg + 1 + A.deg(b) * word_sdeg(A, w))
-            out[(w, dual_name(b))] = F.mul(s, total)
-    return out
+            s = F.sign(f.deg + 1 + A.deg(b) * word_sdeg(A, w))
+            out[dual_name(b)] = F.mul(s, total)
+        return out
+
+    return Op(A, f.deg - 1, fn, {n - 1 for n in f.lengths if n >= 1})
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +375,35 @@ class BVOperator:
         # its output, so every class comparison that involves it happens in
         # a complex truncated one length lower (restriction is a chain map)
         self.cdm = Cochains(A, self.D, L - 1)
-        self.c = {((), bs): c for bs, c in self.cycle.items()}
-        self.cdeg = -self.n
+        self.c = cochain_op(A, {((), bs): c for bs, c in self.cycle.items()},
+                            -self.n)
 
-    def act_c(self, f):
-        "f.[c] in HC(A, DA)"
-        return action_pairing(self.A, self.D, f, self.c, self.cdeg,
-                              self.cd.words)
+    def act_c(self, f, fdeg):
+        "the Op f.[c] in HC(A, DA) of the degree-fdeg cochain f"
+        return cup_op(cochain_op(self.A, f, fdeg), self.c, self.D.act_left_vec)
 
     def bdual_act(self, f, fdeg):
-        return connes_B_dual(self.A, self.act_c(f), fdeg + self.cdeg,
-                             self.cd.words)
+        """the Op B_dual(f.[c]); f.[c] is evaluated once on every word of cd,
+        which B_dual reads on all words of cdm"""
+        fc = to_cochain(self.act_c(f, fdeg), self.cd.words)
+        return bdual_op(cochain_op(self.A, fc, fdeg + self.c.deg))
 
     def unit_obstruction(self, r):
         "coordinates of B_dual([c]); Delta(1) = 0 iff this is a boundary"
-        bv = connes_B_dual(self.A, self.c, self.cdeg, self.cd.words)
-        return self.cdm.coords_of(r, self.cdeg - 1, self.cdm.restrict(bv))
+        bv = to_cochain(bdual_op(self.c), self.cdm.words)
+        return self.cdm.coords_of(r, self.c.deg - 1, bv)
 
     def delta(self, r, q, f):
         """Delta of the cocycle f at slot (r, q): returns (cochain, coords)
         with coords in the HH^{q-1} representative basis"""
-        F, cdm = self.A.field, self.cdm
-        bv = cdm.restrict(self.bdual_act(f, q))
-        target = cdm.coords_of(r, q - 1 + self.cdeg, bv)
+        F, cdm, qc = self.A.field, self.cdm, q - 1 + self.c.deg
+        bv = to_cochain(self.bdual_act(f, q), cdm.words)
+        target = cdm.coords_of(r, qc, bv)
         reps = self.cx.representatives(r, q - 1)
-        cols = [cdm.coords_of(r, q - 1 + self.cdeg,
-                              cdm.restrict(self.act_c(g)))
+        cols = [cdm.coords_of(r, qc, to_cochain(self.act_c(g, q - 1),
+                                                cdm.words))
                 for g in reps]
-        H = cdm.homology(r, q - 1 + self.cdeg)
+        H = cdm.homology(r, qc)
         mat = SparseMatrix.from_columns(F, H.dim, cols)
         if reps and mat.rank() != len(reps):
             # the certified duality action can only lose injectivity here
@@ -803,22 +762,20 @@ class _Suite:
         if max((len(w) for w, _ in [*f, *g]), default=0) > self.L - 3:
             return None
         A, F, bv = self.A, self.F, self.bv
-        D, cdeg, cwords = bv.D, bv.cdeg, bv.cd.words
+        act, cdeg, cwords = bv.D.act_left_vec, bv.c.deg, bv.cdm.words
         fop, gop = self.ops(d[0])
         fug = self.co(cup_op(fop, gop))
-        lhs = bv.act_c(self.co(bracket_op(fop, gop)))
-        rhs = self.signed(qf, bv.bdual_act(fug, qf + qg))
-        t2 = action_pairing(A, D, f, bv.bdual_act(g, qg), qg + cdeg - 1,
-                            cwords)
+        lhs = to_cochain(bv.act_c(self.co(bracket_op(fop, gop)), qf + qg - 1),
+                         cwords)
+        rhs = self.signed(qf, to_cochain(bv.bdual_act(fug, qf + qg), cwords))
+        t2 = to_cochain(cup_op(fop, bv.bdual_act(g, qg), act), cwords)
         rhs = vec_sub(F, rhs, t2)
-        t3 = action_pairing(A, D, g, bv.bdual_act(f, qf), qf + cdeg - 1,
-                            cwords)
+        t3 = to_cochain(cup_op(gop, bv.bdual_act(f, qf), act), cwords)
         vec_iadd(F, rhs, t3, F.sign((qf - 1) * (qg - 1)))
-        t4 = action_pairing(A, D, fug, connes_B_dual(A, bv.c, cdeg, cwords),
-                            cdeg - 1, cwords)
-        vec_iadd(F, rhs, t4, F.sign(qg))
+        t4 = cup_op(cochain_op(A, fug, qf + qg), bdual_op(bv.c), act)
+        vec_iadd(F, rhs, to_cochain(t4, cwords), F.sign(qg))
         return bv.cdm.is_boundary(rr, qf + qg - 1 + cdeg,
-                                  bv.cdm.restrict(vec_sub(F, lhs, rhs)))
+                                  vec_sub(F, lhs, rhs))
 
 
 def _degrees(cochains):

@@ -23,7 +23,7 @@ from perverse.hochschild import (Bar, Chains, Cochains, middle_words,
                                  hh_table, hh_table_oracle, InducedHH)
 from perverse.structure import (verify_calculus, BVOperator,
                                 find_duality_class, cochain_op, cup_op,
-                                bracket_op, to_cochain, cup, bracket,
+                                bracket_op, to_cochain,
                                 GERSTENHABER_IDS, CALCULUS_IDS)
 from perverse.kunneth import (alexander_whitney_vec, eilenberg_zilber,
                               compare_hh)
@@ -275,20 +275,22 @@ def test_criterion_08_invariance_under_quasi_isomorphism():
             g1 = image(r1, q1, i1)
             for i2, f2 in enumerate(ind.ca.representatives(r2, q2)):
                 g2 = image(r2, q2, i2)
+                fA = cochain_op(A, f1, q1), cochain_op(A, f2, q2)
+                gB = cochain_op(B, g1, q1), cochain_op(B, g2, q2)
                 if lo <= q1 + q2 <= hi:
-                    cA = cup(A, f1, q1, f2, q2, ind.ca.words)
+                    cA = to_cochain(cup_op(*fA), ind.ca.words)
                     lhs = M[(rr, q1 + q2)].apply(
                         ind.ca.coords_of(rr, q1 + q2, cA))
-                    cB = cup(B, g1, q1, g2, q2, ind.cb.words)
+                    cB = to_cochain(cup_op(*gB), ind.cb.words)
                     rhs = ind.cb.coords_of(rr, q1 + q2, cB)
                     ran += 1
                     if vec_sub(QQ, lhs, rhs):
                         failures.append(("cup", (q1, q2)))
                 if lo <= q1 + q2 - 1 <= hi:
-                    bA = bracket(A, f1, q1, f2, q2, ind.ca.words)
+                    bA = to_cochain(bracket_op(*fA), ind.ca.words)
                     lhs = M[(rr, q1 + q2 - 1)].apply(
                         ind.ca.coords_of(rr, q1 + q2 - 1, bA))
-                    bB = bracket(B, g1, q1, g2, q2, ind.cb.words)
+                    bB = to_cochain(bracket_op(*gB), ind.cb.words)
                     rhs = ind.cb.coords_of(rr, q1 + q2 - 1, bB)
                     ran += 1
                     if vec_sub(QQ, lhs, rhs):

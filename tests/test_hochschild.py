@@ -9,9 +9,10 @@ from perverse.builders import (trivial_algebra, sphere_algebra,
                                quasi_iso_fixture)
 from perverse.hochschild import (Bar, Chains, Cochains, bar_degree,
                                  middle_words, word_sdeg, apply_cochain_D,
-                                 hh_table, hh_table_oracle, action_pairing,
-                                 index_cochain, eval_cochain, InducedHH,
-                                 check_pdga_map, restrict_bimodule)
+                                 hh_table, hh_table_oracle, cochain_op,
+                                 to_cochain, InducedHH, check_pdga_map,
+                                 restrict_bimodule)
+from perverse.structure import cup_op
 from perverse.kunneth import hh_degree_support
 
 P3 = Poset(3)
@@ -407,11 +408,12 @@ def test_action_of_unit_class_is_identity():
     unit = {((), "1"): QQ.one}
     for g in [{((), "x"): QQ.one},
               {(("x",), "x^2"): QQ.one, (("x", "x"), "x^2"): QQ.of(2)}]:
-        gdeg = {0: 2, 1: 3}  # not used beyond sign parity below
         # degree of g: take it from its first pair
         (w0, m0) = next(iter(g))
         q = A.deg(m0) - word_sdeg(A, w0)
-        assert action_pairing(A, M, unit, g, q, words) == g
+        pairing = cup_op(cochain_op(A, unit, 0), cochain_op(A, g, q),
+                         M.act_left_vec)
+        assert to_cochain(pairing, words) == g
 
 
 def test_action_pairing_hand_expansion():
@@ -420,7 +422,9 @@ def test_action_pairing_hand_expansion():
     M = algebra_as_bimodule(A)
     f = {(("x",), "1"): QQ.one}
     g = {((), "x"): QQ.one}
-    out = action_pairing(A, M, f, g, 2, middle_words(A, 2))
+    pairing = cup_op(cochain_op(A, f, -1), cochain_op(A, g, 2),
+                     M.act_left_vec)
+    out = to_cochain(pairing, middle_words(A, 2))
     assert out == {(("x",), "x"): QQ.one}
 
 

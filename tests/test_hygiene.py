@@ -136,3 +136,25 @@ def test_no_module_divides_with_a_slash():
     found = [(fname, line) for fname, tree in source_trees()
              for line in true_divisions(tree)]
     assert not found, found
+
+
+def callers(tree, name):
+    "the names of the functions in a module whose own bodies call name"
+    return [fn.name for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)
+            for node in _own_nodes(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == name]
+
+
+def test_cochains_are_read_through_ops():
+    # an operation reads a cochain through cochain_op's Op; only the hot
+    # readers D* and the AW transport look words up in the regrouped table
+    found = sorted({caller for _, tree in source_trees()
+                    for caller in callers(tree, "index_cochain")})
+    assert found == ["apply_cochain_D", "cochain_op", "tensor_cochain"], found
+    gone = {"eval_cochain", "action_pairing", "cup", "bracket"}
+    defined = [(fname, node.name) for fname, tree in source_trees()
+               for node in ast.walk(tree)
+               if isinstance(node, _FUNCTIONS + (ast.ClassDef,))
+               and node.name in gone]
+    assert not defined, defined

@@ -11,7 +11,7 @@ from perverse.algebra import tensor_pdga, algebra_as_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, random_pdga)
 from perverse.hochschild import (Bar, Chains, Cochains, middle_words, sdeg,
-                                 apply_cochain_D)
+                                 apply_cochain_D, Op)
 from perverse.structure import connes_B, verify_calculus
 from perverse.kunneth import (shuffles, alexander_whitney,
                               alexander_whitney_vec, eilenberg_zilber,
@@ -379,13 +379,15 @@ def test_each_cochain_complex_is_built_once(monkeypatch):
 
 def test_compare_hh_records_pinned_under_a_faulty_cup(monkeypatch):
     import perverse.kunneth as kunneth
-    orig = kunneth.cup
+    orig = kunneth.cup_op
 
-    def doubled(A, f, fdeg, g, gdeg, words):
-        return vec_scale(A.field, A.field.of(2),
-                         orig(A, f, fdeg, g, gdeg, words))
+    def doubled(f, g, act=None):
+        op = orig(f, g, act)
+        F = f.A.field
+        return Op(f.A, op.deg, lambda w: vec_scale(F, F.of(2), op(w)),
+                  op.lengths)
 
-    monkeypatch.setattr(kunneth, "cup", doubled)
+    monkeypatch.setattr(kunneth, "cup_op", doubled)
     z = (0, 0, 0, 0)
     assert compare_hh(S2, S2, 2, (-1, 1))["records"] == [
         {"identity": "dimension tables agree", "status": "pass",

@@ -9,12 +9,12 @@ from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
-                                 apply_cochain_D, action_pairing, sdeg)
+                                 apply_cochain_D, sdeg)
 from perverse.structure import (Op, cochain_op, mult_op, diff_op, unit_cochain,
                                 to_cochain, brace, circle, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
                                 connes_B, phi_pairing, phi_pairing_inv,
-                                connes_B_dual, find_duality_class,
+                                bdual_op, find_duality_class,
                                 BVOperator, random_cochain, verify_calculus,
                                 GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
 
@@ -242,6 +242,18 @@ def test_braces_never_evaluate_a_cochain_off_its_lengths():
     lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, 1, words)
     assert to_cochain(cochain_D_op(fop), words) == lhs != {}
     assert seen == {"f": {1, 3}}
+    # the action pairing f.[c] with c on the empty word splits each word
+    # only at its end, and B_dual reads its argument one length up
+    seen.clear()
+    D = dual_bimodule(A)
+    cop = _recording(cochain_op(A, {((), "x^2*"): QQ.one}, -4), "c", seen)
+    assert to_cochain(cup_op(fop, cop, D.act_left_vec), words)
+    assert seen == {"f": {1, 3}, "c": {0}}
+    seen.clear()
+    e = {(("x",), "x*"): QQ.one, (("x", "x", "x"), "1*"): QQ.of(2)}
+    eop = _recording(cochain_op(A, e, -3), "e", seen)
+    assert to_cochain(bdual_op(eop), words)
+    assert seen == {"e": {1, 3}}
 
 
 # --- cyclic operator on chains ---------------------------------------------
@@ -433,7 +445,8 @@ def test_bdual_matches_pairing_composition(seed):
                     if not QQ.iszero(val):
                         psi[(b, w2)] = QQ.mul(QQ.sign(q + 1), val)
             ref = phi_pairing_inv(A, psi)
-            cur = {k: c for k, c in connes_B_dual(A, e, q, words).items()
+            bdual = to_cochain(bdual_op(cochain_op(A, e, q)), words)
+            cur = {k: c for k, c in bdual.items()
                    if not QQ.iszero(c)}
             assert cur == ref
             if ref:
@@ -463,15 +476,14 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
             if not f:
                 continue
             df = apply_cochain_D(A, D, f, q, words)
-            bdf = connes_B_dual(A, df, q + 1, words)
-            dbf = apply_cochain_D(
-                A, D, connes_B_dual(A, f, q, words), q - 1, words)
+            bdf = to_cochain(bdual_op(cochain_op(A, df, q + 1)), words)
+            bf = bdual_op(cochain_op(A, f, q))
+            dbf = apply_cochain_D(A, D, to_cochain(bf, words), q - 1, words)
             total = vec_add(QQ, bdf, dbf)
             assert all(QQ.iszero(c) for c in total.values())
             if bdf or dbf:
                 informative += 1
-            bbf = connes_B_dual(
-                A, connes_B_dual(A, f, q, words), q - 1, words)
+            bbf = to_cochain(bdual_op(bf), words)
             assert all(QQ.iszero(c) for c in bbf.values())
     assert informative
 
