@@ -50,6 +50,15 @@ class PDGA:
         self.unit_partners = {
             x for x in self.names
             if self.sum_labels_ok(self.label[unit], self.label[x])}
+        # the inverse of d and of the label-filtered product on nonunit
+        # targets: y -> [(letters, c)], letters (x,) for c y in d(x) and
+        # (a, b) for c y in a.b; the read path of the cochain D*
+        self.letter_preimages = {}
+        for xs, v in [((x,), v) for x, v in self.diffs.items()] + list(
+                self.label_products.items()):
+            for y, c in v.items():
+                if y != unit:
+                    self.letter_preimages.setdefault(y, []).append((xs, c))
 
     def deg(self, x):
         return self.degree[x]

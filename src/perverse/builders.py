@@ -90,7 +90,8 @@ def random_pdga(field, poset, seed, labeled=True):
     diff = {nm: v for nm, v in diff.items() if nm not in closed}
     A = PDGA(field, poset, gens, "1", diff=diff, products=prods)
     rep = A.validate()
-    assert rep["valid"], rep["violations"][:3]
+    if not rep["valid"]:
+        raise ValueError("invalid random pDGA: %r" % (rep["violations"][:3],))
     return A
 
 

@@ -9,16 +9,17 @@ functions on middle words with values in the bimodule, stored as sparse dicts
 |m| - sum(|a_i|-1).  Storage stays flat; an operation on cochains (cup,
 braces, the action pairing, B_dual, the precomposition of InducedHH) reads
 them as an Op, a function of the word that knows the word lengths it can be
-nonzero on, and to_cochain flattens an Op back to a dict.  Only D* and the
-AW transport look words up in index_cochain's table directly.
+nonzero on, and to_cochain flattens an Op back to a dict.  Only cochain_op
+and the AW transport regroup a cochain with index_cochain.
 
 Perversities enter only through slot bases: a word is admissible at r when
 its label sum stays under the top and the module element is present at
 label(word) + r.  The differentials themselves are label-blind, so the image
 of each basis element is computed once per complex and every slot matrix
-cuts it to the admissible target pairs.  D* of a basis cochain (w -> m) is
-evaluated only on the cofaces of w, the words that have w as a face, and an
-HH dimension table is read from the ranks of the slot matrices alone.
+cuts it to the admissible target pairs.  D* is pushed forward from each term
+(w -> m) of a cochain onto the cofaces of w, the words that have w as a
+face, and an HH dimension table is read from the ranks of the slot matrices
+alone.
 """
 
 import itertools
@@ -303,52 +304,50 @@ def to_cochain(op, words):
 
 
 def apply_cochain_D(A, M, f, fdeg, words):
-    """the printed cochain differential D* = d0 + d1 evaluated on the given
-    middle words; f is {(w, m): c}, returns the same shape.  Letters are
-    nonunit, so adjacent pairs read the label-filtered product table"""
-    F = A.field
-    fw = index_cochain(F, f)
-    unit, diffs, prods = A.unit, A.diffs, A.label_products
-    pm = (F.one, F.minus_one)
-    out = {}
-    for w in words:
-        k = len(w)
-        val = dict(M.d_vec(fw.get(w, {})))
+    """the printed cochain differential D* = d0 + d1 of f = {(w, m): c}, in
+    the same shape, kept on the given middle words (read only by `in`, so a
+    dict or set).  Each term (v, m, c) of f is pushed forward onto the words
+    that have v as a face; with e the suspended degree of v[:i] and v[i] = y:
+      d_M(m) lands on v, with sign +1;
+      y in d(x) lands on v[:i] + (x,) + v[i+1:], with (-1)^(e + fdeg);
+      y in a.b lands on v[:i] + (a, b) + v[i+1:], with (-1)^(e + |a| + fdeg);
+      a.m lands on (a,) + v, with (-1)^((|a| + 1) fdeg + 1);
+      m.a lands on v + (a,), with (-1)^(sdeg(v) + fdeg).
+    Words with a unit letter carry no term, and A.letter_preimages leaves
+    out the unit targets of d and of the products"""
+    F, pm, gens = A.field, (A.field.one, A.field.minus_one), A.nonunit()
+    acc = {}
+
+    def add(w, vec, s, c):
+        vec_iadd(F, acc.setdefault(w, {}), vec, F.mul(pm[s % 2], c))
+
+    for (v, m), c in f.items():
+        if A.unit in v:
+            continue
+        if v in words:
+            add(v, M.d(m), 0, c)
         eps = 0
-        for i in range(k):
-            s = pm[(eps + fdeg) % 2]
-            for y, c in diffs.get(w[i], {}).items():
-                if y == unit:
-                    continue
-                w2 = w[:i] + (y,) + w[i + 1:]
-                vec_iadd(F, val, fw.get(w2, {}), F.mul(s, c))
-            eps += sdeg(A, w[i])
-        if k:
-            a1, ak = w[0], w[-1]
-            s = pm[((A.deg(a1) + 1) * fdeg + 1) % 2]
-            vec_iadd(F, val, M.act_left_vec({a1: F.one},
-                                            fw.get(w[1:], {})), s)
-            s = pm[(word_sdeg(A, w[:-1]) + fdeg) % 2]
-            vec_iadd(F, val, M.act_right_vec(fw.get(w[:-1], {}),
-                                             {ak: F.one}), s)
-            eps = sdeg(A, w[0])
-            for i in range(1, k):
-                s = pm[(eps + fdeg + 1) % 2]
-                for y, c in prods.get((w[i - 1], w[i]), {}).items():
-                    if y == unit:
-                        continue
-                    w2 = w[:i - 1] + (y,) + w[i + 1:]
-                    vec_iadd(F, val, fw.get(w2, {}), F.mul(s, c))
-                eps += sdeg(A, w[i])
-        out.update({(w, m): c for m, c in val.items()})
-    return out
+        for i, y in enumerate(v):
+            for xs, cy in A.letter_preimages.get(y, ()):
+                w = v[:i] + xs + v[i + 1:]
+                if w in words:
+                    s = eps + fdeg + (A.deg(xs[0]) if len(xs) == 2 else 0)
+                    add(w, {m: cy}, s, c)
+            eps += sdeg(A, y)
+        for a in gens:
+            if (a,) + v in words:
+                add((a,) + v, M.act_left(a, m), (A.deg(a) + 1) * fdeg + 1, c)
+            if v + (a,) in words:
+                add(v + (a,), M.act_right(m, a), eps + fdeg, c)
+    return {(w, m): c for w, vec in acc.items() for m, c in vec.items()}
 
 
 class Cochains(SlotComplex):
     """length-truncated normalized Hochschild cochain complex of A with
     coefficients in a bimodule M; a slot (r, q) has the admissible pairs
-    (w, m) of degree q as its basis.  (A, M, L) fix it: the queries that read
-    a degree window take it as an argument"""
+    (w, m) of degree q as its basis, and D_key pushes D* forward from one
+    pair onto all words of the complex.  (A, M, L) fix it: the queries that
+    read a degree window take it as an argument"""
 
     # D* of an admissible pair can be nonzero on pairs that a slot lacks
     truncated = True
@@ -361,7 +360,8 @@ class Cochains(SlotComplex):
         self.words = middle_words(A, L)
         self.gens = A.nonunit()
         # suspended degree and label of each word, extending its prefix's
-        # (every prefix of an admissible word is admissible)
+        # (every prefix of an admissible word is admissible); D* reads the
+        # keys of wdeg as the set of words
         self.wdeg, self.wlabel = {(): 0}, {(): A.poset.zero}
         for w in self.words[1:]:
             x = w[-1]
@@ -373,15 +373,6 @@ class Cochains(SlotComplex):
             for m in M.names:
                 self.pairs.setdefault(self.degree((w, m)), {}).setdefault(
                     w, []).append(m)
-        # the inverse of d and of the label-filtered product: y -> the
-        # letters (x,) with y in d(x) and (a, b) with y in a.b
-        self.preimages = {}
-        for x, v in A.diffs.items():
-            for y in v:
-                self.preimages.setdefault(y, []).append((x,))
-        for ab, v in A.label_products.items():
-            for y in v:
-                self.preimages.setdefault(y, []).append(ab)
 
     def degree(self, p):
         w, m = p
@@ -411,26 +402,12 @@ class Cochains(SlotComplex):
                 out += [(w, m) for m in ms if M.present(m, lab)]
         return out
 
-    def cofaces(self, w):
-        """the middle words on which D* of a cochain supported on w can be
-        nonzero: w, a.w and w.a for a nonunit a, and w with one letter y
-        replaced by an x with y in d(x) or split into (a, b) with y in a.b"""
-        out = {w}
-        for a in self.gens:
-            out.add((a,) + w)
-            out.add(w + (a,))
-        for i, y in enumerate(w):
-            for v in self.preimages.get(y, ()):
-                out.add(w[:i] + v + w[i + 1:])
-        return out
-
     def D_key(self, p):
-        """D* of the basis cochain p = (w, m), evaluated on the cofaces of w
-        that carry a pair one degree up, in the order of their reprs"""
-        q = self.degree(p)
-        words = self.cofaces(p[0]) & self.pairs.get(q + 1, {}).keys()
-        return apply_cochain_D(self.A, self.M, {p: self.A.field.one}, q,
-                               sorted(words, key=repr))
+        """D* of the basis cochain p = (w, m): its one term pushed forward
+        onto the cofaces of w that this complex carries, every pair of them
+        one degree up; a slot matrix keeps the pairs admissible at its r"""
+        return apply_cochain_D(self.A, self.M, {p: self.A.field.one},
+                               self.degree(p), self.wdeg)
 
     def matrix(self, r, q):
         """slot matrix of D* from (r, q) to (r, q+1): the image of each

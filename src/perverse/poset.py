@@ -40,6 +40,7 @@ class Poset:
         self.elements = self._enumerate()
         self.index = {p: i for i, p in enumerate(self.elements)}
         self._covers = None
+        self._oplus = {}
 
     def _enumerate(self):
         "all GM perversities: one binary step choice at each i in 4..n... (3..n)"
@@ -77,17 +78,25 @@ class Poset:
         return self._member(tuple(max(a, b) for a, b in zip(p, q)))
 
     def oplus(self, p, q):
-        """smallest perversity >= p + q (pointwise); None when p + q exceeds top"""
+        """smallest perversity >= p + q (pointwise); None when p + q exceeds
+        top.  Memoized per pair of members, so the memo holds at most |P|^2"""
+        try:
+            return self._oplus[p, q]
+        except KeyError:
+            pass
         s = [a + b for a, b in zip(p, q)]
-        if any(a > b for a, b in zip(s, self.top)):
-            return None
-        for i in range(1, len(s)):
-            if s[i] < s[i - 1]:
-                s[i] = s[i - 1]
-        for i in range(len(s) - 2, -1, -1):
-            if s[i] < s[i + 1] - 1:
-                s[i] = s[i + 1] - 1
-        return self._member(tuple(s))
+        out = None
+        if all(a <= b for a, b in zip(s, self.top)):
+            for i in range(1, len(s)):
+                if s[i] < s[i - 1]:
+                    s[i] = s[i - 1]
+            for i in range(len(s) - 2, -1, -1):
+                if s[i] < s[i + 1] - 1:
+                    s[i] = s[i + 1] - 1
+            out = self._member(tuple(s))
+        if p in self.index and q in self.index:
+            self._oplus[p, q] = out
+        return out
 
     def ominus(self, q, p):
         """largest perversity <= q - p (pointwise); None unless p <= q"""
@@ -108,7 +117,8 @@ class Poset:
         if not cands:
             return None
         mins = [m for m in cands if all(leq(m, c) for c in cands)]
-        assert len(mins) == 1
+        if len(mins) != 1:
+            raise ValueError("no unique least perversity above %r" % (s,))
         return mins[0]
 
     def ominus_bruteforce(self, q, p):
@@ -117,7 +127,8 @@ class Poset:
         s = tuple(b - a for a, b in zip(p, q))
         cands = [r for r in self.elements if leq(r, s)]
         maxes = [m for m in cands if all(leq(c, m) for c in cands)]
-        assert len(maxes) == 1
+        if len(maxes) != 1:
+            raise ValueError("no unique greatest perversity below %r" % (s,))
         return maxes[0]
 
     def dual(self, p):

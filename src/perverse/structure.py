@@ -597,7 +597,7 @@ class _Suite:
 
     def differential(self, fs):
         (f, qf), _ = fs
-        lhs = apply_cochain_D(self.A, self.M, f, qf, self.words)
+        lhs = apply_cochain_D(self.A, self.M, f, qf, self.cx.wdeg)
         return lhs == self.co(cochain_D_op(cochain_op(self.A, f, qf)))
 
     def cup_is_brace(self, fs):
@@ -615,7 +615,7 @@ class _Suite:
         return lhs == self.signed(1 + (qf - 1) * (qg - 1), rhs)
 
     def defect(self, fs):
-        A, F, M, words = self.A, self.F, self.M, self.words
+        A, F, M, words = self.A, self.F, self.M, self.cx.wdeg
         (f, qf), (g, qg) = fs
         fop, gop = self.ops(fs)
         fg = self.co(circle(fop, gop))

@@ -1,17 +1,20 @@
+import random
+
 import pytest
 
 from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import SparseMatrix, vec_add, vec_scale, kernel_basis
+from perverse.linalg import (SparseMatrix, vec_add, vec_iadd, vec_scale,
+                             kernel_basis)
 from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
 from perverse.hochschild import (Bar, Chains, Cochains, bar_degree,
-                                 middle_words, word_sdeg, apply_cochain_D,
-                                 hh_table, hh_table_oracle, cochain_op,
-                                 to_cochain, InducedHH, check_pdga_map,
-                                 restrict_bimodule)
+                                 middle_words, sdeg, word_sdeg,
+                                 apply_cochain_D, index_cochain, hh_table,
+                                 hh_table_oracle, cochain_op, to_cochain,
+                                 InducedHH, check_pdga_map, restrict_bimodule)
 from perverse.structure import cup_op
 from perverse.kunneth import hh_degree_support
 
@@ -231,13 +234,54 @@ def _coface_family():
     return out
 
 
+def _pull_cochain_D(A, M, f, fdeg, words):
+    """independent reference for D*: the printed formula (Df)(w) evaluated
+    on each of the given words, reading f on the faces of w"""
+    F = A.field
+    fw = index_cochain(F, f)
+    unit, diffs, prods = A.unit, A.diffs, A.label_products
+    pm = (F.one, F.minus_one)
+    out = {}
+    for w in words:
+        k = len(w)
+        val = dict(M.d_vec(fw.get(w, {})))
+        eps = 0
+        for i in range(k):
+            s = pm[(eps + fdeg) % 2]
+            for y, c in diffs.get(w[i], {}).items():
+                if y == unit:
+                    continue
+                w2 = w[:i] + (y,) + w[i + 1:]
+                vec_iadd(F, val, fw.get(w2, {}), F.mul(s, c))
+            eps += sdeg(A, w[i])
+        if k:
+            a1, ak = w[0], w[-1]
+            s = pm[((A.deg(a1) + 1) * fdeg + 1) % 2]
+            vec_iadd(F, val, M.act_left_vec({a1: F.one},
+                                            fw.get(w[1:], {})), s)
+            s = pm[(word_sdeg(A, w[:-1]) + fdeg) % 2]
+            vec_iadd(F, val, M.act_right_vec(fw.get(w[:-1], {}),
+                                             {ak: F.one}), s)
+            eps = sdeg(A, w[0])
+            for i in range(1, k):
+                s = pm[(eps + fdeg + 1) % 2]
+                for y, c in prods.get((w[i - 1], w[i]), {}).items():
+                    if y == unit:
+                        continue
+                    w2 = w[:i - 1] + (y,) + w[i + 1:]
+                    vec_iadd(F, val, fw.get(w2, {}), F.mul(s, c))
+                eps += sdeg(A, w[i])
+        out.update({(w, m): c for m, c in val.items()})
+    return out
+
+
 def _matrix_on_every_word(cx, r, q):
-    "the slot matrix with D* evaluated on every destination word"
+    "the slot matrix with the pull formula for D* on every destination word"
     dst = cx.index(r, q + 1)
     words = sorted({w for (w, m) in dst}, key=repr)
     cols = []
     for p in cx.basis(r, q):
-        img = apply_cochain_D(cx.A, cx.M, {p: cx.A.field.one}, q, words)
+        img = _pull_cochain_D(cx.A, cx.M, {p: cx.A.field.one}, q, words)
         cols.append({dst[k]: c for k, c in img.items() if k in dst})
     return SparseMatrix.from_columns(cx.A.field, len(dst), cols)
 
@@ -256,6 +300,27 @@ def test_coface_assembly_and_rank_table(name):
     assert cx.table(lo, hi) == {(r, q): cx.homology(r, q).dim
                                 for r in A.poset.elements
                                 for q in range(lo, hi + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(_coface_family()))
+def test_pushed_cochain_D_equals_the_pull_formula(name):
+    # random sparse cochains of one degree, now and then with a term on a
+    # word holding the unit (which D* never reads), on all words of the
+    # complex and on random subsets of them
+    A, M = _coface_family()[name]
+    F, rng = A.field, random.Random(name)
+    cx = Cochains(A, M, 3)
+    degrees = sorted(cx.pairs)
+    for _ in range(25):
+        q = rng.choice(degrees)
+        pairs = [(w, m) for w, ms in cx.pairs[q].items() for m in ms]
+        f = {p: F.of(rng.choice([1, 2, -1, 3]))
+             for p in rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))}
+        if rng.random() < 0.2:
+            f[((A.unit,), M.names[0])] = F.one
+        for words in (cx.words, rng.sample(cx.words, len(cx.words) // 3)):
+            assert apply_cochain_D(A, M, f, q, set(words)) == \
+                _pull_cochain_D(A, M, f, q, words), (f, q)
 
 
 def test_each_image_is_computed_once(monkeypatch):

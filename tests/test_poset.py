@@ -33,6 +33,19 @@ def test_oplus_ominus_against_bruteforce(n):
         assert P.ominus(q, p) == P.ominus_bruteforce(q, p)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_oplus_memo_holds_the_bruteforce_sum_of_each_pair(n):
+    P = Poset(n)
+    pairs = list(itertools.product(P.elements, repeat=2))
+    first = {(p, q): P.oplus(p, q) for p, q in pairs}
+    assert first == {(p, q): P.oplus_bruteforce(p, q) for p, q in pairs}
+    # a repeated call returns the stored object, None results included
+    assert all(P.oplus(p, q) is first[p, q] for p, q in pairs)
+    # a pair off the poset is answered but not stored
+    assert P.oplus((1,) * (n + 1), P.zero) is None
+    assert P._oplus == first and len(P._oplus) <= len(P) ** 2
+
+
 def test_oplus_unit_and_commutativity():
     P = Poset(5)
     for p in P.elements:

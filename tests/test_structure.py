@@ -578,6 +578,14 @@ def test_identity_suite_trivial_algebra():
     assert not [r for r in rows if r["status"] == "fail"], rows
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "Leibniz asks is_boundary at the slot rr = (rf + rg) + rh, the top "
+    "perversity here, for a sum whose word ('v1', 'v1', 'v2') has label "
+    "(0, 0, 0, 0, 1) and so is not admissible at rr"))
+def test_leibniz_stays_in_the_slots_of_a_labeled_random_pdga():
+    verify_calculus(random_pdga(QQ, Poset(4), 6), 3, -6, 3, trials=5, seed=1)
+
+
 # (identity, status, trials, witness) of verify_calculus(sphere2, 3, -2, 2,
 # trials=4, seed=3), recorded from the hand-unrolled suite
 _PINNED_SPHERE2_SEED3 = [
