@@ -79,10 +79,8 @@ class PDGA:
         return out
 
     def sum_labels_ok(self, *labels):
-        tot = [0] * (self.poset.n + 1)
-        for l in labels:
-            tot = [a + b for a, b in zip(tot, l)]
-        return all(a <= t for a, t in zip(tot, self.poset.top))
+        "the labels sum to a perversity under the top"
+        return self.poset.oplus_all(labels) is not None
 
     def mul(self, a, b):
         "product of two basis elements, as a vector"
@@ -128,11 +126,11 @@ class PDGA:
         pairs = [(a, b) for a in self.names for b in self.names]
         for a, b in pairs:
             ab = self.mul(a, b)
-            if not self.sum_labels_ok(self.lam(a), self.lam(b)):
+            target = self.poset.oplus(self.lam(a), self.lam(b))
+            if target is None:
                 check("degenerate slot product", (a, b),
                       self.products.get((a, b), {}), {})
                 continue
-            target = self.poset.oplus(self.lam(a), self.lam(b))
             for y in ab:
                 if self.degree[y] != self.degree[a] + self.degree[b]:
                     bad.append({"identity": "product degree", "witness": (a, b, y),
@@ -223,10 +221,9 @@ def tensor_pdga(A, B):
     gens = []
     for a in A.names:
         for b in B.names:
-            if not A.sum_labels_ok(A.lam(a), B.lam(b)):
-                continue
             lab = P.oplus(A.lam(a), B.lam(b))
-            gens.append(((a, b), A.deg(a) + B.deg(b), lab))
+            if lab is not None:
+                gens.append(((a, b), A.deg(a) + B.deg(b), lab))
     names = {g[0] for g in gens}
     unit = (A.unit, B.unit)
 
@@ -270,28 +267,21 @@ def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
     degree = {g[0]: g[1] for g in gens}
     label = {g[0]: g[2] for g in gens}
     diff = diff or {}
-    words = [()]
-    for k in range(1, L + 1):
-        words += [w for w in itertools.product([g[0] for g in gens], repeat=k)]
-
-    def word_label(w):
-        out = poset.zero
-        for x in w:
-            out = poset.oplus(out, label[x])
-            if out is None:
-                return None
-        return out
-
-    words = [w for w in words if word_label(w) is not None]
-    wset = set(words)
-    gens2 = [(w, sum(degree[x] for x in w), word_label(w)) for w in words]
+    # {word: its label} on the words whose label stays under the top
+    words = {}
+    for k in range(L + 1):
+        for w in itertools.product([g[0] for g in gens], repeat=k):
+            lab = poset.oplus_all(label[x] for x in w)
+            if lab is not None:
+                words[w] = lab
+    gens2 = [(w, sum(degree[x] for x in w), lab) for w, lab in words.items()]
     prods = {}
     for w1 in words:
         for w2 in words:
             if not w1 or not w2:
                 continue
             w = w1 + w2
-            prods[(w1, w2)] = {w: field.one} if w in wset else {}
+            prods[(w1, w2)] = {w: field.one} if w in words else {}
     diffs = {}
     for w in words:
         v = {}
@@ -299,7 +289,7 @@ def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
             sgn = field.sign(sum(degree[y] for y in w[:i]))
             for y, c in diff.get(x, {}).items():
                 w2 = w[:i] + (y,) + w[i + 1:]
-                if w2 in wset:
+                if w2 in words:
                     vec_iadd(field, v, {w2: field.of(c)}, sgn)
         if v:
             diffs[w] = v
@@ -608,6 +598,12 @@ def module_tensor(M, P_):
         raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
     out = PerverseComplex(F, P)
+
+    def under(r, *labels):
+        "the labels sum to a perversity at most r"
+        lab = P.oplus_all(labels)
+        return lab is not None and leq(lab, r)
+
     degs = sorted({M.degree[m] + P_.degree[p] for m in M.names for p in P_.names})
     slots = {}
     for r in P.elements:
@@ -615,8 +611,7 @@ def module_tensor(M, P_):
             pairs = [(m, p) for m in M.names for p in P_.names
                      if M.degree[m] + P_.degree[p] == k
                      and M.kind[m] == "up" and P_.kind[p] == "up"
-                     and A.sum_labels_ok(M.plabel[m], P_.plabel[p])
-                     and leq(P.oplus(M.plabel[m], P_.plabel[p]), r)]
+                     and under(r, M.plabel[m], P_.plabel[p])]
             index = {pr: i for i, pr in enumerate(pairs)}
             rels = []
             for a in A.nonunit():
@@ -626,12 +621,7 @@ def module_tensor(M, P_):
                             continue
                         if M.kind[m] != "up" or P_.kind[p] != "up":
                             continue
-                        tot = [x + y + z for x, y, z in
-                               zip(M.plabel[m], A.lam(a), P_.plabel[p])]
-                        if any(x > t for x, t in zip(tot, P.top)):
-                            continue
-                        if not leq(P.oplus(P.oplus(M.plabel[m], A.lam(a)),
-                                           P_.plabel[p]), r):
+                        if not under(r, M.plabel[m], A.lam(a), P_.plabel[p]):
                             continue
                         col = {}
                         for m2, c in M.act_right(m, a).items():

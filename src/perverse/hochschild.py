@@ -13,13 +13,14 @@ nonzero on, and to_cochain flattens an Op back to a dict.  Only cochain_op
 and the AW transport regroup a cochain with index_cochain.
 
 Perversities enter only through slot bases: a word is admissible at r when
-its label sum stays under the top and the module element is present at
-label(word) + r.  The differentials themselves are label-blind, so the image
-of each basis element is computed once per complex and every slot matrix
-cuts it to the admissible target pairs.  D* is pushed forward from each term
-(w -> m) of a cochain onto the cofaces of w, the words that have w as a
-face, and an HH dimension table is read from the ranks of the slot matrices
-alone.
+label(w) + r stays under the top (past it lies the degenerate zero slot) and
+the module element is present at label(w) + r; middle_words holds the label
+and suspended degree of each word.  The differentials themselves are
+label-blind, so the image of each basis element is computed once per complex
+and every slot matrix cuts it to the admissible target pairs.  D* is pushed
+forward from each term (w -> m) of a cochain onto the cofaces of w, the
+words that have w as a face, and an HH dimension table is read from the
+ranks of the slot matrices alone.
 """
 
 import itertools
@@ -38,24 +39,24 @@ def word_sdeg(A, w):
     return sum(A.deg(x) - 1 for x in w)
 
 
-def word_label(A, w):
-    "perversity label of a middle word, None past the top"
-    out = A.poset.zero
-    for x in w:
-        out = A.poset.oplus(out, A.lam(x))
-        if out is None:
-            return None
-    return out
+def word_eps(A, w, start=0):
+    "the prefix degrees eps_i = start + word_sdeg(A, w[:i]), i = 0..len(w)"
+    return list(itertools.accumulate((A.deg(x) - 1 for x in w),
+                                     initial=start))
 
 
 def middle_words(A, L):
-    "all normalized middle words of length <= L with admissible labels"
-    out = [()]
-    gens = A.nonunit()
-    for k in range(1, L + 1):
-        for w in itertools.product(gens, repeat=k):
-            if word_label(A, w) is not None:
-                out.append(w)
+    """{w: (suspended degree, label)} of the normalized middle words of
+    length <= L under the top, shorter first, each length in product order
+    over A.nonunit(); labels only grow, so each extends an admissible prefix"""
+    P, gens = A.poset, [(x, sdeg(A, x), A.lam(x)) for x in A.nonunit()]
+    level = {(): (0, P.zero)}
+    out = dict(level)
+    for _ in range(L):
+        level = {v + (x,): (d + dx, lw) for v, (d, lab) in level.items()
+                 for x, dx, lx in gens
+                 if (lw := P.oplus(lab, lx)) is not None}
+        out.update(level)
     return out
 
 
@@ -98,9 +99,7 @@ class Bar:
         k = len(w)
         out = {}
         # eps_i = |a| + sum_{j<i} |s(a_j)|, 1-based
-        eps = [A.deg(a)]
-        for x in w:
-            eps.append(eps[-1] + sdeg(A, x))
+        eps = word_eps(A, w, A.deg(a))
         # d0
         for y, c in A.d(a).items():
             self._push(out, (y, w, b), c)
@@ -178,28 +177,24 @@ class Chains(SlotComplex):
         self.mids = middle_words(A, L)
         # {q: [((m, w), label of the pair)]}, ordered by w, then m
         self.pairs = {}
-        for w in self.mids:
-            lw = word_label(A, w)
+        for w, (d, lw) in self.mids.items():
             for m in M.names:
                 lab = A.poset.oplus(lw, M.plabel[m])
                 if lab is not None:
-                    self.pairs.setdefault(self.degree((m, w)), []).append(
+                    self.pairs.setdefault(M.degree[m] + d, []).append(
                         ((m, w), lab))
 
     def degree(self, key):
         m, w = key
-        return self.M.degree[m] + word_sdeg(self.A, w)
-
-    def label_ok(self, m, w):
-        return self.A.sum_labels_ok(self.M.plabel[m],
-                                    *[self.A.lam(x) for x in w])
+        return self.M.degree[m] + self.mids[w][0]
 
     def slot_basis(self, r, q):
         return [key for key, lab in self.pairs.get(q, ()) if leq(lab, r)]
 
     def _push(self, out, m, w, coeff):
-        "add coeff * (m, w) into out when w is normalized and admissible"
-        if all(x != self.A.unit for x in w) and self.label_ok(m, w):
+        "add coeff * (m, w) into out when the pair is in the complex"
+        if w in self.mids and self.A.poset.oplus(
+                self.mids[w][1], self.M.plabel[m]) is not None:
             vec_iadd(self.A.field, out, {(m, w): coeff})
 
     def D_key(self, key):
@@ -207,9 +202,7 @@ class Chains(SlotComplex):
         m, w = key
         k = len(w)
         out = {}
-        eps = [M.degree[m]]
-        for x in w:
-            eps.append(eps[-1] + sdeg(A, x))
+        eps = word_eps(A, w, M.degree[m])
         # d0
         for y, c in M.d(m).items():
             self._push(out, y, w, c)
@@ -357,26 +350,20 @@ class Cochains(SlotComplex):
         self.A = A
         self.M = M
         self.L = L
-        self.words = middle_words(A, L)
+        # {w: (suspended degree, label)}; D* reads its keys as the words
+        self.mids = middle_words(A, L)
+        self.words = list(self.mids)
         self.gens = A.nonunit()
-        # suspended degree and label of each word, extending its prefix's
-        # (every prefix of an admissible word is admissible); D* reads the
-        # keys of wdeg as the set of words
-        self.wdeg, self.wlabel = {(): 0}, {(): A.poset.zero}
-        for w in self.words[1:]:
-            x = w[-1]
-            self.wdeg[w] = self.wdeg[w[:-1]] + sdeg(A, x)
-            self.wlabel[w] = A.poset.oplus(self.wlabel[w[:-1]], A.lam(x))
         # {q: {w: [m, ...]}}: the pairs of degree q, ordered by w, then m
         self.pairs = {}
-        for w in self.words:
+        for w, (d, _) in self.mids.items():
             for m in M.names:
-                self.pairs.setdefault(self.degree((w, m)), {}).setdefault(
+                self.pairs.setdefault(M.degree[m] - d, {}).setdefault(
                     w, []).append(m)
 
     def degree(self, p):
         w, m = p
-        return self.M.degree[m] - self.wdeg[w]
+        return self.M.degree[m] - self.mids[w][0]
 
     def window_exact(self, lo):
         "truncation is lossless in every degree from lo up"
@@ -397,7 +384,7 @@ class Cochains(SlotComplex):
         P, M = self.A.poset, self.M
         out = []
         for w, ms in self.pairs.get(q, {}).items():
-            lab = P.oplus(self.wlabel[w], r)
+            lab = P.oplus(self.mids[w][1], r)
             if lab is not None:
                 out += [(w, m) for m in ms if M.present(m, lab)]
         return out
@@ -407,7 +394,15 @@ class Cochains(SlotComplex):
         onto the cofaces of w that this complex carries, every pair of them
         one degree up; a slot matrix keeps the pairs admissible at its r"""
         return apply_cochain_D(self.A, self.M, {p: self.A.field.one},
-                               self.degree(p), self.wdeg)
+                               self.degree(p), self.mids)
+
+    def _coordinates(self, r, q, vec):
+        """as SlotComplex's, but a term on a word whose label plus r is past
+        the top lies in the degenerate zero slot and is dropped"""
+        P = self.A.poset
+        return super()._coordinates(r, q, {
+            (w, m): c for (w, m), c in vec.items()
+            if w not in self.mids or P.oplus(self.mids[w][1], r) is not None})
 
     def matrix(self, r, q):
         """slot matrix of D* from (r, q) to (r, q+1): the image of each

@@ -3,7 +3,9 @@
 A perversity of rank n is a tuple p = (p(0), ..., p(n)) with
 p(0) = p(1) = p(2) = 0 and p(i) <= p(i+1) <= p(i) + 1.  Perversities are
 plain int tuples; Poset(n) carries the enumeration, the partial order,
-the partial sum/difference operations and duality.
+the partial sum/difference operations and duality.  The label of a sequence
+of elements, None past the top, is oplus_all: the one rule that decides
+whether a product, a bar word or a Hochschild pair lies in a slot.
 """
 
 import itertools
@@ -68,9 +70,6 @@ class Poset:
     def __contains__(self, p):
         return p in self.index
 
-    def leq(self, p, q):
-        return leq(p, q)
-
     def meet(self, p, q):
         return self._member(tuple(min(a, b) for a, b in zip(p, q)))
 
@@ -96,6 +95,16 @@ class Poset:
             out = self._member(tuple(s))
         if p in self.index and q in self.index:
             self._oplus[p, q] = out
+        return out
+
+    def oplus_all(self, labels):
+        """the chained oplus of a sequence of labels from zero, None past the
+        top; on GM perversities, exactly when the pointwise sum exceeds it"""
+        out = self.zero
+        for p in labels:
+            out = self.oplus(out, p)
+            if out is None:
+                return None
         return out
 
     def ominus(self, q, p):

@@ -23,8 +23,8 @@ from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
                      vec_sub, solve)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
-from .hochschild import (sdeg, word_sdeg, apply_cochain_D, Chains, Cochains,
-                         Op, cochain_op, to_cochain)
+from .hochschild import (word_sdeg, word_eps, apply_cochain_D, Chains,
+                         Cochains, Op, cochain_op, to_cochain)
 
 
 def _undual(x):
@@ -73,9 +73,7 @@ def brace_value(op0, ops, w):
     k = len(ops)
     if k == 0:
         return dict(op0(w))
-    eps = [0]
-    for x in w:
-        eps.append(eps[-1] + sdeg(A, x))
+    eps = word_eps(A, w)
     lengths = [sorted(o.lengths) for o in ops]
     out = {}
 
@@ -154,7 +152,7 @@ def cup_op(f, g, act=None):
         act = A.mul_vec
 
     def fn(w):
-        out = {}
+        out, eps = {}, word_eps(A, w)
         for i in range(len(w) + 1):
             if i not in f.lengths or len(w) - i not in g.lengths:
                 continue
@@ -164,8 +162,7 @@ def cup_op(f, g, act=None):
             gv = g(w[i:])
             if not gv:
                 continue
-            s = F.sign(g.deg * word_sdeg(A, w[:i]))
-            vec_iadd(F, out, act(fv, gv), s)
+            vec_iadd(F, out, act(fv, gv), F.sign(g.deg * eps[i]))
         return out
 
     return Op(A, f.deg + g.deg, fn,
@@ -234,12 +231,10 @@ def connes_B(ch, x):
     for (a0, w), c in x.items():
         if len(w) + 1 > ch.L:
             raise OverflowError("B exceeds max length %d" % ch.L)
-        sd = [sdeg(A, a0)] + [sdeg(A, y) for y in w]
-        tot = sum(sd)
         entries = (a0,) + w
+        eps = word_eps(A, entries)
         for i in range(len(w) + 1):
-            pre = sum(sd[:i])
-            s = F.sign(pre * (tot - pre))
+            s = F.sign(eps[i] * (eps[-1] - eps[i]))
             ch._push(out, A.unit, entries[i:] + entries[:i], F.mul(c, s))
     return out
 
@@ -283,22 +278,21 @@ def bdual_op(f):
     def fn(w):
         out = {}
         for b in A.names:
-            sd = [sdeg(A, b)] + [sdeg(A, y) for y in w]
-            tot = sum(sd)
             entries = (b,) + w
+            # every rotation holds the letters of entries
+            if A.unit in entries:
+                continue
+            eps = word_eps(A, entries)
             total = F.zero
             for i in range(len(w) + 1):
-                cyc = entries[i:] + entries[:i]
-                if any(x == A.unit for x in cyc):
-                    continue
-                coef = f(cyc).get(ustar, F.zero)
+                coef = f(entries[i:] + entries[:i]).get(ustar, F.zero)
                 if F.iszero(coef):
                     continue
-                pre = sum(sd[:i])
-                total = F.add(total, F.mul(F.sign(pre * (tot - pre)), coef))
+                s = F.sign(eps[i] * (eps[-1] - eps[i]))
+                total = F.add(total, F.mul(s, coef))
             if F.iszero(total):
                 continue
-            s = F.sign(f.deg + 1 + A.deg(b) * word_sdeg(A, w))
+            s = F.sign(f.deg + 1 + A.deg(b) * (eps[-1] - eps[1]))
             out[dual_name(b)] = F.mul(s, total)
         return out
 
@@ -370,7 +364,6 @@ class BVOperator:
         if L < 2:
             raise ValueError("need word length at least 2 for the cyclic "
                              "operator")
-        self.cd = Cochains(A, self.D, L)
         # the cyclic operator on dual cochains reads one word length above
         # its output, so every class comparison that involves it happens in
         # a complex truncated one length lower (restriction is a chain map)
@@ -383,9 +376,9 @@ class BVOperator:
         return cup_op(cochain_op(self.A, f, fdeg), self.c, self.D.act_left_vec)
 
     def bdual_act(self, f, fdeg):
-        """the Op B_dual(f.[c]); f.[c] is evaluated once on every word of cd,
+        """the Op B_dual(f.[c]); f.[c] is evaluated once on every word of cx,
         which B_dual reads on all words of cdm"""
-        fc = to_cochain(self.act_c(f, fdeg), self.cd.words)
+        fc = to_cochain(self.act_c(f, fdeg), self.cx.words)
         return bdual_op(cochain_op(self.A, fc, fdeg + self.c.deg))
 
     def unit_obstruction(self, r):
@@ -552,8 +545,7 @@ class _Suite:
                 picks.append((z, q, r))
             if len(picks) < 3:
                 continue
-            rfg = P.oplus(picks[0][2], picks[1][2])
-            rr = None if rfg is None else P.oplus(rfg, picks[2][2])
+            rr = P.oplus_all(p[2] for p in picks)
             if rr is not None:
                 yield t, (picks, rr)
 
@@ -597,7 +589,7 @@ class _Suite:
 
     def differential(self, fs):
         (f, qf), _ = fs
-        lhs = apply_cochain_D(self.A, self.M, f, qf, self.cx.wdeg)
+        lhs = apply_cochain_D(self.A, self.M, f, qf, self.cx.mids)
         return lhs == self.co(cochain_D_op(cochain_op(self.A, f, qf)))
 
     def cup_is_brace(self, fs):
@@ -615,7 +607,7 @@ class _Suite:
         return lhs == self.signed(1 + (qf - 1) * (qg - 1), rhs)
 
     def defect(self, fs):
-        A, F, M, words = self.A, self.F, self.M, self.cx.wdeg
+        A, F, M, words = self.A, self.F, self.M, self.cx.mids
         (f, qf), (g, qg) = fs
         fop, gop = self.ops(fs)
         fg = self.co(circle(fop, gop))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -214,6 +215,52 @@ def test_slot_vectors_outside_the_slot_basis():
     assert cx.is_boundary(r, 1, {(("x",), "1"): QQ.zero})
     with pytest.raises(ValueError):
         cx.is_boundary(r, 1, {(("x",), "1"): QQ.one})
+
+
+def test_slot_coordinates_drop_only_the_degenerate_zero_slot():
+    # at the top slot the word (v1, v1, v2), of label (0, 0, 0, 0, 1), lies
+    # in the degenerate zero slot, so its terms are dropped; a word the
+    # complex does not carry, or an admissible word whose element is absent
+    # at label(w) + r, still raises
+    A = random_pdga(QQ, Poset(4), 6)
+    cx = Cochains(A, algebra_as_bimodule(A), 3)
+    P, top, w = A.poset, A.poset.elements[-1], ("v1", "v1", "v2")
+    q = cx.degree((w, "v2"))
+    assert P.oplus(cx.mids[w][1], top) is None
+    assert cx.coords_of(top, q, {(w, "v2"): QQ.one}) == {}
+    assert cx.is_boundary(top, q, {(w, "v2"): QQ.one})
+    with pytest.raises(ValueError):
+        cx.is_boundary(top, q - 1, {(w + ("v1",), "v2"): QQ.one})
+    # v0 is labeled top, so it is absent at label(()) + zero
+    assert A.lam("v0") == top
+    with pytest.raises(ValueError):
+        cx.is_boundary(P.zero, 2, {((), "v0"): QQ.one})
+
+
+def _middle_words_by_scan(A, L):
+    """reference table: each word of itertools.product over A.nonunit(),
+    labeled by chained oplus, kept when the label stays under the top"""
+    P, out = A.poset, {}
+    for k in range(L + 1):
+        for w in itertools.product(A.nonunit(), repeat=k):
+            lab = P.zero
+            for x in w:
+                lab = None if lab is None else P.oplus(lab, A.lam(x))
+            if lab is not None:
+                out[w] = (word_sdeg(A, w), lab)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(corpus(QQ, P3)) + [
+    "random%d" % seed for seed in (0, 1, 5, 6, 103)])
+def test_middle_words_match_a_product_scan(name):
+    # the table grown from admissible prefixes holds the same words in the
+    # same order, with their suspended degrees and chained-oplus labels
+    A = (corpus(QQ, P3)[name] if not name.startswith("random")
+         else random_pdga(QQ, Poset(4), int(name[6:])))
+    for L in range(5):
+        assert list(middle_words(A, L).items()) == \
+            list(_middle_words_by_scan(A, L).items()), L
 
 
 def _coface_family():

@@ -171,3 +171,15 @@ def test_library_behaviour_does_not_depend_on_assert():
     found = [(fname, node.lineno) for fname, tree in source_trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_the_label_rule_lives_in_the_poset():
+    # the label of a sequence, None past the top, is Poset.oplus_all; no
+    # module keeps a copy of it under the names its copies had
+    gone = {"word_label", "label_ok"}
+    named = sorted({(fname, getattr(node, key))
+                    for fname, tree in source_trees()
+                    for node in ast.walk(tree)
+                    for key in ("name", "attr", "id")
+                    if getattr(node, key, None) in gone})
+    assert not named, named

@@ -46,6 +46,19 @@ def test_oplus_memo_holds_the_bruteforce_sum_of_each_pair(n):
     assert P._oplus == first and len(P._oplus) <= len(P) ** 2
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_oplus_all_is_the_pointwise_sum_test(n):
+    # chained oplus rounds up after each step, yet on GM perversities it
+    # leaves the top exactly when the pointwise sum of the sequence does
+    P = Poset(n)
+    assert P.oplus_all([]) == P.zero
+    for k in (2, 3, 4):
+        for seq in itertools.product(P.elements, repeat=k):
+            tot = [sum(col) for col in zip(*seq)]
+            under = all(a <= t for a, t in zip(tot, P.top))
+            assert (P.oplus_all(seq) is not None) == under, seq
+
+
 def test_oplus_unit_and_commutativity():
     P = Poset(5)
     for p in P.elements:
