@@ -12,7 +12,7 @@ Vectors are dicts {basis name: scalar}.
 import itertools
 
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_add, vec_scale,
-                     kernel_basis, Quotient, Subspace)
+                     kernel_basis, Quotient, Subspace, linear, bilinear)
 from .poset import leq
 from .complexes import PerverseComplex, induce
 
@@ -73,10 +73,7 @@ class PDGA:
         return dict(self.diffs.get(x, {}))
 
     def d_vec(self, v):
-        out = {}
-        for x, c in v.items():
-            vec_iadd(self.field, out, self.d(x), c)
-        return out
+        return linear(self.field, self.d, v)
 
     def sum_labels_ok(self, *labels):
         "the labels sum to a perversity under the top"
@@ -90,12 +87,7 @@ class PDGA:
         return {x: self.field.one} if x in self.unit_partners else {}
 
     def mul_vec(self, u, v):
-        out = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                vec_iadd(self.field, out, self.mul(a, b),
-                         self.field.mul(ca, cb))
-        return out
+        return bilinear(self.field, self.mul, u, v)
 
     def degrees(self):
         return sorted(set(self.degree.values()))
@@ -337,9 +329,11 @@ class Bimodule:
         self.degree = {e[0]: e[1] for e in elems}
         self.kind = {e[0]: e[2] for e in elems}
         self.plabel = {e[0]: e[3] for e in elems}
-        self.diffs = {k: dict(v) for k, v in (diff or {}).items() if v}
-        self.left = {k: dict(v) for k, v in (left or {}).items() if v}
-        self.right = {k: dict(v) for k, v in (right or {}).items() if v}
+        # each table keeps the nonzero terms of its nonzero vectors
+        self.diffs, self.left, self.right = (
+            {k: w for k, v in (t or {}).items() if (w := {
+                y: c for y, c in v.items() if not self.field.iszero(c)})}
+            for t in (diff, left, right))
 
     def deg(self, m):
         return self.degree[m]
@@ -353,10 +347,7 @@ class Bimodule:
         return dict(self.diffs.get(m, {}))
 
     def d_vec(self, v):
-        out = {}
-        for m, c in v.items():
-            vec_iadd(self.field, out, self.d(m), c)
-        return out
+        return linear(self.field, self.d, v)
 
     def act_left(self, a, m):
         A = self.algebra
@@ -371,20 +362,10 @@ class Bimodule:
         return dict(self.right.get((m, a), {}))
 
     def act_left_vec(self, avec, mvec):
-        out = {}
-        for a, ca in avec.items():
-            for m, cm in mvec.items():
-                vec_iadd(self.field, out, self.act_left(a, m),
-                         self.field.mul(ca, cm))
-        return out
+        return bilinear(self.field, self.act_left, avec, mvec)
 
     def act_right_vec(self, mvec, avec):
-        out = {}
-        for m, cm in mvec.items():
-            for a, ca in avec.items():
-                vec_iadd(self.field, out, self.act_right(m, a),
-                         self.field.mul(cm, ca))
-        return out
+        return bilinear(self.field, self.act_right, mvec, avec)
 
     def validate(self):
         A, F = self.algebra, self.field
@@ -441,11 +422,14 @@ class Bimodule:
 
 
 class ModuleSlots(SlotComplex):
-    "per-slot graded homology of a perverse module with labeled basis"
+    """per-slot graded homology of a perverse module with labeled basis.
+    A down-type slot at r is the dual of a subcomplex, a quotient of the
+    module, so its differential drops the elements absent at r"""
 
     def __init__(self, M):
         super().__init__(M.field)
         self.M = M
+        self.truncated = "down" in M.kind.values()
 
     def degrees(self):
         return sorted(set(self.M.degree.values()))
@@ -456,9 +440,6 @@ class ModuleSlots(SlotComplex):
 
     def D_key(self, m):
         return self.M.d(m)
-
-    def matrix(self, r, k):
-        return self.assemble(r, k)
 
 
 def algebra_as_bimodule(A):

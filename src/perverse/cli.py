@@ -420,16 +420,16 @@ def cmd_cofibrancy(args, out):
     d = {}
     for k, labs in basis.items():
         nxt = {y: i for i, y in enumerate(basis.get(k + 1, []))}
-        m = SparseMatrix(F, len(nxt), len(labs))
-        for j, x in enumerate(labs):
+        cols = []
+        for x in labs:
             v = _parse_vector(F, set(names), desc.differential.get(x, {}),
                               "differential[%s]" % x)
-            for y, c in v.items():
+            for y in v:
                 if degs[y] != k + 1:
                     raise InputError("differential[%s]: %r has degree %d, "
                                      "expected %d" % (x, y, degs[y], k + 1))
-                m[nxt[y], j] = c
-        d[k] = m
+            cols.append({nxt[y]: c for y, c in v.items()})
+        d[k] = SparseMatrix.from_columns(F, len(nxt), cols)
     cx = ChainComplex(F, basis, d)
     try:
         cx.validate()

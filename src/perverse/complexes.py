@@ -19,7 +19,7 @@ import itertools
 
 from .linalg import (SparseMatrix, kernel_basis, span_equal,
                      span_intersection, Quotient, Subspace,
-                     vec_iadd)
+                     homology_dims, linear)
 from .poset import leq
 
 
@@ -54,8 +54,8 @@ class ChainComplex:
     def homology(self):
         "{k: dim H^k} from the lowest degree to the highest, from ranks"
         degs = self.degrees()
-        return {k: self.dim(k) - self.diff(k).rank() - self.diff(k - 1).rank()
-                for k in range(degs[0], degs[-1] + 1)} if degs else {}
+        return homology_dims(self.dim, self.diff, degs[0],
+                             degs[-1]) if degs else {}
 
 
 def point_complex(field, label="e"):
@@ -147,9 +147,9 @@ class PerverseComplex:
     def homology(self, p):
         "{k: dim H^k} at p from the lowest degree to the highest, from ranks"
         degs = self.degrees()
-        return {k: self.dim(p, k) - self.diff(p, k).rank()
-                - self.diff(p, k - 1).rank()
-                for k in range(degs[0], degs[-1] + 1)} if degs else {}
+        return homology_dims(functools.partial(self.dim, p),
+                             functools.partial(self.diff, p), degs[0],
+                             degs[-1]) if degs else {}
 
 
 def free_perverse(field, poset, p, cx):
@@ -189,15 +189,15 @@ def induce(out, slots, d):
     def induced(src, dst, image):
         keys, space = slots[src]
         tindex, tspace = index[dst], slots[dst][1]
-        m = SparseMatrix(F, tspace.dim, space.dim)
-        for col in range(space.dim):
-            w = {}
-            for i, c in space.include(col).items():
-                vec_iadd(F, w, {tindex[key]: x for key, x in
-                                image(keys[i]).items() if key in tindex}, c)
-            for row, x in tspace.project(w).items():
-                m[row, col] = x
-        return m
+
+        def cut(i):
+            "the image of the i-th key, at the keys of dst"
+            return {tindex[key]: x for key, x in image(keys[i]).items()
+                    if key in tindex}
+
+        return SparseMatrix.from_columns(F, tspace.dim, [
+            tspace.project(linear(F, cut, space.include(col)))
+            for col in range(space.dim)])
 
     for (r, k) in slots:
         if (r, k + 1) in slots:

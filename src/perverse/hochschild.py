@@ -25,7 +25,8 @@ ranks of the slot matrices alone.
 
 import itertools
 
-from .linalg import SparseMatrix, SlotComplex, vec_iadd, vec_scale, solve
+from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solve,
+                     linear)
 from .poset import leq
 from .algebra import Bimodule, algebra_as_bimodule
 
@@ -130,20 +131,13 @@ class Bar:
         return out
 
     def D(self, vec):
-        F = self.A.field
-        out = {}
-        for word, c in vec.items():
-            vec_iadd(F, out, self.D_word(word), c)
-        return out
+        return linear(self.A.field, self.D_word, vec)
 
     def q_A(self, vec):
         "augmentation to A: a[]b -> ab, zero on positive lengths"
-        A, F = self.A, self.A.field
-        out = {}
-        for (a, w, b), c in vec.items():
-            if not w:
-                vec_iadd(F, out, A.mul(a, b), c)
-        return out
+        A = self.A
+        return linear(A.field, lambda word: {} if word[1] else A.mul(
+            word[0], word[2]), vec)
 
     def h(self, vec):
         "contracting homotopy: prepend the unit-complement part of a"
@@ -228,15 +222,7 @@ class Chains(SlotComplex):
         return out
 
     def D(self, vec):
-        F = self.A.field
-        out = {}
-        for key, c in vec.items():
-            vec_iadd(F, out, self.D_key(key), c)
-        return out
-
-    def matrix(self, r, q):
-        # labels only decrease under D: the image stays inside the slot
-        return self.assemble(r, q)
+        return linear(self.A.field, self.D_key, vec)
 
     def margin(self, r, q):
         "length headroom of the slot below the truncation bound"
@@ -404,20 +390,16 @@ class Cochains(SlotComplex):
             (w, m): c for (w, m), c in vec.items()
             if w not in self.mids or P.oplus(self.mids[w][1], r) is not None})
 
+    # defined here, not inherited, so that perfbench's trace can wrap it
     def matrix(self, r, q):
         """slot matrix of D* from (r, q) to (r, q+1): the image of each
         source pair, computed once, truncated to the admissible target pairs"""
-        return self.assemble(r, q)
+        return super().matrix(r, q)
 
     def table(self, lo, hi):
-        "dim HH at each slot of degrees lo..hi: n_q - rank d_q - rank d_(q-1)"
-        out = {}
-        for r in self.A.poset.elements:
-            rank = {q: self.differential(r, q).rank()
-                    for q in range(lo - 1, hi + 1)}
-            for q in range(lo, hi + 1):
-                out[(r, q)] = len(self.basis(r, q)) - rank[q] - rank[q - 1]
-        return out
+        "{(r, q): dim HH} at every slot of degrees lo..hi, from ranks"
+        return {(r, q): h for r in self.A.poset.elements
+                for q, h in self.dims(r, lo, hi).items()}
 
 
 def hh_table(A, M, L, lo, hi):
@@ -440,16 +422,14 @@ def hh_table_oracle(A, M, L, lo, hi):
 
     def phi_of(values, q, barvec):
         "extend values {w: vec in M} A^e-bilinearly to a bar vector"
-        out = {}
-        for (a, w, b), c in barvec.items():
-            base = values.get(w)
-            if not base:
-                continue
-            s = F.sign(q * A.deg(a))
-            v = M.act_right_vec(
-                M.act_left_vec({a: F.one}, base), {b: F.one})
-            vec_iadd(F, out, v, F.mul(s, c))
-        return out
+        def phi(word):
+            a, w, b = word
+            if not values.get(w):
+                return {}
+            return vec_scale(F, F.sign(q * A.deg(a)), M.act_right_vec(
+                M.act_left_vec({a: F.one}, values[w]), {b: F.one}))
+
+        return linear(F, phi, barvec)
 
     def dphi(w0, m0, q, words):
         "values of the differential of the basis cochain w0 -> m0"
@@ -480,10 +460,7 @@ def check_pdga_map(A, B, fmap):
     F = A.field
 
     def f(vec):
-        out = {}
-        for x, c in vec.items():
-            vec_iadd(F, out, fmap[x], c)
-        return out
+        return linear(F, fmap.__getitem__, vec)
 
     if fmap[A.unit] != {B.unit: F.one}:
         raise ValueError("unit not preserved")
@@ -528,35 +505,23 @@ def induced_word_map(A, B, fmap, w):
     F = A.field
     cur = {(): F.one}
     for x in w:
-        nxt = {}
-        for w2, c in cur.items():
-            vec_iadd(F, nxt, {w2 + (y,): cy for y, cy in fmap[x].items()
-                              if y != B.unit}, c)
-        cur = nxt
+        fx = {y: cy for y, cy in fmap[x].items() if y != B.unit}
+        cur = linear(F, lambda v: {v + (y,): cy for y, cy in fx.items()},
+                     cur)
     return cur
 
 
 def hc_postcompose(A, fmap, g):
     "HC(A, A) -> HC(A, B as A-bimodule): postcompose values with f"
-    F = A.field
-    out = {}
-    for (w, m), c in g.items():
-        vec_iadd(F, out, {(w, y): cy for y, cy in fmap[m].items()}, c)
-    return out
+    return linear(A.field, lambda wm: {(wm[0], y): cy for y, cy in
+                                       fmap[wm[1]].items()}, g)
 
 
 def hc_precompose(A, B, fmap, g):
     """HC(B, B) -> HC(A, B as A-bimodule): the Op g precomposed with the
     induced word map, which keeps word lengths"""
-    F = A.field
-
-    def fn(w):
-        val = {}
-        for w2, c in induced_word_map(A, B, fmap, w).items():
-            vec_iadd(F, val, g(w2), c)
-        return val
-
-    return Op(A, g.deg, fn, g.lengths)
+    return Op(A, g.deg, lambda w: linear(
+        A.field, g, induced_word_map(A, B, fmap, w)), g.lengths)
 
 
 class InducedHH:

@@ -16,7 +16,8 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .linalg import SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub
+from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub,
+                     linear, bilinear)
 from .algebra import tensor_pdga, algebra_as_bimodule
 from .hochschild import (Bar, Cochains, bar_degree, bar_ok, sdeg,
                          index_cochain, cochain_op, to_cochain)
@@ -73,19 +74,22 @@ def pair_D(A, B, vec):
     "differential of B(A) box B(B): D box 1 + (-1)^{|u|} 1 box D"
     F = A.field
     ba, bb = Bar(A, 0), Bar(B, 0)
-    out = {}
-    for (u, v), c in vec.items():
-        vec_iadd(F, out, {(u2, v): cu for u2, cu in ba.D_word(u).items()}, c)
-        s = F.mul(c, F.sign(bar_degree(A, u)))
-        vec_iadd(F, out, {(u, v2): cv for v2, cv in bb.D_word(v).items()}, s)
-    return out
+
+    def D(uv):
+        u, v = uv
+        out = {(u2, v): cu for u2, cu in ba.D_word(u).items()}
+        return vec_iadd(F, out, {(u, v2): cv for v2, cv in
+                                 bb.D_word(v).items()},
+                        F.sign(bar_degree(A, u)))
+
+    return linear(F, D, vec)
 
 
 # ---------------------------------------------------------------------------
 # the Alexander-Whitney map
 
 
-def alexander_whitney(A, B, T, word, coeff=None):
+def alexander_whitney(A, B, T, word):
     """AW on a bar word of the tensor algebra: split at every index, with
     the A-tail multiplied into the right end and the B-head multiplied into
     the left end.
@@ -97,8 +101,6 @@ def alexander_whitney(A, B, T, word, coeff=None):
     unique placement under which AW is a chain map and a retraction of EZ;
     see the ledger for the sign bookkeeping."""
     F = A.field
-    if coeff is None:
-        coeff = F.one
     c0, w, c1 = word
     k = len(w)
     a = [c0[0]] + [c[0] for c in w] + [c1[0]]
@@ -119,7 +121,7 @@ def alexander_whitney(A, B, T, word, coeff=None):
         rb = {b[0]: F.one}
         for y in b[1:i + 1]:
             rb = B.mul_vec(rb, {y: F.one})
-        s = F.mul(coeff, F.sign(spar))
+        s = F.sign(spar)
         for x, cx in ra.items():
             for y, cy in rb.items():
                 u = (a[0], tuple(a[1:i + 1]), x)
@@ -130,24 +132,18 @@ def alexander_whitney(A, B, T, word, coeff=None):
 
 
 def alexander_whitney_vec(A, B, T, vec):
-    F = A.field
-    out = {}
-    for word, c in vec.items():
-        vec_iadd(F, out, alexander_whitney(A, B, T, word, coeff=c))
-    return out
+    return linear(A.field, lambda word: alexander_whitney(A, B, T, word), vec)
 
 
 # ---------------------------------------------------------------------------
 # the Eilenberg-Zilber map
 
 
-def eilenberg_zilber(A, B, T, u, v, coeff=None):
+def eilenberg_zilber(A, B, T, u, v):
     """EZ of a pair of bar words into the bar of the tensor algebra; the
     shuffle sum on end-unit words, extended equivariantly over the ends
     (the extension pays the Koszul cost of peeling the ends off first)"""
     F = T.field
-    if coeff is None:
-        coeff = F.one
     a0, wa, a1 = u
     b0, wb, b1 = v
     if (a0, b0) not in T.degree or (a1, b1) not in T.degree:
@@ -164,16 +160,12 @@ def eilenberg_zilber(A, B, T, u, v, coeff=None):
         if not bar_ok(T, word):
             continue
         s = F.sign(par0 + _cross_parity(sh, sa, sb))
-        vec_iadd(F, out, {word: s}, coeff)
+        vec_iadd(F, out, {word: s})
     return out
 
 
 def eilenberg_zilber_vec(A, B, T, vec):
-    F = T.field
-    out = {}
-    for (u, v), c in vec.items():
-        vec_iadd(F, out, eilenberg_zilber(A, B, T, u, v, coeff=c))
-    return out
+    return linear(T.field, lambda uv: eilenberg_zilber(A, B, T, *uv), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +182,26 @@ def shuffle_product(A, B, T, x, y, maxlen=None):
     (not at chain level, where the classical cyclic-shuffle homotopy
     intervenes)."""
     F = T.field
-    out = {}
-    for (m0, wa), cx in x.items():
-        for (n0, wb), cy in y.items():
-            if maxlen is not None and len(wa) + len(wb) > maxlen:
-                raise OverflowError(
-                    "shuffle exceeds max length %d: %d + %d"
-                    % (maxlen, len(wa), len(wb)))
-            if (m0, n0) not in T.degree:
-                continue
-            sa = [sdeg(A, z) for z in wa]
-            sb = [sdeg(B, z) for z in wb]
-            c = F.mul(F.mul(cx, cy), F.sign(B.deg(n0) * sum(sa)))
-            for sh in shuffles(len(wa), len(wb)):
-                mid = _interleave(A, B, T, wa, wb, sh)
-                if mid is None or not T.sum_labels_ok(
-                        T.lam((m0, n0)), *[T.lam(e) for e in mid]):
-                    continue
-                s = F.sign(_cross_parity(sh, sa, sb))
-                vec_iadd(F, out, {((m0, n0), mid): s}, c)
-    return out
+
+    def sh_pair(mwa, nwb):
+        (m0, wa), (n0, wb) = mwa, nwb
+        if maxlen is not None and len(wa) + len(wb) > maxlen:
+            raise OverflowError("shuffle exceeds max length %d: %d + %d"
+                                % (maxlen, len(wa), len(wb)))
+        out = {}
+        if (m0, n0) not in T.degree:
+            return out
+        sa = [sdeg(A, z) for z in wa]
+        sb = [sdeg(B, z) for z in wb]
+        for sh in shuffles(len(wa), len(wb)):
+            mid = _interleave(A, B, T, wa, wb, sh)
+            if mid is not None and T.sum_labels_ok(
+                    T.lam((m0, n0)), *[T.lam(e) for e in mid]):
+                vec_iadd(F, out, {((m0, n0), mid): F.sign(
+                    B.deg(n0) * sum(sa) + _cross_parity(sh, sa, sb))})
+        return out
+
+    return bilinear(F, sh_pair, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Vectors are dicts {index: nonzero scalar}.  Matrices are sparse with entries
-{(row, col): scalar}.  There is one elimination, `Echelon`: a forward-only
+Vectors are dicts {index: nonzero scalar}.  Matrices are lists of column
+vectors, and `linear` and `bilinear` extend a map of basis elements to
+vectors.  There is one elimination, `Echelon`: a forward-only
 column reduction, columns in input order, that never revisits a stored
 column, with optional bookkeeping of the combination of input columns behind
 each stored column.  Rank, kernel, solutions, membership and coordinates are
@@ -47,17 +48,36 @@ def vec_sub(field, u, v):
     return vec_iadd(field, dict(u), v, field.neg(field.one))
 
 
+def linear(field, f, v):
+    """the linear extension of the basis map f to the vector v: the sum of
+    c f(x) over the terms c x of v, in a new dict"""
+    out = {}
+    for x, c in v.items():
+        vec_iadd(field, out, f(x), c)
+    return out
+
+
+def bilinear(field, f, u, v):
+    """the bilinear extension of the map f of two basis elements to the
+    vectors u and v, u's terms outermost, in a new dict"""
+    out = {}
+    for x, cx in u.items():
+        for y, cy in v.items():
+            vec_iadd(field, out, f(x, y), field.mul(cx, cy))
+    return out
+
+
 class SparseMatrix:
-    """A linear map R^ncols -> R^nrows."""
+    """A linear map R^ncols -> R^nrows, stored as its list of column
+    vectors {row: scalar}."""
 
     def __init__(self, field, nrows, ncols, entries=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (i, j), x in entries.items():
-                self[i, j] = x
+        self.cols = [{} for _ in range(ncols)]
+        for (i, j), x in (entries or {}).items():
+            self[i, j] = x
 
     def __setitem__(self, ij, x):
         i, j = ij
@@ -65,79 +85,85 @@ class SparseMatrix:
             raise ValueError("entry %r outside a %dx%d matrix"
                              % (ij, self.nrows, self.ncols))
         if self.field.iszero(x):
-            self.entries.pop(ij, None)
+            self.cols[j].pop(i, None)
         else:
-            self.entries[ij] = x
+            self.cols[j][i] = x
 
     def __getitem__(self, ij):
-        return self.entries.get(ij, self.field.zero)
+        i, j = ij
+        return self.cols[j].get(i, self.field.zero)
 
     def __eq__(self, other):
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
-            and self.entries == other.entries
+            and self.cols == other.cols
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.cols)
 
     def copy(self):
-        return SparseMatrix(self.field, self.nrows, self.ncols, dict(self.entries))
+        return _stored(self.field, self.nrows, [dict(c) for c in self.cols])
+
+    @property
+    def entries(self):
+        """the nonzero entries {(row, col): scalar}, built on each read;
+        no module of the library reads them, perfbench's trace counts them"""
+        return {(i, j): x for j, col in enumerate(self.cols)
+                for i, x in col.items()}
 
     @classmethod
     def from_columns(cls, field, nrows, cols):
-        A = cls(field, nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                A[i, j] = x
-        return A
+        "the matrix of the given column vectors; zero entries are dropped"
+        cols = [{i: x for i, x in col.items() if not field.iszero(x)}
+                for col in cols]
+        bad = [(i, j) for j, col in enumerate(cols) for i in col
+               if not 0 <= i < nrows]
+        if bad:
+            raise ValueError("entry %r outside a %dx%d matrix"
+                             % (bad[0], nrows, len(cols)))
+        return _stored(field, nrows, cols)
 
     @classmethod
     def identity(cls, field, n):
-        A = cls(field, n, n)
-        for i in range(n):
-            A[i, i] = field.one
-        return A
+        return _stored(field, n, [{i: field.one} for i in range(n)])
 
     def columns(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (i, j), x in self.entries.items():
-            cols[j][i] = x
-        return cols
+        "the stored column vectors, which the caller only reads"
+        return self.cols
 
     def rows(self):
         rows = [dict() for _ in range(self.nrows)]
-        for (i, j), x in self.entries.items():
-            rows[i][j] = x
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
         return rows
 
     def apply(self, v):
         "matrix-vector product; v is a dict over column indices"
-        out = {}
-        for (i, j), x in self.entries.items():
-            if j in v:
-                vec_iadd(self.field, out, {i: x}, v[j])
-        return out
+        return linear(self.field, self.cols.__getitem__, v)
 
     def mul(self, other):
         "self o other"
         if self.ncols != other.nrows:
             raise ValueError("cannot compose %dx%d after %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        F = self.field
-        out = SparseMatrix(F, self.nrows, other.ncols)
-        rows_of = {}
-        for (i, k), x in self.entries.items():
-            rows_of.setdefault(k, []).append((i, x))
-        for (k, j), y in other.entries.items():
-            for i, x in rows_of.get(k, ()):
-                out[i, j] = F.add(out[i, j], F.mul(x, y))
-        return out
+        return _stored(self.field, self.nrows,
+                       [self.apply(col) for col in other.cols])
 
     def rank(self):
         "the number of columns an Echelon accepts, fed in column order"
         ech = Echelon(self.field)
-        for col in self.columns():
+        for col in self.cols:
             ech.add(col)
         return len(ech.cols)
+
+
+def _stored(field, nrows, cols):
+    """the matrix whose columns are the vectors cols, stored as they are:
+    each a dict of nonzero scalars at rows below nrows that nothing else
+    changes"""
+    A = SparseMatrix(field, nrows, 0)
+    A.ncols, A.cols = len(cols), cols
+    return A
 
 
 class Echelon:
@@ -249,22 +275,22 @@ def span_equal(field, cols1, cols2):
 
 def span_intersection(field, n, cols1, cols2):
     "basis of span(cols1) & span(cols2)"
-    m1, m2 = len(cols1), len(cols2)
-    A = SparseMatrix(field, n, m1 + m2)
-    for j, c in enumerate(cols1):
-        for i, x in c.items():
-            A[i, j] = x
-    for j, c in enumerate(cols2):
-        for i, x in c.items():
-            A[i, m1 + j] = field.neg(x)
+    m1 = len(cols1)
+    A = SparseMatrix.from_columns(field, n, list(cols1) + [
+        vec_scale(field, field.minus_one, c) for c in cols2])
     out = Echelon(field)
     for k in kernel_basis(A):
-        v = {}
-        for j, c in k.items():
-            if j < m1:
-                vec_iadd(field, v, cols1[j], c)
-        out.add(v)
+        out.add(linear(field, cols1.__getitem__,
+                       {j: c for j, c in k.items() if j < m1}))
     return list(out.cols.values())
+
+
+def homology_dims(dim, diff, lo, hi):
+    """{q: dim(q) - rank diff(q) - rank diff(q - 1)} for q = lo..hi: the
+    homology dimensions of a complex with dim(q)-dimensional terms and
+    differentials diff(q) out of degree q; each rank is computed once"""
+    rank = {q: diff(q).rank() for q in range(lo - 1, hi + 1)}
+    return {q: dim(q) - rank[q] - rank[q - 1] for q in range(lo, hi + 1)}
 
 
 class Quotient:
@@ -371,16 +397,16 @@ class SlotComplex:
     (r, q + 1).
 
     A subclass supplies `slot_basis(r, q)`, the list of basis keys of a
-    slot, `D_key(key)`, the image of one basis key under the differential,
-    which does not depend on the slot, and `matrix(r, q)`, the differential
-    out of a slot (a call to `assemble`).  This class caches each image once
-    per key and each basis and matrix once per slot, together with the
-    slot's homology, and translates between sparse vectors over basis keys
-    {key: scalar} and vectors over slot indices.
+    slot, and `D_key(key)`, the image of one basis key under the
+    differential, a vector that does not depend on the slot.  This class
+    caches each image once per key and each basis and matrix once per slot,
+    together with the slot's homology, and translates between sparse
+    vectors over basis keys {key: scalar} and vectors over slot indices.
     """
 
     # a truncated complex drops the terms of an image that leave the target
-    # slot; any other complex refuses them
+    # slot; any other complex refuses them, since there labels only
+    # decrease under D and the image of a key stays inside its slot
     truncated = False
 
     def __init__(self, field):
@@ -411,20 +437,19 @@ class SlotComplex:
             self._images[key] = self.D_key(key)
         return self._images[key]
 
-    def assemble(self, r, q):
-        """the matrix from (r, q) to (r, q + 1) whose j-th column is the
-        image of the j-th basis key, read at the keys of slot (r, q + 1)"""
+    def matrix(self, r, q):
+        """the differential from (r, q) to (r, q + 1): its j-th column is
+        the image of the j-th basis key, read at the keys of (r, q + 1)"""
         idx = self.index(r, q + 1)
-        src = self.basis(r, q)
-        mat = SparseMatrix(self.field, len(idx), len(src))
-        for j, key in enumerate(src):
-            for key2, c in self.image(key).items():
-                if key2 in idx:
-                    mat[idx[key2], j] = c
-                elif not self.truncated:
-                    raise ValueError("the differential of %r leaves slot %r"
-                                     % (key, (r, q + 1)))
-        return mat
+        cols = []
+        for key in self.basis(r, q):
+            img = self.image(key)
+            col = {idx[k]: c for k, c in img.items() if k in idx}
+            if len(col) < len(img) and not self.truncated:
+                raise ValueError("the differential of %r leaves slot %r"
+                                 % (key, (r, q + 1)))
+            cols.append(col)
+        return _stored(self.field, len(idx), cols)
 
     def differential(self, r, q):
         "the cached matrix of the differential from (r, q) to (r, q + 1)"
@@ -432,6 +457,11 @@ class SlotComplex:
         if key not in self._mats:
             self._mats[key] = self.matrix(r, q)
         return self._mats[key]
+
+    def dims(self, r, lo, hi):
+        "{q: dim H^q} at r for the degrees lo..hi, from ranks"
+        return homology_dims(lambda q: len(self.basis(r, q)),
+                             lambda q: self.differential(r, q), lo, hi)
 
     def homology(self, r, q):
         "the cached Subquotient ker / im at slot (r, q)"

@@ -20,7 +20,7 @@ and reports pass/fail with witnesses.
 import random
 
 from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
-                     vec_sub, solve)
+                     vec_sub, solve, linear)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
 from .hochschild import (word_sdeg, word_eps, apply_cochain_D, Chains,
@@ -405,10 +405,7 @@ class BVOperator:
         x = solve(mat, target)
         if x is None:
             raise LookupError("slot outside the stable truncation window")
-        out = {}
-        for i, ci in x.items():
-            vec_iadd(F, out, reps[i], ci)
-        return out, x
+        return linear(F, reps.__getitem__, x), x
 
     def matrix(self, r, q):
         "Delta as a matrix HH^q(A)_r -> HH^{q-1}(A)_r"

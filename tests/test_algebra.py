@@ -337,11 +337,18 @@ def test_quasi_iso_fixture():
 # diagram, so both perversities of P3 carry the same slot.
 
 
+def entries(m):
+    "{(row, col): scalar} of the nonzero entries of a matrix"
+    return {(i, j): x for j, col in enumerate(m.columns())
+            for i, x in col.items()}
+
+
 def pinned(Z):
     "basis and nonzero d and phi entries of a perverse complex"
     return {"basis": Z.basis,
-            "d": {k: m.entries for k, m in Z.d.items() if m.entries},
-            "phi": {k: m.entries for k, m in Z.phi.items() if m.entries}}
+            "d": {k: entries(m) for k, m in Z.d.items() if not m.is_zero()},
+            "phi": {k: entries(m) for k, m in Z.phi.items()
+                    if not m.is_zero()}}
 
 
 def restricted_fixture():
@@ -446,3 +453,38 @@ def test_module_hom_is_pinned_across_covers():
             (e2, e3, 4): {(0, 0): 1},
         },
     }
+
+
+def test_dual_module_slots_are_the_duals_of_the_subcomplexes():
+    # a down-type slot of DA at r is the dual of the subcomplex A_{t-r}, so
+    # its differential drops the dual elements absent at r: d^2 = 0 on
+    # every slot and dim H^k(DA_r) = dim H^{-k}(A_{t-r}).  The first input
+    # has a d(v1*) term outside its slot at r = (0, 0, 0, 1), k = -3
+    bad = ModuleSlots(dual_bimodule(random_pdga(QQ, P3, 6)))
+    assert bad.truncated
+    bad.differential((0, 0, 0, 1), -3)
+    F5 = Field(5)
+    for F in (QQ, F5):
+        for P, seeds in ((P3, range(12)), (P4, (0, 1, 2, 3, 5, 6, 103))):
+            for seed in seeds:
+                A = random_pdga(F, P, seed)
+                ma = ModuleSlots(algebra_as_bimodule(A))
+                md = ModuleSlots(dual_bimodule(A))
+                assert not ma.truncated
+                lo, hi = min(ma.degrees()), max(ma.degrees())
+                for r in P.elements:
+                    for k in range(-hi - 1, -lo + 1):
+                        assert md.differential(r, k + 1).mul(
+                            md.differential(r, k)).is_zero(), (seed, r, k)
+                    assert md.dims(r, -hi, -lo) == {
+                        -k: h for k, h in ma.dims(P.dual(r), lo, hi).items()}
+
+
+def test_module_slots_of_an_up_type_module_refuse_a_term_leaving_a_slot():
+    # labels only decrease under d in an up-type module; a d(m) term above
+    # the label of m leaves the slot of m and raises
+    A = trivial_algebra(QQ, P3)
+    M = Bimodule(A, [("m", 0, "up", P3.zero), ("n", 1, "up", P3.top)],
+                 diff={"m": {"n": QQ.one}})
+    with pytest.raises(ValueError, match="leaves slot"):
+        ModuleSlots(M).differential(P3.zero, 0)

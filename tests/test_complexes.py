@@ -311,11 +311,18 @@ def test_minimum_condition_counterexample_fails():
 # above compare only dimensions and homology, which a sign slip can pass.
 
 
+def entries(m):
+    "{(row, col): scalar} of the nonzero entries of a matrix"
+    return {(i, j): x for j, col in enumerate(m.columns())
+            for i, x in col.items()}
+
+
 def pinned(Z):
     "basis and nonzero d and phi entries of a perverse complex"
     return {"basis": Z.basis,
-            "d": {k: m.entries for k, m in Z.d.items() if m.entries},
-            "phi": {k: m.entries for k, m in Z.phi.items() if m.entries}}
+            "d": {k: entries(m) for k, m in Z.d.items() if not m.is_zero()},
+            "phi": {k: entries(m) for k, m in Z.phi.items()
+                    if not m.is_zero()}}
 
 
 def pin_inputs():

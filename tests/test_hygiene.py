@@ -183,3 +183,57 @@ def test_the_label_rule_lives_in_the_poset():
                     for key in ("name", "attr", "id")
                     if getattr(node, key, None) in gone})
     assert not named, named
+
+
+def _items_loop(node):
+    "a loop `for key, c in v.items():` whose second target is a plain name"
+    return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "attr", None) == "items"
+            and isinstance(node.target, ast.Tuple)
+            and len(node.target.elts) == 2
+            and isinstance(node.target.elts[1], ast.Name))
+
+
+def is_hand_extension(loop, coeffs=()):
+    """a loop over v.items() whose body, under at most one `if` and through
+    nested such loops, is only vec_iadd(F, out, ..., c) with a coefficient
+    built from the loops' own coefficients: a linear or bilinear extension"""
+    if not _items_loop(loop):
+        return False
+    coeffs += (loop.target.elts[1].id,)
+    body = loop.body
+    if len(body) == 1 and isinstance(body[0], ast.If) and not body[0].orelse:
+        body = body[0].body
+    if len(body) != 1:
+        return False
+    if isinstance(body[0], ast.For):
+        return is_hand_extension(body[0], coeffs)
+    call = getattr(body[0], "value", None)
+    if not (isinstance(call, ast.Call) and len(call.args) == 4
+            and getattr(call.func, "id", None) == "vec_iadd"):
+        return False
+    c = call.args[3]
+    names = {n.id for n in ast.walk(c) if isinstance(n, ast.Name)}
+    return isinstance(c, (ast.Name, ast.Call)) and set(coeffs) <= names
+
+
+def test_every_linear_extension_goes_through_linalg():
+    # linalg.linear and linalg.bilinear extend a map of basis elements to
+    # vectors; no other module writes that loop
+    found = [(fname, node.lineno) for fname, tree in source_trees()
+             if fname != "linalg.py" for node in ast.walk(tree)
+             if is_hand_extension(node)]
+    assert not found, found
+
+
+def test_a_matrix_is_read_through_its_columns():
+    # a SparseMatrix stores its column vectors; its `entries`, a view built
+    # on each read for the benchmark's per-layer trace, is defined in
+    # linalg only and read by no module
+    read = [(fname, node.lineno) for fname, tree in source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    defined = [(fname, node.lineno) for fname, tree in source_trees()
+               if fname != "linalg.py" for node in ast.walk(tree)
+               if isinstance(node, _FUNCTIONS) and node.name == "entries"]
+    assert not read and not defined, (read, defined)

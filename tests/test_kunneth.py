@@ -343,9 +343,9 @@ def test_compare_hh_evaluates_aw_once_per_middle_word(monkeypatch):
     import perverse.kunneth as kunneth
     seen = []
 
-    def counting(A, B, T, word, coeff=None):
+    def counting(A, B, T, word):
         seen.append(word)
-        return alexander_whitney(A, B, T, word, coeff)
+        return alexander_whitney(A, B, T, word)
 
     monkeypatch.setattr(kunneth, "alexander_whitney", counting)
     rep = compare_hh(S2, S2, 2, (-1, 1))

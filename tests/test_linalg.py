@@ -8,7 +8,7 @@ from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
                              span_equal, span_intersection,
                              Quotient, Subquotient, vec_iadd, vec_add,
-                             vec_sub, vec_scale)
+                             vec_sub, vec_scale, linear, bilinear)
 
 F5 = Field(5)
 
@@ -272,3 +272,141 @@ def test_rank_equals_nullity_and_echelon_rank(A):
     for col in A.columns():
         ech.add(col)
     assert A.rank() == A.ncols - len(kernel_basis(A)) == len(ech.cols)
+
+
+def _random_vector(field, rng, n=5):
+    "a sparse vector over 0..n-1 that may hold zero entries"
+    return {i: field.of(rng.randint(-2, 2)) for i in range(n)
+            if rng.random() < 0.6}
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=100)
+def test_linear_and_bilinear_equal_the_hand_loops(seed):
+    rng = random.Random(seed)
+    field = QQ if seed % 2 else F5
+    f = {x: _random_vector(field, rng) for x in range(5)}
+    g = {(x, y): _random_vector(field, rng) for x in range(5)
+         for y in range(5)}
+    u, v = _random_vector(field, rng), _random_vector(field, rng)
+    u0, v0 = dict(u), dict(v)
+    out = {}
+    for x, c in u.items():
+        vec_iadd(field, out, f[x], c)
+    got = linear(field, f.__getitem__, u)
+    assert got == out and list(got) == list(out)
+    out = {}
+    for x, cx in u.items():
+        for y, cy in v.items():
+            vec_iadd(field, out, g[x, y], field.mul(cx, cy))
+    got = bilinear(field, lambda x, y: g[x, y], u, v)
+    assert got == out and list(got) == list(out)
+    assert not any(field.iszero(c) for c in got.values())
+    assert (u, v) == (u0, v0)
+
+
+def _dense(field, rows, ncols):
+    "the dense sympy DomainMatrix over Q or GF(p) of a list of rows"
+    from sympy import GF, QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+    K = GF(field.char) if field.char else SQQ
+    return DomainMatrix([[K.convert(x) for x in row] for row in rows],
+                        (len(rows), ncols), K)
+
+
+def _from_dense(field, D):
+    "the rows of a sympy DomainMatrix as lists of scalars of field"
+    if field.char:
+        return [[field.of(int(x)) for x in row] for row in D.to_list()]
+    return [[field.of(Fraction(int(x.numerator), int(x.denominator)))
+             for x in row] for row in D.to_list()]
+
+
+@st.composite
+def _dense_pairs(draw):
+    """a field and two composable dense matrices as lists of rows; each
+    with two or more rows and columns has an all-zero row and column"""
+    field = draw(st.sampled_from([QQ, F5]))
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def dense(nr, nc):
+        rows = [[field.of(draw(_scalars(field))) if draw(st.booleans())
+                 else field.zero for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and nc > 1:
+            zr, zc = draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1))
+            rows[zr] = [field.zero] * nc
+            for row in rows:
+                row[zc] = field.zero
+        return rows
+    return field, dense(n, k), dense(k, m), k, m
+
+
+def _columns(field, rows, ncols):
+    return [{i: row[j] for i, row in enumerate(rows)
+             if not field.iszero(row[j])} for j in range(ncols)]
+
+
+@given(_dense_pairs())
+@settings(max_examples=80)
+def test_sparse_matrix_agrees_with_the_dense_reference(data):
+    field, a, b, k, m = data
+    n = len(a)
+    A = SparseMatrix(field, n, k, {(i, j): a[i][j]
+                                   for i in range(n) for j in range(k)})
+    B = SparseMatrix.from_columns(field, k, [
+        {i: b[i][j] for i in range(k)} for j in range(m)])
+    for M, rows, nc in ((A, a, k), (B, b, m)):
+        nr = len(rows)
+        assert [[M[i, j] for j in range(nc)] for i in range(nr)] == rows
+        assert M.columns() == _columns(field, rows, nc)
+        assert M.rows() == [{j: x for j, x in enumerate(row)
+                             if not field.iszero(x)} for row in rows]
+        assert M.rank() == _dense(field, rows, nc).rank()
+        assert M.is_zero() == all(field.iszero(x) for r in rows for x in r)
+        C = M.copy()
+        assert C == M and C.columns() is not M.columns()
+        C[0, 0] = field.add(C[0, 0], field.one)
+        assert C != M and M.columns() == _columns(field, rows, nc)
+    ab = _from_dense(field, _dense(field, a, k) * _dense(field, b, m))
+    AB = A.mul(B)
+    assert (AB.nrows, AB.ncols) == (n, m)
+    assert [[AB[i, j] for j in range(m)] for i in range(n)] == ab
+    assert AB.columns() == _columns(field, ab, m)
+    for j, col in enumerate(B.columns()):
+        assert A.apply(col) == AB.columns()[j]
+    ident = SparseMatrix.identity(field, n)
+    assert [[ident[i, j] for j in range(n)] for i in range(n)] == [
+        [field.one if i == j else field.zero for j in range(n)]
+        for i in range(n)]
+    assert ident.mul(A) == A == A.mul(SparseMatrix.identity(field, k))
+    assert A != SparseMatrix(field, n + 1, k)
+    assert A != SparseMatrix(field, n, k + 1)
+
+
+def test_an_assembled_slot_matrix_holds_no_zero_entry():
+    from perverse.algebra import (Bimodule, ModuleSlots,
+                                  algebra_as_bimodule, dual_bimodule)
+    from perverse.builders import corpus, random_pdga, trivial_algebra
+    from perverse.hochschild import Chains, Cochains
+    from perverse.poset import Poset
+    P = Poset(4)
+    # an explicit zero coefficient in a module differential is no entry
+    M = Bimodule(trivial_algebra(QQ, P), [("m", 0, "up", P.zero),
+                                          ("n", 1, "up", P.zero)],
+                 diff={"m": {"n": QQ.zero}})
+    assert ModuleSlots(M).differential(P.zero, 0).is_zero()
+    algebras = list(corpus(F5, P).values()) + [
+        random_pdga(F, P, s) for F in (QQ, F5) for s in (0, 1, 5, 103)]
+    seen = 0
+    for A in algebras:
+        for cx in (Cochains(A, algebra_as_bimodule(A), 3),
+                   Cochains(A, dual_bimodule(A), 3),
+                   Chains(A, algebra_as_bimodule(A), 3),
+                   ModuleSlots(dual_bimodule(A))):
+            for r in P.elements:
+                for q in range(-8, 8):
+                    for col in cx.differential(r, q).columns():
+                        assert not any(A.field.iszero(x)
+                                       for x in col.values())
+                        seen += len(col)
+    assert seen > 1000
