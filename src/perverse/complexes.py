@@ -19,7 +19,7 @@ import itertools
 
 from .linalg import (SparseMatrix, kernel_basis, span_equal,
                      span_intersection, Quotient, Subspace,
-                     homology_dims, linear)
+                     homology_dims, pivot_rows, linear)
 from .poset import leq
 
 
@@ -54,8 +54,9 @@ class ChainComplex:
     def homology(self):
         "{k: dim H^k} from the lowest degree to the highest, from ranks"
         degs = self.degrees()
-        return homology_dims(self.dim, self.diff, degs[0],
-                             degs[-1]) if degs else {}
+        return homology_dims(
+            self.dim, lambda k, cleared: pivot_rows(self.diff(k), cleared),
+            degs[0], degs[-1]) if degs else {}
 
 
 def point_complex(field, label="e"):
@@ -147,9 +148,10 @@ class PerverseComplex:
     def homology(self, p):
         "{k: dim H^k} at p from the lowest degree to the highest, from ranks"
         degs = self.degrees()
-        return homology_dims(functools.partial(self.dim, p),
-                             functools.partial(self.diff, p), degs[0],
-                             degs[-1]) if degs else {}
+        return homology_dims(
+            functools.partial(self.dim, p),
+            lambda k, cleared: pivot_rows(self.diff(p, k), cleared),
+            degs[0], degs[-1]) if degs else {}
 
 
 def free_perverse(field, poset, p, cx):

@@ -20,7 +20,8 @@ label-blind, so the image of each basis element is computed once per complex
 and every slot matrix cuts it to the admissible target pairs.  D* is pushed
 forward from each term (w -> m) of a cochain onto the cofaces of w, the
 words that have w as a face, and an HH dimension table is read from the
-ranks of the slot matrices alone.
+ranks of the slot matrices alone, by clearing: a column that the previous
+degree shows dependent is never assembled.
 """
 
 import itertools
@@ -391,10 +392,11 @@ class Cochains(SlotComplex):
             if w not in self.mids or P.oplus(self.mids[w][1], r) is not None})
 
     # defined here, not inherited, so that perfbench's trace can wrap it
-    def matrix(self, r, q):
+    def matrix(self, r, q, cleared=()):
         """slot matrix of D* from (r, q) to (r, q+1): the image of each
-        source pair, computed once, truncated to the admissible target pairs"""
-        return super().matrix(r, q)
+        source pair outside `cleared`, computed once, truncated to the
+        admissible target pairs"""
+        return super().matrix(r, q, cleared)
 
     def table(self, lo, hi):
         "{(r, q): dim HH} at every slot of degrees lo..hi, from ranks"

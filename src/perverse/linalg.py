@@ -6,14 +6,17 @@ vectors.  There is one elimination, `Echelon`: a forward-only
 column reduction, columns in input order, that never revisits a stored
 column, with optional bookkeeping of the combination of input columns behind
 each stored column.  Rank, kernel, solutions, membership and coordinates are
-read off it; a normal form modulo a span eliminates every pivot row.  Every
-object read is canonical.  A kernel vector is e_j minus the unique
-combination of the earlier independent columns, whatever the pivot rule.  A
-normal form depends only on the span and its pivot rows, so `Quotient` and
-`Subquotient`, whose coordinates and representatives are normal forms, fix
-the rule: a pivot is the first nonzero row.  Everything is exact; no floats
-anywhere.
+read off it; a rank in a complex skips the columns that clearing shows
+dependent (`pivot_rows`), and a normal form modulo a span eliminates every
+pivot row.  Every object read is canonical.  A kernel vector is e_j minus
+the unique combination of the earlier independent columns, whatever the
+pivot rule.  A normal form depends only on the span and its pivot rows, so
+`Quotient` and `Subquotient`, whose coordinates and representatives are
+normal forms, fix the rule: a pivot is the first nonzero row.  Everything is
+exact; no floats anywhere.
 """
+
+import functools
 
 
 def vec_iadd(field, out, v, c=None):
@@ -150,11 +153,8 @@ class SparseMatrix:
                        [self.apply(col) for col in other.cols])
 
     def rank(self):
-        "the number of columns an Echelon accepts, fed in column order"
-        ech = Echelon(self.field)
-        for col in self.cols:
-            ech.add(col)
-        return len(ech.cols)
+        "the number of pivot rows of the columns, fed in column order"
+        return len(pivot_rows(self))
 
 
 def _stored(field, nrows, cols):
@@ -285,11 +285,33 @@ def span_intersection(field, n, cols1, cols2):
     return list(out.cols.values())
 
 
-def homology_dims(dim, diff, lo, hi):
-    """{q: dim(q) - rank diff(q) - rank diff(q - 1)} for q = lo..hi: the
-    homology dimensions of a complex with dim(q)-dimensional terms and
-    differentials diff(q) out of degree q; each rank is computed once"""
-    rank = {q: diff(q).rank() for q in range(lo - 1, hi + 1)}
+def pivot_rows(A, cleared=()):
+    """the pivot rows of an Echelon fed the nonzero columns of A outside
+    `cleared`, in column order; their number is the rank of A.
+
+    The pivot rows of a span are the last nonzero rows of its vectors, so
+    they and the rank stay the same when the skipped columns lie in the span
+    of the others.  That is clearing: in a complex, the pivot rows of the
+    differential into a degree index such columns of the one out of it.  A
+    pivot row i there heads a boundary, e_i plus earlier rows, which d
+    kills, so column i is a combination of the columns before it"""
+    ech = Echelon(A.field)
+    for j, col in enumerate(A.columns()):
+        if col and j not in cleared:
+            ech.add(col)
+    return set(ech.cols)
+
+
+def homology_dims(dim, pivots, lo, hi):
+    """{q: dim(q) - rank d_q - rank d_(q - 1)} for q = lo..hi: the homology
+    dimensions of a complex with dim(q)-dimensional terms.  pivots(q,
+    cleared) gives the pivot rows of d_q, the differential out of degree q,
+    as `pivot_rows(d_q, cleared)` does; degrees are walked upward and
+    `cleared` is the pivot rows of d_(q - 1)"""
+    rank, cleared = {}, ()
+    for q in range(lo - 1, hi + 1):
+        cleared = pivots(q, cleared)
+        rank[q] = len(cleared)
     return {q: dim(q) - rank[q] - rank[q - 1] for q in range(lo, hi + 1)}
 
 
@@ -398,10 +420,14 @@ class SlotComplex:
 
     A subclass supplies `slot_basis(r, q)`, the list of basis keys of a
     slot, and `D_key(key)`, the image of one basis key under the
-    differential, a vector that does not depend on the slot.  This class
-    caches each image once per key and each basis and matrix once per slot,
-    together with the slot's homology, and translates between sparse
-    vectors over basis keys {key: scalar} and vectors over slot indices.
+    differential, a vector that does not depend on the slot.  So a matrix
+    depends on r only through the bases of its two slots.  This class gives
+    each distinct basis an id when a slot first builds it, caches each image
+    once per key, each matrix and its pivot rows once per pair of ids and each
+    homology once per triple, and translates between sparse vectors over
+    basis keys {key: scalar} and vectors over slot indices.  Dimension
+    tables come from ranks by clearing (`pivot_rows`), which never computes
+    the image of a cleared key for them.
     """
 
     # a truncated complex drops the terms of an image that leave the target
@@ -411,25 +437,33 @@ class SlotComplex:
 
     def __init__(self, field):
         self.field = field
-        self._bases = {}
-        self._indices = {}
+        self._slots = {}    # (r, q) -> basis id
+        self._ids = {}      # tuple of basis keys -> basis id
+        self._bases = []    # basis id -> tuple of keys
+        self._indices = []  # basis id -> {key: coordinate}
         self._images = {}
         self._mats = {}
+        self._pivots = {}
         self._homs = {}
+
+    def slot(self, r, q):
+        "the id of the basis of slot (r, q), shared by every equal basis"
+        if (r, q) not in self._slots:
+            b = tuple(self.slot_basis(r, q))
+            if b not in self._ids:
+                self._ids[b] = len(self._bases)
+                self._bases.append(b)
+                self._indices.append({k: i for i, k in enumerate(b)})
+            self._slots[(r, q)] = self._ids[b]
+        return self._slots[(r, q)]
 
     def basis(self, r, q):
         "the basis keys of slot (r, q), in the order of its coordinates"
-        key = (r, q)
-        if key not in self._bases:
-            b = self.slot_basis(r, q)
-            self._bases[key] = b
-            self._indices[key] = {k: i for i, k in enumerate(b)}
-        return self._bases[key]
+        return self._bases[self.slot(r, q)]
 
     def index(self, r, q):
         "{basis key: coordinate} of slot (r, q)"
-        self.basis(r, q)
-        return self._indices[(r, q)]
+        return self._indices[self.slot(r, q)]
 
     def image(self, key):
         "the cached D_key(key), computed once for every slot that holds key"
@@ -437,12 +471,16 @@ class SlotComplex:
             self._images[key] = self.D_key(key)
         return self._images[key]
 
-    def matrix(self, r, q):
+    def matrix(self, r, q, cleared=()):
         """the differential from (r, q) to (r, q + 1): its j-th column is
-        the image of the j-th basis key, read at the keys of (r, q + 1)"""
+        the image of the j-th basis key, read at the keys of (r, q + 1),
+        except that a column j in `cleared` is left empty"""
         idx = self.index(r, q + 1)
         cols = []
-        for key in self.basis(r, q):
+        for j, key in enumerate(self.basis(r, q)):
+            if j in cleared:
+                cols.append({})
+                continue
             img = self.image(key)
             col = {idx[k]: c for k, c in img.items() if k in idx}
             if len(col) < len(img) and not self.truncated:
@@ -453,19 +491,30 @@ class SlotComplex:
 
     def differential(self, r, q):
         "the cached matrix of the differential from (r, q) to (r, q + 1)"
-        key = (r, q)
+        key = (self.slot(r, q), self.slot(r, q + 1))
         if key not in self._mats:
             self._mats[key] = self.matrix(r, q)
         return self._mats[key]
 
+    def pivots(self, r, q, cleared):
+        """the cached pivot rows of the differential out of (r, q), with
+        `cleared` the pivot rows of the one into it; when the full matrix is
+        not cached, only the columns outside `cleared` are assembled"""
+        key = (self.slot(r, q), self.slot(r, q + 1))
+        if key not in self._pivots:
+            A = self._mats[key] if key in self._mats else \
+                self.matrix(r, q, cleared)
+            self._pivots[key] = pivot_rows(A, cleared)
+        return self._pivots[key]
+
     def dims(self, r, lo, hi):
         "{q: dim H^q} at r for the degrees lo..hi, from ranks"
         return homology_dims(lambda q: len(self.basis(r, q)),
-                             lambda q: self.differential(r, q), lo, hi)
+                             functools.partial(self.pivots, r), lo, hi)
 
     def homology(self, r, q):
         "the cached Subquotient ker / im at slot (r, q)"
-        key = (r, q)
+        key = (self.slot(r, q - 1), self.slot(r, q), self.slot(r, q + 1))
         if key not in self._homs:
             self._homs[key] = Subquotient(
                 self.field, len(self.basis(r, q)),

@@ -5,8 +5,8 @@ import pytest
 
 from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import (SparseMatrix, vec_add, vec_iadd, vec_scale,
-                             kernel_basis)
+from perverse.linalg import (SparseMatrix, Echelon, vec_add, vec_iadd,
+                             vec_scale, kernel_basis)
 from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
@@ -490,6 +490,89 @@ def test_hh_over_a_large_prime_agrees_with_q(L, slots):
         # dimensions can only grow on reduction mod p
         assert all(f2[name][k] > table[k] for k in differ), name
         assert len(differ) == (slots if name in _F2_TORSION else 0), name
+
+
+# --- ranks by clearing -----------------------------------------------------
+
+
+def _clearing_family():
+    """{name: (A, M, L)}: the corpus and labeled random pDGAs over Q, F_5
+    and F_32003, each with algebra and dual coefficients, at L = 4, and
+    k[x]/x^3 (|x| = 2) at L = 8"""
+    algebras = {"corpus-" + n: A for n, A in corpus(QQ, P3).items()}
+    for F in (QQ, Field(5), Field(32003)):
+        for s in (5, 6, 7, 10, 103):
+            algebras["random-%r-%d" % (F, s)] = random_pdga(F, Poset(4), s)
+    fam = {}
+    for name, A in algebras.items():
+        fam[name + "-alg"] = (A, algebra_as_bimodule(A), 4)
+        fam[name + "-dual"] = (A, dual_bimodule(A), 4)
+    A = truncated_polynomial(QQ, P3, 2, power=3)
+    fam["trunc3-alg"] = (A, algebra_as_bimodule(A), 8)
+    return fam
+
+
+def _recorded_table(cx, lo, hi):
+    """the slot matrices that cx.table(lo, hi) assembles, as (r, q,
+    cleared), and the keys whose images it computes, in call order"""
+    calls, keys = [], []
+    matrix, D_key = cx.matrix, cx.D_key
+
+    def recorded_matrix(r, q, cleared=()):
+        calls.append((r, q, cleared))
+        return matrix(r, q, cleared)
+
+    def recorded_D_key(key):
+        keys.append(key)
+        return D_key(key)
+
+    cx.matrix, cx.D_key = recorded_matrix, recorded_D_key
+    cx.table(lo, hi)
+    del cx.matrix, cx.D_key
+    return calls, keys
+
+
+def test_every_cleared_column_lies_in_the_span_of_the_kept_earlier_ones():
+    # clearing leaves column i of d_q out of its rank when i is a pivot row
+    # of d_(q-1): d_q kills the boundary e_i + (earlier rows) headed there
+    cleared_cols = 0
+    for name, (A, M, L) in _clearing_family().items():
+        cx = Cochains(A, M, L)
+        calls, _ = _recorded_table(cx, min(cx.pairs), max(cx.pairs))
+        for r, q, cleared in calls:
+            kept = Echelon(A.field)
+            for j, col in enumerate(cx.differential(r, q).columns()):
+                if j in cleared:
+                    assert kept.contains(col), (name, r, q, j)
+                    cleared_cols += 1
+                else:
+                    kept.add(col)
+    assert cleared_cols > 1000
+
+
+def test_table_by_clearing_equals_the_full_matrix_rule_and_the_oracle():
+    for name, (A, M, top) in _clearing_family().items():
+        for L in range(1, top + 1):
+            cx = Cochains(A, M, L)
+            lo, hi = min(cx.pairs), max(cx.pairs)
+            table = cx.table(lo, hi)
+            full = {(r, q): len(cx.basis(r, q))
+                    - cx.differential(r, q).rank()
+                    - cx.differential(r, q - 1).rank()
+                    for r in A.poset.elements for q in range(lo, hi + 1)}
+            assert table == full == hh_table_oracle(A, M, L, lo, hi), \
+                (name, L)
+
+
+def test_the_table_computes_the_images_of_uncleared_columns_only():
+    # the benchmark's hh-labeled-fp input; its slots hold 444 keys
+    A = random_pdga(Field(32003), Poset(4), 103)
+    lo, hi = hh_degree_support(A, 4)
+    cx = Cochains(A, algebra_as_bimodule(A), 4)
+    calls, keys = _recorded_table(cx, lo, hi)
+    held = {key for r, q, cleared in calls
+            for j, key in enumerate(cx.basis(r, q)) if j not in cleared}
+    assert set(keys) == held and len(keys) == len(held) == 262
 
 
 def test_window_exact_flag():

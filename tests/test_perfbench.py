@@ -1,10 +1,17 @@
 """The benchmark's per-layer trace (perfbench/tracer.py) wraps library
 functions and methods by name.  A refactor that moves one of them would
 leave its layer metric at zero without failing the benchmark, so every
-target must resolve here, without installing the tracer."""
+target must resolve here, without installing the tracer.  A change that
+moves work past a wrapped function hides its layer the same way, so the
+traced hh workloads must still show their slot assembly."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,3 +36,19 @@ def test_every_trace_target_is_defined_on_its_owner():
         if attr not in vars(owner):
             missing.append((module, path))
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload,pairs", [("hh-trunc3", 21),
+                                            ("hh-labeled-fp", 46)])
+def test_the_trace_sees_one_slot_matrix_per_distinct_pair_of_bases(
+        workload, pairs, tmp_path):
+    # the table path assembles each distinct (basis of (r, q), basis of
+    # (r, q + 1)) once, and through Cochains.matrix, which the trace wraps
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
+         workload, "0", str(tmp_path / "trace.json")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+    assert layers["hochschild.slots"] == pairs
+    assert layers["hochschild.assembly_s"] > 0
