@@ -442,19 +442,26 @@ class ModuleSlots(SlotComplex):
         return self.M.d(m)
 
 
-def algebra_as_bimodule(A):
-    left = {}
-    right = {}
+def restrict_bimodule(A, B, fmap):
+    "B viewed as an A-bimodule through the algebra map f"
+    F = A.field
+    elems = [(x, B.deg(x), "up", B.lam(x)) for x in B.names]
+    left, right = {}, {}
     for a in A.nonunit():
-        for m in A.names:
-            v = A.mul(a, m)
-            if v:
-                left[(a, m)] = v
-            v = A.mul(m, a)
-            if v:
-                right[(m, a)] = v
-    elems = [(x, A.deg(x), "up", A.lam(x)) for x in A.names]
-    return Bimodule(A, elems, diff=A.diffs, left=left, right=right)
+        fa = fmap[a]
+        for m in B.names:
+            lv = B.mul_vec(fa, {m: F.one})
+            rv = B.mul_vec({m: F.one}, fa)
+            if lv:
+                left[(a, m)] = lv
+            if rv:
+                right[(m, a)] = rv
+    return Bimodule(A, elems, diff=B.diffs, left=left, right=right)
+
+
+def algebra_as_bimodule(A):
+    "A as a bimodule over itself, the restriction along the identity"
+    return restrict_bimodule(A, A, {x: {x: A.field.one} for x in A.names})
 
 
 def dual_name(x):

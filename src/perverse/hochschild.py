@@ -3,7 +3,12 @@
 Conventions.  A bar word is a[a_1|...|a_k]b with a, b in the algebra basis and
 normalized middle entries (non-unit).  Degrees are cohomological: the word has
 degree |a|+|b|+sum(|a_i|-1) and the differential D = d0+d1 has degree +1.
-Hochschild chains are m[a_1|...|a_k] with m in a bimodule; cochains are
+Bar.D_word is the one place the d0/d1 formulas are written.  Hochschild
+chains m[a_1|...|a_k], m in a bimodule, are M (x)_{A^e} B(A) through
+m (x) a[w]b -> (-1)^{|b|(|m| + |a| + sdeg w)} (b.(m.a))[w], the Koszul
+sign of moving b around to act on the left; their differential is d_M
+plus (-1)^|m| times this pairing applied to D(1[w]1), which gives the
+printed cyclic sign (-1)^{eps_k |s(a_k)|} of the last term.  Cochains are
 functions on middle words with values in the bimodule, stored as sparse dicts
 {(word, module element): coefficient}.  A basis cochain (w -> m) has degree
 |m| - sum(|a_i|-1).  Storage stays flat; an operation on cochains (cup,
@@ -29,7 +34,7 @@ import itertools
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solve,
                      linear)
 from .poset import leq
-from .algebra import Bimodule, algebra_as_bimodule
+from .algebra import algebra_as_bimodule, restrict_bimodule
 
 
 def sdeg(A, x):
@@ -170,6 +175,7 @@ class Chains(SlotComplex):
         if any(k != "up" for k in M.kind.values()):
             raise ValueError("chains need an up-type module")
         self.mids = middle_words(A, L)
+        self.bar = Bar(A, 0)
         # {q: [((m, w), label of the pair)]}, ordered by w, then m
         self.pairs = {}
         for w, (d, lw) in self.mids.items():
@@ -186,40 +192,27 @@ class Chains(SlotComplex):
     def slot_basis(self, r, q):
         return [key for key, lab in self.pairs.get(q, ()) if leq(lab, r)]
 
-    def _push(self, out, m, w, coeff):
+    def push(self, out, m, w, coeff):
         "add coeff * (m, w) into out when the pair is in the complex"
         if w in self.mids and self.A.poset.oplus(
                 self.mids[w][1], self.M.plabel[m]) is not None:
             vec_iadd(self.A.field, out, {(m, w): coeff})
 
     def D_key(self, key):
+        """d_M(m)[w], then (-1)^|m| times the bar differential of 1[w]1
+        read through the pairing of M with B(A) over A^e"""
         A, M, F = self.A, self.M, self.A.field
         m, w = key
-        k = len(w)
+        dm = M.degree[m]
         out = {}
-        eps = word_eps(A, w, M.degree[m])
-        # d0
         for y, c in M.d(m).items():
-            self._push(out, y, w, c)
-        for i in range(1, k + 1):
-            s = F.sign(eps[i - 1])
-            for y, c in A.d(w[i - 1]).items():
-                self._push(out, m, w[:i - 1] + (y,) + w[i:],
-                           F.neg(F.mul(s, c)))
-        if k == 0:
-            return out
-        # d1
-        s = F.sign(M.degree[m])
-        for y, c in M.act_right(m, w[0]).items():
-            self._push(out, y, w[1:], F.mul(s, c))
-        for i in range(2, k + 1):
-            s = F.sign(eps[i - 1])
-            for y, c in A.mul(w[i - 2], w[i - 1]).items():
-                self._push(out, m, w[:i - 2] + (y,) + w[i:], F.mul(s, c))
-        # cyclic last term, sign as printed: (-1)^{eps_k |s(a_k)|}
-        s = F.sign(eps[k - 1] * sdeg(A, w[k - 1]))
-        for y, c in M.act_left(w[k - 1], m).items():
-            self._push(out, y, w[:k - 1], F.neg(F.mul(s, c)))
+            self.push(out, y, w, c)
+        for (a, v, b), c in self.bar.D_word((A.unit, w, A.unit)).items():
+            s = F.mul(c, F.sign(dm + A.deg(b) * (
+                dm + A.deg(a) + self.mids[v][0])))
+            for y, cy in M.act_left_vec({b: F.one},
+                                        M.act_right(m, a)).items():
+                self.push(out, y, v, F.mul(s, cy))
         return out
 
     def D(self, vec):
@@ -421,6 +414,7 @@ def hh_table_oracle(A, M, L, lo, hi):
     Cochains."""
     F = A.field
     bar = Bar(A, L)
+    bar_d = {}  # {w: the bar differential of 1[w]1}, for this call only
 
     def phi_of(values, q, barvec):
         "extend values {w: vec in M} A^e-bilinearly to a bar vector"
@@ -438,8 +432,9 @@ def hh_table_oracle(A, M, L, lo, hi):
         values = {w0: {m0: F.one}}
         out = {}
         for w in words:
-            bar_d = bar.D_word((A.unit, w, A.unit))
-            v = vec_scale(F, F.sign(q + 1), phi_of(values, q, bar_d))
+            if w not in bar_d:
+                bar_d[w] = bar.D_word((A.unit, w, A.unit))
+            v = vec_scale(F, F.sign(q + 1), phi_of(values, q, bar_d[w]))
             if w == w0:
                 vec_iadd(F, v, M.d_vec({m0: F.one}))
             out.update({(w, m): c for m, c in v.items()})
@@ -482,23 +477,6 @@ def check_pdga_map(A, B, fmap):
 
 def is_quasi_iso(A, B):
     return A.homology_dims() == B.homology_dims()
-
-
-def restrict_bimodule(A, B, fmap):
-    "B viewed as an A-bimodule through the algebra map f"
-    F = A.field
-    elems = [(x, B.deg(x), "up", B.lam(x)) for x in B.names]
-    left, right = {}, {}
-    for a in A.nonunit():
-        fa = fmap[a]
-        for m in B.names:
-            lv = B.mul_vec(fa, {m: F.one})
-            rv = B.mul_vec({m: F.one}, fa)
-            if lv:
-                left[(a, m)] = lv
-            if rv:
-                right[(m, a)] = rv
-    return Bimodule(A, elems, diff=B.diffs, left=left, right=right)
 
 
 def induced_word_map(A, B, fmap, w):

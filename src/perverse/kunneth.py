@@ -48,24 +48,6 @@ def shuffles(s, t):
     return tuple(out)
 
 
-def _cross_parity(sh, sa, sb):
-    "Koszul parity of the interleaving on suspended entries of those degrees"
-    return sum(sa[i] * sb[j] for i, j in sh.cross)
-
-
-def _interleave(A, B, T, wa, wb, sh):
-    """the middle word of T with entries (a, 1) at the positions sh.apos and
-    (1, b) at sh.bpos, or None when a paired entry is not a generator of T"""
-    mid = [None] * (sh.s + sh.t)
-    for i, p in enumerate(sh.apos):
-        mid[p] = (wa[i], B.unit)
-    for j, p in enumerate(sh.bpos):
-        mid[p] = (A.unit, wb[j])
-    if any(e not in T.degree for e in mid):
-        return None
-    return tuple(mid)
-
-
 # ---------------------------------------------------------------------------
 # bar-word plumbing
 
@@ -153,14 +135,15 @@ def eilenberg_zilber(A, B, T, u, v):
     par0 = B.deg(b0) * sum(sa) + A.deg(a1) * (B.deg(b0) + sum(sb))
     out = {}
     for sh in shuffles(len(wa), len(wb)):
-        mid = _interleave(A, B, T, wa, wb, sh)
-        if mid is None:
-            continue
-        word = ((a0, b0), mid, (a1, b1))
-        if not bar_ok(T, word):
-            continue
-        s = F.sign(par0 + _cross_parity(sh, sa, sb))
-        vec_iadd(F, out, {word: s})
+        mid = [None] * (sh.s + sh.t)
+        for i, p in enumerate(sh.apos):
+            mid[p] = (wa[i], B.unit)
+        for j, p in enumerate(sh.bpos):
+            mid[p] = (A.unit, wb[j])
+        word = ((a0, b0), tuple(mid), (a1, b1))
+        if all(e in T.degree for e in mid) and bar_ok(T, word):
+            cross = sum(sa[i] * sb[j] for i, j in sh.cross)
+            vec_iadd(F, out, {word: F.sign(par0 + cross)})
     return out
 
 
@@ -174,34 +157,24 @@ def eilenberg_zilber_vec(A, B, T, vec):
 
 def shuffle_product(A, B, T, x, y, maxlen=None):
     """sh on Hochschild chains {(m, word): c} of the two factors, landing
-    in chains of the tensor algebra.
+    in chains of the tensor algebra: EZ of the unit-ended bar words
+    m[wa]1 and n[wb]1, read back as the chain (m n)[middle].
 
-    The B-coefficient pays the Koszul cost of crossing the suspended
-    A-word before the entries interleave; this placement makes sh a chain
-    map, and the cyclic operator is then a derivation for sh on homology
-    (not at chain level, where the classical cyclic-shuffle homotopy
-    intervenes)."""
-    F = T.field
+    EZ makes the B-coefficient pay the Koszul cost of crossing the
+    suspended A-word before the entries interleave; this placement makes
+    sh a chain map, and the cyclic operator is then a derivation for sh on
+    homology (not at chain level, where the classical cyclic-shuffle
+    homotopy intervenes)."""
 
     def sh_pair(mwa, nwb):
         (m0, wa), (n0, wb) = mwa, nwb
         if maxlen is not None and len(wa) + len(wb) > maxlen:
             raise OverflowError("shuffle exceeds max length %d: %d + %d"
                                 % (maxlen, len(wa), len(wb)))
-        out = {}
-        if (m0, n0) not in T.degree:
-            return out
-        sa = [sdeg(A, z) for z in wa]
-        sb = [sdeg(B, z) for z in wb]
-        for sh in shuffles(len(wa), len(wb)):
-            mid = _interleave(A, B, T, wa, wb, sh)
-            if mid is not None and T.sum_labels_ok(
-                    T.lam((m0, n0)), *[T.lam(e) for e in mid]):
-                vec_iadd(F, out, {((m0, n0), mid): F.sign(
-                    B.deg(n0) * sum(sa) + _cross_parity(sh, sa, sb))})
-        return out
+        return {(c0, mid): c for (c0, mid, _), c in eilenberg_zilber(
+            A, B, T, (m0, wa, A.unit), (n0, wb, B.unit)).items()}
 
-    return bilinear(F, sh_pair, x, y)
+    return bilinear(T.field, sh_pair, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def iota(ch, op, x):
                 continue
             head = A.mul_vec({m0: F.one}, fv)
             for y, cy in head.items():
-                ch._push(out, y, w[k:], F.mul(F.mul(c, s), cy))
+                ch.push(out, y, w[k:], F.mul(F.mul(c, s), cy))
     return out
 
 
@@ -235,7 +235,7 @@ def connes_B(ch, x):
         eps = word_eps(A, entries)
         for i in range(len(w) + 1):
             s = F.sign(eps[i] * (eps[-1] - eps[i]))
-            ch._push(out, A.unit, entries[i:] + entries[:i], F.mul(c, s))
+            ch.push(out, A.unit, entries[i:] + entries[:i], F.mul(c, s))
     return out
 
 

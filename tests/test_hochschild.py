@@ -165,6 +165,64 @@ def test_chain_d_on_length_zero():
         assert ch.D_key((m, ())) == {(y, ()): c for y, c in A.d(m).items()}
 
 
+def _printed_chain_D(ch, key):
+    """independent reference for the chain differential: the printed d0/d1
+    formulas on m[a_1|...|a_k], with eps_i = |m| + sum_{j<i} |s(a_j)| and
+    the cyclic last term signed (-1)^{eps_k |s(a_k)|}"""
+    A, M, F = ch.A, ch.M, ch.A.field
+    m, w = key
+    k = len(w)
+    out = {}
+    eps = [M.degree[m]]
+    for x in w:
+        eps.append(eps[-1] + sdeg(A, x))
+    for y, c in M.d(m).items():
+        ch.push(out, y, w, c)
+    for i in range(1, k + 1):
+        s = F.sign(eps[i - 1])
+        for y, c in A.d(w[i - 1]).items():
+            ch.push(out, m, w[:i - 1] + (y,) + w[i:], F.neg(F.mul(s, c)))
+    if k == 0:
+        return out
+    s = F.sign(M.degree[m])
+    for y, c in M.act_right(m, w[0]).items():
+        ch.push(out, y, w[1:], F.mul(s, c))
+    for i in range(2, k + 1):
+        s = F.sign(eps[i - 1])
+        for y, c in A.mul(w[i - 2], w[i - 1]).items():
+            ch.push(out, m, w[:i - 2] + (y,) + w[i:], F.mul(s, c))
+    s = F.sign(eps[k - 1] * sdeg(A, w[k - 1]))
+    for y, c in M.act_left(w[k - 1], m).items():
+        ch.push(out, y, w[:k - 1], F.neg(F.mul(s, c)))
+    return out
+
+
+def _chain_family(F):
+    """the corpus, a non-commutative algebra, labeled random pDGAs (some
+    with a differential) over F, each with coefficients in itself, and a
+    module restricted along a quasi-isomorphism"""
+    P4 = Poset(4)
+    fam = [(A, algebra_as_bimodule(A)) for A in corpus(F, P3).values()]
+    fam += [(A, algebra_as_bimodule(A)) for A in (
+        PDGA(F, P3, [("1", 0, P3.zero), ("x", 2, P3.zero),
+                     ("y", 2, P3.zero), ("z", 4, P3.zero)], "1",
+             products={("x", "y"): {"z": F.one}}),
+        *(random_pdga(F, P4, s) for s in range(12)))]
+    A, B, fmap = quasi_iso_fixture(F, P3)
+    return fam + [(A, restrict_bimodule(A, B, fmap))]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("L", [3, 4])
+def test_chain_D_is_the_bar_differential_read_through_the_pairing(field, L):
+    # D_key reads Bar.D_word; the printed formulas are written out above
+    for A, M in _chain_family(field):
+        ch = Chains(A, M, L)
+        for keys in ch.pairs.values():
+            for key, _ in keys:
+                assert ch.D_key(key) == _printed_chain_D(ch, key), key
+
+
 # --- Hochschild cochains ---------------------------------------------------
 
 

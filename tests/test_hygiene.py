@@ -237,3 +237,23 @@ def test_a_matrix_is_read_through_its_columns():
                if fname != "linalg.py" for node in ast.walk(tree)
                if isinstance(node, _FUNCTIONS) and node.name == "entries"]
     assert not read and not defined, (read, defined)
+
+
+def private_reads(tree):
+    """(line, attribute) of each read of a `_`-prefixed attribute, dunders
+    aside, on anything but self or super()"""
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and getattr(node.value, "id", None) != "self"
+            and getattr(getattr(node.value, "func", None), "id",
+                        None) != "super"]
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    # a name another object calls is public: Chains.push, not _push
+    found = [(fname,) + hit for fname, tree in source_trees()
+             for hit in private_reads(tree)]
+    assert not found, found

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from perverse.fields import QQ
+from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import vec_add, vec_scale
+from perverse.linalg import vec_add, vec_iadd, vec_scale
 from perverse.algebra import tensor_pdga, algebra_as_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
-                               truncated_polynomial, random_pdga)
+                               truncated_polynomial, random_pdga, corpus)
 from perverse.hochschild import (Bar, Chains, Cochains, middle_words, sdeg,
                                  apply_cochain_D, Op)
 from perverse.structure import connes_B, verify_calculus
@@ -243,6 +243,49 @@ def test_shuffle_product_length_guard():
     with pytest.raises(OverflowError):
         shuffle_product(S2, S2, T, x, x, maxlen=3)
     assert shuffle_product(S2, S2, T, x, x, maxlen=4)
+
+
+def _interleaved_shuffle(A, B, T, mwa, nwb):
+    """independent reference for the shuffle product of two chain basis
+    keys: the entries (a, 1) of wa and (1, b) of wb interleaved by each
+    shuffle, signed by |n| crossing s(wa) and the Koszul sign of the
+    interleaving"""
+    F = T.field
+    (m0, wa), (n0, wb) = mwa, nwb
+    out = {}
+    if (m0, n0) not in T.degree:
+        return out
+    sa = [sdeg(A, z) for z in wa]
+    sb = [sdeg(B, z) for z in wb]
+    for sh in shuffles(len(wa), len(wb)):
+        mid = [None] * (len(wa) + len(wb))
+        for i, p in enumerate(sh.apos):
+            mid[p] = (wa[i], B.unit)
+        for j, p in enumerate(sh.bpos):
+            mid[p] = (A.unit, wb[j])
+        if all(e in T.degree for e in mid) and T.sum_labels_ok(
+                T.lam((m0, n0)), *[T.lam(e) for e in mid]):
+            cross = sum(sa[i] * sb[j] for i, j in sh.cross)
+            vec_iadd(F, out, {((m0, n0), tuple(mid)): F.sign(
+                B.deg(n0) * sum(sa) + cross)})
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_shuffle_product_is_ez_on_unit_ended_words(field):
+    # the corpus in every pair, and labeled random pDGAs, at L = 2
+    pairs = list(itertools.product(corpus(field, P3).values(), repeat=2))
+    P4 = Poset(4)
+    labeled = [random_pdga(field, P4, s) for s in range(5)]
+    pairs += list(itertools.product(labeled, repeat=2))
+    for A, B in pairs:
+        T = tensor_pdga(A, B)
+        ka, kb = (Chains(C, algebra_as_bimodule(C), 2).pairs for C in (A, B))
+        for x in (key for keys in ka.values() for key, _ in keys):
+            for y in (key for keys in kb.values() for key, _ in keys):
+                assert shuffle_product(A, B, T, {x: field.one},
+                                       {y: field.one}) == \
+                    _interleaved_shuffle(A, B, T, x, y), (x, y)
 
 
 @pytest.mark.parametrize("k", range(len(PAIRS)))
