@@ -254,13 +254,23 @@ def kernel_basis(A):
     return ech.kernel
 
 
-def solve(A, b):
-    "one solution x of A x = b, or None if inconsistent"
+def solver(A):
+    """eliminate the columns of A once; returns (rank of A, a function
+    taking b to one solution x of A x = b, or None if inconsistent)"""
     ech = Echelon(A.field, track=True)
     for j, col in enumerate(A.columns()):
         ech.add(col, tag=j)
-    r, combo = ech.lead(b)
-    return None if r else combo
+
+    def solve_for(b):
+        r, combo = ech.lead(b)
+        return None if r else combo
+
+    return len(ech.cols), solve_for
+
+
+def solve(A, b):
+    "one solution x of A x = b, or None if inconsistent"
+    return solver(A)[1](b)
 
 
 def span_equal(field, cols1, cols2):
@@ -445,6 +455,7 @@ class SlotComplex:
         self._mats = {}
         self._pivots = {}
         self._homs = {}
+        self._hom_at = {}   # (r, q) -> its entry of _homs
 
     def slot(self, r, q):
         "the id of the basis of slot (r, q), shared by every equal basis"
@@ -513,14 +524,17 @@ class SlotComplex:
                              functools.partial(self.pivots, r), lo, hi)
 
     def homology(self, r, q):
-        "the cached Subquotient ker / im at slot (r, q)"
-        key = (self.slot(r, q - 1), self.slot(r, q), self.slot(r, q + 1))
-        if key not in self._homs:
-            self._homs[key] = Subquotient(
-                self.field, len(self.basis(r, q)),
-                d_out=self.differential(r, q),
-                d_in=self.differential(r, q - 1))
-        return self._homs[key]
+        """the cached Subquotient ker / im at slot (r, q), one object for
+        every slot with the same three bases"""
+        if (r, q) not in self._hom_at:
+            key = (self.slot(r, q - 1), self.slot(r, q), self.slot(r, q + 1))
+            if key not in self._homs:
+                self._homs[key] = Subquotient(
+                    self.field, len(self.basis(r, q)),
+                    d_out=self.differential(r, q),
+                    d_in=self.differential(r, q - 1))
+            self._hom_at[r, q] = self._homs[key]
+        return self._hom_at[r, q]
 
     def _coordinates(self, r, q, vec):
         """vec over basis keys as a vector over slot coordinates; zero

@@ -20,17 +20,11 @@ and reports pass/fail with witnesses.
 import random
 
 from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
-                     vec_sub, solve, linear)
+                     vec_sub, solver, linear)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
 from .hochschild import (word_sdeg, word_eps, apply_cochain_D, Chains,
                          Cochains, Op, cochain_op, to_cochain)
-
-
-def _undual(x):
-    if not (isinstance(x, str) and x.endswith("*")):
-        raise ValueError("not a dual basis name: %r" % (x,))
-    return x[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +46,6 @@ def mult_op(A):
 def diff_op(A):
     "d_A([a1]) = d(a1), zero in other lengths; degree 2"
     return Op(A, 2, lambda w: A.d(w[0]) if len(w) == 1 else {}, {1})
-
-
-def unit_cochain(A):
-    return {((), A.unit): A.field.one}
 
 
 def brace_value(op0, ops, w):
@@ -243,27 +233,6 @@ def connes_B(ch, x):
 # dual coefficients: the pairing with chains and the dual of Connes' B
 
 
-def phi_pairing(A, f):
-    """turn f in HC(A, DA) into the functional on chain basis keys:
-    phi(a0[w]) = (-1)^{|a0| (|a| - |a0|)} f(w)(a0)"""
-    F = A.field
-    out = {}
-    for (w, bs), c in f.items():
-        b = _undual(bs)
-        s = F.sign(A.deg(b) * word_sdeg(A, w))
-        out[(b, w)] = F.mul(s, c)
-    return out
-
-
-def phi_pairing_inv(A, phi):
-    F = A.field
-    out = {}
-    for (b, w), c in phi.items():
-        s = F.sign(A.deg(b) * word_sdeg(A, w))
-        out[(w, dual_name(b))] = F.mul(s, c)
-    return out
-
-
 def bdual_op(f):
     """B_dual of an Op f with dual coefficients: through the pairing,
     (B_dual phi)(x) = -(-1)^{|phi|} phi(B x), i.e. a signed cyclic sum of
@@ -370,6 +339,12 @@ class BVOperator:
         self.cdm = Cochains(A, self.D, L - 1)
         self.c = cochain_op(A, {((), bs): c for bs, c in self.cycle.items()},
                             -self.n)
+        # Delta at (r, q) reads its slot only through the homologies of
+        # HH^{q-1} (HH^q too for the matrix) and of the dual slot it lands
+        # in, one object for all slots with the same bases.  Keyed by them:
+        # the HH^{q-1} representatives with the solver of their action
+        # images (None if the images are dependent), and the matrices
+        self._solvers, self._matrices = {}, {}
 
     def act_c(self, f, fdeg):
         "the Op f.[c] in HC(A, DA) of the degree-fdeg cochain f"
@@ -392,28 +367,37 @@ class BVOperator:
         F, cdm, qc = self.A.field, self.cdm, q - 1 + self.c.deg
         bv = to_cochain(self.bdual_act(f, q), cdm.words)
         target = cdm.coords_of(r, qc, bv)
-        reps = self.cx.representatives(r, q - 1)
-        cols = [cdm.coords_of(r, qc, to_cochain(self.act_c(g, q - 1),
-                                                cdm.words))
-                for g in reps]
-        H = cdm.homology(r, qc)
-        mat = SparseMatrix.from_columns(F, H.dim, cols)
-        if reps and mat.rank() != len(reps):
+        key = self.cx.homology(r, q - 1), cdm.homology(r, qc)
+        if key not in self._solvers:
+            reps = self.cx.representatives(r, q - 1)
+            cols = [cdm.coords_of(r, qc, to_cochain(self.act_c(g, q - 1),
+                                                    cdm.words))
+                    for g in reps]
+            rank, solve = solver(SparseMatrix.from_columns(
+                F, key[1].dim, cols))
             # the certified duality action can only lose injectivity here
             # through word-length truncation
-            raise LookupError("slot outside the stable truncation window")
-        x = solve(mat, target)
+            self._solvers[key] = (reps,
+                                  solve if rank == len(reps) else None)
+        reps, solve = self._solvers[key]
+        x = solve(target) if solve else None
         if x is None:
             raise LookupError("slot outside the stable truncation window")
         return linear(F, reps.__getitem__, x), x
 
     def matrix(self, r, q):
-        "Delta as a matrix HH^q(A)_r -> HH^{q-1}(A)_r"
-        F = self.A.field
-        lower = self.cx.homology(r, q - 1)
-        cols = [self.delta(r, q, f)[1]
-                for f in self.cx.representatives(r, q)]
-        return SparseMatrix.from_columns(F, lower.dim, cols)
+        """Delta as a matrix HH^q(A)_r -> HH^{q-1}(A)_r, built once for all
+        slots with the same bases; callers only read it"""
+        upper, lower = self.cx.homology(r, q), self.cx.homology(r, q - 1)
+        # the dual slot is read only when HH^q has a representative
+        key = (upper, lower,
+               upper.dim and self.cdm.homology(r, q - 1 + self.c.deg))
+        if key not in self._matrices:
+            cols = [self.delta(r, q, f)[1]
+                    for f in self.cx.representatives(r, q)]
+            self._matrices[key] = SparseMatrix.from_columns(
+                self.A.field, lower.dim, cols)
+        return self._matrices[key]
 
 
 # ---------------------------------------------------------------------------

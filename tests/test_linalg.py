@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
+                             solver,
                              span_equal, span_intersection,
                              Quotient, Subquotient, vec_iadd, vec_add,
                              vec_sub, vec_scale, linear, bilinear)
@@ -381,6 +382,54 @@ def test_sparse_matrix_agrees_with_the_dense_reference(data):
     assert ident.mul(A) == A == A.mul(SparseMatrix.identity(field, k))
     assert A != SparseMatrix(field, n + 1, k)
     assert A != SparseMatrix(field, n, k + 1)
+
+
+@st.composite
+def _systems(draw):
+    """a field, a dense matrix as a list of rows, and right-hand sides: some
+    images A x, some drawn freely (consistent or not)"""
+    field = draw(st.sampled_from([QQ, F5]))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+
+    def entries(k):
+        return [field.of(draw(_scalars(field))) if draw(st.booleans())
+                else field.zero for _ in range(k)]
+
+    def dot(row, x):
+        out = field.zero
+        for a, c in zip(row, x):
+            out = field.add(out, field.mul(a, c))
+        return out
+    rows = [entries(m) for _ in range(n)]
+    rhs = [entries(n) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(1, 3))):
+        x = entries(m)
+        rhs.append([dot(row, x) for row in rows])
+    return field, rows, m, rhs
+
+
+@given(_systems())
+@settings(max_examples=80, deadline=None)
+def test_solver_agrees_with_the_dense_reference(data):
+    # one elimination answers every right-hand side: the rank, a solution
+    # of each consistent system (the one solve gives), None for the others
+    field, rows, m, rhs = data
+    A = SparseMatrix.from_columns(field, len(rows), _columns(field, rows, m))
+    rank, solve_for = solver(A)
+    assert rank == _dense(field, rows, m).rank()
+    consistent = 0
+    for _ in range(2):
+        for b in rhs:
+            vec = {i: x for i, x in enumerate(b) if not field.iszero(x)}
+            aug = _dense(field, [row + [x] for row, x in zip(rows, b)], m + 1)
+            x = solve_for(vec)
+            assert x == solve(A, vec)
+            if aug.rank() == rank:
+                assert A.apply(x) == vec
+                consistent += 1
+            else:
+                assert x is None
+    assert consistent >= 2
 
 
 def test_an_assembled_slot_matrix_holds_no_zero_entry():

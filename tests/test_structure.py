@@ -4,22 +4,27 @@ import pytest
 
 from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import vec_add, vec_scale, vec_sub
-from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
+from perverse.linalg import (SparseMatrix, vec_add, vec_scale, vec_sub,
+                             solve, linear)
+from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
+                              dual_name)
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
                                  apply_cochain_D, sdeg)
-from perverse.structure import (Op, cochain_op, mult_op, diff_op, unit_cochain,
+from perverse.structure import (Op, cochain_op, mult_op, diff_op,
                                 to_cochain, brace, circle, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
-                                connes_B, phi_pairing, phi_pairing_inv,
-                                bdual_op, find_duality_class,
+                                connes_B, bdual_op, find_duality_class,
                                 BVOperator, random_cochain, verify_calculus,
                                 GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
 
 P3 = Poset(3)
 Z0 = P3.zero
+
+
+def unit_cochain(A):
+    return {((), A.unit): A.field.one}
 
 
 def _rand_hom_cochain(A, words, rng, lo=-5, hi=5):
@@ -380,6 +385,33 @@ def test_two_sum_lie_shape_misses_length_zero_chains():
 # --- dual pairing and the cyclic operator on dual cochains -----------------
 
 
+def _undual(x):
+    if not (isinstance(x, str) and x.endswith("*")):
+        raise ValueError("not a dual basis name: %r" % (x,))
+    return x[:-1]
+
+
+def phi_pairing(A, f):
+    """turn f in HC(A, DA) into the functional on chain basis keys:
+    phi(a0[w]) = (-1)^{|a0| (|a| - |a0|)} f(w)(a0)"""
+    F = A.field
+    out = {}
+    for (w, bs), c in f.items():
+        b = _undual(bs)
+        s = F.sign(A.deg(b) * word_sdeg(A, w))
+        out[(b, w)] = F.mul(s, c)
+    return out
+
+
+def phi_pairing_inv(A, phi):
+    F = A.field
+    out = {}
+    for (b, w), c in phi.items():
+        s = F.sign(A.deg(b) * word_sdeg(A, w))
+        out[(w, dual_name(b))] = F.mul(s, c)
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_pairing_transport_of_the_differential(seed):
     # phi(D* e) = -(-1)^{|e|} phi(e) o D, entrywise on basis cochains
@@ -555,6 +587,125 @@ def test_bv_unstable_slot_raises():
     f = bv.cx.representatives(Z0, -4)[0]
     with pytest.raises(LookupError, match="stable truncation window"):
         bv.delta(Z0, -4, f)
+
+
+def _delta_per_call(bv, r, q, f):
+    "Delta of f solved from scratch, as before the slots were cached"
+    F, cdm, qc = bv.A.field, bv.cdm, q - 1 + bv.c.deg
+    target = cdm.coords_of(r, qc, to_cochain(bv.bdual_act(f, q), cdm.words))
+    reps = bv.cx.representatives(r, q - 1)
+    cols = [cdm.coords_of(r, qc, to_cochain(bv.act_c(g, q - 1), cdm.words))
+            for g in reps]
+    mat = SparseMatrix.from_columns(F, cdm.homology(r, qc).dim, cols)
+    if reps and mat.rank() != len(reps):
+        raise LookupError("slot outside the stable truncation window")
+    x = solve(mat, target)
+    if x is None:
+        raise LookupError("slot outside the stable truncation window")
+    return linear(F, reps.__getitem__, x), x
+
+
+def _or_lookup_error(fn, *args):
+    try:
+        return fn(*args)
+    except LookupError:
+        return LookupError
+
+
+def _bv_operators(L):
+    """a BVOperator of each corpus algebra that has one and of commutative
+    random pDGAs with a duality class: every label is zero at seeds 1, 2
+    and 4, not at 20, 52 and 77"""
+    P4 = Poset(4)
+    for F in (QQ, Field(5)):
+        algebras = list(corpus(F, P3).values()) + [
+            random_pdga(F, P4, s) for s in (1, 2, 4, 20, 52, 77)]
+        for A in algebras:
+            try:
+                yield BVOperator(Cochains(A, algebra_as_bimodule(A), L))
+            except LookupError:
+                continue
+
+
+def test_cached_delta_and_matrix_equal_a_solve_per_call():
+    # each slot is asked twice: a cached solver or matrix gives what a
+    # fresh solve gives, and a slot that raised raises again
+    built = solved = raised = 0
+    for bv in _bv_operators(4):
+        built += 1
+        F = bv.A.field
+        for r in bv.A.poset.elements:
+            for q in range(-4, 5):
+                reps = bv.cx.representatives(r, q)
+                got = [[_or_lookup_error(bv.delta, r, q, f) for f in reps]
+                       for _ in range(2)]
+                mats = [_or_lookup_error(bv.matrix, r, q) for _ in range(2)]
+                want = [_or_lookup_error(_delta_per_call, bv, r, q, f)
+                        for f in reps]
+                assert repr(got[0]) == repr(got[1]) == repr(want)
+                if LookupError in want:
+                    assert mats == [LookupError, LookupError]
+                    raised += 1
+                    continue
+                m = SparseMatrix.from_columns(
+                    F, bv.cx.homology(r, q - 1).dim, [x for _, x in want])
+                assert mats[0] is mats[1]
+                assert mats[0] == m
+                assert repr(mats[0].columns()) == repr(m.columns())
+                solved += bool(reps)
+    assert built == 24 and solved > 250 and raised > 20, (solved, raised)
+
+
+def test_slots_with_the_same_bases_share_one_delta_matrix():
+    # every label of sphere2 is zero, so both perversities have the same
+    # slot bases, homologies and Delta
+    A = sphere_algebra(QQ, P3, 2)
+    bv = BVOperator(Cochains(A, algebra_as_bimodule(A), 4))
+    r0, r1 = P3.elements
+    mats = [(_or_lookup_error(bv.matrix, r0, q),
+             _or_lookup_error(bv.matrix, r1, q)) for q in range(-3, 4)]
+    assert all(m0 is m1 for m0, m1 in mats if m0 is not LookupError)
+    assert sum(m0 is not LookupError and m0.ncols > 0 for m0, _ in mats) >= 3
+
+
+@pytest.mark.parametrize("name,L,lo,hi", [("sphere2", 5, -4, 4),
+                                          ("corpus", 4, -3, 3)])
+def test_delta_is_solved_once_per_slot(name, L, lo, hi, monkeypatch):
+    # inside delta, act_c runs on the HH^{q-1} representatives only (the
+    # target goes through bdual_act), once per representative and slot
+    # across the whole BV block
+    algebras = corpus(QQ, P3)
+    algebras = [algebras[name]] if name in algebras else algebras.values()
+    calls, inside, ops = {}, [], {}
+    orig = {k: getattr(BVOperator, k) for k in ("delta", "bdual_act", "act_c")}
+
+    def delta(self, r, q, f):
+        ops[id(self)] = self
+        inside.append((id(self), r, q))
+        try:
+            return orig["delta"](self, r, q, f)
+        finally:
+            inside.pop()
+
+    def bdual_act(self, f, fdeg):
+        inside.append(None)
+        try:
+            return orig["bdual_act"](self, f, fdeg)
+        finally:
+            inside.pop()
+
+    def act_c(self, f, fdeg):
+        if inside and inside[-1] is not None:
+            calls[inside[-1]] = calls.get(inside[-1], 0) + 1
+        return orig["act_c"](self, f, fdeg)
+
+    for fn in (delta, bdual_act, act_c):
+        monkeypatch.setattr(BVOperator, fn.__name__, fn)
+    for A in algebras:
+        verify_calculus(A, L, lo, hi, trials=5, seed=0, ids=BV_IDS)
+    assert sum(calls.values()) > 0
+    for (key, r, q), n in calls.items():
+        assert n <= len(ops[key].cx.representatives(r, q - 1)), (r, q, n)
 
 
 # --- the suite --------------------------------------------------------------
