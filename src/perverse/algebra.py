@@ -11,8 +11,9 @@ Vectors are dicts {basis name: scalar}.
 
 import itertools
 
-from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_add, vec_scale,
-                     kernel_basis, Quotient, Subspace, linear, bilinear)
+from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale,
+                     signed_sum, kernel_basis, Quotient, Subspace, linear,
+                     bilinear)
 from .poset import leq
 from .complexes import PerverseComplex, induce
 
@@ -115,8 +116,7 @@ class PDGA:
                         bad.append({"identity": "d label", "witness": (x, y),
                                     "lhs": self.lam(y), "rhs": self.lam(x)})
             check("d squared", x, self.d_vec(dv), {})
-        pairs = [(a, b) for a in self.names for b in self.names]
-        for a, b in pairs:
+        for a, b in itertools.product(self.names, repeat=2):
             ab = self.mul(a, b)
             target = self.poset.oplus(self.lam(a), self.lam(b))
             if target is None:
@@ -131,23 +131,15 @@ class PDGA:
                 if not leq(self.lam(y), target):
                     bad.append({"identity": "product label", "witness": (a, b, y),
                                 "lhs": self.lam(y), "rhs": target})
-            # Leibniz
-            sgn = F.sign(self.degree[a])
-            lhs = self.d_vec(ab)
-            rhs = vec_add(F, self.mul_vec(self.d(a), {b: F.one}),
-                          vec_scale(F, sgn, self.mul_vec({a: F.one}, self.d(b))))
-            check("Leibniz", (a, b), lhs, rhs)
+            check("Leibniz", (a, b), self.d_vec(ab), signed_sum(F, [
+                (0, self.mul_vec(self.d(a), {b: F.one})),
+                (self.degree[a], self.mul_vec({a: F.one}, self.d(b)))]))
         for a, b, c in itertools.product(self.names, repeat=3):
             if not self.sum_labels_ok(self.lam(a), self.lam(b), self.lam(c)):
                 continue
             lhs = self.mul_vec(self.mul(a, b), {c: self.field.one})
             rhs = self.mul_vec({a: self.field.one}, self.mul(b, c))
             check("associativity", (a, b, c), lhs, rhs)
-        commutative = True
-        for a, b in pairs:
-            sgn = F.sign(self.degree[a] * self.degree[b])
-            if self.mul(a, b) != vec_scale(F, sgn, self.mul(b, a)):
-                commutative = False
         # augmentation: unit-coefficient projection must be an algebra map
         augmented = all(F.iszero(self.d(x).get(u, F.zero)) for x in self.names)
         for a in self.nonunit():
@@ -155,10 +147,15 @@ class PDGA:
                 if not F.iszero(self.mul(a, b).get(u, F.zero)):
                     augmented = False
         return {"valid": not bad, "violations": bad,
-                "commutative": commutative, "augmented": augmented}
+                "commutative": self.is_commutative(), "augmented": augmented}
 
     def is_commutative(self):
-        return self.validate()["commutative"]
+        """ab = (-1)^{|a||b|} ba on every pair; a unit pair always commutes,
+        so only the label-filtered products are read"""
+        F, lp = self.field, self.label_products
+        return all(v == vec_scale(F, F.sign(self.degree[a] * self.degree[b]),
+                                  lp.get((b, a), {}))
+                   for (a, b), v in lp.items())
 
     def carrier(self):
         """the underlying PerverseComplex: slot (p, k) holds the names of
@@ -229,9 +226,8 @@ def tensor_pdga(A, B):
 
     diff = {}
     for (a, b) in names:
-        sgn = F.sign(A.deg(a))
-        v = vec_add(F, inject(A.d(a), {b: F.one}),
-                    vec_scale(F, sgn, inject({a: F.one}, B.d(b))))
+        v = signed_sum(F, [(0, inject(A.d(a), {b: F.one})),
+                           (A.deg(a), inject({a: F.one}, B.d(b)))])
         if v:
             diff[(a, b)] = v
     prods = {}
@@ -387,19 +383,17 @@ class Bimodule:
             check("right unit", m, self.act_right_vec(mv, one), mv)
         for a in A.names:
             av = {a: F.one}
-            sa = F.sign(A.deg(a))
             for m in self.names:
                 mv = {m: F.one}
-                smm = F.sign(self.degree[m])
                 # Leibniz, both sides
                 check("left Leibniz", (a, m),
-                      self.d_vec(self.act_left(a, m)),
-                      vec_add(F, self.act_left_vec(A.d(a), mv),
-                              vec_scale(F, sa, self.act_left_vec(av, self.d(m)))))
+                      self.d_vec(self.act_left(a, m)), signed_sum(F, [
+                          (0, self.act_left_vec(A.d(a), mv)),
+                          (A.deg(a), self.act_left_vec(av, self.d(m)))]))
                 check("right Leibniz", (m, a),
-                      self.d_vec(self.act_right(m, a)),
-                      vec_add(F, self.act_right_vec(self.d(m), av),
-                              vec_scale(F, smm, self.act_right_vec(mv, A.d(a)))))
+                      self.d_vec(self.act_right(m, a)), signed_sum(F, [
+                          (0, self.act_right_vec(self.d(m), av)),
+                          (self.degree[m], self.act_right_vec(mv, A.d(a)))]))
                 for b in A.names:
                     bv = {b: F.one}
                     check("left associativity", (a, b, m),

@@ -98,12 +98,11 @@ def _parse_coeff(F, c, where):
             fr = Fraction(c)
         except (ValueError, ZeroDivisionError):
             raise InputError("%s: bad coefficient %r" % (where, c))
-        if F.char == 0:
+        try:
             return F.of(fr)
-        if fr.denominator % F.char == 0:
+        except ValueError:
             raise InputError("%s: %r has no image in F_%d"
                              % (where, c, F.char))
-        return F.mul(F.of(fr.numerator), F.inv(F.of(fr.denominator)))
     raise InputError("%s: bad coefficient %r" % (where, c))
 
 

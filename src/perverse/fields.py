@@ -45,13 +45,17 @@ class Field:
 
     def of(self, x):
         """coerce an int, a Fraction or a rational string into the field;
-        over Q an integral value comes back as an int"""
+        over Q an integral value comes back as an int, over F_p n/d is
+        n d^-1, and a d that p divides raises ValueError"""
+        if type(x) is int:
+            return x % self.char if self.char else x
+        x = Fraction(x)
+        n, d = x.numerator, x.denominator
         if self.char == 0:
-            if type(x) is int:
-                return x
-            x = Fraction(x)
-            return x.numerator if x.denominator == 1 else x
-        return int(x) % self.char
+            return n if d == 1 else x
+        if d % self.char == 0:
+            raise ValueError("%s has no image in F_%d" % (x, self.char))
+        return n * pow(d, -1, self.char) % self.char
 
     def add(self, a, b):
         c = a + b

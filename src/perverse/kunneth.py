@@ -16,8 +16,8 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale, vec_sub,
-                     linear, bilinear)
+from .linalg import (SparseMatrix, vec_iadd, vec_scale, signed_sum, linear,
+                     bilinear)
 from .algebra import tensor_pdga, algebra_as_bimodule
 from .hochschild import (Bar, Cochains, bar_degree, bar_ok, sdeg,
                          index_cochain, cochain_op, to_cochain)
@@ -359,12 +359,12 @@ def compare_hh(A, B, L, window):
     def cup_transports(d):
         r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
         t, a, b = pair_ops(d)
-        lhs = to_cochain(cup_op(*t), cxT.words)
         ca = to_cochain(cup_op(*a), cxA.words)
         cb = to_cochain(cup_op(*b), cxB.words)
-        rhs = vec_scale(F, F.sign(qf2 * qg), tensor_cochain(
-            A, B, T, ca, qf + qf2, cb, qg + qg2, aw))
-        return cxT.is_boundary(r, q + q2, vec_sub(F, lhs, rhs))
+        return cxT.is_boundary(r, q + q2, signed_sum(F, [
+            (0, to_cochain(cup_op(*t), cxT.words)),
+            (1 + qf2 * qg,
+             tensor_cochain(A, B, T, ca, qf + qf2, cb, qg + qg2, aw))]))
 
     run_identity(records, "cup transports to the tensor cup",
                  image_pairs(0), cup_transports, pair_witness)
@@ -374,17 +374,15 @@ def compare_hh(A, B, L, window):
     def bracket_transports(d):
         r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
         t, a, b = pair_ops(d)
-        lhs = to_cochain(bracket_op(*t), cxTm.words)
         t1 = tensor_cochain(A, B, T, to_cochain(bracket_op(*a), cxA.words),
                             qf + qf2 - 1, to_cochain(cup_op(*b), cxB.words),
                             qg + qg2, aw)
         t2 = tensor_cochain(A, B, T, to_cochain(cup_op(*a), cxA.words),
                             qf + qf2, to_cochain(bracket_op(*b), cxB.words),
                             qg + qg2 - 1, aw)
-        rhs = vec_add(F, vec_scale(F, F.sign((qf2 - 1) * qg), t1),
-                      vec_scale(F, F.sign(qf2 * (qg - 1)), t2))
-        return cxTm.is_boundary(r, q + q2 - 1,
-                                cxTm.restrict(vec_sub(F, lhs, rhs)))
+        return cxTm.is_boundary(r, q + q2 - 1, cxTm.restrict(signed_sum(F, [
+            (0, to_cochain(bracket_op(*t), cxTm.words)),
+            (1 + (qf2 - 1) * qg, t1), (1 + qf2 * (qg - 1), t2)])))
 
     run_identity(records, "bracket transports to the two-term tensor bracket",
                  image_pairs(1), bracket_transports, pair_witness)
@@ -398,10 +396,9 @@ def compare_hh(A, B, L, window):
             dB, _ = bvB.delta(r, qg, g)
         except LookupError:
             return None
-        rhs = vec_add(F, tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw),
-                      vec_scale(F, F.sign(qf), tensor_cochain(
-                          A, B, T, f, qf, dB, qg - 1, aw)))
-        return cxTm.is_boundary(r, q - 1, cxTm.restrict(vec_sub(F, dT, rhs)))
+        return cxTm.is_boundary(r, q - 1, cxTm.restrict(signed_sum(F, [
+            (0, dT), (1, tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw)),
+            (1 + qf, tensor_cochain(A, B, T, f, qf, dB, qg - 1, aw))])))
 
     def delta_witness(d):
         r, q, ((_, qf, _, qg), _) = d

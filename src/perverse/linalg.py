@@ -21,9 +21,12 @@ import functools
 
 def vec_iadd(field, out, v, c=None):
     """add v, times c when c is given, into the dict out in place and
-    return out; entries that become zero are dropped and v is not changed.
-    out must be a dict the caller built, never one it was handed"""
-    if c is not None and field.iszero(c):
+    return out; entries that become zero are dropped and v is not changed,
+    and a c that is the field's one adds v without a multiplication.  out
+    must be a dict the caller built, never one it was handed"""
+    if c is field.one:
+        c = None
+    elif c is not None and field.iszero(c):
         return out
     zero = field.zero
     for i, x in v.items():
@@ -37,18 +40,19 @@ def vec_iadd(field, out, v, c=None):
     return out
 
 
-def vec_add(field, u, v):
-    return vec_iadd(field, dict(u), v)
+def signed_sum(field, terms):
+    """the sum of (-1)^parity v over the (parity, v) pairs of terms, in a
+    new dict: the one pure form of a combination of vectors"""
+    out = {}
+    for parity, v in terms:
+        vec_iadd(field, out, v, field.sign(parity))
+    return out
 
 
 def vec_scale(field, c, u):
     if field.iszero(c):
         return {}
     return {i: field.mul(c, x) for i, x in u.items()}
-
-
-def vec_sub(field, u, v):
-    return vec_iadd(field, dict(u), v, field.neg(field.one))
 
 
 def linear(field, f, v):

@@ -19,8 +19,8 @@ and reports pass/fail with witnesses.
 
 import random
 
-from .linalg import (SparseMatrix, vec_iadd, vec_add, vec_scale,
-                     vec_sub, solver, linear)
+from .linalg import (SparseMatrix, vec_iadd, vec_scale, signed_sum, solver,
+                     linear)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
 from .hochschild import (word_sdeg, word_eps, apply_cochain_D, Chains,
@@ -117,15 +117,9 @@ def circle(f, g):
 
 def op_combine(A, deg, terms):
     "linear combination of (sign parity, Op) pairs, all of the same degree"
-    F = A.field
-
-    def fn(w):
-        out = {}
-        for parity, op in terms:
-            vec_iadd(F, out, op(w), F.sign(parity))
-        return out
-
-    return Op(A, deg, fn, set().union(*(op.lengths for _, op in terms)))
+    return Op(A, deg, lambda w: signed_sum(A.field, [(p, op(w))
+                                                     for p, op in terms]),
+              set().union(*(op.lengths for _, op in terms)))
 
 
 def cup_op(f, g, act=None):
@@ -207,9 +201,8 @@ def lie(ch, op, x):
     insertion-plus-wraparound sum for L_f cannot satisfy the axiom for
     length-0 cochains, see the contraction counterexample in the tests."""
     F = ch.A.field
-    out = connes_B(ch, iota(ch, op, x))
-    t = iota(ch, op, connes_B(ch, x))
-    return vec_iadd(F, out, t, F.sign(op.deg + 1))
+    return signed_sum(F, [(0, connes_B(ch, iota(ch, op, x))),
+                          (op.deg + 1, iota(ch, op, connes_B(ch, x)))])
 
 
 def connes_B(ch, x):
@@ -489,9 +482,6 @@ class _Suite:
     def co(self, op):
         return to_cochain(op, self.words)
 
-    def signed(self, parity, v):
-        return vec_scale(self.F, self.F.sign(parity), v)
-
     # samplers
 
     def random_cochains(self, k):
@@ -566,139 +556,134 @@ class _Suite:
             if rr is not None:
                 yield t, ((r, q, z), picks, rr)
 
-    # checks
+    # checks: each identity is one list of (sign parity, term) pairs whose
+    # signed sum must vanish, at chain level or up to a coboundary
 
     def differential(self, fs):
         (f, qf), _ = fs
-        lhs = apply_cochain_D(self.A, self.M, f, qf, self.cx.mids)
-        return lhs == self.co(cochain_D_op(cochain_op(self.A, f, qf)))
+        return not signed_sum(self.F, [
+            (0, apply_cochain_D(self.A, self.M, f, qf, self.cx.mids)),
+            (1, self.co(cochain_D_op(cochain_op(self.A, f, qf))))])
 
     def cup_is_brace(self, fs):
-        F, qf = self.F, fs[0][1]
+        qf = fs[0][1]
         fop, gop = self.ops(fs)
-        lhs = self.co(cup_op(fop, gop))
-        rhs = self.co(brace(mult_op(self.A), [fop, gop]))
-        return lhs == {k: F.mul(F.sign(qf), c) for k, c in rhs.items()}
+        return not signed_sum(self.F, [
+            (0, self.co(cup_op(fop, gop))),
+            (qf + 1, self.co(brace(mult_op(self.A), [fop, gop])))])
 
     def skew(self, fs):
         (_, qf), (_, qg) = fs
         fop, gop = self.ops(fs)
-        lhs = self.co(bracket_op(fop, gop))
-        rhs = self.co(bracket_op(gop, fop))
-        return lhs == self.signed(1 + (qf - 1) * (qg - 1), rhs)
+        return not signed_sum(self.F, [
+            (0, self.co(bracket_op(fop, gop))),
+            ((qf - 1) * (qg - 1), self.co(bracket_op(gop, fop)))])
 
     def defect(self, fs):
-        A, F, M, words = self.A, self.F, self.M, self.cx.mids
+        A, M, words = self.A, self.M, self.cx.mids
         (f, qf), (g, qg) = fs
         fop, gop = self.ops(fs)
         fg = self.co(circle(fop, gop))
-        lhs = apply_cochain_D(A, M, fg, qf + qg - 1, words)
         df = apply_cochain_D(A, M, f, qf, words)
         dg = apply_cochain_D(A, M, g, qg, words)
-        lhs = vec_sub(F, lhs, self.co(circle(cochain_op(A, df, qf + 1),
-                                             gop)))
-        t2 = self.co(circle(fop, cochain_op(A, dg, qg + 1)))
-        lhs = vec_sub(F, lhs, self.signed(qf + 1, t2))
-        guf = self.co(cup_op(gop, fop))
-        fug = self.co(cup_op(fop, gop))
-        return lhs == self.signed(qg - 1, vec_sub(F, guf,
-                                                  self.signed(qf * qg, fug)))
+        return not signed_sum(self.F, [
+            (0, apply_cochain_D(A, M, fg, qf + qg - 1, words)),
+            (1, self.co(circle(cochain_op(A, df, qf + 1), gop))),
+            (qf, self.co(circle(fop, cochain_op(A, dg, qg + 1)))),
+            (qg, self.co(cup_op(gop, fop))),
+            (qg + 1 + qf * qg, self.co(cup_op(fop, gop)))])
 
     def pre_jacobi(self, fs, k):
         "phi{f}{g,h} (k = 1) or phi{f,g}{h} (k = 2) as one-level braces"
         (_, qf), (_, qg), (_, qh), _ = fs
         fop, gop, hop, pop = self.ops(fs)
         if k == 1:
-            lhs = brace(brace(pop, [fop]), [gop, hop])
+            fg = 1 + (qf - 1) * (qg - 1)
             terms = [
-                (0, brace(pop, [fop, gop, hop])),
-                (0, brace(pop, [brace(fop, [gop]), hop])),
-                (0, brace(pop, [brace(fop, [gop, hop])])),
-                ((qf - 1) * (qg - 1), brace(pop, [gop, fop, hop])),
-                ((qf - 1) * (qg - 1), brace(pop, [gop, brace(fop, [hop])])),
-                ((qf - 1) * (qg + qh), brace(pop, [gop, hop, fop])),
+                (0, brace(brace(pop, [fop]), [gop, hop])),
+                (1, brace(pop, [fop, gop, hop])),
+                (1, brace(pop, [brace(fop, [gop]), hop])),
+                (1, brace(pop, [brace(fop, [gop, hop])])),
+                (fg, brace(pop, [gop, fop, hop])),
+                (fg, brace(pop, [gop, brace(fop, [hop])])),
+                (1 + (qf - 1) * (qg + qh), brace(pop, [gop, hop, fop])),
             ]
         else:
-            lhs = brace(brace(pop, [fop, gop]), [hop])
+            gh = 1 + (qg - 1) * (qh - 1)
             terms = [
-                (0, brace(pop, [fop, gop, hop])),
-                (0, brace(pop, [fop, brace(gop, [hop])])),
-                ((qg - 1) * (qh - 1), brace(pop, [fop, hop, gop])),
-                ((qg - 1) * (qh - 1), brace(pop, [brace(fop, [hop]), gop])),
-                ((qf + qg) * (qh - 1), brace(pop, [hop, fop, gop])),
+                (0, brace(brace(pop, [fop, gop]), [hop])),
+                (1, brace(pop, [fop, gop, hop])),
+                (1, brace(pop, [fop, brace(gop, [hop])])),
+                (gh, brace(pop, [fop, hop, gop])),
+                (gh, brace(pop, [brace(fop, [hop]), gop])),
+                (1 + (qf + qg) * (qh - 1), brace(pop, [hop, fop, gop])),
             ]
-        return self.co(lhs) == self.co(op_combine(self.A, 0, terms))
+        return not signed_sum(self.F, [(p, self.co(op)) for p, op in terms])
 
     def jacobi(self, d):
         picks, rr = d
         (_, qf, _), (_, qg, _), (_, qh, _) = picks
         fop, gop, hop = self.ops(picks)
-        lhs = self.co(bracket_op(bracket_op(fop, gop), hop))
-        rhs = self.co(bracket_op(fop, bracket_op(gop, hop)))
-        t2 = self.co(bracket_op(gop, bracket_op(fop, hop)))
-        rhs = vec_sub(self.F, rhs, self.signed((qf - 1) * (qg - 1), t2))
-        return self.cx.is_boundary(rr, qf + qg + qh - 2,
-                                   vec_sub(self.F, lhs, rhs))
+        return self.cx.is_boundary(rr, qf + qg + qh - 2, signed_sum(self.F, [
+            (0, self.co(bracket_op(bracket_op(fop, gop), hop))),
+            (1, self.co(bracket_op(fop, bracket_op(gop, hop)))),
+            ((qf - 1) * (qg - 1),
+             self.co(bracket_op(gop, bracket_op(fop, hop))))]))
 
     def leibniz(self, d):
         picks, rr = d
         (_, qf, _), (_, qg, _), (_, qh, _) = picks
         fop, gop, hop = self.ops(picks)
-        lhs = self.co(bracket_op(fop, cup_op(gop, hop)))
-        rhs = self.co(cup_op(bracket_op(fop, gop), hop))
-        t2 = self.co(cup_op(gop, bracket_op(fop, hop)))
-        vec_iadd(self.F, rhs, t2, self.F.sign((qf - 1) * qg))
-        return self.cx.is_boundary(rr, qf + qg + qh - 1,
-                                   vec_sub(self.F, lhs, rhs))
+        return self.cx.is_boundary(rr, qf + qg + qh - 1, signed_sum(self.F, [
+            (0, self.co(bracket_op(fop, cup_op(gop, hop)))),
+            (1, self.co(cup_op(bracket_op(fop, gop), hop))),
+            (1 + (qf - 1) * qg, self.co(cup_op(gop, bracket_op(fop, hop))))]))
 
     def calculus_bracket(self, d):
         (_, q, z), picks, rr = d
         ch, ((_, qf, _), (_, qg, _)) = self.cs, picks
         fop, gop = self.ops(picks)
         br = cochain_op(self.A, self.co(bracket_op(fop, gop)), qf + qg - 1)
-        lhs = iota(ch, br, z)
         # the interior-product exponent sits on the L_f i_g term here; the
         # identity suite is the arbiter of that placement
-        rhs = self.signed(qg * (qf + 1), lie(ch, fop, iota(ch, gop, z)))
-        rhs = vec_sub(self.F, rhs, iota(ch, gop, lie(ch, fop, z)))
-        return ch.is_boundary(rr, q + qf + qg - 1,
-                              vec_sub(self.F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf + qg - 1, signed_sum(self.F, [
+            (0, iota(ch, br, z)),
+            (1 + qg * (qf + 1), lie(ch, fop, iota(ch, gop, z))),
+            (0, iota(ch, gop, lie(ch, fop, z)))]))
 
     def calculus_cup(self, d):
         (_, q, z), picks, rr = d
         ch, ((_, qf, _), (_, qg, _)) = self.cs, picks
         fop, gop = self.ops(picks)
         fg = cochain_op(self.A, self.co(cup_op(fop, gop)), qf + qg)
-        lhs = lie(ch, fg, z)
-        rhs = lie(ch, fop, iota(ch, gop, z))
-        vec_iadd(self.F, rhs, iota(ch, fop, lie(ch, gop, z)), self.F.sign(qf))
-        return ch.is_boundary(rr, q + qf + qg - 1,
-                              vec_sub(self.F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf + qg - 1, signed_sum(self.F, [
+            (0, lie(ch, fg, z)),
+            (1, lie(ch, fop, iota(ch, gop, z))),
+            (1 + qf, iota(ch, fop, lie(ch, gop, z)))]))
 
     def calculus_lie(self, d):
         (_, q, z), ((f, qf, _), _), rr = d
         ch, fop = self.cs, cochain_op(self.A, f, qf)
-        lhs = lie(ch, fop, z)
-        rhs = connes_B(ch, iota(ch, fop, z))
-        rhs = vec_sub(self.F, rhs, self.signed(qf, iota(ch, fop,
-                                                        connes_B(ch, z))))
-        return ch.is_boundary(rr, q + qf - 1, vec_sub(self.F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf - 1, signed_sum(self.F, [
+            (0, lie(ch, fop, z)),
+            (1, connes_B(ch, iota(ch, fop, z))),
+            (qf, iota(ch, fop, connes_B(ch, z)))]))
 
     def ginzburg(self, d):
         (_, q, z), picks, rr = d
-        F, ch, ((_, qf, _), (_, qg, _)) = self.F, self.cs, picks
+        ch, ((_, qf, _), (_, qg, _)) = self.cs, picks
         fop, gop = self.ops(picks)
         br = cochain_op(self.A, self.co(bracket_op(fop, gop)), qf + qg - 1)
         fg = cochain_op(self.A, self.co(cup_op(fop, gop)), qf + qg)
-        lhs = iota(ch, br, z)
-        rhs = self.signed(qf, connes_B(ch, iota(ch, fg, z)))
-        rhs = vec_sub(F, rhs, iota(ch, fop, connes_B(ch, iota(ch, gop, z))))
-        t2 = iota(ch, gop, connes_B(ch, iota(ch, fop, z)))
-        vec_iadd(F, rhs, t2, F.sign((qf - 1) * (qg - 1)))
-        vec_iadd(F, rhs, iota(ch, fg, connes_B(ch, z)), F.sign(qg))
         # the identity holds with the four B-terms carrying the same
         # leading minus the dual-side cyclic operator does
-        return ch.is_boundary(rr, q + qf + qg - 1, vec_add(F, lhs, rhs))
+        return ch.is_boundary(rr, q + qf + qg - 1, signed_sum(self.F, [
+            (0, iota(ch, br, z)),
+            (qf, connes_B(ch, iota(ch, fg, z))),
+            (1, iota(ch, fop, connes_B(ch, iota(ch, gop, z)))),
+            ((qf - 1) * (qg - 1),
+             iota(ch, gop, connes_B(ch, iota(ch, fop, z)))),
+            (qg, iota(ch, fg, connes_B(ch, z)))]))
 
     def delta_squared(self, slot):
         try:
@@ -712,21 +697,20 @@ class _Suite:
 
     def bv_seven_term(self, d):
         ((f, qf, rf), (g, qg, rg)), rr = d
-        A, F, bv = self.A, self.F, self.bv
+        A, bv = self.A, self.bv
         fop, gop = self.ops(d[0])
-        fug = self.co(cup_op(fop, gop))
-        lhs = self.signed(qf, self.co(bracket_op(fop, gop)))
         try:
-            rhs, _ = bv.delta(rr, qf + qg, fug)
+            dfg, _ = bv.delta(rr, qf + qg, self.co(cup_op(fop, gop)))
             df, _ = bv.delta(rf, qf, f)
             dg, _ = bv.delta(rg, qg, g)
         except LookupError:
             return None
-        rhs = vec_sub(F, rhs, self.co(cup_op(cochain_op(A, df, qf - 1), gop)))
-        t3 = self.co(cup_op(fop, cochain_op(A, dg, qg - 1)))
-        rhs = vec_sub(F, rhs, self.signed(qf, t3))
-        return self.cxm.is_boundary(rr, qf + qg - 1,
-                                    self.cxm.restrict(vec_sub(F, lhs, rhs)))
+        return self.cxm.is_boundary(rr, qf + qg - 1, self.cxm.restrict(
+            signed_sum(self.F, [
+                (qf, self.co(bracket_op(fop, gop))),
+                (1, dfg),
+                (0, self.co(cup_op(cochain_op(A, df, qf - 1), gop))),
+                (qf, self.co(cup_op(fop, cochain_op(A, dg, qg - 1))))])))
 
     def menichi(self, d):
         ((f, qf, _), (g, qg, _)), rr = d
@@ -734,21 +718,18 @@ class _Suite:
         # are truncation artifacts; the cyclic comparison needs headroom
         if max((len(w) for w, _ in [*f, *g]), default=0) > self.L - 3:
             return None
-        A, F, bv = self.A, self.F, self.bv
+        A, bv = self.A, self.bv
         act, cdeg, cwords = bv.D.act_left_vec, bv.c.deg, bv.cdm.words
         fop, gop = self.ops(d[0])
         fug = self.co(cup_op(fop, gop))
-        lhs = to_cochain(bv.act_c(self.co(bracket_op(fop, gop)), qf + qg - 1),
-                         cwords)
-        rhs = self.signed(qf, to_cochain(bv.bdual_act(fug, qf + qg), cwords))
-        t2 = to_cochain(cup_op(fop, bv.bdual_act(g, qg), act), cwords)
-        rhs = vec_sub(F, rhs, t2)
-        t3 = to_cochain(cup_op(gop, bv.bdual_act(f, qf), act), cwords)
-        vec_iadd(F, rhs, t3, F.sign((qf - 1) * (qg - 1)))
-        t4 = cup_op(cochain_op(A, fug, qf + qg), bdual_op(bv.c), act)
-        vec_iadd(F, rhs, to_cochain(t4, cwords), F.sign(qg))
-        return bv.cdm.is_boundary(rr, qf + qg - 1 + cdeg,
-                                  vec_sub(F, lhs, rhs))
+        terms = [
+            (0, bv.act_c(self.co(bracket_op(fop, gop)), qf + qg - 1)),
+            (qf + 1, bv.bdual_act(fug, qf + qg)),
+            (0, cup_op(fop, bv.bdual_act(g, qg), act)),
+            (1 + (qf - 1) * (qg - 1), cup_op(gop, bv.bdual_act(f, qf), act)),
+            (qg + 1, cup_op(cochain_op(A, fug, qf + qg), bdual_op(bv.c), act))]
+        return bv.cdm.is_boundary(rr, qf + qg - 1 + cdeg, signed_sum(
+            self.F, [(p, to_cochain(op, cwords)) for p, op in terms]))
 
 
 def _degrees(cochains):

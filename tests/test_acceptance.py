@@ -12,7 +12,7 @@ import pytest
 
 from perverse.fields import QQ
 from perverse.poset import Poset, leq
-from perverse.linalg import (SparseMatrix, vec_add, vec_scale, vec_sub,
+from perverse.linalg import (SparseMatrix, signed_sum, vec_iadd,
                              kernel_basis)
 from perverse.complexes import (ChainComplex, PerverseComplex, p_filtration,
                                 cofibrancy_certificate)
@@ -102,7 +102,8 @@ def test_criterion_03_contracting_homotopy():
         bar = Bar(A, L)
 
         def dh_hd(v):
-            return vec_add(QQ, bar.D(bar.h(v)), bar.h(bar.D(v)))
+            return signed_sum(QQ, [(0, bar.D(bar.h(v))),
+                                   (0, bar.h(bar.D(v)))])
 
         for word in bar.words:
             if not word[1] or len(word[1]) >= L:
@@ -214,15 +215,13 @@ def test_criterion_06_bv_on_spheres(n):
             except LookupError:
                 continue
             ran += 1
-            lhs = vec_scale(QQ, QQ.sign(qf),
-                            to_cochain(bracket_op(fop, gop), words))
-            rhs = dfug
-            rhs = vec_sub(QQ, rhs, to_cochain(
-                cup_op(cochain_op(A, df, qf - 1), gop), words))
-            rhs = vec_sub(QQ, rhs, vec_scale(QQ, QQ.sign(qf), to_cochain(
-                cup_op(fop, cochain_op(A, dg, qg - 1)), words)))
-            diff = {(w, m): c for (w, m), c in vec_sub(QQ, lhs, rhs).items()
-                    if len(w) < L}
+            diff = signed_sum(QQ, [
+                (qf, to_cochain(bracket_op(fop, gop), words)),
+                (1, dfug),
+                (0, to_cochain(cup_op(cochain_op(A, df, qf - 1), gop), words)),
+                (qf, to_cochain(cup_op(fop, cochain_op(A, dg, qg - 1)),
+                                words))])
+            diff = {(w, m): c for (w, m), c in diff.items() if len(w) < L}
             if not cxm.is_boundary(rr, qf + qg - 1, diff):
                 failures.append(("seven-term", (rf, qf), (rg, qg)))
     assert ran > 30, ran
@@ -262,7 +261,7 @@ def test_criterion_08_invariance_under_quasi_isomorphism():
         for bi, rep in enumerate(ind.cb.representatives(r, q)):
             c = M[(r, q)][bi, i]
             if not QQ.iszero(c):
-                out = vec_add(QQ, out, vec_scale(QQ, c, rep))
+                vec_iadd(QQ, out, rep, c)
         return out
 
     ran = 0
@@ -284,7 +283,7 @@ def test_criterion_08_invariance_under_quasi_isomorphism():
                     cB = to_cochain(cup_op(*gB), ind.cb.words)
                     rhs = ind.cb.coords_of(rr, q1 + q2, cB)
                     ran += 1
-                    if vec_sub(QQ, lhs, rhs):
+                    if signed_sum(QQ, [(0, lhs), (1, rhs)]):
                         failures.append(("cup", (q1, q2)))
                 if lo <= q1 + q2 - 1 <= hi:
                     bA = to_cochain(bracket_op(*fA), ind.ca.words)
@@ -293,7 +292,7 @@ def test_criterion_08_invariance_under_quasi_isomorphism():
                     bB = to_cochain(bracket_op(*gB), ind.cb.words)
                     rhs = ind.cb.coords_of(rr, q1 + q2 - 1, bB)
                     ran += 1
-                    if vec_sub(QQ, lhs, rhs):
+                    if signed_sum(QQ, [(0, lhs), (1, rhs)]):
                         failures.append(("bracket", (q1, q2)))
     assert ran > 50, ran
     _verdict(8, "HH(f) iso preserving cup and bracket (%d checks), "

@@ -10,6 +10,7 @@ from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
 from perverse.complexes import cofibrancy_certificate
+from perverse.linalg import linear
 from perverse.hochschild import restrict_bimodule
 
 P3 = Poset(3)
@@ -136,11 +137,7 @@ def test_multiplication_map_on_enveloping_for_commutative():
         op, E = opposite_and_enveloping(A)
 
         def mu(vec):
-            out = {}
-            for (a, b), c in vec.items():
-                from perverse.linalg import vec_add, vec_scale
-                out = vec_add(QQ, out, vec_scale(QQ, c, A.mul(a, b)))
-            return out
+            return linear(QQ, lambda ab: A.mul(*ab), vec)
 
         for u in E.names:
             assert mu(E.d(u)) == A.d_vec(mu({u: QQ.one})), u
@@ -160,6 +157,31 @@ def test_tensor_pdga_of_spheres():
     dims = T.homology_dims()
     for k, want in [(0, 1), (2, 1), (3, 1), (5, 1)]:
         assert dims[(P3.zero, k)] == want
+
+
+def test_is_commutative_agrees_with_validate_without_running_it():
+    P, z = P3, P3.zero
+    algebras = list(corpus(QQ, P).values())
+    algebras += [random_pdga(F, P4, s) for F in (QQ, Field(5))
+                 for s in range(12)]
+    algebras.append(PDGA(QQ, P, [("1", 0, z), ("x", 2, z), ("y", 2, z),
+                                 ("z", 4, z)], "1",
+                         products={("x", "y"): {"z": QQ.one}}))
+    for A in [sphere_algebra(QQ, P, 2), sphere_algebra(QQ, P, 3),
+              truncated_polynomial(QQ, P, 2, power=3)]:
+        algebras += opposite_and_enveloping(A)
+    algebras += [tensor_algebra(QQ, P, [("x", 2, z)], L=3),
+                 tensor_algebra(QQ, P, [("x", 2, z), ("y", 3, z)], L=2)]
+    flags = [A.validate()["commutative"] for A in algebras]
+    assert True in flags and False in flags
+
+    def refuse():
+        raise AssertionError("is_commutative ran validate")
+
+    for A, flag in zip(algebras, flags):
+        A.validate = refuse
+        # a strict tensor algebra reads its products without OverflowError
+        assert A.is_commutative() is flag
 
 
 def test_tensor_algebra_truncation():
@@ -313,13 +335,8 @@ def test_quasi_iso_fixture():
     assert A.validate()["valid"]
     assert B.validate()["valid"]
     # f is a chain map and multiplicative
-    from perverse.linalg import vec_add, vec_scale
-
     def f(vec):
-        out = {}
-        for x, c in vec.items():
-            out = vec_add(QQ, out, vec_scale(QQ, c, fmap[x]))
-        return out
+        return linear(QQ, fmap.__getitem__, vec)
 
     for x in A.names:
         assert f(A.d(x)) == B.d_vec(f({x: QQ.one}))

@@ -192,6 +192,24 @@ def test_commutative_flag_is_verified():
         cli.build_pdga(cli.parse_description(data))
 
 
+def _half_over_f5(value):
+    data = dict(SPHERE2, field="Fp:5")
+    data["generators"] = SPHERE2["generators"] + [{"name": "y", "degree": 3}]
+    data["differential"] = {"x": {"y": value}}
+    return data
+
+
+def test_fraction_coefficients_over_a_prime_field():
+    A = cli.build_pdga(cli.parse_description(_half_over_f5("1/2")))
+    assert A.d("x") == {"y": 3}
+
+
+def test_a_coefficient_without_a_prime_field_image_exits_2(tmp_path, capsys):
+    code, _ = run(["homology", write(tmp_path, _half_over_f5("1/5"))])
+    assert code == 2
+    assert "has no image in F_5" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     code, _ = run(["homology", "definitely-not-here"])
     assert code == 2

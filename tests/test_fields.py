@@ -56,6 +56,19 @@ def test_prime_field_values_are_unchanged():
         F5.inv(0)
 
 
+def test_prime_field_images_of_fractions():
+    # n/d goes to n d^-1 mod p, from a Fraction or a rational string
+    assert F5.of(Fraction(1, 2)) == F5.of("1/2") == 3
+    for n in range(-7, 8):
+        for d in (1, 2, 3, 4, 6, 7):
+            want = F5.mul(F5.of(n), F5.inv(F5.of(d)))
+            assert F5.of(Fraction(n, d)) == want, (n, d)
+            assert F5.of("%d/%d" % (n, d)) == want, (n, d)
+    for bad in (Fraction(1, 5), "2/10", "-3/25"):
+        with pytest.raises(ValueError):
+            F5.of(bad)
+
+
 def test_mixed_scalars_compare_and_hash_alike():
     assert QQ.of(Fraction(3)) == Fraction(3)
     assert hash(QQ.of(Fraction(3))) == hash(Fraction(3))

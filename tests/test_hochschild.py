@@ -5,8 +5,8 @@ import pytest
 
 from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import (SparseMatrix, Echelon, vec_add, vec_iadd,
-                             vec_scale, kernel_basis)
+from perverse.linalg import (SparseMatrix, Echelon, signed_sum, vec_iadd,
+                             kernel_basis, linear)
 from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
@@ -90,10 +90,7 @@ def test_bar_last_sign_definition_variant_fails():
         return out
 
     def Dv(vec):
-        out = {}
-        for word, c in vec.items():
-            out = vec_add(QQ, out, vec_scale(QQ, c, D_variant(word)))
-        return out
+        return linear(QQ, D_variant, vec)
 
     bad = [w for w in bar.words if Dv(Dv({w: QQ.one}))]
     assert bad, "variant sign unexpectedly satisfies D^2 = 0"
@@ -117,7 +114,7 @@ def test_contracting_homotopy_on_kernel(name):
     bar = Bar(A, L)
 
     def dh_hd(v):
-        return vec_add(QQ, bar.D(bar.h(v)), bar.h(bar.D(v)))
+        return signed_sum(QQ, [(0, bar.D(bar.h(v))), (0, bar.h(bar.D(v)))])
 
     # positive lengths lie in ker(q_A) wordwise
     for word in bar.words:

@@ -173,16 +173,28 @@ def test_library_behaviour_does_not_depend_on_assert():
     assert not found, found
 
 
+def named(gone):
+    """(file, name) of each definition, import, attribute or name in
+    src/perverse spelled as one of gone"""
+    return sorted({(fname, getattr(node, key))
+                   for fname, tree in source_trees()
+                   for node in ast.walk(tree)
+                   for key in ("name", "attr", "id")
+                   if getattr(node, key, None) in gone})
+
+
 def test_the_label_rule_lives_in_the_poset():
     # the label of a sequence, None past the top, is Poset.oplus_all; no
     # module keeps a copy of it under the names its copies had
-    gone = {"word_label", "label_ok"}
-    named = sorted({(fname, getattr(node, key))
-                    for fname, tree in source_trees()
-                    for node in ast.walk(tree)
-                    for key in ("name", "attr", "id")
-                    if getattr(node, key, None) in gone})
-    assert not named, named
+    found = named({"word_label", "label_ok"})
+    assert not found, found
+
+
+def test_vectors_combine_through_one_signed_sum():
+    # a combination of vectors is linalg.signed_sum over (parity, vector)
+    # pairs, or vec_iadd in place; the pairwise helpers do not come back
+    found = named({"vec_add", "vec_sub"})
+    assert not found, found
 
 
 def _items_loop(node):
@@ -257,3 +269,30 @@ def test_no_module_reads_another_objects_private_attributes():
     found = [(fname,) + hit for fname, tree in source_trees()
              for hit in private_reads(tree)]
     assert not found, found
+
+
+# the identity checks of the calculus suite and of the Kunneth transports
+# (Delta squared aside, a product of two matrices)
+_IDENTITY_CHECKS = {
+    "structure.py": {"differential", "cup_is_brace", "skew", "defect",
+                     "pre_jacobi", "jacobi", "leibniz", "calculus_bracket",
+                     "calculus_cup", "calculus_lie", "ginzburg",
+                     "bv_seven_term", "menichi"},
+    "kunneth.py": {"cup_transports", "bracket_transports",
+                   "delta_transports"},
+}
+
+
+def test_each_identity_check_is_one_signed_term_list():
+    # every sign of an identity sits next to its term in one list, summed
+    # by one signed_sum; no check scales or accumulates a term on its own
+    trees = dict(source_trees())
+    for fname, names in _IDENTITY_CHECKS.items():
+        checks = {fn.name: fn for fn in ast.walk(trees[fname])
+                  if isinstance(fn, _FUNCTIONS) and fn.name in names}
+        assert set(checks) == names, (fname, names - set(checks))
+        for name, fn in checks.items():
+            calls = [getattr(node.func, "id", None) for node in ast.walk(fn)
+                     if isinstance(node, ast.Call)]
+            assert calls.count("signed_sum") == 1, (fname, name)
+            assert not {"vec_iadd", "vec_scale"} & set(calls), (fname, name)

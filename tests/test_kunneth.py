@@ -6,7 +6,7 @@ import pytest
 
 from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import vec_add, vec_iadd, vec_scale
+from perverse.linalg import signed_sum, vec_iadd, vec_scale
 from perverse.algebra import tensor_pdga, algebra_as_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, random_pdga, corpus)
@@ -32,7 +32,7 @@ PAIRS = [(S2, S2), (S2, S3), (TR3, S3), (R1, R2)]
 
 
 def sub(u, v):
-    return vec_add(QQ, u, vec_scale(QQ, QQ.neg(QQ.one), v))
+    return signed_sum(QQ, [(0, u), (1, v)])
 
 
 def bar_words(A, L, rng=None, count=None):
@@ -307,10 +307,9 @@ def test_shuffle_product_is_a_chain_map(k):
             x, y = {xk: QQ.one}, {yk: QQ.one}
             qx = cha.degree(xk)
             lhs = cht.D(shuffle_product(A, B, T, x, y))
-            rhs = vec_add(
-                QQ, shuffle_product(A, B, T, cha.D(x), y),
-                vec_scale(QQ, QQ.one if qx % 2 == 0 else QQ.neg(QQ.one),
-                          shuffle_product(A, B, T, x, chb.D(y))))
+            rhs = signed_sum(QQ, [
+                (0, shuffle_product(A, B, T, cha.D(x), y)),
+                (qx, shuffle_product(A, B, T, x, chb.D(y)))])
             assert not sub(lhs, rhs), (xk, yk)
             informative += bool(lhs)
     if any(A.diffs.values()) or any(B.diffs.values()):
@@ -335,13 +334,9 @@ def test_cyclic_operator_is_a_shuffle_derivation_on_homology():
                        max((len(w) for (_, w) in y), default=0) + 1 > L - 1:
                         continue
                     lhs = connes_B(cht, shuffle_product(A, B, T, x, y))
-                    rhs = vec_add(
-                        QQ,
-                        shuffle_product(A, B, T, connes_B(cha, x), y),
-                        vec_scale(QQ, QQ.one if qx % 2 == 0
-                                  else QQ.neg(QQ.one),
-                                  shuffle_product(A, B, T, x,
-                                                  connes_B(chb, y))))
+                    rhs = signed_sum(QQ, [
+                        (0, shuffle_product(A, B, T, connes_B(cha, x), y)),
+                        (qx, shuffle_product(A, B, T, x, connes_B(chb, y)))])
                     diff = sub(lhs, rhs)
                     if not (lhs or rhs):
                         continue

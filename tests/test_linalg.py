@@ -8,8 +8,8 @@ from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
                              solver,
                              span_equal, span_intersection,
-                             Quotient, Subquotient, vec_iadd, vec_add,
-                             vec_sub, vec_scale, linear, bilinear)
+                             Quotient, Subquotient, vec_iadd, signed_sum,
+                             vec_scale, linear, bilinear)
 
 F5 = Field(5)
 
@@ -143,12 +143,13 @@ def test_canonical_outputs_against_sympy():
 def test_span_operations():
     one = Fraction(1)
     e0, e1, e2 = {0: one}, {1: one}, {2: one}
-    assert span_equal(QQ, [e0, e1], [e0, e1, vec_add(QQ, e0, e1)])
+    e01 = signed_sum(QQ, [(0, e0), (0, e1)])
+    assert span_equal(QQ, [e0, e1], [e0, e1, e01])
     assert not span_equal(QQ, [e0, e1], [e0, e1, e2])
-    assert span_equal(QQ, [e0, vec_add(QQ, e0, e1)], [e1, e0])
-    inter = span_intersection(QQ, 3, [e0, e1], [vec_add(QQ, e0, e1), e2])
+    assert span_equal(QQ, [e0, e01], [e1, e0])
+    inter = span_intersection(QQ, 3, [e0, e1], [e01, e2])
     assert len(inter) == 1
-    assert span_equal(QQ, [vec_add(QQ, e0, e1)], inter)
+    assert span_equal(QQ, [e01], inter)
 
 
 def test_quotient():
@@ -196,11 +197,8 @@ def test_subquotient_coords_linear(seed):
     H = Subquotient(field, n, d_out=d_out, d_in=d_in)
     assert H.dim <= len(ker)
     for k in ker:
-        c = H.coords(k)
-        v = {}
-        for idx, s in c.items():
-            v = vec_add(field, v, vec_scale(field, s, H.reps[idx]))
-        assert H.is_boundary(vec_add(field, k, vec_scale(field, field.neg(field.one), v)))
+        v = linear(field, H.reps.__getitem__, H.coords(k))
+        assert H.is_boundary(signed_sum(field, [(0, k), (1, v)]))
 
 
 def _scalars(field):
@@ -233,20 +231,30 @@ def test_pure_vector_forms_never_change_their_inputs(data):
     field, u, v, c = data
     c = field.one if c is None else c
     u0, v0 = dict(u), dict(v)
-    for w in (vec_add(field, u, v), vec_sub(field, u, v),
-              vec_scale(field, c, u)):
+    for w in (signed_sum(field, [(0, u), (1, v)]), vec_scale(field, c, u)):
         assert w is not u and w is not v
     assert (u, v) == (u0, v0)
 
 
-@given(_vectors())
-def test_vec_iadd_equals_the_pure_forms(data):
+@given(_vectors(), st.integers(0, 3), st.integers(0, 3))
+def test_vec_iadd_equals_the_pure_forms(data, p, q):
+    # signed_sum is the entrywise signed sum, and vec_iadd adds in place
     field, u, v, c = data
-    if c is None:
-        assert vec_iadd(field, dict(u), v) == vec_add(field, u, v)
-    else:
-        assert vec_iadd(field, dict(u), v, c) == \
-            vec_add(field, u, vec_scale(field, c, v))
+    w = v if c is None else vec_scale(field, c, v)
+    got = signed_sum(field, [(p, u), (q, w)])
+    want = {}
+    for i in set(u) | set(w):
+        x = field.add(field.mul(field.sign(p), u.get(i, field.zero)),
+                      field.mul(field.sign(q), w.get(i, field.zero)))
+        if not field.iszero(x):
+            want[i] = x
+    assert got == want
+    assert signed_sum(field, []) == {}
+    start = signed_sum(field, [(p, u)])
+    assert vec_iadd(field, dict(start), w, field.sign(q)) == got
+    if q % 2 == 0:
+        # the sign +1 passed or left out adds alike
+        assert vec_iadd(field, dict(start), w) == got
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 
 from perverse.fields import QQ, Field
 from perverse.poset import Poset
-from perverse.linalg import (SparseMatrix, vec_add, vec_scale, vec_sub,
+from perverse.linalg import (SparseMatrix, signed_sum, vec_scale,
                              solve, linear)
 from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
                               dual_name)
@@ -280,9 +280,8 @@ def test_connes_B_anticommutes_with_boundary(seed):
     rng = random.Random(seed)
     keys = [(m, w) for w in middle_words(A, 2) for m in A.names]
     z = {k: QQ.of(rng.choice([1, -1, 2])) for k in keys if rng.random() < 0.5}
-    lhs = connes_B(ch, ch.D(z))
-    rhs = ch.D(connes_B(ch, z))
-    assert vec_add(QQ, lhs, rhs) == {}
+    assert signed_sum(QQ, [(0, connes_B(ch, ch.D(z))),
+                           (0, ch.D(connes_B(ch, z)))]) == {}
 
 
 def test_connes_B_overflow_guard():
@@ -322,10 +321,9 @@ def test_iota_is_a_module_map_on_homology():
                 fg = cochain_op(A, to_cochain(cup_op(fop, gop), words),
                                 qf + qg)
                 for qc, z in chains:
-                    lhs = iota(cs, fop, iota(cs, gop, z))
-                    rhs = iota(cs, fg, z)
-                    assert cs.is_boundary(Z0, qc + qf + qg,
-                                          vec_sub(QQ, lhs, rhs))
+                    assert cs.is_boundary(Z0, qc + qf + qg, signed_sum(QQ, [
+                        (0, iota(cs, fop, iota(cs, gop, z))),
+                        (1, iota(cs, fg, z))]))
                     checked += 1
         assert checked
 
@@ -352,19 +350,15 @@ def test_lie_satisfies_cartan_module_axioms_on_homology():
             fg = cochain_op(A, to_cochain(cup_op(fop, gop), words), qf + qg)
             for qc, z in chains:
                 # i_{[f,g]} = (-1)^{|g|(|f|+1)} L_f i_g - i_g L_f
-                lhs = iota(ch, br, z)
-                s = QQ.sign(qg * (qf + 1))
-                rhs = vec_scale(QQ, s, lie(ch, fop, iota(ch, gop, z)))
-                rhs = vec_sub(QQ, rhs, iota(ch, gop, lie(ch, fop, z)))
-                assert cs.is_boundary(Z0, qc + qf + qg - 1,
-                                      vec_sub(QQ, lhs, rhs))
+                assert cs.is_boundary(Z0, qc + qf + qg - 1, signed_sum(QQ, [
+                    (0, iota(ch, br, z)),
+                    (1 + qg * (qf + 1), lie(ch, fop, iota(ch, gop, z))),
+                    (0, iota(ch, gop, lie(ch, fop, z)))]))
                 # L_{f cup g} = L_f i_g + (-1)^{|f|} i_f L_g
-                lhs = lie(ch, fg, z)
-                rhs = lie(ch, fop, iota(ch, gop, z))
-                rhs = vec_add(QQ, rhs, vec_scale(
-                    QQ, QQ.sign(qf), iota(ch, fop, lie(ch, gop, z))))
-                assert cs.is_boundary(Z0, qc + qf + qg - 1,
-                                      vec_sub(QQ, lhs, rhs))
+                assert cs.is_boundary(Z0, qc + qf + qg - 1, signed_sum(QQ, [
+                    (0, lie(ch, fg, z)),
+                    (1, lie(ch, fop, iota(ch, gop, z))),
+                    (1 + qf, iota(ch, fop, lie(ch, gop, z)))]))
 
 
 def test_two_sum_lie_shape_misses_length_zero_chains():
@@ -511,7 +505,7 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
             bdf = to_cochain(bdual_op(cochain_op(A, df, q + 1)), words)
             bf = bdual_op(cochain_op(A, f, q))
             dbf = apply_cochain_D(A, D, to_cochain(bf, words), q - 1, words)
-            total = vec_add(QQ, bdf, dbf)
+            total = signed_sum(QQ, [(0, bdf), (0, dbf)])
             assert all(QQ.iszero(c) for c in total.values())
             if bdf or dbf:
                 informative += 1
