@@ -124,19 +124,25 @@ def parse_description(data):
     for key in ("field", "generators", "unit"):
         if key not in data:
             raise InputError("top level: missing %r" % key)
+    n = data.get("n", 3)
+    if not isinstance(n, int) or n < 2:
+        raise InputError("n: expected an integer at least 2, got %r" % (n,))
     gens = data["generators"]
     if not isinstance(gens, list) or not gens:
         raise InputError("generators: expected a nonempty array")
-    seen = set()
+    # a list, so that an unhashable value is simply not a generator
+    seen = []
     for i, g in enumerate(gens):
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise InputError("generators[%d]: need name and degree" % i)
+        if not isinstance(g["name"], str):
+            raise InputError("generators[%d]: name must be a string" % i)
         if not isinstance(g["degree"], int):
             raise InputError("generators[%d]: degree must be an integer" % i)
         if g["name"] in seen:
             raise InputError("generators[%d]: duplicate name %r"
                              % (i, g["name"]))
-        seen.add(g["name"])
+        seen.append(g["name"])
     if data["unit"] not in seen:
         raise InputError("unit: %r is not a generator" % (data["unit"],))
     prods = data.get("products", [])
@@ -150,12 +156,14 @@ def parse_description(data):
                 raise InputError("products[%d].%s: unknown generator %r"
                                  % (i, side, p[side]))
     diff = data.get("differential", {})
+    if not isinstance(diff, dict):
+        raise InputError("differential: expected an object")
     for x in diff:
         if x not in seen:
             raise InputError("differential: unknown generator %r" % x)
     return AlgebraDescription(
         field=data["field"],
-        n=int(data.get("n", 3)),
+        n=n,
         generators=gens,
         unit=data["unit"],
         differential=diff,
@@ -163,11 +171,10 @@ def parse_description(data):
         commutative=bool(data.get("commutative", True)))
 
 
-def build_pdga(desc):
-    "AlgebraDescription -> validated PDGA (semantic errors -> InputError)"
+def _parse_parts(desc):
+    """the field, the poset, the (name, degree, label) generators and the
+    differential {name: vector} of a description"""
     F = _parse_field(desc.field)
-    if desc.n < 2:
-        raise InputError("n: poset rank must be at least 2")
     P = _poset(desc.n)
     names = {g["name"] for g in desc.generators}
     gens = [(g["name"], g["degree"],
@@ -176,6 +183,13 @@ def build_pdga(desc):
             for g in desc.generators]
     diff = {x: _parse_vector(F, names, v, "differential[%s]" % x)
             for x, v in desc.differential.items()}
+    return F, P, gens, diff
+
+
+def build_pdga(desc):
+    "AlgebraDescription -> validated PDGA (semantic errors -> InputError)"
+    F, P, gens, diff = _parse_parts(desc)
+    names = {x for x, _, _ in gens}
     products = {}
     for p in desc.products:
         key = (p["left"], p["right"])
@@ -406,23 +420,18 @@ def cmd_tensor(args, out):
 
 def cmd_cofibrancy(args, out):
     desc = load_description(args.algebra)
-    F = _parse_field(desc.field)
-    P = _poset(desc.n)
-    names = [g["name"] for g in desc.generators]
-    degs = {g["name"]: g["degree"] for g in desc.generators}
-    labels = {g["name"]: _parse_perversity(
-        g.get("perversity"), P, "generators[%s].perversity" % g["name"])
-        for g in desc.generators}
+    F, P, gens, diff = _parse_parts(desc)
+    degs = {x: k for x, k, _ in gens}
+    labels = {x: lab for x, _, lab in gens}
     basis = {}
-    for x in names:
-        basis.setdefault(degs[x], []).append(x)
+    for x, k, _ in gens:
+        basis.setdefault(k, []).append(x)
     d = {}
     for k, labs in basis.items():
         nxt = {y: i for i, y in enumerate(basis.get(k + 1, []))}
         cols = []
         for x in labs:
-            v = _parse_vector(F, set(names), desc.differential.get(x, {}),
-                              "differential[%s]" % x)
+            v = diff.get(x, {})
             for y in v:
                 if degs[y] != k + 1:
                     raise InputError("differential[%s]: %r has degree %d, "
@@ -460,6 +469,14 @@ def cmd_cofibrancy(args, out):
 # argument plumbing
 
 
+def _count(s):
+    "a nonnegative integer argument"
+    if not s.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a nonnegative integer, got %r" % s)
+    return int(s)
+
+
 def _window(s):
     try:
         lo, hi = s.split("..", 1)
@@ -493,20 +510,20 @@ def build_parser():
         p.add_argument("algebra",
                        help="JSON description file or fixture name "
                             "(e.g. sphere2)")
-        p.add_argument("--max-length", type=int, default=3, metavar="L",
+        p.add_argument("--max-length", type=_count, default=3, metavar="L",
                        help="bar word truncation length (default 3)")
         p.add_argument("--window", type=_window, default=(-2, 2),
                        metavar="LO..HI",
                        help="cohomological degree window (default -2..2)")
         if trials is not None:
-            p.add_argument("--trials", type=int, default=trials,
+            p.add_argument("--trials", type=_count, default=trials,
                            help="trials per randomized identity")
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true",
                        help="line-delimited JSON records")
 
     p = sub.add_parser("poset", help="enumerate perversities with covers")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_count, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_poset)
 

@@ -31,7 +31,7 @@ degree shows dependent is never assembled.
 
 import itertools
 
-from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solve,
+from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solver,
                      linear)
 from .poset import leq
 from .algebra import algebra_as_bimodule, restrict_bimodule
@@ -520,32 +520,25 @@ class InducedHH:
 
     def matrix(self, r, q):
         "HH(f) on homology bases: columns map HH^q(A)_r into HH^q(B)_r"
-        F = self.A.field
-        Ha = self.ca.homology(r, q)
+        A, B, fmap, cm = self.A, self.B, self.fmap, self.cm
+        # push A-classes and B-classes into the middle complex
+        mid_of_a = cm.class_matrix(r, q, [
+            hc_postcompose(A, fmap, rep)
+            for rep in self.ca.representatives(r, q)])
+        words = sorted({w for (w, m) in cm.basis(r, q)}, key=repr)
+        mid_of_b = cm.class_matrix(r, q, [
+            to_cochain(hc_precompose(A, B, fmap, cochain_op(B, rep, q)),
+                       words) for rep in self.cb.representatives(r, q)])
+        # solve precompose-matrix * x = postcompose-image per A-basis class,
+        # eliminating the precompose matrix once
+        solve = solver(mid_of_b)[1]
+        cols = [solve(col) for col in mid_of_a.columns()]
+        if None in cols:
+            raise LookupError("HC(f~, B) not surjective on homology")
         Hb = self.cb.homology(r, q)
-        Hm = self.cm.homology(r, q)
-        # push A-classes into the middle complex
-        mid_of_a = []
-        for rep in self.ca.representatives(r, q):
-            g = hc_postcompose(self.A, self.fmap, rep)
-            mid_of_a.append(self.cm.coords_of(r, q, g))
-        words = sorted({w for (w, m) in self.cm.basis(r, q)}, key=repr)
-        mid_of_b = []
-        for rep in self.cb.representatives(r, q):
-            g = hc_precompose(self.A, self.B, self.fmap,
-                              cochain_op(self.B, rep, q))
-            mid_of_b.append(self.cm.coords_of(r, q, to_cochain(g, words)))
-        # solve precompose-matrix * x = postcompose-image per A-basis class
-        pre = SparseMatrix.from_columns(F, Hm.dim, mid_of_b)
-        cols = []
-        for col in mid_of_a:
-            x = solve(pre, col)
-            if x is None:
-                raise LookupError("HC(f~, B) not surjective on homology")
-            cols.append(x)
-        if Ha.dim != Hb.dim:
+        if self.ca.homology(r, q).dim != Hb.dim:
             raise LookupError("homology dimensions differ")
-        return SparseMatrix.from_columns(F, Hb.dim, cols)
+        return SparseMatrix.from_columns(A.field, Hb.dim, cols)
 
     def is_iso(self, r, q):
         m = self.matrix(r, q)

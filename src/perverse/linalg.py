@@ -564,5 +564,11 @@ class SlotComplex:
         "homology coordinates of the cycle vec in the representative basis"
         return self.homology(r, q).coords(self._coordinates(r, q, vec))
 
+    def class_matrix(self, r, q, cocycles):
+        """the matrix whose j-th column is coords_of(r, q, cocycles[j]), one
+        row per representative of slot (r, q)"""
+        return _stored(self.field, self.homology(r, q).dim,
+                       [self.coords_of(r, q, z) for z in cocycles])
+
     def is_boundary(self, r, q, vec):
         return self.homology(r, q).is_boundary(self._coordinates(r, q, vec))

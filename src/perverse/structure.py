@@ -275,40 +275,31 @@ def find_duality_class(A, n=None):
     D = dual_bimodule(A)
     ma, md = ModuleSlots(algebra_as_bimodule(A)), ModuleSlots(D)
     adegs = sorted(A.degrees())
-    cands = []
+
+    def isomorphic(nc, Mv):
+        "whether the left action of Mv is an isomorphism on every slot"
+        for r in P.elements:
+            for k in adegs:
+                Hd = md.homology(r, k - nc)
+                if ma.homology(r, k).dim != Hd.dim:
+                    return False
+                try:
+                    mat = md.class_matrix(r, k - nc, [
+                        D.act_left_vec(a, Mv)
+                        for a in ma.representatives(r, k)])
+                except ValueError:
+                    return False
+                if mat.rank() != Hd.dim:
+                    return False
+        return True
+
     for nc in ([n] if n is not None else sorted(
             {-k for k in md.degrees()})):
         # global candidates live in the zero-perversity slot, where every
         # dual element is present
-        for rep in md.representatives(P.zero, -nc):
-            cands.append((nc, rep))
-    for nc, Mv in cands:
-        ok = True
-        for r in P.elements:
-            for k in adegs:
-                Ha = ma.homology(r, k)
-                Hd = md.homology(r, k - nc)
-                if Ha.dim != Hd.dim:
-                    ok = False
-                    break
-                if Ha.dim == 0:
-                    continue
-                cols = []
-                try:
-                    for a in ma.representatives(r, k):
-                        img = D.act_left_vec(a, Mv)
-                        cols.append(md.coords_of(r, k - nc, img))
-                except ValueError:
-                    ok = False
-                    break
-                mat = SparseMatrix.from_columns(A.field, Hd.dim, cols)
-                if mat.rank() != Hd.dim:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return nc, Mv
+        for Mv in md.representatives(P.zero, -nc):
+            if isomorphic(nc, Mv):
+                return nc, Mv
     raise LookupError("not a detected pDPDA")
 
 
@@ -363,11 +354,8 @@ class BVOperator:
         key = self.cx.homology(r, q - 1), cdm.homology(r, qc)
         if key not in self._solvers:
             reps = self.cx.representatives(r, q - 1)
-            cols = [cdm.coords_of(r, qc, to_cochain(self.act_c(g, q - 1),
-                                                    cdm.words))
-                    for g in reps]
-            rank, solve = solver(SparseMatrix.from_columns(
-                F, key[1].dim, cols))
+            rank, solve = solver(cdm.class_matrix(r, qc, [
+                to_cochain(self.act_c(g, q - 1), cdm.words) for g in reps]))
             # the certified duality action can only lose injectivity here
             # through word-length truncation
             self._solvers[key] = (reps,

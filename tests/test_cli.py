@@ -114,9 +114,33 @@ def run_python(tmp_path, flags, argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+LIST_NAME = dict(SPHERE2, generators=[{"name": "1", "degree": 0},
+                                      {"name": ["a"], "degree": 2}])
+
+
 @pytest.mark.parametrize("command,data,message", [
     ("hh", NOT_A_FIELD, "bad prime"),
-    ("cofibrancy", D_SQUARED_NONZERO, "d^2 != 0")])
+    ("cofibrancy", D_SQUARED_NONZERO, "d^2 != 0"),
+    ("hh", dict(SPHERE2, n="x"), "n: expected an integer at least 2"),
+    ("cofibrancy", dict(SPHERE2, n="x"), "n: expected an integer at least 2"),
+    ("cofibrancy", dict(SPHERE2, n=-1), "n: expected an integer at least 2"),
+    ("cofibrancy", dict(SPHERE2, n=1), "n: expected an integer at least 2"),
+    ("hh", dict(SPHERE2, differential=["1"]),
+     "differential: expected an object"),
+    ("cofibrancy", dict(SPHERE2, differential=["1"]),
+     "differential: expected an object"),
+    ("hh", LIST_NAME, "generators[1]: name must be a string"),
+    ("cofibrancy", LIST_NAME, "generators[1]: name must be a string"),
+    ("hh", dict(SPHERE2, unit=["1"]), "unit: ['1'] is not a generator"),
+    ("hh", dict(SPHERE2, products=[{"left": ["x"], "right": "x",
+                                    "value": {}}]),
+     "products[0].left: unknown generator ['x']"),
+    # cofibrancy reads the differential through build_pdga's parser
+    ("cofibrancy", dict(SPHERE2, differential={"x": {"y": 1}}),
+     "differential[x]: unknown generator 'y'"),
+    ("cofibrancy", dict(SPHERE2, field="Fp:5",
+                        differential={"x": {"x": "1/5"}}),
+     "has no image in F_5")])
 def test_bad_input_exits_2_under_python_O(tmp_path, command, data, message):
     # -O strips assert statements; input checks must not rely on them
     code, out, err = run_python(tmp_path, ["-O"], [command,
@@ -208,6 +232,18 @@ def test_a_coefficient_without_a_prime_field_image_exits_2(tmp_path, capsys):
     code, _ = run(["homology", write(tmp_path, _half_over_f5("1/5"))])
     assert code == 2
     assert "has no image in F_5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "--n", "-1"],
+    ["hh", "sphere2", "--max-length", "-1"],
+    ["bv", "sphere2", "--max-length", "-1"],
+    ["gerstenhaber-check", "sphere2", "--trials", "-1"],
+    ["calculus-check", "sphere2", "--trials", "-2"]])
+def test_negative_counts_exit_2(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and not out
+    assert "expected a nonnegative integer" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

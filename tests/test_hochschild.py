@@ -15,7 +15,9 @@ from perverse.hochschild import (Bar, Chains, Cochains, bar_degree,
                                  middle_words, sdeg, word_sdeg,
                                  apply_cochain_D, index_cochain, hh_table,
                                  hh_table_oracle, cochain_op, to_cochain,
-                                 InducedHH, check_pdga_map, restrict_bimodule)
+                                 InducedHH, check_pdga_map, restrict_bimodule,
+                                 hc_postcompose, hc_precompose)
+from perverse import hochschild, linalg
 from perverse.structure import cup_op
 from perverse.kunneth import hh_degree_support
 
@@ -290,6 +292,62 @@ def test_slot_coordinates_drop_only_the_degenerate_zero_slot():
     assert A.lam("v0") == top
     with pytest.raises(ValueError):
         cx.is_boundary(P.zero, 2, {((), "v0"): QQ.one})
+
+
+def test_class_matrix_columns_are_the_coordinates_of_each_cocycle():
+    # representatives, their sums and the classes of cocycles plus a
+    # boundary: column j is coords_of of the j-th cocycle, one row per
+    # representative of the slot
+    seen = 0
+    for F in (QQ, Field(5)):
+        for A in list(corpus(F, P3).values()) + [random_pdga(F, Poset(4), 6)]:
+            cx = Cochains(A, algebra_as_bimodule(A), 3)
+            for r in A.poset.elements:
+                for q in range(-4, 4):
+                    reps = cx.representatives(r, q)
+                    bounds = [b for b in cx.differential(r, q - 1).columns()
+                              if b]
+                    keys = cx.basis(r, q)
+                    shift = {keys[i]: c for i, c in
+                             (bounds[0] if bounds else {}).items()}
+                    cocycles = reps + [signed_sum(F, [(0, z), (0, shift)])
+                                       for z in reps] + [
+                        signed_sum(F, [(0, reps[0]), (1, reps[-1])])
+                        for _ in reps[:1]]
+                    m = cx.class_matrix(r, q, cocycles)
+                    assert (m.nrows, m.ncols) == (len(reps), len(cocycles))
+                    assert m.columns() == [cx.coords_of(r, q, z)
+                                           for z in cocycles], (r, q)
+                    seen += len(cocycles)
+    assert seen > 200, seen
+
+
+def test_class_matrix_of_an_empty_slot_and_its_refusals():
+    A = sphere_algebra(QQ, P3, 4)
+    cx = Cochains(A, algebra_as_bimodule(A), 3)
+    r = P3.zero
+    # HH^-2 of k[x]/x^2, |x| = 4, is zero at L = 3 although the slot holds
+    # a boundary: its class matrix has no rows and an empty column for it
+    assert cx.homology(r, -2).dim == 0
+    keys = cx.basis(r, -2)
+    boundary = {keys[i]: c for col in cx.differential(r, -3).columns()
+                for i, c in col.items()}
+    assert boundary and cx.is_boundary(r, -2, boundary)
+    m = cx.class_matrix(r, -2, [boundary, {}])
+    assert (m.nrows, m.ncols) == (0, 2) and m.is_zero()
+    m = cx.class_matrix(r, 5, [])
+    assert (m.nrows, m.ncols) == (0, 0)
+    # a non-cycle, and a vector off the slot next to a representative,
+    # raise as coords_of does
+    non_cycle = {cx.basis(r, -3)[0]: QQ.one}
+    assert not cx.differential(r, -3).is_zero()
+    off_slot = {cx.basis(r, 1)[0]: QQ.one}
+    for q, vecs in ((-3, [non_cycle]),
+                    (0, [cx.representatives(r, 0)[0], off_slot])):
+        with pytest.raises(ValueError):
+            cx.coords_of(r, q, vecs[-1])
+        with pytest.raises(ValueError):
+            cx.class_matrix(r, q, vecs)
 
 
 def _middle_words_by_scan(A, L):
@@ -697,6 +755,80 @@ def test_induced_quasi_iso_fixture_is_iso():
     for r in P3.elements:
         for q in range(-2, 3):
             assert ind.is_iso(r, q), (r, q)
+
+
+def _induced_by_column_solves(ind, r, q):
+    """HH(f) at (r, q) with one solve per A-class against the precompose
+    matrix, as InducedHH.matrix computed it before it eliminated once"""
+    A, B, fmap, cm = ind.A, ind.B, ind.fmap, ind.cm
+    Ha, Hb, Hm = (cx.homology(r, q) for cx in (ind.ca, ind.cb, cm))
+    mid_of_a = [cm.coords_of(r, q, hc_postcompose(A, fmap, rep))
+                for rep in ind.ca.representatives(r, q)]
+    words = sorted({w for (w, m) in cm.basis(r, q)}, key=repr)
+    mid_of_b = [cm.coords_of(r, q, to_cochain(hc_precompose(
+        A, B, fmap, cochain_op(B, rep, q)), words))
+        for rep in ind.cb.representatives(r, q)]
+    pre = SparseMatrix.from_columns(A.field, Hm.dim, mid_of_b)
+    cols = []
+    for col in mid_of_a:
+        x = linalg.solve(pre, col)
+        if x is None:
+            raise LookupError("HC(f~, B) not surjective on homology")
+        cols.append(x)
+    if Ha.dim != Hb.dim:
+        raise LookupError("homology dimensions differ")
+    return SparseMatrix.from_columns(A.field, Hb.dim, cols)
+
+
+def _induced_maps():
+    A, B, fmap = quasi_iso_fixture(QQ, P3)
+    T = truncated_polynomial(QQ, P3, 2)
+    return [InducedHH(A, B, fmap, 3), InducedHH(T, T, identity_fmap(T), 3)]
+
+
+def _matrix_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except LookupError as e:
+        return repr(e)
+
+
+def test_induced_matrix_equals_a_solve_per_column():
+    nonzero = 0
+    for ind in _induced_maps():
+        for r in P3.elements:
+            for q in range(-2, 3):
+                got = _matrix_or_error(ind.matrix, r, q)
+                want = _matrix_or_error(_induced_by_column_solves, ind, r, q)
+                assert got == want, (r, q)
+                assert repr(got.columns()) == repr(want.columns())
+                nonzero += not got.is_zero()
+    assert nonzero >= 8, nonzero
+
+
+def test_induced_matrix_eliminates_once_per_slot(monkeypatch):
+    # the precompose matrix is eliminated by one solver per call, never by
+    # a solve per column
+    def refuse(*args):
+        raise AssertionError("InducedHH.matrix called linalg.solve")
+
+    eliminated = []
+    solver = linalg.solver
+
+    def counted(A):
+        eliminated.append(A)
+        return solver(A)
+
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(hochschild, "solve", refuse, raising=False)
+    monkeypatch.setattr(hochschild, "solver", counted, raising=False)
+    calls = 0
+    for ind in _induced_maps():
+        for r in P3.elements:
+            for q in range(-2, 3):
+                ind.matrix(r, q)
+                calls += 1
+    assert len(eliminated) == calls, (len(eliminated), calls)
 
 
 def test_restricted_bimodule_validates():

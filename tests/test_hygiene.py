@@ -296,3 +296,41 @@ def test_each_identity_check_is_one_signed_term_list():
                      if isinstance(node, ast.Call)]
             assert calls.count("signed_sum") == 1, (fname, name)
             assert not {"vec_iadd", "vec_scale"} & set(calls), (fname, name)
+
+
+def _repeated_parts(node):
+    """the parts of a loop or comprehension that run once per iteration:
+    a loop's test and body, a comprehension's element, conditions and
+    inner iterables (its first iterable is read once)"""
+    if isinstance(node, ast.While):
+        return [node.test] + node.body
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.DictComp):
+        parts = [node.key, node.value]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        parts = [node.elt]
+    else:
+        return []
+    for k, gen in enumerate(node.generators):
+        parts += gen.ifs + ([gen.iter] if k else [])
+    return parts
+
+
+def looped_calls(tree, name):
+    "the line of each call of the method or function name inside a loop"
+    return sorted({sub.lineno for node in ast.walk(tree)
+                   for part in _repeated_parts(node)
+                   for sub in ast.walk(part)
+                   if isinstance(sub, ast.Call)
+                   and name in (getattr(sub.func, "id", None),
+                                getattr(sub.func, "attr", None))})
+
+
+def test_classes_of_many_cocycles_are_read_through_one_class_matrix():
+    # the homology coordinates of a list of cocycles are the columns of
+    # SlotComplex.class_matrix; outside linalg coords_of reads one vector
+    found = [(fname, line) for fname, tree in source_trees()
+             if fname != "linalg.py"
+             for line in looped_calls(tree, "coords_of")]
+    assert not found, found
