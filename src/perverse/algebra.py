@@ -202,6 +202,32 @@ class PDGA:
                     self.unit, diff=self.diffs, products=prods)
 
 
+class CofaceTable(dict):
+    """{v: the word side of the cochain differential D* at v} on a set of
+    normalized words, built on first read: (v is in the set, its inner and
+    outer faces in the set, in the order D* visits them, sdeg(v)).  An inner
+    face is (word, c, e) for c y in d(x) or in a.b at v[i] = y, e the
+    suspended degree of v[:i], plus |a| for a product; an outer face is
+    (word, a, whether a is on the left).  A word with a unit letter has no
+    face in the set, since letter_preimages leaves out the unit"""
+
+    def __init__(self, A, words):
+        self.A, self.words = A, words
+
+    def __missing__(self, v):
+        A, words = self.A, self.words
+        eps = list(itertools.accumulate((A.deg(y) - 1 for y in v), initial=0))
+        inner = [(w, cy, eps[i] + (A.deg(xs[0]) if len(xs) == 2 else 0))
+                 for i, y in enumerate(v)
+                 for xs, cy in A.letter_preimages.get(y, ())
+                 if (w := v[:i] + xs + v[i + 1:]) in words]
+        outer = [(w, a, left) for a in A.nonunit()
+                 for left, w in ((True, (a,) + v), (False, v + (a,)))
+                 if w in words]
+        self[v] = entry = (v in words, inner, outer, eps[-1])
+        return entry
+
+
 def tensor_pdga(A, B):
     "A box B with product (a1@b1)(a2@b2) = (-1)^{|a2||b1|} (a1 a2)@(b1 b2)"
     if A.field != B.field or A.poset is not B.poset:
@@ -330,14 +356,18 @@ class Bimodule:
             {k: w for k, v in (t or {}).items() if (w := {
                 y: c for y, c in v.items() if not self.field.iszero(c)})}
             for t in (diff, left, right))
+        self._present = {}
 
     def deg(self, m):
         return self.degree[m]
 
-    def present(self, m, p):
-        if self.kind[m] == "up":
-            return leq(self.plabel[m], p)
-        return leq(p, self.plabel[m])
+    def present_at(self, p):
+        "the frozenset of names present at p, built once per p"
+        if p not in self._present:
+            self._present[p] = frozenset(m for m in self.names if (
+                leq(self.plabel[m], p) if self.kind[m] == "up"
+                else leq(p, self.plabel[m])))
+        return self._present[p]
 
     def d(self, m):
         return dict(self.diffs.get(m, {}))
@@ -430,7 +460,7 @@ class ModuleSlots(SlotComplex):
 
     def slot_basis(self, r, k):
         return [m for m in self.M.names
-                if self.M.degree[m] == k and self.M.present(m, r)]
+                if self.M.degree[m] == k and m in self.M.present_at(r)]
 
     def D_key(self, m):
         return self.M.d(m)
@@ -440,16 +470,11 @@ def restrict_bimodule(A, B, fmap):
     "B viewed as an A-bimodule through the algebra map f"
     F = A.field
     elems = [(x, B.deg(x), "up", B.lam(x)) for x in B.names]
-    left, right = {}, {}
-    for a in A.nonunit():
-        fa = fmap[a]
-        for m in B.names:
-            lv = B.mul_vec(fa, {m: F.one})
-            rv = B.mul_vec({m: F.one}, fa)
-            if lv:
-                left[(a, m)] = lv
-            if rv:
-                right[(m, a)] = rv
+    # the Bimodule keeps only the nonzero vectors
+    left = {(a, m): B.mul_vec(fmap[a], {m: F.one})
+            for a in A.nonunit() for m in B.names}
+    right = {(m, a): B.mul_vec({m: F.one}, fmap[a])
+             for a in A.nonunit() for m in B.names}
     return Bimodule(A, elems, diff=B.diffs, left=left, right=right)
 
 
@@ -470,34 +495,17 @@ def dual_bimodule(A):
     """
     F, P = A.field, A.poset
     elems = [(dual_name(b), -A.deg(b), "down", P.dual(A.lam(b))) for b in A.names]
-    diff = {}
-    for b in A.names:
-        v = {}
-        sgn = F.sign(A.deg(b))
-        for c in A.names:
-            coef = A.d(c).get(b, F.zero)
-            if not F.iszero(coef):
-                v[dual_name(c)] = F.neg(F.mul(sgn, coef))
-        if v:
-            diff[dual_name(b)] = v
-    left = {}
-    right = {}
-    for a in A.nonunit():
-        for b in A.names:
-            # (a.b*) = (-1)^{|a|} sum_c (c a)_b c* ; (b*.a) = sum_c (a c)_b c*
-            lv, rv = {}, {}
-            sa = F.sign(A.deg(a))
-            for c in A.names:
-                coef = A.mul(c, a).get(b, F.zero)
-                if not F.iszero(coef):
-                    lv[dual_name(c)] = F.mul(sa, coef)
-                coef = A.mul(a, c).get(b, F.zero)
-                if not F.iszero(coef):
-                    rv[dual_name(c)] = coef
-            if lv:
-                left[(a, dual_name(b))] = lv
-            if rv:
-                right[(dual_name(b), a)] = rv
+    # (a.b*) = (-1)^{|a|} sum_c (c a)_b c* and (b*.a) = sum_c (a c)_b c*;
+    # the Bimodule keeps only the nonzero terms
+    diff = {dual_name(b): {
+        dual_name(c): F.neg(F.mul(F.sign(A.deg(b)), A.d(c).get(b, F.zero)))
+        for c in A.names} for b in A.names}
+    left = {(a, dual_name(b)): {
+        dual_name(c): F.mul(F.sign(A.deg(a)), A.mul(c, a).get(b, F.zero))
+        for c in A.names} for a in A.nonunit() for b in A.names}
+    right = {(dual_name(b), a): {
+        dual_name(c): A.mul(a, c).get(b, F.zero) for c in A.names}
+        for a in A.nonunit() for b in A.names}
     return Bimodule(A, elems, diff=diff, left=left, right=right)
 
 
@@ -523,7 +531,7 @@ def module_hom(M, P_, degwindow):
                         continue
                     if M.kind[m] == "up":
                         target = P.oplus(M.plabel[m], r)
-                        if target is None or not P_.present(n, target):
+                        if target is None or n not in P_.present_at(target):
                             continue
                     pairs.append((m, n))
             # equivariance as linear constraints on coefficients c_{m,n},

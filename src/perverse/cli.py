@@ -80,7 +80,7 @@ def _parse_perversity(v, poset, where):
         return poset.zero
     if v == "top":
         return poset.top
-    if isinstance(v, list) and all(isinstance(a, int) for a in v):
+    if isinstance(v, list) and all(type(a) is int for a in v):
         t = tuple(v)
         if not is_perversity(t, poset.n):
             raise InputError("%s: %r is not a perversity for n=%d"
@@ -91,7 +91,7 @@ def _parse_perversity(v, poset, where):
 
 
 def _parse_coeff(F, c, where):
-    if isinstance(c, int):
+    if type(c) is int:
         return F.of(c)
     if isinstance(c, str):
         try:
@@ -125,7 +125,7 @@ def parse_description(data):
         if key not in data:
             raise InputError("top level: missing %r" % key)
     n = data.get("n", 3)
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise InputError("n: expected an integer at least 2, got %r" % (n,))
     gens = data["generators"]
     if not isinstance(gens, list) or not gens:
@@ -137,7 +137,7 @@ def parse_description(data):
             raise InputError("generators[%d]: need name and degree" % i)
         if not isinstance(g["name"], str):
             raise InputError("generators[%d]: name must be a string" % i)
-        if not isinstance(g["degree"], int):
+        if type(g["degree"]) is not int:
             raise InputError("generators[%d]: degree must be an integer" % i)
         if g["name"] in seen:
             raise InputError("generators[%d]: duplicate name %r"
@@ -161,6 +161,10 @@ def parse_description(data):
     for x in diff:
         if x not in seen:
             raise InputError("differential: unknown generator %r" % x)
+    commutative = data.get("commutative", True)
+    if not isinstance(commutative, bool):
+        raise InputError("commutative: expected true or false, got %r"
+                         % (commutative,))
     return AlgebraDescription(
         field=data["field"],
         n=n,
@@ -168,7 +172,7 @@ def parse_description(data):
         unit=data["unit"],
         differential=diff,
         products=prods,
-        commutative=bool(data.get("commutative", True)))
+        commutative=commutative)
 
 
 def _parse_parts(desc):

@@ -24,9 +24,10 @@ and suspended degree of each word.  The differentials themselves are
 label-blind, so the image of each basis element is computed once per complex
 and every slot matrix cuts it to the admissible target pairs.  D* is pushed
 forward from each term (w -> m) of a cochain onto the cofaces of w, the
-words that have w as a face, and an HH dimension table is read from the
-ranks of the slot matrices alone, by clearing: a column that the previous
-degree shows dependent is never assembled.
+words that have w as a face, found once per word of a complex, and an HH
+dimension table is read from the ranks of the slot matrices alone, by
+clearing: a column that the previous degree shows dependent is never
+assembled.
 """
 
 import itertools
@@ -34,7 +35,7 @@ import itertools
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solver,
                      linear)
 from .poset import leq
-from .algebra import algebra_as_bimodule, restrict_bimodule
+from .algebra import algebra_as_bimodule, restrict_bimodule, CofaceTable
 
 
 def sdeg(A, x):
@@ -276,42 +277,31 @@ def to_cochain(op, words):
     return out
 
 
-def apply_cochain_D(A, M, f, fdeg, words):
+def apply_cochain_D(A, M, f, fdeg, coface):
     """the printed cochain differential D* = d0 + d1 of f = {(w, m): c}, in
-    the same shape, kept on the given middle words (read only by `in`, so a
-    dict or set).  Each term (v, m, c) of f is pushed forward onto the words
-    that have v as a face; with e the suspended degree of v[:i] and v[i] = y:
+    the same shape, kept on the words of the CofaceTable coface.  Each term
+    (v, m, c) of f is pushed forward onto the words that have v as a face;
+    with e the suspended degree of v[:i] and v[i] = y:
       d_M(m) lands on v, with sign +1;
       y in d(x) lands on v[:i] + (x,) + v[i+1:], with (-1)^(e + fdeg);
       y in a.b lands on v[:i] + (a, b) + v[i+1:], with (-1)^(e + |a| + fdeg);
       a.m lands on (a,) + v, with (-1)^((|a| + 1) fdeg + 1);
       m.a lands on v + (a,), with (-1)^(sdeg(v) + fdeg).
-    Words with a unit letter carry no term, and A.letter_preimages leaves
-    out the unit targets of d and of the products"""
-    F, pm, gens = A.field, (A.field.one, A.field.minus_one), A.nonunit()
-    acc = {}
-
-    def add(w, vec, s, c):
-        vec_iadd(F, acc.setdefault(w, {}), vec, F.mul(pm[s % 2], c))
-
+    coface[v] holds the word side, so only fdeg and m are the term's own"""
+    F, acc = A.field, {}
     for (v, m), c in f.items():
-        if A.unit in v:
-            continue
-        if v in words:
-            add(v, M.d(m), 0, c)
-        eps = 0
-        for i, y in enumerate(v):
-            for xs, cy in A.letter_preimages.get(y, ()):
-                w = v[:i] + xs + v[i + 1:]
-                if w in words:
-                    s = eps + fdeg + (A.deg(xs[0]) if len(xs) == 2 else 0)
-                    add(w, {m: cy}, s, c)
-            eps += sdeg(A, y)
-        for a in gens:
-            if (a,) + v in words:
-                add((a,) + v, M.act_left(a, m), (A.deg(a) + 1) * fdeg + 1, c)
-            if v + (a,) in words:
-                add(v + (a,), M.act_right(m, a), eps + fdeg, c)
+        carried, inner, outer, eps = coface[v]
+        cs = (c, F.neg(c))
+        if carried:
+            vec_iadd(F, acc.setdefault(v, {}), M.d(m), c)
+        for w, cy, e in inner:
+            vec_iadd(F, acc.setdefault(w, {}), {m: cy}, cs[(e + fdeg) % 2])
+        for w, a, left in outer:
+            vec = M.act_left(a, m) if left else M.act_right(m, a)
+            out = acc.setdefault(w, {})
+            if vec:
+                s = (A.deg(a) + 1) * fdeg + 1 if left else eps + fdeg
+                vec_iadd(F, out, vec, cs[s % 2])
     return {(w, m): c for w, vec in acc.items() for m, c in vec.items()}
 
 
@@ -333,7 +323,7 @@ class Cochains(SlotComplex):
         # {w: (suspended degree, label)}; D* reads its keys as the words
         self.mids = middle_words(A, L)
         self.words = list(self.mids)
-        self.gens = A.nonunit()
+        self.coface = CofaceTable(A, self.mids)
         # {q: {w: [m, ...]}}: the pairs of degree q, ordered by w, then m
         self.pairs = {}
         for w, (d, _) in self.mids.items():
@@ -347,7 +337,7 @@ class Cochains(SlotComplex):
 
     def window_exact(self, lo):
         "truncation is lossless in every degree from lo up"
-        nz = [self.A.deg(x) for x in self.gens]
+        nz = [self.A.deg(x) for x in self.A.nonunit()]
         if not nz:
             return True
         if min(nz) < 2:
@@ -362,19 +352,16 @@ class Cochains(SlotComplex):
     def slot_basis(self, r, q):
         "the admissible pairs (w, m) of degree q at r, ordered by w, then m"
         P, M = self.A.poset, self.M
-        out = []
-        for w, ms in self.pairs.get(q, {}).items():
-            lab = P.oplus(self.mids[w][1], r)
-            if lab is not None:
-                out += [(w, m) for m in ms if M.present(m, lab)]
-        return out
+        return [(w, m) for w, ms in self.pairs.get(q, {}).items()
+                if (lab := P.oplus(self.mids[w][1], r)) is not None
+                for m in ms if m in M.present_at(lab)]
 
     def D_key(self, p):
         """D* of the basis cochain p = (w, m): its one term pushed forward
         onto the cofaces of w that this complex carries, every pair of them
         one degree up; a slot matrix keeps the pairs admissible at its r"""
         return apply_cochain_D(self.A, self.M, {p: self.A.field.one},
-                               self.degree(p), self.mids)
+                               self.degree(p), self.coface)
 
     def _coordinates(self, r, q, vec):
         """as SlotComplex's, but a term on a word whose label plus r is past

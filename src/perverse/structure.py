@@ -550,7 +550,7 @@ class _Suite:
     def differential(self, fs):
         (f, qf), _ = fs
         return not signed_sum(self.F, [
-            (0, apply_cochain_D(self.A, self.M, f, qf, self.cx.mids)),
+            (0, apply_cochain_D(self.A, self.M, f, qf, self.cx.coface)),
             (1, self.co(cochain_D_op(cochain_op(self.A, f, qf))))])
 
     def cup_is_brace(self, fs):
@@ -568,14 +568,14 @@ class _Suite:
             ((qf - 1) * (qg - 1), self.co(bracket_op(gop, fop)))])
 
     def defect(self, fs):
-        A, M, words = self.A, self.M, self.cx.mids
+        A, M, coface = self.A, self.M, self.cx.coface
         (f, qf), (g, qg) = fs
         fop, gop = self.ops(fs)
         fg = self.co(circle(fop, gop))
-        df = apply_cochain_D(A, M, f, qf, words)
-        dg = apply_cochain_D(A, M, g, qg, words)
+        df = apply_cochain_D(A, M, f, qf, coface)
+        dg = apply_cochain_D(A, M, g, qg, coface)
         return not signed_sum(self.F, [
-            (0, apply_cochain_D(A, M, fg, qf + qg - 1, words)),
+            (0, apply_cochain_D(A, M, fg, qf + qg - 1, coface)),
             (1, self.co(circle(cochain_op(A, df, qf + 1), gop))),
             (qf, self.co(circle(fop, cochain_op(A, dg, qg + 1)))),
             (qg, self.co(cup_op(gop, fop))),

@@ -11,7 +11,7 @@ from perverse.builders import (trivial_algebra, sphere_algebra,
                                quasi_iso_fixture)
 from perverse.complexes import cofibrancy_certificate
 from perverse.linalg import linear
-from perverse.hochschild import restrict_bimodule
+from perverse.hochschild import restrict_bimodule, Cochains
 
 P3 = Poset(3)
 P4 = Poset(4)
@@ -293,12 +293,45 @@ def test_dual_bimodule_presence_is_downward():
     # x sits at the top, so x* only survives at the zero perversity; 1* is
     # present everywhere since dual(0) is the top
     for p in P4.elements:
-        assert D.present(xs, p) == (p == P4.zero)
-        assert D.present(dual_name("1"), p)
+        assert (xs in D.present_at(p)) == (p == P4.zero)
+        assert dual_name("1") in D.present_at(p)
     A2 = sphere_algebra(QQ, P4, 2, label=(0, 0, 0, 1, 1))
     D2 = dual_bimodule(A2)
     for p in P4.elements:
-        assert D2.present(dual_name("x"), p) == leq(p, P4.dual((0, 0, 0, 1, 1)))
+        assert (dual_name("x") in D2.present_at(p)) == leq(
+            p, P4.dual((0, 0, 0, 1, 1)))
+
+
+def _present_by_label(M, m, p):
+    "the per-name presence rule: up-type below p, down-type above it"
+    if M.kind[m] == "up":
+        return leq(M.plabel[m], p)
+    return leq(p, M.plabel[m])
+
+
+def test_presence_sets_follow_the_label_rule():
+    # one set per perversity, equal to the label rule per name, and the slot
+    # bases that read it keep the order of the per-name filter
+    A, B, fmap = quasi_iso_fixture(QQ, P3)
+    fam = [(A, restrict_bimodule(A, B, fmap))]
+    for X in (random_pdga(QQ, P4, 3), random_pdga(Field(5), P4, 10),
+              sphere_algebra(QQ, P4, 2, label=(0, 0, 0, 1, 1))):
+        fam += [(X, algebra_as_bimodule(X)), (X, dual_bimodule(X))]
+    for A, M in fam:
+        P, ms, cx = A.poset, ModuleSlots(M), Cochains(A, M, 3)
+        for p in P.elements:
+            assert M.present_at(p) == {
+                m for m in M.names if _present_by_label(M, m, p)}
+        for r in P.elements:
+            for k in ms.degrees():
+                assert ms.slot_basis(r, k) == [
+                    m for m in M.names
+                    if M.degree[m] == k and _present_by_label(M, m, r)]
+            for q, by_word in cx.pairs.items():
+                assert cx.slot_basis(r, q) == [
+                    (w, m) for w, names in by_word.items()
+                    if (lab := P.oplus(cx.mids[w][1], r)) is not None
+                    for m in names if _present_by_label(M, m, lab)]
 
 
 def test_module_hom_of_algebra_into_module():

@@ -216,6 +216,39 @@ def test_commutative_flag_is_verified():
         cli.build_pdga(cli.parse_description(data))
 
 
+def _with_x(**fields):
+    "SPHERE2 with the given fields on its generator x"
+    return dict(SPHERE2, generators=[{"name": "1", "degree": 0},
+                                     dict({"name": "x", "degree": 2},
+                                          **fields)])
+
+
+@pytest.mark.parametrize("data,message", [
+    # a JSON boolean is an int in Python, but never an integer input
+    (_with_x(degree=True), "generators[1]: degree must be an integer"),
+    (_with_x(perversity=[0, True, 1]),
+     "generators[x].perversity: expected an integer array"),
+    (dict(SPHERE2, n=True), "n: expected an integer at least 2"),
+    (dict(SPHERE2, generators=SPHERE2["generators"] + [
+        {"name": "y", "degree": 3}], differential={"x": {"y": True}}),
+     "differential[x][y]: bad coefficient True"),
+    # a string is not a flag: "false" used to assert commutativity
+    (dict(SPHERE2, commutative="false"),
+     "commutative: expected true or false, got 'false'"),
+    (dict(SPHERE2, commutative=0), "commutative: expected true or false")])
+def test_booleans_and_integers_are_not_confused(tmp_path, capsys, data,
+                                                message):
+    code, out = run(["homology", write(tmp_path, data)])
+    assert code == 2 and not out
+    assert message in capsys.readouterr().err
+
+
+def test_commutative_false_is_read_as_false():
+    data = dict(SPHERE2, commutative=False)
+    assert cli.parse_description(data).commutative is False
+    cli.build_pdga(cli.parse_description(data))
+
+
 def _half_over_f5(value):
     data = dict(SPHERE2, field="Fp:5")
     data["generators"] = SPHERE2["generators"] + [{"name": "y", "degree": 3}]

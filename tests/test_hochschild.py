@@ -7,7 +7,8 @@ from perverse.fields import QQ, Field
 from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, Echelon, signed_sum, vec_iadd,
                              kernel_basis, linear)
-from perverse.algebra import PDGA, algebra_as_bimodule, dual_bimodule
+from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
+                              CofaceTable)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
@@ -479,8 +480,83 @@ def test_pushed_cochain_D_equals_the_pull_formula(name):
         if rng.random() < 0.2:
             f[((A.unit,), M.names[0])] = F.one
         for words in (cx.words, rng.sample(cx.words, len(cx.words) // 3)):
-            assert apply_cochain_D(A, M, f, q, set(words)) == \
-                _pull_cochain_D(A, M, f, q, words), (f, q)
+            assert apply_cochain_D(A, M, f, q, CofaceTable(A, set(words))) \
+                == _pull_cochain_D(A, M, f, q, words), (f, q)
+
+
+def _pushed_cochain_D(A, M, f, fdeg, words):
+    """reference for apply_cochain_D: the push-forward loop that builds the
+    word side of D* afresh for every term of f, on a set of words"""
+    F, pm, gens = A.field, (A.field.one, A.field.minus_one), A.nonunit()
+    acc = {}
+
+    def add(w, vec, s, c):
+        vec_iadd(F, acc.setdefault(w, {}), vec, F.mul(pm[s % 2], c))
+
+    for (v, m), c in f.items():
+        if A.unit in v:
+            continue
+        if v in words:
+            add(v, M.d(m), 0, c)
+        eps = 0
+        for i, y in enumerate(v):
+            for xs, cy in A.letter_preimages.get(y, ()):
+                w = v[:i] + xs + v[i + 1:]
+                if w in words:
+                    s = eps + fdeg + (A.deg(xs[0]) if len(xs) == 2 else 0)
+                    add(w, {m: cy}, s, c)
+            eps += sdeg(A, y)
+        for a in gens:
+            if (a,) + v in words:
+                add((a,) + v, M.act_left(a, m), (A.deg(a) + 1) * fdeg + 1, c)
+            if v + (a,) in words:
+                add(v + (a,), M.act_right(m, a), eps + fdeg, c)
+    return {(w, m): c for w, vec in acc.items() for m, c in vec.items()}
+
+
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("p", [0, 5])
+def test_coface_table_keeps_the_pushforward_and_its_order(p, L):
+    # the same terms in the same insertion order as the per-term loop, on
+    # every basis pair and on random cochains of several terms, with the
+    # coefficients of the chain family and their duals
+    F = QQ if p == 0 else Field(p)
+    rng = random.Random(p + L)
+    for A, M0 in _chain_family(F):
+        for M in (M0, dual_bimodule(A)):
+            cx = Cochains(A, M, L)
+            for q, by_word in sorted(cx.pairs.items()):
+                pairs = [(w, m) for w, ms in by_word.items() for m in ms]
+                for pair in pairs:
+                    assert list(cx.D_key(pair).items()) == list(
+                        _pushed_cochain_D(A, M, {pair: F.one}, q,
+                                          cx.mids).items()), pair
+                for _ in range(3):
+                    f = {pr: F.of(rng.choice([1, 2, -1, 3])) for pr in
+                         rng.sample(pairs, min(len(pairs), rng.randint(2, 6)))}
+                    assert list(apply_cochain_D(
+                        A, M, f, q, cx.coface).items()) == list(
+                        _pushed_cochain_D(A, M, f, q, cx.mids).items()), f
+
+
+def test_each_coface_entry_is_built_once_per_complex(monkeypatch):
+    # the word side of D* at v is built on the first term on v and read by
+    # every later one, whatever its module element
+    built = []
+    missing = CofaceTable.__missing__
+
+    def counted(self, v):
+        built.append((id(self), v))
+        return missing(self, v)
+
+    monkeypatch.setattr(CofaceTable, "__missing__", counted)
+    A = random_pdga(Field(32003), Poset(4), 103)
+    M = algebra_as_bimodule(A)
+    L = 4
+    table = hh_table(A, M, L, *hh_degree_support(A, L))
+    assert any(table.values())
+    assert built and len(built) == len(set(built))
+    assert len({id_ for id_, _ in built}) == 1
 
 
 def test_each_image_is_computed_once(monkeypatch):

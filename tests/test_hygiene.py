@@ -190,6 +190,13 @@ def test_the_label_rule_lives_in_the_poset():
     assert not found, found
 
 
+def test_presence_is_read_as_one_set_per_perversity():
+    # Bimodule.present_at(p) is the set of names present at p, built once
+    # per p; the per-name test it replaced does not come back
+    found = named({"present"})
+    assert not found, found
+
+
 def test_vectors_combine_through_one_signed_sum():
     # a combination of vectors is linalg.signed_sum over (parity, vector)
     # pairs, or vec_iadd in place; the pairwise helpers do not come back

@@ -372,7 +372,7 @@ def test_transported_cocycles_stay_cocycles():
                     if not img:
                         continue
                     assert not apply_cochain_D(T, MT, img, qf + qg,
-                                               cxT.words)
+                                               cxT.coface)
                     checked += 1
     assert checked > 10
 

@@ -7,7 +7,7 @@ from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, signed_sum, vec_scale,
                              solve, linear)
 from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
-                              dual_name)
+                              dual_name, CofaceTable)
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
@@ -85,7 +85,8 @@ def test_cochain_differential_is_hochschild_bracket(seed):
     for A in _nondegenerate_family():
         words = middle_words(A, 4)
         f, q = _rand_hom_cochain(A, words, rng)
-        lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, q, words)
+        lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, q,
+                              CofaceTable(A, words))
         rhs = to_cochain(cochain_D_op(cochain_op(A, f, q)), words)
         assert lhs == rhs
 
@@ -244,7 +245,8 @@ def test_braces_never_evaluate_a_cochain_off_its_lengths():
     assert to_cochain(brace(mult_op(A), [fop, gop]), words)
     assert seen == {"f": {1, 3}, "g": {0, 2}}
     seen.clear()
-    lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, 1, words)
+    lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, 1,
+                          CofaceTable(A, words))
     assert to_cochain(cochain_D_op(fop), words) == lhs != {}
     assert seen == {"f": {1, 3}}
     # the action pairing f.[c] with c on the empty word splits each word
@@ -413,6 +415,7 @@ def test_pairing_transport_of_the_differential(seed):
     D = dual_bimodule(A)
     L = 4
     words = middle_words(A, L)
+    coface = CofaceTable(A, words)
     ch = Chains(A, algebra_as_bimodule(A), L)
     checked = 0
     for w in words:
@@ -421,7 +424,7 @@ def test_pairing_transport_of_the_differential(seed):
         for m in D.names:
             q = D.degree[m] - word_sdeg(A, w)
             e = {(w, m): QQ.one}
-            lhs = phi_pairing(A, apply_cochain_D(A, D, e, q, words))
+            lhs = phi_pairing(A, apply_cochain_D(A, D, e, q, coface))
             phi = phi_pairing(A, e)
             comp = {}
             for w2 in words:
@@ -486,6 +489,7 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
     D = dual_bimodule(A)
     L = 5
     words = middle_words(A, L)
+    coface = CofaceTable(A, words)
     bydeg = {}
     for w in words:
         if len(w) > L - 2:
@@ -501,10 +505,10 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
                  if rng.random() < 0.6}
             if not f:
                 continue
-            df = apply_cochain_D(A, D, f, q, words)
+            df = apply_cochain_D(A, D, f, q, coface)
             bdf = to_cochain(bdual_op(cochain_op(A, df, q + 1)), words)
             bf = bdual_op(cochain_op(A, f, q))
-            dbf = apply_cochain_D(A, D, to_cochain(bf, words), q - 1, words)
+            dbf = apply_cochain_D(A, D, to_cochain(bf, words), q - 1, coface)
             total = signed_sum(QQ, [(0, bdf), (0, dbf)])
             assert all(QQ.iszero(c) for c in total.values())
             if bdf or dbf:
