@@ -11,11 +11,10 @@ Vectors are dicts {basis name: scalar}.
 
 import itertools
 
-from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale,
-                     signed_sum, kernel_basis, Quotient, Subspace, linear,
+from .linalg import (SlotComplex, vec_iadd, vec_scale, signed_sum, linear,
                      bilinear)
 from .poset import leq
-from .complexes import PerverseComplex, induce
+from .complexes import induce, kernel, quotient
 
 
 class PDGA:
@@ -171,16 +170,14 @@ class PDGA:
                 if not leq(self.label[y], self.label[x]):
                     raise ValueError("d(%r) has a term %r above its label"
                                      % (x, y))
-        Z = PerverseComplex(F, P)
         slots = {}
         for p in P.elements:
             for k in self.degrees():
                 keys = [x for x in self.names if self.degree[x] == k
                         and leq(self.label[x], p)]
                 if keys:
-                    slots[(p, k)] = (keys, Quotient(F, len(keys), []))
-                    Z.basis[(p, k)] = keys
-        return induce(Z, slots, lambda k, x: self.d(x))
+                    slots[(p, k)] = keys, quotient(F, keys, []), keys
+        return induce(F, P, slots, lambda k, x: self.d(x))
 
     def homology_dims(self):
         "{(p, k): dim} of the nonzero homology of the underlying diagram"
@@ -517,7 +514,6 @@ def module_hom(M, P_, degwindow):
     if P_.algebra is not A:
         raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
-    out = PerverseComplex(F, P)
     lo, hi = degwindow
     slots = {}
     for r in P.elements:
@@ -535,13 +531,8 @@ def module_hom(M, P_, degwindow):
                             continue
                     pairs.append((m, n))
             # equivariance as linear constraints on coefficients c_{m,n},
-            # one row per (a, m, n) and one column per pair
-            rows = {}
-            cols = [{} for _ in pairs]
-
-            def addrow(key, idx, coef):
-                vec_iadd(F, cols[idx], {rows.setdefault(key, len(rows)): coef})
-
+            # one row per (a, m, n)
+            eqs = []
             for a in A.nonunit():
                 for m in M.names:
                     # the equation f(a.m) = +-a.f(m) lives at perversity
@@ -551,17 +542,14 @@ def module_hom(M, P_, degwindow):
                         continue
                     s = F.sign(k * A.deg(a))
                     am = M.act_left(a, m)
-                    for i, (m2, n2) in enumerate(pairs):
+                    for (m2, n2) in pairs:
                         if m2 in am:
-                            addrow((a, m, n2), i, am[m2])
+                            eqs.append(((a, m, n2), (m2, n2), am[m2]))
                         if m2 == m:
-                            for n3, c2 in P_.act_left(a, n2).items():
-                                addrow((a, m, n3), i, F.neg(F.mul(s, c2)))
-            sub = Subspace(F, kernel_basis(
-                SparseMatrix.from_columns(F, len(rows), cols)))
-            slots[(r, k)] = (pairs, sub)
-            if sub.dim:
-                out.basis[(r, k)] = ["f%d" % i for i in range(sub.dim)]
+                            eqs += [((a, m, n3), (m2, n2), F.neg(F.mul(s, c)))
+                                    for n3, c in P_.act_left(a, n2).items()]
+            sub = kernel(F, pairs, eqs)
+            slots[(r, k)] = pairs, sub, ["f%d" % i for i in range(sub.dim)]
     # d_M transposed: m -> {m2: the coefficient of m in d m2}
     dM_in = {}
     for m2 in M.names:
@@ -577,7 +565,7 @@ def module_hom(M, P_, degwindow):
             vec_iadd(F, w, {(m2, n): F.mul(nsk, x)})
         return w
 
-    return induce(out, slots, d)
+    return induce(F, P, slots, d)
 
 
 def module_tensor(M, P_):
@@ -587,7 +575,6 @@ def module_tensor(M, P_):
     if P_.algebra is not A:
         raise ValueError("modules over different algebras")
     F, P = A.field, A.poset
-    out = PerverseComplex(F, P)
 
     def under(r, *labels):
         "the labels sum to a perversity at most r"
@@ -602,7 +589,7 @@ def module_tensor(M, P_):
                      if M.degree[m] + P_.degree[p] == k
                      and M.kind[m] == "up" and P_.kind[p] == "up"
                      and under(r, M.plabel[m], P_.plabel[p])]
-            index = {pr: i for i, pr in enumerate(pairs)}
+            inslot = set(pairs)
             rels = []
             for a in A.nonunit():
                 for m in M.names:
@@ -613,19 +600,15 @@ def module_tensor(M, P_):
                             continue
                         if not under(r, M.plabel[m], A.lam(a), P_.plabel[p]):
                             continue
-                        col = {}
-                        for m2, c in M.act_right(m, a).items():
-                            if (m2, p) in index:
-                                vec_iadd(F, col, {index[(m2, p)]: c})
-                        for p2, c in P_.act_left(a, p).items():
-                            if (m, p2) in index:
-                                vec_iadd(F, col, {index[(m, p2)]: F.neg(c)})
-                        if col:
-                            rels.append(col)
-            quot = Quotient(F, len(pairs), rels)
-            slots[(r, k)] = (pairs, quot)
-            if quot.dim:
-                out.basis[(r, k)] = [pairs[i] for i in quot.free]
+                        rel = signed_sum(F, [
+                            (0, {(m2, p): c for m2, c
+                                 in M.act_right(m, a).items()}),
+                            (1, {(m, p2): c for p2, c
+                                 in P_.act_left(a, p).items()})])
+                        rels.append({pr: c for pr, c in rel.items()
+                                     if pr in inslot})
+            quot = quotient(F, pairs, rels)
+            slots[(r, k)] = pairs, quot, [pairs[i] for i in quot.free]
 
     def d(k, key):
         "d (m @ p) = dm @ p + (-1)^|m| m @ dp"
@@ -636,4 +619,4 @@ def module_tensor(M, P_):
             vec_iadd(F, w, {(m, p2): F.mul(sgn, c)})
         return w
 
-    return induce(out, slots, d)
+    return induce(F, P, slots, d)

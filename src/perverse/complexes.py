@@ -8,10 +8,11 @@ covering-relation difference maps; internal hom as the matching limit
 (kernel); the linear dual is hom into the monoidal unit; a p-filtration as
 the subcomplex of a labeled complex below each perversity.
 
-Each of these constructions, and module hom and tensor over a pDGA, presents
-a slot as a Quotient or Subspace of the span of some ambient keys and gives
-the differential of one key; `induce` turns that into the slot's d and the
-structure maps, which send each key to itself.
+Each of these constructions, and module hom and tensor over a pDGA and the
+carrier of a pDGA, states a slot over some ambient keys, as a `quotient` of
+their span by relations or the `kernel` of equations on it, and gives the
+differential of one key; `induce` builds the complex from that: the basis,
+the slot's d and the structure maps, which send each key to itself.
 """
 
 import functools
@@ -19,7 +20,7 @@ import itertools
 
 from .linalg import (SparseMatrix, kernel_basis, span_equal,
                      span_intersection, Quotient, Subspace,
-                     homology_dims, pivot_rows, linear)
+                     homology_dims, pivot_rows, linear, vec_iadd)
 from .poset import leq
 
 
@@ -156,40 +157,56 @@ class PerverseComplex:
 
 def free_perverse(field, poset, p, cx):
     """F_p(N): the complex N placed at every perversity >= p, zero below,
-    with identity structure maps on the up-set of p."""
-    Z = PerverseComplex(field, poset)
-    for q in poset.up_set(p):
-        for k in cx.degrees():
-            Z.basis[(q, k)] = list(cx.basis[k])
-            if k in cx.d:
-                Z.d[(q, k)] = cx.d[k].copy()
-    for (a, b) in poset.covers():
-        if leq(p, a):
-            for k in cx.degrees():
-                Z.phi[(a, b, k)] = SparseMatrix.identity(field, cx.dim(k))
-    return Z
+    with identity structure maps on the up-set of p.  The keys of a slot
+    are the indices of N's basis"""
+    free = {k: (range(cx.dim(k)), quotient(field, range(cx.dim(k)), []),
+                cx.basis[k]) for k in cx.degrees()}
+    return induce(field, poset,
+                  {(q, k): free[k] for q in poset.up_set(p) for k in free},
+                  lambda k, i: cx.diff(k).columns()[i])
 
 
 def unit_perverse(field, poset):
     return free_perverse(field, poset, poset.zero, point_complex(field))
 
 
-def induce(out, slots, d):
-    """fill out.d and out.phi from an ambient presentation of each slot.
+def quotient(field, keys, relations):
+    """the Quotient of the span of keys by the relations, vectors {key: c};
+    a term on a key outside keys raises KeyError"""
+    index = {key: i for i, key in enumerate(keys)}
+    return Quotient(field, len(keys), [
+        {index[key]: c for key, c in rel.items()} for rel in relations])
 
-    slots maps (r, k) to (keys, space): the ambient basis keys of the slot
-    and the Quotient or Subspace of their span that the slot is.  d(k, key)
-    is the ambient differential of one key of degree k, a vector over keys
-    of degree k + 1, and a structure map sends each key to itself.  Both are
-    carried over keys and then projected onto the target slot; a term on a
-    key that the target slot lacks is dropped."""
-    F, P = out.field, out.poset
+
+def kernel(field, keys, equations):
+    """the Subspace of the span of keys on which the equations vanish,
+    given as (row, key, c) terms summed per row and key.  A kernel vector
+    is canonical, so the row order does not matter"""
+    index = {key: i for i, key in enumerate(keys)}
+    rows, cols = {}, [{} for _ in keys]
+    for row, key, c in equations:
+        vec_iadd(field, cols[index[key]], {rows.setdefault(row, len(rows)): c})
+    return Subspace(field, kernel_basis(
+        SparseMatrix.from_columns(field, len(rows), cols)))
+
+
+def induce(field, poset, slots, d):
+    """the PerverseComplex presented over ambient keys, slot by slot.
+
+    slots maps (r, k) to (keys, space, names): the ambient basis keys of
+    the slot, the Quotient or Subspace of their span that the slot is, and
+    the names of its basis; a slot without names has no basis entry.
+    d(k, key) is the ambient differential of one key of degree k, a vector
+    over keys of degree k + 1, and a structure map sends each key to
+    itself.  Both are carried over keys and then projected onto the target
+    slot; a term on a key that the target slot lacks is dropped."""
+    out = PerverseComplex(field, poset)
     index = {rk: {key: i for i, key in enumerate(keys)}
-             for rk, (keys, _) in slots.items()}
+             for rk, (keys, _, _) in slots.items()}
     dkey = functools.cache(d)
 
     def induced(src, dst, image):
-        keys, space = slots[src]
+        keys, space, _ = slots[src]
         tindex, tspace = index[dst], slots[dst][1]
 
         def cut(i):
@@ -197,18 +214,20 @@ def induce(out, slots, d):
             return {tindex[key]: x for key, x in image(keys[i]).items()
                     if key in tindex}
 
-        return SparseMatrix.from_columns(F, tspace.dim, [
-            tspace.project(linear(F, cut, space.include(col)))
+        return SparseMatrix.from_columns(field, tspace.dim, [
+            tspace.project(linear(field, cut, space.include(col)))
             for col in range(space.dim)])
 
-    for (r, k) in slots:
+    for (r, k), (_, _, names) in slots.items():
+        if names:
+            out.basis[(r, k)] = list(names)
         if (r, k + 1) in slots:
             out.d[(r, k)] = induced((r, k), (r, k + 1),
                                     functools.partial(dkey, k))
-        for (a, r2) in P.covers():
+        for (a, r2) in poset.covers():
             if a == r and (r2, k) in slots:
                 out.phi[(r, r2, k)] = induced((r, k), (r2, k),
-                                              lambda key: {key: F.one})
+                                              lambda key: {key: field.one})
     return out
 
 
@@ -231,10 +250,9 @@ def box_tensor(Z, Y):
     if Z.field != Y.field or Z.poset is not Y.poset:
         raise ValueError("complexes over different fields or posets")
     field, P = Z.field, Z.poset
-    out = PerverseComplex(field, P)
     degs = sorted({i + j for i in Z.degrees() for j in Y.degrees()})
     if not degs:
-        return out
+        return PerverseComplex(field, P)
     kmin, kmax = min(degs), max(degs)
     # nonzero entries of each matrix, read once per matrix
     zcov = functools.cache(lambda p, q, i: Z.cover_map(p, q, i).columns())
@@ -252,27 +270,22 @@ def box_tensor(Z, Y):
                     if a == q and (p, b) in objset] for (p, q) in objs}
         for k in range(kmin, kmax + 2):
             keys = _box_keys(Z, Y, objs, k)
-            index = {key: gi for gi, key in enumerate(keys)}
-            rel_cols = []
-            for gi, ((p, q), (i, zi, yi)) in enumerate(keys):
+            rels = []
+            for key in keys:
+                (p, q), (i, zi, yi) = key
                 for dst, side in edges[(p, q)]:
-                    col = {gi: field.neg(field.one)}
                     if side == 0:
-                        for zi2, c in zcov(p, dst[0], i)[zi].items():
-                            col[index[(dst, (i, zi2, yi))]] = c
+                        rel = {(dst, (i, zi2, yi)): c
+                               for zi2, c in zcov(p, dst[0], i)[zi].items()}
                     else:
-                        for yi2, c in ycov(q, dst[1], k - i)[yi].items():
-                            col[index[(dst, (i, zi, yi2))]] = c
-                    rel_cols.append(col)
-            quot = Quotient(field, len(keys), rel_cols)
-            slots[(r, k)] = (keys, quot)
-            labels = []
-            for gi in quot.free:
-                (p, q), (i, zi, yi) = keys[gi]
-                labels.append((Z.basis[(p, i)][zi], Y.basis[(q, k - i)][yi],
-                               p, q, i))
-            if labels:
-                out.basis[(r, k)] = labels
+                        rel = {(dst, (i, zi, yi2)): c for yi2, c
+                               in ycov(q, dst[1], k - i)[yi].items()}
+                    rel[key] = field.neg(field.one)
+                    rels.append(rel)
+            quot = quotient(field, keys, rels)
+            slots[(r, k)] = keys, quot, [
+                (Z.basis[(p, i)][zi], Y.basis[(q, k - i)][yi], p, q, i)
+                for (p, q), (i, zi, yi) in (keys[g] for g in quot.free)]
 
     def d(k, key):
         "the tensor differential, objectwise"
@@ -284,7 +297,7 @@ def box_tensor(Z, Y):
             w[(obj, (i, zi, yi2))] = field.mul(sgn, x)
         return w
 
-    return induce(out, slots, d)
+    return induce(field, P, slots, d)
 
 
 def box_tensor_fulldiagram(Z, Y):
@@ -304,21 +317,20 @@ def box_tensor_fulldiagram(Z, Y):
         objs = _box_objects(P, r)
         for k in range(kmin, kmax + 1):
             keys = _box_keys(Z, Y, objs, k)
-            index = {key: gi for gi, key in enumerate(keys)}
-            rel_cols = []
-            for gi, ((p, q), (i, zi, yi)) in enumerate(keys):
+            rels = []
+            for key in keys:
+                (p, q), (i, zi, yi) = key
                 for dst in objs:
                     if dst == (p, q) or not (leq(p, dst[0])
                                              and leq(q, dst[1])):
                         continue
                     fy = ymap(q, dst[1], k - i)[yi]
-                    col = {gi: field.neg(field.one)}
-                    for zi2, cz in zmap(p, dst[0], i)[zi].items():
-                        for yi2, cy in fy.items():
-                            col[index[(dst, (i, zi2, yi2))]] = \
-                                field.mul(cz, cy)
-                    rel_cols.append(col)
-            quot = Quotient(field, len(keys), rel_cols)
+                    rel = {(dst, (i, zi2, yi2)): field.mul(cz, cy)
+                           for zi2, cz in zmap(p, dst[0], i)[zi].items()
+                           for yi2, cy in fy.items()}
+                    rel[key] = field.neg(field.one)
+                    rels.append(rel)
+            quot = quotient(field, keys, rels)
             if quot.dim:
                 out.basis[(r, k)] = ["c%d" % i for i in range(quot.dim)]
     return out
@@ -331,10 +343,9 @@ def internal_hom(M, N):
     if M.field != N.field or M.poset is not N.poset:
         raise ValueError("complexes over different fields or posets")
     field, P = M.field, M.poset
-    out = PerverseComplex(field, P)
     mdegs, ndegs = M.degrees(), N.degrees()
     if not mdegs or not ndegs:
-        return out
+        return PerverseComplex(field, P)
     degs = sorted({j - i for i in mdegs for j in ndegs})
     kmin, kmax = min(degs), max(degs)
 
@@ -345,48 +356,38 @@ def internal_hom(M, N):
 
     # nonzero entries of each matrix, read once per matrix: a row of the
     # maps out of M, a column of those of N
-    mcov = functools.cache(lambda p, q, i: M.cover_map(p, q, i).rows())
-    ncov = functools.cache(lambda p, q, j: N.cover_map(p, q, j).columns())
+    mmap = functools.cache(lambda p, q, i: M.structure_map(p, q, i).rows())
+    nmap = functools.cache(lambda p, q, j: N.structure_map(p, q, j).columns())
     mdiff = functools.cache(lambda p, i: M.diff(p, i).rows())
     ndiff = functools.cache(lambda q, j: N.diff(q, j).columns())
+    covers = P.covers()
     slots = {}
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
                 if all(c <= b - a for a, b, c in zip(p, q, r))]
         objset = set(objs)
-        edges = []
-        for (p, q) in objs:
-            for (a, b) in P.covers():
-                # (p,q) -> (p',q) with p' covered by p (p' <= p)
-                if b == p and (a, q) in objset:
-                    edges.append(((p, q), (a, q), 0))
-                if a == q and (p, b) in objset:
-                    edges.append(((p, q), (p, b), 1))
+        # (p,q) -> (p',q) with p' covered by p, and (p,q) -> (p,q') with q'
+        # covering q
+        edges = [((p, q), (a, q)) for (p, q) in objs for (a, b) in covers
+                 if b == p and (a, q) in objset] \
+            + [((p, q), (p, b)) for (p, q) in objs for (a, b) in covers
+               if a == q and (p, b) in objset]
         for k in range(kmin, kmax + 2):
             local = {obj: hom_basis(*obj, k) for obj in objs}
+            # a difference map has a row (edge, t) per key t of its target:
+            # the image of f along the edge minus f at the target
+            eqs = []
+            for e, ((p, q), (p2, q2)) in enumerate(edges):
+                eqs += [((e, (i, mi2, ni2)), ((p, q), (i, mi, ni)),
+                         field.mul(cm, cn))
+                        for (i, mi, ni) in local[(p, q)]
+                        for mi2, cm in mmap(p2, p, i)[mi].items()
+                        for ni2, cn in nmap(q, q2, i + k)[ni].items()]
+                eqs += [((e, t), ((p2, q2), t), field.neg(field.one))
+                        for t in local[(p2, q2)]]
             keys = [(obj, t) for obj in objs for t in local[obj]]
-            index = {key: gi for gi, key in enumerate(keys)}
-            # difference map: a row (ei, t) per edge ei and key t of its target
-            rows = {}
-            for ei, (_, dst, _) in enumerate(edges):
-                for t in local[dst]:
-                    rows[(ei, t)] = len(rows)
-            A = SparseMatrix(field, len(rows), len(keys))
-            for ei, ((p, q), dst, side) in enumerate(edges):
-                for (i, mi, ni) in local[(p, q)]:
-                    gi = index[((p, q), (i, mi, ni))]
-                    if side == 0:
-                        for mi2, c in mcov(dst[0], p, i)[mi].items():
-                            A[rows[(ei, (i, mi2, ni))], gi] = c
-                    else:
-                        for ni2, c in ncov(q, dst[1], i + k)[ni].items():
-                            A[rows[(ei, (i, mi, ni2))], gi] = c
-                for t in local[dst]:
-                    A[rows[(ei, t)], index[(dst, t)]] = field.neg(field.one)
-            sub = Subspace(field, kernel_basis(A))
-            slots[(r, k)] = (keys, sub)
-            if sub.dim:
-                out.basis[(r, k)] = ["h%d" % i for i in range(sub.dim)]
+            sub = kernel(field, keys, eqs)
+            slots[(r, k)] = (keys, sub, ["h%d" % i for i in range(sub.dim)])
 
     def d(k, key):
         "the hom differential objectwise: d f = d_N f - (-1)^k f d_M"
@@ -398,7 +399,7 @@ def internal_hom(M, N):
             w[(obj, (i - 1, mi2, ni))] = field.mul(nsgn, x)
         return w
 
-    return induce(out, slots, d)
+    return induce(field, P, slots, d)
 
 
 def linear_dual(Z):
@@ -410,10 +411,9 @@ def p_filtration(field, poset, cx, labels_perv):
     """the perverse complex Filt_p = {c : labels(c) <= p and labels(dc) <= p}
     inside a plain labeled complex; labels_perv maps basis label -> perversity.
     The keys of a slot are the indices of the basis labels below p"""
-    Z = PerverseComplex(field, poset)
     degs = cx.degrees()
     if not degs:
-        return Z
+        return PerverseComplex(field, poset)
     kmin, kmax = min(degs), max(degs)
     dcols = functools.cache(lambda k: cx.diff(k).columns())
     slots = {}
@@ -423,15 +423,11 @@ def p_filtration(field, poset, cx, labels_perv):
         for k in range(kmin, kmax + 2):
             # kernel of d followed by the projection to the labels not <= p
             ok = set(below[k + 1])
-            A = SparseMatrix.from_columns(
-                field, cx.dim(k + 1),
-                [{i: c for i, c in dcols(k)[j].items() if i not in ok}
-                 for j in below[k]])
-            sub = Subspace(field, kernel_basis(A))
-            slots[(p, k)] = (below[k], sub)
-            if sub.dim:
-                Z.basis[(p, k)] = ["f%d" % i for i in range(sub.dim)]
-    return induce(Z, slots, lambda k, j: dcols(k)[j])
+            sub = kernel(field, below[k], [
+                (i, j, c) for j in below[k] for i, c in dcols(k)[j].items()
+                if i not in ok])
+            slots[(p, k)] = below[k], sub, ["f%d" % i for i in range(sub.dim)]
+    return induce(field, poset, slots, lambda k, j: dcols(k)[j])
 
 
 def cofibrancy_certificate(Z):

@@ -107,9 +107,6 @@ class SparseMatrix:
     def is_zero(self):
         return not any(self.cols)
 
-    def copy(self):
-        return _stored(self.field, self.nrows, [dict(c) for c in self.cols])
-
     @property
     def entries(self):
         """the nonzero entries {(row, col): scalar}, built on each read;

@@ -792,8 +792,8 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, ids=None, bv=None):
     leaves out still draws its samples, so the others see the same draws.
     The BV block runs when ids is None or names one of BV_IDS: on bv, a
     BVOperator already built for (A, L), when one is given; else when A is
-    commutative with a detected duality class; otherwise its record says
-    why it was skipped."""
+    commutative with a detected duality class and L is at least 2;
+    otherwise its record says why it was skipped."""
     s = _Suite(A, L, lo, hi, trials, seed, bv)
     report = []
 
@@ -810,17 +810,14 @@ def verify_calculus(A, L, lo, hi, trials=20, seed=0, ids=None, bv=None):
     run(_GERSTENHABER + _CALCULUS)
     if ids is not None and not set(ids) & set(BV_IDS):
         return report
-    skip = "unsupported: non-commutative duality lift"
-    if bv is None and A.is_commutative():
+    if bv is None:
         try:
             bv = BVOperator(s.cx)
-        except LookupError as e:
-            skip = str(e)
+        except (ValueError, LookupError) as e:
+            report.append({"identity": BV_IDS[0], "status": "skipped",
+                           "trials": 0, "witness": str(e)})
+            return report
     s.bv = bv
-    if bv is None:
-        report.append({"identity": BV_IDS[0], "status": "skipped",
-                       "trials": 0, "witness": skip})
-    else:
-        s.cxm = Cochains(A, s.M, L - 1)
-        run(_BV)
+    s.cxm = Cochains(A, s.M, L - 1)
+    run(_BV)
     return report

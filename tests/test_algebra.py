@@ -505,6 +505,44 @@ def test_module_hom_is_pinned_across_covers():
     }
 
 
+# d and phi of Hom_A(A, A) and A box_A A for the labeled pDGA whose carrier
+# is pinned above: both are the carrier again, under other names; recorded
+# before module_hom and module_tensor stated their slots over keys
+def random_pdga_module_maps():
+    z, a, b, t = P4.elements
+    one = {(0, 0): 1}
+    return {"d": {(a, 3): one, (b, 3): {(0, 1): 1}, (t, 3): {(0, 1): 1}},
+            "phi": {(z, a, 0): one, (z, a, 4): one,
+                    (a, b, 0): one, (a, b, 3): {(1, 0): 1}, (a, b, 4): one,
+                    (b, t, 0): one, (b, t, 3): {(0, 0): 1, (1, 1): 1},
+                    (b, t, 4): one}}
+
+
+def test_module_hom_of_a_labeled_random_pdga_is_pinned():
+    M = algebra_as_bimodule(random_pdga(QQ, P4, 5))
+    z, a, b, t = P4.elements
+    H = module_hom(M, M, (-4, 4))
+    H.validate()
+    assert pinned(H) == dict(random_pdga_module_maps(), basis={
+        (z, 0): ["f0"], (z, 4): ["f0"],
+        (a, 0): ["f0"], (a, 3): ["f0"], (a, 4): ["f0"],
+        (b, 0): ["f0"], (b, 3): ["f0", "f1"], (b, 4): ["f0"],
+        (t, 0): ["f0"], (t, 3): ["f0", "f1"], (t, 4): ["f0"]})
+
+
+def test_module_tensor_of_a_labeled_random_pdga_is_pinned():
+    M = algebra_as_bimodule(random_pdga(QQ, P4, 5))
+    z, a, b, t = P4.elements
+    T = module_tensor(M, M)
+    T.validate()
+    unit, v0, v1, v2 = [(x, "1") for x in ("1", "v0", "v1", "v2")]
+    assert pinned(T) == dict(random_pdga_module_maps(), basis={
+        (z, 0): [unit], (z, 4): [v1],
+        (a, 0): [unit], (a, 3): [v2], (a, 4): [v1],
+        (b, 0): [unit], (b, 3): [v0, v2], (b, 4): [v1],
+        (t, 0): [unit], (t, 3): [v0, v2], (t, 4): [v1]})
+
+
 def test_dual_module_slots_are_the_duals_of_the_subcomplexes():
     # a down-type slot of DA at r is the dual of the subcomplex A_{t-r}, so
     # its differential drops the dual elements absent at r: d^2 = 0 on

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from perverse.fields import Field, QQ
-from perverse.linalg import SparseMatrix, Subquotient
+from perverse.linalg import (SparseMatrix, Subquotient, Quotient, Subspace,
+                             kernel_basis, vec_iadd)
 from perverse.poset import Poset, leq
 from perverse.complexes import (ChainComplex, point_complex, PerverseComplex,
                                 free_perverse, unit_perverse, box_tensor,
                                 box_tensor_fulldiagram, internal_hom,
                                 linear_dual, p_filtration,
-                                cofibrancy_certificate)
+                                cofibrancy_certificate, quotient, kernel)
 
 
 def sphere(field, n):
@@ -75,6 +76,45 @@ def test_homology_from_ranks_matches_subquotients(field):
                     assert W.homology(p) == subquotient_dims(
                         field, lambda k: W.dim(p, k),
                         lambda k: W.diff(p, k), W.degrees())
+
+
+def test_quotient_is_the_quotient_of_the_indexed_relations():
+    keys = ["a", "b", "c"]
+    q = quotient(QQ, keys, [{"a": 1, "c": -1}, {"b": 2, "c": 2}])
+    ref = Quotient(QQ, 3, [{0: 1, 2: -1}, {1: 2, 2: 2}])
+    assert (q.free, q.project({1: 1})) == (ref.free, ref.project({1: 1}))
+    # a relation term on a key outside the slot raises, it is not dropped
+    with pytest.raises(KeyError):
+        quotient(QQ, keys, [{"a": 1, "d": 1}])
+
+
+def test_kernel_sums_repeated_terms():
+    # row r reads 2 c_a - 2 c_b, given as two terms on a; row s cancels
+    sub = kernel(QQ, ["a", "b"], [("r", "a", 1), ("s", "b", 1),
+                                  ("r", "a", 1), ("r", "b", -2),
+                                  ("s", "b", -1)])
+    assert sub.cols == [{0: 1, 1: 1}]
+    with pytest.raises(KeyError):
+        kernel(QQ, ["a"], [("r", "b", 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_kernel_equals_the_kernel_of_the_indexed_matrix(field):
+    # the rows are numbered by first appearance in kernel and sorted here,
+    # and a kernel vector does not depend on that order
+    rng = random.Random(11)
+    for _ in range(60):
+        keys = [("k", i) for i in range(rng.randint(0, 6))]
+        eqs = [(rng.randint(0, 4), rng.choice(keys),
+                field.of(rng.choice([1, 2, -1, 3])))
+               for _ in range(rng.randint(0, 12) if keys else 0)]
+        rows = sorted({row for row, _, _ in eqs}, reverse=True)
+        cols = [{} for _ in keys]
+        for row, key, c in eqs:
+            vec_iadd(field, cols[keys.index(key)], {rows.index(row): c})
+        ref = Subspace(field, kernel_basis(
+            SparseMatrix.from_columns(field, len(rows), cols)))
+        assert kernel(field, keys, eqs).cols == ref.cols, eqs
 
 
 def test_free_perverse_validates_and_homology():
@@ -405,6 +445,26 @@ def test_internal_hom_is_pinned():
             (z, t, -1): {(0, 0): 1},
             (z, t, 0): {(0, 0): 1},
         },
+    }
+
+
+def test_free_perverse_is_pinned():
+    # cx placed on the up-set of a middle perversity of Poset(4): the same
+    # basis and d at each of its three perversities, identity covers there
+    P = Poset(4)
+    _, e1, e2, e3 = P.elements
+    cx = ChainComplex(QQ, {0: ["a", "b"], 1: ["c", "e"]}, {0: SparseMatrix(
+        QQ, 2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 2})})
+    Z = free_perverse(QQ, P, e1, cx)
+    Z.validate()
+    ident = {(0, 0): 1, (1, 1): 1}
+    assert pinned(Z) == {
+        "basis": {(r, k): b for r in (e1, e2, e3)
+                  for k, b in ((0, ["a", "b"]), (1, ["c", "e"]))},
+        "d": {(r, 0): {(0, 0): 1, (1, 0): 1, (1, 1): 2}
+              for r in (e1, e2, e3)},
+        "phi": {(r, s, k): ident for r, s in ((e1, e2), (e2, e3))
+                for k in (0, 1)},
     }
 
 

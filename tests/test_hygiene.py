@@ -166,6 +166,41 @@ def test_cochains_are_read_through_ops():
     assert not named, named
 
 
+def slot_writers(tree):
+    """the names of the functions in a module whose own bodies assign into
+    .basis[...], .d[...] or .phi[...]"""
+    return [fn.name for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)
+            for node in _own_nodes(fn)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            for t in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(t, ast.Subscript)
+            and getattr(t.value, "attr", None) in ("basis", "d", "phi")]
+
+
+def test_perverse_complexes_are_built_by_induce():
+    # every construction states its slots over keys and complexes.induce
+    # writes the basis, d and phi; the box tensor oracle writes only its
+    # dimension labels, since it checks box_tensor's dimensions
+    found = [(fname, fn) for fname, tree in source_trees()
+             for fn in slot_writers(tree)
+             if fn not in ("induce", "box_tensor_fulldiagram")
+             or fname != "complexes.py"]
+    assert not found, found
+
+
+def test_slot_spaces_are_stated_over_keys():
+    # a slot is a quotient or kernel stated over its keys through
+    # complexes.quotient and complexes.kernel; no other function outside
+    # linalg converts keys to indices and builds the space itself
+    found = [(fname, fn, name) for fname, tree in source_trees()
+             if fname != "linalg.py"
+             for name in ("Quotient", "Subspace", "kernel_basis")
+             for fn in callers(tree, name)
+             if (fname, fn) not in {("complexes.py", "quotient"),
+                                    ("complexes.py", "kernel")}]
+    assert not found, found
+
+
 def test_library_behaviour_does_not_depend_on_assert():
     # python -O drops assert statements, so a library check raises instead
     found = [(fname, node.lineno) for fname, tree in source_trees()

@@ -547,6 +547,15 @@ def test_duality_gate_rejects_noncommutative():
         "witness": "unsupported: non-commutative duality lift"}
 
 
+def test_bv_block_is_a_skip_below_word_length_two():
+    # the cyclic operator reads one word length above its output, so at
+    # L = 1 the BV block is recorded as skipped with the reason
+    rows = verify_calculus(sphere_algebra(QQ, P3, 2), 1, -2, 2)
+    assert rows[-1] == {
+        "identity": "BV block", "status": "skipped", "trials": 0,
+        "witness": "need word length at least 2 for the cyclic operator"}
+
+
 def test_duality_gate_reports_missing_class():
     # commutative but without a fundamental-class isomorphism
     A = PDGA(QQ, P3,
