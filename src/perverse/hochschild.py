@@ -350,11 +350,15 @@ class Cochains(SlotComplex):
         return {(w, m): c for (w, m), c in f.items() if len(w) <= self.L}
 
     def slot_basis(self, r, q):
-        "the admissible pairs (w, m) of degree q at r, ordered by w, then m"
-        P, M = self.A.poset, self.M
-        return [(w, m) for w, ms in self.pairs.get(q, {}).items()
-                if (lab := P.oplus(self.mids[w][1], r)) is not None
-                for m in ms if m in M.present_at(lab)]
+        """the admissible pairs (w, m) of degree q at r, ordered by w, then
+        m; one oplus and one presence set per distinct word label"""
+        P, M, mids = self.A.poset, self.M, self.mids
+        words = self.pairs.get(q, {})
+        # word label -> the names present at it plus r
+        at = {lw: () if (lab := P.oplus(lw, r)) is None else M.present_at(lab)
+              for lw in {mids[w][1] for w in words}}
+        return [(w, m) for w, ms in words.items()
+                for m in ms if m in at[mids[w][1]]]
 
     def D_key(self, p):
         """D* of the basis cochain p = (w, m): its one term pushed forward

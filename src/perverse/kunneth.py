@@ -193,22 +193,31 @@ def _extend(A, f_by_word, q, u):
 
 
 def aw_table(A, B, T, words):
-    """AW of each unit-ended bar word 1[w]1 of the tensor algebra, keyed by
-    its middle word w: the only AW values tensor_cochain reads"""
-    return {w: alexander_whitney(A, B, T, (T.unit, w, T.unit))
-            for w in words}
+    """AW of each unit-ended bar word 1[w]1 of the tensor algebra, the only
+    AW values tensor_cochain reads, grouped by the middle word of the
+    A-side: {wa: [(w, u, v, c), ...]} over the terms c (u, v) of AW(1[w]1)
+    with u = (1, wa, x)"""
+    out = {}
+    for w in words:
+        for (u, v), c in alexander_whitney(
+                A, B, T, (T.unit, w, T.unit)).items():
+            out.setdefault(u[1], []).append((w, u, v, c))
+    return out
 
 
 def tensor_cochain(A, B, T, f, qf, g, qg, aw):
     """(f box g) pulled back along AW: a Hochschild cochain on the tensor
     algebra, evaluated on the middle words of aw, a table from aw_table
-    (read, never modified)"""
+    (read, never modified).  Only the AW terms whose A-side word is in f's
+    support and whose B-side word is in g's are visited"""
     F = T.field
     fw = index_cochain(F, f)
     gw = index_cochain(F, g)
     out = {}
-    for w, aw_w in aw.items():
-        for (u, v), c in aw_w.items():
+    for wa in fw:
+        for w, u, v, c in aw.get(wa, ()):
+            if v[1] not in gw:
+                continue
             fv = _extend(A, fw, qf, u)
             if not fv:
                 continue
@@ -272,6 +281,32 @@ def compare_hh(A, B, L, window):
     # cxT for all the transports below
     aw = aw_table(A, B, T, cxT.words)
     records = []
+    # classes repeat across slots and pairs, so every Op, product,
+    # transport and Delta below is evaluated once per value of its inputs
+    memo = {}
+
+    def once(fn, *args):
+        "fn(*args), once per call; a cochain argument is keyed by its terms"
+        key = (fn,) + tuple(frozenset(x.items()) if isinstance(x, dict)
+                            else x for x in args)
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    def transport(f, qf, g, qg):
+        return tensor_cochain(A, B, T, f, qf, g, qg, aw)
+
+    def product(op, cx, f, qf, g, qg):
+        "op (cup_op or bracket_op) of two cochains, on the words of cx"
+        return to_cochain(op(once(cochain_op, cx.A, f, qf),
+                             once(cochain_op, cx.A, g, qg)), cx.words)
+
+    def delta(bv, r, q, f):
+        "Delta of the class f at (r, q), None outside the stable window"
+        try:
+            return bv.delta(r, q, f)[0]
+        except LookupError:
+            return None
 
     def splits(q):
         "the factor degrees (q1, q2), q1 + q2 = q, inside both supports"
@@ -298,7 +333,7 @@ def compare_hh(A, B, L, window):
                     skipped=len(product_table) - len(certified))
 
     # representative pairs per slot, with their transported images
-    images = {(r, q): [(fg, tensor_cochain(A, B, T, *fg, aw))
+    images = {(r, q): [(fg, once(transport, *fg))
                        for fg in ((f, q1, g, q2) for q1, q2 in splits(q)
                                   for f in cxA.representatives(r, q1)
                                   for g in cxB.representatives(r, q2))]
@@ -335,24 +370,14 @@ def compare_hh(A, B, L, window):
         r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
         return {"slot": (r, q, q2), "degrees": (qf, qg, qf2, qg2)}
 
-    def pair_ops(d):
-        """the Ops of the two transported classes of an image_pairs sample:
-        the pair over T, the pair of A-factors and the pair of B-factors"""
-        _, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
-        return ((cochain_op(T, Fg, q), cochain_op(T, Fg2, q2)),
-                (cochain_op(A, f, qf), cochain_op(A, f2, qf2)),
-                (cochain_op(B, g, qg), cochain_op(B, g2, qg2)))
-
     # cup transport: elementwise on pairs of transported classes
     def cup_transports(d):
-        r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
-        t, a, b = pair_ops(d)
-        ca = to_cochain(cup_op(*a), cxA.words)
-        cb = to_cochain(cup_op(*b), cxB.words)
+        r, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
+        ca = once(product, cup_op, cxA, f, qf, f2, qf2)
+        cb = once(product, cup_op, cxB, g, qg, g2, qg2)
         return cxT.is_boundary(r, q + q2, signed_sum(F, [
-            (0, to_cochain(cup_op(*t), cxT.words)),
-            (1 + qf2 * qg,
-             tensor_cochain(A, B, T, ca, qf + qf2, cb, qg + qg2, aw))]))
+            (0, once(product, cup_op, cxT, Fg, q, Fg2, q2)),
+            (1 + qf2 * qg, once(transport, ca, qf + qf2, cb, qg + qg2))]))
 
     run_identity(records, "cup transports to the tensor cup",
                  image_pairs(0), cup_transports, pair_witness)
@@ -360,16 +385,14 @@ def compare_hh(A, B, L, window):
     # bracket transport; arity-0 insertions read one extra word length, so
     # the class comparison happens one truncation level down
     def bracket_transports(d):
-        r, q, q2, ((_, qf, _, qg), _), ((_, qf2, _, qg2), _) = d
-        t, a, b = pair_ops(d)
-        t1 = tensor_cochain(A, B, T, to_cochain(bracket_op(*a), cxA.words),
-                            qf + qf2 - 1, to_cochain(cup_op(*b), cxB.words),
-                            qg + qg2, aw)
-        t2 = tensor_cochain(A, B, T, to_cochain(cup_op(*a), cxA.words),
-                            qf + qf2, to_cochain(bracket_op(*b), cxB.words),
-                            qg + qg2 - 1, aw)
+        r, q, q2, ((f, qf, g, qg), Fg), ((f2, qf2, g2, qg2), Fg2) = d
+        a, b = (f, qf, f2, qf2), (g, qg, g2, qg2)
+        t1 = once(transport, once(product, bracket_op, cxA, *a),
+                  qf + qf2 - 1, once(product, cup_op, cxB, *b), qg + qg2)
+        t2 = once(transport, once(product, cup_op, cxA, *a), qf + qf2,
+                  once(product, bracket_op, cxB, *b), qg + qg2 - 1)
         return cxTm.is_boundary(r, q + q2 - 1, cxTm.restrict(signed_sum(F, [
-            (0, to_cochain(bracket_op(*t), cxTm.words)),
+            (0, once(product, bracket_op, cxTm, Fg, q, Fg2, q2)),
             (1 + (qf2 - 1) * qg, t1), (1 + qf2 * (qg - 1), t2)])))
 
     run_identity(records, "bracket transports to the two-term tensor bracket",
@@ -378,15 +401,13 @@ def compare_hh(A, B, L, window):
     # Delta transport, when both factors carry certified duality data
     def delta_transports(d):
         r, q, ((f, qf, g, qg), Fg) = d
-        try:
-            dT, _ = bvT.delta(r, q, Fg)
-            dA, _ = bvA.delta(r, qf, f)
-            dB, _ = bvB.delta(r, qg, g)
-        except LookupError:
+        dT, dA, dB = (once(delta, *x) for x in (
+            (bvT, r, q, Fg), (bvA, r, qf, f), (bvB, r, qg, g)))
+        if None in (dT, dA, dB):
             return None
         return cxTm.is_boundary(r, q - 1, cxTm.restrict(signed_sum(F, [
-            (0, dT), (1, tensor_cochain(A, B, T, dA, qf - 1, g, qg, aw)),
-            (1 + qf, tensor_cochain(A, B, T, f, qf, dB, qg - 1, aw))])))
+            (0, dT), (1, once(transport, dA, qf - 1, g, qg)),
+            (1 + qf, once(transport, f, qf, dB, qg - 1))])))
 
     def delta_witness(d):
         r, q, ((_, qf, _, qg), _) = d

@@ -457,6 +457,7 @@ class SlotComplex:
         self._pivots = {}
         self._homs = {}
         self._hom_at = {}   # (r, q) -> its entry of _homs
+        self._reps = {}     # entry of _homs -> its representatives
 
     def slot(self, r, q):
         "the id of the basis of slot (r, q), shared by every equal basis"
@@ -552,10 +553,15 @@ class SlotComplex:
         return out
 
     def representatives(self, r, q):
-        "the homology basis of slot (r, q), as vectors over basis keys"
-        b = self.basis(r, q)
-        return [{b[i]: c for i, c in rep.items()}
-                for rep in self.homology(r, q).reps]
+        """the homology basis of slot (r, q), as vectors over basis keys:
+        one list per homology object, built on first read, so a class is
+        the same object wherever it is read; callers only read it"""
+        H = self.homology(r, q)
+        if H not in self._reps:
+            b = self.basis(r, q)
+            self._reps[H] = [{b[i]: c for i, c in rep.items()}
+                             for rep in H.reps]
+        return self._reps[H]
 
     def coords_of(self, r, q, vec):
         "homology coordinates of the cycle vec in the representative basis"

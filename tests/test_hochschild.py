@@ -7,8 +7,8 @@ from perverse.fields import QQ, Field
 from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, Echelon, signed_sum, vec_iadd,
                              kernel_basis, linear)
-from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
-                              CofaceTable)
+from perverse.algebra import (PDGA, Bimodule, algebra_as_bimodule,
+                              dual_bimodule, CofaceTable)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
@@ -321,6 +321,58 @@ def test_class_matrix_columns_are_the_coordinates_of_each_cocycle():
                                            for z in cocycles], (r, q)
                     seen += len(cocycles)
     assert seen > 200, seen
+
+
+def test_representatives_are_one_cached_list_per_homology():
+    # read twice, or at another slot with the same homology object, a
+    # slot's representatives are one list, whose vectors are the
+    # Subquotient's representatives keyed by the slot basis
+    A = random_pdga(QQ, Poset(4), 6)
+    cx = Cochains(A, algebra_as_bimodule(A), 3)
+    first, seen = {}, 0
+    for r in A.poset.elements:
+        for q in range(-4, 4):
+            reps = cx.representatives(r, q)
+            H, b = cx.homology(r, q), cx.basis(r, q)
+            assert cx.representatives(r, q) is reps
+            assert first.setdefault(H, reps) is reps
+            assert reps == [{b[i]: c for i, c in v.items()} for v in H.reps]
+            seen += len(reps)
+    assert seen > 10 and len(first) > 5, (seen, len(first))
+
+
+def test_slot_basis_reads_one_oplus_per_word_label(monkeypatch):
+    # a slot basis admits its words by label: one Poset.oplus and one
+    # presence set per distinct label of the degree's words, in the order
+    # by w, then m, of the per-word filter
+    A = random_pdga(QQ, Poset(4), 6)
+    P, oplus, present_at = A.poset, Poset.oplus, Bimodule.present_at
+    calls = []
+
+    def counted(fn):
+        def call(self, *args):
+            calls.append(fn.__name__)
+            return fn(self, *args)
+        return call
+
+    fewer = 0
+    for M in (algebra_as_bimodule(A), dual_bimodule(A)):
+        cx = Cochains(A, M, 3)
+        for r in P.elements:
+            for q, words in sorted(cx.pairs.items()):
+                want = [(w, m) for w, ms in words.items()
+                        if (lab := oplus(P, cx.mids[w][1], r)) is not None
+                        for m in ms if m in M.present_at(lab)]
+                calls.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(Poset, "oplus", counted(oplus))
+                    mp.setattr(Bimodule, "present_at", counted(present_at))
+                    assert cx.slot_basis(r, q) == want, (r, q)
+                labels = {cx.mids[w][1] for w in words}
+                assert calls.count("oplus") == len(labels), (r, q)
+                assert calls.count("present_at") <= len(labels), (r, q)
+                fewer += len(labels) < len(words)
+    assert fewer > 10, fewer
 
 
 def test_class_matrix_of_an_empty_slot_and_its_refusals():

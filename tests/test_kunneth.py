@@ -11,14 +11,14 @@ from perverse.algebra import tensor_pdga, algebra_as_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, random_pdga, corpus)
 from perverse.hochschild import (Bar, Chains, Cochains, middle_words, sdeg,
-                                 apply_cochain_D, Op)
-from perverse.structure import connes_B, verify_calculus
+                                 apply_cochain_D, index_cochain, Op)
+from perverse.structure import connes_B, verify_calculus, BVOperator
 from perverse.kunneth import (shuffles, alexander_whitney,
                               alexander_whitney_vec, eilenberg_zilber,
                               eilenberg_zilber_vec, pair_D, shuffle_product,
                               tensor_cochain, aw_table, compare_hh,
                               bar_degree, is_constant_diagram,
-                              hh_degree_support)
+                              hh_degree_support, _extend)
 
 P3 = Poset(3)
 
@@ -375,6 +375,127 @@ def test_transported_cocycles_stay_cocycles():
                                                cxT.coface)
                     checked += 1
     assert checked > 10
+
+
+def _full_walk_tensor_cochain(A, B, T, f, qf, g, qg, words):
+    """reference for tensor_cochain: every AW term of every word, with both
+    factors extended on each, whatever their supports"""
+    F = T.field
+    fw, gw = index_cochain(F, f), index_cochain(F, g)
+    out = {}
+    for w in words:
+        for (u, v), c in alexander_whitney(A, B, T,
+                                           (T.unit, w, T.unit)).items():
+            fv = _extend(A, fw, qf, u)
+            if not fv:
+                continue
+            gv = _extend(B, gw, qg, v)
+            if not gv:
+                continue
+            s = F.mul(c, F.sign(qg * bar_degree(A, u)))
+            for xx, cxx in fv.items():
+                for yy, cyy in gv.items():
+                    if (xx, yy) in T.degree:
+                        vec_iadd(F, out, {(w, (xx, yy)): F.mul(cxx, cyy)}, s)
+    return out
+
+
+def _random_cochain(rng, cx, q, terms):
+    "a cochain of degree q on up to `terms` random pairs of cx"
+    F = cx.A.field
+    pairs = [(w, m) for w, ms in cx.pairs.get(q, {}).items() for m in ms]
+    return {p: F.of(rng.choice([1, -1, 2, 3]))
+            for p in rng.sample(pairs, min(terms, len(pairs)))}
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("pair", ["S2xS2", "S2xS3", "TR3xS2"])
+def test_tensor_cochain_walks_only_the_supports(monkeypatch, pair, p, L):
+    # the AW terms visited from f's words and filtered by g's give the
+    # full walk's cochain, and no factor is extended on a word it lacks
+    import perverse.kunneth as kunneth
+    F = QQ if p == 0 else Field(p)
+    A, B = {"S2xS2": (sphere_algebra(F, P3, 2), None),
+            "S2xS3": (sphere_algebra(F, P3, 2), sphere_algebra(F, P3, 3)),
+            "TR3xS2": (truncated_polynomial(F, P3, 2, power=3),
+                       sphere_algebra(F, P3, 2))}[pair]
+    B = B or A
+    T = tensor_pdga(A, B)
+    cxA = Cochains(A, algebra_as_bimodule(A), L)
+    cxB = Cochains(B, algebra_as_bimodule(B), L)
+    words = Cochains(T, algebra_as_bimodule(T), L).words
+    aw = aw_table(A, B, T, words)
+    lacking = []
+
+    def extend(X, by_word, q, u):
+        if u[1] not in by_word:
+            lacking.append(u)
+        return _extend(X, by_word, q, u)
+
+    monkeypatch.setattr(kunneth, "_extend", extend)
+    rng = random.Random(31 * p + L)
+    nonzero = 0
+    for _ in range(12):
+        qf, qg = rng.choice(sorted(cxA.pairs)), rng.choice(sorted(cxB.pairs))
+        f = _random_cochain(rng, cxA, qf, rng.randint(1, 4))
+        g = _random_cochain(rng, cxB, qg, rng.randint(1, 4))
+        got = tensor_cochain(A, B, T, f, qf, g, qg, aw)
+        want = _full_walk_tensor_cochain(A, B, T, f, qf, g, qg, words)
+        assert sorted(got.items(), key=repr) == \
+            sorted(want.items(), key=repr), (f, qf, g, qg)
+        nonzero += bool(want)
+    assert not lacking, lacking[:3]
+    assert nonzero >= 3, nonzero
+
+
+def test_compare_hh_evaluates_each_input_once(monkeypatch):
+    # classes repeat across slots and pairs, so within one call each
+    # transport, each flattened product and each Delta runs once per value
+    # of its inputs.  An Op is known by what it was built from: a
+    # cochain_op by its algebra, degree and terms, a product by its name
+    # and the values of its two operands
+    import perverse.kunneth as kunneth
+    keep, value, calls = [], {}, {}
+
+    def terms(f):
+        return frozenset(f.items())
+
+    def tagged(fn, tag):
+        def build(*args):
+            op = fn(*args)
+            keep.append(op)     # no id below is reused within the call
+            value[id(op)] = tag(*args)
+            return op
+        return build
+
+    def counted(name, fn, key):
+        def call(*args):
+            calls.setdefault(name, []).append(key(*args))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(kunneth, "cochain_op", tagged(
+        kunneth.cochain_op, lambda X, f, q: (id(X), q, terms(f))))
+    for name in ("cup_op", "bracket_op"):
+        monkeypatch.setattr(kunneth, name, tagged(
+            getattr(kunneth, name),
+            lambda f, g, name=name: (name, value[id(f)], value[id(g)])))
+    monkeypatch.setattr(kunneth, "to_cochain", counted(
+        "to_cochain", kunneth.to_cochain,
+        lambda op, words: (value[id(op)], id(words))))
+    monkeypatch.setattr(kunneth, "tensor_cochain", counted(
+        "tensor_cochain", kunneth.tensor_cochain,
+        lambda A, B, T, f, qf, g, qg, aw: (terms(f), qf, terms(g), qg)))
+    monkeypatch.setattr(BVOperator, "delta", counted(
+        "delta", BVOperator.delta,
+        lambda bv, r, q, f: (id(bv), r, q, terms(f))))
+    rep = compare_hh(S2, S2, 2, (-1, 1))
+    assert all(r["status"] == "pass" for r in rep["records"]), rep["records"]
+    assert sorted(calls) == ["delta", "tensor_cochain", "to_cochain"]
+    for name, keys in calls.items():
+        repeated = {k for k in keys if keys.count(k) > 1}
+        assert not repeated, (name, len(repeated))
 
 
 def test_compare_hh_evaluates_aw_once_per_middle_word(monkeypatch):
