@@ -14,7 +14,7 @@ import itertools
 from .linalg import (SlotComplex, vec_iadd, vec_scale, signed_sum, linear,
                      bilinear)
 from .poset import leq
-from .complexes import induce, kernel, quotient
+from .complexes import induce, quotient
 
 
 class PDGA:
@@ -505,118 +505,3 @@ def dual_bimodule(A):
         for a in A.nonunit() for b in A.names}
     return Bimodule(A, elems, diff=diff, left=left, right=right)
 
-
-def module_hom(M, P_, degwindow):
-    """perverse complex of left-equivariant maps f: M -> P_,
-    f(a.m) = (-1)^{|f||a|} a.f(m); both modules over the same algebra.
-    The keys of a slot are the pairs (m, n), the basis map m -> n"""
-    A = M.algebra
-    if P_.algebra is not A:
-        raise ValueError("modules over different algebras")
-    F, P = A.field, A.poset
-    lo, hi = degwindow
-    slots = {}
-    for r in P.elements:
-        for k in range(lo, hi + 2):
-            # ambient: pairs (m, n) with n present wherever needed; the
-            # labeled shape reduces the hom constraint to a presence test
-            pairs = []
-            for m in M.names:
-                for n in P_.names:
-                    if P_.degree[n] != M.degree[m] + k:
-                        continue
-                    if M.kind[m] == "up":
-                        target = P.oplus(M.plabel[m], r)
-                        if target is None or n not in P_.present_at(target):
-                            continue
-                    pairs.append((m, n))
-            # equivariance as linear constraints on coefficients c_{m,n},
-            # one row per (a, m, n)
-            eqs = []
-            for a in A.nonunit():
-                for m in M.names:
-                    # the equation f(a.m) = +-a.f(m) lives at perversity
-                    # lam(a) + lam(m) + r; past the top it is vacuous
-                    if M.kind[m] == "up" and not A.sum_labels_ok(
-                            A.lam(a), M.plabel[m], r):
-                        continue
-                    s = F.sign(k * A.deg(a))
-                    am = M.act_left(a, m)
-                    for (m2, n2) in pairs:
-                        if m2 in am:
-                            eqs.append(((a, m, n2), (m2, n2), am[m2]))
-                        if m2 == m:
-                            eqs += [((a, m, n3), (m2, n2), F.neg(F.mul(s, c)))
-                                    for n3, c in P_.act_left(a, n2).items()]
-            sub = kernel(F, pairs, eqs)
-            slots[(r, k)] = pairs, sub, ["f%d" % i for i in range(sub.dim)]
-    # d_M transposed: m -> {m2: the coefficient of m in d m2}
-    dM_in = {}
-    for m2 in M.names:
-        for m, x in M.d(m2).items():
-            dM_in.setdefault(m, {})[m2] = x
-
-    def d(k, key):
-        "d f = d_P f - (-1)^k f d_M on the basis map m -> n"
-        m, n = key
-        w = {(m, n2): x for n2, x in P_.d(n).items()}
-        nsk = F.sign(k + 1)
-        for m2, x in dM_in.get(m, {}).items():
-            vec_iadd(F, w, {(m2, n): F.mul(nsk, x)})
-        return w
-
-    return induce(F, P, slots, d)
-
-
-def module_tensor(M, P_):
-    """M box_A P_: cokernel of m.a @ p - m @ a.p, slotwise (up-type modules).
-    The keys of a slot are the pairs (m, p), the basis element m @ p"""
-    A = M.algebra
-    if P_.algebra is not A:
-        raise ValueError("modules over different algebras")
-    F, P = A.field, A.poset
-
-    def under(r, *labels):
-        "the labels sum to a perversity at most r"
-        lab = P.oplus_all(labels)
-        return lab is not None and leq(lab, r)
-
-    degs = sorted({M.degree[m] + P_.degree[p] for m in M.names for p in P_.names})
-    slots = {}
-    for r in P.elements:
-        for k in range(min(degs), max(degs) + 2):
-            pairs = [(m, p) for m in M.names for p in P_.names
-                     if M.degree[m] + P_.degree[p] == k
-                     and M.kind[m] == "up" and P_.kind[p] == "up"
-                     and under(r, M.plabel[m], P_.plabel[p])]
-            inslot = set(pairs)
-            rels = []
-            for a in A.nonunit():
-                for m in M.names:
-                    for p in P_.names:
-                        if M.degree[m] + A.deg(a) + P_.degree[p] != k:
-                            continue
-                        if M.kind[m] != "up" or P_.kind[p] != "up":
-                            continue
-                        if not under(r, M.plabel[m], A.lam(a), P_.plabel[p]):
-                            continue
-                        rel = signed_sum(F, [
-                            (0, {(m2, p): c for m2, c
-                                 in M.act_right(m, a).items()}),
-                            (1, {(m, p2): c for p2, c
-                                 in P_.act_left(a, p).items()})])
-                        rels.append({pr: c for pr, c in rel.items()
-                                     if pr in inslot})
-            quot = quotient(F, pairs, rels)
-            slots[(r, k)] = pairs, quot, [pairs[i] for i in quot.free]
-
-    def d(k, key):
-        "d (m @ p) = dm @ p + (-1)^|m| m @ dp"
-        m, p = key
-        w = {(m2, p): c for m2, c in M.d(m).items()}
-        sgn = F.sign(M.degree[m])
-        for p2, c in P_.d(p).items():
-            vec_iadd(F, w, {(m, p2): F.mul(sgn, c)})
-        return w
-
-    return induce(F, P, slots, d)

@@ -50,7 +50,7 @@ def _poset(n):
 
 
 # ---------------------------------------------------------------------------
-# the description type and its (de)serialization
+# the description type and its parsing
 
 
 @dataclass
@@ -212,39 +212,6 @@ def build_pdga(desc):
         raise InputError("commutative flag asserted but the product "
                          "table is not graded-commutative")
     return A
-
-
-def _coeff_out(F, c):
-    if F.char == 0:
-        return int(c) if c.denominator == 1 else str(c)
-    return int(c)
-
-
-def describe(A, commutative=None):
-    "PDGA -> AlgebraDescription (inverse of build_pdga up to aliases)"
-    F, P = A.field, A.poset
-    gens = [{"name": x, "degree": A.deg(x), "perversity": list(A.lam(x))}
-            for x in A.names]
-    diff = {x: {y: _coeff_out(F, c) for y, c in v.items()}
-            for x, v in A.diffs.items() if v}
-    prods = [{"left": a, "right": b,
-              "value": {y: _coeff_out(F, c) for y, c in v.items()}}
-             for (a, b), v in A.products.items()]
-    return AlgebraDescription(
-        field="Q" if F.char == 0 else "Fp:%d" % F.char,
-        n=P.n, generators=gens, unit=A.unit, differential=diff,
-        products=prods,
-        commutative=A.is_commutative() if commutative is None
-        else commutative)
-
-
-def serialize(desc):
-    "AlgebraDescription -> canonical JSON text"
-    return json.dumps({
-        "field": desc.field, "n": desc.n, "generators": desc.generators,
-        "unit": desc.unit, "differential": desc.differential,
-        "products": desc.products, "commutative": desc.commutative},
-        indent=2, sort_keys=True) + "\n"
 
 
 def load_description(name):

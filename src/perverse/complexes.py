@@ -8,11 +8,11 @@ covering-relation difference maps; internal hom as the matching limit
 (kernel); the linear dual is hom into the monoidal unit; a p-filtration as
 the subcomplex of a labeled complex below each perversity.
 
-Each of these constructions, and module hom and tensor over a pDGA and the
-carrier of a pDGA, states a slot over some ambient keys, as a `quotient` of
-their span by relations or the `kernel` of equations on it, and gives the
-differential of one key; `induce` builds the complex from that: the basis,
-the slot's d and the structure maps, which send each key to itself.
+Each of these constructions, and the carrier of a pDGA, states a slot over
+some ambient keys, as a `quotient` of their span by relations or the `kernel`
+of equations on it, and gives the differential of one key; `induce` builds
+the complex from that: the basis, the slot's d and the structure maps, which
+send each key to itself.
 """
 
 import functools

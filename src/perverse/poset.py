@@ -3,7 +3,7 @@
 A perversity of rank n is a tuple p = (p(0), ..., p(n)) with
 p(0) = p(1) = p(2) = 0 and p(i) <= p(i+1) <= p(i) + 1.  Perversities are
 plain int tuples; Poset(n) carries the enumeration, the partial order,
-the partial sum/difference operations and duality.  The label of a sequence
+the partial sum and duality.  The label of a sequence
 of elements, None past the top, is oplus_all: the one rule that decides
 whether a product, a bar word or a Hochschild pair lies in a slot.
 """
@@ -107,19 +107,6 @@ class Poset:
                 return None
         return out
 
-    def ominus(self, q, p):
-        """largest perversity <= q - p (pointwise); None unless p <= q"""
-        if not leq(p, q):
-            return None
-        s = [b - a for a, b in zip(p, q)]
-        for i in range(len(s) - 2, -1, -1):
-            if s[i] > s[i + 1]:
-                s[i] = s[i + 1]
-        for i in range(1, len(s)):
-            if s[i] > s[i - 1] + 1:
-                s[i] = s[i - 1] + 1
-        return self._member(tuple(s))
-
     def oplus_bruteforce(self, p, q):
         s = tuple(a + b for a, b in zip(p, q))
         cands = [r for r in self.elements if leq(s, r)]
@@ -129,16 +116,6 @@ class Poset:
         if len(mins) != 1:
             raise ValueError("no unique least perversity above %r" % (s,))
         return mins[0]
-
-    def ominus_bruteforce(self, q, p):
-        if not leq(p, q):
-            return None
-        s = tuple(b - a for a, b in zip(p, q))
-        cands = [r for r in self.elements if leq(r, s)]
-        maxes = [m for m in cands if all(leq(c, m) for c in cands)]
-        if len(maxes) != 1:
-            raise ValueError("no unique greatest perversity below %r" % (s,))
-        return maxes[0]
 
     def dual(self, p):
         "complementary perversity t - p; exact pointwise difference"

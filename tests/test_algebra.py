@@ -4,8 +4,7 @@ from perverse.fields import Field, QQ
 from perverse.poset import Poset, leq
 from perverse.algebra import (PDGA, tensor_pdga, opposite_and_enveloping,
                               tensor_algebra, Bimodule, algebra_as_bimodule,
-                              dual_bimodule, dual_name, module_hom,
-                              module_tensor, ModuleSlots)
+                              dual_bimodule, dual_name, ModuleSlots)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
@@ -231,6 +230,20 @@ def test_carrier_is_cofibrant_perverse_complex():
     assert rep["cofibrant_sufficient"], rep["failures"]
 
 
+def entries(m):
+    "{(row, col): scalar} of the nonzero entries of a matrix"
+    return {(i, j): x for j, col in enumerate(m.columns())
+            for i, x in col.items()}
+
+
+def pinned(Z):
+    "basis and nonzero d and phi entries of a perverse complex"
+    return {"basis": Z.basis,
+            "d": {k: entries(m) for k, m in Z.d.items() if not m.is_zero()},
+            "phi": {k: entries(m) for k, m in Z.phi.items()
+                    if not m.is_zero()}}
+
+
 def test_carrier_of_a_labeled_random_pdga_is_pinned():
     # exact slots and maps of a labeled pDGA with a differential, recorded
     # before the carrier went through complexes.induce
@@ -334,35 +347,6 @@ def test_presence_sets_follow_the_label_rule():
                     for m in names if _present_by_label(M, m, lab)]
 
 
-def test_module_hom_of_algebra_into_module():
-    for A in [sphere_algebra(QQ, P3, 2), truncated_polynomial(QQ, P3, 2, power=3),
-              random_pdga(QQ, P3, 5)]:
-        M = algebra_as_bimodule(A)
-        lo, hi = min(A.degrees()), max(A.degrees())
-        H = module_hom(M, M, (lo, hi))
-        H.validate()
-        Z = A.carrier()
-        for r in A.poset.elements:
-            hh, hz = H.homology(r), Z.homology(r)
-            for k in range(lo, hi + 1):
-                assert H.dim(r, k) == Z.dim(r, k), (r, k)
-                assert hh.get(k, 0) == hz.get(k, 0), (r, k)
-
-
-def test_module_tensor_unit_law():
-    for A in [sphere_algebra(QQ, P3, 2), truncated_polynomial(QQ, P3, 2, power=3),
-              random_pdga(QQ, P3, 7)]:
-        M = algebra_as_bimodule(A)
-        T = module_tensor(M, M)
-        T.validate()
-        Z = A.carrier()
-        for r in A.poset.elements:
-            ht, hz = T.homology(r), Z.homology(r)
-            for k in A.degrees():
-                assert T.dim(r, k) == Z.dim(r, k), (r, k)
-                assert ht.get(k, 0) == hz.get(k, 0), (r, k)
-
-
 def test_quasi_iso_fixture():
     A, B, fmap = quasi_iso_fixture(QQ, P3)
     assert A.validate()["valid"]
@@ -378,169 +362,6 @@ def test_quasi_iso_fixture():
     da, db = A.homology_dims(), B.homology_dims()
     keys = set(da) | set(db)
     assert all(da.get(k, 0) == db.get(k, 0) for k in keys)
-
-
-# Exact bases and nonzero d / phi entries of module_hom and module_tensor on
-# B = k[x]/x^2 + (y, z = dy) as a bimodule over A = k[x]/x^2, recorded
-# before their sparse accumulators were rewritten: the tests above compare
-# only dimensions and homology, which a sign slip can pass.  B is a constant
-# diagram, so both perversities of P3 carry the same slot.
-
-
-def entries(m):
-    "{(row, col): scalar} of the nonzero entries of a matrix"
-    return {(i, j): x for j, col in enumerate(m.columns())
-            for i, x in col.items()}
-
-
-def pinned(Z):
-    "basis and nonzero d and phi entries of a perverse complex"
-    return {"basis": Z.basis,
-            "d": {k: entries(m) for k, m in Z.d.items() if not m.is_zero()},
-            "phi": {k: entries(m) for k, m in Z.phi.items()
-                    if not m.is_zero()}}
-
-
-def restricted_fixture():
-    A, B, fmap = quasi_iso_fixture(QQ, P3)
-    return restrict_bimodule(A, B, fmap)
-
-
-def test_module_hom_is_pinned():
-    M = restricted_fixture()
-    z, t = P3.zero, P3.top
-    slot = {
-        "basis": {
-            -2: ['f0'], -1: ['f0', 'f1'], 0: ['f0', 'f1', 'f2'], 1: ['f0'],
-            2: ['f0'], 3: ['f0'], 4: ['f0'],
-        },
-        "d": {
-            -2: {(0, 0): -1},
-            -1: {(1, 1): 1, (2, 1): 1},
-            0: {(0, 1): 1, (0, 2): -1},
-            3: {(0, 0): 1},
-        },
-    }
-    assert pinned(module_hom(M, M, (-2, 3))) == {
-        "basis": {(r, k): b for r in (z, t)
-                  for k, b in slot["basis"].items()},
-        "d": {(r, k): e for r in (z, t) for k, e in slot["d"].items()},
-        "phi": {
-            (z, t, -2): {(0, 0): 1},
-            (z, t, -1): {(0, 0): 1, (1, 1): 1},
-            (z, t, 0): {(0, 0): 1, (1, 1): 1, (2, 2): 1},
-            (z, t, 1): {(0, 0): 1},
-            (z, t, 2): {(0, 0): 1},
-            (z, t, 3): {(0, 0): 1},
-            (z, t, 4): {(0, 0): 1},
-        },
-    }
-
-
-def test_module_tensor_is_pinned():
-    M = restricted_fixture()
-    z, t = P3.zero, P3.top
-    slot = {
-        "basis": {
-            0: [('1', '1')], 2: [('x', '1')], 3: [('1', 'y'), ('y', '1')],
-            4: [('1', 'z'), ('z', '1')], 6: [('y', 'y')],
-            7: [('y', 'z'), ('z', 'y')], 8: [('z', 'z')],
-        },
-        "d": {
-            3: {(0, 0): 1, (1, 1): 1},
-            6: {(0, 0): -1, (1, 0): 1},
-            7: {(0, 0): 1, (0, 1): 1},
-        },
-    }
-    assert pinned(module_tensor(M, M)) == {
-        "basis": {(r, k): b for r in (z, t)
-                  for k, b in slot["basis"].items()},
-        "d": {(r, k): e for r in (z, t) for k, e in slot["d"].items()},
-        "phi": {
-            (z, t, 0): {(0, 0): 1},
-            (z, t, 2): {(0, 0): 1},
-            (z, t, 3): {(0, 0): 1, (1, 1): 1},
-            (z, t, 4): {(0, 0): 1, (1, 1): 1},
-            (z, t, 6): {(0, 0): 1},
-            (z, t, 7): {(0, 0): 1, (1, 1): 1},
-            (z, t, 8): {(0, 0): 1},
-        },
-    }
-
-
-def test_module_hom_is_pinned_across_covers():
-    """Hom_A(A, A) on Poset(4) for A = 1, x, y, z = dy with zero products
-    and labels x, z at e1 and y at e2: a pair (m, n) leaves the slot once
-    lam(m) + r is past the top, so the identity at e2 loses its (x, x) and
-    (z, z) terms at e3"""
-    e0, e1, e2, e3 = P4.elements
-    gens = [("1", 0, e0), ("x", 2, e1), ("y", 3, e2), ("z", 4, e1)]
-    prods = {(a, b): {} for a in "xyz" for b in "xyz"}
-    A = PDGA(QQ, P4, gens, "1", diff={"y": {"z": QQ.one}}, products=prods)
-    H = module_hom(algebra_as_bimodule(A), algebra_as_bimodule(A), (-1, 4))
-    H.validate()
-    assert pinned(H) == {
-        "basis": {
-            (e0, 0): ['f0'],
-            (e1, 0): ['f0'], (e1, 2): ['f0'], (e1, 4): ['f0'],
-            (e2, 0): ['f0'], (e2, 2): ['f0'], (e2, 3): ['f0'],
-            (e2, 4): ['f0'],
-            (e3, 0): ['f0'], (e3, 2): ['f0'], (e3, 3): ['f0'],
-            (e3, 4): ['f0'],
-        },
-        "d": {
-            (e2, 3): {(0, 0): 1},
-            (e3, 3): {(0, 0): 1},
-        },
-        "phi": {
-            (e0, e1, 0): {(0, 0): 1},
-            (e1, e2, 0): {(0, 0): 1},
-            (e1, e2, 2): {(0, 0): 1},
-            (e1, e2, 4): {(0, 0): 1},
-            (e2, e3, 0): {(0, 0): 1},
-            (e2, e3, 2): {(0, 0): 1},
-            (e2, e3, 3): {(0, 0): 1},
-            (e2, e3, 4): {(0, 0): 1},
-        },
-    }
-
-
-# d and phi of Hom_A(A, A) and A box_A A for the labeled pDGA whose carrier
-# is pinned above: both are the carrier again, under other names; recorded
-# before module_hom and module_tensor stated their slots over keys
-def random_pdga_module_maps():
-    z, a, b, t = P4.elements
-    one = {(0, 0): 1}
-    return {"d": {(a, 3): one, (b, 3): {(0, 1): 1}, (t, 3): {(0, 1): 1}},
-            "phi": {(z, a, 0): one, (z, a, 4): one,
-                    (a, b, 0): one, (a, b, 3): {(1, 0): 1}, (a, b, 4): one,
-                    (b, t, 0): one, (b, t, 3): {(0, 0): 1, (1, 1): 1},
-                    (b, t, 4): one}}
-
-
-def test_module_hom_of_a_labeled_random_pdga_is_pinned():
-    M = algebra_as_bimodule(random_pdga(QQ, P4, 5))
-    z, a, b, t = P4.elements
-    H = module_hom(M, M, (-4, 4))
-    H.validate()
-    assert pinned(H) == dict(random_pdga_module_maps(), basis={
-        (z, 0): ["f0"], (z, 4): ["f0"],
-        (a, 0): ["f0"], (a, 3): ["f0"], (a, 4): ["f0"],
-        (b, 0): ["f0"], (b, 3): ["f0", "f1"], (b, 4): ["f0"],
-        (t, 0): ["f0"], (t, 3): ["f0", "f1"], (t, 4): ["f0"]})
-
-
-def test_module_tensor_of_a_labeled_random_pdga_is_pinned():
-    M = algebra_as_bimodule(random_pdga(QQ, P4, 5))
-    z, a, b, t = P4.elements
-    T = module_tensor(M, M)
-    T.validate()
-    unit, v0, v1, v2 = [(x, "1") for x in ("1", "v0", "v1", "v2")]
-    assert pinned(T) == dict(random_pdga_module_maps(), basis={
-        (z, 0): [unit], (z, 4): [v1],
-        (a, 0): [unit], (a, 3): [v2], (a, 4): [v1],
-        (b, 0): [unit], (b, 3): [v0, v2], (b, 4): [v1],
-        (t, 0): [unit], (t, 3): [v0, v2], (t, 4): [v1]})
 
 
 def test_dual_module_slots_are_the_duals_of_the_subcomplexes():

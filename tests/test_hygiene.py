@@ -70,6 +70,17 @@ def test_no_module_imports_a_private_name():
     assert not found, found
 
 
+def definitions(tree):
+    """(qualified name, node) of each module-level function and class and
+    each method, named Class.method, of a module-level class"""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name + "." + fn.name, fn) for fn in node.body
+                        if isinstance(fn, _FUNCTIONS))
+
+
 # parameters kept although their function never reads them, with the reason
 _KEPT_PARAMETERS = {
     # perfbench/tracer.py records the AW bar word as the 4th positional
@@ -83,11 +94,11 @@ def unread_parameters(tree):
     or method that the body, nested scopes included, never reads.  Nested
     functions and lambdas are not checked, since their callers fix their
     signatures; nor is the first parameter (self or cls) of a method"""
-    fns = [(n, 0) for n in tree.body if isinstance(n, _FUNCTIONS)]
-    fns += [(n, 1) for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for n in cls.body if isinstance(n, _FUNCTIONS)]
     out = []
-    for fn, skip in fns:
+    for qual, fn in definitions(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        skip = 1 if "." in qual else 0
         a = fn.args
         params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
         params = params[skip:] + [p.arg for p in (a.vararg, a.kwarg) if p]
@@ -98,10 +109,90 @@ def unread_parameters(tree):
 
 
 def test_no_function_has_a_parameter_it_never_reads():
-    found = [(fname,) + hit for fname, tree in source_trees()
-             for hit in unread_parameters(tree)
-             if (fname,) + hit not in _KEPT_PARAMETERS]
-    assert not found, found
+    found = {(fname,) + hit for fname, tree in source_trees()
+             for hit in unread_parameters(tree)}
+    # an entry whose file, function or parameter is gone, or whose
+    # parameter is now read, is stale
+    assert not found - _KEPT_PARAMETERS, found - _KEPT_PARAMETERS
+    assert not _KEPT_PARAMETERS - found, _KEPT_PARAMETERS - found
+
+
+# functions, classes and methods (named Class.method) that no module of
+# src/perverse reads, with the reader outside the library that keeps each
+_KEPT_UNREAD = {
+    ("fields.py", "Field.div"):
+        "perfbench/tracer.py wraps it; tests/test_perfbench.py resolves it",
+    ("algebra.py", "tensor_algebra"):
+        "the one builder of _TruncatedTensor, whose mul perfbench/tracer.py "
+        "wraps",
+    ("hochschild.py", "hh_table_oracle"):
+        "perfbench/make_reference.py checks hh-trunc3 against it",
+    ("poset.py", "Poset.oplus_bruteforce"): "acceptance criterion 1",
+    ("hochschild.py", "Bar.q_A"):
+        "the augmentation whose kernel acceptance criterion 3 contracts",
+    ("hochschild.py", "InducedHH"): "acceptance criterion 8",
+    ("hochschild.py", "InducedHH.is_iso"): "acceptance criterion 8",
+    ("hochschild.py", "Cochains.window_exact"):
+        "the README's truncation rule, until a library query reads it",
+    ("builders.py", "corpus"): "the test and benchmark inputs",
+    ("builders.py", "random_pdga"): "the test and benchmark inputs",
+    ("builders.py", "quasi_iso_fixture"):
+        "the input of acceptance criterion 8",
+    ("algebra.py", "opposite_and_enveloping"):
+        "the opposite and enveloping algebras, test inputs",
+    ("complexes.py", "box_tensor"):
+        "the ambient category, tested against box_tensor_fulldiagram",
+    ("complexes.py", "box_tensor_fulldiagram"): "the oracle of box_tensor",
+    ("complexes.py", "linear_dual"):
+        "the ambient category, tested by its closed form and adjunction",
+    ("kunneth.py", "pair_D"):
+        "the tensor differential of the AW and EZ chain-map tests",
+    ("kunneth.py", "alexander_whitney_vec"):
+        "the AW chain-map tests and acceptance criterion 9",
+    ("kunneth.py", "eilenberg_zilber_vec"): "the EZ chain-map test",
+    ("kunneth.py", "shuffle_product"):
+        "the shuffle chain-map and Connes B tests",
+}
+
+
+def loaded_names(trees):
+    """name -> the nodes that load it, as a name or an attribute, or import
+    it, in any of the trees"""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    out.setdefault(alias.name, []).append(node)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                    node.ctx, ast.Load):
+                out.setdefault(getattr(node, "id", None) or node.attr,
+                               []).append(node)
+    return out
+
+
+def unread_definitions(trees):
+    """(file, qualified name) of each definition, dunders aside, that no
+    module loads outside its own body"""
+    loads = loaded_names(trees.values())
+    out = set()
+    for fname, tree in trees.items():
+        for qual, node in definitions(tree):
+            name = qual.rpartition(".")[2]
+            own = {id(sub) for sub in ast.walk(node)}
+            if not (name.startswith("__") and name.endswith("__")) and all(
+                    id(ld) in own for ld in loads.get(name, [])):
+                out.add((fname, qual))
+    return out
+
+
+def test_every_function_has_a_reader():
+    # dead code does not stay in the library: a name no module reads goes,
+    # or _KEPT_UNREAD names the reader outside src/perverse that keeps it;
+    # an entry whose definition is gone or now has a library reader is stale
+    found = unread_definitions(dict(source_trees()))
+    assert not found - set(_KEPT_UNREAD), found - set(_KEPT_UNREAD)
+    assert not set(_KEPT_UNREAD) - found, set(_KEPT_UNREAD) - found
 
 
 def linalg_only_calls(tree):

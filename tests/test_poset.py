@@ -26,11 +26,10 @@ def test_zero_and_top():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_oplus_ominus_against_bruteforce(n):
+def test_oplus_against_bruteforce(n):
     P = Poset(n)
     for p, q in itertools.product(P.elements, repeat=2):
         assert P.oplus(p, q) == P.oplus_bruteforce(p, q)
-        assert P.ominus(q, p) == P.ominus_bruteforce(q, p)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -91,19 +90,6 @@ def test_dual_is_exact_difference_and_involutive():
             assert tuple(a + b for a, b in zip(p, d)) == P.top
             assert P.dual(d) == p
         assert P.dual(P.zero) == P.top
-
-
-def test_ominus_adjunction():
-    # q ominus p is the largest r with p oplus r <= q
-    P = Poset(5)
-    for p, q in itertools.product(P.elements, repeat=2):
-        if not leq(p, q):
-            continue
-        r = P.ominus(q, p)
-        assert leq(P.oplus(p, r), q)
-        for r2 in P.elements:
-            if P.oplus(p, r2) is not None and leq(P.oplus(p, r2), q):
-                assert leq(r2, r)
 
 
 def test_covers_and_paths():
