@@ -29,10 +29,9 @@ from .poset import Poset, is_perversity
 from .linalg import SparseMatrix
 from .complexes import ChainComplex, p_filtration, cofibrancy_certificate
 from .algebra import PDGA, algebra_as_bimodule
-from .hochschild import Cochains, hh_table
-from .structure import (BVOperator, verify_calculus, GERSTENHABER_IDS,
-                        CALCULUS_IDS, BV_IDS)
-from .kunneth import compare_hh
+
+# a command imports hochschild, structure and kunneth itself, so that
+# `perverse poset`, `homology` and `hh` compile only what they run
 
 
 class InputError(Exception):
@@ -314,6 +313,7 @@ def cmd_homology(args, out):
 
 
 def cmd_hh(args, out):
+    from .hochschild import hh_table
     A = load_pdga(args.algebra)
     lo, hi = args.window
     perv = None
@@ -329,6 +329,7 @@ def cmd_hh(args, out):
 
 
 def _run_suite(args, out, ids):
+    from .structure import verify_calculus
     A = load_pdga(args.algebra)
     lo, hi = args.window
     recs = verify_calculus(A, args.max_length, lo, hi, trials=args.trials,
@@ -338,14 +339,18 @@ def _run_suite(args, out, ids):
 
 
 def cmd_gerstenhaber(args, out):
+    from .structure import GERSTENHABER_IDS
     return _run_suite(args, out, GERSTENHABER_IDS)
 
 
 def cmd_calculus(args, out):
+    from .structure import CALCULUS_IDS
     return _run_suite(args, out, CALCULUS_IDS)
 
 
 def cmd_bv(args, out):
+    from .hochschild import Cochains
+    from .structure import BVOperator, verify_calculus, BV_IDS
     A = load_pdga(args.algebra)
     lo, hi = args.window
     try:
@@ -378,6 +383,7 @@ def cmd_bv(args, out):
 
 
 def cmd_tensor(args, out):
+    from .kunneth import compare_hh
     A = load_pdga(args.algebra)
     B = load_pdga(args.algebra2)
     try:

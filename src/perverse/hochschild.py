@@ -23,13 +23,16 @@ the module element is present at label(w) + r; middle_words holds the label
 and suspended degree of each word.  The differentials themselves are
 label-blind, so the image of each basis element is computed once per complex
 and every slot matrix cuts it to the admissible target pairs.  D* is pushed
-forward from each term (w -> m) of a cochain onto the cofaces of w, the
-words that have w as a face, found once per word of a complex, and an HH
-dimension table is read from the ranks of the slot matrices alone, by
+forward from one basis cochain (w -> m) onto the cofaces of w, the words
+that have w as a face, found once per word of a complex: push_cochain_D is
+the one D* formula and writes straight into a flat image, D_key is its image
+of one pair, and apply_cochain_D is its sum over the terms of a cochain.
+An HH dimension table is read from the ranks of the slot matrices alone, by
 clearing: a column that the previous degree shows dependent is never
 assembled.
 """
 
+import functools
 import itertools
 
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solver,
@@ -277,32 +280,50 @@ def to_cochain(op, words):
     return out
 
 
-def apply_cochain_D(A, M, f, fdeg, coface):
-    """the printed cochain differential D* = d0 + d1 of f = {(w, m): c}, in
-    the same shape, kept on the words of the CofaceTable coface.  Each term
-    (v, m, c) of f is pushed forward onto the words that have v as a face;
-    with e the suspended degree of v[:i] and v[i] = y:
+def push_cochain_D(A, M, out, p, c, fdeg, coface):
+    """add c times D* of the basis cochain p = (v -> m) of degree fdeg into
+    the flat image out = {(w, m'): c'}, on the words of the CofaceTable
+    coface, and return out.  The one D* formula: with e the suspended degree
+    of v[:i] and v[i] = y,
       d_M(m) lands on v, with sign +1;
       y in d(x) lands on v[:i] + (x,) + v[i+1:], with (-1)^(e + fdeg);
       y in a.b lands on v[:i] + (a, b) + v[i+1:], with (-1)^(e + |a| + fdeg);
       a.m lands on (a,) + v, with (-1)^((|a| + 1) fdeg + 1);
       m.a lands on v + (a,), with (-1)^(sdeg(v) + fdeg).
     coface[v] holds the word side, so only fdeg and m are the term's own"""
-    F, acc = A.field, {}
-    for (v, m), c in f.items():
-        carried, inner, outer, eps = coface[v]
-        cs = (c, F.neg(c))
+    F, (v, m) = A.field, p
+    carried, inner, outer, eps = coface[v]
+    cs = (c, F.neg(c))
+    if carried and (dm := M.d(m)):
+        vec_iadd(F, out, {(v, y): cy for y, cy in dm.items()}, c)
+    for w, cy, e in inner:
+        vec_iadd(F, out, {(w, m): cy}, cs[(e + fdeg) % 2])
+    for w, a, left in outer:
+        vec = M.act_left(a, m) if left else M.act_right(m, a)
+        if vec:
+            s = (A.deg(a) + 1) * fdeg + 1 if left else eps + fdeg
+            vec_iadd(F, out, {(w, y): cy for y, cy in vec.items()},
+                     cs[s % 2])
+    return out
+
+
+def apply_cochain_D(A, M, f, fdeg, coface):
+    """the printed cochain differential D* = d0 + d1 of f = {(w, m): c}, in
+    the same shape: the sum of push_cochain_D over the terms of f.  Its
+    words come in the order the terms first visit them, a word visited with
+    a zero action included, and each word's pairs in the order they were
+    added"""
+    out, rank = {}, {}
+    for p, c in f.items():
+        push_cochain_D(A, M, out, p, c, fdeg, coface)
+        carried, inner, outer, _ = coface[p[0]]
         if carried:
-            vec_iadd(F, acc.setdefault(v, {}), M.d(m), c)
-        for w, cy, e in inner:
-            vec_iadd(F, acc.setdefault(w, {}), {m: cy}, cs[(e + fdeg) % 2])
-        for w, a, left in outer:
-            vec = M.act_left(a, m) if left else M.act_right(m, a)
-            out = acc.setdefault(w, {})
-            if vec:
-                s = (A.deg(a) + 1) * fdeg + 1 if left else eps + fdeg
-                vec_iadd(F, out, vec, cs[s % 2])
-    return {(w, m): c for w, vec in acc.items() for m, c in vec.items()}
+            rank.setdefault(p[0], len(rank))
+        for x in inner:
+            rank.setdefault(x[0], len(rank))
+        for x in outer:
+            rank.setdefault(x[0], len(rank))
+    return dict(sorted(out.items(), key=lambda t: rank[t[0][0]]))
 
 
 class Cochains(SlotComplex):
@@ -324,12 +345,26 @@ class Cochains(SlotComplex):
         self.mids = middle_words(A, L)
         self.words = list(self.mids)
         self.coface = CofaceTable(A, self.mids)
-        # {q: {w: [m, ...]}}: the pairs of degree q, ordered by w, then m
-        self.pairs = {}
-        for w, (d, _) in self.mids.items():
+        # {q: [((w, m), label of w), ...]}: the pairs of degree q, ordered
+        # by w, then m, and {q: their distinct word labels}
+        self.graded = {}
+        for w, (d, lw) in self.mids.items():
             for m in M.names:
-                self.pairs.setdefault(M.degree[m] - d, {}).setdefault(
-                    w, []).append(m)
+                self.graded.setdefault(M.degree[m] - d, []).append(
+                    ((w, m), lw))
+        self.labels = {q: {lw for _, lw in ps}
+                       for q, ps in self.graded.items()}
+
+    @functools.cached_property
+    def pairs(self):
+        """{q: {w: [m, ...]}}, the pairs of graded regrouped by word; built
+        on first read, since no slot basis reads it"""
+        out = {}
+        for q, ps in self.graded.items():
+            by_word = out[q] = {}
+            for (w, m), _ in ps:
+                by_word.setdefault(w, []).append(m)
+        return out
 
     def degree(self, p):
         w, m = p
@@ -352,20 +387,18 @@ class Cochains(SlotComplex):
     def slot_basis(self, r, q):
         """the admissible pairs (w, m) of degree q at r, ordered by w, then
         m; one oplus and one presence set per distinct word label"""
-        P, M, mids = self.A.poset, self.M, self.mids
-        words = self.pairs.get(q, {})
+        P, M = self.A.poset, self.M
         # word label -> the names present at it plus r
         at = {lw: () if (lab := P.oplus(lw, r)) is None else M.present_at(lab)
-              for lw in {mids[w][1] for w in words}}
-        return [(w, m) for w, ms in words.items()
-                for m in ms if m in at[mids[w][1]]]
+              for lw in self.labels.get(q, ())}
+        return [p for p, lw in self.graded.get(q, ()) if p[1] in at[lw]]
 
     def D_key(self, p):
         """D* of the basis cochain p = (w, m): its one term pushed forward
         onto the cofaces of w that this complex carries, every pair of them
         one degree up; a slot matrix keeps the pairs admissible at its r"""
-        return apply_cochain_D(self.A, self.M, {p: self.A.field.one},
-                               self.degree(p), self.coface)
+        return push_cochain_D(self.A, self.M, {}, p, self.A.field.one,
+                              self.degree(p), self.coface)
 
     def _coordinates(self, r, q, vec):
         """as SlotComplex's, but a term on a word whose label plus r is past

@@ -23,8 +23,8 @@ from .linalg import (SparseMatrix, vec_iadd, vec_scale, signed_sum, solver,
                      linear)
 from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
                       dual_name)
-from .hochschild import (word_sdeg, word_eps, apply_cochain_D, Chains,
-                         Cochains, Op, cochain_op, to_cochain)
+from .hochschild import (word_eps, apply_cochain_D, Chains, Cochains, Op,
+                         cochain_op, to_cochain)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +385,13 @@ class BVOperator:
 # the identity suite
 
 
-def random_cochain(A, words, q, rng):
-    "random degree-q cochain on words, each term drawn with probability 1/2"
+def random_cochain(A, mids, q, rng):
+    """random degree-q cochain on the words of mids, {w: (suspended degree,
+    label)} as middle_words gives it, each term drawn with probability 1/2"""
     F = A.field
     out = {}
-    for w in words:
-        deg = q + word_sdeg(A, w)
+    for w, (d, _) in mids.items():
+        deg = q + d
         for x in A.names:
             if A.deg(x) != deg:
                 continue
@@ -479,11 +480,11 @@ class _Suite:
         rng, lo, hi = self.rng, self.lo, self.hi
         for t in range(self.trials):
             qs = [rng.randint(lo, hi), rng.randint(lo, hi)]
-            out = [(random_cochain(self.A, self.words, q, rng), q)
+            out = [(random_cochain(self.A, self.cx.mids, q, rng), q)
                    for q in qs]
             for _ in range(k - 2):
                 q = rng.randint(lo, hi)
-                f = random_cochain(self.A, self.words, q, rng)
+                f = random_cochain(self.A, self.cx.mids, q, rng)
                 out.append((f, q if f else 0))
             yield t, out
 

@@ -9,7 +9,7 @@ import pytest
 
 from perverse.fields import QQ
 from perverse.poset import Poset
-from perverse.builders import sphere_algebra, truncated_polynomial, corpus
+from perverse.builders import sphere_algebra, corpus
 from perverse import cli, structure
 
 P3 = Poset(3)
@@ -117,14 +117,14 @@ D_SQUARED_NONZERO = {
     "unit": "1", "differential": {"x": {"y": 1}, "y": {"z": 1}}}
 
 
-def run_python(tmp_path, flags, argv):
+def run_python(tmp_path, flags, argv, entry=("-m", "perverse.cli")):
     "(exit code, stdout, stderr) of the CLI in a fresh interpreter"
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable] + flags + ["-m", "perverse.cli"] + argv,
+        [sys.executable] + flags + list(entry) + argv,
         env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -176,6 +176,29 @@ def test_commands_print_the_same_under_python_O(tmp_path, argv):
     optimized = run_python(tmp_path, ["-O"], argv)
     assert plain[0] == 0, plain
     assert optimized[:2] == plain[:2]
+
+
+# runs the CLI on its arguments, then names on stderr the perverse modules
+# the command left in sys.modules
+_LOADED = ("import sys; from perverse import cli; code = cli.main(); "
+           "print(*sorted(m for m in sys.modules if m.startswith('perverse.')),"
+           " file=sys.stderr); sys.exit(code)")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("argv,runs", [
+    (["hh", "sphere2"], {"perverse.hochschild"}),
+    (["homology", "sphere2"], set()),
+    (["poset", "--n", "3"], set())], ids=["hh", "homology", "poset"])
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, flags, argv,
+                                                    runs):
+    # hh, homology and poset run neither the identity suites nor the
+    # Kunneth comparison, so they do not compile structure and kunneth
+    code, out, err = run_python(tmp_path, flags, argv, entry=("-c", _LOADED))
+    loaded = set(err.split())
+    assert runs <= loaded, err
+    assert not {"perverse.structure", "perverse.kunneth"} & loaded, err
+    assert (code, out) == run(argv) and code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +377,7 @@ def test_bv_command():
 
 def test_bv_builds_one_operator_and_hands_it_to_the_suite(monkeypatch):
     built, handed = [], []
-    init, suite = cli.BVOperator.__init__, cli.verify_calculus
+    init, suite = structure.BVOperator.__init__, structure.verify_calculus
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -364,8 +387,8 @@ def test_bv_builds_one_operator_and_hands_it_to_the_suite(monkeypatch):
         handed.append(kwargs.get("bv"))
         return suite(*args, **kwargs)
 
-    monkeypatch.setattr(cli.BVOperator, "__init__", counting_init)
-    monkeypatch.setattr(cli, "verify_calculus", recording_suite)
+    monkeypatch.setattr(structure.BVOperator, "__init__", counting_init)
+    monkeypatch.setattr(structure, "verify_calculus", recording_suite)
     code, out = run(["bv", "sphere2", "--duality-degree", "2",
                      "--trials", "3"])
     assert code == 0, out

@@ -6,8 +6,8 @@ from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Subquotient, Quotient, Subspace,
                              kernel_basis, vec_iadd)
 from perverse.poset import Poset, leq
-from perverse.complexes import (ChainComplex, point_complex, PerverseComplex,
-                                free_perverse, unit_perverse, box_tensor,
+from perverse.complexes import (ChainComplex, PerverseComplex, free_perverse,
+                                unit_perverse, box_tensor,
                                 box_tensor_fulldiagram, internal_hom,
                                 linear_dual, p_filtration,
                                 cofibrancy_certificate, quotient, kernel)

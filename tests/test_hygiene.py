@@ -1,20 +1,21 @@
-"""Source checks on src/perverse that no behavioural test can see."""
+"""Source checks on src/perverse, and on the tests, that no behavioural test
+can see."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "perverse")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "perverse")
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef)
 
 
-def source_trees():
-    "(file name, parsed tree) of each module in src/perverse"
-    for fname in sorted(os.listdir(SRC)):
+def source_trees(directory=SRC):
+    "(file name, parsed tree) of each module in directory"
+    for fname in sorted(os.listdir(directory)):
         if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname)) as fh:
+            with open(os.path.join(directory, fname)) as fh:
                 yield fname, ast.parse(fh.read(), fname)
 
 
@@ -67,6 +68,27 @@ def private_imports(tree):
 def test_no_module_imports_a_private_name():
     found = [(fname, name) for fname, tree in source_trees()
              for name in private_imports(tree)]
+    assert not found, found
+
+
+def unread_imports(tree):
+    """(line, name) of each name a module-level import binds and the module
+    never reads"""
+    bound = {alias.asname or alias.name.partition(".")[0]: node.lineno
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # in the library and in the tests alike
+    found = [(fname,) + hit for directory in (SRC, TESTS)
+             for fname, tree in source_trees(directory)
+             for hit in unread_imports(tree)]
     assert not found, found
 
 

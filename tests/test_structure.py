@@ -11,9 +11,9 @@ from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
-                                 apply_cochain_D, sdeg)
+                                 apply_cochain_D)
 from perverse.structure import (Op, cochain_op, mult_op, diff_op,
-                                to_cochain, brace, circle, op_combine,
+                                to_cochain, brace, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
                                 connes_B, bdual_op, find_duality_class,
                                 BVOperator, random_cochain, verify_calculus,
@@ -27,10 +27,10 @@ def unit_cochain(A):
     return {((), A.unit): A.field.one}
 
 
-def _rand_hom_cochain(A, words, rng, lo=-5, hi=5):
+def _rand_hom_cochain(A, mids, rng, lo=-5, hi=5):
     for _ in range(30):
         q = rng.randint(lo, hi)
-        f = random_cochain(A, words, q, rng)
+        f = random_cochain(A, mids, q, rng)
         if f:
             return f, q
     return {}, 0
@@ -172,12 +172,12 @@ def test_pre_jacobi_exact(seed):
 # --- length supports --------------------------------------------------------
 
 
-def _cochain_on_some_lengths(A, words, rng):
+def _cochain_on_some_lengths(A, mids, rng):
     "a random homogeneous cochain on the words of a random set of lengths"
-    top = max(len(w) for w in words)
+    top = max(len(w) for w in mids)
     keep = set(rng.sample(range(top + 1), rng.randint(1, top + 1)))
-    return _rand_hom_cochain(A, [w for w in words if len(w) in keep], rng,
-                             lo=-3, hi=3)
+    return _rand_hom_cochain(A, {w: x for w, x in mids.items()
+                                 if len(w) in keep}, rng, lo=-3, hi=3)
 
 
 def _every_kind_of_op(A, f, g, h, p, m, d):
@@ -205,7 +205,7 @@ def test_op_lengths_hold_the_whole_support(name):
     A = {**corpus(QQ, P3), "random5": random_pdga(QQ, P3, 5),
          "noncommutative": _noncommutative()}[name]
     L = 4
-    words = Cochains(A, algebra_as_bimodule(A), L).words
+    words = middle_words(A, L)
     rng = random.Random(11)
     skipped = 0
     for _ in range(3):
