@@ -24,6 +24,13 @@ def test_zero_and_top():
         assert leq(P.zero, p) and leq(p, P.top)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_oplus_against_bruteforce(n):
+    P = Poset(n)
+    for p, q in itertools.product(P.elements, repeat=2):
+        assert P.oplus(p, q) == P.oplus_bruteforce(p, q)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_oplus_memo_holds_the_bruteforce_sum_of_each_pair(n):
     # the first oplus of each pair equals oplus_bruteforce, then it is stored
