@@ -210,6 +210,10 @@ class CofaceTable(dict):
 
     def __init__(self, A, words):
         self.A, self.words = A, words
+        # the letters of the outer faces; a word of the longest length in
+        # the set has none there
+        self.letters = A.nonunit()
+        self.longest = max(map(len, words), default=0)
 
     def __missing__(self, v):
         A, words = self.A, self.words
@@ -218,9 +222,9 @@ class CofaceTable(dict):
                  for i, y in enumerate(v)
                  for xs, cy in A.letter_preimages.get(y, ())
                  if (w := v[:i] + xs + v[i + 1:]) in words]
-        outer = [(w, a, left) for a in A.nonunit()
+        outer = [(w, a, left) for a in self.letters
                  for left, w in ((True, (a,) + v), (False, v + (a,)))
-                 if w in words]
+                 if w in words] if len(v) < self.longest else []
         self[v] = entry = (v in words, inner, outer, eps[-1])
         return entry
 

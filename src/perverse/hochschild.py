@@ -24,15 +24,14 @@ and suspended degree of each word.  The differentials themselves are
 label-blind, so the image of each basis element is computed once per complex
 and every slot matrix cuts it to the admissible target pairs.  D* is pushed
 forward from one basis cochain (w -> m) onto the cofaces of w, the words
-that have w as a face, found once per word of a complex: push_cochain_D is
-the one D* formula and writes straight into a flat image, D_key is its image
-of one pair, and apply_cochain_D is its sum over the terms of a cochain.
+that have w as a face, found once per word of a complex: cochain_D_image is
+the one D* formula, the flat image of one pair, which D_key returns, and
+apply_cochain_D is its linear extension, with an unspecified term order.
 An HH dimension table is read from the ranks of the slot matrices alone, by
 clearing: a column that the previous degree shows dependent is never
 assembled.
 """
 
-import functools
 import itertools
 
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solver,
@@ -280,50 +279,38 @@ def to_cochain(op, words):
     return out
 
 
-def push_cochain_D(A, M, out, p, c, fdeg, coface):
-    """add c times D* of the basis cochain p = (v -> m) of degree fdeg into
-    the flat image out = {(w, m'): c'}, on the words of the CofaceTable
-    coface, and return out.  The one D* formula: with e the suspended degree
-    of v[:i] and v[i] = y,
+def cochain_D_image(A, M, p, fdeg, coface):
+    """D* of the basis cochain p = (v -> m) of degree fdeg: its flat image
+    {(w, m'): c'} on the words of the CofaceTable coface.  The one D*
+    formula: with e the suspended degree of v[:i] and v[i] = y,
       d_M(m) lands on v, with sign +1;
       y in d(x) lands on v[:i] + (x,) + v[i+1:], with (-1)^(e + fdeg);
       y in a.b lands on v[:i] + (a, b) + v[i+1:], with (-1)^(e + |a| + fdeg);
       a.m lands on (a,) + v, with (-1)^((|a| + 1) fdeg + 1);
       m.a lands on v + (a,), with (-1)^(sdeg(v) + fdeg).
-    coface[v] holds the word side, so only fdeg and m are the term's own"""
+    coface[v] holds the word side, so only fdeg and m are the pair's own"""
     F, (v, m) = A.field, p
     carried, inner, outer, eps = coface[v]
-    cs = (c, F.neg(c))
+    out = {}
     if carried and (dm := M.d(m)):
-        vec_iadd(F, out, {(v, y): cy for y, cy in dm.items()}, c)
+        vec_iadd(F, out, {(v, y): cy for y, cy in dm.items()})
     for w, cy, e in inner:
-        vec_iadd(F, out, {(w, m): cy}, cs[(e + fdeg) % 2])
+        vec_iadd(F, out, {(w, m): cy}, F.sign(e + fdeg))
     for w, a, left in outer:
         vec = M.act_left(a, m) if left else M.act_right(m, a)
         if vec:
             s = (A.deg(a) + 1) * fdeg + 1 if left else eps + fdeg
             vec_iadd(F, out, {(w, y): cy for y, cy in vec.items()},
-                     cs[s % 2])
+                     F.sign(s))
     return out
 
 
 def apply_cochain_D(A, M, f, fdeg, coface):
     """the printed cochain differential D* = d0 + d1 of f = {(w, m): c}, in
-    the same shape: the sum of push_cochain_D over the terms of f.  Its
-    words come in the order the terms first visit them, a word visited with
-    a zero action included, and each word's pairs in the order they were
-    added"""
-    out, rank = {}, {}
-    for p, c in f.items():
-        push_cochain_D(A, M, out, p, c, fdeg, coface)
-        carried, inner, outer, _ = coface[p[0]]
-        if carried:
-            rank.setdefault(p[0], len(rank))
-        for x in inner:
-            rank.setdefault(x[0], len(rank))
-        for x in outer:
-            rank.setdefault(x[0], len(rank))
-    return dict(sorted(out.items(), key=lambda t: rank[t[0][0]]))
+    the same shape: the linear extension of cochain_D_image.  The order of
+    its terms is unspecified"""
+    return linear(A.field, lambda p: cochain_D_image(A, M, p, fdeg, coface),
+                  f)
 
 
 class Cochains(SlotComplex):
@@ -354,17 +341,6 @@ class Cochains(SlotComplex):
                     ((w, m), lw))
         self.labels = {q: {lw for _, lw in ps}
                        for q, ps in self.graded.items()}
-
-    @functools.cached_property
-    def pairs(self):
-        """{q: {w: [m, ...]}}, the pairs of graded regrouped by word; built
-        on first read, since no slot basis reads it"""
-        out = {}
-        for q, ps in self.graded.items():
-            by_word = out[q] = {}
-            for (w, m), _ in ps:
-                by_word.setdefault(w, []).append(m)
-        return out
 
     def degree(self, p):
         w, m = p
@@ -397,8 +373,8 @@ class Cochains(SlotComplex):
         """D* of the basis cochain p = (w, m): its one term pushed forward
         onto the cofaces of w that this complex carries, every pair of them
         one degree up; a slot matrix keeps the pairs admissible at its r"""
-        return push_cochain_D(self.A, self.M, {}, p, self.A.field.one,
-                              self.degree(p), self.coface)
+        return cochain_D_image(self.A, self.M, p, self.degree(p),
+                               self.coface)
 
     def _coordinates(self, r, q, vec):
         """as SlotComplex's, but a term on a word whose label plus r is past
@@ -467,7 +443,8 @@ def hh_table_oracle(A, M, L, lo, hi):
     class BarDual(Cochains):
         def D_key(self, p):
             q = self.degree(p)
-            return dphi(*p, q, sorted(self.pairs.get(q + 1, {}), key=repr))
+            return dphi(*p, q, sorted({w for (w, _), _ in self.graded.get(
+                q + 1, ())}, key=repr))
 
     return BarDual(A, M, L).table(lo, hi)
 

@@ -260,28 +260,7 @@ def compare_hh(A, B, L, window):
     if not (is_constant_diagram(A) or is_constant_diagram(B)):
         raise ValueError("unsupported: neither factor is a constant diagram "
                          "with finite slots")
-    T = tensor_pdga(A, B)
-    loA, hiA = hh_degree_support(A, L)
-    loB, hiB = hh_degree_support(B, L)
-    # a square A box A builds the factor's complexes, tables and BV
-    # operator once and reads them on both sides
-    same = B is A
-    cxA = Cochains(A, algebra_as_bimodule(A), L)
-    cxB = cxA if same else Cochains(B, algebra_as_bimodule(B), L)
-    cxT = Cochains(T, algebra_as_bimodule(T), L)
-    cxTm = Cochains(T, cxT.M, L - 1)
-    tabA = cxA.table(loA, hiA)
-    tabB = tabA if same else cxB.table(loB, hiB)
-    tabT = cxT.table(lo, hi)
-    # one truncation level down, to certify slot-wise convergence in L
-    tabAm = Cochains(A, cxA.M, L - 1).table(loA, hiA)
-    tabBm = tabAm if same else Cochains(B, cxB.M, L - 1).table(loB, hiB)
-    tabTm = cxTm.table(lo, hi)
-    # AW of 1[w]1 depends on w alone: evaluate it once per middle word of
-    # cxT for all the transports below
-    aw = aw_table(A, B, T, cxT.words)
-    records = []
-    # classes repeat across slots and pairs, so every Op, product,
+    # classes repeat across slots and pairs, so every factor, Op, product,
     # transport and Delta below is evaluated once per value of its inputs
     memo = {}
 
@@ -292,6 +271,26 @@ def compare_hh(A, B, L, window):
         if key not in memo:
             memo[key] = fn(*args)
         return memo[key]
+
+    def factor(X):
+        """X's degree support, its Cochains and their tables at L and, to
+        certify slot-wise convergence in L, at L - 1"""
+        loX, hiX = hh_degree_support(X, L)
+        cx = Cochains(X, algebra_as_bimodule(X), L)
+        return (loX, hiX, cx, cx.table(loX, hiX),
+                Cochains(X, cx.M, L - 1).table(loX, hiX))
+
+    loA, hiA, cxA, tabA, tabAm = once(factor, A)
+    loB, hiB, cxB, tabB, tabBm = once(factor, B)
+    T = tensor_pdga(A, B)
+    cxT = Cochains(T, algebra_as_bimodule(T), L)
+    cxTm = Cochains(T, cxT.M, L - 1)
+    tabT = cxT.table(lo, hi)
+    tabTm = cxTm.table(lo, hi)
+    # AW of 1[w]1 depends on w alone: evaluate it once per middle word of
+    # cxT for all the transports below
+    aw = aw_table(A, B, T, cxT.words)
+    records = []
 
     def transport(f, qf, g, qg):
         return tensor_cochain(A, B, T, f, qf, g, qg, aw)
@@ -414,9 +413,7 @@ def compare_hh(A, B, L, window):
         return {"slot": (r, q), "degrees": (qf, qg)}
 
     try:
-        bvA = BVOperator(cxA)
-        bvB = bvA if same else BVOperator(cxB)
-        bvT = BVOperator(cxT)
+        bvA, bvB, bvT = (once(BVOperator, cx) for cx in (cxA, cxB, cxT))
     except (ValueError, LookupError) as e:
         records.append({"identity": "Delta transport", "status": "skipped",
                         "trials": 0, "witness": str(e)})

@@ -340,11 +340,11 @@ def test_presence_sets_follow_the_label_rule():
                 assert ms.slot_basis(r, k) == [
                     m for m in M.names
                     if M.degree[m] == k and _present_by_label(M, m, r)]
-            for q, by_word in cx.pairs.items():
+            for q, ps in cx.graded.items():
                 assert cx.slot_basis(r, q) == [
-                    (w, m) for w, names in by_word.items()
+                    (w, m) for (w, m), _ in ps
                     if (lab := P.oplus(cx.mids[w][1], r)) is not None
-                    for m in names if _present_by_label(M, m, lab)]
+                    and _present_by_label(M, m, lab)]
 
 
 def test_quasi_iso_fixture():

@@ -117,6 +117,21 @@ def test_records_match_the_pinned_file():
         assert got[name] == pinned[name], name
 
 
+def test_records_do_not_read_the_term_order_of_D_star(monkeypatch):
+    # the order of apply_cochain_D's terms is unspecified: with every image
+    # reversed, each record, witness and table stays as pinned
+    import perverse.structure as structure
+    apply = structure.apply_cochain_D
+
+    def reversed_D(*args):
+        return dict(reversed(apply(*args).items()))
+
+    monkeypatch.setattr(structure, "apply_cochain_D", reversed_D)
+    with open(PINNED) as fh:
+        pinned = json.load(fh)
+    assert records() == pinned
+
+
 def test_the_pinned_failures_are_the_commutativity_defect_rows():
     # the suite's commutativity-defect sign is wrong off the commutative
     # case (ROADMAP item 2); until it is derived, these rows fail and are
