@@ -40,6 +40,17 @@ class InputError(Exception):
 
 _POSETS = {}
 
+# the largest poset rank accepted, the largest any test uses: Poset(n)
+# holds 2^(n-2) perversities, and covers() takes time cubic in their number
+MAX_RANK = 10
+
+
+def _check_rank(n, where):
+    "refuse a poset rank above MAX_RANK before any Poset is built"
+    if n > MAX_RANK:
+        raise InputError("%s: poset rank %d exceeds the limit %d"
+                         % (where, n, MAX_RANK))
+
 
 def _poset(n):
     "one Poset instance per rank, so two parsed algebras can be tensored"
@@ -126,6 +137,7 @@ def parse_description(data):
     n = data.get("n", 3)
     if type(n) is not int or n < 2:
         raise InputError("n: expected an integer at least 2, got %r" % (n,))
+    _check_rank(n, "n")
     gens = data["generators"]
     if not isinstance(gens, list) or not gens:
         raise InputError("generators: expected a nonempty array")
@@ -284,6 +296,7 @@ def _status(records):
 
 
 def cmd_poset(args, out):
+    _check_rank(args.n, "--n")
     P = Poset(args.n)
     recs = [{"_kind": "header",
              "text": "%d perversities for n=%d" % (len(P.elements), args.n),

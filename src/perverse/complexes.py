@@ -300,42 +300,6 @@ def box_tensor(Z, Y):
     return induce(field, P, slots, d)
 
 
-def box_tensor_fulldiagram(Z, Y):
-    """oracle variant: same colimit presented with difference maps for every
-    relation p <= q in the index poset, not just covering ones"""
-    if Z.field != Y.field or Z.poset is not Y.poset:
-        raise ValueError("complexes over different fields or posets")
-    field, P = Z.field, Z.poset
-    out = PerverseComplex(field, P)
-    degs = sorted({i + j for i in Z.degrees() for j in Y.degrees()})
-    if not degs:
-        return out
-    kmin, kmax = min(degs), max(degs)
-    zmap = functools.cache(lambda p, q, i: Z.structure_map(p, q, i).columns())
-    ymap = functools.cache(lambda p, q, j: Y.structure_map(p, q, j).columns())
-    for r in P.elements:
-        objs = _box_objects(P, r)
-        for k in range(kmin, kmax + 1):
-            keys = _box_keys(Z, Y, objs, k)
-            rels = []
-            for key in keys:
-                (p, q), (i, zi, yi) = key
-                for dst in objs:
-                    if dst == (p, q) or not (leq(p, dst[0])
-                                             and leq(q, dst[1])):
-                        continue
-                    fy = ymap(q, dst[1], k - i)[yi]
-                    rel = {(dst, (i, zi2, yi2)): field.mul(cz, cy)
-                           for zi2, cz in zmap(p, dst[0], i)[zi].items()
-                           for yi2, cy in fy.items()}
-                    rel[key] = field.neg(field.one)
-                    rels.append(rel)
-            quot = quotient(field, keys, rels)
-            if quot.dim:
-                out.basis[(r, k)] = ["c%d" % i for i in range(quot.dim)]
-    return out
-
-
 def internal_hom(M, N):
     """Hom(M, N)_r = lim over {(p,q): r <= q - p pointwise} of Hom(M_p, N_q),
     presented as the kernel of covering-relation difference maps; the index

@@ -139,27 +139,6 @@ class Bar:
             self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
         return out
 
-    def D(self, vec):
-        return linear(self.A.field, self.D_word, vec)
-
-    def q_A(self, vec):
-        "augmentation to A: a[]b -> ab, zero on positive lengths"
-        A = self.A
-        return linear(A.field, lambda word: {} if word[1] else A.mul(
-            word[0], word[2]), vec)
-
-    def h(self, vec):
-        "contracting homotopy: prepend the unit-complement part of a"
-        A, F = self.A, self.A.field
-        out = {}
-        for (a, w, b), c in vec.items():
-            if a == A.unit:
-                continue
-            if len(w) >= self.L:
-                raise OverflowError("homotopy exceeds max length %d" % self.L)
-            self._push(out, (A.unit, (a,) + w, b), c)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Hochschild chains
@@ -217,9 +196,6 @@ class Chains(SlotComplex):
                                         M.act_right(m, a)).items():
                 self.push(out, y, v, F.mul(s, cy))
         return out
-
-    def D(self, vec):
-        return linear(self.A.field, self.D_key, vec)
 
     def margin(self, r, q):
         "length headroom of the slot below the truncation bound"

@@ -5,65 +5,22 @@ The bridge between the bar complex of A box B and the tensor of the two bar
 complexes is the classical Alexander-Whitney / Eilenberg-Zilber pair, here
 with the Koszul signs spelled out for graded entries.  AW o EZ is the
 identity on the normalized complexes; the reverse composite is only a
-homotopy equivalence and is never expanded term by term.
+homotopy equivalence and is never expanded term by term.  The library runs
+AW alone, to pull cochains back; EZ, the shuffle product and the tensor
+differential live with the tests, in tests/oracles.py, which check AW
+against them.
 
 Elements of B(A) box B(B) are dicts {(u, v): coefficient} where u and v are
 bar words (a0, middle, a1) of the two factors.  Bar words of the tensor
 algebra use the paired generator names produced by tensor_pdga.
 """
 
-import functools
-import itertools
-from collections import namedtuple
-
-from .linalg import vec_iadd, vec_scale, signed_sum, linear, bilinear
+from .linalg import vec_iadd, vec_scale, signed_sum
 from .algebra import tensor_pdga, algebra_as_bimodule
-from .hochschild import (Bar, Cochains, bar_degree, bar_ok, sdeg,
-                         index_cochain, cochain_op, to_cochain)
+from .hochschild import (Cochains, bar_degree, bar_ok, sdeg, index_cochain,
+                         cochain_op, to_cochain)
 from .structure import (cup_op, bracket_op, BVOperator, record_identity,
                         run_identity)
-
-
-# ---------------------------------------------------------------------------
-# shuffles
-
-
-Shuffle = namedtuple("Shuffle", ["s", "t", "apos", "bpos", "cross"])
-Shuffle.__doc__ = """an (s, t)-shuffle: apos and bpos are the output
-positions of the two blocks, each increasing; cross lists the cross-block
-inversion pairs (i, j), so the inversion count |sigma| is len(cross)"""
-
-
-@functools.lru_cache(maxsize=None)
-def shuffles(s, t):
-    "all (s, t)-shuffles, memoized per (s, t)"
-    out = []
-    for apos in itertools.combinations(range(s + t), s):
-        taken = set(apos)
-        bpos = tuple(p for p in range(s + t) if p not in taken)
-        cross = tuple((i, j) for i in range(s) for j in range(t)
-                      if apos[i] > bpos[j])
-        out.append(Shuffle(s, t, apos, bpos, cross))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# bar-word plumbing
-
-
-def pair_D(A, B, vec):
-    "differential of B(A) box B(B): D box 1 + (-1)^{|u|} 1 box D"
-    F = A.field
-    ba, bb = Bar(A, 0), Bar(B, 0)
-
-    def D(uv):
-        u, v = uv
-        out = {(u2, v): cu for u2, cu in ba.D_word(u).items()}
-        return vec_iadd(F, out, {(u, v2): cv for v2, cv in
-                                 bb.D_word(v).items()},
-                        F.sign(bar_degree(A, u)))
-
-    return linear(F, D, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -110,70 +67,6 @@ def alexander_whitney(A, B, T, word):
                 if bar_ok(A, u) and bar_ok(B, v):
                     vec_iadd(F, out, {(u, v): F.mul(cx, cy)}, s)
     return out
-
-
-def alexander_whitney_vec(A, B, T, vec):
-    return linear(A.field, lambda word: alexander_whitney(A, B, T, word), vec)
-
-
-# ---------------------------------------------------------------------------
-# the Eilenberg-Zilber map
-
-
-def eilenberg_zilber(A, B, T, u, v):
-    """EZ of a pair of bar words into the bar of the tensor algebra; the
-    shuffle sum on end-unit words, extended equivariantly over the ends
-    (the extension pays the Koszul cost of peeling the ends off first)"""
-    F = T.field
-    a0, wa, a1 = u
-    b0, wb, b1 = v
-    if (a0, b0) not in T.degree or (a1, b1) not in T.degree:
-        return {}
-    sa = [sdeg(A, x) for x in wa]
-    sb = [sdeg(B, y) for y in wb]
-    par0 = B.deg(b0) * sum(sa) + A.deg(a1) * (B.deg(b0) + sum(sb))
-    out = {}
-    for sh in shuffles(len(wa), len(wb)):
-        mid = [None] * (sh.s + sh.t)
-        for i, p in enumerate(sh.apos):
-            mid[p] = (wa[i], B.unit)
-        for j, p in enumerate(sh.bpos):
-            mid[p] = (A.unit, wb[j])
-        word = ((a0, b0), tuple(mid), (a1, b1))
-        if all(e in T.degree for e in mid) and bar_ok(T, word):
-            cross = sum(sa[i] * sb[j] for i, j in sh.cross)
-            vec_iadd(F, out, {word: F.sign(par0 + cross)})
-    return out
-
-
-def eilenberg_zilber_vec(A, B, T, vec):
-    return linear(T.field, lambda uv: eilenberg_zilber(A, B, T, *uv), vec)
-
-
-# ---------------------------------------------------------------------------
-# the shuffle product on Hochschild chains
-
-
-def shuffle_product(A, B, T, x, y, maxlen=None):
-    """sh on Hochschild chains {(m, word): c} of the two factors, landing
-    in chains of the tensor algebra: EZ of the unit-ended bar words
-    m[wa]1 and n[wb]1, read back as the chain (m n)[middle].
-
-    EZ makes the B-coefficient pay the Koszul cost of crossing the
-    suspended A-word before the entries interleave; this placement makes
-    sh a chain map, and the cyclic operator is then a derivation for sh on
-    homology (not at chain level, where the classical cyclic-shuffle
-    homotopy intervenes)."""
-
-    def sh_pair(mwa, nwb):
-        (m0, wa), (n0, wb) = mwa, nwb
-        if maxlen is not None and len(wa) + len(wb) > maxlen:
-            raise OverflowError("shuffle exceeds max length %d: %d + %d"
-                                % (maxlen, len(wa), len(wb)))
-        return {(c0, mid): c for (c0, mid, _), c in eilenberg_zilber(
-            A, B, T, (m0, wa, A.unit), (n0, wb, B.unit)).items()}
-
-    return bilinear(T.field, sh_pair, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,6 @@ class Poset:
     def meet(self, p, q):
         return self._member(tuple(min(a, b) for a, b in zip(p, q)))
 
-    def join(self, p, q):
-        return self._member(tuple(max(a, b) for a, b in zip(p, q)))
-
     def oplus(self, p, q):
         """smallest perversity >= p + q (pointwise); None when p + q exceeds
         top.  Memoized per pair of members, so the memo holds at most |P|^2"""
@@ -106,16 +103,6 @@ class Poset:
             if out is None:
                 return None
         return out
-
-    def oplus_bruteforce(self, p, q):
-        s = tuple(a + b for a, b in zip(p, q))
-        cands = [r for r in self.elements if leq(s, r)]
-        if not cands:
-            return None
-        mins = [m for m in cands if all(leq(m, c) for c in cands)]
-        if len(mins) != 1:
-            raise ValueError("no unique least perversity above %r" % (s,))
-        return mins[0]
 
     def dual(self, p):
         "complementary perversity t - p; exact pointwise difference"

@@ -1,0 +1,210 @@
+"""Reference constructions the tests check the library against, and the maps
+that only state a test identity.  None of them is part of `perverse`, and no
+library module reads them:
+
+- the brute-force perversity sum and the join of two perversities;
+- the augmentation and contracting homotopy of the bar complex;
+- the Eilenberg-Zilber shuffle map (Eilenberg-Mac Lane, Ann. Math. 58,
+  1953), the shuffle product on Hochschild chains, the differential of a
+  tensor of bar complexes and AW on vectors, which the Alexander-Whitney
+  transport of perverse.kunneth is checked against;
+- the box tensor presented over the full index diagram, which
+  complexes.box_tensor is checked against.
+"""
+
+import functools
+import itertools
+from collections import namedtuple
+
+from perverse.linalg import vec_iadd, linear, bilinear
+from perverse.poset import leq
+from perverse.hochschild import Bar, bar_degree, bar_ok, sdeg
+from perverse.kunneth import alexander_whitney
+from perverse.complexes import (PerverseComplex, quotient, _box_objects,
+                                _box_keys)
+
+
+# ---------------------------------------------------------------------------
+# perversities
+
+
+def oplus_bruteforce(P, p, q):
+    "the least perversity of P above p + q, from the whole poset"
+    s = tuple(a + b for a, b in zip(p, q))
+    cands = [r for r in P.elements if leq(s, r)]
+    if not cands:
+        return None
+    mins = [m for m in cands if all(leq(m, c) for c in cands)]
+    if len(mins) != 1:
+        raise ValueError("no unique least perversity above %r" % (s,))
+    return mins[0]
+
+
+def join(P, p, q):
+    "the pointwise maximum of two perversities of P"
+    j = tuple(max(a, b) for a, b in zip(p, q))
+    if j not in P:
+        raise ValueError("not a rank-%d perversity: %r" % (P.n, j))
+    return j
+
+
+# ---------------------------------------------------------------------------
+# the bar complex
+
+
+def q_A(bar, vec):
+    "augmentation to A: a[]b -> ab, zero on positive lengths"
+    A = bar.A
+    return linear(A.field, lambda word: {} if word[1] else A.mul(
+        word[0], word[2]), vec)
+
+
+def h(bar, vec):
+    "contracting homotopy: prepend the unit-complement part of a"
+    A, F = bar.A, bar.A.field
+
+    def h_word(word):
+        a, w, b = word
+        if a == A.unit:
+            return {}
+        if len(w) >= bar.L:
+            raise OverflowError("homotopy exceeds max length %d" % bar.L)
+        word = (A.unit, (a,) + w, b)
+        return {word: F.one} if bar_ok(A, word) else {}
+
+    return linear(F, h_word, vec)
+
+
+# ---------------------------------------------------------------------------
+# shuffles and the Eilenberg-Zilber map
+
+
+Shuffle = namedtuple("Shuffle", ["s", "t", "apos", "bpos", "cross"])
+Shuffle.__doc__ = """an (s, t)-shuffle: apos and bpos are the output
+positions of the two blocks, each increasing; cross lists the cross-block
+inversion pairs (i, j), so the inversion count |sigma| is len(cross)"""
+
+
+@functools.lru_cache(maxsize=None)
+def shuffles(s, t):
+    "all (s, t)-shuffles, memoized per (s, t)"
+    out = []
+    for apos in itertools.combinations(range(s + t), s):
+        taken = set(apos)
+        bpos = tuple(p for p in range(s + t) if p not in taken)
+        cross = tuple((i, j) for i in range(s) for j in range(t)
+                      if apos[i] > bpos[j])
+        out.append(Shuffle(s, t, apos, bpos, cross))
+    return tuple(out)
+
+
+def pair_D(A, B, vec):
+    "differential of B(A) box B(B): D box 1 + (-1)^{|u|} 1 box D"
+    F = A.field
+    ba, bb = Bar(A, 0), Bar(B, 0)
+
+    def D(uv):
+        u, v = uv
+        out = {(u2, v): cu for u2, cu in ba.D_word(u).items()}
+        return vec_iadd(F, out, {(u, v2): cv for v2, cv in
+                                 bb.D_word(v).items()},
+                        F.sign(bar_degree(A, u)))
+
+    return linear(F, D, vec)
+
+
+def alexander_whitney_vec(A, B, T, vec):
+    return linear(A.field, lambda word: alexander_whitney(A, B, T, word), vec)
+
+
+def eilenberg_zilber(A, B, T, u, v):
+    """EZ of a pair of bar words into the bar of the tensor algebra; the
+    shuffle sum on end-unit words, extended equivariantly over the ends
+    (the extension pays the Koszul cost of peeling the ends off first)"""
+    F = T.field
+    a0, wa, a1 = u
+    b0, wb, b1 = v
+    if (a0, b0) not in T.degree or (a1, b1) not in T.degree:
+        return {}
+    sa = [sdeg(A, x) for x in wa]
+    sb = [sdeg(B, y) for y in wb]
+    par0 = B.deg(b0) * sum(sa) + A.deg(a1) * (B.deg(b0) + sum(sb))
+    out = {}
+    for sh in shuffles(len(wa), len(wb)):
+        mid = [None] * (sh.s + sh.t)
+        for i, p in enumerate(sh.apos):
+            mid[p] = (wa[i], B.unit)
+        for j, p in enumerate(sh.bpos):
+            mid[p] = (A.unit, wb[j])
+        word = ((a0, b0), tuple(mid), (a1, b1))
+        if all(e in T.degree for e in mid) and bar_ok(T, word):
+            cross = sum(sa[i] * sb[j] for i, j in sh.cross)
+            vec_iadd(F, out, {word: F.sign(par0 + cross)})
+    return out
+
+
+def eilenberg_zilber_vec(A, B, T, vec):
+    return linear(T.field, lambda uv: eilenberg_zilber(A, B, T, *uv), vec)
+
+
+def shuffle_product(A, B, T, x, y, maxlen=None):
+    """sh on Hochschild chains {(m, word): c} of the two factors, landing
+    in chains of the tensor algebra: EZ of the unit-ended bar words
+    m[wa]1 and n[wb]1, read back as the chain (m n)[middle].
+
+    EZ makes the B-coefficient pay the Koszul cost of crossing the
+    suspended A-word before the entries interleave; this placement makes
+    sh a chain map, and the cyclic operator is then a derivation for sh on
+    homology (not at chain level, where the classical cyclic-shuffle
+    homotopy intervenes)."""
+
+    def sh_pair(mwa, nwb):
+        (m0, wa), (n0, wb) = mwa, nwb
+        if maxlen is not None and len(wa) + len(wb) > maxlen:
+            raise OverflowError("shuffle exceeds max length %d: %d + %d"
+                                % (maxlen, len(wa), len(wb)))
+        return {(c0, mid): c for (c0, mid, _), c in eilenberg_zilber(
+            A, B, T, (m0, wa, A.unit), (n0, wb, B.unit)).items()}
+
+    return bilinear(T.field, sh_pair, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the box tensor over the full index diagram
+
+
+def box_tensor_fulldiagram(Z, Y):
+    """the colimit of complexes.box_tensor presented with difference maps
+    for every relation p <= q in the index poset, not just covering ones;
+    only its dimensions are stated, as placeholder basis labels"""
+    if Z.field != Y.field or Z.poset is not Y.poset:
+        raise ValueError("complexes over different fields or posets")
+    field, P = Z.field, Z.poset
+    out = PerverseComplex(field, P)
+    degs = sorted({i + j for i in Z.degrees() for j in Y.degrees()})
+    if not degs:
+        return out
+    kmin, kmax = min(degs), max(degs)
+    zmap = functools.cache(lambda p, q, i: Z.structure_map(p, q, i).columns())
+    ymap = functools.cache(lambda p, q, j: Y.structure_map(p, q, j).columns())
+    for r in P.elements:
+        objs = _box_objects(P, r)
+        for k in range(kmin, kmax + 1):
+            keys = _box_keys(Z, Y, objs, k)
+            rels = []
+            for key in keys:
+                (p, q), (i, zi, yi) = key
+                for dst in objs:
+                    if dst == (p, q) or not (leq(p, dst[0])
+                                             and leq(q, dst[1])):
+                        continue
+                    fy = ymap(q, dst[1], k - i)[yi]
+                    rel = {(dst, (i, zi2, yi2)): field.mul(cz, cy)
+                           for zi2, cz in zmap(p, dst[0], i)[zi].items()
+                           for yi2, cy in fy.items()}
+                    rel[key] = field.neg(field.one)
+                    rels.append(rel)
+            quot = quotient(field, keys, rels)
+            if quot.dim:
+                out.basis[(r, k)] = ["c%d" % i for i in range(quot.dim)]
+    return out

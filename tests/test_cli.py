@@ -201,6 +201,22 @@ def test_a_command_imports_only_the_modules_it_runs(tmp_path, flags, argv,
     assert (code, out) == run(argv) and code == 0
 
 
+@pytest.mark.parametrize("entry", ["poset", "description"])
+def test_a_poset_rank_above_the_limit_is_refused_at_once(tmp_path, capsys,
+                                                         monkeypatch, entry):
+    # Poset(64) would enumerate 2^62 perversities; both entry points refuse
+    # the rank, naming the limit, before any Poset is built
+    built = []
+    monkeypatch.setattr(cli, "Poset", built.append)
+    argv = (["poset", "--n", "64"] if entry == "poset"
+            else ["hh", write(tmp_path, dict(SPHERE2, n=64))])
+    assert run(argv) == (2, "")
+    assert "rank 64 exceeds the limit 10" in capsys.readouterr().err
+    assert not built
+    # the limit itself is accepted
+    assert cli.parse_description(dict(SPHERE2, n=cli.MAX_RANK)).n == 10
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -7,10 +7,10 @@ from perverse.linalg import (SparseMatrix, Subquotient, Quotient, Subspace,
                              kernel_basis, vec_iadd)
 from perverse.poset import Poset, leq
 from perverse.complexes import (ChainComplex, PerverseComplex, free_perverse,
-                                unit_perverse, box_tensor,
-                                box_tensor_fulldiagram, internal_hom,
+                                unit_perverse, box_tensor, internal_hom,
                                 linear_dual, p_filtration,
                                 cofibrancy_certificate, quotient, kernel)
+from oracles import box_tensor_fulldiagram, join
 
 
 def sphere(field, n):
@@ -318,7 +318,7 @@ def minimum_condition_counterexample():
     "three perversities: q1, q2 incomparable below p, images meeting off the min"
     P = Poset(5)
     q1, q2 = (0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 1, 2)
-    j = P.join(q1, q2)
+    j = join(P, q1, q2)
     Z = PerverseComplex(QQ, P)
     for r in P.elements:
         above1, above2 = leq(q1, r), leq(q2, r)

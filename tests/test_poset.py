@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perverse.poset import Poset, is_perversity, leq
+from oracles import oplus_bruteforce, join
 
 
 def test_enumeration_sizes():
@@ -28,7 +29,7 @@ def test_zero_and_top():
 def test_oplus_against_bruteforce(n):
     P = Poset(n)
     for p, q in itertools.product(P.elements, repeat=2):
-        assert P.oplus(p, q) == P.oplus_bruteforce(p, q)
+        assert P.oplus(p, q) == oplus_bruteforce(P, p, q)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -37,7 +38,7 @@ def test_oplus_memo_holds_the_bruteforce_sum_of_each_pair(n):
     P = Poset(n)
     pairs = list(itertools.product(P.elements, repeat=2))
     first = {(p, q): P.oplus(p, q) for p, q in pairs}
-    assert first == {(p, q): P.oplus_bruteforce(p, q) for p, q in pairs}
+    assert first == {(p, q): oplus_bruteforce(P, p, q) for p, q in pairs}
     # a repeated call returns the stored object, None results included
     assert all(P.oplus(p, q) is first[p, q] for p, q in pairs)
     # a pair off the poset is answered but not stored
@@ -109,5 +110,5 @@ def test_meet_join_lattice(n, data):
     P = Poset(n)
     p = data.draw(st.sampled_from(P.elements))
     q = data.draw(st.sampled_from(P.elements))
-    m, j = P.meet(p, q), P.join(p, q)
+    m, j = P.meet(p, q), join(P, p, q)
     assert leq(m, p) and leq(m, q) and leq(p, j) and leq(q, j)

@@ -282,8 +282,8 @@ def test_connes_B_anticommutes_with_boundary(seed):
     rng = random.Random(seed)
     keys = [(m, w) for w in middle_words(A, 2) for m in A.names]
     z = {k: QQ.of(rng.choice([1, -1, 2])) for k in keys if rng.random() < 0.5}
-    assert signed_sum(QQ, [(0, connes_B(ch, ch.D(z))),
-                           (0, ch.D(connes_B(ch, z)))]) == {}
+    assert signed_sum(QQ, [(0, connes_B(ch, linear(QQ, ch.D_key, z))),
+                           (0, linear(QQ, ch.D_key, connes_B(ch, z)))]) == {}
 
 
 def test_connes_B_overflow_guard():
