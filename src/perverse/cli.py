@@ -41,7 +41,7 @@ class InputError(Exception):
 _POSETS = {}
 
 # the largest poset rank accepted, the largest any test uses: Poset(n)
-# holds 2^(n-2) perversities, and covers() takes time cubic in their number
+# holds 2^(n-2) perversities, and cofibrancy checks pairs below each one
 MAX_RANK = 10
 
 
@@ -301,9 +301,8 @@ def cmd_poset(args, out):
     recs = [{"_kind": "header",
              "text": "%d perversities for n=%d" % (len(P.elements), args.n),
              "count": len(P.elements), "n": args.n}]
-    covers = P.covers()
     for p in P.elements:
-        ups = sorted(q for (a, q) in covers if a == p)
+        ups = P.upper_covers(p)
         recs.append({"_kind": "row", "perversity": list(p),
                      "covered_by": [list(q) for q in ups],
                      "text": "%s -> %s" % (list(p), [list(q) for q in ups])})

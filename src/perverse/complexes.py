@@ -128,19 +128,12 @@ class PerverseComplex:
                                      "%s<=%s deg %d" % (p, q, k))
         # functoriality: path independence of composites
         for p in P.elements:
-            for q in P.elements:
-                if not leq(p, q) or p == q:
-                    continue
+            for q in P.up_set(p):
                 for k in self.degrees():
-                    base = None
-                    for (a, b) in P.covers():
-                        if a != p or not leq(b, q):
-                            continue
-                        m = self._via(a, b, q, k)
-                        if base is None:
-                            base = m
-                        elif m != base:
-                            raise ValueError("structure maps not functorial")
+                    ms = [self._via(p, b, q, k) for b in P.upper_covers(p)
+                          if leq(b, q)]
+                    if any(m != ms[0] for m in ms[1:]):
+                        raise ValueError("structure maps not functorial")
 
     def _via(self, p, mid, q, k):
         rest = self.structure_map(mid, q, k)
@@ -224,8 +217,8 @@ def induce(field, poset, slots, d):
         if (r, k + 1) in slots:
             out.d[(r, k)] = induced((r, k), (r, k + 1),
                                     functools.partial(dkey, k))
-        for (a, r2) in poset.covers():
-            if a == r and (r2, k) in slots:
+        for r2 in poset.upper_covers(r):
+            if (r2, k) in slots:
                 out.phi[(r, r2, k)] = induced((r, k), (r2, k),
                                               lambda key: {key: field.one})
     return out
@@ -264,10 +257,10 @@ def box_tensor(Z, Y):
         objs = _box_objects(P, r)
         objset = set(objs)
         # the covers out of each object, on the Z side (0) or the Y side (1)
-        edges = {(p, q): [((b, q), 0) for (a, b) in P.covers()
-                          if a == p and (b, q) in objset]
-                 + [((p, b), 1) for (a, b) in P.covers()
-                    if a == q and (p, b) in objset] for (p, q) in objs}
+        edges = {(p, q): [((b, q), 0) for b in P.upper_covers(p)
+                          if (b, q) in objset]
+                 + [((p, b), 1) for b in P.upper_covers(q)
+                    if (p, b) in objset] for (p, q) in objs}
         for k in range(kmin, kmax + 2):
             keys = _box_keys(Z, Y, objs, k)
             rels = []
@@ -324,7 +317,6 @@ def internal_hom(M, N):
     nmap = functools.cache(lambda p, q, j: N.structure_map(p, q, j).columns())
     mdiff = functools.cache(lambda p, i: M.diff(p, i).rows())
     ndiff = functools.cache(lambda q, j: N.diff(q, j).columns())
-    covers = P.covers()
     slots = {}
     for r in P.elements:
         objs = [(p, q) for p in P.elements for q in P.elements
@@ -332,10 +324,10 @@ def internal_hom(M, N):
         objset = set(objs)
         # (p,q) -> (p',q) with p' covered by p, and (p,q) -> (p,q') with q'
         # covering q
-        edges = [((p, q), (a, q)) for (p, q) in objs for (a, b) in covers
-                 if b == p and (a, q) in objset] \
-            + [((p, q), (p, b)) for (p, q) in objs for (a, b) in covers
-               if a == q and (p, b) in objset]
+        edges = [((p, q), (a, q)) for (p, q) in objs
+                 for a in P.lower_covers(p) if (a, q) in objset] \
+            + [((p, q), (p, b)) for (p, q) in objs
+               for b in P.upper_covers(q) if (p, b) in objset]
         for k in range(kmin, kmax + 2):
             local = {obj: hom_basis(*obj, k) for obj in objs}
             # a difference map has a row (edge, t) per key t of its target:
@@ -400,10 +392,13 @@ def cofibrancy_certificate(Z):
     im(q1 -> p) & im(q2 -> p) = im(min(q1,q2) -> p)"""
     P = Z.poset
     field = Z.field
+    degs = Z.degrees()
+    # the columns of each composite, read once per call
+    smap = functools.cache(lambda q, p, k: Z.structure_map(q, p, k).columns())
     failures = []
     injective = True
     for (p, q) in P.covers():
-        for k in Z.degrees():
+        for k in degs:
             f = Z.cover_map(p, q, k)
             if f.rank() != Z.dim(p, k):
                 injective = False
@@ -413,13 +408,10 @@ def cofibrancy_certificate(Z):
         below = [q for q in P.elements if leq(q, p) and q != p]
         for q1, q2 in itertools.combinations(below, 2):
             m = P.meet(q1, q2)
-            for k in Z.degrees():
-                n = Z.dim(p, k)
-                c1 = Z.structure_map(q1, p, k).columns()
-                c2 = Z.structure_map(q2, p, k).columns()
-                cm = Z.structure_map(m, p, k).columns()
-                inter = span_intersection(field, n, c1, c2)
-                if not span_equal(field, inter, cm):
+            for k in degs:
+                inter = span_intersection(field, Z.dim(p, k), smap(q1, p, k),
+                                          smap(q2, p, k))
+                if not span_equal(field, inter, smap(m, p, k)):
                     minimum = False
                     failures.append(("minimum", q1, q2, p, k))
     return {

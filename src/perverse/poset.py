@@ -3,9 +3,15 @@
 A perversity of rank n is a tuple p = (p(0), ..., p(n)) with
 p(0) = p(1) = p(2) = 0 and p(i) <= p(i+1) <= p(i) + 1.  Perversities are
 plain int tuples; Poset(n) carries the enumeration, the partial order,
-the partial sum and duality.  The label of a sequence
-of elements, None past the top, is oplus_all: the one rule that decides
-whether a product, a bar word or a Hochschild pair lies in a slot.
+the partial sum and duality.  The label of a sequence of elements, None
+past the top, is oplus_all: the one rule that decides whether a product, a
+bar word or a Hochschild pair lies in a slot.
+
+q covers p exactly when q = p + e_i for one index i.  Such a step raises
+the sum of p by one, so it is a cover.  Conversely, if p < q, start at the
+largest i with p(i) < q(i) and walk left while p(j) = p(j-1) + 1: the walk
+stays where p < q, and at the index j where it stops, p + e_j is a
+perversity <= q.
 """
 
 import itertools
@@ -41,22 +47,14 @@ class Poset:
         self.top = top_perversity(n)
         self.elements = self._enumerate()
         self.index = {p: i for i, p in enumerate(self.elements)}
-        self._covers = None
         self._oplus = {}
 
     def _enumerate(self):
-        "all GM perversities: one binary step choice at each i in 4..n... (3..n)"
-        n = self.n
-        if n < 3:
-            return [zero_perversity(n)]
-        out = []
-        for steps in itertools.product((0, 1), repeat=n - 2):
-            v = [0, 0, 0]
-            for s in steps:
-                v.append(v[-1] + s)
-            out.append(tuple(v))
-        out.sort()
-        return out
+        """all GM perversities, ascending: the prefix sums of the steps
+        p(i) - p(i-1) in {0, 1} for i = 3..n, in product order"""
+        steps = itertools.product((0, 1), repeat=max(self.n - 2, 0))
+        return [tuple(itertools.accumulate((0, 0, 0) + s))[:self.n + 1]
+                for s in steps]
 
     def _member(self, v):
         "v, which must be a perversity of this poset"
@@ -108,21 +106,22 @@ class Poset:
         "complementary perversity t - p; exact pointwise difference"
         return self._member(tuple(t - a for t, a in zip(self.top, p)))
 
+    def _steps(self, p, s):
+        "the members p + s * e_i, one index i, ascending"
+        steps = (p[:i] + (p[i] + s,) + p[i + 1:] for i in range(len(p)))
+        return sorted(q for q in steps if q in self.index)
+
+    def upper_covers(self, p):
+        "the perversities covering p, ascending"
+        return self._steps(p, 1)
+
+    def lower_covers(self, p):
+        "the perversities p covers, ascending"
+        return self._steps(p, -1)
+
     def covers(self):
-        "list of covering pairs (p, q), p covered by q"
-        if self._covers is None:
-            out = []
-            els = self.elements
-            for p in els:
-                for q in els:
-                    if p == q or not leq(p, q):
-                        continue
-                    if any(r != p and r != q and leq(p, r) and leq(r, q)
-                           for r in els):
-                        continue
-                    out.append((p, q))
-            self._covers = out
-        return self._covers
+        "list of covering pairs (p, q), p covered by q, ascending"
+        return [(p, q) for p in self.elements for q in self.upper_covers(p)]
 
     def up_set(self, p):
         return [q for q in self.elements if leq(p, q)]
@@ -132,16 +131,11 @@ class Poset:
         if not leq(p, q):
             raise ValueError("%r is not below %r" % (p, q))
         path = [p]
-        cur = p
-        while cur != q:
-            nxt = None
-            for (a, b) in self.covers():
-                if a == cur and leq(b, q):
-                    nxt = b
-                    break
+        while path[-1] != q:
+            nxt = next((b for b in self.upper_covers(path[-1])
+                        if leq(b, q)), None)
             if nxt is None:
                 raise ValueError("no covering path from %r to %r" % (p, q))
             path.append(nxt)
-            cur = nxt
         return path
 

@@ -2,7 +2,8 @@
 that only state a test identity.  None of them is part of `perverse`, and no
 library module reads them:
 
-- the brute-force perversity sum and the join of two perversities;
+- the brute-force perversity sum, the join of two perversities and the
+  cover relation from its definition;
 - the augmentation and contracting homotopy of the bar complex;
 - the Eilenberg-Zilber shuffle map (Eilenberg-Mac Lane, Ann. Math. 58,
   1953), the shuffle product on Hochschild chains, the differential of a
@@ -46,6 +47,14 @@ def join(P, p, q):
     if j not in P:
         raise ValueError("not a rank-%d perversity: %r" % (P.n, j))
     return j
+
+
+def covers_bruteforce(P):
+    "the covering pairs (p, q) of P from the definition, cubic in |P|"
+    els = P.elements
+    return [(p, q) for p in els for q in els if p != q and leq(p, q)
+            and not any(r != p and r != q and leq(p, r) and leq(r, q)
+                        for r in els)]
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,25 @@ def test_cofibrancy_command():
     assert "valid pDGA" in out
 
 
+def test_poset_command_at_the_rank_limit():
+    code, out = run(["poset", "--n", "10", "--json"])
+    assert code == 0
+    rows = [r for r in map(json.loads, out.splitlines())
+            if r["_kind"] == "row"]
+    assert len(rows) == 256
+    assert sum(len(r["covered_by"]) for r in rows) == 576
+
+
+def test_cofibrancy_command_at_rank_7(tmp_path):
+    code, out = run(["cofibrancy", write(tmp_path, dict(SPHERE2, n=7)),
+                     "--json"])
+    assert code == 0, out
+    recs = {r["identity"]: r for r in map(json.loads, out.splitlines())}
+    for name in ("structure maps injective",
+                 "minimum condition on image intersections"):
+        assert recs[name]["status"] == "pass", recs[name]
+
+
 def test_json_output_is_line_delimited_records():
     code, out = run(["gerstenhaber-check", "sphere2", "--trials", "3",
                      "--json"])

@@ -543,3 +543,49 @@ def test_classes_of_many_cocycles_are_read_through_one_class_matrix():
              if fname != "linalg.py"
              for line in looped_calls(tree, "coords_of")]
     assert not found, found
+
+
+def _is_covers(node, bound=()):
+    "a call X.covers(), or a name bound to one"
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "covers"
+            or isinstance(node, ast.Name) and node.id in bound)
+
+
+def _tests_an_endpoint(target, conditions):
+    "some condition compares a name of the loop target with == or !="
+    ends = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return any(isinstance(c, ast.Compare)
+               and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in c.ops)
+               and any(getattr(x, "id", None) in ends
+                       for x in [c.left] + c.comparators)
+               for cond in conditions for c in ast.walk(cond))
+
+
+def cover_filters(tree):
+    """the line of each loop or comprehension over covers() whose condition
+    picks pairs by an endpoint"""
+    bound = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and _is_covers(node.value) for t in node.targets
+             if isinstance(t, ast.Name)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            tests = [n.test for part in node.body for n in ast.walk(part)
+                     if isinstance(n, (ast.If, ast.IfExp, ast.While))]
+            loops = [(node.target, node.iter, tests)]
+        else:
+            loops = [(gen.target, gen.iter, gen.ifs)
+                     for gen in getattr(node, "generators", ())]
+        if any(_is_covers(it, bound) and _tests_an_endpoint(target, tests)
+               for target, it, tests in loops):
+            out.add(node.lineno)
+    return sorted(out)
+
+
+def test_covers_of_one_perversity_are_read_per_perversity():
+    # Poset.upper_covers(p) and lower_covers(p) give the covers at one end;
+    # no module filters the whole cover list for an endpoint
+    found = [(fname, line) for fname, tree in source_trees()
+             for line in cover_filters(tree)]
+    assert not found, found

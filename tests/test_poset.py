@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perverse.poset import Poset, is_perversity, leq
-from oracles import oplus_bruteforce, join
+from oracles import oplus_bruteforce, join, covers_bruteforce
 
 
 def test_enumeration_sizes():
@@ -93,16 +93,39 @@ def test_dual_is_exact_difference_and_involutive():
         assert P.dual(P.zero) == P.top
 
 
-def test_covers_and_paths():
-    P = Poset(5)
-    for (p, q) in P.covers():
+@pytest.mark.parametrize("n", range(3, 8))
+def test_covers_and_paths(n):
+    P = Poset(n)
+    covers = set(P.covers())
+    for (p, q) in covers:
         assert leq(p, q) and p != q
     for p, q in itertools.product(P.elements, repeat=2):
         if leq(p, q):
             path = P.path_up(p, q)
             assert path[0] == p and path[-1] == q
             for a, b in zip(path, path[1:]):
-                assert (a, b) in P.covers()
+                assert (a, b) in covers
+        else:
+            with pytest.raises(ValueError):
+                P.path_up(p, q)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_covers_are_the_one_steps_of_the_definition(n):
+    # q covers p exactly when q = p + e_i: covers() is the definition's
+    # list, in its order, and each endpoint query its ascending slice
+    P = Poset(n)
+    ref = covers_bruteforce(P)
+    assert P.covers() == ref
+    for p in P.elements:
+        assert P.upper_covers(p) == [q for (a, q) in ref if a == p]
+        assert P.lower_covers(p) == [a for (a, q) in ref if q == p]
+        for q in P.upper_covers(p):
+            assert sum(q) == sum(p) + 1
+
+
+def test_rank_10_has_576_covers():
+    assert len(Poset(10).covers()) == 576
 
 
 @given(st.integers(min_value=2, max_value=7), st.data())
