@@ -77,10 +77,13 @@ class Field:
         return self.minus_one if parity % 2 else self.one
 
     def inv(self, a):
+        """over Q, the inverse d/n of n/d: an int when n is +-1, so 1 and -1
+        are their own inverses, and a Fraction otherwise"""
         if self.iszero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.char == 0:
-            return self.of(Fraction(1, a))
+            n, d = a.numerator, a.denominator
+            return d * n if n in (1, -1) else Fraction(d, n)
         return pow(a, self.char - 2, self.char)
 
     def div(self, a, b):

@@ -274,28 +274,6 @@ def solve(A, b):
     return solver(A)[1](b)
 
 
-def span_equal(field, cols1, cols2):
-    e1 = Echelon(field)
-    for c in cols1:
-        e1.add(c)
-    e2 = Echelon(field)
-    for c in cols2:
-        e2.add(c)
-    return all(e1.contains(c) for c in cols2) and all(e2.contains(c) for c in cols1)
-
-
-def span_intersection(field, n, cols1, cols2):
-    "basis of span(cols1) & span(cols2)"
-    m1 = len(cols1)
-    A = SparseMatrix.from_columns(field, n, list(cols1) + [
-        vec_scale(field, field.minus_one, c) for c in cols2])
-    out = Echelon(field)
-    for k in kernel_basis(A):
-        out.add(linear(field, cols1.__getitem__,
-                       {j: c for j, c in k.items() if j < m1}))
-    return list(out.cols.values())
-
-
 def pivot_rows(A, cleared=()):
     """the pivot rows of an Echelon fed the nonzero columns of A outside
     `cleared`, in column order; their number is the rank of A.

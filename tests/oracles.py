@@ -10,14 +10,19 @@ library module reads them:
   tensor of bar complexes and AW on vectors, which the Alexander-Whitney
   transport of perverse.kunneth is checked against;
 - the box tensor presented over the full index diagram, which
-  complexes.box_tensor is checked against.
+  complexes.box_tensor is checked against;
+- the cofibrancy certificate from a basis of each image intersection,
+  which complexes.cofibrancy_certificate is checked against, and a
+  complex that fails its minimum condition.
 """
 
 import functools
 import itertools
 from collections import namedtuple
 
-from perverse.linalg import vec_iadd, linear, bilinear
+from perverse.fields import QQ
+from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, vec_iadd,
+                             vec_scale, linear, bilinear)
 from perverse.poset import leq
 from perverse.hochschild import Bar, bar_degree, bar_ok, sdeg
 from perverse.kunneth import alexander_whitney
@@ -217,3 +222,86 @@ def box_tensor_fulldiagram(Z, Y):
             if quot.dim:
                 out.basis[(r, k)] = ["c%d" % i for i in range(quot.dim)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# cofibrancy
+
+
+def span_equal(field, cols1, cols2):
+    e1 = Echelon(field)
+    for c in cols1:
+        e1.add(c)
+    e2 = Echelon(field)
+    for c in cols2:
+        e2.add(c)
+    return all(e1.contains(c) for c in cols2) and all(e2.contains(c) for c in cols1)
+
+
+def span_intersection(field, n, cols1, cols2):
+    "basis of span(cols1) & span(cols2)"
+    m1 = len(cols1)
+    A = SparseMatrix.from_columns(field, n, list(cols1) + [
+        vec_scale(field, field.minus_one, c) for c in cols2])
+    out = Echelon(field)
+    for k in kernel_basis(A):
+        out.add(linear(field, cols1.__getitem__,
+                       {j: c for j, c in k.items() if j < m1}))
+    return list(out.cols.values())
+
+
+def cofibrancy_by_spans(Z):
+    """the report of complexes.cofibrancy_certificate, with the minimum
+    condition checked on every pair q1, q2 below p, comparable or not, by a
+    basis of im(q1 -> p) & im(q2 -> p) and a span comparison with
+    im(min(q1, q2) -> p)"""
+    P = Z.poset
+    field = Z.field
+    degs = Z.degrees()
+    smap = functools.cache(lambda q, p, k: Z.structure_map(q, p, k).columns())
+    failures = []
+    injective = True
+    for (p, q) in P.covers():
+        for k in degs:
+            f = Z.cover_map(p, q, k)
+            if f.rank() != Z.dim(p, k):
+                injective = False
+                failures.append(("injectivity", p, q, k))
+    minimum = True
+    for p in P.elements:
+        below = [q for q in P.elements if leq(q, p) and q != p]
+        for q1, q2 in itertools.combinations(below, 2):
+            m = P.meet(q1, q2)
+            for k in degs:
+                inter = span_intersection(field, Z.dim(p, k), smap(q1, p, k),
+                                          smap(q2, p, k))
+                if not span_equal(field, inter, smap(m, p, k)):
+                    minimum = False
+                    failures.append(("minimum", q1, q2, p, k))
+    return {
+        "injective": injective,
+        "minimum_condition": minimum,
+        "cofibrant_sufficient": injective and minimum,
+        "failures": failures,
+    }
+
+
+def minimum_condition_counterexample(P, q1, q2, field=QQ):
+    """an injective functorial complex in degree 0 failing the minimum
+    condition at the incomparable q1, q2: w at each perversity above q1 or
+    q2, u and v above their join j, and w goes to u.  So im(q1 -> j) and
+    im(q2 -> j) are both span(u), while the slot at min(q1, q2) is zero"""
+    j = join(P, q1, q2)
+    Z = PerverseComplex(field, P)
+    for r in P.elements:
+        if leq(j, r):
+            Z.basis[(r, 0)] = ["u", "v"]
+        elif leq(q1, r) or leq(q2, r):
+            Z.basis[(r, 0)] = ["w"]
+    for (a, b) in P.covers():
+        da, db = Z.dim(a, 0), Z.dim(b, 0)
+        if da:
+            Z.phi[(a, b, 0)] = SparseMatrix.from_columns(
+                field, db, [{i: field.one} for i in range(da)])
+    Z.validate()
+    return Z

@@ -11,10 +11,10 @@ import time
 import pytest
 
 from perverse.fields import QQ
-from perverse.poset import Poset, leq
+from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, signed_sum, vec_iadd,
                              kernel_basis, linear)
-from perverse.complexes import (ChainComplex, PerverseComplex, p_filtration,
+from perverse.complexes import (ChainComplex, p_filtration,
                                 cofibrancy_certificate)
 from perverse.algebra import algebra_as_bimodule, tensor_pdga
 from perverse.builders import (corpus, sphere_algebra, random_pdga,
@@ -26,8 +26,8 @@ from perverse.structure import (verify_calculus, BVOperator,
                                 bracket_op, to_cochain,
                                 GERSTENHABER_IDS, CALCULUS_IDS)
 from perverse.kunneth import compare_hh
-from oracles import (oplus_bruteforce, join, h, alexander_whitney_vec,
-                     eilenberg_zilber)
+from oracles import (oplus_bruteforce, h, alexander_whitney_vec,
+                     eilenberg_zilber, minimum_condition_counterexample)
 
 P3 = Poset(3)
 
@@ -360,24 +360,8 @@ def test_criterion_10_cofibrancy():
             if not rep["cofibrant_sufficient"]:
                 failures.append((P.n, trial, rep["failures"]))
     # a three-perversity configuration violating the minimum condition
-    P5 = Poset(5)
-    q1, q2 = (0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 1, 2)
-    j = join(P5, q1, q2)
-    Z = PerverseComplex(QQ, P5)
-    for r in P5.elements:
-        if leq(j, r):
-            Z.basis[(r, 0)] = ["u", "v"]
-        elif leq(q1, r) or leq(q2, r):
-            Z.basis[(r, 0)] = ["w"]
-    for (a, b) in P5.covers():
-        da, db = Z.dim(a, 0), Z.dim(b, 0)
-        if da == 0:
-            continue
-        m = SparseMatrix(QQ, db, da)
-        for i in range(min(da, db)):
-            m[i, i] = QQ.one
-        Z.phi[(a, b, 0)] = m
-    Z.validate()
+    Z = minimum_condition_counterexample(Poset(5), (0, 0, 0, 1, 1, 1),
+                                         (0, 0, 0, 0, 1, 2))
     rep = cofibrancy_certificate(Z)
     if rep["minimum_condition"] or not rep["injective"]:
         failures.append(("counterexample not detected", rep))

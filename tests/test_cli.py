@@ -473,14 +473,20 @@ def test_poset_command_at_the_rank_limit():
     assert sum(len(r["covered_by"]) for r in rows) == 576
 
 
-def test_cofibrancy_command_at_rank_7(tmp_path):
-    code, out = run(["cofibrancy", write(tmp_path, dict(SPHERE2, n=7)),
+# a perversity poset of rank n has 2^(n-2) elements; the count of its
+# covers is what the injectivity row reports
+@pytest.mark.parametrize("n, covers", [(7, 48), (8, 112)])
+def test_cofibrancy_command_at_high_rank(tmp_path, n, covers):
+    code, out = run(["cofibrancy", write(tmp_path, dict(SPHERE2, n=n)),
                      "--json"])
     assert code == 0, out
-    recs = {r["identity"]: r for r in map(json.loads, out.splitlines())}
-    for name in ("structure maps injective",
-                 "minimum condition on image intersections"):
-        assert recs[name]["status"] == "pass", recs[name]
+    assert list(map(json.loads, out.splitlines())) == [
+        {"identity": "structure maps injective", "status": "pass",
+         "trials": covers, "witness": None},
+        {"identity": "minimum condition on image intersections",
+         "status": "pass", "trials": 2 ** (n - 2), "witness": None},
+        {"identity": "product table defines a valid pDGA", "status": "pass",
+         "trials": 1, "witness": None}]
 
 
 def test_json_output_is_line_delimited_records():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,9 @@ from perverse.complexes import (ChainComplex, PerverseComplex, free_perverse,
                                 unit_perverse, box_tensor, internal_hom,
                                 linear_dual, p_filtration,
                                 cofibrancy_certificate, quotient, kernel)
-from oracles import box_tensor_fulldiagram, join
+from perverse.builders import random_pdga
+from oracles import (box_tensor_fulldiagram, join, cofibrancy_by_spans,
+                     minimum_condition_counterexample)
 
 
 def sphere(field, n):
@@ -314,36 +317,61 @@ def test_cofibrancy_noninjective_fails():
     assert not rep["cofibrant_sufficient"]
 
 
-def minimum_condition_counterexample():
-    "three perversities: q1, q2 incomparable below p, images meeting off the min"
-    P = Poset(5)
-    q1, q2 = (0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 1, 2)
-    j = join(P, q1, q2)
-    Z = PerverseComplex(QQ, P)
-    for r in P.elements:
-        above1, above2 = leq(q1, r), leq(q2, r)
-        if leq(j, r):
-            Z.basis[(r, 0)] = ["u", "v"]
-        elif above1 or above2:
-            Z.basis[(r, 0)] = ["w"]
-    for (a, b) in P.covers():
-        da, db = Z.dim(a, 0), Z.dim(b, 0)
-        if da == 0:
-            continue
-        m = SparseMatrix(QQ, db, da)
-        for i in range(min(da, db)):
-            m[i, i] = QQ.one
-        Z.phi[(a, b, 0)] = m
-    Z.validate()
-    return Z, q1, q2, j
-
-
 def test_minimum_condition_counterexample_fails():
-    Z, q1, q2, j = minimum_condition_counterexample()
+    Z = minimum_condition_counterexample(Poset(5), (0, 0, 0, 1, 1, 1),
+                                         (0, 0, 0, 0, 1, 2))
     rep = cofibrancy_certificate(Z)
     assert rep["injective"]
     assert not rep["minimum_condition"]
     assert any(f[0] == "minimum" for f in rep["failures"])
+
+
+def certificate_inputs(field):
+    """functorial complexes to compare the certificate with its oracle on:
+    p-filtrations of random labeled complexes on Poset(3..6), and on
+    Poset(4) and Poset(5) carriers of random pDGAs, their linear duals and
+    the box tensors of each carrier with the next one and with its dual"""
+    rng = random.Random(13)
+    out = [p_filtration(field, P, *random_labeled_complex(field, P, rng))
+           for P in map(Poset, (3, 4, 5, 6)) for _ in range(8)]
+    for P in (Poset(4), Poset(5)):
+        carriers = [random_pdga(field, P, seed).carrier() for seed in range(6)]
+        duals = [linear_dual(Z) for Z in carriers]
+        out += carriers + duals
+        out += [box_tensor(Z, Y) for Z, Y in zip(carriers, carriers[1:])]
+        out += [box_tensor(Z, DZ) for Z, DZ in zip(carriers, duals)]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_certificate_equals_its_span_oracle(field):
+    reports = []
+    for Z in certificate_inputs(field):
+        Z.validate()
+        reports.append(cofibrancy_certificate(Z))
+        assert reports[-1] == cofibrancy_by_spans(Z)
+    # the inputs fail the injectivity row too, not only pass both rows
+    assert any(rep["injective"] for rep in reports)
+    assert any(not rep["injective"] for rep in reports)
+
+
+# the incomparable pairs of Poset(5) and Poset(6); Poset(4) is a chain
+INCOMPARABLE = [(P, q1, q2) for P in (Poset(5), Poset(6))
+                for q1, q2 in itertools.combinations(P.elements, 2)
+                if not (leq(q1, q2) or leq(q2, q1))]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("P, q1, q2", INCOMPARABLE, ids=[
+    "-".join("".join(map(str, q)) for q in pair)
+    for _, *pair in INCOMPARABLE])
+def test_certificate_equals_its_span_oracle_where_the_minimum_fails(
+        field, P, q1, q2):
+    Z = minimum_condition_counterexample(P, q1, q2, field)
+    rep = cofibrancy_certificate(Z)
+    assert rep == cofibrancy_by_spans(Z)
+    assert rep["injective"] and not rep["minimum_condition"]
+    assert ("minimum", q1, q2, join(P, q1, q2), 0) in rep["failures"]
 
 
 # Exact bases and nonzero d / phi entries on small inputs, recorded before

@@ -32,6 +32,16 @@ def test_rational_inverses_are_exact():
         QQ.inv(0)
 
 
+def test_rational_inverse_is_the_coerced_reciprocal():
+    # ints, +-1 among them, integral Fractions, unit fractions of both signs
+    # and other fractions, as Fractions and as the scalars QQ.of makes
+    grid = [Fraction(n, d) for n in range(-7, 8) if n for d in range(1, 8)]
+    grid += [QQ.of(x) for x in grid] + [10 ** 30 + 7, -(10 ** 30)]
+    for a in grid:
+        expect = QQ.of(Fraction(1, a))
+        assert QQ.inv(a) == expect and type(QQ.inv(a)) is type(expect), a
+
+
 @pytest.mark.parametrize("F", [QQ, F5])
 def test_shared_constants(F):
     assert "zero" in vars(F) and "one" in vars(F) and "minus_one" in vars(F)

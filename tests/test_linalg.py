@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
-                             solver,
-                             span_equal, span_intersection,
-                             Quotient, Subquotient, vec_iadd, signed_sum,
-                             vec_scale, linear, bilinear)
+                             solver, Quotient, Subquotient, vec_iadd,
+                             signed_sum, vec_scale, linear, bilinear)
+from oracles import span_equal, span_intersection
 
 F5 = Field(5)
 
