@@ -12,9 +12,9 @@ Vectors are dicts {basis name: scalar}.
 import itertools
 
 from .linalg import (SlotComplex, vec_iadd, vec_scale, signed_sum, linear,
-                     bilinear)
+                     bilinear, quotient)
 from .poset import leq
-from .complexes import induce, quotient
+from .complexes import induce
 
 
 class PDGA:

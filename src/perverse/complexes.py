@@ -9,17 +9,17 @@ covering-relation difference maps; internal hom as the matching limit
 the subcomplex of a labeled complex below each perversity.
 
 Each of these constructions, and the carrier of a pDGA, states a slot over
-some ambient keys, as a `quotient` of their span by relations or the `kernel`
-of equations on it, and gives the differential of one key; `induce` builds
-the complex from that: the basis, the slot's d and the structure maps, which
-send each key to itself.
+some ambient keys, as a `linalg.quotient` of their span by relations or the
+`linalg.kernel` of equations on it, and gives the differential of one key;
+`induce` builds the complex from that: the basis, the slot's d and the
+structure maps, which send each key to itself.
 """
 
 import functools
 import itertools
 
-from .linalg import (SparseMatrix, kernel_basis, Quotient, Subspace,
-                     homology_dims, pivot_rows, linear, vec_iadd)
+from .linalg import (SparseMatrix, homology_dims, pivot_rows, linear,
+                     quotient, kernel)
 from .poset import leq
 
 
@@ -162,32 +162,12 @@ def unit_perverse(field, poset):
     return free_perverse(field, poset, poset.zero, point_complex(field))
 
 
-def quotient(field, keys, relations):
-    """the Quotient of the span of keys by the relations, vectors {key: c};
-    a term on a key outside keys raises KeyError"""
-    index = {key: i for i, key in enumerate(keys)}
-    return Quotient(field, len(keys), [
-        {index[key]: c for key, c in rel.items()} for rel in relations])
-
-
-def kernel(field, keys, equations):
-    """the Subspace of the span of keys on which the equations vanish,
-    given as (row, key, c) terms summed per row and key.  A kernel vector
-    is canonical, so the row order does not matter"""
-    index = {key: i for i, key in enumerate(keys)}
-    rows, cols = {}, [{} for _ in keys]
-    for row, key, c in equations:
-        vec_iadd(field, cols[index[key]], {rows.setdefault(row, len(rows)): c})
-    return Subspace(field, kernel_basis(
-        SparseMatrix.from_columns(field, len(rows), cols)))
-
-
 def induce(field, poset, slots, d):
     """the PerverseComplex presented over ambient keys, slot by slot.
 
     slots maps (r, k) to (keys, space, names): the ambient basis keys of
-    the slot, the Quotient or Subspace of their span that the slot is, and
-    the names of its basis; a slot without names has no basis entry.
+    the slot, the Subquotient of their span that the slot is, and the
+    names of its basis; a slot without names has no basis entry.
     d(k, key) is the ambient differential of one key of degree k, a vector
     over keys of degree k + 1, and a structure map sends each key to
     itself.  Both are carried over keys and then projected onto the target
@@ -207,8 +187,7 @@ def induce(field, poset, slots, d):
                     if key in tindex}
 
         return SparseMatrix.from_columns(field, tspace.dim, [
-            tspace.project(linear(field, cut, space.include(col)))
-            for col in range(space.dim)])
+            tspace.coords(linear(field, cut, rep)) for rep in space.reps])
 
     for (r, k), (_, _, names) in slots.items():
         if names:
@@ -277,7 +256,8 @@ def box_tensor(Z, Y):
             quot = quotient(field, keys, rels)
             slots[(r, k)] = keys, quot, [
                 (Z.basis[(p, i)][zi], Y.basis[(q, k - i)][yi], p, q, i)
-                for (p, q), (i, zi, yi) in (keys[g] for g in quot.free)]
+                for (p, q), (i, zi, yi) in (keys[g] for rep in quot.reps
+                                            for g in rep)]
 
     def d(k, key):
         "the tensor differential, objectwise"

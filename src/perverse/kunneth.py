@@ -15,7 +15,7 @@ bar words (a0, middle, a1) of the two factors.  Bar words of the tensor
 algebra use the paired generator names produced by tensor_pdga.
 """
 
-from .linalg import vec_iadd, vec_scale, signed_sum
+from .linalg import vec_iadd, vec_scale, signed_sum, bilinear
 from .algebra import tensor_pdga, algebra_as_bimodule
 from .hochschild import (Cochains, bar_degree, bar_ok, sdeg, index_cochain,
                          cochain_op, to_cochain)
@@ -118,10 +118,9 @@ def tensor_cochain(A, B, T, f, qf, g, qg, aw):
             if not gv:
                 continue
             s = F.mul(c, F.sign(qg * bar_degree(A, u)))
-            for xx, cxx in fv.items():
-                for yy, cyy in gv.items():
-                    if (xx, yy) in T.degree:
-                        vec_iadd(F, out, {(w, (xx, yy)): F.mul(cxx, cyy)}, s)
+            vec_iadd(F, out, bilinear(
+                F, lambda x, y: {(w, (x, y)): F.one} if (x, y) in T.degree
+                else {}, fv, gv), s)
     return out
 
 

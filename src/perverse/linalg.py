@@ -3,17 +3,17 @@
 Vectors are dicts {index: nonzero scalar}.  Matrices are lists of column
 vectors, and `linear` and `bilinear` extend a map of basis elements to
 vectors.  There is one elimination, `Echelon`: a forward-only
-column reduction, columns in input order, that never revisits a stored
-column, with optional bookkeeping of the combination of input columns behind
-each stored column.  Rank, kernel, solutions, membership and coordinates are
-read off it; a rank in a complex skips the columns that clearing shows
-dependent (`pivot_rows`), and a normal form modulo a span eliminates every
-pivot row.  Every object read is canonical.  A kernel vector is e_j minus
-the unique combination of the earlier independent columns, whatever the
-pivot rule.  A normal form depends only on the span and its pivot rows, so
-`Quotient` and `Subquotient`, whose coordinates and representatives are
-normal forms, fix the rule: a pivot is the first nonzero row.  Everything is
-exact; no floats anywhere.
+column reduction, columns in input order, that pivots on the last nonzero
+row and never revisits a stored column, with optional bookkeeping of the
+combination of input columns behind each stored column.  Rank, kernel,
+solutions, membership and coordinates are read off it; a rank in a complex
+skips the columns that clearing shows dependent (`pivot_rows`), and a normal
+form modulo a span eliminates every pivot row.  There is one space,
+`Subquotient`: a span of vectors modulo another, which is every quotient
+(`quotient`), kernel (`kernel`) and homology the library reads.  Every
+object read is canonical: a kernel vector is e_j minus the unique
+combination of the earlier independent columns, and a normal form depends
+only on the span.  Everything is exact; no floats anywhere.
 """
 
 import functools
@@ -170,20 +170,18 @@ def _stored(field, nrows, cols):
 class Echelon:
     """A forward-only column echelon form, built one vector at a time.
 
-    The pivot of a vector is its last nonzero row, or its first with
-    `first`.  `add` reduces a vector by the stored columns until its pivot
-    row is new, then stores it with a 1 there; a stored column is never
-    changed again, so it is zero at every row past its pivot (before it,
-    with `first`).  With `track`, each stored column also carries the
+    The pivot of a vector is its last nonzero row.  `add` reduces a vector
+    by the stored columns until its pivot row is new, then stores it with a
+    1 there; a stored column is never changed again, so it is zero at every
+    row past its pivot.  With `track`, each stored column also carries the
     combination of tagged input vectors it equals, and each dependent
     tagged input leaves a relation in `kernel`: e_tag minus its combination
     of earlier inputs.
     """
 
-    def __init__(self, field, track=False, first=False):
+    def __init__(self, field, track=False):
         self.field = field
         self.track = track
-        self.first = first
         self.cols = {}    # pivot row -> column dict, in insertion order
         self.combos = {}  # pivot row -> {tag: scalar}
         self.kernel = []  # relations among the tagged inputs
@@ -193,11 +191,10 @@ class Echelon:
         residual and, with `track`, the combination of tagged inputs that
         v exceeds it by (None without `track`)"""
         F, cols, combos = self.field, self.cols, self.combos
-        pick = min if self.first else max
         v = dict(v)
         combo = {} if self.track else None
         while v:
-            p = pick(v)
+            p = max(v)
             col = cols.get(p)
             if col is None:
                 break
@@ -217,7 +214,7 @@ class Echelon:
                 k[tag] = F.one
                 self.kernel.append(k)
             return None
-        p = min(r) if self.first else max(r)
+        p = max(r)
         cinv = F.inv(r[p])
         self.cols[p] = vec_scale(F, cinv, r)
         if self.track:
@@ -233,13 +230,12 @@ class Echelon:
     def reduce(self, v):
         """the normal form of v: v minus the vector of the span that agrees
         with it on every pivot row.  Eliminating a pivot row only changes
-        rows past it, so v is walked in pivot order, keeping the rows that
-        are not pivots"""
+        rows before it, so v is walked from its last row down, keeping the
+        rows that are not pivots"""
         F, cols = self.field, self.cols
-        pick = min if self.first else max
         v, out = dict(v), {}
         while v:
-            p = pick(v)
+            p = max(v)
             if p in cols:
                 vec_iadd(F, v, cols[p], F.neg(v[p]))
             else:
@@ -304,82 +300,19 @@ def homology_dims(dim, pivots, lo, hi):
     return {q: dim(q) - rank[q] - rank[q - 1] for q in range(lo, hi + 1)}
 
 
-class Quotient:
-    """R^n modulo the span of some columns, with canonical representatives.
-
-    Representative coordinates are the ambient rows that are not the first
-    nonzero row of any vector of the span.
-    """
-
-    def __init__(self, field, n, span_cols):
-        self.field = field
-        self.n = n
-        self.ech = Echelon(field, first=True)
-        for c in span_cols:
-            self.ech.add(c)
-        self.free = [i for i in range(n) if i not in self.ech.cols]
-        self.index = {row: k for k, row in enumerate(self.free)}
-
-    @property
-    def dim(self):
-        return len(self.free)
-
-    def project(self, v):
-        "coordinates of the class of v, as a dict over 0..dim-1"
-        return {self.index[i]: x for i, x in self.ech.reduce(v).items()}
-
-    def include(self, k):
-        "ambient representative of the k-th quotient basis vector"
-        return {self.free[k]: self.field.one}
-
-
-class Subspace:
-    """the span of some independent columns of R^n, with the interface of
-    Quotient: include gives a basis vector, project its coordinates"""
-
-    def __init__(self, field, cols):
-        self.field = field
-        self.cols = cols
-        self.ech = Echelon(field, track=True)
-        for i, c in enumerate(cols):
-            if self.ech.add(c, tag=i) is None:
-                raise ValueError("subspace basis not independent")
-
-    @property
-    def dim(self):
-        return len(self.cols)
-
-    def project(self, v):
-        "coordinates of v, which must lie in the subspace, as a dict"
-        res, combo = self.ech.lead(v)
-        if res:
-            raise ValueError("vector not in subspace")
-        return combo
-
-    def include(self, k):
-        "the k-th basis vector"
-        return self.cols[k]
-
-
 class Subquotient:
-    """ker(d_out) / im(d_in) inside R^n, with representatives and coordinates."""
+    """the span of the vectors `cycles` modulo the span of `boundaries`.
 
-    def __init__(self, field, n, d_out, d_in=None):
-        self.field = field
-        self.n = n
-        if d_out.ncols != n:
-            raise ValueError("outgoing differential has %d columns, not %d"
-                             % (d_out.ncols, n))
-        cycles = kernel_basis(d_out)
-        # a representative is a normal form modulo the image, zero at the
-        # first nonzero row of every boundary
-        self.bech = Echelon(field, first=True)
-        if d_in is not None:
-            if d_in.nrows != n:
-                raise ValueError("incoming differential has %d rows, not %d"
-                                 % (d_in.nrows, n))
-            for c in d_in.columns():
-                self.bech.add(c)
+    Its basis `reps` is the normal forms of the cycles modulo the
+    boundaries, of those only the first independent ones, in order; a
+    representative is zero at the pivot row of every boundary.  A quotient
+    is the unit vectors modulo the relations, a kernel its basis modulo
+    nothing, and a homology the cycles modulo the boundaries."""
+
+    def __init__(self, field, cycles, boundaries=()):
+        self.bech = Echelon(field)
+        for c in boundaries:
+            self.bech.add(c)
         self.rech = Echelon(field, track=True)
         self.reps = []
         for z in cycles:
@@ -400,6 +333,28 @@ class Subquotient:
 
     def is_boundary(self, v):
         return self.bech.contains(v)
+
+
+def quotient(field, keys, relations):
+    """the span of keys modulo the relations, vectors {key: c}: its reps
+    are the unit vectors at the rows that head no relation, in order, and
+    a term on a key outside keys raises KeyError"""
+    index = {key: i for i, key in enumerate(keys)}
+    return Subquotient(
+        field, [{i: field.one} for i in range(len(keys))],
+        [{index[key]: c for key, c in rel.items()} for rel in relations])
+
+
+def kernel(field, keys, equations):
+    """the subspace of the span of keys on which the equations vanish,
+    given as (row, key, c) terms summed per row and key.  A kernel vector
+    is canonical, so the row order does not matter"""
+    index = {key: i for i, key in enumerate(keys)}
+    rows, cols = {}, [{} for _ in keys]
+    for row, key, c in equations:
+        vec_iadd(field, cols[index[key]], {rows.setdefault(row, len(rows)): c})
+    return Subquotient(field, kernel_basis(
+        SparseMatrix.from_columns(field, len(rows), cols)))
 
 
 class SlotComplex:
@@ -510,9 +465,8 @@ class SlotComplex:
             key = (self.slot(r, q - 1), self.slot(r, q), self.slot(r, q + 1))
             if key not in self._homs:
                 self._homs[key] = Subquotient(
-                    self.field, len(self.basis(r, q)),
-                    d_out=self.differential(r, q),
-                    d_in=self.differential(r, q - 1))
+                    self.field, kernel_basis(self.differential(r, q)),
+                    self.differential(r, q - 1).columns())
             self._hom_at[r, q] = self._homs[key]
         return self._hom_at[r, q]
 

@@ -22,12 +22,11 @@ from collections import namedtuple
 
 from perverse.fields import QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, vec_iadd,
-                             vec_scale, linear, bilinear)
+                             vec_scale, linear, bilinear, quotient)
 from perverse.poset import leq
 from perverse.hochschild import Bar, bar_degree, bar_ok, sdeg
 from perverse.kunneth import alexander_whitney
-from perverse.complexes import (PerverseComplex, quotient, _box_objects,
-                                _box_keys)
+from perverse.complexes import PerverseComplex, _box_objects, _box_keys
 
 
 # ---------------------------------------------------------------------------

@@ -813,6 +813,29 @@ def test_the_table_computes_the_images_of_uncleared_columns_only():
     assert set(keys) == held and len(keys) == len(held) == 262
 
 
+@pytest.mark.parametrize("F", [QQ, Field(5)], ids=["Q", "F5"])
+def test_euler_characteristic_of_every_slot_is_that_of_its_basis(F):
+    # over the whole degree range of a finite complex, the truncated one
+    # included, sum (-1)^q dim H^q = sum (-1)^q dim C^q.  A rank table
+    # satisfies this by construction, so H^q is read from the Subquotient,
+    # whose cycles and boundaries come from two eliminations
+    algebras = list(corpus(F, P3).values()) + [
+        truncated_polynomial(F, P3, 2, power=3)] + [
+        random_pdga(F, Poset(4), s) for s in range(8)]
+    slots = 0
+    for A, L in itertools.product(algebras, (2, 3, 4)):
+        for cx, degs in ((Cochains(A, algebra_as_bimodule(A), L), "graded"),
+                         (Cochains(A, dual_bimodule(A), L), "graded"),
+                         (Chains(A, algebra_as_bimodule(A), L), "pairs")):
+            qs = range(min(getattr(cx, degs)), max(getattr(cx, degs)) + 1)
+            for r in A.poset.elements:
+                slots += 1
+                assert sum((-1) ** q * cx.homology(r, q).dim
+                           for q in qs) == sum(
+                    (-1) ** q * len(cx.basis(r, q)) for q in qs), (A, L, r)
+    assert slots == 414
+
+
 def test_window_exact_flag():
     A = sphere_algebra(QQ, P3, 2)
     M = algebra_as_bimodule(A)

@@ -274,21 +274,31 @@ def test_no_oracle_has_a_copy_in_the_library():
 
 
 def linalg_only_calls(tree):
-    "(name, line) of each call of Subquotient(...) or Echelon(...) in a module"
+    """(name, line) of each call of Subquotient(...), Echelon(...) or
+    kernel_basis(...) in a module"""
     return [(name, node.lineno) for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            for name in ("Subquotient", "Echelon")
+            for name in ("Subquotient", "Echelon", "kernel_basis")
             if name in (getattr(node.func, "id", None),
                         getattr(node.func, "attr", None))]
 
 
 def test_only_linalg_builds_a_subquotient():
     # a homology dimension comes from ranks; a Subquotient is built only
-    # where SlotComplex reads representatives or coordinates.  Echelon is
-    # the one elimination: other modules read rank, kernel, solutions and
-    # coordinates through linalg's functions and classes
+    # where SlotComplex reads representatives or coordinates, and a slot is
+    # stated over its keys through linalg.quotient and linalg.kernel, so no
+    # other module converts keys to indices and builds the space itself.
+    # Echelon is the one elimination: other modules read rank, kernel,
+    # solutions and coordinates through linalg's functions and classes
     found = [(fname,) + hit for fname, tree in source_trees()
              if fname != "linalg.py" for hit in linalg_only_calls(tree)]
+    assert not found, found
+
+
+def test_one_class_is_every_quotient_subspace_and_homology():
+    # a quotient, a kernel and a homology are each a Subquotient: the two
+    # classes it replaced do not come back
+    found = named({"Quotient", "Subspace"})
     assert not found, found
 
 
@@ -352,19 +362,6 @@ def test_perverse_complexes_are_built_by_induce():
     found = [(fname, fn) for fname, tree in source_trees()
              for fn in slot_writers(tree)
              if (fname, fn) != ("complexes.py", "induce")]
-    assert not found, found
-
-
-def test_slot_spaces_are_stated_over_keys():
-    # a slot is a quotient or kernel stated over its keys through
-    # complexes.quotient and complexes.kernel; no other function outside
-    # linalg converts keys to indices and builds the space itself
-    found = [(fname, fn, name) for fname, tree in source_trees()
-             if fname != "linalg.py"
-             for name in ("Quotient", "Subspace", "kernel_basis")
-             for fn in callers(tree, name)
-             if (fname, fn) not in {("complexes.py", "quotient"),
-                                    ("complexes.py", "kernel")}]
     assert not found, found
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
-                             solver, Quotient, Subquotient, vec_iadd,
+                             solver, Subquotient, quotient, vec_iadd,
                              signed_sum, vec_scale, linear, bilinear)
 from oracles import span_equal, span_intersection
 
@@ -87,21 +87,26 @@ def _vector(column):
 
 def _normal_form(n, span, v):
     """(non-pivot rows, normal form of v) for the span of some vectors in
-    Q^n, by sympy: the pivots are those of the RREF of the vectors taken as
-    rows, and v loses its pivot entries times the RREF rows"""
+    Q^n, by sympy, with the last nonzero row of a vector as its pivot: the
+    rows are reversed, the pivots are those of the RREF of the vectors taken
+    as rows, v loses its pivot entries times the RREF rows, and the result
+    is read back reversed"""
     import sympy
-    rref, pivots = _sympy(SparseMatrix.from_columns(QQ, n, span)).T.rref()
-    nf = sympy.Matrix(n, 1, lambda i, _: v.get(i, 0))
+    flip = lambda u: {n - 1 - i: x for i, x in u.items()}
+    rref, pivots = _sympy(SparseMatrix.from_columns(
+        QQ, n, [flip(u) for u in span])).T.rref()
+    nf = sympy.Matrix(n, 1, lambda i, _: flip(v).get(i, 0))
     for k, p in enumerate(pivots):
         nf -= nf[p] * rref[k, :].T
-    return [i for i in range(n) if i not in pivots], _vector(nf)
+    return ([i for i in range(n) if n - 1 - i not in pivots],
+            flip(_vector(nf)))
 
 
 def test_canonical_outputs_against_sympy():
-    # kernel vectors, quotient coordinates and homology representatives are
-    # fixed by the input, not by how Echelon pivots: each equals what sympy
-    # reads off a reduced row echelon form, and both pivot rules accept the
-    # same columns
+    # kernel vectors, and the representatives and coordinates of a
+    # quotient, a subspace and a homology, are fixed by the input and the
+    # last-row pivot rule: each equals what sympy reads off a reduced row
+    # echelon form of the row-reversed vectors
     rng = random.Random(11)
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 7)
@@ -109,17 +114,25 @@ def test_canonical_outputs_against_sympy():
         ker = kernel_basis(A)
         assert ker == [_vector(k) for k in _sympy(A).nullspace()]
 
-        q = Quotient(QQ, n, A.columns())
+        # R^n modulo the columns: the unit vectors at the non-pivot rows
+        q = quotient(QQ, range(n), A.columns())
         v = {i: QQ.of(rng.choice([-2, -1, 1, 3])) for i in range(n)}
         free, normal = _normal_form(n, A.columns(), v)
-        assert q.free == free
-        assert q.project(v) == {q.index[i]: x for i, x in normal.items()}
+        assert len(free) == n - _sympy(A).rank()
+        assert q.reps == [{i: QQ.one} for i in free]
+        assert q.coords(v) == {free.index(i): x for i, x in normal.items()}
+
+        # ker A: its basis, and the coordinates of a combination of it
+        sub = Subquotient(QQ, ker)
+        x = {j: QQ.of(rng.randint(-2, 2)) for j in range(len(ker))}
+        x = {j: c for j, c in x.items() if c}
+        assert sub.reps == ker
+        assert sub.coords(linear(QQ, ker.__getitem__, x)) == x
 
         # ker A modulo the span of some scaled cycles
         bnd = [vec_scale(QQ, QQ.of(rng.randint(1, 3)), k)
                for k in rng.sample(ker, rng.randint(0, len(ker)))]
-        d_in = SparseMatrix.from_columns(QQ, m, bnd) if bnd else None
-        H = Subquotient(QQ, m, d_out=A, d_in=d_in)
+        H = Subquotient(QQ, ker, bnd)
         reps = []
         for k in ker:
             r = _normal_form(m, bnd, k)[1]
@@ -127,16 +140,6 @@ def test_canonical_outputs_against_sympy():
                     QQ, m, reps + [r])).rank() > len(reps):
                 reps.append(r)
         assert H.reps == reps
-
-        for field in (QQ, F5):
-            B = random_matrix(field, rng, n, m)
-            last = Echelon(field, track=True)
-            first = Echelon(field, track=True, first=True)
-            for j, col in enumerate(B.columns()):
-                last.add(col, tag=j)
-                first.add(col, tag=j)
-            assert len(last.cols) == len(first.cols) == B.rank()
-            assert last.kernel == first.kernel == kernel_basis(B)
 
 
 def test_span_operations():
@@ -153,11 +156,11 @@ def test_span_operations():
 
 def test_quotient():
     one = Fraction(1)
-    q = Quotient(QQ, 3, [{0: one, 1: one}])
+    q = quotient(QQ, range(3), [{0: one, 1: one}])
     assert q.dim == 2
     # e0 and -e1 are the same class
-    assert q.project({0: one}) == q.project({1: -one})
-    assert q.project(q.include(0)) == {0: one}
+    assert q.coords({0: one}) == q.coords({1: -one})
+    assert q.coords(q.reps[0]) == {0: one}
 
 
 def test_subquotient_homology_of_known_complex():
@@ -165,10 +168,10 @@ def test_subquotient_homology_of_known_complex():
     one = Fraction(1)
     d_in = SparseMatrix(QQ, 2, 1, {(0, 0): one, (1, 0): one})
     d_out = SparseMatrix(QQ, 1, 2, {(0, 0): one, (0, 1): -one})
-    H = Subquotient(QQ, 2, d_out=d_out, d_in=d_in)
+    H = Subquotient(QQ, kernel_basis(d_out), d_in.columns())
     assert H.dim == 0
     # drop the incoming differential: one-dimensional homology
-    H2 = Subquotient(QQ, 2, d_out=d_out)
+    H2 = Subquotient(QQ, kernel_basis(d_out))
     assert H2.dim == 1
     c = H2.coords({0: one, 1: one})
     assert len(c) == 1
@@ -177,7 +180,7 @@ def test_subquotient_homology_of_known_complex():
 def test_subquotient_coords_of_a_non_cycle_raises():
     one = Fraction(1)
     d_out = SparseMatrix(QQ, 1, 2, {(0, 0): one, (0, 1): -one})
-    H = Subquotient(QQ, 2, d_out=d_out)
+    H = Subquotient(QQ, kernel_basis(d_out))
     with pytest.raises(ValueError):
         H.coords({0: one})
 
@@ -192,12 +195,51 @@ def test_subquotient_coords_linear(seed):
     # boundaries: a few random cycles scaled (so im subset ker)
     ker = kernel_basis(d_out)
     cols = [vec_scale(field, field.of(rng.randint(0, 2)), k) for k in ker[:1]]
-    d_in = SparseMatrix.from_columns(field, n, cols) if cols else None
-    H = Subquotient(field, n, d_out=d_out, d_in=d_in)
+    H = Subquotient(field, ker, cols)
     assert H.dim <= len(ker)
     for k in ker:
         v = linear(field, H.reps.__getitem__, H.coords(k))
         assert H.is_boundary(signed_sum(field, [(0, k), (1, v)]))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_subquotient_dim_is_the_rank_of_cycles_less_boundaries(field):
+    # boundaries drawn inside the span of the cycles: the dimension is the
+    # difference of the two ranks, each rep has unit coordinates and is no
+    # boundary, and each boundary is one
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        cycles = random_matrix(field, rng, n, rng.randint(0, 5)).columns()
+        boundaries = [linear(field, cycles.__getitem__,
+                             {j: field.of(rng.randint(-2, 2))
+                              for j in range(len(cycles))})
+                      for _ in range(rng.randint(0, 3))] if cycles else []
+        H = Subquotient(field, cycles, boundaries)
+        assert H.dim == (SparseMatrix.from_columns(field, n, cycles).rank()
+                         - SparseMatrix.from_columns(field, n,
+                                                     boundaries).rank())
+        for j, r in enumerate(H.reps):
+            assert H.coords(r) == {j: field.one}
+            assert not H.is_boundary(r)
+        assert all(H.is_boundary(b) for b in boundaries)
+
+
+def test_subquotient_without_boundaries_keeps_the_first_independent_cycles():
+    # with nothing to reduce by, the reps are the cycles themselves, those
+    # in the span of earlier ones left out, in order
+    one = Fraction(1)
+    e0, e1, e2 = {0: one}, {1: one}, {2: one}
+    s = {0: one, 1: one}
+    H = Subquotient(QQ, [e0, s, vec_scale(QQ, QQ.of(2), e0), e1, e2, {}])
+    assert H.reps == [e0, s, e2]
+    assert H.coords(e1) == {0: -one, 1: one}
+
+
+def test_quotient_of_keys_raises_on_a_key_outside_them():
+    one = Fraction(1)
+    with pytest.raises(KeyError):
+        quotient(QQ, ["a", "b"], [{"a": one, "c": one}])
 
 
 def _scalars(field):
