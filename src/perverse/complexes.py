@@ -71,6 +71,7 @@ class PerverseComplex:
         self.basis = {}  # (p, k) -> list of labels
         self.d = {}      # (p, k) -> SparseMatrix to (p, k+1)
         self.phi = {}    # (p, q, k) -> SparseMatrix, p covered by q
+        self._composite = {}  # (p, q, k) -> structure_map(p, q, k)
 
     def dim(self, p, k):
         return len(self.basis.get((p, k), ()))
@@ -91,15 +92,20 @@ class PerverseComplex:
         return m
 
     def structure_map(self, p, q, k):
-        "composite structure map for any p <= q"
-        if not leq(p, q):
-            raise ValueError("%r is not below %r" % (p, q))
-        if p == q:
-            return SparseMatrix.identity(self.field, self.dim(p, k))
-        path = self.poset.path_up(p, q)
-        m = self.cover_map(path[0], path[1], k)
-        for a, b in zip(path[1:], path[2:]):
-            m = self.cover_map(a, b, k).mul(m)
+        """composite structure map for any p <= q: the map from b, the
+        first upper cover of p below q, after the cover map p -> b.  It is
+        built on the first read and kept, so the slots must be written
+        before it"""
+        m = self._composite.get((p, q, k))
+        if m is None:
+            if not leq(p, q):
+                raise ValueError("%r is not below %r" % (p, q))
+            if p == q:
+                m = SparseMatrix.identity(self.field, self.dim(p, k))
+            else:
+                b = next(b for b in self.poset.upper_covers(p) if leq(b, q))
+                m = self.structure_map(b, q, k).mul(self.cover_map(p, b, k))
+            self._composite[p, q, k] = m
         return m
 
     def validate(self):
@@ -129,14 +135,11 @@ class PerverseComplex:
         for p in P.elements:
             for q in P.up_set(p):
                 for k in self.degrees():
-                    ms = [self._via(p, b, q, k) for b in P.upper_covers(p)
-                          if leq(b, q)]
+                    ms = [self.structure_map(b, q, k).mul(
+                        self.cover_map(p, b, k))
+                        for b in P.upper_covers(p) if leq(b, q)]
                     if any(m != ms[0] for m in ms[1:]):
                         raise ValueError("structure maps not functorial")
-
-    def _via(self, p, mid, q, k):
-        rest = self.structure_map(mid, q, k)
-        return rest.mul(self.cover_map(p, mid, k))
 
     def homology(self, p):
         "{k: dim H^k} at p from the lowest degree to the highest, from ranks"
@@ -290,10 +293,9 @@ def internal_hom(M, N):
         return [(i, mi, ni) for i in mdegs for mi in range(M.dim(p, i))
                 for ni in range(N.dim(q, i + k))]
 
-    # nonzero entries of each matrix, read once per matrix: a row of the
-    # maps out of M, a column of those of N
+    # the rows of each map out of M, transposed once per matrix; the maps
+    # of N are read through the columns the complex keeps
     mmap = functools.cache(lambda p, q, i: M.structure_map(p, q, i).rows())
-    nmap = functools.cache(lambda p, q, j: N.structure_map(p, q, j).columns())
     mdiff = functools.cache(lambda p, i: M.diff(p, i).rows())
     ndiff = functools.cache(lambda q, j: N.diff(q, j).columns())
     slots = {}
@@ -317,7 +319,8 @@ def internal_hom(M, N):
                          field.mul(cm, cn))
                         for (i, mi, ni) in local[(p, q)]
                         for mi2, cm in mmap(p2, p, i)[mi].items()
-                        for ni2, cn in nmap(q, q2, i + k)[ni].items()]
+                        for ni2, cn in N.structure_map(
+                            q, q2, i + k).columns()[ni].items()]
                 eqs += [((e, t), ((p2, q2), t), field.neg(field.one))
                         for t in local[(p2, q2)]]
             keys = [(obj, t) for obj in objs for t in local[obj]]
@@ -380,12 +383,6 @@ def cofibrancy_certificate(Z):
     P = Z.poset
     degs = Z.degrees()
 
-    @functools.cache
-    def image(q, p, k):
-        "the columns of the composite q -> p and its rank, once per call"
-        A = Z.structure_map(q, p, k)
-        return A.columns(), A.rank()
-
     failures = []
     injective = True
     for (p, q) in P.covers():
@@ -397,15 +394,19 @@ def cofibrancy_certificate(Z):
     minimum = True
     for p in P.elements:
         below = [q for q in P.elements if leq(q, p) and q != p]
-        for q1, q2 in itertools.combinations(below, 2):
-            if leq(q1, q2) or leq(q2, q1):
-                continue
-            m = P.meet(q1, q2)
+        pairs = [(q1, q2, P.meet(q1, q2))
+                 for q1, q2 in itertools.combinations(below, 2)
+                 if not (leq(q1, q2) or leq(q2, q1))]
+        # the rank of each composite into p that the pairs read, once
+        rank = {(q, k): Z.structure_map(q, p, k).rank()
+                for q in set(itertools.chain.from_iterable(pairs))
+                for k in degs}
+        for q1, q2, m in pairs:
             for k in degs:
-                (c1, r1), (c2, r2) = image(q1, p, k), image(q2, p, k)
-                joint = SparseMatrix.from_columns(Z.field, Z.dim(p, k),
-                                                  c1 + c2).rank()
-                if image(m, p, k)[1] != r1 + r2 - joint:
+                joint = SparseMatrix.from_columns(
+                    Z.field, Z.dim(p, k), Z.structure_map(q1, p, k).columns()
+                    + Z.structure_map(q2, p, k).columns()).rank()
+                if rank[m, k] != rank[q1, k] + rank[q2, k] - joint:
                     minimum = False
                     failures.append(("minimum", q1, q2, p, k))
     return {

@@ -107,9 +107,10 @@ class Poset:
         return self._member(tuple(t - a for t, a in zip(self.top, p)))
 
     def _steps(self, p, s):
-        "the members p + s * e_i, one index i, ascending"
+        "the members p + s * e_i, one index i, ascending, as listed"
         steps = (p[:i] + (p[i] + s,) + p[i + 1:] for i in range(len(p)))
-        return sorted(q for q in steps if q in self.index)
+        return [self.elements[j] for j in sorted(
+            self.index[q] for q in steps if q in self.index)]
 
     def upper_covers(self, p):
         "the perversities covering p, ascending"
@@ -125,17 +126,4 @@ class Poset:
 
     def up_set(self, p):
         return [q for q in self.elements if leq(p, q)]
-
-    def path_up(self, p, q):
-        "a chain p = r0 < r1 < ... < rk = q through covering steps"
-        if not leq(p, q):
-            raise ValueError("%r is not below %r" % (p, q))
-        path = [p]
-        while path[-1] != q:
-            nxt = next((b for b in self.upper_covers(path[-1])
-                        if leq(b, q)), None)
-            if nxt is None:
-                raise ValueError("no covering path from %r to %r" % (p, q))
-            path.append(nxt)
-        return path
 

@@ -198,8 +198,6 @@ def box_tensor_fulldiagram(Z, Y):
     if not degs:
         return out
     kmin, kmax = min(degs), max(degs)
-    zmap = functools.cache(lambda p, q, i: Z.structure_map(p, q, i).columns())
-    ymap = functools.cache(lambda p, q, j: Y.structure_map(p, q, j).columns())
     for r in P.elements:
         objs = _box_objects(P, r)
         for k in range(kmin, kmax + 1):
@@ -211,10 +209,10 @@ def box_tensor_fulldiagram(Z, Y):
                     if dst == (p, q) or not (leq(p, dst[0])
                                              and leq(q, dst[1])):
                         continue
-                    fy = ymap(q, dst[1], k - i)[yi]
+                    fz = Z.structure_map(p, dst[0], i).columns()[zi]
+                    fy = Y.structure_map(q, dst[1], k - i).columns()[yi]
                     rel = {(dst, (i, zi2, yi2)): field.mul(cz, cy)
-                           for zi2, cz in zmap(p, dst[0], i)[zi].items()
-                           for yi2, cy in fy.items()}
+                           for zi2, cz in fz.items() for yi2, cy in fy.items()}
                     rel[key] = field.neg(field.one)
                     rels.append(rel)
             quot = quotient(field, keys, rels)
@@ -257,7 +255,6 @@ def cofibrancy_by_spans(Z):
     P = Z.poset
     field = Z.field
     degs = Z.degrees()
-    smap = functools.cache(lambda q, p, k: Z.structure_map(q, p, k).columns())
     failures = []
     injective = True
     for (p, q) in P.covers():
@@ -272,9 +269,10 @@ def cofibrancy_by_spans(Z):
         for q1, q2 in itertools.combinations(below, 2):
             m = P.meet(q1, q2)
             for k in degs:
-                inter = span_intersection(field, Z.dim(p, k), smap(q1, p, k),
-                                          smap(q2, p, k))
-                if not span_equal(field, inter, smap(m, p, k)):
+                cols = [Z.structure_map(q, p, k).columns()
+                        for q in (q1, q2, m)]
+                inter = span_intersection(field, Z.dim(p, k), *cols[:2])
+                if not span_equal(field, inter, cols[2]):
                     minimum = False
                     failures.append(("minimum", q1, q2, p, k))
     return {

@@ -305,16 +305,79 @@ def test_cofibrancy_certificate_on_filtration():
         assert rep["cofibrant_sufficient"], rep["failures"]
 
 
-def test_cofibrancy_noninjective_fails():
+def noninjective_complex():
+    "the zero map between two one-dimensional slots of the chain Poset(3)"
     P = Poset(3)
     Z = PerverseComplex(QQ, P)
     Z.basis[(P.zero, 0)] = ["a"]
     Z.basis[(P.top, 0)] = ["b"]
-    Z.phi[(P.zero, P.top, 0)] = SparseMatrix(QQ, 1, 1)  # zero map
+    Z.phi[(P.zero, P.top, 0)] = SparseMatrix(QQ, 1, 1)
+    return Z
+
+
+def nonfunctorial_complex():
+    """one-dimensional slots on the one square of Poset(5), m below the
+    incomparable a and b below j: m -> a -> j is 2 and m -> b -> j is 3"""
+    P = Poset(5)
+    m, a, b, j = ((0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 2),
+                  (0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 2))
+    Z = PerverseComplex(QQ, P)
+    for r in (m, a, b, j):
+        Z.basis[(r, 0)] = [r]
+    for (r, s), x in {(m, a): 1, (a, j): 2, (m, b): 1, (b, j): 3}.items():
+        Z.phi[(r, s, 0)] = SparseMatrix.from_columns(QQ, 1, [{0: x}])
+    return Z
+
+
+def composite_along_first_covers(Z, p, q, k):
+    """the product of the cover maps along p = r0 < r1 < ... < q, each r_i
+    the first upper cover of r_(i-1) below q"""
+    m = SparseMatrix.identity(Z.field, Z.dim(p, k))
+    while p != q:
+        b = next(b for b in Z.poset.upper_covers(p) if leq(b, q))
+        m, p = Z.cover_map(p, b, k).mul(m), b
+    return m
+
+
+def composite_inputs():
+    "p-filtrations of random labeled complexes on Poset(6), and the two above"
+    rng = random.Random(7)
+    P = Poset(6)
+    return [p_filtration(field, P, *random_labeled_complex(field, P, rng))
+            for field in (QQ, Field(5)) for _ in range(3)] + [
+        noninjective_complex(), nonfunctorial_complex()]
+
+
+def test_cofibrancy_noninjective_fails():
+    Z = noninjective_complex()
     Z.validate()
     rep = cofibrancy_certificate(Z)
     assert not rep["injective"]
     assert not rep["cofibrant_sufficient"]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_structure_map_is_the_product_along_the_first_covers(k):
+    Z = composite_inputs()[k]
+    P = Z.poset
+    for p, q in itertools.product(P.elements, repeat=2):
+        for deg in Z.degrees():
+            if not leq(p, q):
+                with pytest.raises(ValueError):
+                    Z.structure_map(p, q, deg)
+                continue
+            m = Z.structure_map(p, q, deg)
+            assert m == composite_along_first_covers(Z, p, q, deg), (p, q)
+            # the complex builds each composite once and keeps it
+            assert Z.structure_map(p, q, deg) is m
+
+
+def test_nonfunctorial_composite_is_the_one_along_the_first_covers():
+    Z = nonfunctorial_complex()
+    with pytest.raises(ValueError, match="not functorial"):
+        Z.validate()
+    m, j = (0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 1, 2)
+    assert Z.structure_map(m, j, 0).columns() == [{0: 2}]
 
 
 def test_minimum_condition_counterexample_fails():
