@@ -442,7 +442,7 @@ def cmd_cofibrancy(args, out):
                           if f[0] == "injectivity"), None)},
         {"identity": "minimum condition on image intersections",
          "status": "pass" if rep["minimum_condition"] else "fail",
-         "trials": len(P.elements),
+         "trials": rep["minimum_checks"],
          "witness": next((f for f in rep["failures"]
                           if f[0] == "minimum"), None)},
     ]

@@ -392,11 +392,13 @@ def cofibrancy_certificate(Z):
                 injective = False
                 failures.append(("injectivity", p, q, k))
     minimum = True
+    checks = 0
     for p in P.elements:
         below = [q for q in P.elements if leq(q, p) and q != p]
         pairs = [(q1, q2, P.meet(q1, q2))
                  for q1, q2 in itertools.combinations(below, 2)
                  if not (leq(q1, q2) or leq(q2, q1))]
+        checks += len(pairs) * len(degs)
         # the rank of each composite into p that the pairs read, once
         rank = {(q, k): Z.structure_map(q, p, k).rank()
                 for q in set(itertools.chain.from_iterable(pairs))
@@ -413,5 +415,6 @@ def cofibrancy_certificate(Z):
         "injective": injective,
         "minimum_condition": minimum,
         "cofibrant_sufficient": injective and minimum,
+        "minimum_checks": checks,
         "failures": failures,
     }

@@ -251,7 +251,8 @@ def cofibrancy_by_spans(Z):
     """the report of complexes.cofibrancy_certificate, with the minimum
     condition checked on every pair q1, q2 below p, comparable or not, by a
     basis of im(q1 -> p) & im(q2 -> p) and a span comparison with
-    im(min(q1, q2) -> p)"""
+    im(min(q1, q2) -> p); its count of rank checks is that of the pairs
+    whose meet is neither of the two, times the degrees"""
     P = Z.poset
     field = Z.field
     degs = Z.degrees()
@@ -264,10 +265,13 @@ def cofibrancy_by_spans(Z):
                 injective = False
                 failures.append(("injectivity", p, q, k))
     minimum = True
+    checks = 0
     for p in P.elements:
         below = [q for q in P.elements if leq(q, p) and q != p]
         for q1, q2 in itertools.combinations(below, 2):
             m = P.meet(q1, q2)
+            # a rank check is needed where the meet is neither of the two
+            checks += len(degs) * (m not in (q1, q2))
             for k in degs:
                 cols = [Z.structure_map(q, p, k).columns()
                         for q in (q1, q2, m)]
@@ -279,6 +283,7 @@ def cofibrancy_by_spans(Z):
         "injective": injective,
         "minimum_condition": minimum,
         "cofibrant_sufficient": injective and minimum,
+        "minimum_checks": checks,
         "failures": failures,
     }
 
