@@ -244,12 +244,9 @@ def tensor_pdga(A, B):
     unit = (A.unit, B.unit)
 
     def inject(va, vb):
-        out = {}
-        for x, cx in va.items():
-            for y, cy in vb.items():
-                if (x, y) in names:
-                    out[(x, y)] = F.mul(cx, cy)
-        return out
+        "the bilinear extension of x, y -> x@y, zero off the generators"
+        return bilinear(F, lambda x, y: {(x, y): F.one} if (x, y) in names
+                        else {}, va, vb)
 
     diff = {}
     for (a, b) in names:

@@ -159,12 +159,12 @@ class Chains(SlotComplex):
         self.mids = middle_words(A, L)
         self.bar = Bar(A, 0)
         # {q: [((m, w), label of the pair)]}, ordered by w, then m
-        self.pairs = {}
+        self.graded = {}
         for w, (d, lw) in self.mids.items():
             for m in M.names:
                 lab = A.poset.oplus(lw, M.plabel[m])
                 if lab is not None:
-                    self.pairs.setdefault(M.degree[m] + d, []).append(
+                    self.graded.setdefault(M.degree[m] + d, []).append(
                         ((m, w), lab))
 
     def degree(self, key):
@@ -172,7 +172,7 @@ class Chains(SlotComplex):
         return self.M.degree[m] + self.mids[w][0]
 
     def slot_basis(self, r, q):
-        return [key for key, lab in self.pairs.get(q, ()) if leq(lab, r)]
+        return [key for key, lab in self.graded.get(q, ()) if leq(lab, r)]
 
     def push(self, out, m, w, coeff):
         "add coeff * (m, w) into out when the pair is in the complex"

@@ -221,7 +221,7 @@ def test_chain_D_is_the_bar_differential_read_through_the_pairing(field, L):
     # D_key reads Bar.D_word; the printed formulas are written out above
     for A, M in _chain_family(field):
         ch = Chains(A, M, L)
-        for keys in ch.pairs.values():
+        for keys in ch.graded.values():
             for key, _ in keys:
                 assert ch.D_key(key) == _printed_chain_D(ch, key), key
 
@@ -824,10 +824,10 @@ def test_euler_characteristic_of_every_slot_is_that_of_its_basis(F):
         random_pdga(F, Poset(4), s) for s in range(8)]
     slots = 0
     for A, L in itertools.product(algebras, (2, 3, 4)):
-        for cx, degs in ((Cochains(A, algebra_as_bimodule(A), L), "graded"),
-                         (Cochains(A, dual_bimodule(A), L), "graded"),
-                         (Chains(A, algebra_as_bimodule(A), L), "pairs")):
-            qs = range(min(getattr(cx, degs)), max(getattr(cx, degs)) + 1)
+        for cx in (Cochains(A, algebra_as_bimodule(A), L),
+                   Cochains(A, dual_bimodule(A), L),
+                   Chains(A, algebra_as_bimodule(A), L)):
+            qs = range(min(cx.graded), max(cx.graded) + 1)
             for r in A.poset.elements:
                 slots += 1
                 assert sum((-1) ** q * cx.homology(r, q).dim

@@ -415,7 +415,8 @@ def _items_loop(node):
 def is_hand_extension(loop, coeffs=()):
     """a loop over v.items() whose body, under at most one `if` and through
     nested such loops, is only vec_iadd(F, out, ..., c) with a coefficient
-    built from the loops' own coefficients: a linear or bilinear extension"""
+    built from the loops' own coefficients: a linear or bilinear extension.
+    Under two or more such loops, `out[key] = c` is one too"""
     if not _items_loop(loop):
         return False
     coeffs += (loop.target.elts[1].id,)
@@ -427,10 +428,16 @@ def is_hand_extension(loop, coeffs=()):
     if isinstance(body[0], ast.For):
         return is_hand_extension(body[0], coeffs)
     call = getattr(body[0], "value", None)
-    if not (isinstance(call, ast.Call) and len(call.args) == 4
-            and getattr(call.func, "id", None) == "vec_iadd"):
+    if isinstance(body[0], ast.Assign):
+        if len(coeffs) < 2 or not isinstance(body[0].targets[0],
+                                             ast.Subscript):
+            return False
+        c = call
+    elif not (isinstance(call, ast.Call) and len(call.args) == 4
+              and getattr(call.func, "id", None) == "vec_iadd"):
         return False
-    c = call.args[3]
+    else:
+        c = call.args[3]
     names = {n.id for n in ast.walk(c) if isinstance(n, ast.Name)}
     return isinstance(c, (ast.Name, ast.Call)) and set(coeffs) <= names
 
@@ -585,4 +592,49 @@ def test_covers_of_one_perversity_are_read_per_perversity():
     # no module filters the whole cover list for an endpoint
     found = [(fname, line) for fname, tree in source_trees()
              for line in cover_filters(tree)]
+    assert not found, found
+
+
+def test_a_composite_is_built_by_its_complex():
+    # PerverseComplex.structure_map builds each composite from the cover
+    # maps and keeps it; the path walk and its helper do not come back
+    found = named({"path_up", "_via"})
+    assert not found, found
+
+
+def _is_cache(node):
+    "functools.cache or functools.lru_cache, called or not"
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", getattr(node, "id", None)) in (
+        "cache", "lru_cache")
+
+
+def cached_composites(tree):
+    """the line of each structure_map call in a function that a
+    functools.cache or lru_cache wraps, unless rows() transposes it"""
+    defs = {fn.name: fn for fn in ast.walk(tree)
+            if isinstance(fn, _FUNCTIONS)}
+    cached = [fn for fn in defs.values()
+              if any(map(_is_cache, fn.decorator_list))]
+    cached += [arg if isinstance(arg, ast.Lambda) else defs[arg.id]
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _is_cache(node.func)
+               for arg in node.args[:1]
+               if isinstance(arg, ast.Lambda) or getattr(arg, "id", None)
+               in defs]
+    parent = {child: node for fn in cached for node in ast.walk(fn)
+              for child in ast.iter_child_nodes(node)}
+    return sorted(node.lineno for fn in cached for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "structure_map"
+                  and getattr(parent[node], "attr", None) != "rows")
+
+
+def test_no_cache_holds_a_composite():
+    # the complex keeps each composite it builds, so no reader caches one,
+    # its columns or its rank: a cache over structure_map only transposes
+    found = [(fname, line) for directory in (SRC, TESTS)
+             for fname, tree in source_trees(directory)
+             for line in cached_composites(tree)]
     assert not found, found

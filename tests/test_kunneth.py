@@ -279,7 +279,7 @@ def test_shuffle_product_is_ez_on_unit_ended_words(field):
     pairs += list(itertools.product(labeled, repeat=2))
     for A, B in pairs:
         T = tensor_pdga(A, B)
-        ka, kb = (Chains(C, algebra_as_bimodule(C), 2).pairs for C in (A, B))
+        ka, kb = (Chains(C, algebra_as_bimodule(C), 2).graded for C in (A, B))
         for x in (key for keys in ka.values() for key, _ in keys):
             for y in (key for keys in kb.values() for key, _ in keys):
                 assert shuffle_product(A, B, T, {x: field.one},
