@@ -14,7 +14,6 @@ import itertools
 from .linalg import (SlotComplex, vec_iadd, vec_scale, signed_sum, linear,
                      bilinear, quotient)
 from .poset import leq
-from .complexes import induce
 
 
 class PDGA:
@@ -161,6 +160,7 @@ class PDGA:
         degree k with label <= p, in self.names order.  A term of d(x) off
         degree |x| + 1 or above the label of x raises ValueError, since the
         slot of x at its own label would lack it; no product is read"""
+        from .complexes import induce
         F, P = self.field, self.poset
         for x, v in self.diffs.items():
             for y in v:

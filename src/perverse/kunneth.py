@@ -13,14 +13,15 @@ against them.
 Elements of B(A) box B(B) are dicts {(u, v): coefficient} where u and v are
 bar words (a0, middle, a1) of the two factors.  Bar words of the tensor
 algebra use the paired generator names produced by tensor_pdga.
+
+compare_hh imports structure when it runs, so importing this module for
+hh_degree_support compiles neither structure nor complexes.
 """
 
 from .linalg import vec_iadd, vec_scale, signed_sum, bilinear
 from .algebra import tensor_pdga, algebra_as_bimodule
 from .hochschild import (Cochains, bar_degree, bar_ok, sdeg, index_cochain,
                          cochain_op, to_cochain)
-from .structure import (cup_op, bracket_op, BVOperator, record_identity,
-                        run_identity)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,8 @@ def compare_hh(A, B, L, window):
     factor tables, then the cup, bracket and Delta transports along the
     comparison, checked on cohomology representatives.  Returns the two
     tables plus per-identity records in the verify_calculus format."""
+    from .structure import (cup_op, bracket_op, BVOperator, record_identity,
+                            run_identity)
     lo, hi = window
     F = A.field
     P = A.poset

@@ -78,6 +78,9 @@ class SparseMatrix:
     """A linear map R^ncols -> R^nrows, stored as its list of column
     vectors {row: scalar}."""
 
+    # a complex keeps many small composites; no per-instance dict
+    __slots__ = ("field", "nrows", "ncols", "cols")
+
     def __init__(self, field, nrows, ncols, entries=None):
         self.field = field
         self.nrows = nrows

@@ -252,7 +252,8 @@ def cofibrancy_by_spans(Z):
     condition checked on every pair q1, q2 below p, comparable or not, by a
     basis of im(q1 -> p) & im(q2 -> p) and a span comparison with
     im(min(q1, q2) -> p); its count of rank checks is that of the pairs
-    whose meet is neither of the two, times the degrees"""
+    whose meet is neither of the two, times the degrees, and one injectivity
+    check per cover and degree"""
     P = Z.poset
     field = Z.field
     degs = Z.degrees()
@@ -283,6 +284,7 @@ def cofibrancy_by_spans(Z):
         "injective": injective,
         "minimum_condition": minimum,
         "cofibrant_sufficient": injective and minimum,
+        "injective_checks": len(P.covers()) * len(degs),
         "minimum_checks": checks,
         "failures": failures,
     }

@@ -185,19 +185,25 @@ _LOADED = ("import sys; from perverse import cli; code = cli.main(); "
            " file=sys.stderr); sys.exit(code)")
 
 
+# the modules a command imports only when it runs them
+_LAZY = {"perverse.complexes", "perverse.hochschild", "perverse.structure",
+         "perverse.kunneth"}
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("argv,runs", [
     (["hh", "sphere2"], {"perverse.hochschild"}),
-    (["homology", "sphere2"], set()),
-    (["poset", "--n", "3"], set())], ids=["hh", "homology", "poset"])
+    (["homology", "sphere2"], {"perverse.complexes"}),
+    (["cofibrancy", "sphere2"], {"perverse.complexes"}),
+    (["poset", "--n", "3"], set())],
+    ids=["hh", "homology", "cofibrancy", "poset"])
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, flags, argv,
                                                     runs):
-    # hh, homology and poset run neither the identity suites nor the
-    # Kunneth comparison, so they do not compile structure and kunneth
+    # none of these runs the identity suites or the Kunneth comparison, so
+    # none compiles structure and kunneth; hh and poset build no perverse
+    # complex, so they do not compile complexes either
     code, out, err = run_python(tmp_path, flags, argv, entry=("-c", _LOADED))
-    loaded = set(err.split())
-    assert runs <= loaded, err
-    assert not {"perverse.structure", "perverse.kunneth"} & loaded, err
+    assert _LAZY & set(err.split()) == runs, err
     assert (code, out) == run(argv) and code == 0
 
 
@@ -473,12 +479,12 @@ def test_poset_command_at_the_rank_limit():
     assert sum(len(r["covered_by"]) for r in rows) == 576
 
 
-# the injectivity row reports the count of the poset's covers, and the
-# minimum row its rank checks: the incomparable pairs below each
-# perversity (648 at rank 7, 6,552 at rank 8) times the filtration's two
-# degrees, 0 and 2
-@pytest.mark.parametrize("n, covers, checks", [(7, 48, 1296),
-                                               (8, 112, 13104)])
+# each row reports its rank checks times the filtration's two degrees, 0
+# and 2: the injectivity row one per cover of the poset (48 at rank 7, 112
+# at rank 8), the minimum row one per incomparable pair below each
+# perversity (648 at rank 7, 6,552 at rank 8)
+@pytest.mark.parametrize("n, covers, checks", [(7, 96, 1296),
+                                               (8, 224, 13104)])
 def test_cofibrancy_command_at_high_rank(tmp_path, n, covers, checks):
     code, out = run(["cofibrancy", write(tmp_path, dict(SPHERE2, n=n)),
                      "--json"])

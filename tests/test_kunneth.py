@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -453,8 +456,12 @@ def test_compare_hh_evaluates_each_input_once(monkeypatch):
     # transport, each flattened product and each Delta runs once per value
     # of its inputs.  An Op is known by what it was built from: a
     # cochain_op by its algebra, degree and terms, a product by its name
-    # and the values of its two operands
+    # and the values of its two operands.  compare_hh reads cup_op and
+    # bracket_op from perverse.structure at call time, where
+    # BVOperator.act_c also calls cup_op, with structure's own cochain_op
+    # and an action, so those are tagged there too
     import perverse.kunneth as kunneth
+    import perverse.structure as structure
     keep, value, calls = [], {}, {}
 
     def terms(f):
@@ -474,12 +481,13 @@ def test_compare_hh_evaluates_each_input_once(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(kunneth, "cochain_op", tagged(
-        kunneth.cochain_op, lambda X, f, q: (id(X), q, terms(f))))
+    for module in (kunneth, structure):
+        monkeypatch.setattr(module, "cochain_op", tagged(
+            module.cochain_op, lambda X, f, q: (id(X), q, terms(f))))
     for name in ("cup_op", "bracket_op"):
-        monkeypatch.setattr(kunneth, name, tagged(
-            getattr(kunneth, name),
-            lambda f, g, name=name: (name, value[id(f)], value[id(g)])))
+        monkeypatch.setattr(structure, name, tagged(
+            getattr(structure, name), lambda f, g, *act, name=name:
+            (name, value[id(f)], value[id(g)]) + act))
     monkeypatch.setattr(kunneth, "to_cochain", counted(
         "to_cochain", kunneth.to_cochain,
         lambda op, words: (value[id(op)], id(words))))
@@ -536,8 +544,11 @@ def test_each_cochain_complex_is_built_once(monkeypatch):
 
 
 def test_compare_hh_records_pinned_under_a_faulty_cup(monkeypatch):
-    import perverse.kunneth as kunneth
-    orig = kunneth.cup_op
+    # compare_hh reads cup_op from perverse.structure at call time.  The
+    # doubled cup reaches BVOperator.act_c too, where it scales both sides
+    # of Delta's solve, so the Delta row holds as before
+    import perverse.structure as structure
+    orig = structure.cup_op
 
     def doubled(f, g, act=None):
         op = orig(f, g, act)
@@ -545,7 +556,7 @@ def test_compare_hh_records_pinned_under_a_faulty_cup(monkeypatch):
         return Op(f.A, op.deg, lambda w: vec_scale(F, F.of(2), op(w)),
                   op.lengths)
 
-    monkeypatch.setattr(kunneth, "cup_op", doubled)
+    monkeypatch.setattr(structure, "cup_op", doubled)
     z = (0, 0, 0, 0)
     assert compare_hh(S2, S2, 2, (-1, 1))["records"] == [
         {"identity": "dimension tables agree", "status": "pass",
@@ -599,3 +610,44 @@ def test_degree_support_and_constant_diagram_helpers():
     assert lo <= -4 and hi >= 2
     assert is_constant_diagram(S2)
     assert not is_constant_diagram(sphere_algebra(QQ, P3, 2, label=P3.top))
+
+
+_LOADS = """
+import sys
+from perverse.kunneth import hh_degree_support
+from perverse.fields import QQ
+from perverse.poset import Poset
+from perverse.builders import sphere_algebra
+from perverse.algebra import algebra_as_bimodule
+from perverse.hochschild import hh_table
+
+def loaded():
+    return [m for m in ("perverse.structure", "perverse.complexes")
+            if m in sys.modules]
+
+A = sphere_algebra(QQ, Poset(3), 2)
+hh_table(A, algebra_as_bimodule(A), 3, *hh_degree_support(A, 3))
+print(*loaded(), sep=",")
+%s
+print(*loaded(), sep=",")
+"""
+
+
+@pytest.mark.parametrize("call,loads", [
+    ("from perverse.structure import verify_calculus; "
+     "verify_calculus(A, 3, -2, 2, trials=2)", "perverse.structure"),
+    ("from perverse.kunneth import compare_hh; "
+     "compare_hh(A, A, 2, (-1, 1))", "perverse.structure"),
+    ("A.homology_dims()", "perverse.complexes")],
+    ids=["calculus", "kunneth", "homology"])
+def test_a_call_imports_only_the_modules_it_runs(call, loads):
+    # an HH table runs neither the identity suite nor a perverse complex,
+    # so it compiles neither structure nor complexes; the suites and the
+    # comparison build no perverse complex either
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS % call],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["", loads]

@@ -3,7 +3,9 @@ functions and methods by name.  A refactor that moves one of them would
 leave its layer metric at zero without failing the benchmark, so every
 target must resolve here, without installing the tracer.  A change that
 moves work past a wrapped function hides its layer the same way, so the
-traced hh workloads must still show their slot assembly."""
+traced hh workloads must still show their slot assembly.  Each fresh
+interpreter compiles every module it imports, so a workload's setup and
+call must import only the library modules they run."""
 
 import importlib.util
 import json
@@ -52,3 +54,38 @@ def test_the_trace_sees_one_slot_matrix_per_distinct_pair_of_bases(
     layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
     assert layers["hochschild.slots"] == pairs
     assert layers["hochschild.assembly_s"] > 0
+
+
+_WORKLOAD_LOADS = """
+import sys
+import workloads
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("perverse."))
+
+wl = workloads.WORKLOADS[sys.argv[1]]
+state = wl.build(0)
+print(*loaded())
+wl.run(state)
+print(*loaded())
+"""
+
+
+@pytest.mark.parametrize("workload,runs", [
+    ("hh-trunc3", set()), ("hh-labeled-fp", set()),
+    ("calculus-corpus", {"perverse.structure"}),
+    ("kunneth-s2s2", {"perverse.structure"})],
+    ids=["hh-trunc3", "hh-labeled-fp", "calculus-corpus", "kunneth-s2s2"])
+def test_a_workload_imports_only_the_modules_it_runs(workload, runs):
+    # no workload builds a perverse complex, and an HH table runs no
+    # identity suite, so neither the setup nor the call of an hh workload
+    # compiles structure or complexes
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKLOAD_LOADS, workload],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")])),
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    setup, call = (set(line.split()) for line in proc.stdout.splitlines())
+    lazy = {"perverse.structure", "perverse.complexes"}
+    assert not lazy & setup, setup
+    assert lazy & call == runs, call
