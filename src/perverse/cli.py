@@ -20,13 +20,12 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 input error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from importlib import resources
 
 from .fields import QQ, Field
 from .poset import Poset, is_perversity
-from .linalg import SparseMatrix
+from .linalg import linear
 from .algebra import PDGA, algebra_as_bimodule
 
 # a command imports complexes, hochschild, structure and kunneth itself, so
@@ -59,18 +58,7 @@ def _poset(n):
 
 
 # ---------------------------------------------------------------------------
-# the description type and its parsing
-
-
-@dataclass
-class AlgebraDescription:
-    field: str
-    n: int
-    generators: list
-    unit: str
-    differential: dict
-    products: list
-    commutative: bool = dc_field(default=True)
+# parsing a description
 
 
 def _parse_field(s):
@@ -127,7 +115,8 @@ def _parse_vector(F, names, v, where):
 
 
 def parse_description(data):
-    "raw JSON object -> validated AlgebraDescription"
+    """raw JSON object -> the checked object, with the defaults of n,
+    differential, products and commutative filled in"""
     if not isinstance(data, dict):
         raise InputError("top level: expected an object")
     for key in ("field", "generators", "unit"):
@@ -175,50 +164,44 @@ def parse_description(data):
     if not isinstance(commutative, bool):
         raise InputError("commutative: expected true or false, got %r"
                          % (commutative,))
-    return AlgebraDescription(
-        field=data["field"],
-        n=n,
-        generators=gens,
-        unit=data["unit"],
-        differential=diff,
-        products=prods,
-        commutative=commutative)
+    return dict(data, n=n, differential=diff, products=prods,
+                commutative=commutative)
 
 
 def _parse_parts(desc):
     """the field, the poset, the (name, degree, label) generators and the
     differential {name: vector} of a description"""
-    F = _parse_field(desc.field)
-    P = _poset(desc.n)
-    names = {g["name"] for g in desc.generators}
+    F = _parse_field(desc["field"])
+    P = _poset(desc["n"])
+    names = {g["name"] for g in desc["generators"]}
     gens = [(g["name"], g["degree"],
              _parse_perversity(g.get("perversity"), P,
                                "generators[%s].perversity" % g["name"]))
-            for g in desc.generators]
+            for g in desc["generators"]]
     diff = {x: _parse_vector(F, names, v, "differential[%s]" % x)
-            for x, v in desc.differential.items()}
+            for x, v in desc["differential"].items()}
     return F, P, gens, diff
 
 
 def build_pdga(desc):
-    "AlgebraDescription -> validated PDGA (semantic errors -> InputError)"
+    "checked description -> validated PDGA (semantic errors -> InputError)"
     F, P, gens, diff = _parse_parts(desc)
     names = {x for x, _, _ in gens}
     products = {}
-    for p in desc.products:
+    for p in desc["products"]:
         key = (p["left"], p["right"])
         if key in products:
             raise InputError("products: duplicate pair %r" % (key,))
         products[key] = _parse_vector(
             F, names, p["value"], "products[%s,%s]" % key)
-    A = PDGA(F, P, gens, desc.unit, diff=diff, products=products)
+    A = PDGA(F, P, gens, desc["unit"], diff=diff, products=products)
     rep = A.validate()
     if not rep["valid"]:
         lines = ["%s at %r: %r != %r" % (v["identity"], v["witness"],
                                          v["lhs"], v["rhs"])
                  for v in rep["violations"][:10]]
         raise InputError("validation failed:\n  " + "\n  ".join(lines))
-    if desc.commutative and not rep["commutative"]:
+    if desc["commutative"] and not rep["commutative"]:
         raise InputError("commutative flag asserted but the product "
                          "table is not graded-commutative")
     return A
@@ -407,7 +390,7 @@ def cmd_tensor(args, out):
 
 
 def cmd_cofibrancy(args, out):
-    from .complexes import ChainComplex, p_filtration, cofibrancy_certificate
+    from .complexes import p_filtration, cofibrancy_certificate
     desc = load_description(args.algebra)
     F, P, gens, diff = _parse_parts(desc)
     degs = {x: k for x, k, _ in gens}
@@ -415,24 +398,20 @@ def cmd_cofibrancy(args, out):
     basis = {}
     for x, k, _ in gens:
         basis.setdefault(k, []).append(x)
-    d = {}
-    for k, labs in basis.items():
-        nxt = {y: i for i, y in enumerate(basis.get(k + 1, []))}
-        cols = []
-        for x in labs:
-            v = diff.get(x, {})
-            for y in v:
+    for k, names in basis.items():
+        for x in names:
+            for y in diff.get(x, {}):
                 if degs[y] != k + 1:
                     raise InputError("differential[%s]: %r has degree %d, "
                                      "expected %d" % (x, y, degs[y], k + 1))
-            cols.append({nxt[y]: c for y, c in v.items()})
-        d[k] = SparseMatrix.from_columns(F, len(nxt), cols)
-    cx = ChainComplex(F, basis, d)
-    try:
-        cx.validate()
-    except ValueError as e:
-        raise InputError("differential: %s" % e)
-    Z = p_filtration(F, P, cx, labels)
+
+    def d(x):
+        return diff.get(x, {})
+
+    for k in sorted(basis):
+        if any(linear(F, d, d(x)) for x in basis[k]):
+            raise InputError("differential: d^2 != 0 at degree %d" % k)
+    Z = p_filtration(F, P, basis, d, labels)
     rep = cofibrancy_certificate(Z)
     recs = [
         {"identity": "structure maps injective",
@@ -446,7 +425,7 @@ def cmd_cofibrancy(args, out):
          "witness": next((f for f in rep["failures"]
                           if f[0] == "minimum"), None)},
     ]
-    if desc.products:
+    if desc["products"]:
         build_pdga(desc)
         recs.append({"identity": "product table defines a valid pDGA",
                      "status": "pass", "trials": 1, "witness": None})

@@ -8,6 +8,11 @@ covering-relation difference maps; internal hom as the matching limit
 (kernel); the linear dual is hom into the monoidal unit; a p-filtration as
 the subcomplex of a labeled complex below each perversity.
 
+A plain complex enters as its names and its differential: `basis` maps a
+degree k to its list of names, and `d(name)` is the differential of one
+name of degree k, a vector over names of degree k + 1; a labeled complex
+also has `labels`, a perversity per name.
+
 Each of these constructions, and the carrier of a pDGA, states a slot over
 some ambient keys, as a `linalg.quotient` of their span by relations or the
 `linalg.kernel` of equations on it, and gives the differential of one key;
@@ -21,47 +26,6 @@ import itertools
 from .linalg import (SparseMatrix, homology_dims, pivot_rows, linear,
                      quotient, kernel)
 from .poset import leq
-
-
-class ChainComplex:
-    "a plain finite complex: labeled basis per degree, d of degree +1"
-
-    def __init__(self, field, basis=None, d=None):
-        self.field = field
-        self.basis = dict(basis or {})   # degree -> list of labels
-        self.d = dict(d or {})           # degree -> SparseMatrix to degree+1
-
-    def degrees(self):
-        return sorted(self.basis.keys())
-
-    def dim(self, k):
-        return len(self.basis.get(k, ()))
-
-    def diff(self, k):
-        m = self.d.get(k)
-        if m is None:
-            m = SparseMatrix(self.field, self.dim(k + 1), self.dim(k))
-        return m
-
-    def validate(self):
-        for k in self.degrees():
-            dk = self.diff(k)
-            if (dk.nrows, dk.ncols) != (self.dim(k + 1), self.dim(k)):
-                raise ValueError("d has the wrong shape at degree %d" % k)
-            if not self.diff(k + 1).mul(dk).is_zero():
-                raise ValueError("d^2 != 0 at degree %d" % k)
-
-    def homology(self):
-        "{k: dim H^k} from the lowest degree to the highest, from ranks"
-        degs = self.degrees()
-        return homology_dims(
-            self.dim, lambda k, cleared: pivot_rows(self.diff(k), cleared),
-            degs[0], degs[-1]) if degs else {}
-
-
-def point_complex(field, label="e"):
-    "the unit complex: one basis vector in degree 0"
-    return ChainComplex(field, basis={0: [label]})
 
 
 class PerverseComplex:
@@ -146,23 +110,25 @@ class PerverseComplex:
         degs = self.degrees()
         return homology_dims(
             functools.partial(self.dim, p),
-            lambda k, cleared: pivot_rows(self.diff(p, k), cleared),
+            lambda k, cleared: pivot_rows(self.field,
+                                          self.diff(p, k).columns(), cleared),
             degs[0], degs[-1]) if degs else {}
 
 
-def free_perverse(field, poset, p, cx):
-    """F_p(N): the complex N placed at every perversity >= p, zero below,
-    with identity structure maps on the up-set of p.  The keys of a slot
-    are the indices of N's basis"""
-    free = {k: (range(cx.dim(k)), quotient(field, range(cx.dim(k)), []),
-                cx.basis[k]) for k in cx.degrees()}
+def free_perverse(field, poset, p, basis, d):
+    """F_p(N): the complex N of the names basis and the differential d
+    placed at every perversity >= p, zero below, with identity structure
+    maps on the up-set of p.  The keys of a slot are N's names"""
+    free = {k: (names, quotient(field, names, []), names)
+            for k, names in basis.items()}
     return induce(field, poset,
                   {(q, k): free[k] for q in poset.up_set(p) for k in free},
-                  lambda k, i: cx.diff(k).columns()[i])
+                  lambda k, x: d(x))
 
 
 def unit_perverse(field, poset):
-    return free_perverse(field, poset, poset.zero, point_complex(field))
+    "the unit: one basis vector e in degree 0 at every perversity"
+    return free_perverse(field, poset, poset.zero, {0: ["e"]}, lambda x: {})
 
 
 def induce(field, poset, slots, d):
@@ -345,27 +311,27 @@ def linear_dual(Z):
     return internal_hom(Z, unit_perverse(Z.field, Z.poset))
 
 
-def p_filtration(field, poset, cx, labels_perv):
+def p_filtration(field, poset, basis, d, labels):
     """the perverse complex Filt_p = {c : labels(c) <= p and labels(dc) <= p}
-    inside a plain labeled complex; labels_perv maps basis label -> perversity.
-    The keys of a slot are the indices of the basis labels below p"""
-    degs = cx.degrees()
+    inside the plain complex of the names basis and the differential d;
+    labels maps a name to its perversity.  The keys of a slot are the names
+    below p"""
+    degs = sorted(basis)
     if not degs:
         return PerverseComplex(field, poset)
-    kmin, kmax = min(degs), max(degs)
-    dcols = functools.cache(lambda k: cx.diff(k).columns())
+    kmin, kmax = degs[0], degs[-1]
     slots = {}
     for p in poset.elements:
-        below = {k: [i for i, l in enumerate(cx.basis.get(k, []))
-                     if leq(labels_perv[l], p)] for k in range(kmin, kmax + 3)}
+        below = {k: [x for x in basis.get(k, []) if leq(labels[x], p)]
+                 for k in range(kmin, kmax + 3)}
         for k in range(kmin, kmax + 2):
             # kernel of d followed by the projection to the labels not <= p
             ok = set(below[k + 1])
             sub = kernel(field, below[k], [
-                (i, j, c) for j in below[k] for i, c in dcols(k)[j].items()
-                if i not in ok])
+                (y, x, c) for x in below[k] for y, c in d(x).items()
+                if y not in ok])
             slots[(p, k)] = below[k], sub, ["f%d" % i for i in range(sub.dim)]
-    return induce(field, poset, slots, lambda k, j: dcols(k)[j])
+    return induce(field, poset, slots, lambda k, x: d(x))
 
 
 def cofibrancy_certificate(Z):
@@ -410,9 +376,9 @@ def cofibrancy_certificate(Z):
                 for k in degs}
         for q1, q2, m in pairs:
             for k in degs:
-                joint = SparseMatrix.from_columns(
-                    Z.field, Z.dim(p, k), Z.structure_map(q1, p, k).columns()
-                    + Z.structure_map(q2, p, k).columns()).rank()
+                joint = len(pivot_rows(
+                    Z.field, Z.structure_map(q1, p, k).columns()
+                    + Z.structure_map(q2, p, k).columns()))
                 if rank[m, k] != rank[q1, k] + rank[q2, k] - joint:
                     minimum = False
                     failures.append(("minimum", q1, q2, p, k))

@@ -158,7 +158,7 @@ class SparseMatrix:
 
     def rank(self):
         "the number of pivot rows of the columns, fed in column order"
-        return len(pivot_rows(self))
+        return len(pivot_rows(self.field, self.cols))
 
 
 def _stored(field, nrows, cols):
@@ -273,9 +273,10 @@ def solve(A, b):
     return solver(A)[1](b)
 
 
-def pivot_rows(A, cleared=()):
-    """the pivot rows of an Echelon fed the nonzero columns of A outside
-    `cleared`, in column order; their number is the rank of A.
+def pivot_rows(field, columns, cleared=()):
+    """the pivot rows of an Echelon fed the nonzero vectors of the list
+    columns at positions outside `cleared`, in order; their number is the
+    rank of the matrix with those columns.
 
     The pivot rows of a span are the last nonzero rows of its vectors, so
     they and the rank stay the same when the skipped columns lie in the span
@@ -283,8 +284,8 @@ def pivot_rows(A, cleared=()):
     differential into a degree index such columns of the one out of it.  A
     pivot row i there heads a boundary, e_i plus earlier rows, which d
     kills, so column i is a combination of the columns before it"""
-    ech = Echelon(A.field)
-    for j, col in enumerate(A.columns()):
+    ech = Echelon(field)
+    for j, col in enumerate(columns):
         if col and j not in cleared:
             ech.add(col)
     return set(ech.cols)
@@ -294,7 +295,7 @@ def homology_dims(dim, pivots, lo, hi):
     """{q: dim(q) - rank d_q - rank d_(q - 1)} for q = lo..hi: the homology
     dimensions of a complex with dim(q)-dimensional terms.  pivots(q,
     cleared) gives the pivot rows of d_q, the differential out of degree q,
-    as `pivot_rows(d_q, cleared)` does; degrees are walked upward and
+    as `pivot_rows` does on the columns of d_q; degrees are walked upward and
     `cleared` is the pivot rows of d_(q - 1)"""
     rank, cleared = {}, ()
     for q in range(lo - 1, hi + 1):
@@ -453,7 +454,7 @@ class SlotComplex:
         if key not in self._pivots:
             A = self._mats[key] if key in self._mats else \
                 self.matrix(r, q, cleared)
-            self._pivots[key] = pivot_rows(A, cleared)
+            self._pivots[key] = pivot_rows(self.field, A.columns(), cleared)
         return self._pivots[key]
 
     def dims(self, r, lo, hi):

@@ -58,7 +58,7 @@ def test_round_trip_on_the_corpus():
     for A in corpus(QQ, P3).values():
         data = json.loads(json.dumps(description(A)))
         desc = cli.parse_description(data)
-        assert desc == cli.AlgebraDescription(**data)
+        assert desc == data
         B = cli.build_pdga(desc)
         assert B.names == A.names
         assert B.degree == A.degree
@@ -136,6 +136,9 @@ LIST_NAME = dict(SPHERE2, generators=[{"name": "1", "degree": 0},
 @pytest.mark.parametrize("command,data,message", [
     ("hh", NOT_A_FIELD, "bad prime"),
     ("cofibrancy", D_SQUARED_NONZERO, "d^2 != 0"),
+    ("cofibrancy", dict(SPHERE2, generators=SPHERE2["generators"] + [
+        {"name": "y", "degree": 2}], differential={"x": {"y": 1}}),
+     "differential[x]: 'y' has degree 2, expected 3"),
     ("hh", dict(SPHERE2, n="x"), "n: expected an integer at least 2"),
     ("cofibrancy", dict(SPHERE2, n="x"), "n: expected an integer at least 2"),
     ("cofibrancy", dict(SPHERE2, n=-1), "n: expected an integer at least 2"),
@@ -220,7 +223,7 @@ def test_a_poset_rank_above_the_limit_is_refused_at_once(tmp_path, capsys,
     assert "rank 64 exceeds the limit 10" in capsys.readouterr().err
     assert not built
     # the limit itself is accepted
-    assert cli.parse_description(dict(SPHERE2, n=cli.MAX_RANK)).n == 10
+    assert cli.parse_description(dict(SPHERE2, n=cli.MAX_RANK))["n"] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +308,7 @@ def test_booleans_and_integers_are_not_confused(tmp_path, capsys, data,
 
 def test_commutative_false_is_read_as_false():
     data = dict(SPHERE2, commutative=False)
-    assert cli.parse_description(data).commutative is False
+    assert cli.parse_description(data)["commutative"] is False
     cli.build_pdga(cli.parse_description(data))
 
 
@@ -468,6 +471,30 @@ def test_cofibrancy_command():
     assert code == 0, out
     assert "minimum condition" in out
     assert "valid pDGA" in out
+
+
+# d a = c + e leaves a's label, and d b = e/2 leaves b's: the filtration
+# is not the constant diagram, and its cover maps are not all identities
+LABELED = {
+    "field": "Q", "n": 5,
+    "generators": [
+        {"name": "1", "degree": 0},
+        {"name": "a", "degree": 2, "perversity": [0, 0, 0, 1, 1, 1]},
+        {"name": "b", "degree": 2},
+        {"name": "c", "degree": 3, "perversity": "top"},
+        {"name": "e", "degree": 3, "perversity": [0, 0, 0, 0, 1, 2]}],
+    "unit": "1",
+    "differential": {"a": {"c": 1, "e": 1}, "b": {"e": "1/2"}}}
+
+
+def test_cofibrancy_command_on_a_labeled_differential(tmp_path):
+    code, out = run(["cofibrancy", write(tmp_path, LABELED), "--json"])
+    assert code == 0, out
+    assert list(map(json.loads, out.splitlines())) == [
+        {"identity": "structure maps injective", "status": "pass",
+         "trials": 24, "witness": None},
+        {"identity": "minimum condition on image intersections",
+         "status": "pass", "trials": 9, "witness": None}]
 
 
 def test_poset_command_at_the_rank_limit():

@@ -7,7 +7,7 @@ from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Subquotient, kernel_basis,
                              vec_iadd, quotient, kernel)
 from perverse.poset import Poset, leq
-from perverse.complexes import (ChainComplex, PerverseComplex, free_perverse,
+from perverse.complexes import (PerverseComplex, free_perverse,
                                 unit_perverse, box_tensor, internal_hom,
                                 linear_dual, p_filtration,
                                 cofibrancy_certificate)
@@ -16,19 +16,26 @@ from oracles import (box_tensor_fulldiagram, join, cofibrancy_by_spans,
                      minimum_condition_counterexample)
 
 
-def sphere(field, n):
+def plain(basis, diff=None):
+    """the plain complex (basis, d) of the names basis, whose d reads the
+    vectors of diff and is zero on a name diff lacks"""
+    diff = diff or {}
+    return basis, lambda x: diff.get(x, {})
+
+
+def sphere(n):
     "H*(S^n) as a complex with zero differential"
-    return ChainComplex(field, basis={0: ["1"], n: ["x"]})
+    return plain({0: ["1"], n: ["x"]})
 
 
 def disk(field, n):
     "an acyclic two-step complex in degrees n, n+1"
-    d = SparseMatrix(field, 1, 1, {(0, 0): field.one})
-    return ChainComplex(field, basis={n: ["y"], n + 1: ["z"]}, d={n: d})
+    return plain({n: ["y"], n + 1: ["z"]}, {"y": {"z": field.one}})
 
 
 def random_labeled_complex(field, poset, rng, maxdim=2, degs=(0, 1, 2)):
-    "random complex with matched-pair differential and random perversity labels"
+    """(basis, d, labels): a random complex with matched-pair differential
+    and random perversity labels"""
     basis = {}
     lab = {}
     cnt = 0
@@ -41,19 +48,16 @@ def random_labeled_complex(field, poset, rng, maxdim=2, degs=(0, 1, 2)):
             lab[nm] = rng.choice(poset.elements)
         basis[k] = names
     # differential concentrated in one random degree keeps d^2 = 0 trivially
-    d = {}
+    diff = {}
     ks = [k for k in degs if k + 1 in basis]
     if ks:
         k = rng.choice(ks)
-        m = SparseMatrix(field, len(basis[k + 1]), len(basis[k]))
-        for j in range(len(basis[k])):
-            for i in range(len(basis[k + 1])):
+        for x in basis[k]:
+            diff[x] = {}
+            for y in basis[k + 1]:
                 if rng.random() < 0.5:
-                    m[i, j] = field.of(rng.choice([1, 2, -1]))
-        d[k] = m
-    cx = ChainComplex(field, basis, d)
-    cx.validate()
-    return cx, lab
+                    diff[x][y] = field.of(rng.choice([1, 2, -1]))
+    return plain(basis, diff) + (lab,)
 
 
 def subquotient_dims(field, diff, degs):
@@ -68,13 +72,12 @@ def test_homology_from_ranks_matches_subquotients(field):
     for P in (Poset(3), Poset(4)):
         rng = random.Random(P.n)
         for _ in range(8):
-            cx, lab = random_labeled_complex(field, P, rng)
-            cx2, lab2 = random_labeled_complex(field, P, rng, degs=(0, 1))
-            assert cx.homology() == subquotient_dims(
-                field, cx.diff, cx.degrees())
-            Z = p_filtration(field, P, cx, lab)
-            Y = p_filtration(field, P, cx2, lab2)
-            for W in (Z, box_tensor(Z, Y), internal_hom(Y, Z)):
+            basis, d, lab = random_labeled_complex(field, P, rng)
+            Y = p_filtration(field, P, *random_labeled_complex(
+                field, P, rng, degs=(0, 1)))
+            Z = p_filtration(field, P, basis, d, lab)
+            for W in (free_perverse(field, P, P.zero, basis, d), Z,
+                      box_tensor(Z, Y), internal_hom(Y, Z)):
                 for p in P.elements:
                     assert W.homology(p) == subquotient_dims(
                         field, lambda k: W.diff(p, k), W.degrees())
@@ -122,12 +125,12 @@ def test_kernel_equals_the_kernel_of_the_indexed_matrix(field):
 
 def test_free_perverse_validates_and_homology():
     P = Poset(4)
-    Z = free_perverse(QQ, P, P.zero, sphere(QQ, 2))
+    Z = free_perverse(QQ, P, P.zero, *sphere(2))
     Z.validate()
     for p in P.elements:
         h = Z.homology(p)
         assert h.get(0) == 1 and h.get(2) == 1
-    D = free_perverse(QQ, P, P.zero, disk(QQ, 1))
+    D = free_perverse(QQ, P, P.zero, *disk(QQ, 1))
     D.validate()
     for p in P.elements:
         assert all(v == 0 for v in D.homology(p).values())
@@ -135,7 +138,7 @@ def test_free_perverse_validates_and_homology():
 
 def test_free_at_top_supported_only_at_top():
     P = Poset(4)
-    Z = free_perverse(QQ, P, P.top, sphere(QQ, 2))
+    Z = free_perverse(QQ, P, P.top, *sphere(2))
     for p in P.elements:
         expect = 1 if p == P.top else 0
         assert Z.dim(p, 0) == expect
@@ -144,15 +147,15 @@ def test_free_at_top_supported_only_at_top():
 def test_box_of_frees_is_free_on_sum():
     # F_p(S^a) box F_q(S^b) = F_{p+q}(S^{a+b}) for the one-dim sphere complexes
     P = Poset(4)
-    line = lambda a: ChainComplex(QQ, basis={a: ["s"]})
+    line = lambda a: plain({a: ["s"]})
     for p in P.elements:
         for q in P.elements:
-            Z = free_perverse(QQ, P, p, line(1))
-            Y = free_perverse(QQ, P, q, line(2))
+            Z = free_perverse(QQ, P, p, *line(1))
+            Y = free_perverse(QQ, P, q, *line(2))
             B = box_tensor(Z, Y)
             B.validate()
             s = P.oplus(p, q)
-            W = free_perverse(QQ, P, s, line(3)) if s is not None \
+            W = free_perverse(QQ, P, s, *line(3)) if s is not None \
                 else PerverseComplex(QQ, P)
             for r in P.elements:
                 for k in [0, 1, 2, 3]:
@@ -162,8 +165,7 @@ def test_box_of_frees_is_free_on_sum():
 def test_box_unit_law():
     P = Poset(3)
     rng = random.Random(11)
-    cx, lab = random_labeled_complex(QQ, P, rng)
-    Z = p_filtration(QQ, P, cx, lab)
+    Z = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng))
     Z.validate()
     U = unit_perverse(QQ, P)
     B = box_tensor(Z, U)
@@ -178,10 +180,10 @@ def test_box_unit_law():
 def test_box_against_fulldiagram_oracle(seed):
     P = Poset(4)
     rng = random.Random(seed)
-    cx1, lab1 = random_labeled_complex(QQ, P, rng, maxdim=2, degs=(0, 1))
-    cx2, lab2 = random_labeled_complex(QQ, P, rng, maxdim=2, degs=(0, 1))
-    Z = p_filtration(QQ, P, cx1, lab1)
-    Y = p_filtration(QQ, P, cx2, lab2)
+    Z = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng, maxdim=2,
+                                                    degs=(0, 1)))
+    Y = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng, maxdim=2,
+                                                    degs=(0, 1)))
     B = box_tensor(Z, Y)
     B.validate()
     O = box_tensor_fulldiagram(Z, Y)
@@ -193,10 +195,8 @@ def test_box_against_fulldiagram_oracle(seed):
 def test_box_symmetry_dims():
     P = Poset(4)
     rng = random.Random(23)
-    cx1, lab1 = random_labeled_complex(QQ, P, rng, degs=(0, 1))
-    cx2, lab2 = random_labeled_complex(QQ, P, rng, degs=(0, 2))
-    Z = p_filtration(QQ, P, cx1, lab1)
-    Y = p_filtration(QQ, P, cx2, lab2)
+    Z = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng, degs=(0, 1)))
+    Y = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng, degs=(0, 2)))
     B1, B2 = box_tensor(Z, Y), box_tensor(Y, Z)
     for r in P.elements:
         for k in [0, 1, 2, 3]:
@@ -206,8 +206,7 @@ def test_box_symmetry_dims():
 def test_internal_hom_unit():
     P = Poset(3)
     rng = random.Random(5)
-    cx, lab = random_labeled_complex(QQ, P, rng)
-    Y = p_filtration(QQ, P, cx, lab)
+    Y = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng))
     H = internal_hom(unit_perverse(QQ, P), Y)
     H.validate()
     for p in P.elements:
@@ -219,8 +218,7 @@ def test_internal_hom_unit():
 def test_linear_dual_closed_form():
     P = Poset(4)
     rng = random.Random(9)
-    cx, lab = random_labeled_complex(QQ, P, rng, degs=(0, 1))
-    Z = p_filtration(QQ, P, cx, lab)
+    Z = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng, degs=(0, 1)))
     D = linear_dual(Z)
     D.validate()
     for r in P.elements:
@@ -234,7 +232,7 @@ def test_dual_of_unit_and_double_dual():
     DU = linear_dual(U)
     for p in P.elements:
         assert DU.dim(p, 0) == 1
-    Z = free_perverse(QQ, P, P.zero, sphere(QQ, 2))
+    Z = free_perverse(QQ, P, P.zero, *sphere(2))
     DD = linear_dual(linear_dual(Z))
     for p in P.elements:
         for k in Z.degrees():
@@ -243,8 +241,8 @@ def test_dual_of_unit_and_double_dual():
 
 def test_tensor_hom_adjunction_dims():
     P = Poset(3)
-    X = free_perverse(QQ, P, P.zero, sphere(QQ, 1))
-    Y = free_perverse(QQ, P, P.top, sphere(QQ, 1))
+    X = free_perverse(QQ, P, P.zero, *sphere(1))
+    Y = free_perverse(QQ, P, P.top, *sphere(1))
     Z = unit_perverse(QQ, P)
     lhs = internal_hom(box_tensor(X, Y), Z)
     rhs = internal_hom(X, internal_hom(Y, Z))
@@ -256,18 +254,16 @@ def test_tensor_hom_adjunction_dims():
 def test_p_filtration_examples():
     P = Poset(4)
     # all labels zero: constant diagram
-    cx = sphere(QQ, 2)
-    Z = p_filtration(QQ, P, cx, {"1": P.zero, "x": P.zero})
+    Z = p_filtration(QQ, P, *sphere(2), {"1": P.zero, "x": P.zero})
     for p in P.elements:
         assert Z.dim(p, 0) == 1 and Z.dim(p, 2) == 1
     # single closed generator at top perversity
-    Z = p_filtration(QQ, P, ChainComplex(QQ, {2: ["x"]}), {"x": P.top})
+    Z = p_filtration(QQ, P, *plain({2: ["x"]}), {"x": P.top})
     for p in P.elements:
         assert Z.dim(p, 2) == (1 if p == P.top else 0)
     # y labeled zero but dy labeled top: y only enters at top
-    d = {1: SparseMatrix(QQ, 1, 1, {(0, 0): QQ.one})}
-    cx = ChainComplex(QQ, {1: ["y"], 2: ["z"]}, d)
-    Z = p_filtration(QQ, P, cx, {"y": P.zero, "z": P.top})
+    cx = plain({1: ["y"], 2: ["z"]}, {"y": {"z": QQ.one}})
+    Z = p_filtration(QQ, P, *cx, {"y": P.zero, "z": P.top})
     Z.validate()
     for p in P.elements:
         expect = 1 if p == P.top else 0
@@ -278,15 +274,14 @@ def test_p_filtration_examples():
 def test_kunneth_dims_for_filtration_outputs():
     P = Poset(4)
     for p, q in [(P.zero, P.zero), (P.zero, P.top)]:
-        C, D = sphere(QQ, 1), disk(QQ, 1)
-        X = p_filtration(QQ, P, C, {l: p for l in ["1", "x"]})
-        Y = p_filtration(QQ, P, D, {l: q for l in ["y", "z"]})
+        X = p_filtration(QQ, P, *sphere(1), {l: p for l in ["1", "x"]})
+        Y = p_filtration(QQ, P, *disk(QQ, 1), {l: q for l in ["y", "z"]})
         B = box_tensor(X, Y)
         s = P.oplus(p, q)
         for r in P.elements:
             h = B.homology(r)
             assert all(v == 0 for v in h.values())  # disk factor is acyclic
-        X2 = p_filtration(QQ, P, sphere(QQ, 2), {l: q for l in ["1", "x"]})
+        X2 = p_filtration(QQ, P, *sphere(2), {l: q for l in ["1", "x"]})
         B2 = box_tensor(X, X2)
         for r in P.elements:
             h = B2.homology(r)
@@ -299,8 +294,8 @@ def test_cofibrancy_certificate_on_filtration():
     P = Poset(4)
     rng = random.Random(31)
     for _ in range(3):
-        cx, lab = random_labeled_complex(QQ, P, rng, degs=(0, 1))
-        Z = p_filtration(QQ, P, cx, lab)
+        Z = p_filtration(QQ, P, *random_labeled_complex(QQ, P, rng,
+                                                        degs=(0, 1)))
         rep = cofibrancy_certificate(Z)
         assert rep["cofibrant_sufficient"], rep["failures"]
 
@@ -465,20 +460,18 @@ def pin_inputs():
     d a = c + e, d b = e with e at the top, so d(a - b) cancels e"""
     P = Poset(3)
     z, t = P.zero, P.top
-    X = p_filtration(QQ, P, ChainComplex(QQ, {0: ["1"], 1: ["x"]}),
-                     {"1": z, "x": t})
-    D = ChainComplex(QQ, {0: ["y"], 1: ["z"]},
-                     {0: SparseMatrix(QQ, 1, 1, {(0, 0): QQ.of(2)})})
-    Y = p_filtration(QQ, P, D, {"y": z, "z": z})
-    cx = ChainComplex(QQ, {0: ["a", "b"], 1: ["c", "e"]}, {0: SparseMatrix(
-        QQ, 2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})})
+    X = p_filtration(QQ, P, *plain({0: ["1"], 1: ["x"]}), {"1": z, "x": t})
+    D = plain({0: ["y"], 1: ["z"]}, {"y": {"z": QQ.of(2)}})
+    Y = p_filtration(QQ, P, *D, {"y": z, "z": z})
+    cx = plain({0: ["a", "b"], 1: ["c", "e"]},
+               {"a": {"c": 1, "e": 1}, "b": {"e": 1}})
     return P, X, Y, cx
 
 
 def test_p_filtration_is_pinned():
     P, _, _, cx = pin_inputs()
     z, t = P.zero, P.top
-    Z = p_filtration(QQ, P, cx, {"a": z, "b": z, "c": z, "e": t})
+    Z = p_filtration(QQ, P, *cx, {"a": z, "b": z, "c": z, "e": t})
     assert pinned(Z) == {
         "basis": {
             (z, 0): ['f0'],
@@ -548,9 +541,9 @@ def test_free_perverse_is_pinned():
     # basis and d at each of its three perversities, identity covers there
     P = Poset(4)
     _, e1, e2, e3 = P.elements
-    cx = ChainComplex(QQ, {0: ["a", "b"], 1: ["c", "e"]}, {0: SparseMatrix(
-        QQ, 2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 2})})
-    Z = free_perverse(QQ, P, e1, cx)
+    cx = plain({0: ["a", "b"], 1: ["c", "e"]},
+               {"a": {"c": 1, "e": 1}, "b": {"e": 2}})
+    Z = free_perverse(QQ, P, e1, *cx)
     Z.validate()
     ident = {(0, 0): 1, (1, 1): 1}
     assert pinned(Z) == {
@@ -572,11 +565,9 @@ def pin_inputs_p4():
     "X: S^1 with x at e1; Y: a disk with d y = 2 z, y at e1 and z at e0"
     P = Poset(4)
     e0, e1, _, _ = P.elements
-    X = p_filtration(QQ, P, ChainComplex(QQ, {0: ["1"], 1: ["x"]}),
-                     {"1": e0, "x": e1})
-    D = ChainComplex(QQ, {0: ["y"], 1: ["z"]},
-                     {0: SparseMatrix(QQ, 1, 1, {(0, 0): QQ.of(2)})})
-    Y = p_filtration(QQ, P, D, {"y": e1, "z": e0})
+    X = p_filtration(QQ, P, *plain({0: ["1"], 1: ["x"]}), {"1": e0, "x": e1})
+    D = plain({0: ["y"], 1: ["z"]}, {"y": {"z": QQ.of(2)}})
+    Y = p_filtration(QQ, P, *D, {"y": e1, "z": e0})
     return P, X, Y
 
 

@@ -302,6 +302,14 @@ def test_one_class_is_every_quotient_subspace_and_homology():
     assert not found, found
 
 
+def test_a_plain_complex_is_its_names_and_its_differential():
+    # p_filtration and free_perverse read a plain complex as its basis of
+    # names and its d of one name; no second complex class keeps matrices
+    # of it beside PerverseComplex
+    found = named({"ChainComplex", "point_complex"})
+    assert not found, found
+
+
 def true_divisions(tree):
     "the line of each `/` or `/=` in a module"
     return [node.lineno for node in ast.walk(tree)
