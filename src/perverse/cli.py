@@ -39,7 +39,8 @@ class InputError(Exception):
 _POSETS = {}
 
 # the largest poset rank accepted, the largest any test uses: Poset(n)
-# holds 2^(n-2) perversities, and cofibrancy checks pairs below each one
+# holds 2^(n-2) perversities, and cofibrancy checks the diamonds below each
+# one, 36,036 in all at rank 10, so 72,072 rank checks on sphere2's degrees
 MAX_RANK = 10
 
 

@@ -37,7 +37,7 @@ import itertools
 from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solver,
                      linear)
 from .poset import leq
-from .algebra import algebra_as_bimodule, restrict_bimodule, CofaceTable
+from .algebra import algebra_as_bimodule, restrict_bimodule
 
 
 def sdeg(A, x):
@@ -253,6 +253,36 @@ def to_cochain(op, words):
             if not F.iszero(c):
                 out[(w, x)] = c
     return out
+
+
+class CofaceTable(dict):
+    """{v: the word side of the cochain differential D* at v} on a set of
+    normalized words, built on first read: (v is in the set, its inner and
+    outer faces in the set, in the order D* visits them, sdeg(v)).  An inner
+    face is (word, c, e) for c y in d(x) or in a.b at v[i] = y, e the
+    suspended degree of v[:i], plus |a| for a product; an outer face is
+    (word, a, whether a is on the left).  A word with a unit letter has no
+    face in the set, since letter_preimages leaves out the unit"""
+
+    def __init__(self, A, words):
+        self.A, self.words = A, words
+        # the letters of the outer faces; a word of the longest length in
+        # the set has none there
+        self.letters = A.nonunit()
+        self.longest = max(map(len, words), default=0)
+
+    def __missing__(self, v):
+        A, words = self.A, self.words
+        eps = word_eps(A, v)
+        inner = [(w, cy, eps[i] + (A.deg(xs[0]) if len(xs) == 2 else 0))
+                 for i, y in enumerate(v)
+                 for xs, cy in A.letter_preimages.get(y, ())
+                 if (w := v[:i] + xs + v[i + 1:]) in words]
+        outer = [(w, a, left) for a in self.letters
+                 for left, w in ((True, (a,) + v), (False, v + (a,)))
+                 if w in words] if len(v) < self.longest else []
+        self[v] = entry = (v in words, inner, outer, eps[-1])
+        return entry
 
 
 def cochain_D_image(A, M, p, fdeg, coface):

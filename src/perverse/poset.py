@@ -12,8 +12,13 @@ the sum of p by one, so it is a cover.  Conversely, if p < q, start at the
 largest i with p(i) < q(i) and walk left while p(j) = p(j-1) + 1: the walk
 stays where p < q, and at the index j where it stops, p + e_j is a
 perversity <= q.
+
+Meet and join are the pointwise min and max, so Poset(n) is a distributive
+lattice, and a diamond is one of its squares: two distinct upper covers
+x = m + e_i and y = m + e_k of one m and their join m + e_i + e_k.
 """
 
+import functools
 import itertools
 
 
@@ -68,9 +73,6 @@ class Poset:
     def __contains__(self, p):
         return p in self.index
 
-    def meet(self, p, q):
-        return self._member(tuple(min(a, b) for a, b in zip(p, q)))
-
     def oplus(self, p, q):
         """smallest perversity >= p + q (pointwise); None when p + q exceeds
         top.  Memoized per pair of members, so the memo holds at most |P|^2"""
@@ -123,6 +125,18 @@ class Poset:
     def covers(self):
         "list of covering pairs (p, q), p covered by q, ascending"
         return [(p, q) for p in self.elements for q in self.upper_covers(p)]
+
+    @functools.cached_property
+    def _squares(self):
+        "every diamond (m, x, y, j), in elements order of m, then of x, y"
+        return [(m, x, y, tuple(map(max, x, y))) for m in self.elements
+                for x, y in itertools.combinations(self.upper_covers(m), 2)]
+
+    def diamonds(self, p):
+        """the diamonds (m, x, y, j) under p: x and y distinct upper covers
+        of m, x listed first, j = max(x, y) pointwise, which covers both,
+        and j <= p"""
+        return [s for s in self._squares if leq(s[3], p)]
 
     def up_set(self, p):
         return [q for q in self.elements if leq(p, q)]

@@ -569,18 +569,30 @@ class _Suite:
             ((qf - 1) * (qg - 1), self.co(bracket_op(gop, fop)))])
 
     def defect(self, fs):
+        # Gerstenhaber's homotopy for f cup g - +-g cup f, in the suite's
+        # conventions: D x = mu{x} + (-1)^q x{mu} with mu = m + d_A (the
+        # differential row), f cup g = (-1)^qf m{f, g} (the cup row) and
+        # the pre-Lie identity x{y}{z} = x{y, z} + (-1)^((qy-1)(qz-1))
+        # x{z, y} + x{y{z}} (the pre-Jacobi rows).  Expanding gives
+        # D(f o g) - (Df) o g + (-1)^qf f o (Dg)
+        #   = -(mu{f, g} + (-1)^((qf-1)(qg-1)) mu{g, f}),
+        # and mu{f, g} = m{f, g}, as d_A has length 1.  So the terms are
+        # (0, D(f o g)), (1, (Df) o g), (qf, f o Dg), (qf, f cup g) and
+        # (qf qg + qf + 1, g cup f).  (Df) o g reads Df on words of length
+        # L + 1 when g has a term on the empty word, and past the top label
+        # when g's value has a larger label than the letters it replaces,
+        # so Df is evaluated as an Op, not read from a stored cochain
         A, M, coface = self.A, self.M, self.cx.coface
-        (f, qf), (g, qg) = fs
+        (_, qf), (g, qg) = fs
         fop, gop = self.ops(fs)
         fg = self.co(circle(fop, gop))
-        df = apply_cochain_D(A, M, f, qf, coface)
         dg = apply_cochain_D(A, M, g, qg, coface)
         return not signed_sum(self.F, [
             (0, apply_cochain_D(A, M, fg, qf + qg - 1, coface)),
-            (1, self.co(circle(cochain_op(A, df, qf + 1), gop))),
+            (1, self.co(circle(cochain_D_op(fop), gop))),
             (qf, self.co(circle(fop, cochain_op(A, dg, qg + 1)))),
-            (qg, self.co(cup_op(gop, fop))),
-            (qg + 1 + qf * qg, self.co(cup_op(fop, gop)))])
+            (qf, self.co(cup_op(fop, gop))),
+            (qf * qg + qf + 1, self.co(cup_op(gop, fop)))])
 
     def pre_jacobi(self, fs, k):
         "phi{f}{g,h} (k = 1) or phi{f,g}{h} (k = 2) as one-level braces"

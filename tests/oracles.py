@@ -2,8 +2,9 @@
 that only state a test identity.  None of them is part of `perverse`, and no
 library module reads them:
 
-- the brute-force perversity sum, the join of two perversities and the
-  cover relation from its definition;
+- the brute-force perversity sum, the meet and join of two perversities,
+  the cover relation from its definition and the diamonds under a
+  perversity by search;
 - the augmentation and contracting homotopy of the bar complex;
 - the Eilenberg-Zilber shuffle map (Eilenberg-Mac Lane, Ann. Math. 58,
   1953), the shuffle product on Hochschild chains, the differential of a
@@ -12,8 +13,9 @@ library module reads them:
 - the box tensor presented over the full index diagram, which
   complexes.box_tensor is checked against;
 - the cofibrancy certificate from a basis of each image intersection,
-  which complexes.cofibrancy_certificate is checked against, and a
-  complex that fails its minimum condition.
+  which complexes.cofibrancy_certificate is checked against, a complex
+  that fails its minimum condition, and functoriality checked along every
+  chain of covers, which PerverseComplex.validate is checked against.
 """
 
 import functools
@@ -45,12 +47,22 @@ def oplus_bruteforce(P, p, q):
     return mins[0]
 
 
+def _pointwise(P, op, p, q):
+    "op of two perversities of P entry by entry, which must be one of P"
+    v = tuple(map(op, p, q))
+    if v not in P:
+        raise ValueError("not a rank-%d perversity: %r" % (P.n, v))
+    return v
+
+
+def meet(P, p, q):
+    "the pointwise minimum of two perversities of P"
+    return _pointwise(P, min, p, q)
+
+
 def join(P, p, q):
     "the pointwise maximum of two perversities of P"
-    j = tuple(max(a, b) for a, b in zip(p, q))
-    if j not in P:
-        raise ValueError("not a rank-%d perversity: %r" % (P.n, j))
-    return j
+    return _pointwise(P, max, p, q)
 
 
 def covers_bruteforce(P):
@@ -59,6 +71,21 @@ def covers_bruteforce(P):
     return [(p, q) for p in els for q in els if p != q and leq(p, q)
             and not any(r != p and r != q and leq(p, r) and leq(r, q)
                         for r in els)]
+
+
+def diamonds_bruteforce(P):
+    """{p: the diamonds (m, x, y, j) under p}: x before y two distinct
+    covers of m from covers_bruteforce, and j the least perversity above
+    both, found in the whole poset, with j <= p"""
+    covers = covers_bruteforce(P)
+    squares = []
+    for m in P.elements:
+        ups = [b for a, b in covers if a == m]
+        for x, y in itertools.combinations(ups, 2):
+            above = [r for r in P.elements if leq(x, r) and leq(y, r)]
+            j = next(r for r in above if all(leq(r, s) for s in above))
+            squares.append((m, x, y, j))
+    return {p: [s for s in squares if leq(s[3], p)] for p in P.elements}
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +275,11 @@ def span_intersection(field, n, cols1, cols2):
 
 
 def cofibrancy_by_spans(Z):
-    """the report of complexes.cofibrancy_certificate, with the minimum
-    condition checked on every pair q1, q2 below p, comparable or not, by a
-    basis of im(q1 -> p) & im(q2 -> p) and a span comparison with
-    im(min(q1, q2) -> p); its count of rank checks is that of the pairs
-    whose meet is neither of the two, times the degrees, and one injectivity
-    check per cover and degree"""
+    """the report of complexes.cofibrancy_certificate but its count of
+    minimum checks, with the minimum condition checked on every pair q1, q2
+    below p, comparable or not, by a basis of im(q1 -> p) & im(q2 -> p) and
+    a span comparison with im(min(q1, q2) -> p), and one injectivity check
+    per cover and degree"""
     P = Z.poset
     field = Z.field
     degs = Z.degrees()
@@ -266,13 +292,10 @@ def cofibrancy_by_spans(Z):
                 injective = False
                 failures.append(("injectivity", p, q, k))
     minimum = True
-    checks = 0
     for p in P.elements:
         below = [q for q in P.elements if leq(q, p) and q != p]
         for q1, q2 in itertools.combinations(below, 2):
-            m = P.meet(q1, q2)
-            # a rank check is needed where the meet is neither of the two
-            checks += len(degs) * (m not in (q1, q2))
+            m = meet(P, q1, q2)
             for k in degs:
                 cols = [Z.structure_map(q, p, k).columns()
                         for q in (q1, q2, m)]
@@ -285,9 +308,37 @@ def cofibrancy_by_spans(Z):
         "minimum_condition": minimum,
         "cofibrant_sufficient": injective and minimum,
         "injective_checks": len(P.covers()) * len(degs),
-        "minimum_checks": checks,
         "failures": failures,
     }
+
+
+def functorial_by_chains(Z):
+    """whether, for every p <= q and degree, the products of the cover maps
+    along all the chains of covers from p to q are one map: every chain is
+    walked, not only the diamond squares PerverseComplex.validate reads"""
+    P = Z.poset
+    ups = {p: [q for a, q in covers_bruteforce(P) if a == p]
+           for p in P.elements}
+    for p in P.elements:
+        for k in Z.degrees():
+            # the distinct products along the chains from p, by endpoint
+            reached = {p: [SparseMatrix.identity(Z.field, Z.dim(p, k))]}
+            frontier = [p]
+            while frontier:
+                nxt = []
+                for b in frontier:
+                    for q in ups[b]:
+                        if q not in reached:
+                            reached[q] = []
+                            nxt.append(q)
+                        for m in reached[b]:
+                            m2 = Z.cover_map(b, q, k).mul(m)
+                            if m2 not in reached[q]:
+                                reached[q].append(m2)
+                frontier = nxt
+            if any(len(ms) > 1 for ms in reached.values()):
+                return False
+    return True
 
 
 def minimum_condition_counterexample(P, q1, q2, field=QQ):

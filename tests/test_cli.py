@@ -508,10 +508,12 @@ def test_poset_command_at_the_rank_limit():
 
 # each row reports its rank checks times the filtration's two degrees, 0
 # and 2: the injectivity row one per cover of the poset (48 at rank 7, 112
-# at rank 8), the minimum row one per incomparable pair below each
-# perversity (648 at rank 7, 6,552 at rank 8)
-@pytest.mark.parametrize("n, covers, checks", [(7, 96, 1296),
-                                               (8, 224, 13104)])
+# at rank 8, 576 at rank 10, the rank limit), the minimum row one per
+# diamond under each perversity (210 at rank 7, 1,260 at rank 8, 36,036 at
+# rank 10); rank 10 takes about 1.5 s
+@pytest.mark.parametrize("n, covers, checks", [(7, 96, 420),
+                                               (8, 224, 2520),
+                                               (10, 1152, 72072)])
 def test_cofibrancy_command_at_high_rank(tmp_path, n, covers, checks):
     code, out = run(["cofibrancy", write(tmp_path, dict(SPHERE2, n=n)),
                      "--json"])

@@ -5,7 +5,7 @@ import pytest
 
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Subquotient, kernel_basis,
-                             vec_iadd, quotient, kernel)
+                             vec_iadd, vec_scale, quotient, kernel)
 from perverse.poset import Poset, leq
 from perverse.complexes import (PerverseComplex, free_perverse,
                                 unit_perverse, box_tensor, internal_hom,
@@ -13,7 +13,7 @@ from perverse.complexes import (PerverseComplex, free_perverse,
                                 cofibrancy_certificate)
 from perverse.builders import random_pdga
 from oracles import (box_tensor_fulldiagram, join, cofibrancy_by_spans,
-                     minimum_condition_counterexample)
+                     minimum_condition_counterexample, functorial_by_chains)
 
 
 def plain(basis, diff=None):
@@ -375,6 +375,42 @@ def test_nonfunctorial_composite_is_the_one_along_the_first_covers():
     assert Z.structure_map(m, j, 0).columns() == [{0: 2}]
 
 
+def with_a_cover_map_doubled(Z, cover):
+    """a copy of Z with the cover map of one cover times 2 in every degree,
+    so still a chain map"""
+    out = PerverseComplex(Z.field, Z.poset)
+    out.basis, out.d, out.phi = dict(Z.basis), dict(Z.d), dict(Z.phi)
+    two = Z.field.of(2)
+    for (p, q, k), m in Z.phi.items():
+        if (p, q) == cover:
+            out.phi[p, q, k] = SparseMatrix.from_columns(
+                Z.field, m.nrows, [vec_scale(Z.field, two, c)
+                                   for c in m.columns()])
+    return out
+
+
+def test_validate_reads_diamonds_and_agrees_with_every_chain():
+    # validate checks functoriality on diamond squares only; on a
+    # distributive lattice that decides it for every chain of covers
+    # between two perversities, so its verdict equals the walk over all of
+    # them, on the inputs and on copies with one nonzero cover map doubled
+    rng = random.Random(3)
+    verdicts = []
+    for Z in composite_inputs():
+        covers = sorted({key[:2] for key, m in Z.phi.items()
+                         if not m.is_zero()})
+        for Y in [Z] + [with_a_cover_map_doubled(Z, c) for c in
+                        rng.sample(covers, min(3, len(covers)))]:
+            try:
+                Y.validate()
+                verdicts.append(True)
+            except ValueError as e:
+                assert "not functorial" in str(e)
+                verdicts.append(False)
+            assert verdicts[-1] == functorial_by_chains(Y)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_minimum_condition_counterexample_fails():
     Z = minimum_condition_counterexample(Poset(5), (0, 0, 0, 1, 1, 1),
                                          (0, 0, 0, 0, 1, 2))
@@ -401,20 +437,37 @@ def certificate_inputs(field):
     return out
 
 
+def agrees_with_the_span_oracle(Z, rep):
+    """the certificate's report against cofibrancy_by_spans, which checks
+    every pair below each p: the same verdicts, the same injectivity rows,
+    and the same perversities p with a minimum failure"""
+    ref = cofibrancy_by_spans(Z)
+    for key in ("injective", "minimum_condition", "cofibrant_sufficient",
+                "injective_checks"):
+        assert rep[key] == ref[key], key
+
+    def rows(report, kind):
+        return [f for f in report["failures"] if f[0] == kind]
+
+    assert rows(rep, "injectivity") == rows(ref, "injectivity")
+    assert {f[3] for f in rows(rep, "minimum")} == {
+        f[3] for f in rows(ref, "minimum")}
+
+
 @pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
 def test_certificate_equals_its_span_oracle(field):
     reports = []
     for Z in certificate_inputs(field):
         Z.validate()
         reports.append(cofibrancy_certificate(Z))
-        assert reports[-1] == cofibrancy_by_spans(Z)
+        agrees_with_the_span_oracle(Z, reports[-1])
     # the inputs fail the injectivity row too, not only pass both rows
     assert any(rep["injective"] for rep in reports)
     assert any(not rep["injective"] for rep in reports)
 
 
-# the incomparable pairs of Poset(5) and Poset(6); Poset(4) is a chain
-INCOMPARABLE = [(P, q1, q2) for P in (Poset(5), Poset(6))
+# the incomparable pairs of Poset(5) to Poset(7); Poset(4) is a chain
+INCOMPARABLE = [(P, q1, q2) for P in (Poset(5), Poset(6), Poset(7))
                 for q1, q2 in itertools.combinations(P.elements, 2)
                 if not (leq(q1, q2) or leq(q2, q1))]
 
@@ -425,11 +478,15 @@ INCOMPARABLE = [(P, q1, q2) for P in (Poset(5), Poset(6))
     for _, *pair in INCOMPARABLE])
 def test_certificate_equals_its_span_oracle_where_the_minimum_fails(
         field, P, q1, q2):
+    # the pair q1, q2 fails, and so does a diamond under their join, also
+    # where q1 and q2 are no diamond's sides
     Z = minimum_condition_counterexample(P, q1, q2, field)
     rep = cofibrancy_certificate(Z)
-    assert rep == cofibrancy_by_spans(Z)
+    agrees_with_the_span_oracle(Z, rep)
     assert rep["injective"] and not rep["minimum_condition"]
-    assert ("minimum", q1, q2, join(P, q1, q2), 0) in rep["failures"]
+    j = join(P, q1, q2)
+    assert any(f[0] == "minimum" and f[3] == j and f[4] == 0
+               for f in rep["failures"])
 
 
 # Exact bases and nonzero d / phi entries on small inputs, recorded before

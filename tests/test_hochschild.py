@@ -8,7 +8,7 @@ from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, Echelon, signed_sum, vec_iadd,
                              kernel_basis, linear)
 from perverse.algebra import (PDGA, Bimodule, algebra_as_bimodule,
-                              dual_bimodule, CofaceTable)
+                              dual_bimodule)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
@@ -17,7 +17,7 @@ from perverse.hochschild import (Bar, Chains, Cochains, bar_degree,
                                  apply_cochain_D, index_cochain, hh_table,
                                  hh_table_oracle, cochain_op, to_cochain,
                                  InducedHH, check_pdga_map, restrict_bimodule,
-                                 hc_postcompose, hc_precompose)
+                                 hc_postcompose, hc_precompose, CofaceTable)
 from perverse import hochschild, linalg
 from perverse.structure import cup_op
 from perverse.kunneth import hh_degree_support

@@ -610,6 +610,14 @@ def test_a_composite_is_built_by_its_complex():
     assert not found, found
 
 
+def test_the_lattice_is_read_through_its_diamonds():
+    # Poset(n) is distributive, so the minimum condition and functoriality
+    # hold on every pair once they hold on every diamond: no module takes
+    # the meet of a pair, and tests/oracles.py keeps it
+    found = named({"meet"})
+    assert not found, found
+
+
 def _is_cache(node):
     "functools.cache or functools.lru_cache, called or not"
     if isinstance(node, ast.Call):

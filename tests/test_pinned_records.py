@@ -132,16 +132,12 @@ def test_records_do_not_read_the_term_order_of_D_star(monkeypatch):
     assert records() == pinned
 
 
-def test_the_pinned_failures_are_the_commutativity_defect_rows():
-    # the suite's commutativity-defect sign is wrong off the commutative
-    # case (ROADMAP item 2); until it is derived, these rows fail and are
-    # pinned as they are, witnesses included
+def test_no_pinned_record_fails():
+    # every pinned identity holds; a record that fails is a fault to mend,
+    # not a behaviour to pin
     with open(PINNED) as fh:
         pinned = json.load(fh)
-    rows = failing_rows(pinned)
-    assert {identity for _, identity in rows} == {
-        "commutativity defect coboundary"}, rows
-    assert len(rows) == 10
+    assert not failing_rows(pinned)
 
 
 if __name__ == "__main__":

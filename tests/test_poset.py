@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perverse.poset import Poset, is_perversity, leq
-from oracles import oplus_bruteforce, join, covers_bruteforce
+from oracles import (oplus_bruteforce, meet, join, covers_bruteforce,
+                     diamonds_bruteforce)
 
 
 def test_enumeration_sizes():
@@ -122,5 +123,29 @@ def test_meet_join_lattice(n, data):
     P = Poset(n)
     p = data.draw(st.sampled_from(P.elements))
     q = data.draw(st.sampled_from(P.elements))
-    m, j = P.meet(p, q), join(P, p, q)
+    m, j = meet(P, p, q), join(P, p, q)
     assert leq(m, p) and leq(m, q) and leq(p, j) and leq(q, j)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_diamonds_are_the_squares_of_the_definition(n):
+    # diamonds(p) is the search's list, in its order, and the top of each
+    # square covers both of its sides
+    P = Poset(n)
+    ref = diamonds_bruteforce(P)
+    for p in P.elements:
+        squares = P.diamonds(p)
+        assert squares == ref[p], p
+        for m, x, y, j in squares:
+            assert x in P.upper_covers(m) and y in P.upper_covers(m)
+            assert j in P.upper_covers(x) and j in P.upper_covers(y)
+            assert meet(P, x, y) == m and join(P, x, y) == j
+
+
+@pytest.mark.parametrize("n, count", [(4, 0), (5, 3), (6, 30), (7, 210),
+                                      (8, 1260)])
+def test_diamond_counts_summed_over_the_poset(n, count):
+    # Poset(4) is a chain, so it has no diamond; the cofibrancy command
+    # reports these counts times its degrees as the minimum row's trials
+    P = Poset(n)
+    assert sum(len(P.diamonds(p)) for p in P.elements) == count

@@ -7,17 +7,18 @@ from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, signed_sum, vec_scale,
                              solve, linear)
 from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
-                              dual_name, CofaceTable)
+                              dual_name)
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
-                                 apply_cochain_D)
+                                 apply_cochain_D, CofaceTable)
 from perverse.structure import (Op, cochain_op, mult_op, diff_op,
                                 to_cochain, brace, op_combine,
                                 cup_op, bracket_op, cochain_D_op, iota, lie,
                                 connes_B, bdual_op, find_duality_class,
                                 BVOperator, random_cochain, verify_calculus,
-                                GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
+                                GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS,
+                                _Suite)
 
 P3 = Poset(3)
 Z0 = P3.zero
@@ -117,6 +118,41 @@ def test_cup_brace_sign_is_not_optional():
     assert cup != braced
     signed = {k: QQ.mul(QQ.sign(1), c) for k, c in braced.items()}
     assert cup == signed
+
+
+# the commutativity-defect row on one pair of basis cochains; each pair
+# below takes one of the row's three faults to fail
+
+
+def _defect_holds(A, L, f, qf, g, qg):
+    "the commutativity-defect check of verify_calculus on (f, qf), (g, qg)"
+    return _Suite(A, L, -3, 3, 0, 0).defect([(f, qf), (g, qg)])
+
+
+def test_defect_cup_parities_when_both_degrees_are_even():
+    # the cup terms have parities qf and qf qg + qf + 1; the parities
+    # qg + 1 + qf qg and qg differ from them by (qf + 1)(qg + 1), so only a
+    # pair of even degrees tells them apart.  No term reads past length L
+    # or the top label
+    assert _defect_holds(_noncommutative(), 3, {((), "x"): QQ.one}, 2,
+                         {(("x", "x"), "y"): QQ.one}, 0)
+
+
+def test_defect_reads_Df_on_words_of_length_L_plus_1():
+    # g on the empty word inserts a letter, so (Df) o g reads Df on words of
+    # length 4 at L = 3, where f = [x|x|x] -> 1 makes it nonzero
+    assert _defect_holds(_noncommutative(), 3,
+                         {(("x", "x", "x"), "1"): QQ.one}, -3,
+                         {((), "x"): QQ.one}, 2)
+
+
+def test_defect_reads_Df_past_the_top_label():
+    # in random_pdga(6) on Poset(4), v1 has label 0 and v0 the top label:
+    # g = [v1] -> v0 turns the word v1|v0 into v0|v0, past the top, and
+    # there Df = 2 v0 for f = [v0] -> 1
+    A = random_pdga(QQ, Poset(4), 6)
+    assert _defect_holds(A, 3, {(("v0",), "1"): QQ.one}, -1,
+                         {(("v1",), "v0"): QQ.one}, 0)
 
 
 def test_cup_unit_laws():
