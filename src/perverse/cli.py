@@ -28,8 +28,10 @@ from .poset import Poset, is_perversity
 from .linalg import linear
 from .algebra import PDGA, algebra_as_bimodule
 
-# a command imports complexes, hochschild, structure and kunneth itself, so
-# that `perverse poset`, `homology` and `hh` compile only what they run
+# a command imports complexes, hochschild, structure, suite and kunneth
+# itself, so that it compiles only what it runs: `perverse poset`,
+# `homology` and `hh` compile none of structure, suite and kunneth, and
+# `tensor` compiles structure but not the suite
 
 
 class InputError(Exception):
@@ -334,18 +336,19 @@ def _run_suite(args, out, ids):
 
 
 def cmd_gerstenhaber(args, out):
-    from .structure import GERSTENHABER_IDS
+    from .suite import GERSTENHABER_IDS
     return _run_suite(args, out, GERSTENHABER_IDS)
 
 
 def cmd_calculus(args, out):
-    from .structure import CALCULUS_IDS
+    from .suite import CALCULUS_IDS
     return _run_suite(args, out, CALCULUS_IDS)
 
 
 def cmd_bv(args, out):
     from .hochschild import Cochains
-    from .structure import BVOperator, verify_calculus, BV_IDS
+    from .structure import BVOperator, verify_calculus
+    from .suite import BV_IDS
     A = load_pdga(args.algebra)
     lo, hi = args.window
     try:

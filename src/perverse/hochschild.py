@@ -1,21 +1,18 @@
-"""Bar construction and Hochschild (co)chains for labeled perverse DGAs.
+"""Bar construction and Hochschild cochains for labeled perverse DGAs.
 
 Conventions.  A bar word is a[a_1|...|a_k]b with a, b in the algebra basis and
 normalized middle entries (non-unit).  Degrees are cohomological: the word has
 degree |a|+|b|+sum(|a_i|-1) and the differential D = d0+d1 has degree +1.
-Bar.D_word is the one place the d0/d1 formulas are written.  Hochschild
-chains m[a_1|...|a_k], m in a bimodule, are M (x)_{A^e} B(A) through
-m (x) a[w]b -> (-1)^{|b|(|m| + |a| + sdeg w)} (b.(m.a))[w], the Koszul
-sign of moving b around to act on the left; their differential is d_M
-plus (-1)^|m| times this pairing applied to D(1[w]1), which gives the
-printed cyclic sign (-1)^{eps_k |s(a_k)|} of the last term.  Cochains are
-functions on middle words with values in the bimodule, stored as sparse dicts
-{(word, module element): coefficient}.  A basis cochain (w -> m) has degree
-|m| - sum(|a_i|-1).  Storage stays flat; an operation on cochains (cup,
-braces, the action pairing, B_dual, the precomposition of InducedHH) reads
-them as an Op, a function of the word that knows the word lengths it can be
-nonzero on, and to_cochain flattens an Op back to a dict.  Only cochain_op
-and the AW transport regroup a cochain with index_cochain.
+Bar.D_word is the one place the d0/d1 formulas are written; the Hochschild
+chains of perverse.suite read it through their pairing with the bar complex.
+Cochains are functions on middle words with values in the bimodule, stored
+as sparse dicts {(word, module element): coefficient}.  A basis cochain
+(w -> m) has degree |m| - sum(|a_i|-1).  Storage stays flat; an operation on
+cochains (cup, braces, the action pairing, B_dual, the precomposition of
+functoriality.InducedHH) reads them as an Op, a function of the word that
+knows the word lengths it can be nonzero on, and to_cochain flattens an Op
+back to a dict.  Only cochain_op and the AW transport regroup a cochain with
+index_cochain.
 
 Perversities enter only through slot bases: a word is admissible at r when
 label(w) + r stays under the top (past it lies the degenerate zero slot) and
@@ -34,10 +31,7 @@ assembled.
 
 import itertools
 
-from .linalg import (SparseMatrix, SlotComplex, vec_iadd, vec_scale, solver,
-                     linear)
-from .poset import leq
-from .algebra import algebra_as_bimodule, restrict_bimodule
+from .linalg import SlotComplex, vec_iadd, vec_scale, linear
 
 
 def sdeg(A, x):
@@ -138,71 +132,6 @@ class Bar:
         for y, c in A.mul(w[k - 1], b).items():
             self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
         return out
-
-
-# ---------------------------------------------------------------------------
-# Hochschild chains
-
-
-class Chains(SlotComplex):
-    """Hochschild chain complex of A with coefficients in an up-type
-    bimodule M; vectors are dicts {(m, word): coefficient}, and a slot
-    (r, q) has the pairs (m, w) of degree q with label at most r"""
-
-    def __init__(self, A, M, L):
-        super().__init__(A.field)
-        self.A = A
-        self.M = M
-        self.L = L
-        if any(k != "up" for k in M.kind.values()):
-            raise ValueError("chains need an up-type module")
-        self.mids = middle_words(A, L)
-        self.bar = Bar(A, 0)
-        # {q: [((m, w), label of the pair)]}, ordered by w, then m
-        self.graded = {}
-        for w, (d, lw) in self.mids.items():
-            for m in M.names:
-                lab = A.poset.oplus(lw, M.plabel[m])
-                if lab is not None:
-                    self.graded.setdefault(M.degree[m] + d, []).append(
-                        ((m, w), lab))
-
-    def degree(self, key):
-        m, w = key
-        return self.M.degree[m] + self.mids[w][0]
-
-    def slot_basis(self, r, q):
-        return [key for key, lab in self.graded.get(q, ()) if leq(lab, r)]
-
-    def push(self, out, m, w, coeff):
-        "add coeff * (m, w) into out when the pair is in the complex"
-        if w in self.mids and self.A.poset.oplus(
-                self.mids[w][1], self.M.plabel[m]) is not None:
-            vec_iadd(self.A.field, out, {(m, w): coeff})
-
-    def D_key(self, key):
-        """d_M(m)[w], then (-1)^|m| times the bar differential of 1[w]1
-        read through the pairing of M with B(A) over A^e"""
-        A, M, F = self.A, self.M, self.A.field
-        m, w = key
-        dm = M.degree[m]
-        out = {}
-        for y, c in M.d(m).items():
-            self.push(out, y, w, c)
-        for (a, v, b), c in self.bar.D_word((A.unit, w, A.unit)).items():
-            s = F.mul(c, F.sign(dm + A.deg(b) * (
-                dm + A.deg(a) + self.mids[v][0])))
-            for y, cy in M.act_left_vec({b: F.one},
-                                        M.act_right(m, a)).items():
-                self.push(out, y, v, F.mul(s, cy))
-        return out
-
-    def margin(self, r, q):
-        "length headroom of the slot below the truncation bound"
-        pr = self.basis(r, q)
-        if not pr:
-            return self.L
-        return self.L - max(len(w) for (_, w) in pr)
 
 
 # ---------------------------------------------------------------------------
@@ -453,100 +382,3 @@ def hh_table_oracle(A, M, L, lo, hi):
                 q + 1, ())}, key=repr))
 
     return BarDual(A, M, L).table(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# functoriality along pDGA quasi-isomorphisms
-
-
-def check_pdga_map(A, B, fmap):
-    "degree-0, label-compatible algebra chain map sending the unit to the unit"
-    F = A.field
-
-    def f(vec):
-        return linear(F, fmap.__getitem__, vec)
-
-    if fmap[A.unit] != {B.unit: F.one}:
-        raise ValueError("unit not preserved")
-    for x in A.names:
-        for y, c in fmap[x].items():
-            if B.deg(y) != A.deg(x):
-                raise ValueError("degree broken at %r" % (x,))
-            if not leq(B.lam(y), A.lam(x)):
-                raise ValueError("label broken at %r" % (x,))
-        if f(A.d(x)) != B.d_vec(f({x: F.one})):
-            raise ValueError("not a chain map at %r" % (x,))
-        for y in A.names:
-            if f(A.mul(x, y)) != B.mul_vec(f({x: F.one}), f({y: F.one})):
-                raise ValueError("not multiplicative at %r, %r" % (x, y))
-    return f
-
-
-def is_quasi_iso(A, B):
-    return A.homology_dims() == B.homology_dims()
-
-
-def induced_word_map(A, B, fmap, w):
-    """f~ on middle words: apply f entrywise, drop unit components, expand
-    linearly; for degree-0 maps the printed sign is +1"""
-    F = A.field
-    cur = {(): F.one}
-    for x in w:
-        fx = {y: cy for y, cy in fmap[x].items() if y != B.unit}
-        cur = linear(F, lambda v: {v + (y,): cy for y, cy in fx.items()},
-                     cur)
-    return cur
-
-
-def hc_postcompose(A, fmap, g):
-    "HC(A, A) -> HC(A, B as A-bimodule): postcompose values with f"
-    return linear(A.field, lambda wm: {(wm[0], y): cy for y, cy in
-                                       fmap[wm[1]].items()}, g)
-
-
-def hc_precompose(A, B, fmap, g):
-    """HC(B, B) -> HC(A, B as A-bimodule): the Op g precomposed with the
-    induced word map, which keeps word lengths"""
-    return Op(A, g.deg, lambda w: linear(
-        A.field, g, induced_word_map(A, B, fmap, w)), g.lengths)
-
-
-class InducedHH:
-    """HH(f) for a pDGA quasi-isomorphism f: A -> B, computed per slot as
-    HH(f~, B)^{-1} o HH(A, f); the inverse exists on cohomology only and is
-    obtained by linear solves against representative bases."""
-
-    def __init__(self, A, B, fmap, L):
-        self.A, self.B, self.fmap = A, B, fmap
-        check_pdga_map(A, B, fmap)
-        if not is_quasi_iso(A, B):
-            raise ValueError("HH(f) needs a quasi-isomorphism")
-        self.ca = Cochains(A, algebra_as_bimodule(A), L)
-        self.cb = Cochains(B, algebra_as_bimodule(B), L)
-        self.cm = Cochains(A, restrict_bimodule(A, B, fmap), L)
-
-    def matrix(self, r, q):
-        "HH(f) on homology bases: columns map HH^q(A)_r into HH^q(B)_r"
-        A, B, fmap, cm = self.A, self.B, self.fmap, self.cm
-        # push A-classes and B-classes into the middle complex
-        mid_of_a = cm.class_matrix(r, q, [
-            hc_postcompose(A, fmap, rep)
-            for rep in self.ca.representatives(r, q)])
-        words = sorted({w for (w, m) in cm.basis(r, q)}, key=repr)
-        mid_of_b = cm.class_matrix(r, q, [
-            to_cochain(hc_precompose(A, B, fmap, cochain_op(B, rep, q)),
-                       words) for rep in self.cb.representatives(r, q)])
-        # solve precompose-matrix * x = postcompose-image per A-basis class,
-        # eliminating the precompose matrix once
-        solve = solver(mid_of_b)[1]
-        cols = [solve(col) for col in mid_of_a.columns()]
-        if None in cols:
-            raise LookupError("HC(f~, B) not surjective on homology")
-        Hb = self.cb.homology(r, q)
-        if self.ca.homology(r, q).dim != Hb.dim:
-            raise LookupError("homology dimensions differ")
-        return SparseMatrix.from_columns(A.field, Hb.dim, cols)
-
-    def is_iso(self, r, q):
-        m = self.matrix(r, q)
-        return m.nrows == m.ncols and m.rank() == m.nrows

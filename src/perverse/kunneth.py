@@ -15,7 +15,10 @@ bar words (a0, middle, a1) of the two factors.  Bar words of the tensor
 algebra use the paired generator names produced by tensor_pdga.
 
 compare_hh imports structure when it runs, so importing this module for
-hh_degree_support compiles neither structure nor complexes.
+hh_degree_support compiles neither structure nor complexes.  A compare_hh
+call compiles structure, its cochain operations and BV operator, but not
+perverse.suite (the identity suite and the Hochschild chains), which only
+verify_calculus imports, nor perverse.functoriality.
 """
 
 from .linalg import vec_iadd, vec_scale, signed_sum, bilinear

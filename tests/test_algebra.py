@@ -4,13 +4,14 @@ from perverse.fields import Field, QQ
 from perverse.poset import Poset, leq
 from perverse.algebra import (PDGA, tensor_pdga, opposite_and_enveloping,
                               tensor_algebra, Bimodule, algebra_as_bimodule,
-                              dual_bimodule, dual_name, ModuleSlots)
+                              dual_bimodule, dual_name, ModuleSlots,
+                              restrict_bimodule)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
 from perverse.complexes import cofibrancy_certificate
 from perverse.linalg import linear
-from perverse.hochschild import restrict_bimodule, Cochains
+from perverse.hochschild import Cochains
 
 P3 = Poset(3)
 P4 = Poset(4)

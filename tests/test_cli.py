@@ -190,7 +190,7 @@ _LOADED = ("import sys; from perverse import cli; code = cli.main(); "
 
 # the modules a command imports only when it runs them
 _LAZY = {"perverse.complexes", "perverse.hochschild", "perverse.structure",
-         "perverse.kunneth"}
+         "perverse.suite", "perverse.functoriality", "perverse.kunneth"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
@@ -198,13 +198,21 @@ _LAZY = {"perverse.complexes", "perverse.hochschild", "perverse.structure",
     (["hh", "sphere2"], {"perverse.hochschild"}),
     (["homology", "sphere2"], {"perverse.complexes"}),
     (["cofibrancy", "sphere2"], {"perverse.complexes"}),
-    (["poset", "--n", "3"], set())],
-    ids=["hh", "homology", "cofibrancy", "poset"])
+    (["poset", "--n", "3"], set()),
+    (["tensor", "sphere2", "sphere2"],
+     {"perverse.hochschild", "perverse.kunneth", "perverse.structure"}),
+    (["gerstenhaber-check", "sphere2"],
+     {"perverse.hochschild", "perverse.structure", "perverse.suite"})],
+    ids=["hh", "homology", "cofibrancy", "poset", "tensor",
+         "gerstenhaber-check"])
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, flags, argv,
                                                     runs):
-    # none of these runs the identity suites or the Kunneth comparison, so
-    # none compiles structure and kunneth; hh and poset build no perverse
-    # complex, so they do not compile complexes either
+    # only tensor runs the Kunneth comparison and only gerstenhaber-check an
+    # identity suite, so no other command compiles structure, suite or
+    # kunneth; the comparison reads structure's operations and BV operator
+    # but not the suite; hh, poset and these two build no perverse complex,
+    # so they do not compile complexes either; no command compiles
+    # functoriality
     code, out, err = run_python(tmp_path, flags, argv, entry=("-c", _LOADED))
     assert _LAZY & set(err.split()) == runs, err
     assert (code, out) == run(argv) and code == 0

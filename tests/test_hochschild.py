@@ -8,18 +8,19 @@ from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, Echelon, signed_sum, vec_iadd,
                              kernel_basis, linear)
 from perverse.algebra import (PDGA, Bimodule, algebra_as_bimodule,
-                              dual_bimodule)
+                              dual_bimodule, restrict_bimodule)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga,
                                quasi_iso_fixture)
-from perverse.hochschild import (Bar, Chains, Cochains, bar_degree,
-                                 middle_words, sdeg, word_sdeg,
-                                 apply_cochain_D, index_cochain, hh_table,
-                                 hh_table_oracle, cochain_op, to_cochain,
-                                 InducedHH, check_pdga_map, restrict_bimodule,
-                                 hc_postcompose, hc_precompose, CofaceTable)
-from perverse import hochschild, linalg
+from perverse.hochschild import (Bar, Cochains, bar_degree, middle_words,
+                                 sdeg, word_sdeg, apply_cochain_D,
+                                 index_cochain, hh_table, hh_table_oracle,
+                                 cochain_op, to_cochain, CofaceTable)
+from perverse.functoriality import (InducedHH, check_pdga_map,
+                                    hc_postcompose, hc_precompose)
+from perverse import functoriality, linalg
 from perverse.structure import cup_op
+from perverse.suite import Chains
 from perverse.kunneth import hh_degree_support
 from oracles import q_A, h
 
@@ -968,8 +969,8 @@ def test_induced_matrix_eliminates_once_per_slot(monkeypatch):
         return solver(A)
 
     monkeypatch.setattr(linalg, "solve", refuse)
-    monkeypatch.setattr(hochschild, "solve", refuse, raising=False)
-    monkeypatch.setattr(hochschild, "solver", counted, raising=False)
+    monkeypatch.setattr(functoriality, "solve", refuse, raising=False)
+    monkeypatch.setattr(functoriality, "solver", counted)
     calls = 0
     for ind in _induced_maps():
         for r in P3.elements:

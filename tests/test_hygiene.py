@@ -149,8 +149,8 @@ _KEPT_UNREAD = {
         "wraps",
     ("hochschild.py", "hh_table_oracle"):
         "perfbench/make_reference.py checks hh-trunc3 against it",
-    ("hochschild.py", "InducedHH"): "acceptance criterion 8",
-    ("hochschild.py", "InducedHH.is_iso"): "acceptance criterion 8",
+    ("functoriality.py", "InducedHH"): "acceptance criterion 8",
+    ("functoriality.py", "InducedHH.is_iso"): "acceptance criterion 8",
     ("hochschild.py", "Cochains.window_exact"):
         "the README's truncation rule, until a library query reads it",
     ("builders.py", "corpus"): "the test and benchmark inputs",
@@ -495,10 +495,10 @@ def test_no_module_reads_another_objects_private_attributes():
 # the identity checks of the calculus suite and of the Kunneth transports
 # (Delta squared aside, a product of two matrices)
 _IDENTITY_CHECKS = {
-    "structure.py": {"differential", "cup_is_brace", "skew", "defect",
-                     "pre_jacobi", "jacobi", "leibniz", "calculus_bracket",
-                     "calculus_cup", "calculus_lie", "ginzburg",
-                     "bv_seven_term", "menichi"},
+    "suite.py": {"differential", "cup_is_brace", "skew", "defect",
+                 "pre_jacobi", "jacobi", "leibniz", "calculus_bracket",
+                 "calculus_cup", "calculus_lie", "ginzburg", "bv_seven_term",
+                 "menichi"},
     "kunneth.py": {"cup_transports", "bracket_transports",
                    "delta_transports"},
 }
@@ -654,3 +654,48 @@ def test_no_cache_holds_a_composite():
              for fname, tree in source_trees(directory)
              for line in cached_composites(tree)]
     assert not found, found
+
+
+def module_level_imports(tree):
+    """(line, module) of each import a module runs when it is imported, at
+    module level or in a class body but in no function; a module is named
+    by its last part, so `from .suite import X`, `from . import suite` and
+    `import perverse.suite` all name suite"""
+    out = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _FUNCTIONS + (ast.Lambda,)):
+            continue
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module is None):
+            out += [(node.lineno, alias.name.rpartition(".")[2])
+                    for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append((node.lineno, node.module.rpartition(".")[2]))
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+def suite_importers(tree):
+    "the functions of a module whose own bodies import perverse.suite"
+    return [fn.name for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)
+            for node in _own_nodes(fn)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").rpartition(".")[2] == "suite"]
+
+
+def test_the_suite_is_imported_only_where_it_runs():
+    # compare_hh, the BV operator and the HH tables compile only what they
+    # call: no library module imports the identity suite or functoriality
+    # when it is imported, and the suite is imported only by verify_calculus
+    # and the CLI's suite commands, when they run
+    found = [(fname, line, name) for fname, tree in source_trees()
+             for line, name in module_level_imports(tree)
+             if name in ("suite", "functoriality")]
+    assert not found, found
+    importers = sorted((fname, fn) for fname, tree in source_trees()
+                       for fn in suite_importers(tree))
+    assert importers == [("cli.py", "cmd_bv"), ("cli.py", "cmd_calculus"),
+                         ("cli.py", "cmd_gerstenhaber"),
+                         ("structure.py", "verify_calculus")], importers

@@ -13,9 +13,10 @@ from perverse.linalg import signed_sum, vec_iadd, vec_scale, linear
 from perverse.algebra import tensor_pdga, algebra_as_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, random_pdga, corpus)
-from perverse.hochschild import (Bar, Chains, Cochains, middle_words, sdeg,
+from perverse.hochschild import (Bar, Cochains, middle_words, sdeg,
                                  apply_cochain_D, index_cochain, Op)
-from perverse.structure import connes_B, verify_calculus, BVOperator
+from perverse.structure import verify_calculus, BVOperator
+from perverse.suite import Chains, connes_B
 from perverse.kunneth import (alexander_whitney, tensor_cochain, aw_table,
                               compare_hh, bar_degree, is_constant_diagram,
                               hh_degree_support, _extend)
@@ -622,7 +623,8 @@ from perverse.algebra import algebra_as_bimodule
 from perverse.hochschild import hh_table
 
 def loaded():
-    return [m for m in ("perverse.structure", "perverse.complexes")
+    return [m for m in ("perverse.structure", "perverse.suite",
+                        "perverse.functoriality", "perverse.complexes")
             if m in sys.modules]
 
 A = sphere_algebra(QQ, Poset(3), 2)
@@ -635,7 +637,8 @@ print(*loaded(), sep=",")
 
 @pytest.mark.parametrize("call,loads", [
     ("from perverse.structure import verify_calculus; "
-     "verify_calculus(A, 3, -2, 2, trials=2)", "perverse.structure"),
+     "verify_calculus(A, 3, -2, 2, trials=2)",
+     "perverse.structure,perverse.suite"),
     ("from perverse.kunneth import compare_hh; "
      "compare_hh(A, A, 2, (-1, 1))", "perverse.structure"),
     ("A.homology_dims()", "perverse.complexes")],
@@ -643,7 +646,9 @@ print(*loaded(), sep=",")
 def test_a_call_imports_only_the_modules_it_runs(call, loads):
     # an HH table runs neither the identity suite nor a perverse complex,
     # so it compiles neither structure nor complexes; the suites and the
-    # comparison build no perverse complex either
+    # comparison build no perverse complex either, and the comparison reads
+    # structure's operations and BV operator but neither the identity suite
+    # nor functoriality
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run(

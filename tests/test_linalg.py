@@ -481,7 +481,8 @@ def test_an_assembled_slot_matrix_holds_no_zero_entry():
     from perverse.algebra import (Bimodule, ModuleSlots,
                                   algebra_as_bimodule, dual_bimodule)
     from perverse.builders import corpus, random_pdga, trivial_algebra
-    from perverse.hochschild import Chains, Cochains
+    from perverse.hochschild import Cochains
+    from perverse.suite import Chains
     from perverse.poset import Poset
     P = Poset(4)
     # an explicit zero coefficient in a module differential is no entry

@@ -120,13 +120,13 @@ def test_records_match_the_pinned_file():
 def test_records_do_not_read_the_term_order_of_D_star(monkeypatch):
     # the order of apply_cochain_D's terms is unspecified: with every image
     # reversed, each record, witness and table stays as pinned
-    import perverse.structure as structure
-    apply = structure.apply_cochain_D
+    import perverse.suite as suite
+    apply = suite.apply_cochain_D
 
     def reversed_D(*args):
         return dict(reversed(apply(*args).items()))
 
-    monkeypatch.setattr(structure, "apply_cochain_D", reversed_D)
+    monkeypatch.setattr(suite, "apply_cochain_D", reversed_D)
     with open(PINNED) as fh:
         pinned = json.load(fh)
     assert records() == pinned

@@ -10,15 +10,15 @@ from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
                               dual_name)
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
-from perverse.hochschild import (Chains, Cochains, middle_words, word_sdeg,
+from perverse.hochschild import (Cochains, middle_words, word_sdeg,
                                  apply_cochain_D, CofaceTable)
-from perverse.structure import (Op, cochain_op, mult_op, diff_op,
-                                to_cochain, brace, op_combine,
-                                cup_op, bracket_op, cochain_D_op, iota, lie,
-                                connes_B, bdual_op, find_duality_class,
-                                BVOperator, random_cochain, verify_calculus,
-                                GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS,
-                                _Suite)
+from perverse.structure import (Op, cochain_op, to_cochain, brace,
+                                op_combine, cup_op, bracket_op, bdual_op,
+                                find_duality_class, BVOperator,
+                                verify_calculus)
+from perverse.suite import (Chains, mult_op, diff_op, cochain_D_op, iota,
+                            lie, connes_B, random_cochain, Suite,
+                            GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
 
 P3 = Poset(3)
 Z0 = P3.zero
@@ -126,7 +126,7 @@ def test_cup_brace_sign_is_not_optional():
 
 def _defect_holds(A, L, f, qf, g, qg):
     "the commutativity-defect check of verify_calculus on (f, qf), (g, qg)"
-    return _Suite(A, L, -3, 3, 0, 0).defect([(f, qf), (g, qg)])
+    return Suite(A, L, -3, 3, 0, 0).defect([(f, qf), (g, qg)])
 
 
 def test_defect_cup_parities_when_both_degrees_are_even():
@@ -817,13 +817,13 @@ def test_verify_calculus_records_are_pinned():
 
 
 def test_verify_calculus_records_pinned_under_a_scaled_connes_B(monkeypatch):
-    import perverse.structure as structure
-    orig = structure.connes_B
+    import perverse.suite as suite
+    orig = suite.connes_B
 
     def scaled(ch, x):
         return vec_scale(ch.A.field, ch.A.field.of(3), orig(ch, x))
 
-    monkeypatch.setattr(structure, "connes_B", scaled)
+    monkeypatch.setattr(suite, "connes_B", scaled)
     # every B-term of the calculus identities scales alike on this input
     assert _sphere2_seed3_rows() == _PINNED_SPHERE2_SEED3
 
