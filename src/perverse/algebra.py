@@ -12,7 +12,7 @@ Vectors are dicts {basis name: scalar}.
 import itertools
 
 from .linalg import (SlotComplex, vec_iadd, vec_scale, signed_sum, linear,
-                     bilinear, quotient)
+                     bilinear)
 from .poset import leq
 
 
@@ -155,49 +155,6 @@ class PDGA:
                                   lp.get((b, a), {}))
                    for (a, b), v in lp.items())
 
-    def carrier(self):
-        """the underlying PerverseComplex: slot (p, k) holds the names of
-        degree k with label <= p, in self.names order.  A term of d(x) off
-        degree |x| + 1 or above the label of x raises ValueError, since the
-        slot of x at its own label would lack it; no product is read"""
-        from .complexes import induce
-        F, P = self.field, self.poset
-        for x, v in self.diffs.items():
-            for y in v:
-                if self.degree.get(y) != self.degree[x] + 1:
-                    raise ValueError("d(%r) has a term %r off degree %d"
-                                     % (x, y, self.degree[x] + 1))
-                if not leq(self.label[y], self.label[x]):
-                    raise ValueError("d(%r) has a term %r above its label"
-                                     % (x, y))
-        slots = {}
-        for p in P.elements:
-            for k in self.degrees():
-                keys = [x for x in self.names if self.degree[x] == k
-                        and leq(self.label[x], p)]
-                if keys:
-                    slots[(p, k)] = keys, quotient(F, keys, []), keys
-        return induce(F, P, slots, lambda k, x: self.d(x))
-
-    def homology_dims(self):
-        "{(p, k): dim} of the nonzero homology of the underlying diagram"
-        Z = self.carrier()
-        return {(p, k): h for p in self.poset.elements
-                for k, h in Z.homology(p).items() if h}
-
-    def opposite(self):
-        F = self.field
-        prods = {}
-        for a in self.nonunit():
-            for b in self.nonunit():
-                sgn = F.sign(self.degree[a] * self.degree[b])
-                v = vec_scale(F, sgn, self.mul(b, a))
-                if v:
-                    prods[(a, b)] = v
-        return PDGA(F, self.poset,
-                    [(x, self.degree[x], self.label[x]) for x in self.names],
-                    self.unit, diff=self.diffs, products=prods)
-
 
 def tensor_pdga(A, B):
     "A box B with product (a1@b1)(a2@b2) = (-1)^{|a2||b1|} (a1 a2)@(b1 b2)"
@@ -234,11 +191,6 @@ def tensor_pdga(A, B):
             if v:
                 prods[((a1, b1), (a2, b2))] = v
     return PDGA(F, P, gens, unit, diff=diff, products=prods)
-
-
-def opposite_and_enveloping(A):
-    op = A.opposite()
-    return op, tensor_pdga(A, op)
 
 
 def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
@@ -360,57 +312,6 @@ class Bimodule:
 
     def act_right_vec(self, mvec, avec):
         return bilinear(self.field, self.act_right, mvec, avec)
-
-    def validate(self):
-        A, F = self.algebra, self.field
-        bad = []
-
-        def check(name, witness, lhs, rhs):
-            if lhs != rhs:
-                bad.append({"identity": name, "witness": witness,
-                            "lhs": lhs, "rhs": rhs})
-
-        for m in self.names:
-            check("d_M squared", m, self.d_vec(self.d(m)), {})
-            for y in self.d(m):
-                check("d_M degree", (m, y), self.degree[y], self.degree[m] + 1)
-        one = {A.unit: F.one}
-        for m in self.names:
-            mv = {m: F.one}
-            check("left unit", m, self.act_left_vec(one, mv), mv)
-            check("right unit", m, self.act_right_vec(mv, one), mv)
-        for a in A.names:
-            av = {a: F.one}
-            for m in self.names:
-                mv = {m: F.one}
-                # Leibniz, both sides
-                check("left Leibniz", (a, m),
-                      self.d_vec(self.act_left(a, m)), signed_sum(F, [
-                          (0, self.act_left_vec(A.d(a), mv)),
-                          (A.deg(a), self.act_left_vec(av, self.d(m)))]))
-                check("right Leibniz", (m, a),
-                      self.d_vec(self.act_right(m, a)), signed_sum(F, [
-                          (0, self.act_right_vec(self.d(m), av)),
-                          (self.degree[m], self.act_right_vec(mv, A.d(a)))]))
-                for b in A.names:
-                    bv = {b: F.one}
-                    check("left associativity", (a, b, m),
-                          self.act_left_vec(av, self.act_left(b, m)),
-                          self.act_left_vec(A.mul(a, b), mv))
-                    check("right associativity", (m, a, b),
-                          self.act_right_vec(self.act_right(m, a), bv),
-                          self.act_right_vec(mv, A.mul(a, b)))
-                    check("bimodule compatibility", (a, m, b),
-                          self.act_right_vec(self.act_left(a, m), bv),
-                          self.act_left_vec(av, self.act_right(m, b)))
-        for a in A.names:
-            for m in self.names:
-                for v, wit in [(self.act_left(a, m), ("left", a, m)),
-                               (self.act_right(m, a), ("right", m, a))]:
-                    for y in v:
-                        check("action degree", wit + (y,), self.degree[y],
-                              self.degree[m] + A.deg(a))
-        return {"valid": not bad, "violations": bad}
 
 
 class ModuleSlots(SlotComplex):

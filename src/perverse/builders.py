@@ -93,16 +93,3 @@ def random_pdga(field, poset, seed, labeled=True):
     if not rep["valid"]:
         raise ValueError("invalid random pDGA: %r" % (rep["violations"][:3],))
     return A
-
-
-def quasi_iso_fixture(field, poset):
-    """inclusion f: A -> B where B adds an acyclic pair (y, z = dy) with all
-    products into the pair equal to zero; f is a quasi-isomorphism"""
-    A = truncated_polynomial(field, poset, 2)
-    z0 = poset.zero
-    gens = [("1", 0, z0), ("x", 2, z0), ("y", 3, z0), ("z", 4, z0)]
-    prods = {(a, b): {} for a in ["x", "y", "z"] for b in ["x", "y", "z"]}
-    B = PDGA(field, poset, gens, "1",
-             diff={"y": {"z": field.one}}, products=prods)
-    fmap = {"1": {"1": field.one}, "x": {"x": field.one}}
-    return A, B, fmap

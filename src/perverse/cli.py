@@ -296,8 +296,9 @@ def cmd_poset(args, out):
 
 
 def cmd_homology(args, out):
+    from .complexes import diagram_homology
     A = load_pdga(args.algebra)
-    dims = A.homology_dims()
+    dims = diagram_homology(A)
     recs = [{"_kind": "header", "text": "homology of the underlying diagram"}]
     for (p, k), dim in sorted(dims.items()):
         recs.append({"_kind": "row", "perversity": list(p), "degree": k,

@@ -1,10 +1,12 @@
-"""Bar construction and Hochschild cochains for labeled perverse DGAs.
+"""Bar words and Hochschild cochains for labeled perverse DGAs.
 
 Conventions.  A bar word is a[a_1|...|a_k]b with a, b in the algebra basis and
 normalized middle entries (non-unit).  Degrees are cohomological: the word has
 degree |a|+|b|+sum(|a_i|-1) and the differential D = d0+d1 has degree +1.
-Bar.D_word is the one place the d0/d1 formulas are written; the Hochschild
-chains of perverse.suite read it through their pairing with the bar complex.
+The bar complex itself is perverse.suite.Bar: the Hochschild chains of the
+suite read it, and so does the dense oracle hh_table_oracle, which imports
+it when it runs, so an HH table or compare_hh never compiles it.
+
 Cochains are functions on middle words with values in the bimodule, stored
 as sparse dicts {(word, module element): coefficient}.  A basis cochain
 (w -> m) has degree |m| - sum(|a_i|-1).  Storage stays flat; an operation on
@@ -65,7 +67,7 @@ def middle_words(A, L):
 
 
 # ---------------------------------------------------------------------------
-# two-sided bar complex
+# two-sided bar words
 
 
 def bar_degree(A, word):
@@ -79,59 +81,6 @@ def bar_ok(A, word):
     a, w, b = word
     return A.unit not in w and A.sum_labels_ok(
         A.lam(a), *[A.lam(x) for x in w], A.lam(b))
-
-
-class Bar:
-    """truncated normalized two-sided bar complex of an augmented pDGA;
-    vectors are dicts {(a, middle, b): coefficient}"""
-
-    def __init__(self, A, L):
-        self.A = A
-        self.L = L
-        self.words = [(a, w, b) for w in middle_words(A, L)
-                      for a in A.names for b in A.names
-                      if bar_ok(A, (a, w, b))]
-
-    def _push(self, out, word, coeff):
-        "add coeff * word into out when word is normalized and admissible"
-        if bar_ok(self.A, word):
-            vec_iadd(self.A.field, out, {word: coeff})
-
-    def D_word(self, word):
-        A, F = self.A, self.A.field
-        a, w, b = word
-        k = len(w)
-        out = {}
-        # eps_i = |a| + sum_{j<i} |s(a_j)|, 1-based
-        eps = word_eps(A, w, A.deg(a))
-        # d0
-        for y, c in A.d(a).items():
-            self._push(out, (y, w, b), c)
-        for i in range(1, k + 1):
-            s = F.sign(eps[i - 1])
-            for y, c in A.d(w[i - 1]).items():
-                w2 = w[:i - 1] + (y,) + w[i:]
-                self._push(out, (a, w2, b), F.neg(F.mul(s, c)))
-        s = F.sign(eps[k])
-        for y, c in A.d(b).items():
-            self._push(out, (a, w, y), F.mul(s, c))
-        if k == 0:
-            return out
-        # d1
-        s = F.sign(A.deg(a))
-        for y, c in A.mul(a, w[0]).items():
-            self._push(out, (y, w[1:], b), F.mul(s, c))
-        for i in range(2, k + 1):
-            s = F.sign(eps[i - 1])
-            for y, c in A.mul(w[i - 2], w[i - 1]).items():
-                w2 = w[:i - 2] + (y,) + w[i:]
-                self._push(out, (a, w2, b), F.mul(s, c))
-        # last term with the proof's sign eps_k (the displayed definition
-        # prints eps_{k+1}; only eps_k satisfies D^2 = 0, see the ledger)
-        s = F.sign(eps[k - 1])
-        for y, c in A.mul(w[k - 1], b).items():
-            self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +296,7 @@ def hh_table_oracle(A, M, L, lo, hi):
     shares the bar differential with the main implementation, not the
     printed cochain formulas; the slot bases and the homology are those of
     Cochains."""
+    from .suite import Bar
     F = A.field
     bar = Bar(A, L)
     bar_d = {}  # {w: the bar differential of 1[w]1}, for this call only

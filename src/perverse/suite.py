@@ -1,5 +1,10 @@
 """The identity suite of verify_calculus and the chain side it reads.
 
+The truncated two-sided bar complex Bar: Bar.D_word is the one place the
+d0/d1 formulas of the bar differential are written; the Hochschild chains
+read it through their pairing with the bar complex, and
+hochschild.hh_table_oracle dualizes it.
+
 Hochschild chains m[a_1|...|a_k], m in a bimodule, are M (x)_{A^e} B(A)
 through m (x) a[w]b -> (-1)^{|b|(|m| + |a| + sdeg w)} (b.(m.a))[w], the
 Koszul sign of moving b around to act on the left; their differential is
@@ -21,9 +26,66 @@ import random
 from .linalg import SlotComplex, vec_iadd, vec_scale, signed_sum
 from .poset import leq
 from .algebra import algebra_as_bimodule
-from .hochschild import (word_eps, middle_words, Bar, apply_cochain_D,
+from .hochschild import (word_eps, middle_words, bar_ok, apply_cochain_D,
                          Cochains, Op, cochain_op, to_cochain)
 from .structure import brace, op_combine, cup_op, bracket_op, bdual_op
+
+
+# ---------------------------------------------------------------------------
+# two-sided bar complex
+
+
+class Bar:
+    """truncated normalized two-sided bar complex of an augmented pDGA;
+    vectors are dicts {(a, middle, b): coefficient}"""
+
+    def __init__(self, A, L):
+        self.A = A
+        self.L = L
+        self.words = [(a, w, b) for w in middle_words(A, L)
+                      for a in A.names for b in A.names
+                      if bar_ok(A, (a, w, b))]
+
+    def _push(self, out, word, coeff):
+        "add coeff * word into out when word is normalized and admissible"
+        if bar_ok(self.A, word):
+            vec_iadd(self.A.field, out, {word: coeff})
+
+    def D_word(self, word):
+        A, F = self.A, self.A.field
+        a, w, b = word
+        k = len(w)
+        out = {}
+        # eps_i = |a| + sum_{j<i} |s(a_j)|, 1-based
+        eps = word_eps(A, w, A.deg(a))
+        # d0
+        for y, c in A.d(a).items():
+            self._push(out, (y, w, b), c)
+        for i in range(1, k + 1):
+            s = F.sign(eps[i - 1])
+            for y, c in A.d(w[i - 1]).items():
+                w2 = w[:i - 1] + (y,) + w[i:]
+                self._push(out, (a, w2, b), F.neg(F.mul(s, c)))
+        s = F.sign(eps[k])
+        for y, c in A.d(b).items():
+            self._push(out, (a, w, y), F.mul(s, c))
+        if k == 0:
+            return out
+        # d1
+        s = F.sign(A.deg(a))
+        for y, c in A.mul(a, w[0]).items():
+            self._push(out, (y, w[1:], b), F.mul(s, c))
+        for i in range(2, k + 1):
+            s = F.sign(eps[i - 1])
+            for y, c in A.mul(w[i - 2], w[i - 1]).items():
+                w2 = w[:i - 2] + (y,) + w[i:]
+                self._push(out, (a, w2, b), F.mul(s, c))
+        # last term with the proof's sign eps_k (the displayed definition
+        # prints eps_{k+1}; only eps_k satisfies D^2 = 0, see the ledger)
+        s = F.sign(eps[k - 1])
+        for y, c in A.mul(w[k - 1], b).items():
+            self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
+        return out
 
 
 # ---------------------------------------------------------------------------

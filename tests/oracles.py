@@ -5,6 +5,10 @@ library module reads them:
 - the brute-force perversity sum, the meet and join of two perversities,
   the cover relation from its definition and the diamonds under a
   perversity by search;
+- the opposite and enveloping algebras and the quasi-isomorphism of
+  acceptance criterion 8, test inputs, and the dg bimodule axioms, which
+  algebra_as_bimodule, dual_bimodule and restrict_bimodule are checked
+  against;
 - the augmentation and contracting homotopy of the bar complex;
 - the Eilenberg-Zilber shuffle map (Eilenberg-Mac Lane, Ann. Math. 58,
   1953), the shuffle product on Hochschild chains, the differential of a
@@ -24,9 +28,13 @@ from collections import namedtuple
 
 from perverse.fields import QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, vec_iadd,
-                             vec_scale, linear, bilinear, quotient)
+                             vec_scale, signed_sum, linear, bilinear,
+                             quotient)
 from perverse.poset import leq
-from perverse.hochschild import Bar, bar_degree, bar_ok, sdeg
+from perverse.algebra import PDGA, tensor_pdga
+from perverse.builders import truncated_polynomial
+from perverse.hochschild import bar_degree, bar_ok, sdeg
+from perverse.suite import Bar
 from perverse.kunneth import alexander_whitney
 from perverse.complexes import PerverseComplex, _box_objects, _box_keys
 
@@ -86,6 +94,98 @@ def diamonds_bruteforce(P):
             j = next(r for r in above if all(leq(r, s) for s in above))
             squares.append((m, x, y, j))
     return {p: [s for s in squares if leq(s[3], p)] for p in P.elements}
+
+
+# ---------------------------------------------------------------------------
+# algebras and bimodules
+
+
+def opposite(A):
+    "A^op: the product a.b = (-1)^{|a||b|} ba"
+    F = A.field
+    prods = {}
+    for a in A.nonunit():
+        for b in A.nonunit():
+            sgn = F.sign(A.degree[a] * A.degree[b])
+            v = vec_scale(F, sgn, A.mul(b, a))
+            if v:
+                prods[(a, b)] = v
+    return PDGA(F, A.poset,
+                [(x, A.degree[x], A.label[x]) for x in A.names],
+                A.unit, diff=A.diffs, products=prods)
+
+
+def opposite_and_enveloping(A):
+    op = opposite(A)
+    return op, tensor_pdga(A, op)
+
+
+def quasi_iso_fixture(field, poset):
+    """inclusion f: A -> B where B adds an acyclic pair (y, z = dy) with all
+    products into the pair equal to zero; f is a quasi-isomorphism"""
+    A = truncated_polynomial(field, poset, 2)
+    z0 = poset.zero
+    gens = [("1", 0, z0), ("x", 2, z0), ("y", 3, z0), ("z", 4, z0)]
+    prods = {(a, b): {} for a in ["x", "y", "z"] for b in ["x", "y", "z"]}
+    B = PDGA(field, poset, gens, "1",
+             diff={"y": {"z": field.one}}, products=prods)
+    fmap = {"1": {"1": field.one}, "x": {"x": field.one}}
+    return A, B, fmap
+
+
+def validate_bimodule(M):
+    """the dg bimodule axioms of M, each violation a record {identity,
+    witness, lhs, rhs}: d_M squared and its degree, the units, Leibniz,
+    associativity and compatibility of both actions, and action degrees"""
+    A, F = M.algebra, M.field
+    bad = []
+
+    def check(name, witness, lhs, rhs):
+        if lhs != rhs:
+            bad.append({"identity": name, "witness": witness,
+                        "lhs": lhs, "rhs": rhs})
+
+    for m in M.names:
+        check("d_M squared", m, M.d_vec(M.d(m)), {})
+        for y in M.d(m):
+            check("d_M degree", (m, y), M.degree[y], M.degree[m] + 1)
+    one = {A.unit: F.one}
+    for m in M.names:
+        mv = {m: F.one}
+        check("left unit", m, M.act_left_vec(one, mv), mv)
+        check("right unit", m, M.act_right_vec(mv, one), mv)
+    for a in A.names:
+        av = {a: F.one}
+        for m in M.names:
+            mv = {m: F.one}
+            # Leibniz, both sides
+            check("left Leibniz", (a, m),
+                  M.d_vec(M.act_left(a, m)), signed_sum(F, [
+                      (0, M.act_left_vec(A.d(a), mv)),
+                      (A.deg(a), M.act_left_vec(av, M.d(m)))]))
+            check("right Leibniz", (m, a),
+                  M.d_vec(M.act_right(m, a)), signed_sum(F, [
+                      (0, M.act_right_vec(M.d(m), av)),
+                      (M.degree[m], M.act_right_vec(mv, A.d(a)))]))
+            for b in A.names:
+                bv = {b: F.one}
+                check("left associativity", (a, b, m),
+                      M.act_left_vec(av, M.act_left(b, m)),
+                      M.act_left_vec(A.mul(a, b), mv))
+                check("right associativity", (m, a, b),
+                      M.act_right_vec(M.act_right(m, a), bv),
+                      M.act_right_vec(mv, A.mul(a, b)))
+                check("bimodule compatibility", (a, m, b),
+                      M.act_right_vec(M.act_left(a, m), bv),
+                      M.act_left_vec(av, M.act_right(m, b)))
+    for a in A.names:
+        for m in M.names:
+            for v, wit in [(M.act_left(a, m), ("left", a, m)),
+                           (M.act_right(m, a), ("right", m, a))]:
+                for y in v:
+                    check("action degree", wit + (y,), M.degree[y],
+                          M.degree[m] + A.deg(a))
+    return {"valid": not bad, "violations": bad}
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,18 @@ from perverse.linalg import (SparseMatrix, signed_sum, vec_iadd,
                              kernel_basis, linear)
 from perverse.complexes import p_filtration, cofibrancy_certificate
 from perverse.algebra import algebra_as_bimodule, tensor_pdga
-from perverse.builders import (corpus, sphere_algebra, random_pdga,
-                               quasi_iso_fixture)
-from perverse.hochschild import (Bar, Cochains, middle_words, hh_table,
+from perverse.builders import corpus, sphere_algebra, random_pdga
+from perverse.hochschild import (Cochains, middle_words, hh_table,
                                  hh_table_oracle)
 from perverse.structure import (verify_calculus, BVOperator,
                                 find_duality_class, cochain_op, cup_op,
                                 bracket_op, to_cochain)
-from perverse.suite import Chains, GERSTENHABER_IDS, CALCULUS_IDS
+from perverse.suite import Bar, Chains, GERSTENHABER_IDS, CALCULUS_IDS
 from perverse.functoriality import InducedHH
 from perverse.kunneth import compare_hh
 from oracles import (oplus_bruteforce, h, alexander_whitney_vec,
-                     eilenberg_zilber, minimum_condition_counterexample)
+                     eilenberg_zilber, minimum_condition_counterexample,
+                     quasi_iso_fixture)
 
 P3 = Poset(3)
 

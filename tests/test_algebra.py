@@ -2,16 +2,17 @@ import pytest
 
 from perverse.fields import Field, QQ
 from perverse.poset import Poset, leq
-from perverse.algebra import (PDGA, tensor_pdga, opposite_and_enveloping,
-                              tensor_algebra, Bimodule, algebra_as_bimodule,
-                              dual_bimodule, dual_name, ModuleSlots,
-                              restrict_bimodule)
+from perverse.algebra import (PDGA, tensor_pdga, tensor_algebra, Bimodule,
+                              algebra_as_bimodule, dual_bimodule, dual_name,
+                              ModuleSlots, restrict_bimodule)
 from perverse.builders import (trivial_algebra, sphere_algebra,
-                               truncated_polynomial, corpus, random_pdga,
-                               quasi_iso_fixture)
-from perverse.complexes import cofibrancy_certificate
+                               truncated_polynomial, corpus, random_pdga)
+from perverse.complexes import (carrier, diagram_homology,
+                                cofibrancy_certificate)
 from perverse.linalg import linear
 from perverse.hochschild import Cochains
+from oracles import (opposite_and_enveloping, quasi_iso_fixture,
+                     validate_bimodule)
 
 P3 = Poset(3)
 P4 = Poset(4)
@@ -27,7 +28,7 @@ def test_corpus_validates():
 
 def test_sphere_homology_tables():
     A = sphere_algebra(QQ, P3, 2)
-    dims = A.homology_dims()
+    dims = diagram_homology(A)
     for p in P3.elements:
         assert dims[(p, 0)] == 1
         assert dims[(p, 2)] == 1
@@ -154,7 +155,7 @@ def test_tensor_pdga_of_spheres():
     rep = T.validate()
     assert rep["valid"]
     assert rep["commutative"]
-    dims = T.homology_dims()
+    dims = diagram_homology(T)
     for k, want in [(0, 1), (2, 1), (3, 1), (5, 1)]:
         assert dims[(P3.zero, k)] == want
 
@@ -193,8 +194,8 @@ def test_tensor_algebra_truncation():
     Tt = tensor_algebra(QQ, P3, [("x", 2, P3.zero)], L=3, strict=False)
     assert Tt.mul(("x", "x"), ("x", "x")) == {}
     # homology and the carrier read only the differential, never a product
-    assert T.homology_dims() == Tt.homology_dims()
-    assert T.carrier().basis == Tt.carrier().basis
+    assert diagram_homology(T) == diagram_homology(Tt)
+    assert carrier(T).basis == carrier(Tt).basis
 
 
 def test_tensor_algebra_differential():
@@ -225,7 +226,7 @@ def test_random_pdga_validates(seed):
 
 def test_carrier_is_cofibrant_perverse_complex():
     A = random_pdga(QQ, P4, 3)
-    Z = A.carrier()
+    Z = carrier(A)
     Z.validate()
     rep = cofibrancy_certificate(Z)
     assert rep["cofibrant_sufficient"], rep["failures"]
@@ -251,7 +252,7 @@ def test_carrier_of_a_labeled_random_pdga_is_pinned():
     A = random_pdga(QQ, P4, 5)
     z, a, b, t = P4.elements
     one = {(0, 0): 1}
-    assert pinned(A.carrier()) == {
+    assert pinned(carrier(A)) == {
         "basis": {(z, 0): ["1"], (z, 4): ["v1"],
                   (a, 0): ["1"], (a, 3): ["v2"], (a, 4): ["v1"],
                   (b, 0): ["1"], (b, 3): ["v0", "v2"], (b, 4): ["v1"],
@@ -261,8 +262,9 @@ def test_carrier_of_a_labeled_random_pdga_is_pinned():
                 (a, b, 0): one, (a, b, 3): {(1, 0): 1}, (a, b, 4): one,
                 (b, t, 0): one, (b, t, 3): {(0, 0): 1, (1, 1): 1},
                 (b, t, 4): one}}
-    assert A.homology_dims() == {(z, 0): 1, (z, 4): 1, (a, 0): 1, (b, 0): 1,
-                                 (b, 3): 1, (t, 0): 1, (t, 3): 1}
+    assert diagram_homology(A) == {(z, 0): 1, (z, 4): 1, (a, 0): 1,
+                                   (b, 0): 1, (b, 3): 1, (t, 0): 1,
+                                   (t, 3): 1}
 
 
 @pytest.mark.parametrize("y_degree, y_label, message", [
@@ -276,27 +278,58 @@ def test_carrier_rejects_a_differential_that_leaves_its_slot(
     A = PDGA(QQ, P3, [("1", 0, P3.zero), ("x", 2, P3.zero),
                       ("y", y_degree, y_label)], "1",
              diff={"x": {"y": 1}}, products={})
-    for build in (A.carrier, A.homology_dims):
+    for build in (carrier, diagram_homology):
         with pytest.raises(ValueError, match="d\\('x'\\) .*" + message):
-            build()
+            build(A)
 
 
 def test_algebra_bimodule_axioms():
     for name, A in corpus(QQ, P3).items():
         M = algebra_as_bimodule(A)
-        rep = M.validate()
+        rep = validate_bimodule(M)
         assert rep["valid"], (name, rep["violations"][:3])
 
 
 def test_dual_bimodule_axioms():
     for name, A in corpus(QQ, P3).items():
         D = dual_bimodule(A)
-        rep = D.validate()
+        rep = validate_bimodule(D)
         assert rep["valid"], (name, rep["violations"][:3])
     for seed in range(8):
         A = random_pdga(QQ, P4, seed)
-        rep = dual_bimodule(A).validate()
+        rep = validate_bimodule(dual_bimodule(A))
         assert rep["valid"], (seed, rep["violations"][:3])
+
+
+def test_bimodule_validator_reports_a_flipped_action_sign():
+    # on k[x]/x^3 every action entry of DA is read by an associativity or
+    # compatibility check, so negating any one of them is reported
+    A = truncated_polynomial(QQ, P3, 2, power=3)
+    entries = [(side, key, y) for side in ("left", "right")
+               for key, v in getattr(dual_bimodule(A), side).items()
+               for y in v]
+    assert len(entries) == 6
+    for side, key, y in entries:
+        D = dual_bimodule(A)
+        table = getattr(D, side)
+        table[key][y] = QQ.neg(table[key][y])
+        rep = validate_bimodule(D)
+        assert not rep["valid"], (side, key, y)
+
+
+def test_bimodule_validator_reports_a_term_of_d_M_off_degree():
+    # random_pdga seed 5 has one differential, so DA has d(v1*) = c v2*;
+    # moving that term onto 1*, of another degree, is reported at (v1*, 1*)
+    A = random_pdga(QQ, P4, 5)
+    D = dual_bimodule(A)
+    assert validate_bimodule(D)["valid"]
+    ((m, v),) = D.diffs.items()
+    ((y, c),) = v.items()
+    assert D.degree["1*"] != D.degree[y]
+    D.diffs[m] = {"1*": c}
+    hits = [r["witness"] for r in validate_bimodule(D)["violations"]
+            if r["identity"] == "d_M degree"]
+    assert hits == [(m, "1*")], hits
 
 
 def test_dual_bimodule_presence_is_downward():
@@ -360,7 +393,7 @@ def test_quasi_iso_fixture():
         assert f(A.d(x)) == B.d_vec(f({x: QQ.one}))
         for y in A.names:
             assert f(A.mul(x, y)) == B.mul_vec(f({x: QQ.one}), f({y: QQ.one}))
-    da, db = A.homology_dims(), B.homology_dims()
+    da, db = diagram_homology(A), diagram_homology(B)
     keys = set(da) | set(db)
     assert all(da.get(k, 0) == db.get(k, 0) for k in keys)
 

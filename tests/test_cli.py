@@ -373,10 +373,40 @@ def test_poset_command_lists_perversities():
     assert "[0, 0, 0, 1, 2]" in out
 
 
+_SPHERE2_HOMOLOGY = [(p, k) for p in ([0, 0, 0, 0], [0, 0, 0, 1])
+                     for k in (0, 2)]
+
+
 def test_homology_command():
+    # the exact bytes of both output modes on the shipped fixture
     code, out = run(["homology", "sphere2"])
     assert code == 0
-    assert "k=+0  dim 1" in out and "k=+2  dim 1" in out
+    assert out == "homology of the underlying diagram\n" + "".join(
+        "  p=%s  k=+%d  dim 1\n" % (p, k) for p, k in _SPHERE2_HOMOLOGY)
+    code, out = run(["homology", "sphere2", "--json"])
+    assert code == 0
+    assert out.splitlines() == [json.dumps(r, sort_keys=True) for r in [
+        {"_kind": "header", "text": "homology of the underlying diagram"}
+    ] + [{"_kind": "row", "degree": k, "dim": 1, "perversity": p,
+          "text": "p=%s  k=+%d  dim 1" % (p, k)}
+         for p, k in _SPHERE2_HOMOLOGY]]
+
+
+@pytest.mark.parametrize("y, message", [
+    ({"name": "y", "degree": 4},
+     "d degree +1 at 'x': {4} != {3}"),
+    ({"name": "y", "degree": 3, "perversity": "top"},
+     "d label at ('x', 'y'): (0, 0, 0, 1) != (0, 0, 0, 0)")],
+    ids=["off-degree", "above-label"])
+def test_homology_refuses_a_differential_that_leaves_its_slot(
+        tmp_path, capsys, y, message):
+    # validation refuses it before the carrier is built
+    data = dict(SPHERE2, generators=SPHERE2["generators"] + [y],
+                differential={"x": {"y": 1}})
+    code, out = run(["homology", write(tmp_path, data)])
+    assert code == 2 and not out
+    assert capsys.readouterr().err == (
+        "error: validation failed:\n  %s\n" % message)
 
 
 def test_hh_command_with_negative_window():

@@ -9,7 +9,7 @@ from perverse.linalg import (SparseMatrix, Subquotient, kernel_basis,
 from perverse.poset import Poset, leq
 from perverse.complexes import (PerverseComplex, free_perverse,
                                 unit_perverse, box_tensor, internal_hom,
-                                linear_dual, p_filtration,
+                                linear_dual, p_filtration, carrier,
                                 cofibrancy_certificate)
 from perverse.builders import random_pdga
 from oracles import (box_tensor_fulldiagram, join, cofibrancy_by_spans,
@@ -429,7 +429,8 @@ def certificate_inputs(field):
     out = [p_filtration(field, P, *random_labeled_complex(field, P, rng))
            for P in map(Poset, (3, 4, 5, 6)) for _ in range(8)]
     for P in (Poset(4), Poset(5)):
-        carriers = [random_pdga(field, P, seed).carrier() for seed in range(6)]
+        carriers = [carrier(random_pdga(field, P, seed))
+                    for seed in range(6)]
         duals = [linear_dual(Z) for Z in carriers]
         out += carriers + duals
         out += [box_tensor(Z, Y) for Z, Y in zip(carriers, carriers[1:])]

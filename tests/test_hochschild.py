@@ -10,9 +10,8 @@ from perverse.linalg import (SparseMatrix, Echelon, signed_sum, vec_iadd,
 from perverse.algebra import (PDGA, Bimodule, algebra_as_bimodule,
                               dual_bimodule, restrict_bimodule)
 from perverse.builders import (trivial_algebra, sphere_algebra,
-                               truncated_polynomial, corpus, random_pdga,
-                               quasi_iso_fixture)
-from perverse.hochschild import (Bar, Cochains, bar_degree, middle_words,
+                               truncated_polynomial, corpus, random_pdga)
+from perverse.hochschild import (Cochains, bar_degree, middle_words,
                                  sdeg, word_sdeg, apply_cochain_D,
                                  index_cochain, hh_table, hh_table_oracle,
                                  cochain_op, to_cochain, CofaceTable)
@@ -20,9 +19,9 @@ from perverse.functoriality import (InducedHH, check_pdga_map,
                                     hc_postcompose, hc_precompose)
 from perverse import functoriality, linalg
 from perverse.structure import cup_op
-from perverse.suite import Chains
+from perverse.suite import Bar, Chains
 from perverse.kunneth import hh_degree_support
-from oracles import q_A, h
+from oracles import q_A, h, quasi_iso_fixture, validate_bimodule
 
 P3 = Poset(3)
 
@@ -982,5 +981,5 @@ def test_induced_matrix_eliminates_once_per_slot(monkeypatch):
 
 def test_restricted_bimodule_validates():
     A, B, fmap = quasi_iso_fixture(QQ, P3)
-    rep = restrict_bimodule(A, B, fmap).validate()
+    rep = validate_bimodule(restrict_bimodule(A, B, fmap))
     assert rep["valid"], rep["violations"][:3]

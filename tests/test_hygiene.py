@@ -155,10 +155,6 @@ _KEPT_UNREAD = {
         "the README's truncation rule, until a library query reads it",
     ("builders.py", "corpus"): "the test and benchmark inputs",
     ("builders.py", "random_pdga"): "the test and benchmark inputs",
-    ("builders.py", "quasi_iso_fixture"):
-        "the input of acceptance criterion 8",
-    ("algebra.py", "opposite_and_enveloping"):
-        "the opposite and enveloping algebras, test inputs",
     ("complexes.py", "box_tensor"):
         "the ambient category, tested against "
         "tests/oracles.box_tensor_fulldiagram",
@@ -264,13 +260,43 @@ def defined_names(tree):
         for t in node.targets if isinstance(t, ast.Name)}
 
 
+# test inputs and test checks that left the library for tests/oracles.py
+_MOVED_TO_ORACLES = {"opposite", "opposite_and_enveloping",
+                     "validate_bimodule", "quasi_iso_fixture"}
+
+
 def test_no_oracle_has_a_copy_in_the_library():
     # the reference constructions and test-only maps live in
-    # tests/oracles.py; src/perverse defines nothing of the same name
+    # tests/oracles.py; src/perverse defines nothing of the same name, and
+    # the bimodule axioms are checked there, not by a Bimodule method
     oracles = defined_names(dict(source_trees(TESTS))["oracles.py"])
+    assert _MOVED_TO_ORACLES <= oracles, _MOVED_TO_ORACLES - oracles
     found = sorted((fname, name) for fname, tree in source_trees()
                    for name in defined_names(tree) & oracles)
+    found += [(fname, qual) for fname, tree in source_trees()
+              for qual, _ in definitions(tree) if qual == "Bimodule.validate"]
     assert not found, found
+
+
+def test_algebra_sits_below_complexes():
+    # building and validating a pDGA compiles no perverse complex: the
+    # carrier and its homology live in complexes, and algebra names that
+    # module nowhere, so imports it neither at module level nor when a
+    # method runs
+    tree = dict(source_trees())["algebra.py"]
+    found = sorted({node.lineno for node in ast.walk(tree)
+                    for key in ("module", "name", "attr", "id")
+                    if isinstance(text := getattr(node, key, None), str)
+                    and text.rpartition(".")[2] == "complexes"})
+    assert not found, found
+
+
+def test_the_bar_complex_lives_beside_its_chains():
+    # Bar is read by suite.Chains and, when it runs, by the dense oracle
+    # hh_table_oracle; no HH table or compare_hh compiles it
+    found = sorted(fname for fname, tree in source_trees()
+                   for qual, _ in definitions(tree) if qual == "Bar")
+    assert found == ["suite.py"], found
 
 
 def linalg_only_calls(tree):
@@ -688,8 +714,9 @@ def suite_importers(tree):
 def test_the_suite_is_imported_only_where_it_runs():
     # compare_hh, the BV operator and the HH tables compile only what they
     # call: no library module imports the identity suite or functoriality
-    # when it is imported, and the suite is imported only by verify_calculus
-    # and the CLI's suite commands, when they run
+    # when it is imported, and the suite is imported only by verify_calculus,
+    # the CLI's suite commands and hh_table_oracle, which reads its Bar,
+    # when they run
     found = [(fname, line, name) for fname, tree in source_trees()
              for line, name in module_level_imports(tree)
              if name in ("suite", "functoriality")]
@@ -698,4 +725,5 @@ def test_the_suite_is_imported_only_where_it_runs():
                        for fn in suite_importers(tree))
     assert importers == [("cli.py", "cmd_bv"), ("cli.py", "cmd_calculus"),
                          ("cli.py", "cmd_gerstenhaber"),
+                         ("hochschild.py", "hh_table_oracle"),
                          ("structure.py", "verify_calculus")], importers

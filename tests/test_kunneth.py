@@ -13,10 +13,10 @@ from perverse.linalg import signed_sum, vec_iadd, vec_scale, linear
 from perverse.algebra import tensor_pdga, algebra_as_bimodule
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, random_pdga, corpus)
-from perverse.hochschild import (Bar, Cochains, middle_words, sdeg,
+from perverse.hochschild import (Cochains, middle_words, sdeg,
                                  apply_cochain_D, index_cochain, Op)
 from perverse.structure import verify_calculus, BVOperator
-from perverse.suite import Chains, connes_B
+from perverse.suite import Bar, Chains, connes_B
 from perverse.kunneth import (alexander_whitney, tensor_cochain, aw_table,
                               compare_hh, bar_degree, is_constant_diagram,
                               hh_degree_support, _extend)
@@ -641,7 +641,8 @@ print(*loaded(), sep=",")
      "perverse.structure,perverse.suite"),
     ("from perverse.kunneth import compare_hh; "
      "compare_hh(A, A, 2, (-1, 1))", "perverse.structure"),
-    ("A.homology_dims()", "perverse.complexes")],
+    ("from perverse.complexes import diagram_homology; "
+     "diagram_homology(A)", "perverse.complexes")],
     ids=["calculus", "kunneth", "homology"])
 def test_a_call_imports_only_the_modules_it_runs(call, loads):
     # an HH table runs neither the identity suite nor a perverse complex,
