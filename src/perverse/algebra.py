@@ -335,6 +335,22 @@ class ModuleSlots(SlotComplex):
         return self.M.d(m)
 
 
+def diagram_slots(A):
+    """the underlying diagram of the pDGA A: the ModuleSlots of its names,
+    up-type at their labels, and its differential.  It has no action, so no
+    product is read, and a term of d(x) outside the slot of x raises
+    ValueError when its matrix is built"""
+    return ModuleSlots(Bimodule(
+        A, [(x, A.deg(x), "up", A.lam(x)) for x in A.names], diff=A.diffs))
+
+
+def diagram_homology(A):
+    "{(p, k): dim} of the nonzero homology of the pDGA A's underlying diagram"
+    Z, degs = diagram_slots(A), A.degrees()
+    return {(p, k): h for p in A.poset.elements
+            for k, h in Z.dims(p, degs[0], degs[-1]).items() if h}
+
+
 def restrict_bimodule(A, B, fmap):
     "B viewed as an A-bimodule through the algebra map f"
     F = A.field

@@ -26,12 +26,12 @@ from importlib import resources
 from .fields import QQ, Field
 from .poset import Poset, is_perversity
 from .linalg import linear
-from .algebra import PDGA, algebra_as_bimodule
+from .algebra import PDGA, algebra_as_bimodule, diagram_homology
 
 # a command imports complexes, hochschild, structure, suite and kunneth
-# itself, so that it compiles only what it runs: `perverse poset`,
-# `homology` and `hh` compile none of structure, suite and kunneth, and
-# `tensor` compiles structure but not the suite
+# itself, so that it compiles only what it runs: `perverse poset` and
+# `homology` compile none of them, `hh` only hochschild, `cofibrancy` only
+# complexes, and `tensor` compiles structure but not the suite
 
 
 class InputError(Exception):
@@ -296,7 +296,6 @@ def cmd_poset(args, out):
 
 
 def cmd_homology(args, out):
-    from .complexes import diagram_homology
     A = load_pdga(args.algebra)
     dims = diagram_homology(A)
     recs = [{"_kind": "header", "text": "homology of the underlying diagram"}]

@@ -13,13 +13,11 @@ degree k to its list of names, and `d(name)` is the differential of one
 name of degree k, a vector over names of degree k + 1; a labeled complex
 also has `labels`, a perversity per name.
 
-Each of these constructions, and the carrier of a pDGA, states a slot over
-some ambient keys, as a `linalg.quotient` of their span by relations or the
-`linalg.kernel` of equations on it, and gives the differential of one key;
-`induce` builds the complex from that: the basis, the slot's d and the
-structure maps, which send each key to itself.  The carrier is the pDGA's
-underlying perverse chain complex, and `diagram_homology` its homology,
-which `perverse homology` prints.
+Each of these constructions states a slot over some ambient keys, as a
+`linalg.quotient` of their span by relations or the `linalg.kernel` of
+equations on it, and gives the differential of one key; `induce` builds the
+complex from that: the basis, the slot's d and the structure maps, which
+send each key to itself.
 """
 
 import functools
@@ -169,37 +167,6 @@ def induce(field, poset, slots, d):
                 out.phi[(r, r2, k)] = induced((r, k), (r2, k),
                                               lambda key: {key: field.one})
     return out
-
-
-def carrier(A):
-    """the underlying PerverseComplex of the pDGA A: slot (p, k) holds the
-    names of degree k with label <= p, in A.names order.  A term of d(x) off
-    degree |x| + 1 or above the label of x raises ValueError, since the
-    slot of x at its own label would lack it; no product is read"""
-    F, P = A.field, A.poset
-    for x, v in A.diffs.items():
-        for y in v:
-            if A.degree.get(y) != A.degree[x] + 1:
-                raise ValueError("d(%r) has a term %r off degree %d"
-                                 % (x, y, A.degree[x] + 1))
-            if not leq(A.label[y], A.label[x]):
-                raise ValueError("d(%r) has a term %r above its label"
-                                 % (x, y))
-    slots = {}
-    for p in P.elements:
-        for k in A.degrees():
-            keys = [x for x in A.names if A.degree[x] == k
-                    and leq(A.label[x], p)]
-            if keys:
-                slots[(p, k)] = keys, quotient(F, keys, []), keys
-    return induce(F, P, slots, lambda k, x: A.d(x))
-
-
-def diagram_homology(A):
-    "{(p, k): dim} of the nonzero homology of the pDGA A's underlying diagram"
-    Z = carrier(A)
-    return {(p, k): h for p in A.poset.elements
-            for k, h in Z.homology(p).items() if h}
 
 
 def _box_objects(P, r):

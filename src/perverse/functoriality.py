@@ -3,15 +3,17 @@
 A degree-0, label-compatible algebra chain map f: A -> B induces HH(f),
 computed per slot as HH(f~, B)^{-1} o HH(A, f): postcompose the A-classes
 with f, precompose the B-classes with the induced word map f~, and solve on
-cohomology.  No command and no benchmark workload reads this module; the
-tests do, acceptance criterion 8 among them.
+cohomology.  is_quasi_iso checks that f itself is an isomorphism on the
+homology of every slot of the underlying diagrams.  No command and no
+benchmark workload reads this module; the tests do, acceptance criterion 8
+among them.
 """
 
 from .linalg import SparseMatrix, solver, linear
 from .poset import leq
-from .algebra import algebra_as_bimodule, restrict_bimodule
-from .complexes import diagram_homology
+from .algebra import algebra_as_bimodule, restrict_bimodule, diagram_slots
 from .hochschild import Cochains, Op, cochain_op, to_cochain
+from .structure import iso_on_homology
 
 
 def check_pdga_map(A, B, fmap):
@@ -37,8 +39,11 @@ def check_pdga_map(A, B, fmap):
     return f
 
 
-def is_quasi_iso(A, B):
-    return diagram_homology(A) == diagram_homology(B)
+def is_quasi_iso(A, B, f):
+    """whether the chain map f of vectors, A -> B, is an isomorphism on the
+    homology of every slot of the underlying diagrams"""
+    return iso_on_homology(diagram_slots(A), diagram_slots(B), f,
+                           sorted(set(A.degrees()) | set(B.degrees())))
 
 
 def induced_word_map(A, B, fmap, w):
@@ -73,8 +78,7 @@ class InducedHH:
 
     def __init__(self, A, B, fmap, L):
         self.A, self.B, self.fmap = A, B, fmap
-        check_pdga_map(A, B, fmap)
-        if not is_quasi_iso(A, B):
+        if not is_quasi_iso(A, B, check_pdga_map(A, B, fmap)):
             raise ValueError("HH(f) needs a quasi-isomorphism")
         self.ca = Cochains(A, algebra_as_bimodule(A), L)
         self.cb = Cochains(B, algebra_as_bimodule(B), L)

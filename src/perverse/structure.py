@@ -9,15 +9,16 @@ phi(a0[w]) = (-1)^{|a0| (|a| - |a0|)} f(w)(a0).
 Duality: for a commutative algebra, search for a homology class of the dual
 whose action gives an isomorphism H(A) -> H(DA) per slot, build the duality
 cocycle c, and define the BV operator Delta(f) by solving Delta(f).[c] =
-B_dual(f.[c]) on cohomology.  verify_calculus runs the identity suite of
-perverse.suite and reports pass/fail with witnesses.  It imports the suite
-when it runs, so compare_hh and the BV operator, which read this module,
-compile neither the suite nor the chain side it reads.
+B_dual(f.[c]) on cohomology.  iso_on_homology is that per-slot test for any
+map of vectors between two ModuleSlots; functoriality's quasi-isomorphism
+check runs it on the underlying diagrams.  verify_calculus runs the
+identity suite of perverse.suite and reports pass/fail with witnesses.  It
+imports the suite when it runs, so compare_hh and the BV operator, which
+read this module, compile neither the suite nor the chain side it reads.
 """
 
 from .linalg import SparseMatrix, vec_iadd, signed_sum, solver, linear
-from .algebra import (ModuleSlots, algebra_as_bimodule, dual_bimodule,
-                      dual_name)
+from .algebra import ModuleSlots, diagram_slots, dual_bimodule, dual_name
 from .hochschild import word_eps, Cochains, Op, cochain_op, to_cochain
 
 
@@ -175,40 +176,41 @@ def bdual_op(f):
 # duality data and the BV operator
 
 
+def iso_on_homology(src, dst, f, degrees, shift=0):
+    """whether the map f of vectors is an isomorphism H(src) -> H(dst) of
+    degree shift at each perversity and each k in degrees: equal dimensions,
+    and the classes of f on the representatives of (r, k) have full rank in
+    (r, k + shift); an image outside a slot or not a cycle there is a no"""
+    for r in src.M.poset.elements:
+        for k in degrees:
+            H = dst.homology(r, k + shift)
+            if src.homology(r, k).dim != H.dim:
+                return False
+            try:
+                mat = dst.class_matrix(r, k + shift, [
+                    f(a) for a in src.representatives(r, k)])
+            except ValueError:
+                return False
+            if mat.rank() != H.dim:
+                return False
+    return True
+
+
 def find_duality_class(A, n=None):
     """search the homology of DA for a cycle whose left action gives a graded
     isomorphism H(A) -> H(DA) on every perversity slot; returns (n, cycle)
     for the first certified candidate in the deterministic basis order"""
     if not A.is_commutative():
         raise ValueError("unsupported: non-commutative duality lift")
-    P = A.poset
     D = dual_bimodule(A)
-    ma, md = ModuleSlots(algebra_as_bimodule(A)), ModuleSlots(D)
-    adegs = sorted(A.degrees())
-
-    def isomorphic(nc, Mv):
-        "whether the left action of Mv is an isomorphism on every slot"
-        for r in P.elements:
-            for k in adegs:
-                Hd = md.homology(r, k - nc)
-                if ma.homology(r, k).dim != Hd.dim:
-                    return False
-                try:
-                    mat = md.class_matrix(r, k - nc, [
-                        D.act_left_vec(a, Mv)
-                        for a in ma.representatives(r, k)])
-                except ValueError:
-                    return False
-                if mat.rank() != Hd.dim:
-                    return False
-        return True
-
+    ma, md = diagram_slots(A), ModuleSlots(D)
     for nc in ([n] if n is not None else sorted(
             {-k for k in md.degrees()})):
         # global candidates live in the zero-perversity slot, where every
         # dual element is present
-        for Mv in md.representatives(P.zero, -nc):
-            if isomorphic(nc, Mv):
+        for Mv in md.representatives(A.poset.zero, -nc):
+            if iso_on_homology(ma, md, lambda a: D.act_left_vec(a, Mv),
+                               A.degrees(), -nc):
                 return nc, Mv
     raise LookupError("not a detected pDPDA")
 

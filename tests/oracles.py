@@ -5,8 +5,9 @@ library module reads them:
 - the brute-force perversity sum, the meet and join of two perversities,
   the cover relation from its definition and the diamonds under a
   perversity by search;
-- the opposite and enveloping algebras and the quasi-isomorphism of
-  acceptance criterion 8, test inputs, and the dg bimodule axioms, which
+- the opposite and enveloping algebras, the acyclic-pair extension and
+  the quasi-isomorphism of acceptance criterion 8 built from it, test
+  inputs, and the dg bimodule axioms, which
   algebra_as_bimodule, dual_bimodule and restrict_bimodule are checked
   against;
 - the augmentation and contracting homotopy of the bar complex;
@@ -14,6 +15,9 @@ library module reads them:
   1953), the shuffle product on Hochschild chains, the differential of a
   tensor of bar complexes and AW on vectors, which the Alexander-Whitney
   transport of perverse.kunneth is checked against;
+- the carrier of a pDGA, its underlying diagram as a perverse complex
+  built through complexes.induce, which algebra.diagram_homology and the
+  certificate tests read;
 - the box tensor presented over the full index diagram, which
   complexes.box_tensor is checked against;
 - the cofibrancy certificate from a basis of each image intersection,
@@ -36,7 +40,8 @@ from perverse.builders import truncated_polynomial
 from perverse.hochschild import bar_degree, bar_ok, sdeg
 from perverse.suite import Bar
 from perverse.kunneth import alexander_whitney
-from perverse.complexes import PerverseComplex, _box_objects, _box_keys
+from perverse.complexes import (PerverseComplex, induce, _box_objects,
+                                _box_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +125,28 @@ def opposite_and_enveloping(A):
     return op, tensor_pdga(A, op)
 
 
+def acyclic_pair(A, degree, label):
+    """B = A plus an acyclic pair y, z = dy of degrees degree and degree + 1
+    at one label, every product into the pair zero; returns B, the
+    inclusion i: A -> B and the projection p: B -> A, both pDGA
+    quasi-isomorphisms, since the pair is present at a slot exactly when
+    both of its elements are"""
+    F = A.field
+    if {"y", "z"} & set(A.names):
+        raise ValueError("A already has a generator y or z")
+    B = PDGA(F, A.poset, [(x, A.degree[x], A.label[x]) for x in A.names]
+             + [("y", degree, label), ("z", degree + 1, label)], A.unit,
+             diff=dict(A.diffs, y={"z": F.one}), products=A.products)
+    inclusion = {x: {x: F.one} for x in A.names}
+    return B, inclusion, dict(inclusion, y={}, z={})
+
+
 def quasi_iso_fixture(field, poset):
-    """inclusion f: A -> B where B adds an acyclic pair (y, z = dy) with all
-    products into the pair equal to zero; f is a quasi-isomorphism"""
+    """the inclusion f: A -> B of k[x]/x^2, |x| = 2, into its acyclic pair
+    at degree 3 and the zero label; f is a quasi-isomorphism"""
     A = truncated_polynomial(field, poset, 2)
-    z0 = poset.zero
-    gens = [("1", 0, z0), ("x", 2, z0), ("y", 3, z0), ("z", 4, z0)]
-    prods = {(a, b): {} for a in ["x", "y", "z"] for b in ["x", "y", "z"]}
-    B = PDGA(field, poset, gens, "1",
-             diff={"y": {"z": field.one}}, products=prods)
-    fmap = {"1": {"1": field.one}, "x": {"x": field.one}}
-    return A, B, fmap
+    B, inclusion, _ = acyclic_pair(A, 3, poset.zero)
+    return A, B, inclusion
 
 
 def validate_bimodule(M):
@@ -307,6 +323,34 @@ def shuffle_product(A, B, T, x, y, maxlen=None):
             A, B, T, (m0, wa, A.unit), (n0, wb, B.unit)).items()}
 
     return bilinear(T.field, sh_pair, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the underlying diagram of a pDGA as a perverse complex
+
+
+def carrier(A):
+    """the underlying PerverseComplex of the pDGA A: slot (p, k) holds the
+    names of degree k with label <= p, in A.names order.  A term of d(x) off
+    degree |x| + 1 or above the label of x raises ValueError, since the
+    slot of x at its own label would lack it; no product is read"""
+    F, P = A.field, A.poset
+    for x, v in A.diffs.items():
+        for y in v:
+            if A.degree.get(y) != A.degree[x] + 1:
+                raise ValueError("d(%r) has a term %r off degree %d"
+                                 % (x, y, A.degree[x] + 1))
+            if not leq(A.label[y], A.label[x]):
+                raise ValueError("d(%r) has a term %r above its label"
+                                 % (x, y))
+    slots = {}
+    for p in P.elements:
+        for k in A.degrees():
+            keys = [x for x in A.names if A.degree[x] == k
+                    and leq(A.label[x], p)]
+            if keys:
+                slots[(p, k)] = keys, quotient(F, keys, []), keys
+    return induce(F, P, slots, lambda k, x: A.d(x))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ _LAZY = {"perverse.complexes", "perverse.hochschild", "perverse.structure",
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("argv,runs", [
     (["hh", "sphere2"], {"perverse.hochschild"}),
-    (["homology", "sphere2"], {"perverse.complexes"}),
+    (["homology", "sphere2"], set()),
     (["cofibrancy", "sphere2"], {"perverse.complexes"}),
     (["poset", "--n", "3"], set()),
     (["tensor", "sphere2", "sphere2"],
@@ -210,9 +210,9 @@ def test_a_command_imports_only_the_modules_it_runs(tmp_path, flags, argv,
     # only tensor runs the Kunneth comparison and only gerstenhaber-check an
     # identity suite, so no other command compiles structure, suite or
     # kunneth; the comparison reads structure's operations and BV operator
-    # but not the suite; hh, poset and these two build no perverse complex,
-    # so they do not compile complexes either; no command compiles
-    # functoriality
+    # but not the suite; only cofibrancy builds a perverse complex, so no
+    # other command compiles complexes (homology reads the underlying
+    # diagram's slots in algebra); no command compiles functoriality
     code, out, err = run_python(tmp_path, flags, argv, entry=("-c", _LOADED))
     assert _LAZY & set(err.split()) == runs, err
     assert (code, out) == run(argv) and code == 0
@@ -400,7 +400,7 @@ def test_homology_command():
     ids=["off-degree", "above-label"])
 def test_homology_refuses_a_differential_that_leaves_its_slot(
         tmp_path, capsys, y, message):
-    # validation refuses it before the carrier is built
+    # validation refuses it before the homology is computed
     data = dict(SPHERE2, generators=SPHERE2["generators"] + [y],
                 differential={"x": {"y": 1}})
     code, out = run(["homology", write(tmp_path, data)])

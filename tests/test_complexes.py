@@ -9,11 +9,12 @@ from perverse.linalg import (SparseMatrix, Subquotient, kernel_basis,
 from perverse.poset import Poset, leq
 from perverse.complexes import (PerverseComplex, free_perverse,
                                 unit_perverse, box_tensor, internal_hom,
-                                linear_dual, p_filtration, carrier,
+                                linear_dual, p_filtration,
                                 cofibrancy_certificate)
 from perverse.builders import random_pdga
 from oracles import (box_tensor_fulldiagram, join, cofibrancy_by_spans,
-                     minimum_condition_counterexample, functorial_by_chains)
+                     minimum_condition_counterexample, functorial_by_chains,
+                     carrier)
 
 
 def plain(basis, diff=None):
@@ -423,8 +424,8 @@ def test_minimum_condition_counterexample_fails():
 def certificate_inputs(field):
     """functorial complexes to compare the certificate with its oracle on:
     p-filtrations of random labeled complexes on Poset(3..6), and on
-    Poset(4) and Poset(5) carriers of random pDGAs, their linear duals and
-    the box tensors of each carrier with the next one and with its dual"""
+    Poset(4) and Poset(5) oracle carriers of random pDGAs, their linear duals
+    and the box tensors of each carrier with the next one and with its dual"""
     rng = random.Random(13)
     out = [p_filtration(field, P, *random_labeled_complex(field, P, rng))
            for P in map(Poset, (3, 4, 5, 6)) for _ in range(8)]

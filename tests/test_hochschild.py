@@ -16,12 +16,14 @@ from perverse.hochschild import (Cochains, bar_degree, middle_words,
                                  index_cochain, hh_table, hh_table_oracle,
                                  cochain_op, to_cochain, CofaceTable)
 from perverse.functoriality import (InducedHH, check_pdga_map,
-                                    hc_postcompose, hc_precompose)
+                                    is_quasi_iso, hc_postcompose,
+                                    hc_precompose)
 from perverse import functoriality, linalg
 from perverse.structure import cup_op
 from perverse.suite import Bar, Chains
 from perverse.kunneth import hh_degree_support
-from oracles import q_A, h, quasi_iso_fixture, validate_bimodule
+from oracles import (q_A, h, quasi_iso_fixture, acyclic_pair,
+                     validate_bimodule)
 
 P3 = Poset(3)
 
@@ -903,6 +905,58 @@ def test_induced_quasi_iso_fixture_is_iso():
     for r in P3.elements:
         for q in range(-2, 3):
             assert ind.is_iso(r, q), (r, q)
+
+
+def test_induced_refuses_a_map_that_kills_a_class():
+    # x -> 0 on k[x]/x^2 is a pDGA map with the diagram homology of an
+    # isomorphism on both sides, but it kills the class of x
+    A = truncated_polynomial(QQ, P3, 2)
+    with pytest.raises(ValueError, match="needs a quasi-isomorphism"):
+        InducedHH(A, A, {"1": {"1": QQ.one}, "x": {}}, 3)
+
+
+def _one_class_killing_maps():
+    """(A, fmap) for every pDGA endomorphism that is the identity but sends
+    one closed generator outside the image of d to 0, on the corpus and
+    random_pdga(F, Poset(3), s) for s < 12, over Q and F_5"""
+    out = []
+    for F in (QQ, Field(5)):
+        for A in [*corpus(F, P3).values(),
+                  *(random_pdga(F, P3, s) for s in range(12))]:
+            hit = {y for v in A.diffs.values() for y in v}
+            for x in A.nonunit():
+                if x not in A.diffs and x not in hit:
+                    fmap = {y: {y: F.one} for y in A.names}
+                    fmap[x] = {}
+                    out.append((A, fmap))
+    return out
+
+
+def test_induced_refuses_every_map_that_kills_one_class():
+    maps = _one_class_killing_maps()
+    assert len(maps) == 46
+    for A, fmap in maps:
+        check_pdga_map(A, A, fmap)
+        with pytest.raises(ValueError, match="needs a quasi-isomorphism"):
+            InducedHH(A, A, fmap, 2)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_acyclic_pair_inclusion_and_projection_are_quasi_isos(field):
+    # B = A plus y, z = dy at one degree and label; the inclusion and the
+    # projection are pDGA maps and isomorphisms on every slot's homology
+    algebras = [*corpus(field, P3).values(),
+                *(random_pdga(field, P3, s) for s in (1, 2, 3, 5, 103))]
+    checked = 0
+    for A in algebras:
+        for degree, label in [(1, P3.zero), (2, P3.top), (3, P3.top),
+                              (4, P3.zero)]:
+            B, inclusion, projection = acyclic_pair(A, degree, label)
+            assert B.validate()["valid"], (degree, label)
+            assert is_quasi_iso(A, B, check_pdga_map(A, B, inclusion))
+            assert is_quasi_iso(B, A, check_pdga_map(B, A, projection))
+            checked += 2
+    assert checked == 88
 
 
 def _induced_by_column_solves(ind, r, q):

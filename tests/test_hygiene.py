@@ -262,7 +262,7 @@ def defined_names(tree):
 
 # test inputs and test checks that left the library for tests/oracles.py
 _MOVED_TO_ORACLES = {"opposite", "opposite_and_enveloping",
-                     "validate_bimodule", "quasi_iso_fixture"}
+                     "validate_bimodule", "quasi_iso_fixture", "carrier"}
 
 
 def test_no_oracle_has_a_copy_in_the_library():
@@ -279,10 +279,10 @@ def test_no_oracle_has_a_copy_in_the_library():
 
 
 def test_algebra_sits_below_complexes():
-    # building and validating a pDGA compiles no perverse complex: the
-    # carrier and its homology live in complexes, and algebra names that
-    # module nowhere, so imports it neither at module level nor when a
-    # method runs
+    # building and validating a pDGA compiles no perverse complex: its
+    # underlying diagram and homology are slots (diagram_slots), and
+    # algebra names complexes nowhere, so imports it neither at module
+    # level nor when a method runs
     tree = dict(source_trees())["algebra.py"]
     found = sorted({node.lineno for node in ast.walk(tree)
                     for key in ("module", "name", "attr", "id")
@@ -703,12 +703,12 @@ def module_level_imports(tree):
     return sorted(out)
 
 
-def suite_importers(tree):
-    "the functions of a module whose own bodies import perverse.suite"
+def call_time_importers(tree, module):
+    "the functions of a module whose own bodies import perverse.<module>"
     return [fn.name for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)
             for node in _own_nodes(fn)
             if isinstance(node, ast.ImportFrom)
-            and (node.module or "").rpartition(".")[2] == "suite"]
+            and (node.module or "").rpartition(".")[2] == module]
 
 
 def test_the_suite_is_imported_only_where_it_runs():
@@ -722,8 +722,22 @@ def test_the_suite_is_imported_only_where_it_runs():
              if name in ("suite", "functoriality")]
     assert not found, found
     importers = sorted((fname, fn) for fname, tree in source_trees()
-                       for fn in suite_importers(tree))
+                       for fn in call_time_importers(tree, "suite"))
     assert importers == [("cli.py", "cmd_bv"), ("cli.py", "cmd_calculus"),
                          ("cli.py", "cmd_gerstenhaber"),
                          ("hochschild.py", "hh_table_oracle"),
                          ("structure.py", "verify_calculus")], importers
+
+
+def test_complexes_is_imported_only_where_a_perverse_complex_is_built():
+    # the underlying diagram of a pDGA is algebra.diagram_slots, so only
+    # `perverse cofibrancy`, which builds the p-filtration of its input,
+    # compiles the perverse-complex layer: no library module imports
+    # complexes when it is imported, and only cmd_cofibrancy when it runs
+    found = [(fname, line) for fname, tree in source_trees()
+             for line, name in module_level_imports(tree)
+             if name == "complexes"]
+    assert not found, found
+    importers = sorted((fname, fn) for fname, tree in source_trees()
+                       for fn in call_time_importers(tree, "complexes"))
+    assert importers == [("cli.py", "cmd_cofibrancy")], importers

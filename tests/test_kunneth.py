@@ -641,15 +641,16 @@ print(*loaded(), sep=",")
      "perverse.structure,perverse.suite"),
     ("from perverse.kunneth import compare_hh; "
      "compare_hh(A, A, 2, (-1, 1))", "perverse.structure"),
-    ("from perverse.complexes import diagram_homology; "
-     "diagram_homology(A)", "perverse.complexes")],
+    ("from perverse.algebra import diagram_homology; "
+     "diagram_homology(A)", "")],
     ids=["calculus", "kunneth", "homology"])
 def test_a_call_imports_only_the_modules_it_runs(call, loads):
     # an HH table runs neither the identity suite nor a perverse complex,
-    # so it compiles neither structure nor complexes; the suites and the
-    # comparison build no perverse complex either, and the comparison reads
-    # structure's operations and BV operator but neither the identity suite
-    # nor functoriality
+    # so it compiles neither structure nor complexes; the suites, the
+    # comparison and the homology of the underlying diagram build no
+    # perverse complex either, and the comparison reads structure's
+    # operations and BV operator but neither the identity suite nor
+    # functoriality
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run(
