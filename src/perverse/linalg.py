@@ -9,11 +9,11 @@ combination of input columns behind each stored column.  Rank, kernel,
 solutions, membership and coordinates are read off it; a rank in a complex
 skips the columns that clearing shows dependent (`pivot_rows`), and a normal
 form modulo a span eliminates every pivot row.  There is one space,
-`Subquotient`: a span of vectors modulo another, which is every quotient
-(`quotient`), kernel (`kernel`) and homology the library reads.  Every
-object read is canonical: a kernel vector is e_j minus the unique
-combination of the earlier independent columns, and a normal form depends
-only on the span.  Everything is exact; no floats anywhere.
+`Subquotient`: a span of vectors modulo another, which is every kernel
+(`kernel`) and homology the library reads.  Every object read is
+canonical: a kernel vector is e_j minus the unique combination of the
+earlier independent columns, and a normal form depends only on the span.
+Everything is exact; no floats anywhere.
 """
 
 import functools
@@ -136,13 +136,6 @@ class SparseMatrix:
     def columns(self):
         "the stored column vectors, which the caller only reads"
         return self.cols
-
-    def rows(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return rows
 
     def apply(self, v):
         "matrix-vector product; v is a dict over column indices"
@@ -337,16 +330,6 @@ class Subquotient:
 
     def is_boundary(self, v):
         return self.bech.contains(v)
-
-
-def quotient(field, keys, relations):
-    """the span of keys modulo the relations, vectors {key: c}: its reps
-    are the unit vectors at the rows that head no relation, in order, and
-    a term on a key outside keys raises KeyError"""
-    index = {key: i for i, key in enumerate(keys)}
-    return Subquotient(
-        field, [{i: field.one} for i in range(len(keys))],
-        [{index[key]: c for key, c in rel.items()} for rel in relations])
 
 
 def kernel(field, keys, equations):

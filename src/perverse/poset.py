@@ -108,19 +108,11 @@ class Poset:
         "complementary perversity t - p; exact pointwise difference"
         return self._member(tuple(t - a for t, a in zip(self.top, p)))
 
-    def _steps(self, p, s):
-        "the members p + s * e_i, one index i, ascending, as listed"
-        steps = (p[:i] + (p[i] + s,) + p[i + 1:] for i in range(len(p)))
+    def upper_covers(self, p):
+        "the perversities p + e_i covering p, ascending"
+        steps = (p[:i] + (p[i] + 1,) + p[i + 1:] for i in range(len(p)))
         return [self.elements[j] for j in sorted(
             self.index[q] for q in steps if q in self.index)]
-
-    def upper_covers(self, p):
-        "the perversities covering p, ascending"
-        return self._steps(p, 1)
-
-    def lower_covers(self, p):
-        "the perversities p covers, ascending"
-        return self._steps(p, -1)
 
     def covers(self):
         "list of covering pairs (p, q), p covered by q, ascending"
@@ -137,7 +129,4 @@ class Poset:
         of m, x listed first, j = max(x, y) pointwise, which covers both,
         and j <= p"""
         return [s for s in self._squares if leq(s[3], p)]
-
-    def up_set(self, p):
-        return [q for q in self.elements if leq(p, q)]
 

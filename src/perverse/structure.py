@@ -196,13 +196,14 @@ def iso_on_homology(src, dst, f, degrees, shift=0):
     return True
 
 
-def find_duality_class(A, n=None):
-    """search the homology of DA for a cycle whose left action gives a graded
-    isomorphism H(A) -> H(DA) on every perversity slot; returns (n, cycle)
-    for the first certified candidate in the deterministic basis order"""
+def find_duality_class(D, n=None):
+    """search the homology of D = DA, the dual bimodule of a pDGA A, for a
+    cycle whose left action gives a graded isomorphism H(A) -> H(DA) on
+    every perversity slot; returns (n, cycle) for the first certified
+    candidate in the deterministic basis order"""
+    A = D.algebra
     if not A.is_commutative():
         raise ValueError("unsupported: non-commutative duality lift")
-    D = dual_bimodule(A)
     ma, md = diagram_slots(A), ModuleSlots(D)
     for nc in ([n] if n is not None else sorted(
             {-k for k in md.degrees()})):
@@ -224,8 +225,8 @@ class BVOperator:
     def __init__(self, cx, n=None):
         A, L = cx.A, cx.L
         self.A, self.cx = A, cx
-        self.n, self.cycle = find_duality_class(A, n)
         self.D = dual_bimodule(A)
+        self.n, self.cycle = find_duality_class(self.D, n)
         if L < 2:
             raise ValueError("need word length at least 2 for the cyclic "
                              "operator")

@@ -3,7 +3,8 @@ that only state a test identity.  None of them is part of `perverse`, and no
 library module reads them:
 
 - the brute-force perversity sum, the meet and join of two perversities,
-  the cover relation from its definition and the diamonds under a
+  the cover relation from its definition, the lower covers of a
+  perversity read from the upper ones, and the diamonds under a
   perversity by search;
 - the opposite and enveloping algebras, the acyclic-pair extension and
   the quasi-isomorphism of acceptance criterion 8 built from it, test
@@ -15,15 +16,21 @@ library module reads them:
   1953), the shuffle product on Hochschild chains, the differential of a
   tensor of bar complexes and AW on vectors, which the Alexander-Whitney
   transport of perverse.kunneth is checked against;
+- the ambient category of the paper, perverse complexes built through
+  complexes.induce from slots stated as a quotient or kernel over keys:
+  the free complex on a perversity and the unit, the box tensor, the
+  internal hom and the linear dual, which algebra.dual_bimodule is
+  checked against slot by slot; the functor axioms of a perverse complex
+  and its homology from ranks;
 - the carrier of a pDGA, its underlying diagram as a perverse complex
-  built through complexes.induce, which algebra.diagram_homology and the
-  certificate tests read;
-- the box tensor presented over the full index diagram, which
-  complexes.box_tensor is checked against;
+  built through complexes.induce, which algebra.diagram_homology, the
+  linear dual and the certificate tests read;
+- the box tensor presented over the full index diagram, which box_tensor
+  is checked against;
 - the cofibrancy certificate from a basis of each image intersection,
   which complexes.cofibrancy_certificate is checked against, a complex
   that fails its minimum condition, and functoriality checked along every
-  chain of covers, which PerverseComplex.validate is checked against.
+  chain of covers, which validate_perverse is checked against.
 """
 
 import functools
@@ -31,17 +38,16 @@ import itertools
 from collections import namedtuple
 
 from perverse.fields import QQ
-from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, vec_iadd,
-                             vec_scale, signed_sum, linear, bilinear,
-                             quotient)
+from perverse.linalg import (SparseMatrix, Echelon, Subquotient, kernel_basis,
+                             vec_iadd, vec_scale, signed_sum, linear, bilinear,
+                             kernel, homology_dims, pivot_rows)
 from perverse.poset import leq
 from perverse.algebra import PDGA, tensor_pdga
 from perverse.builders import truncated_polynomial
 from perverse.hochschild import bar_degree, bar_ok, sdeg
 from perverse.suite import Bar
 from perverse.kunneth import alexander_whitney
-from perverse.complexes import (PerverseComplex, induce, _box_objects,
-                                _box_keys)
+from perverse.complexes import PerverseComplex, induce
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +332,254 @@ def shuffle_product(A, B, T, x, y, maxlen=None):
 
 
 # ---------------------------------------------------------------------------
+# the ambient category: perverse complexes with the box tensor, internal
+# hom and linear dual (Hovey, "Intersection homological algebra", 2009)
+
+
+def quotient(field, keys, relations):
+    """the span of keys modulo the relations, vectors {key: c}: its reps
+    are the unit vectors at the rows that head no relation, in order, and
+    a term on a key outside keys raises KeyError"""
+    index = {key: i for i, key in enumerate(keys)}
+    return Subquotient(
+        field, [{i: field.one} for i in range(len(keys))],
+        [{index[key]: c for key, c in rel.items()} for rel in relations])
+
+
+def rows(A):
+    "the row vectors of the matrix A, its columns transposed"
+    out = [dict() for _ in range(A.nrows)]
+    for j, col in enumerate(A.columns()):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
+
+
+def lower_covers(P, p):
+    "the perversities p covers, ascending: those with p as an upper cover"
+    return [a for a in P.elements if p in P.upper_covers(a)]
+
+
+def slot_diff(Z, p, k):
+    "the differential of Z from (p, k) to (p, k + 1), zero where Z keeps none"
+    m = Z.d.get((p, k))
+    if m is None:
+        m = SparseMatrix(Z.field, Z.dim(p, k + 1), Z.dim(p, k))
+    return m
+
+
+def validate_perverse(Z):
+    """raise ValueError unless the PerverseComplex Z is a functor to
+    complexes: d has the slot shapes and squares to zero, each cover map
+    has its shape and is a chain map, and every diamond square commutes"""
+    P = Z.poset
+    for p in P.elements:
+        for k in Z.degrees():
+            dk = slot_diff(Z, p, k)
+            if (dk.nrows, dk.ncols) != (Z.dim(p, k + 1), Z.dim(p, k)):
+                raise ValueError("d has the wrong shape at %s deg %d"
+                                 % (p, k))
+            if not slot_diff(Z, p, k + 1).mul(dk).is_zero():
+                raise ValueError("d^2 != 0 at %s deg %d" % (p, k))
+    for (p, q) in P.covers():
+        for k in Z.degrees():
+            f = Z.cover_map(p, q, k)
+            if (f.nrows, f.ncols) != (Z.dim(q, k), Z.dim(p, k)):
+                raise ValueError("structure map has the wrong shape at "
+                                 "%s<=%s deg %d" % (p, q, k))
+            # structure maps are chain maps
+            lhs = slot_diff(Z, q, k).mul(f)
+            rhs = Z.cover_map(p, q, k + 1).mul(slot_diff(Z, p, k))
+            if lhs != rhs:
+                raise ValueError("structure map not a chain map at "
+                                 "%s<=%s deg %d" % (p, q, k))
+    # functoriality: any two maximal chains of an interval of a
+    # distributive lattice are joined by diamond swaps, so the composites
+    # are path independent once every diamond square commutes
+    for m, x, y, j in P.diamonds(P.top):
+        for k in Z.degrees():
+            if Z.cover_map(x, j, k).mul(Z.cover_map(m, x, k)) != \
+                    Z.cover_map(y, j, k).mul(Z.cover_map(m, y, k)):
+                raise ValueError("structure maps not functorial")
+
+
+def perverse_homology(Z, p):
+    """{k: dim H^k} of the PerverseComplex Z at p, from the lowest degree to
+    the highest, from ranks"""
+    degs = Z.degrees()
+    return homology_dims(
+        functools.partial(Z.dim, p),
+        lambda k, cleared: pivot_rows(
+            Z.field, slot_diff(Z, p, k).columns(), cleared),
+        degs[0], degs[-1]) if degs else {}
+
+
+def free_perverse(field, poset, p, basis, d):
+    """F_p(N): the complex N of the names basis and the differential d
+    placed at every perversity >= p, zero below, with identity structure
+    maps on the up-set of p.  The keys of a slot are N's names"""
+    free = {k: (names, quotient(field, names, []), names)
+            for k, names in basis.items()}
+    return induce(field, poset,
+                  {(q, k): free[k] for q in poset.elements if leq(p, q)
+                   for k in free},
+                  lambda k, x: d(x))
+
+
+def unit_perverse(field, poset):
+    "the unit: one basis vector e in degree 0 at every perversity"
+    return free_perverse(field, poset, poset.zero, {0: ["e"]}, lambda x: {})
+
+
+def _box_objects(P, r):
+    "the pairs (p, q) with p + q <= r pointwise"
+    return [(p, q) for p in P.elements for q in P.elements
+            if all(a + b <= c for a, b, c in zip(p, q, r))]
+
+
+def _box_keys(Z, Y, objs, k):
+    """the keys ((p, q), (i, zi, yi)) of the sum over objs of (Z_p tensor
+    Y_q)^k: basis vector zi of Z_p^i tensor basis vector yi of Y_q^(k-i)"""
+    return [((p, q), (i, zi, yi)) for (p, q) in objs for i in Z.degrees()
+            for zi in range(Z.dim(p, i)) for yi in range(Y.dim(q, k - i))]
+
+
+def box_tensor(Z, Y):
+    """(Z box Y)_r = colim over {(p,q): p+q <= r pointwise} of Z_p tensor Y_q,
+    presented by covering-relation difference maps."""
+    if Z.field != Y.field or Z.poset is not Y.poset:
+        raise ValueError("complexes over different fields or posets")
+    field, P = Z.field, Z.poset
+    degs = sorted({i + j for i in Z.degrees() for j in Y.degrees()})
+    if not degs:
+        return PerverseComplex(field, P)
+    kmin, kmax = min(degs), max(degs)
+    # nonzero entries of each matrix, read once per matrix
+    zcov = functools.cache(lambda p, q, i: Z.cover_map(p, q, i).columns())
+    ycov = functools.cache(lambda p, q, j: Y.cover_map(p, q, j).columns())
+    zdiff = functools.cache(lambda p, i: slot_diff(Z, p, i).columns())
+    ydiff = functools.cache(lambda q, j: slot_diff(Y, q, j).columns())
+    slots = {}
+    for r in P.elements:
+        objs = _box_objects(P, r)
+        objset = set(objs)
+        # the covers out of each object, on the Z side (0) or the Y side (1)
+        edges = {(p, q): [((b, q), 0) for b in P.upper_covers(p)
+                          if (b, q) in objset]
+                 + [((p, b), 1) for b in P.upper_covers(q)
+                    if (p, b) in objset] for (p, q) in objs}
+        for k in range(kmin, kmax + 2):
+            keys = _box_keys(Z, Y, objs, k)
+            rels = []
+            for key in keys:
+                (p, q), (i, zi, yi) = key
+                for dst, side in edges[(p, q)]:
+                    if side == 0:
+                        rel = {(dst, (i, zi2, yi)): c
+                               for zi2, c in zcov(p, dst[0], i)[zi].items()}
+                    else:
+                        rel = {(dst, (i, zi, yi2)): c for yi2, c
+                               in ycov(q, dst[1], k - i)[yi].items()}
+                    rel[key] = field.neg(field.one)
+                    rels.append(rel)
+            quot = quotient(field, keys, rels)
+            slots[(r, k)] = keys, quot, [
+                (Z.basis[(p, i)][zi], Y.basis[(q, k - i)][yi], p, q, i)
+                for (p, q), (i, zi, yi) in (keys[g] for rep in quot.reps
+                                            for g in rep)]
+
+    def d(k, key):
+        "the tensor differential, objectwise"
+        obj, (i, zi, yi) = key
+        w = {(obj, (i + 1, zi2, yi)): x
+             for zi2, x in zdiff(obj[0], i)[zi].items()}
+        sgn = field.sign(i)
+        for yi2, x in ydiff(obj[1], k - i)[yi].items():
+            w[(obj, (i, zi, yi2))] = field.mul(sgn, x)
+        return w
+
+    return induce(field, P, slots, d)
+
+
+def hom_slots(M, N):
+    """the slots and key differential of Hom(M, N), as induce reads them:
+    Hom(M, N)_r = lim over {(p,q): r <= q - p pointwise} of Hom(M_p, N_q),
+    presented as the kernel of covering-relation difference maps; the index
+    order is (p,q) <= (p',q') iff p' <= p and q <= q'.  A key of slot
+    (r, k) is ((p, q), (i, mi, ni)): basis vector mi of M_p^i to basis
+    vector ni of N_q^(i+k)"""
+    if M.field != N.field or M.poset is not N.poset:
+        raise ValueError("complexes over different fields or posets")
+    field, P = M.field, M.poset
+    mdegs, ndegs = M.degrees(), N.degrees()
+
+    def hom_basis(p, q, k):
+        "(i, mi, ni): basis vector mi of M_p^i to basis vector ni of N_q^(i+k)"
+        return [(i, mi, ni) for i in mdegs for mi in range(M.dim(p, i))
+                for ni in range(N.dim(q, i + k))]
+
+    # the rows of each map out of M, transposed once per matrix; the maps
+    # of N are read through the columns the complex keeps
+    mmap = functools.cache(lambda p, q, i: rows(M.structure_map(p, q, i)))
+    mdiff = functools.cache(lambda p, i: rows(slot_diff(M, p, i)))
+    ndiff = functools.cache(lambda q, j: slot_diff(N, q, j).columns())
+
+    def d(k, key):
+        "the hom differential objectwise: d f = d_N f - (-1)^k f d_M"
+        obj, (i, mi, ni) = key
+        w = {(obj, (i, mi, ni2)): x
+             for ni2, x in ndiff(obj[1], i + k)[ni].items()}
+        nsgn = field.sign(k + 1)
+        for mi2, x in mdiff(obj[0], i - 1)[mi].items():
+            w[(obj, (i - 1, mi2, ni))] = field.mul(nsgn, x)
+        return w
+
+    slots = {}
+    if not mdegs or not ndegs:
+        return slots, d
+    degs = sorted({j - i for i in mdegs for j in ndegs})
+    kmin, kmax = min(degs), max(degs)
+    for r in P.elements:
+        objs = [(p, q) for p in P.elements for q in P.elements
+                if all(c <= b - a for a, b, c in zip(p, q, r))]
+        objset = set(objs)
+        # (p,q) -> (p',q) with p' covered by p, and (p,q) -> (p,q') with q'
+        # covering q
+        edges = [((p, q), (a, q)) for (p, q) in objs
+                 for a in lower_covers(P, p) if (a, q) in objset] \
+            + [((p, q), (p, b)) for (p, q) in objs
+               for b in P.upper_covers(q) if (p, b) in objset]
+        for k in range(kmin, kmax + 2):
+            local = {obj: hom_basis(*obj, k) for obj in objs}
+            # a difference map has a row (edge, t) per key t of its target:
+            # the image of f along the edge minus f at the target
+            eqs = []
+            for e, ((p, q), (p2, q2)) in enumerate(edges):
+                eqs += [((e, (i, mi2, ni2)), ((p, q), (i, mi, ni)),
+                         field.mul(cm, cn))
+                        for (i, mi, ni) in local[(p, q)]
+                        for mi2, cm in mmap(p2, p, i)[mi].items()
+                        for ni2, cn in N.structure_map(
+                            q, q2, i + k).columns()[ni].items()]
+                eqs += [((e, t), ((p2, q2), t), field.neg(field.one))
+                        for t in local[(p2, q2)]]
+            keys = [(obj, t) for obj in objs for t in local[obj]]
+            sub = kernel(field, keys, eqs)
+            slots[(r, k)] = (keys, sub, ["h%d" % i for i in range(sub.dim)])
+    return slots, d
+
+
+def internal_hom(M, N):
+    "the PerverseComplex Hom(M, N) of the slots hom_slots(M, N)"
+    return induce(M.field, M.poset, *hom_slots(M, N))
+
+
+def linear_dual(Z):
+    "D(Z) = Hom(Z, unit); closed form dims: DZ^m_r = dual of Z^{-m}_{t - r}"
+    return internal_hom(Z, unit_perverse(Z.field, Z.poset))
+
+
+# ---------------------------------------------------------------------------
 # the underlying diagram of a pDGA as a perverse complex
 
 
@@ -358,7 +612,7 @@ def carrier(A):
 
 
 def box_tensor_fulldiagram(Z, Y):
-    """the colimit of complexes.box_tensor presented with difference maps
+    """the colimit of box_tensor presented with difference maps
     for every relation p <= q in the index poset, not just covering ones;
     only its dimensions are stated, as placeholder basis labels"""
     if Z.field != Y.field or Z.poset is not Y.poset:
@@ -459,7 +713,7 @@ def cofibrancy_by_spans(Z):
 def functorial_by_chains(Z):
     """whether, for every p <= q and degree, the products of the cover maps
     along all the chains of covers from p to q are one map: every chain is
-    walked, not only the diamond squares PerverseComplex.validate reads"""
+    walked, not only the diamond squares validate_perverse reads"""
     P = Z.poset
     ups = {p: [q for a, q in covers_bruteforce(P) if a == p]
            for p in P.elements}
@@ -502,5 +756,5 @@ def minimum_condition_counterexample(P, q1, q2, field=QQ):
         if da:
             Z.phi[(a, b, 0)] = SparseMatrix.from_columns(
                 field, db, [{i: field.one} for i in range(da)])
-    Z.validate()
+    validate_perverse(Z)
     return Z

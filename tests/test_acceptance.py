@@ -15,7 +15,7 @@ from perverse.poset import Poset
 from perverse.linalg import (SparseMatrix, signed_sum, vec_iadd,
                              kernel_basis, linear)
 from perverse.complexes import p_filtration, cofibrancy_certificate
-from perverse.algebra import algebra_as_bimodule, tensor_pdga
+from perverse.algebra import algebra_as_bimodule, dual_bimodule, tensor_pdga
 from perverse.builders import corpus, sphere_algebra, random_pdga
 from perverse.hochschild import (Cochains, middle_words, hh_table,
                                  hh_table_oracle)
@@ -154,7 +154,7 @@ def test_criterion_05_calculus_suite_with_certified_duality():
     certified = []
     for name, A in corpus(QQ, P3).items():
         try:
-            find_duality_class(A)
+            find_duality_class(dual_bimodule(A))
         except (ValueError, LookupError):
             continue
         certified.append(name)
@@ -172,7 +172,7 @@ def test_criterion_06_bv_on_spheres(n):
     failures = []
     A = sphere_algebra(QQ, P3, n)
     L, lo, hi = 5, -6, 6
-    nd, _ = find_duality_class(A)
+    nd, _ = find_duality_class(dual_bimodule(A))
     if nd != n:
         failures.append(("duality degree", nd))
     bv = BVOperator(Cochains(A, algebra_as_bimodule(A), L))

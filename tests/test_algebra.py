@@ -8,11 +8,12 @@ from perverse.algebra import (PDGA, tensor_pdga, tensor_algebra, Bimodule,
                               diagram_homology)
 from perverse.builders import (trivial_algebra, sphere_algebra,
                                truncated_polynomial, corpus, random_pdga)
-from perverse.complexes import cofibrancy_certificate
+from perverse.complexes import cofibrancy_certificate, induce
 from perverse.linalg import linear
 from perverse.hochschild import Cochains
 from oracles import (opposite_and_enveloping, quasi_iso_fixture,
-                     validate_bimodule, carrier)
+                     validate_bimodule, carrier, validate_perverse,
+                     perverse_homology, hom_slots, unit_perverse, slot_diff)
 
 P3 = Poset(3)
 P4 = Poset(4)
@@ -227,7 +228,7 @@ def test_random_pdga_validates(seed):
 def test_carrier_is_cofibrant_perverse_complex():
     A = random_pdga(QQ, P4, 3)
     Z = carrier(A)
-    Z.validate()
+    validate_perverse(Z)
     rep = cofibrancy_certificate(Z)
     assert rep["cofibrant_sufficient"], rep["failures"]
 
@@ -289,7 +290,7 @@ def carrier_homology(A):
     "{(p, k): dim} of the nonzero homology of the oracle carrier of A"
     Z = carrier(A)
     return {(p, k): h for p in A.poset.elements
-            for k, h in Z.homology(p).items() if h}
+            for k, h in perverse_homology(Z, p).items() if h}
 
 
 @pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
@@ -445,6 +446,79 @@ def test_dual_module_slots_are_the_duals_of_the_subcomplexes():
                             md.differential(r, k)).is_zero(), (seed, r, k)
                     assert md.dims(r, -hi, -lo) == {
                         -k: h for k, h in ma.dims(P.dual(r), lo, hi).items()}
+
+
+def dual_basis_names(A, Z, slots, r, k):
+    """the name b* each basis vector of the linear dual of the carrier Z at
+    (r, k) is dual to, or None for a vector that is dual to no single b.
+    The vector's component on the object (t - r, t) of the hom limit is a
+    functional on Z at (t - r, -k), which determines it, and it must be the
+    one dual to b, with coefficient 1"""
+    P, F = A.poset, A.field
+    if (r, k) not in slots:
+        return []
+    keys, space, _ = slots[r, k]
+    obj, names = (P.dual(r), P.top), Z.basis.get((P.dual(r), -k), [])
+    out = []
+    for rep in space.reps:
+        comp = []
+        for j, c in rep.items():
+            o, (_, mi, _) = keys[j]
+            if o == obj:
+                comp.append((names[mi], c))
+        dual = len(comp) == 1 and comp[0][1] == F.one
+        out.append(dual_name(comp[0][0]) if dual else None)
+    return out
+
+
+def dual_slot_mismatches(A):
+    """where ModuleSlots(dual_bimodule(A)) differs from the linear dual of
+    the carrier of A, slot by slot: the basis (each vector of the linear
+    dual matched to one b*), the differential D.d(b*) cut to the slot, and
+    each cover map, the projection onto the b* present at the larger
+    perversity"""
+    F, P = A.field, A.poset
+    Z = carrier(A)
+    slots, d = hom_slots(Z, unit_perverse(F, P))
+    L, D = induce(F, P, slots, d), dual_bimodule(A)
+    md = ModuleSlots(D)
+    degs = sorted({k for (_, k) in slots} | set(md.degrees()))
+    match = {(r, k): dual_basis_names(A, Z, slots, r, k)
+             for r in P.elements for k in degs + [degs[-1] + 1]}
+    bad = []
+    for (r, k), names in match.items():
+        if k > degs[-1]:
+            continue
+        present = md.slot_basis(r, k)
+        if None in names or sorted(names) != sorted(present):
+            bad.append(("basis", r, k, names, present))
+            continue
+        above = set(md.slot_basis(r, k + 1))
+        for b, col in zip(names, slot_diff(L, r, k).columns()):
+            image = {match[r, k + 1][i]: x for i, x in col.items()}
+            if image != {c: x for c, x in D.d(b).items() if c in above}:
+                bad.append(("d", r, k, b, image))
+        for r2 in P.upper_covers(r):
+            there = set(md.slot_basis(r2, k))
+            for b, col in zip(names, L.cover_map(r, r2, k).columns()):
+                image = {match[r2, k][i]: x for i, x in col.items()}
+                if image != ({b: F.one} if b in there else {}):
+                    bad.append(("cover", r, r2, k, b, image))
+    return bad
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("P", [P3, P4], ids=["P3", "P4"])
+def test_dual_bimodule_is_the_linear_dual_of_the_carrier(field, P):
+    # DA is the linear dual of A in perverse complexes: its slot rule, the
+    # sign of its differential and its cover maps are read off the internal
+    # hom into the unit, on the corpus and five random pDGAs, 11 inputs per
+    # poset and field
+    inputs = list(corpus(field, P).values()) + [
+        random_pdga(field, P, s) for s in (1, 2, 3, 6, 103)]
+    assert len(inputs) == 11
+    for A in inputs:
+        assert not dual_slot_mismatches(A), A.names
 
 
 def test_module_slots_of_an_up_type_module_refuse_a_term_leaving_a_slot():

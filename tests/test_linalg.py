@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from perverse.fields import Field, QQ
 from perverse.linalg import (SparseMatrix, Echelon, kernel_basis, solve,
-                             solver, Subquotient, quotient, vec_iadd,
-                             signed_sum, vec_scale, linear, bilinear)
-from oracles import span_equal, span_intersection
+                             solver, Subquotient, vec_iadd, signed_sum,
+                             vec_scale, linear, bilinear)
+from oracles import span_equal, span_intersection, quotient, rows
 
 F5 = Field(5)
 
@@ -405,14 +405,14 @@ def test_sparse_matrix_agrees_with_the_dense_reference(data):
                                    for i in range(n) for j in range(k)})
     B = SparseMatrix.from_columns(field, k, [
         {i: b[i][j] for i in range(k)} for j in range(m)])
-    for M, rows, nc in ((A, a, k), (B, b, m)):
-        nr = len(rows)
-        assert [[M[i, j] for j in range(nc)] for i in range(nr)] == rows
-        assert M.columns() == _columns(field, rows, nc)
-        assert M.rows() == [{j: x for j, x in enumerate(row)
-                             if not field.iszero(x)} for row in rows]
-        assert M.rank() == _dense(field, rows, nc).rank()
-        assert M.is_zero() == all(field.iszero(x) for r in rows for x in r)
+    for M, dense, nc in ((A, a, k), (B, b, m)):
+        nr = len(dense)
+        assert [[M[i, j] for j in range(nc)] for i in range(nr)] == dense
+        assert M.columns() == _columns(field, dense, nc)
+        assert rows(M) == [{j: x for j, x in enumerate(row)
+                           if not field.iszero(x)} for row in dense]
+        assert M.rank() == _dense(field, dense, nc).rank()
+        assert M.is_zero() == all(field.iszero(x) for r in dense for x in r)
     ab = _from_dense(field, _dense(field, a, k) * _dense(field, b, m))
     AB = A.mul(B)
     assert (AB.nrows, AB.ncols) == (n, m)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from perverse.poset import Poset, is_perversity, leq
 from oracles import (oplus_bruteforce, meet, join, covers_bruteforce,
-                     diamonds_bruteforce)
+                     lower_covers, diamonds_bruteforce)
 
 
 def test_enumeration_sizes():
@@ -103,13 +103,14 @@ def test_covers_and_paths(n):
 @pytest.mark.parametrize("n", range(9))
 def test_covers_are_the_one_steps_of_the_definition(n):
     # q covers p exactly when q = p + e_i: covers() is the definition's
-    # list, in its order, and each endpoint query its ascending slice
+    # list, in its order, and the upper covers of p, and the oracle's lower
+    # covers read from them, each an ascending slice
     P = Poset(n)
     ref = covers_bruteforce(P)
     assert P.covers() == ref
     for p in P.elements:
         assert P.upper_covers(p) == [q for (a, q) in ref if a == p]
-        assert P.lower_covers(p) == [a for (a, q) in ref if q == p]
+        assert lower_covers(P, p) == [a for (a, q) in ref if q == p]
         for q in P.upper_covers(p):
             assert sum(q) == sum(p) + 1
 

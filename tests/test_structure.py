@@ -560,14 +560,14 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
 @pytest.mark.parametrize("n", [2, 3])
 def test_duality_class_detected_for_spheres(n):
     A = sphere_algebra(QQ, P3, n)
-    nc, Mv = find_duality_class(A)
+    nc, Mv = find_duality_class(dual_bimodule(A))
     assert nc == n
     assert set(Mv) == {"x*"}
 
 
 def test_duality_class_detected_for_truncated_polynomial():
     A = truncated_polynomial(QQ, P3, 2, power=3)
-    nc, Mv = find_duality_class(A)
+    nc, Mv = find_duality_class(dual_bimodule(A))
     assert nc == 4
 
 
@@ -575,7 +575,7 @@ def test_duality_gate_rejects_noncommutative():
     A = _noncommutative()
     assert not A.is_commutative()
     with pytest.raises(ValueError, match="non-commutative duality lift"):
-        find_duality_class(A)
+        find_duality_class(dual_bimodule(A))
     # the BV block is a skip, not a raise, on a non-commutative algebra
     rows = verify_calculus(A, 3, -2, 2, trials=2, seed=0)
     assert rows[-1] == {
@@ -599,7 +599,7 @@ def test_duality_gate_reports_missing_class():
              products={})
     assert A.is_commutative()
     with pytest.raises(LookupError, match="not a detected pDPDA"):
-        find_duality_class(A)
+        find_duality_class(dual_bimodule(A))
 
 
 @pytest.mark.parametrize("n", [2, 3])
