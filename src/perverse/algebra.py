@@ -193,7 +193,7 @@ def tensor_pdga(A, B):
     return PDGA(F, P, gens, unit, diff=diff, products=prods)
 
 
-def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
+def tensor_algebra(field, poset, gens, L, diff=None):
     """truncated tensor algebra on generators (name, degree, perversity):
     basis = words (tuples) of length <= L, concatenation product"""
     if L < 0:
@@ -229,15 +229,15 @@ def tensor_algebra(field, poset, gens, L, diff=None, strict=True):
             diffs[w] = v
     out = _TruncatedTensor(field, poset, gens2, (), diff=diffs, products=prods)
     out.maxlen = L
-    out.strict = strict
     return out
 
 
 class _TruncatedTensor(PDGA):
-    "tensor algebra truncated at a maximum word length"
+    """tensor algebra truncated at a maximum word length; a product past
+    it raises OverflowError"""
 
     maxlen = 0
-    strict = False
+    strict = True
 
     def mul(self, a, b):
         if self.strict and len(a) + len(b) > self.maxlen:

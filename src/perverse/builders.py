@@ -12,10 +12,7 @@ def trivial_algebra(field, poset):
 
 def sphere_algebra(field, poset, n, label=None):
     "cohomology of the n-sphere, x^2 = 0, constant diagram at the given label"
-    label = poset.zero if label is None else label
-    return PDGA(field, poset,
-                [("1", 0, poset.zero), ("x", n, label)], "1",
-                products={("x", "x"): {}})
+    return truncated_polynomial(field, poset, n, 2, label)
 
 
 def truncated_polynomial(field, poset, deg, power=2, label=None):

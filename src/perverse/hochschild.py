@@ -3,9 +3,10 @@
 Conventions.  A bar word is a[a_1|...|a_k]b with a, b in the algebra basis and
 normalized middle entries (non-unit).  Degrees are cohomological: the word has
 degree |a|+|b|+sum(|a_i|-1) and the differential D = d0+d1 has degree +1.
-The bar complex itself is perverse.suite.Bar: the Hochschild chains of the
-suite read it, and so does the dense oracle hh_table_oracle, which imports
-it when it runs, so an HH table or compare_hh never compiles it.
+The bar differential itself is perverse.suite.bar_D_word: the Hochschild
+chains of the suite read it, and so does the dense oracle hh_table_oracle,
+which imports it when it runs, so an HH table or compare_hh never compiles
+it.
 
 Cochains are functions on middle words with values in the bimodule, stored
 as sparse dicts {(word, module element): coefficient}.  A basis cochain
@@ -23,9 +24,10 @@ and suspended degree of each word.  The differentials themselves are
 label-blind, so the image of each basis element is computed once per complex
 and every slot matrix cuts it to the admissible target pairs.  D* is pushed
 forward from one basis cochain (w -> m) onto the cofaces of w, the words
-that have w as a face, found once per word of a complex: cochain_D_image is
-the one D* formula, the flat image of one pair, which D_key returns, and
-apply_cochain_D is its linear extension, with an unspecified term order.
+that have w as a face, found once per word of a complex: Cochains.D_key is
+the one D* formula, the flat image of one pair, and apply_cochain_D(cx, f)
+is the linear extension of the images cx caches, with an unspecified term
+order.
 An HH dimension table is read from the ranks of the slot matrices alone, by
 clearing: a column that the previous degree shows dependent is never
 assembled.
@@ -55,6 +57,8 @@ def middle_words(A, L):
     """{w: (suspended degree, label)} of the normalized middle words of
     length <= L under the top, shorter first, each length in product order
     over A.nonunit(); labels only grow, so each extends an admissible prefix"""
+    if L < 0:
+        raise ValueError("negative truncation length %r" % (L,))
     P, gens = A.poset, [(x, sdeg(A, x), A.lam(x)) for x in A.nonunit()]
     level = {(): (0, P.zero)}
     out = dict(level)
@@ -163,38 +167,12 @@ class CofaceTable(dict):
         return entry
 
 
-def cochain_D_image(A, M, p, fdeg, coface):
-    """D* of the basis cochain p = (v -> m) of degree fdeg: its flat image
-    {(w, m'): c'} on the words of the CofaceTable coface.  The one D*
-    formula: with e the suspended degree of v[:i] and v[i] = y,
-      d_M(m) lands on v, with sign +1;
-      y in d(x) lands on v[:i] + (x,) + v[i+1:], with (-1)^(e + fdeg);
-      y in a.b lands on v[:i] + (a, b) + v[i+1:], with (-1)^(e + |a| + fdeg);
-      a.m lands on (a,) + v, with (-1)^((|a| + 1) fdeg + 1);
-      m.a lands on v + (a,), with (-1)^(sdeg(v) + fdeg).
-    coface[v] holds the word side, so only fdeg and m are the pair's own"""
-    F, (v, m) = A.field, p
-    carried, inner, outer, eps = coface[v]
-    out = {}
-    if carried and (dm := M.d(m)):
-        vec_iadd(F, out, {(v, y): cy for y, cy in dm.items()})
-    for w, cy, e in inner:
-        vec_iadd(F, out, {(w, m): cy}, F.sign(e + fdeg))
-    for w, a, left in outer:
-        vec = M.act_left(a, m) if left else M.act_right(m, a)
-        if vec:
-            s = (A.deg(a) + 1) * fdeg + 1 if left else eps + fdeg
-            vec_iadd(F, out, {(w, y): cy for y, cy in vec.items()},
-                     F.sign(s))
-    return out
-
-
-def apply_cochain_D(A, M, f, fdeg, coface):
-    """the printed cochain differential D* = d0 + d1 of f = {(w, m): c}, in
-    the same shape: the linear extension of cochain_D_image.  The order of
-    its terms is unspecified"""
-    return linear(A.field, lambda p: cochain_D_image(A, M, p, fdeg, coface),
-                  f)
+def apply_cochain_D(cx, f):
+    """the printed cochain differential D* = d0 + d1 of f = {(w, m): c} on
+    the words of the complex cx, in the same shape: the linear extension of
+    the images cx caches.  A term on a word cx does not carry raises
+    KeyError; the order of the terms is unspecified"""
+    return linear(cx.field, cx.image, f)
 
 
 class Cochains(SlotComplex):
@@ -254,11 +232,30 @@ class Cochains(SlotComplex):
         return [p for p, lw in self.graded.get(q, ()) if p[1] in at[lw]]
 
     def D_key(self, p):
-        """D* of the basis cochain p = (w, m): its one term pushed forward
-        onto the cofaces of w that this complex carries, every pair of them
-        one degree up; a slot matrix keeps the pairs admissible at its r"""
-        return cochain_D_image(self.A, self.M, p, self.degree(p),
-                               self.coface)
+        """D* of the basis cochain p = (v -> m), pushed forward onto the
+        cofaces of v that this complex carries, {(w, m'): c'}, every pair
+        one degree up; a slot matrix keeps the pairs admissible at its r.
+        The one D* formula: with e = sdeg(v[:i]), y = v[i], fdeg = |p|,
+          d_M(m) lands on v, with sign +1;
+          y in d(x) lands on v[:i] + (x,) + v[i+1:], with (-1)^(e + fdeg);
+          y in a.b lands on v[:i] + (a, b) + v[i+1:], (-1)^(e + |a| + fdeg);
+          a.m lands on (a,) + v, with (-1)^((|a| + 1) fdeg + 1);
+          m.a lands on v + (a,), with (-1)^(sdeg(v) + fdeg).
+        coface[v] holds the word side; only fdeg and m are the pair's own"""
+        A, M, F, (v, m), fdeg = self.A, self.M, self.field, p, self.degree(p)
+        carried, inner, outer, eps = self.coface[v]
+        out = {}
+        if carried and (dm := M.d(m)):
+            vec_iadd(F, out, {(v, y): cy for y, cy in dm.items()})
+        for w, cy, e in inner:
+            vec_iadd(F, out, {(w, m): cy}, F.sign(e + fdeg))
+        for w, a, left in outer:
+            vec = M.act_left(a, m) if left else M.act_right(m, a)
+            if vec:
+                s = (A.deg(a) + 1) * fdeg + 1 if left else eps + fdeg
+                vec_iadd(F, out, {(w, y): cy for y, cy in vec.items()},
+                         F.sign(s))
+        return out
 
     def _coordinates(self, r, q, vec):
         """as SlotComplex's, but a term on a word whose label plus r is past
@@ -296,9 +293,8 @@ def hh_table_oracle(A, M, L, lo, hi):
     shares the bar differential with the main implementation, not the
     printed cochain formulas; the slot bases and the homology are those of
     Cochains."""
-    from .suite import Bar
+    from .suite import bar_D_word
     F = A.field
-    bar = Bar(A, L)
     bar_d = {}  # {w: the bar differential of 1[w]1}, for this call only
 
     def phi_of(values, q, barvec):
@@ -318,7 +314,7 @@ def hh_table_oracle(A, M, L, lo, hi):
         out = {}
         for w in words:
             if w not in bar_d:
-                bar_d[w] = bar.D_word((A.unit, w, A.unit))
+                bar_d[w] = bar_D_word(A, (A.unit, w, A.unit))
             v = vec_scale(F, F.sign(q + 1), phi_of(values, q, bar_d[w]))
             if w == w0:
                 vec_iadd(F, v, M.d_vec({m0: F.one}))

@@ -150,6 +150,9 @@ def compare_hh(A, B, L, window):
     factor tables, then the cup, bracket and Delta transports along the
     comparison, checked on cohomology representatives.  Returns the two
     tables plus per-identity records in the verify_calculus format."""
+    if L < 1:
+        raise ValueError("compare_hh needs max length at least 1, got %r"
+                         % (L,))
     from .structure import (cup_op, bracket_op, BVOperator, record_identity,
                             run_identity)
     lo, hi = window

@@ -1,9 +1,8 @@
 """The identity suite of verify_calculus and the chain side it reads.
 
-The truncated two-sided bar complex Bar: Bar.D_word is the one place the
-d0/d1 formulas of the bar differential are written; the Hochschild chains
-read it through their pairing with the bar complex, and
-hochschild.hh_table_oracle dualizes it.
+The differential of the two-sided bar complex, bar_D_word, is the one place
+its d0/d1 formulas are written; the Hochschild chains read it through their
+pairing with the bar complex, and hochschild.hh_table_oracle dualizes it.
 
 Hochschild chains m[a_1|...|a_k], m in a bimodule, are M (x)_{A^e} B(A)
 through m (x) a[w]b -> (-1)^{|b|(|m| + |a| + sdeg w)} (b.(m.a))[w], the
@@ -12,8 +11,8 @@ d_M plus (-1)^|m| times this pairing applied to D(1[w]1), which gives the
 printed cyclic sign (-1)^{eps_k |s(a_k)|} of the last term.  On chains: the
 contraction i_f, the Lie operator L_f and Connes' boundary B.  On cochains,
 beside the operations of structure: the multiplication and differential
-symbols m and d_A of degree 2 (not cochains), the composition f o g = f{g},
-and the cochain differential read as [d_A, f] + [m, f].
+symbols m and d_A of degree 2 (not cochains) and the cochain differential
+read as [d_A, f] + [m, f].
 
 The suite is one table of rows (name, sampler, check, witness) per block.
 structure.verify_calculus imports this module when it runs, and so do the
@@ -35,57 +34,47 @@ from .structure import brace, op_combine, cup_op, bracket_op, bdual_op
 # two-sided bar complex
 
 
-class Bar:
-    """truncated normalized two-sided bar complex of an augmented pDGA;
-    vectors are dicts {(a, middle, b): coefficient}"""
+def bar_D_word(A, word):
+    """the differential of the bar word a[w]b in the normalized two-sided
+    bar complex of A, {(a, middle, b): coefficient}; a term that is not
+    normalized or whose label sum passes the top is dropped"""
+    F = A.field
+    a, w, b = word
+    k = len(w)
+    out = {}
 
-    def __init__(self, A, L):
-        self.A = A
-        self.L = L
-        self.words = [(a, w, b) for w in middle_words(A, L)
-                      for a in A.names for b in A.names
-                      if bar_ok(A, (a, w, b))]
+    def push(u, coeff):
+        if bar_ok(A, u):
+            vec_iadd(F, out, {u: coeff})
 
-    def _push(self, out, word, coeff):
-        "add coeff * word into out when word is normalized and admissible"
-        if bar_ok(self.A, word):
-            vec_iadd(self.A.field, out, {word: coeff})
-
-    def D_word(self, word):
-        A, F = self.A, self.A.field
-        a, w, b = word
-        k = len(w)
-        out = {}
-        # eps_i = |a| + sum_{j<i} |s(a_j)|, 1-based
-        eps = word_eps(A, w, A.deg(a))
-        # d0
-        for y, c in A.d(a).items():
-            self._push(out, (y, w, b), c)
-        for i in range(1, k + 1):
-            s = F.sign(eps[i - 1])
-            for y, c in A.d(w[i - 1]).items():
-                w2 = w[:i - 1] + (y,) + w[i:]
-                self._push(out, (a, w2, b), F.neg(F.mul(s, c)))
-        s = F.sign(eps[k])
-        for y, c in A.d(b).items():
-            self._push(out, (a, w, y), F.mul(s, c))
-        if k == 0:
-            return out
-        # d1
-        s = F.sign(A.deg(a))
-        for y, c in A.mul(a, w[0]).items():
-            self._push(out, (y, w[1:], b), F.mul(s, c))
-        for i in range(2, k + 1):
-            s = F.sign(eps[i - 1])
-            for y, c in A.mul(w[i - 2], w[i - 1]).items():
-                w2 = w[:i - 2] + (y,) + w[i:]
-                self._push(out, (a, w2, b), F.mul(s, c))
-        # last term with the proof's sign eps_k (the displayed definition
-        # prints eps_{k+1}; only eps_k satisfies D^2 = 0, see the ledger)
-        s = F.sign(eps[k - 1])
-        for y, c in A.mul(w[k - 1], b).items():
-            self._push(out, (a, w[:k - 1], y), F.neg(F.mul(s, c)))
+    # eps_i = |a| + sum_{j<i} |s(a_j)|, 1-based
+    eps = word_eps(A, w, A.deg(a))
+    # d0
+    for y, c in A.d(a).items():
+        push((y, w, b), c)
+    for i in range(1, k + 1):
+        s = F.sign(eps[i - 1])
+        for y, c in A.d(w[i - 1]).items():
+            push((a, w[:i - 1] + (y,) + w[i:], b), F.neg(F.mul(s, c)))
+    s = F.sign(eps[k])
+    for y, c in A.d(b).items():
+        push((a, w, y), F.mul(s, c))
+    if k == 0:
         return out
+    # d1
+    s = F.sign(A.deg(a))
+    for y, c in A.mul(a, w[0]).items():
+        push((y, w[1:], b), F.mul(s, c))
+    for i in range(2, k + 1):
+        s = F.sign(eps[i - 1])
+        for y, c in A.mul(w[i - 2], w[i - 1]).items():
+            push((a, w[:i - 2] + (y,) + w[i:], b), F.mul(s, c))
+    # last term with the proof's sign eps_k (the displayed definition
+    # prints eps_{k+1}; only eps_k satisfies D^2 = 0, see the ledger)
+    s = F.sign(eps[k - 1])
+    for y, c in A.mul(w[k - 1], b).items():
+        push((a, w[:k - 1], y), F.neg(F.mul(s, c)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +94,6 @@ class Chains(SlotComplex):
         if any(k != "up" for k in M.kind.values()):
             raise ValueError("chains need an up-type module")
         self.mids = middle_words(A, L)
-        self.bar = Bar(A, 0)
         # {q: [((m, w), label of the pair)]}, ordered by w, then m
         self.graded = {}
         for w, (d, lw) in self.mids.items():
@@ -137,7 +125,7 @@ class Chains(SlotComplex):
         out = {}
         for y, c in M.d(m).items():
             self.push(out, y, w, c)
-        for (a, v, b), c in self.bar.D_word((A.unit, w, A.unit)).items():
+        for (a, v, b), c in bar_D_word(A, (A.unit, w, A.unit)).items():
             s = F.mul(c, F.sign(dm + A.deg(b) * (
                 dm + A.deg(a) + self.mids[v][0])))
             for y, cy in M.act_left_vec({b: F.one},
@@ -172,11 +160,6 @@ def mult_op(A):
 def diff_op(A):
     "d_A([a1]) = d(a1), zero in other lengths; degree 2"
     return Op(A, 2, lambda w: A.d(w[0]) if len(w) == 1 else {}, {1})
-
-
-def circle(f, g):
-    "f o g = f{g}"
-    return brace(f, [g])
 
 
 def cochain_D_op(f):
@@ -380,7 +363,7 @@ class Suite:
     def differential(self, fs):
         (f, qf), _ = fs
         return not signed_sum(self.F, [
-            (0, apply_cochain_D(self.A, self.M, f, qf, self.cx.coface)),
+            (0, apply_cochain_D(self.cx, f)),
             (1, self.co(cochain_D_op(cochain_op(self.A, f, qf))))])
 
     def cup_is_brace(self, fs):
@@ -411,15 +394,14 @@ class Suite:
         # L + 1 when g has a term on the empty word, and past the top label
         # when g's value has a larger label than the letters it replaces,
         # so Df is evaluated as an Op, not read from a stored cochain
-        A, M, coface = self.A, self.M, self.cx.coface
+        A, cx = self.A, self.cx
         (_, qf), (g, qg) = fs
         fop, gop = self.ops(fs)
-        fg = self.co(circle(fop, gop))
-        dg = apply_cochain_D(A, M, g, qg, coface)
+        dg = apply_cochain_D(cx, g)
         return not signed_sum(self.F, [
-            (0, apply_cochain_D(A, M, fg, qf + qg - 1, coface)),
-            (1, self.co(circle(cochain_D_op(fop), gop))),
-            (qf, self.co(circle(fop, cochain_op(A, dg, qg + 1)))),
+            (0, apply_cochain_D(cx, self.co(brace(fop, [gop])))),
+            (1, self.co(brace(cochain_D_op(fop), [gop]))),
+            (qf, self.co(brace(fop, [cochain_op(A, dg, qg + 1)]))),
             (qf, self.co(cup_op(fop, gop))),
             (qf * qg + qf + 1, self.co(cup_op(gop, fop)))])
 

@@ -11,7 +11,9 @@ library module reads them:
   inputs, and the dg bimodule axioms, which
   algebra_as_bimodule, dual_bimodule and restrict_bimodule are checked
   against;
-- the augmentation and contracting homotopy of the bar complex;
+- the truncated bar complex, its word list read from middle_words and its
+  differential from suite.bar_D_word, with its augmentation and
+  contracting homotopy;
 - the Eilenberg-Zilber shuffle map (Eilenberg-Mac Lane, Ann. Math. 58,
   1953), the shuffle product on Hochschild chains, the differential of a
   tensor of bar complexes and AW on vectors, which the Alexander-Whitney
@@ -44,8 +46,8 @@ from perverse.linalg import (SparseMatrix, Echelon, Subquotient, kernel_basis,
 from perverse.poset import leq
 from perverse.algebra import PDGA, tensor_pdga
 from perverse.builders import truncated_polynomial
-from perverse.hochschild import bar_degree, bar_ok, sdeg
-from perverse.suite import Bar
+from perverse.hochschild import bar_degree, bar_ok, sdeg, middle_words
+from perverse.suite import bar_D_word
 from perverse.kunneth import alexander_whitney
 from perverse.complexes import PerverseComplex, induce
 
@@ -214,6 +216,20 @@ def validate_bimodule(M):
 # the bar complex
 
 
+class Bar(namedtuple("Bar", ["A", "L"])):
+    """the normalized two-sided bar complex of A truncated at middle length
+    L: its admissible words a[w]b, and the differential of one word"""
+
+    @property
+    def words(self):
+        A = self.A
+        return [(a, w, b) for w in middle_words(A, self.L)
+                for a in A.names for b in A.names if bar_ok(A, (a, w, b))]
+
+    def D_word(self, word):
+        return bar_D_word(self.A, word)
+
+
 def q_A(bar, vec):
     "augmentation to A: a[]b -> ab, zero on positive lengths"
     A = bar.A
@@ -263,13 +279,12 @@ def shuffles(s, t):
 def pair_D(A, B, vec):
     "differential of B(A) box B(B): D box 1 + (-1)^{|u|} 1 box D"
     F = A.field
-    ba, bb = Bar(A, 0), Bar(B, 0)
 
     def D(uv):
         u, v = uv
-        out = {(u2, v): cu for u2, cu in ba.D_word(u).items()}
+        out = {(u2, v): cu for u2, cu in bar_D_word(A, u).items()}
         return vec_iadd(F, out, {(u, v2): cv for v2, cv in
-                                 bb.D_word(v).items()},
+                                 bar_D_word(B, v).items()},
                         F.sign(bar_degree(A, u)))
 
     return linear(F, D, vec)

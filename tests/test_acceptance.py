@@ -22,10 +22,10 @@ from perverse.hochschild import (Cochains, middle_words, hh_table,
 from perverse.structure import (verify_calculus, BVOperator,
                                 find_duality_class, cochain_op, cup_op,
                                 bracket_op, to_cochain)
-from perverse.suite import Bar, Chains, GERSTENHABER_IDS, CALCULUS_IDS
+from perverse.suite import Chains, GERSTENHABER_IDS, CALCULUS_IDS
 from perverse.functoriality import InducedHH
 from perverse.kunneth import compare_hh
-from oracles import (oplus_bruteforce, h, alexander_whitney_vec,
+from oracles import (Bar, oplus_bruteforce, h, alexander_whitney_vec,
                      eilenberg_zilber, minimum_condition_counterexample,
                      quasi_iso_fixture)
 

@@ -497,11 +497,17 @@ def test_bv_rejects_a_non_dpda(tmp_path):
     assert "duality class" in out
 
 
-def test_tensor_command():
+def test_tensor_command(capsys):
     code, out = run(["tensor", "sphere2", "sphere2",
                      "--max-length", "2", "--window", "-1..1"])
     assert code == 0, out
     assert "dimension tables agree" in out
+    # at L = 0 the convergence check would compare the L = 0 tables with
+    # themselves, so every slot would count as stable
+    code, out = run(["tensor", "sphere2", "sphere2",
+                     "--max-length", "0", "--window", "-1..1"])
+    assert (code, out) == (2, "")
+    assert "max length at least 1, got 0" in capsys.readouterr().err
 
 
 def test_cofibrancy_command():

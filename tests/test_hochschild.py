@@ -20,9 +20,9 @@ from perverse.functoriality import (InducedHH, check_pdga_map,
                                     hc_precompose)
 from perverse import functoriality, linalg
 from perverse.structure import cup_op
-from perverse.suite import Bar, Chains
+from perverse.suite import Chains
 from perverse.kunneth import hh_degree_support
-from oracles import (q_A, h, quasi_iso_fixture, acyclic_pair,
+from oracles import (Bar, q_A, h, quasi_iso_fixture, acyclic_pair,
                      validate_bimodule)
 
 P3 = Poset(3)
@@ -220,7 +220,7 @@ def _chain_family(F):
 @pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
 @pytest.mark.parametrize("L", [3, 4])
 def test_chain_D_is_the_bar_differential_read_through_the_pairing(field, L):
-    # D_key reads Bar.D_word; the printed formulas are written out above
+    # D_key reads bar_D_word; the printed formulas are written out above
     for A, M in _chain_family(field):
         ch = Chains(A, M, L)
         for keys in ch.graded.values():
@@ -435,6 +435,17 @@ def test_middle_words_match_a_product_scan(name):
             list(_middle_words_by_scan(A, L).items()), L
 
 
+def test_a_negative_length_is_refused():
+    # as tensor_algebra refuses one: a negative length has no word table,
+    # not the table of length 0, so no cochain or chain complex
+    A = sphere_algebra(QQ, P3, 2)
+    M = algebra_as_bimodule(A)
+    for build in (lambda: middle_words(A, -1), lambda: Cochains(A, M, -1),
+                  lambda: Chains(A, M, -1)):
+        with pytest.raises(ValueError, match="negative truncation length"):
+            build()
+
+
 def _coface_family():
     """algebras and coefficients whose slot matrices exercise every coface
     rule; the dual coefficients are down-type, so presence at a label
@@ -523,9 +534,10 @@ def test_coface_assembly_and_rank_table(name):
 
 @pytest.mark.parametrize("name", sorted(_coface_family()))
 def test_pushed_cochain_D_equals_the_pull_formula(name):
-    # random sparse cochains of one degree, now and then with a term on a
-    # word holding the unit (which D* never reads), on all words of the
-    # complex and on random subsets of them
+    # random sparse cochains of one degree, on all words of the complex and
+    # on random subsets of them, through a complex whose coface table holds
+    # only the subset; now and then a term on a word holding the unit,
+    # which no complex carries, and D* of it raises
     A, M = _coface_family()[name]
     F, rng = A.field, random.Random(name)
     cx = Cochains(A, M, 3)
@@ -536,10 +548,14 @@ def test_pushed_cochain_D_equals_the_pull_formula(name):
         f = {p: F.of(rng.choice([1, 2, -1, 3]))
              for p in rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))}
         if rng.random() < 0.2:
-            f[((A.unit,), M.names[0])] = F.one
-        for words in (cx.words, rng.sample(cx.words, len(cx.words) // 3)):
-            assert apply_cochain_D(A, M, f, q, CofaceTable(A, set(words))) \
-                == _pull_cochain_D(A, M, f, q, words), (f, q)
+            with pytest.raises(KeyError):
+                apply_cochain_D(cx, {**f, ((A.unit,), M.names[0]): F.one})
+        words = rng.sample(cx.words, len(cx.words) // 3)
+        sub = Cochains(A, M, 3)
+        sub.coface = CofaceTable(A, set(words))
+        for c, ws in ((cx, cx.words), (sub, words)):
+            assert apply_cochain_D(c, f) == _pull_cochain_D(A, M, f, q, ws), \
+                (f, q)
 
 
 def _pushed_cochain_D(A, M, f, fdeg, words):
@@ -593,7 +609,7 @@ def test_coface_table_keeps_the_pushforward_and_its_order(p, L):
                 for _ in range(3):
                     f = {pr: F.of(rng.choice([1, 2, -1, 3])) for pr in
                          rng.sample(pairs, min(len(pairs), rng.randint(2, 6)))}
-                    assert apply_cochain_D(A, M, f, q, cx.coface) == \
+                    assert apply_cochain_D(cx, f) == \
                         _pushed_cochain_D(A, M, f, q, cx.mids), f
 
 

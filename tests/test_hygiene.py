@@ -262,7 +262,8 @@ _MOVED_TO_ORACLES = {"opposite", "opposite_and_enveloping",
                      "quotient", "rows", "lower_covers", "free_perverse",
                      "unit_perverse", "_box_objects", "_box_keys",
                      "box_tensor", "internal_hom", "linear_dual",
-                     "validate_perverse", "perverse_homology", "slot_diff"}
+                     "validate_perverse", "perverse_homology", "slot_diff",
+                     "Bar"}
 
 # methods whose work tests/oracles.py does under another name, or inlines
 _GONE_METHODS = {"Bimodule.validate", "PerverseComplex.validate",
@@ -298,10 +299,10 @@ def test_algebra_sits_below_complexes():
 
 
 def test_the_bar_complex_lives_beside_its_chains():
-    # Bar is read by suite.Chains and, when it runs, by the dense oracle
-    # hh_table_oracle; no HH table or compare_hh compiles it
+    # bar_D_word is read by suite.Chains and, when it runs, by the dense
+    # oracle hh_table_oracle; no HH table or compare_hh compiles it
     found = sorted(fname for fname, tree in source_trees()
-                   for qual, _ in definitions(tree) if qual == "Bar")
+                   for qual, _ in definitions(tree) if qual == "bar_D_word")
     assert found == ["suite.py"], found
 
 
@@ -728,8 +729,8 @@ def test_the_suite_is_imported_only_where_it_runs():
     # compare_hh, the BV operator and the HH tables compile only what they
     # call: no library module imports the identity suite or functoriality
     # when it is imported, and the suite is imported only by verify_calculus,
-    # the CLI's suite commands and hh_table_oracle, which reads its Bar,
-    # when they run
+    # the CLI's suite commands and hh_table_oracle, which reads its
+    # bar_D_word, when they run
     found = [(fname, line, name) for fname, tree in source_trees()
              for line, name in module_level_imports(tree)
              if name in ("suite", "functoriality")]

@@ -16,11 +16,11 @@ from perverse.builders import (trivial_algebra, sphere_algebra,
 from perverse.hochschild import (Cochains, middle_words, sdeg,
                                  apply_cochain_D, index_cochain, Op)
 from perverse.structure import verify_calculus, BVOperator
-from perverse.suite import Bar, Chains, connes_B
+from perverse.suite import Chains, connes_B
 from perverse.kunneth import (alexander_whitney, tensor_cochain, aw_table,
                               compare_hh, bar_degree, is_constant_diagram,
                               hh_degree_support, _extend)
-from oracles import (shuffles, alexander_whitney_vec, eilenberg_zilber,
+from oracles import (Bar, shuffles, alexander_whitney_vec, eilenberg_zilber,
                      eilenberg_zilber_vec, pair_D, shuffle_product)
 
 P3 = Poset(3)
@@ -364,7 +364,6 @@ def test_transported_cocycles_stay_cocycles():
     L = 3
     cx = Cochains(A, algebra_as_bimodule(A), L)
     cxT = Cochains(T, algebra_as_bimodule(T), L)
-    MT = algebra_as_bimodule(T)
     aw = aw_table(A, B, T, cxT.words)
     checked = 0
     for qf in range(-2, 3):
@@ -374,8 +373,7 @@ def test_transported_cocycles_stay_cocycles():
                     img = tensor_cochain(A, B, T, f, qf, g, qg, aw)
                     if not img:
                         continue
-                    assert not apply_cochain_D(T, MT, img, qf + qg,
-                                               cxT.coface)
+                    assert not apply_cochain_D(cxT, img)
                     checked += 1
     assert checked > 10
 
@@ -542,6 +540,17 @@ def test_each_cochain_complex_is_built_once(monkeypatch):
         run()
         repeated = [k for k in set(built) if built.count(k) > 1]
         assert not repeated, repeated
+
+
+def test_compare_hh_refuses_max_length_0_before_any_work(monkeypatch):
+    # its convergence check reads the tables one length lower, and at L = 0
+    # there is no such table; no complex is built before the refusal
+    def refuse(*args):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(Cochains, "__init__", refuse)
+    with pytest.raises(ValueError, match="max length at least 1, got 0"):
+        compare_hh(S2, S2, 0, (-1, 1))
 
 
 def test_compare_hh_records_pinned_under_a_faulty_cup(monkeypatch):

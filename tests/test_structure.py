@@ -11,7 +11,7 @@ from perverse.algebra import (PDGA, algebra_as_bimodule, dual_bimodule,
 from perverse.builders import (sphere_algebra, truncated_polynomial, corpus,
                                random_pdga)
 from perverse.hochschild import (Cochains, middle_words, word_sdeg,
-                                 apply_cochain_D, CofaceTable)
+                                 apply_cochain_D)
 from perverse.structure import (Op, cochain_op, to_cochain, brace,
                                 op_combine, cup_op, bracket_op, bdual_op,
                                 find_duality_class, BVOperator,
@@ -19,6 +19,8 @@ from perverse.structure import (Op, cochain_op, to_cochain, brace,
 from perverse.suite import (Chains, mult_op, diff_op, cochain_D_op, iota,
                             lie, connes_B, random_cochain, Suite,
                             GERSTENHABER_IDS, CALCULUS_IDS, BV_IDS)
+from perverse.functoriality import hc_precompose
+from oracles import quasi_iso_fixture
 
 P3 = Poset(3)
 Z0 = P3.zero
@@ -84,11 +86,10 @@ def test_cochain_differential_is_hochschild_bracket(seed):
     # D*f = [d_A, f] + [m, f], compared against the direct differential
     rng = random.Random(seed)
     for A in _nondegenerate_family():
-        words = middle_words(A, 4)
-        f, q = _rand_hom_cochain(A, words, rng)
-        lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, q,
-                              CofaceTable(A, words))
-        rhs = to_cochain(cochain_D_op(cochain_op(A, f, q)), words)
+        cx = Cochains(A, algebra_as_bimodule(A), 4)
+        f, q = _rand_hom_cochain(A, cx.mids, rng)
+        lhs = apply_cochain_D(cx, f)
+        rhs = to_cochain(cochain_D_op(cochain_op(A, f, q)), cx.words)
         assert lhs == rhs
 
 
@@ -205,6 +206,75 @@ def test_pre_jacobi_exact(seed):
         assert lhs == to_cochain(op_combine(A, 0, terms), words)
 
 
+# --- degrees ----------------------------------------------------------------
+
+
+def _random_of_one_degree(cx, rng):
+    "a random cochain of up to four pairs of one degree of cx, with it"
+    q = rng.choice(sorted(cx.graded))
+    pairs = [p for p, _ in cx.graded[q]]
+    return {p: cx.field.of(rng.choice([1, -1, 2]))
+            for p in rng.sample(pairs, min(4, len(pairs)))}, q
+
+
+def _ops_of_random_cochains(A, cx, cd, rng):
+    """(name, Op, degrees of its coefficients) of every cochain operation,
+    each built from random homogeneous cochains of cx, over A, and cd,
+    over its dual"""
+    f, g, h = (cochain_op(A, *_random_of_one_degree(cx, rng))
+               for _ in range(3))
+    c = cochain_op(A, *_random_of_one_degree(cd, rng))
+    ident = {x: {x: A.field.one} for x in A.names}
+    deg, ddeg = cx.M.degree, cd.M.degree
+    return [("cup", cup_op(f, g), deg),
+            ("action", cup_op(f, c, cd.M.act_left_vec), ddeg),
+            ("brace", brace(f, [g, h]), deg),
+            ("bracket", bracket_op(f, g), deg),
+            ("cochain_D_op", cochain_D_op(f), deg),
+            ("bdual", bdual_op(c), ddeg),
+            ("mult", mult_op(A), deg),
+            ("diff", diff_op(A), deg),
+            ("hc_precompose", hc_precompose(A, A, ident, f), deg)]
+
+
+def test_every_op_is_homogeneous():
+    # D* reads the degree of each term from its pair, so an Op must give
+    # terms of its own degree only: (w -> m) has degree |m| - sdeg(w).
+    # Every operation, from random homogeneous cochains, on every word of
+    # the complexes at L = 3 of the corpus, k[x]/x^3 and random pDGAs with
+    # a product or a differential, and the precomposition along a
+    # quasi-isomorphism; each must give some terms
+    rng = random.Random(19)
+    family = [*corpus(QQ, P3).values(),
+              truncated_polynomial(QQ, P3, 2, power=3),
+              *(random_pdga(QQ, P, s) for P, s in ((P3, 5), (Poset(4), 3),
+                                                   (Poset(4), 103)))]
+    seen, wrong = {}, []
+
+    def check(name, op, degree, mids):
+        for w, (d, _) in mids.items():
+            for m in op(w):
+                seen[name] = seen.get(name, 0) + 1
+                if degree[m] - d != op.deg:
+                    wrong.append((name, w, m, op.deg))
+
+    for A in family:
+        cx = Cochains(A, algebra_as_bimodule(A), 3)
+        cd = Cochains(A, dual_bimodule(A), 3)
+        for _ in range(4):
+            for name, op, degree in _ops_of_random_cochains(A, cx, cd, rng):
+                check(name, op, degree, cx.mids)
+    A, B, fmap = quasi_iso_fixture(QQ, P3)
+    cb = Cochains(B, algebra_as_bimodule(B), 3)
+    for _ in range(4):
+        g = cochain_op(B, *_random_of_one_degree(cb, rng))
+        check("hc_precompose", hc_precompose(A, B, fmap, g), B.degree,
+              middle_words(A, 3))
+    assert not wrong, wrong[:5]
+    assert set(seen) == {"cup", "action", "brace", "bracket", "cochain_D_op",
+                         "bdual", "mult", "diff", "hc_precompose"}, seen
+
+
 # --- length supports --------------------------------------------------------
 
 
@@ -281,8 +351,7 @@ def test_braces_never_evaluate_a_cochain_off_its_lengths():
     assert to_cochain(brace(mult_op(A), [fop, gop]), words)
     assert seen == {"f": {1, 3}, "g": {0, 2}}
     seen.clear()
-    lhs = apply_cochain_D(A, algebra_as_bimodule(A), f, 1,
-                          CofaceTable(A, words))
+    lhs = apply_cochain_D(Cochains(A, algebra_as_bimodule(A), 4), f)
     assert to_cochain(cochain_D_op(fop), words) == lhs != {}
     assert seen == {"f": {1, 3}}
     # the action pairing f.[c] with c on the empty word splits each word
@@ -450,8 +519,8 @@ def test_pairing_transport_of_the_differential(seed):
     A = random_pdga(QQ, P3, seed, labeled=False)
     D = dual_bimodule(A)
     L = 4
-    words = middle_words(A, L)
-    coface = CofaceTable(A, words)
+    cx = Cochains(A, D, L)
+    words = cx.mids
     ch = Chains(A, algebra_as_bimodule(A), L)
     checked = 0
     for w in words:
@@ -460,7 +529,7 @@ def test_pairing_transport_of_the_differential(seed):
         for m in D.names:
             q = D.degree[m] - word_sdeg(A, w)
             e = {(w, m): QQ.one}
-            lhs = phi_pairing(A, apply_cochain_D(A, D, e, q, coface))
+            lhs = phi_pairing(A, apply_cochain_D(cx, e))
             phi = phi_pairing(A, e)
             comp = {}
             for w2 in words:
@@ -524,8 +593,8 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
     A = _nondegenerate_family()[1 + seed]
     D = dual_bimodule(A)
     L = 5
-    words = middle_words(A, L)
-    coface = CofaceTable(A, words)
+    cx = Cochains(A, D, L)
+    words = cx.mids
     bydeg = {}
     for w in words:
         if len(w) > L - 2:
@@ -541,10 +610,10 @@ def test_bdual_anticommutes_and_squares_to_zero(seed):
                  if rng.random() < 0.6}
             if not f:
                 continue
-            df = apply_cochain_D(A, D, f, q, coface)
+            df = apply_cochain_D(cx, f)
             bdf = to_cochain(bdual_op(cochain_op(A, df, q + 1)), words)
             bf = bdual_op(cochain_op(A, f, q))
-            dbf = apply_cochain_D(A, D, to_cochain(bf, words), q - 1, coface)
+            dbf = apply_cochain_D(cx, to_cochain(bf, words))
             total = signed_sum(QQ, [(0, bdf), (0, dbf)])
             assert all(QQ.iszero(c) for c in total.values())
             if bdf or dbf:
